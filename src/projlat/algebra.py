@@ -1,19 +1,29 @@
 """Generated operator algebras and the irreducibility decision.
 
-The decision procedure is dimension saturation: the unital algebra generated
-by a set of operators on C^n equals the full n^2-dimensional algebra of
-linear maps exactly when the generators admit no nontrivial common invariant
-subspace (over the complex field). The closure is computed by span-growing:
-orthonormalize the generators (plus the identity) under the trace inner
-product, adjoin all pairwise products, and repeat until the dimension stops
-growing.
+Burnside's theorem: the unital algebra generated by a set of operators on
+C^n is the full n^2-dimensional algebra of linear maps exactly when the
+generators admit no nontrivial common invariant subspace (over the complex
+field).
 
-A complementary best-effort search produces an explicit common invariant
-subspace as a witness when the algebra is not saturated. The search is
-incomplete in principle, so its empty-handed outcome is never used to claim
-irreducibility; saturation is the authoritative negative. Inputs are treated
-as complex: real matrices are embedded into C^(n x n), since the saturation
-criterion is specific to the complex field.
+For self-adjoint generators (every generator the CLI passes is a projector)
+the generated algebra is a unital *-algebra, so by von Neumann's bicommutant
+theorem it equals the commutant of its commutant {X : GX = XG for all G}.
+The decision is then one null-space computation: the generators are
+irreducible exactly when their commutant is the scalars C*I. Otherwise the
+algebra dimension is that of the bicommutant, and any non-scalar Hermitian
+element of the commutant has eigenspaces that are common invariant
+subspaces, which gives a witness at every n.
+
+For general (non-self-adjoint) generators the commutant test is not enough:
+the upper-triangular algebra has a trivial commutant but is reducible. Such
+input is decided by span closure: orthonormalize the generators (plus the
+identity) under the trace inner product, adjoin all pairwise products, and
+repeat until the dimension stops growing. A best-effort eigenvector search,
+capped at dimension 6, looks for a witness; its empty-handed outcome is
+never used to claim irreducibility. Closure and search also serve as the
+reference the commutant route is tested against. Inputs are treated as
+complex: real matrices are embedded into C^(n x n), since the criterion is
+specific to the complex field.
 """
 from __future__ import annotations
 
@@ -28,6 +38,11 @@ from .subspace import Subspace
 from .tolerance import TolerancePolicy, resolve
 
 DEFAULT_WITNESS_CAP = 6
+# Stack of commutator maps, in complex128 entries (16 MB), that
+# ``_commutant`` holds at once, or two maps if they are larger; QR copies its
+# input twice, so the peak is a few times this. At n = 24 the whole stack
+# for two bases would be 255 MB.
+_CHUNK_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -160,27 +175,122 @@ def invariant_subspace_witness(
     return None
 
 
-def is_irreducible(
-    generators,
-    tol: TolerancePolicy | None = None,
-    witness_cap: int = DEFAULT_WITNESS_CAP,
-) -> IrreducibilityReport:
-    """Decide irreducibility by algebra saturation; attach a witness if found.
+def _commutant(mats: list[np.ndarray], tol: TolerancePolicy) -> np.ndarray:
+    """Orthonormal basis (trace inner product) of {X : GX = XG for all G},
+    stacked as a ``(k, n, n)`` array.
 
-    Irreducible means the generated unital algebra has dimension n^2. When it
-    does not, and the ambient dimension is within ``witness_cap``, an explicit
-    nontrivial common invariant subspace is searched for and attached.
+    The commutant is the joint null space of the maps X -> GX - XG, which
+    are kron(G, I) - kron(I, G^T) on row-major vectorized X. They are folded
+    into the n^2 x n^2 R factor of their stack a chunk at a time, so the
+    stack is never held whole, and the rank is decided from the singular
+    values of R, which are those of the stack.
     """
+    n = mats[0].shape[0]
+    eye = np.eye(n)
+    # Each fold refactors R along with the chunk, so a chunk of one map
+    # would double the work.
+    per_chunk = max(2, _CHUNK_ENTRIES // n**4)
+    r = np.zeros((0, n * n), dtype=complex)
+    for start in range(0, len(mats), per_chunk):
+        chunk = [np.kron(g, eye) - np.kron(eye, g.T) for g in mats[start : start + per_chunk]]
+        r = np.linalg.qr(np.vstack([r, *chunk]), mode="r")
+    return np.array(linalg.kernel_basis(r, tol)).reshape(-1, n, n)
+
+
+def _bicommutant_dimension(commutant: np.ndarray, tol: TolerancePolicy) -> int:
+    """Dimension of the commutant of the *-algebra ``commutant`` spans.
+
+    With X_k an orthonormal basis of a *-algebra B, the map
+    Y -> sum_k X_k Y X_k^H has range exactly the commutant B', and on it
+    each nonzero eigenvalue is a ratio of block sizes between 1/n and n, so
+    the rank decision is well separated. Its matrix on row-major vectorized
+    Y is sum_k kron(X_k, conj(X_k)), one tensor contraction over k.
+    """
+    n = commutant.shape[1]
+    phi = np.tensordot(commutant, commutant.conj(), axes=(0, 0)).transpose(0, 2, 1, 3)
+    return linalg.numerical_rank(phi.reshape(n * n, n * n), tol)
+
+
+def _hermitian_units(n: int):
+    """E_11, ..., E_nn, then E_jk + E_kj and i(E_jk - E_kj) for j < k."""
+    for j in range(n):
+        unit = np.zeros((n, n), dtype=complex)
+        unit[j, j] = 1.0
+        yield unit
+    for j in range(n):
+        for k in range(j + 1, n):
+            for phase in (1.0, 1j):
+                unit = np.zeros((n, n), dtype=complex)
+                unit[j, k] = phase
+                unit[k, j] = np.conj(phase)
+                yield unit
+
+
+def _commutant_witness(
+    commutant: np.ndarray, mats: list[np.ndarray], tol: TolerancePolicy
+) -> Subspace | None:
+    """Eigenspace of a non-scalar Hermitian element of the commutant.
+
+    The element is the orthogonal projection (trace inner product) onto the
+    commutant of the first Hermitian matrix unit, in ``_hermitian_units``
+    order, whose projection is not scalar. The projection does not depend on
+    the basis of the commutant, and it is Hermitian because the commutant of
+    self-adjoint generators is closed under the adjoint. Its eigenvalues are
+    split at the widest gap, the first if several tie, and the witness is
+    the span of the eigenvectors above that gap. The projections of all
+    units span the Hermitian part of the commutant, so a commutant larger
+    than C*I yields a witness; ``None`` would take a spectrum whose gaps
+    all sink below ``eps_subspace`` for every unit.
+    """
+    n = commutant.shape[1]
+    flat = commutant.reshape(len(commutant), n * n)
+    for unit in _hermitian_units(n):
+        c = ((flat.conj() @ unit.reshape(-1)) @ flat).reshape(n, n)
+        values, vectors = np.linalg.eigh((c + c.conj().T) / 2)
+        gaps = np.diff(values)
+        cut = int(np.argmax(gaps))
+        if gaps[cut] <= tol.eps_subspace * max(1.0, float(np.max(np.abs(values)))):
+            continue
+        witness = Subspace(n, vectors[:, cut + 1 :])
+        if all(is_invariant(witness, m, tol) for m in mats):
+            return witness
+    return None
+
+
+def is_irreducible(
+    generators, tol: TolerancePolicy | None = None
+) -> IrreducibilityReport:
+    """Decide irreducibility; attach a common invariant subspace if reducible.
+
+    Irreducible means the generated unital algebra has dimension n^2. When
+    every generator is self-adjoint within ``eps_entry``, the decision comes
+    from the commutant (see the module docstring): ``algebra_dimension`` is
+    n^2 when the commutant is C*I and the bicommutant's dimension otherwise,
+    and a reducible set always gets a witness (``_commutant_witness`` fixes
+    which one). Other generators are decided by ``algebra_closure``, with a
+    witness from ``invariant_subspace_witness`` only up to dimension
+    ``DEFAULT_WITNESS_CAP``.
+    """
+    tol = resolve(tol)
     mats = _coerce_generators(generators)
     n = mats[0].shape[0]
     if n == 1:
         raise AmbientDimOneError()
-    closure = algebra_closure(mats, tol)
-    witness = None
-    if not closure.saturated and n <= witness_cap:
-        witness = invariant_subspace_witness(mats, tol, dimension_cap=witness_cap)
+    if any(linalg.max_abs(m - m.conj().T) > tol.eps_entry for m in mats):
+        closure = algebra_closure(mats, tol)
+        witness = None
+        if not closure.saturated and n <= DEFAULT_WITNESS_CAP:
+            witness = invariant_subspace_witness(mats, tol)
+        return IrreducibilityReport(
+            irreducible=closure.saturated,
+            algebra_dimension=closure.dimension,
+            witness=witness,
+        )
+    commutant = _commutant(mats, tol)
+    if len(commutant) == 1:
+        return IrreducibilityReport(irreducible=True, algebra_dimension=n * n, witness=None)
     return IrreducibilityReport(
-        irreducible=closure.saturated,
-        algebra_dimension=closure.dimension,
-        witness=witness,
+        irreducible=False,
+        algebra_dimension=_bicommutant_dimension(commutant, tol),
+        witness=_commutant_witness(commutant, mats, tol),
     )

@@ -18,6 +18,7 @@ from .errors import (
     CapExceededError,
     DimensionMismatchError,
     ParseError,
+    SubsetLimitExceededError,
     ValidationError,
 )
 from .lattice import LatticeFamily, context_lattice, intersect_lattices
@@ -59,7 +60,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("intersect", parents=[common], help="intersect all context lattices")
     p.add_argument("file")
 
-    p = sub.add_parser("irreducible", parents=[common], help="algebra closure irreducibility test")
+    p = sub.add_parser(
+        "irreducible", parents=[common], help="algebra irreducibility test with a witness"
+    )
     p.add_argument("file")
 
     p = sub.add_parser("valuate", parents=[common], help="truth values of a state")
@@ -188,7 +191,20 @@ def _cmd_intersect(args, overrides):
 def _irreducibility_verdicts(collection: ContextCollection, tol: TolerancePolicy) -> dict:
     generators = [entry.projector for entry in collection.registry]
     report = is_irreducible(generators, tol)
-    _, meet = _intersection(collection, tol)
+    note = (
+        "irreducible means the unital algebra generated by the supplied "
+        "projectors is the full algebra on C^n; the lattice route checks "
+        "the finite subset-sum families and is reported alongside"
+    )
+    # The lattice route is advisory: hitting its cap must not withhold the
+    # algebra verdict, which is already decided.
+    try:
+        _, meet = _intersection(collection, tol)
+        lattice_trivial = meet.is_trivial()
+        routes_agree = report.irreducible == lattice_trivial
+    except SubsetLimitExceededError as exc:
+        lattice_trivial = routes_agree = None
+        note += f"; lattice route skipped: {exc}"
     return {
         "ambient_dim": collection.ambient_dim,
         "generators": len(generators),
@@ -197,28 +213,27 @@ def _irreducibility_verdicts(collection: ContextCollection, tol: TolerancePolicy
         "witness": (
             None if report.witness is None else _subspace_json(report.witness, "witness")
         ),
-        "lattice_intersection_trivial": meet.is_trivial(),
-        "routes_agree": report.irreducible == meet.is_trivial(),
-        "note": (
-            "irreducible means the unital algebra generated by the supplied "
-            "projectors is the full algebra on C^n; the lattice route checks "
-            "the finite subset-sum families and is reported alongside"
-        ),
+        "lattice_intersection_trivial": lattice_trivial,
+        "routes_agree": routes_agree,
+        "note": note,
     }
 
 
 def _irreducibility_lines(verdicts: dict) -> list[str]:
+    trivial = verdicts["lattice_intersection_trivial"]
     lines = [
         f"generators: {verdicts['generators']} registry projectors on "
         f"C^{verdicts['ambient_dim']}",
         f"algebra dimension: {verdicts['algebra_dimension']} "
         f"(saturated at {verdicts['ambient_dim'] ** 2})",
         f"irreducible: {'yes' if verdicts['irreducible'] else 'no'}",
-        f"lattice intersection trivial: "
-        f"{'yes' if verdicts['lattice_intersection_trivial'] else 'no'}",
+        "lattice intersection trivial: "
+        + ("not computed" if trivial is None else "yes" if trivial else "no"),
     ]
     if verdicts["witness"] is not None:
         lines.append(f"witness subspace: dim {verdicts['witness']['dim']}")
+    if trivial is None:
+        lines.append(f"note: {verdicts['note']}")
     return lines
 
 

@@ -159,15 +159,31 @@ def parse_document(
     return ContextCollection(contexts, tol), tol
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ParseError(f"duplicate key {key!r}")
+        data[key] = value
+    return data
+
+
 def load_document(
     path, tol_overrides: dict | None = None
 ) -> tuple[ContextCollection, TolerancePolicy]:
-    """Read and parse a document file."""
+    """Read and parse a document file.
+
+    A key repeated within one JSON object (two contexts or two rays of the
+    same name, say) is a ``ParseError``: plain JSON decoding would silently
+    keep the last one.
+    """
     try:
         with open(path, encoding="utf-8") as handle:
-            data = json.load(handle)
+            data = json.load(handle, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
     return parse_document(data, tol_overrides)
 
 

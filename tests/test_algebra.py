@@ -157,6 +157,144 @@ class TestRouteAgreement:
                 assert all(pl.is_invariant(witness, g) for g in generators)
 
 
+def haar_unitary(rng, dim):
+    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, _ = np.linalg.qr(z)
+    return q
+
+
+def rank1_projectors(basis):
+    return [np.outer(basis[:, i], basis[:, i].conj()) for i in range(basis.shape[1])]
+
+
+def planted_blocks(rng, sizes):
+    """Two rank-1 contexts, each block-diagonal over ``sizes``, turned by a
+    random unitary: irreducible on each block, so reducible exactly when
+    there are two or more blocks."""
+    dim = sum(sizes)
+    turn = haar_unitary(rng, dim)
+    generators = []
+    for _ in range(2):
+        basis = np.zeros((dim, dim), dtype=complex)
+        start = 0
+        for size in sizes:
+            basis[start : start + size, start : start + size] = haar_unitary(rng, size)
+            start += size
+        generators += rank1_projectors(turn @ basis)
+    return generators
+
+
+def assert_is_witness(witness, generators):
+    dim = generators[0].shape[0]
+    assert witness is not None
+    assert 0 < witness.dim < dim
+    assert all(pl.is_invariant(witness, g) for g in generators)
+
+
+class TestCommutantRoute:
+    """The commutant route against closure and eigenvector search (n <= 6)."""
+
+    def corpus(self, pauli):
+        rng = np.random.default_rng(89)
+        sets = [pauli_projector_matrices(pauli), [I2, ZERO2], diagonal_pair(pauli)]
+        for dim in range(2, 5):
+            a = random_rank1_context(rng, dim)
+            b = random_rank1_context(rng, dim)
+            sets.append([p.matrix for p in a.members + b.members])
+        for sizes in ((1, 1), (2, 1), (2, 2), (3, 2), (3, 3), (1, 2, 2), (2, 2, 2)):
+            sets.append(planted_blocks(rng, sizes))
+        return sets
+
+    def test_matches_closure_and_search(self, pauli):
+        for generators in self.corpus(pauli):
+            report = pl.is_irreducible(generators)
+            closure = pl.algebra_closure(generators)
+            assert report.irreducible == closure.saturated
+            assert report.algebra_dimension == closure.dimension
+            searched = pl.invariant_subspace_witness(generators)
+            assert (searched is None) == report.irreducible
+            if report.irreducible:
+                assert report.witness is None
+            else:
+                assert_is_witness(report.witness, generators)
+
+    def test_repeated_block_gets_witness_the_search_misses(self):
+        # W (G (x) I_2) W^H: the commutant is a copy of M_2, every eigenvalue
+        # of the search's fixed combination is doubled, and no subset of the
+        # eigenvectors eigh picks spans an invariant subspace
+        rng = np.random.default_rng(97)
+        turn = haar_unitary(rng, 4)
+        generators = [
+            turn @ np.kron(g, I2) @ turn.conj().T for g in planted_blocks(rng, (2,))
+        ]
+        report = pl.is_irreducible(generators)
+        assert not report.irreducible
+        assert report.algebra_dimension == pl.algebra_closure(generators).dimension == 4
+        assert pl.invariant_subspace_witness(generators) is None
+        assert_is_witness(report.witness, generators)
+
+    @pytest.mark.parametrize("sizes", [(4, 3), (2, 2, 3), (4, 4), (3, 3, 2)])
+    def test_witness_beyond_search_cap(self, sizes):
+        generators = planted_blocks(np.random.default_rng(101), sizes)
+        report = pl.is_irreducible(generators)
+        assert not report.irreducible
+        assert report.algebra_dimension == sum(d * d for d in sizes)
+        assert_is_witness(report.witness, generators)
+        with pytest.raises(pl.SearchCapExceededError):
+            pl.invariant_subspace_witness(generators)
+
+    @pytest.mark.parametrize(
+        "blocks", [((2, 2), (1, 3)), ((3, 1), (1, 2), (1, 3))], ids=["n7", "n8"]
+    )
+    def test_dimension_with_multiplicities(self, blocks):
+        # generators (+)_i H_i (x) I_m for blocks (d, m): the algebra is
+        # (+)_i M_d (x) I_m, of dimension sum d^2, whatever the multiplicities
+        rng = np.random.default_rng(107)
+        dim = sum(d * m for d, m in blocks)
+        turn = haar_unitary(rng, dim)
+        generators = []
+        for _ in range(2):
+            g = np.zeros((dim, dim), dtype=complex)
+            start = 0
+            for d, m in blocks:
+                h = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+                block = slice(start, start + d * m)
+                g[block, block] = np.kron(h + h.conj().T, np.eye(m))
+                start += d * m
+            g = turn @ g @ turn.conj().T
+            generators.append((g + g.conj().T) / 2)
+        report = pl.is_irreducible(generators)
+        expected = sum(d * d for d, _ in blocks)
+        assert report.algebra_dimension == pl.algebra_closure(generators).dimension == expected
+        assert_is_witness(report.witness, generators)
+
+    def test_irreducible_at_dimension_eight(self):
+        rng = np.random.default_rng(103)
+        a = random_rank1_context(rng, 8)
+        b = random_rank1_context(rng, 8)
+        generators = [p.matrix for p in a.members + b.members]
+        report = pl.is_irreducible(generators)
+        assert report.irreducible and report.algebra_dimension == 64
+        assert report.witness is None
+
+    def test_witness_rule_reaches_off_diagonal_units(self, pauli):
+        # E_11 and E_22 project to I/2 on the x context's commutant; the next
+        # unit, E_12 + E_21, is sigma_x, whose top eigenspace is ran(x[0])
+        x_context = [p.matrix for p in pauli.context_named("x").members]
+        report = pl.is_irreducible(x_context)
+        assert report.witness.equals(Subspace.from_span([[1, 1]]))
+
+    def test_upper_triangular_pair_uses_closure(self):
+        # {E11, E12} has a trivial commutant yet leaves the first coordinate
+        # line invariant: the commutant test alone would call it irreducible
+        e11 = np.array([[1, 0], [0, 0]], dtype=complex)
+        e12 = np.array([[0, 1], [0, 0]], dtype=complex)
+        report = pl.is_irreducible([e11, e12])
+        assert not report.irreducible
+        assert report.algebra_dimension == 3
+        assert report.witness.equals(Subspace.from_span([[1, 0]]))
+
+
 def test_real_generators_are_embedded_as_complex():
     generators = [np.array([[1, 0], [0, 0]]), 0.5 * np.array([[1, 1], [1, 1]])]
     closure = pl.algebra_closure(generators)

@@ -137,6 +137,28 @@ def test_irreducible_reducible_document(tmp_path, capsys):
     assert report["verdicts"]["witness"]["dim"] == 1
 
 
+def test_irreducible_survives_lattice_cap(pauli, tmp_path, capsys):
+    # the algebra decides; the advisory lattice route hits its 20-member cap
+    doc = pl.collection_to_document(pauli)
+    zero = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+    big = doc["contexts"]["z"] + [zero] * 19
+    doc["contexts"] = {"x": doc["contexts"]["x"], "big": big}
+    path = tmp_path / "capped.json"
+    path.write_text(json.dumps(doc))
+    code, report = run_json(capsys, ["irreducible", str(path)])
+    assert code == 0
+    verdicts = report["verdicts"]
+    assert verdicts["irreducible"] is True
+    assert verdicts["algebra_dimension"] == 4
+    assert verdicts["lattice_intersection_trivial"] is None
+    assert verdicts["routes_agree"] is None
+    assert "capped at 20" in verdicts["note"]
+    assert main(["irreducible", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "lattice intersection trivial: not computed" in out
+    assert "capped at 20" in out
+
+
 def test_valuate_command(pauli_file, capsys):
     code, report = run_json(capsys, ["valuate", pauli_file, "--state", "1,0;0,0"])
     assert code == 0

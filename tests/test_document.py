@@ -161,3 +161,24 @@ def test_invalid_json_file(tmp_path):
     path.write_text("{not json")
     with pytest.raises(pl.ParseError):
         pl.load_document(path)
+
+
+DUPLICATE_CONTEXTS = """{"dim": 2, "contexts": {
+  "z": [[[[1,0],[0,0]],[[0,0],[0,0]]], [[[0,0],[0,0]],[[0,0],[1,0]]]],
+  "z": [[[[0.5,0],[0.5,0]],[[0.5,0],[0.5,0]]], [[[0.5,0],[-0.5,0]],[[-0.5,0],[0.5,0]]]]
+}}"""
+
+DUPLICATE_RAYS = """{"dim": 2,
+  "rays": {"a": [[1,0],[0,0]], "b": [[0,0],[1,0]], "a": [[1,0],[1,0]]},
+  "groups": {"z": ["a", "b"]}
+}"""
+
+
+@pytest.mark.parametrize(
+    "text, key", [(DUPLICATE_CONTEXTS, "'z'"), (DUPLICATE_RAYS, "'a'")], ids=["contexts", "rays"]
+)
+def test_duplicate_keys_rejected(tmp_path, text, key):
+    path = tmp_path / "dup.json"
+    path.write_text(text)
+    with pytest.raises(pl.ParseError, match=f"duplicate key {key}"):
+        pl.load_document(path)

@@ -1,32 +1,31 @@
 """Finite invariant-subspace families and their intersection.
 
-For a single projector the family has (at most) four elements: the zero
-subspace, the range, the kernel, and the whole space. For a maximal context
-the family consists of the ranges of all subset sums of its members; with
-``m`` members and distinct subset sums that is the Boolean lattice of 2^m
-elements. Intersecting the families of several contexts keeps exactly the
-subspaces invariant under every context; when only the zero subspace and the
-whole space survive, the family is trivial.
+A family is Boolean over its atoms, orthogonal nonzero subspaces that sum
+to C^n (a projector's range and kernel, a context's nonzero members), and
+lists the spans of atom subsets in ascending bitmask order: atom ``i`` sits
+at position ``2^i``. Families meet in the sums of connected components of
+the graph linking overlapping atoms; a meet of only {0, C^n} is trivial.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DimensionMismatchError, SubsetLimitExceededError
 from .projectors import MaximalContext, Projector, is_invariant
 from .subspace import Subspace
-from .tolerance import TolerancePolicy
+from .tolerance import TolerancePolicy, resolve
 
 DEFAULT_MEMBER_CAP = 20
 
 
 @dataclass(frozen=True)
 class LatticeFamily:
-    """A deduplicated family of subspaces with reporting labels.
+    """A family of subspaces with reporting labels.
 
     Always contains the zero subspace and the full space; no two elements
-    are equal within ``eps_subspace``. Element order is construction order
-    with the first-constructed representative kept on deduplication.
+    are equal within ``eps_subspace``. Built families are Boolean over atoms.
     """
 
     ambient_dim: int
@@ -47,30 +46,25 @@ class LatticeFamily:
         return iter(self.elements)
 
 
-def _dedup(
-    pairs: list[tuple[Subspace, str]], ambient_dim: int, tol: TolerancePolicy | None
-) -> LatticeFamily:
-    elements: list[Subspace] = []
-    labels: list[str] = []
-    for sub, label in pairs:
-        if not any(sub.equals(seen, tol) for seen in elements):
-            elements.append(sub)
-            labels.append(label)
-    return LatticeFamily(ambient_dim, tuple(elements), tuple(labels))
+def _boolean_family(n: int, parts: list[tuple[Subspace, str]], wrap: str) -> LatticeFamily:
+    """Spans of subsets of the nonzero orthogonal parts; ``ran(1)`` needs every part."""
+    atoms = [(sub.basis, name) for sub, name in parts if not sub.is_zero()]
+    elements, labels = [Subspace.zero(n)], ["ran(0)"]
+    for mask in range(1, 1 << len(atoms)):
+        chosen = [atoms[i] for i in range(len(atoms)) if mask >> i & 1]
+        elements.append(Subspace(n, np.linalg.qr(np.hstack([b for b, _ in chosen]))[0]))
+        full = len(chosen) == len(parts)
+        labels.append("ran(1)" if full else wrap % "+".join(name for _, name in chosen))
+    return LatticeFamily(n, tuple(elements), tuple(labels))
 
 
 def projector_lattice(
     projector: Projector, tol: TolerancePolicy | None = None
 ) -> LatticeFamily:
-    """The four-element invariant family of one projector (deduplicated)."""
-    n = projector.ambient_dim
-    pairs = [
-        (Subspace.zero(n), "ran(0)"),
-        (projector.range(tol), f"ran({projector.label})"),
-        (projector.kernel(tol), f"ker({projector.label})"),
-        (Subspace.full(n), "ran(1)"),
-    ]
-    return _dedup(pairs, n, tol)
+    """The invariant family {zero, range, kernel, whole space} of one projector."""
+    label = projector.label
+    parts = [(projector.range(tol), f"ran({label})"), (projector.kernel(tol), f"ker({label})")]
+    return _boolean_family(projector.ambient_dim, parts, "%s")
 
 
 def context_lattice(
@@ -80,37 +74,42 @@ def context_lattice(
 ) -> LatticeFamily:
     """Ranges of all subset sums of a context's members.
 
-    Subsets are enumerated by ascending bitmask (bit ``i`` selects member
-    ``i``), which fixes the element order; the empty subset yields the zero
-    subspace and the full subset the whole space. Contexts with more than
-    ``member_cap`` members are rejected to bound the 2^m enumeration.
+    Bit ``i`` selects the ``i``-th nonzero member, which fixes the element
+    order. Distinct subsets of orthogonal atoms are distinct subspaces, so
+    nothing is deduplicated. Contexts with more than ``member_cap`` members,
+    rank-0 ones included, are rejected to bound the 2^m enumeration.
     """
     m = len(ctx.members)
     if m > member_cap:
         raise SubsetLimitExceededError(m, member_cap)
-    n = ctx.ambient_dim
-    pairs: list[tuple[Subspace, str]] = []
-    for mask in range(1 << m):
-        chosen = [i for i in range(m) if mask >> i & 1]
-        if not chosen:
-            pairs.append((Subspace.zero(n), "ran(0)"))
-            continue
-        if len(chosen) == m:
-            label = "ran(1)"
-        else:
-            label = "ran(" + "+".join(ctx.members[i].label for i in chosen) + ")"
-        total = sum(ctx.members[i].matrix for i in chosen)
-        pairs.append((Subspace.column_space(total, tol), label))
-    return _dedup(pairs, n, tol)
+    parts = [(p.range(tol), p.label) for p in ctx.members]
+    return _boolean_family(ctx.ambient_dim, parts, "ran(%s)")
+
+
+def _atoms(fam: LatticeFamily) -> list[np.ndarray]:
+    """Atom bases of a Boolean family: its elements at positions 2^i."""
+    k = len(fam).bit_length() - 1
+    atoms = [fam.elements[1 << i].basis for i in range(k)]
+    if len(fam) != 1 << k or sum(u.shape[1] for u in atoms) != fam.ambient_dim:
+        raise ValueError("family is not Boolean over atoms spanning the whole space")
+    return atoms
 
 
 def intersect_lattices(
     families, tol: TolerancePolicy | None = None
 ) -> LatticeFamily:
-    """Elements present (within ``eps_subspace``) in every input family.
+    """Elements present in every input family, found from the atoms alone.
 
-    Keeps the first family's order and labels. The zero subspace and the
-    full space are members of every family, so they always survive.
+    Atoms of different families are linked when ``|U_a^H U_b|_F`` exceeds
+    ``eps_subspace``. The first family's elements that are sums of connected
+    components survive, with its labels, Boolean over the components ordered
+    by their highest first-family atom. A family that is not Boolean over
+    atoms summing to the whole space, or whose atoms overlap above
+    ``eps_subspace``, raises ``ValueError``. For ``S = sum_I A_i`` and
+    ``T = sum_J B_j``, ``|S - T|_F^2`` is the sum of ``|A_i B_j|_F^2`` over
+    pairs crossing the cut, so this rule and equality within
+    ``eps_subspace`` can only disagree when some atom overlap lies in
+    ``(eps_subspace/sqrt(p), 2 eps_subspace]``, ``p`` the number of atom pairs.
     """
     fams = list(families)
     if not fams:
@@ -121,12 +120,23 @@ def intersect_lattices(
             raise DimensionMismatchError(
                 f"mixed ambient dimensions: {n} and {fam.ambient_dim}"
             )
-    pairs = [
-        (el, label)
-        for el, label in zip(fams[0].elements, fams[0].labels)
-        if all(fam.contains(el, tol) for fam in fams[1:])
-    ]
-    return _dedup(pairs, n, tol)
+    atoms = [(f, u) for f, fam in enumerate(fams) for u in _atoms(fam)]
+    family = np.array([f for f, _ in atoms])
+    owner = np.repeat(np.eye(len(atoms)), [u.shape[1] for _, u in atoms], axis=0)
+    stacked = np.hstack([u for _, u in atoms])
+    gram = np.abs(stacked.conj().T @ stacked) ** 2
+    linked = owner.T @ gram @ owner > resolve(tol).eps_subspace ** 2
+    if (linked & (family[:, None] == family) & ~np.eye(len(atoms), dtype=bool)).any():
+        raise ValueError("atoms of one family overlap above eps_subspace")
+    reach = linked.astype(float)
+    while not np.array_equal(grown := np.minimum(reach @ reach, 1), reach):
+        reach = grown
+    k = int(np.sum(family == 0))
+    blocks = sorted({int(reach[i, :k] @ (1 << np.arange(k))) for i in range(k)})
+    keep = [sum(b for j, b in enumerate(blocks) if c >> j & 1) for c in range(1 << len(blocks))]
+    return LatticeFamily(
+        n, tuple(fams[0].elements[i] for i in keep), tuple(fams[0].labels[i] for i in keep)
+    )
 
 
 def is_closed_under_meet_join(

@@ -48,10 +48,7 @@ class Projector:
 
     def kernel(self, tol: TolerancePolicy | None = None) -> Subspace:
         """Null space: the vectors the projector annihilates."""
-        basis = linalg.nullspace(self.matrix, tol)
-        if basis:
-            return Subspace(self.ambient_dim, np.column_stack(basis))
-        return Subspace.zero(self.ambient_dim)
+        return Subspace.column_space(np.eye(self.ambient_dim) - self.matrix, tol)
 
     def __repr__(self) -> str:
         return f"Projector({self.label!r}, rank={self.rank}, dim={self.ambient_dim})"

@@ -180,3 +180,196 @@ class TestClosureVerification:
             ("a", "b", "c"),
         )
         assert not pl.is_closed_under_meet_join(broken)
+
+
+# Brute-force reference: ranges of all 2^m subset sums, deduplicated
+# pairwise within eps_subspace, and intersection by membership tests.
+def _oracle_dedup(pairs, n):
+    elements, labels = [], []
+    for sub, label in pairs:
+        if not any(sub.equals(seen) for seen in elements):
+            elements.append(sub)
+            labels.append(label)
+    return pl.LatticeFamily(n, tuple(elements), tuple(labels))
+
+
+def oracle_projector_lattice(projector):
+    n = projector.ambient_dim
+    pairs = [
+        (Subspace.zero(n), "ran(0)"),
+        (Subspace.column_space(projector.matrix), f"ran({projector.label})"),
+        (Subspace.column_space(np.eye(n) - projector.matrix), f"ker({projector.label})"),
+        (Subspace.full(n), "ran(1)"),
+    ]
+    return _oracle_dedup(pairs, n)
+
+
+def oracle_context_lattice(ctx):
+    m, n = len(ctx.members), ctx.ambient_dim
+    pairs = []
+    for mask in range(1 << m):
+        chosen = [i for i in range(m) if mask >> i & 1]
+        if not chosen:
+            pairs.append((Subspace.zero(n), "ran(0)"))
+            continue
+        if len(chosen) == m:
+            label = "ran(1)"
+        else:
+            label = "ran(" + "+".join(ctx.members[i].label for i in chosen) + ")"
+        total = sum(ctx.members[i].matrix for i in chosen)
+        pairs.append((Subspace.column_space(total), label))
+    return _oracle_dedup(pairs, n)
+
+
+def oracle_intersect(families):
+    first, rest = families[0], families[1:]
+    pairs = [
+        (el, label)
+        for el, label in zip(first.elements, first.labels)
+        if all(fam.contains(el) for fam in rest)
+    ]
+    return _oracle_dedup(pairs, first.ambient_dim)
+
+
+def assert_same_family(got, want):
+    assert got.ambient_dim == want.ambient_dim
+    assert got.labels == want.labels
+    assert len(got) == len(want)
+    for g, w in zip(got.elements, want.elements):
+        assert g.dim == w.dim
+        assert g.equals(w)
+
+
+def _haar(rng, dim):
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return q
+
+
+def _context(rng, columns, zeros, name):
+    """Context of rank-1 and rank-2 members cut from orthonormal ``columns``,
+    shuffled, with ``zeros`` rank-0 members inserted at random places."""
+    n = columns.shape[0]
+    pieces, start = [], 0
+    while start < columns.shape[1]:
+        rank = int(min(rng.integers(1, 3), columns.shape[1] - start))
+        pieces.append(columns[:, start : start + rank])
+        start += rank
+    mats = [pieces[i] @ pieces[i].conj().T for i in rng.permutation(len(pieces))]
+    for _ in range(zeros):
+        mats.insert(int(rng.integers(0, len(mats) + 1)), np.zeros((n, n)))
+    members = [pl.validate_projector(m, label=f"{name}{i}") for i, m in enumerate(mats)]
+    return pl.validate_context(members, name=name)
+
+
+def planted_case(seed):
+    """1-3 contexts sharing a random block decomposition of C^n; one may be
+    Haar-turned instead."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 6))
+    cuts = sorted(rng.choice(np.arange(1, n), size=int(rng.integers(0, n)), replace=False))
+    blocks = np.split(np.arange(n), cuts)
+    frame = _haar(rng, n)
+    contexts = []
+    for c in range(int(rng.integers(1, 4))):
+        if c > 0 and rng.random() < 0.25:
+            columns = _haar(rng, n)
+        else:
+            columns = np.hstack(
+                [frame[:, b] @ _haar(rng, len(b)) for b in blocks]
+            )
+        contexts.append(_context(rng, columns, int(rng.integers(0, 3)), f"c{c}_"))
+    return contexts
+
+
+class TestAgainstBruteForceOracle:
+    def test_projector_lattice_of_zero_identity_and_rank1(self, pauli):
+        z0 = pauli.context_named("z").members[0]
+        for projector in (
+            pl.validate_projector(np.zeros((2, 2)), label="0"),
+            pl.validate_projector(np.eye(3), label="1"),
+            z0,
+            pauli.context_named("y").members[1],
+        ):
+            assert_same_family(
+                pl.projector_lattice(projector), oracle_projector_lattice(projector)
+            )
+
+    @pytest.mark.parametrize("chunk", range(4))
+    def test_random_cases_match_the_oracle(self, chunk):
+        for seed in range(1000 + 30 * chunk, 1030 + 30 * chunk):
+            contexts = planted_case(seed)
+            families = [pl.context_lattice(ctx) for ctx in contexts]
+            for ctx, fam in zip(contexts, families):
+                assert_same_family(fam, oracle_context_lattice(ctx))
+            meet = pl.intersect_lattices(families)
+            assert_same_family(meet, oracle_intersect(families))
+            assert_same_family(pl.intersect_lattices([meet] + families), meet)
+
+    def test_eight_member_contexts_match_the_oracle(self):
+        rng = np.random.default_rng(1400)
+        frame = _haar(rng, 6)
+        contexts = [
+            _context(rng, np.hstack([frame[:, :3] @ _haar(rng, 3), frame[:, 3:]]), 2, "a"),
+            _context(rng, frame @ np.kron(np.eye(2), _haar(rng, 3)), 2, "b"),
+        ]
+        families = [pl.context_lattice(ctx) for ctx in contexts]
+        for ctx, fam in zip(contexts, families):
+            assert len(ctx) <= 8
+            assert_same_family(fam, oracle_context_lattice(ctx))
+        assert_same_family(pl.intersect_lattices(families), oracle_intersect(families))
+
+    @staticmethod
+    def _z_and_turned_z(pauli, theta):
+        c, s = np.cos(theta), np.sin(theta)
+        turned = pl.context_from_basis([[c, s], [-s, c]], name="zt")
+        return [pl.context_lattice(pauli.context_named("z")), pl.context_lattice(turned)]
+
+    @pytest.mark.parametrize(
+        "theta, size", [(1e-12, 4), (4e-9, 4), (2.5e-8, 2), (1e-6, 2)]
+    )
+    def test_tolerance_rule_on_a_turned_z_context(self, pauli, theta, size):
+        families = self._z_and_turned_z(pauli, theta)
+        meet = pl.intersect_lattices(families)
+        assert len(meet) == size
+        assert_same_family(meet, oracle_intersect(families))
+
+    def test_rules_differ_only_inside_the_documented_band(self, pauli):
+        # Atom overlaps are sin(theta) on p = 4 pairs and |S - T|_F is
+        # sqrt(2) sin(theta): at 8.5e-9, inside (1e-8 / 2, 2e-8], the atoms
+        # stay unlinked while the projector distance exceeds eps_subspace.
+        families = self._z_and_turned_z(pauli, 8.5e-9)
+        assert len(pl.intersect_lattices(families)) == 4
+        assert len(oracle_intersect(families)) == 2
+
+
+class TestIntersectionGuard:
+    def test_non_boolean_family_is_rejected(self, pauli_lattices):
+        broken = pl.LatticeFamily(
+            2,
+            (
+                Subspace.zero(2),
+                Subspace.from_span([[1, 0]]),
+                Subspace.from_span([[1, 1]]),
+            ),
+            ("a", "b", "c"),
+        )
+        with pytest.raises(ValueError):
+            pl.intersect_lattices([broken])
+        with pytest.raises(ValueError):
+            pl.intersect_lattices([pauli_lattices["z"], broken])
+
+    def test_overlapping_atoms_are_rejected(self, pauli_lattices):
+        skew = pl.LatticeFamily(
+            2,
+            (
+                Subspace.zero(2),
+                Subspace.from_span([[1, 0]]),
+                Subspace.from_span([[1, 1]]),
+                Subspace.full(2),
+            ),
+            ("0", "a", "b", "1"),
+        )
+        with pytest.raises(ValueError):
+            pl.intersect_lattices([skew])
+        with pytest.raises(ValueError):
+            pl.intersect_lattices([pauli_lattices["z"], skew])

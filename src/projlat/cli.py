@@ -322,8 +322,13 @@ def _search_lines(verdicts: dict) -> list[str]:
 def _cmd_ks_search(args, overrides):
     collection, _ = _load(args, overrides)
     verdicts = _search_verdicts(collection)
+    verdicts["note"] = (
+        "tolerances are used only to validate the document and to build the "
+        "projector registry; the search itself is exact over registry identities"
+    )
     code = EXIT_OK if verdicts["status"] == "SAT" else EXIT_UNSAT
-    return verdicts, _collection_residuals(collection), _search_lines(verdicts), code
+    lines = _search_lines(verdicts) + [f"note: {verdicts['note']}"]
+    return verdicts, _collection_residuals(collection), lines, code
 
 
 def _cmd_demo(args, overrides):

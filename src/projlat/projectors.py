@@ -118,19 +118,28 @@ class MaximalContext:
         return f"MaximalContext({self.name!r}, members={len(self.members)})"
 
 
+def _pairwise_products(members) -> np.ndarray:
+    """Symmetric m x m matrix of ``max(max|Pi Pj|, max|Pj Pi|)``, zero diagonal.
+
+    Row i takes two batched products against the later members, so the
+    temporaries hold O(m n^2) entries, never the (m, m, n, n) product.
+    """
+    stack = np.stack([p.matrix for p in members])
+    out = np.zeros((len(members), len(members)))
+    for i in range(len(members) - 1):
+        later = stack[i + 1 :]
+        out[i, i + 1 :] = np.maximum(
+            np.abs(stack[i] @ later).max(axis=(1, 2)),
+            np.abs(later @ stack[i]).max(axis=(1, 2)),
+        )
+    return out + out.T
+
+
 def context_residuals(ctx: MaximalContext) -> dict[str, float]:
     """Measured axiom residuals of a context, for reporting."""
-    pairwise = 0.0
-    for i, p in enumerate(ctx.members):
-        for q in ctx.members[i + 1 :]:
-            pairwise = max(
-                pairwise,
-                linalg.max_abs(p.matrix @ q.matrix),
-                linalg.max_abs(q.matrix @ p.matrix),
-            )
     total = sum(p.matrix for p in ctx.members)
     return {
-        "pairwise_product": pairwise,
+        "pairwise_product": float(_pairwise_products(ctx.members).max()),
         "sum_minus_identity": linalg.max_abs(total - np.eye(ctx.ambient_dim)),
     }
 
@@ -149,14 +158,11 @@ def validate_context(
             raise DimensionMismatchError(
                 f"context {name!r}: mixed ambient dimensions {dim} and {p.ambient_dim}"
             )
-    for i in range(len(members)):
-        for j in range(i + 1, len(members)):
-            residual = max(
-                linalg.max_abs(members[i].matrix @ members[j].matrix),
-                linalg.max_abs(members[j].matrix @ members[i].matrix),
-            )
-            if residual > tol.eps_entry:
-                raise PairwiseProductNonzeroError(name, i, j, residual, tol.eps_entry)
+    pairwise = _pairwise_products(members)
+    offending = np.argwhere(np.triu(pairwise > tol.eps_entry))
+    if len(offending):
+        i, j = (int(k) for k in offending[0])  # row-major: the first pair (i, j)
+        raise PairwiseProductNonzeroError(name, i, j, float(pairwise[i, j]), tol.eps_entry)
     total = sum(p.matrix for p in members)
     residual = linalg.max_abs(total - np.eye(dim))
     if residual > tol.eps_entry:
@@ -236,15 +242,17 @@ class ContextCollection:
     def _build_registry(self, tol: TolerancePolicy) -> tuple[RegistryEntry, ...]:
         reps: list[Projector] = []
         occurrences: list[list[tuple[int, int]]] = []
+        count = sum(len(ctx) for ctx in self.contexts)
+        stacked = np.empty((count, self.ambient_dim, self.ambient_dim), dtype=complex)
         for ci, ctx in enumerate(self.contexts):
             for mi, proj in enumerate(ctx.members):
-                found = None
-                for ri, rep in enumerate(reps):
-                    if float(np.linalg.norm(rep.matrix - proj.matrix)) <= tol.eps_subspace:
-                        found = ri
-                        break
-                if found is None:
+                distances = np.linalg.norm(stacked[: len(reps)] - proj.matrix, axis=(1, 2))
+                close = np.flatnonzero(distances <= tol.eps_subspace)
+                if close.size:
+                    found = int(close[0])
+                else:
                     found = len(reps)
+                    stacked[found] = proj.matrix
                     reps.append(proj)
                     occurrences.append([])
                 occurrences[found].append((ci, mi))

@@ -14,7 +14,9 @@ sharing is what can make the search unsatisfiable.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -143,52 +145,52 @@ def search_noncontextual_assignment(
     context the 1-position is tried in ascending member index, and shared
     identities are checked immediately, so the first success is the
     lexicographically smallest satisfying assignment under that ordering.
-    On failure the node count certifies the exhaustion. Single-threaded and
+    Every tried position counts as one node, the successful one included;
+    on failure the node count certifies the exhaustion. Single-threaded and
     deterministic by construction.
+
+    The state is two Python-int bitsets over registry identities, the ones
+    valued 1 and the ones valued 0. Each (context, 1-position) pattern is
+    precomputed as the same pair: ``ones`` holds the chosen member's
+    identity, ``zeros`` the other members'. A pattern with ``ones & zeros``
+    nonzero (two members of one context sharing an identity, such as two
+    rank-0 members) can never be taken. Backtracking restores the two ints
+    from an explicit per-level stack, so the depth (the number of contexts)
+    is not bounded by Python's recursion limit.
     """
-    context_ids = [
-        [collection.identity_of(ci, mi) for mi in range(len(ctx.members))]
-        for ci, ctx in enumerate(collection.contexts)
-    ]
-    assignment: dict[int, int] = {}
-    nodes = 0
-
-    def try_context(ids: list[int], one_position: int) -> list[int] | None:
-        """Assign the one-hot pattern; return newly-set ids, or None on conflict."""
-        wanted = {}
-        for pos, identity in enumerate(ids):
-            value = 1 if pos == one_position else 0
-            if wanted.get(identity, value) != value:
-                return None
-            wanted[identity] = value
-        for identity, value in wanted.items():
-            if assignment.get(identity, value) != value:
-                return None
-        fresh = [identity for identity in wanted if identity not in assignment]
-        for identity in fresh:
-            assignment[identity] = wanted[identity]
-        return fresh
-
-    def backtrack(level: int) -> bool:
-        nonlocal nodes
-        if level == len(context_ids):
-            return True
-        ids = context_ids[level]
-        for pos in range(len(ids)):
-            nodes += 1
-            fresh = try_context(ids, pos)
-            if fresh is None:
-                continue
-            if backtrack(level + 1):
-                return True
-            for identity in fresh:
-                del assignment[identity]
-        return False
-
-    if backtrack(0):
-        return AssignmentSearchResult(
-            satisfiable=True,
-            assignment=dict(sorted(assignment.items())),
-            nodes_explored=nodes,
+    patterns = []
+    for ci, ctx in enumerate(collection.contexts):
+        bits = [1 << collection.identity_of(ci, mi) for mi in range(len(ctx.members))]
+        patterns.append(
+            [
+                (bit, reduce(operator.or_, bits[:pos] + bits[pos + 1 :], 0))
+                for pos, bit in enumerate(bits)
+            ]
         )
-    return AssignmentSearchResult(satisfiable=False, assignment=None, nodes_explored=nodes)
+    nodes = 0
+    ones = zeros = 0
+    stack: list[tuple] = []
+    candidates = iter(patterns[0])
+    while True:
+        for p_ones, p_zeros in candidates:
+            nodes += 1
+            if not (p_ones & p_zeros or p_ones & zeros or p_zeros & ones):
+                break
+        else:
+            if not stack:
+                return AssignmentSearchResult(
+                    satisfiable=False, assignment=None, nodes_explored=nodes
+                )
+            candidates, ones, zeros = stack.pop()
+            continue
+        stack.append((candidates, ones, zeros))
+        ones |= p_ones
+        zeros |= p_zeros
+        if len(stack) == len(patterns):
+            break
+        candidates = iter(patterns[len(stack)])
+    # Every registry identity occurs in some context, so all are assigned.
+    assignment = {index: (ones >> index) & 1 for index in range(len(collection.registry))}
+    return AssignmentSearchResult(
+        satisfiable=True, assignment=assignment, nodes_explored=nodes
+    )

@@ -196,6 +196,29 @@ def test_ks_search_unsat_exits_two(ks18_file, capsys):
     assert report["verdicts"]["assignment"] is None
 
 
+def test_ks_search_reports_how_tolerances_are_used(ks18_file, capsys):
+    _, report = run_json(capsys, ["ks-search", ks18_file])
+    assert "validate the document" in report["verdicts"]["note"]
+    assert main(["ks-search", ks18_file]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "assignment search: UNSAT (852 nodes explored)"
+    assert lines[1] == "note: " + report["verdicts"]["note"]
+
+
+def test_ks_search_deeper_than_the_recursion_limit(tmp_path, capsys):
+    doc = {
+        "dim": 2,
+        "rays": {"a": [[1, 0], [0, 0]], "b": [[0, 0], [1, 0]]},
+        "groups": {f"g{k:04d}": ["a", "b"] for k in range(2000)},
+    }
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(doc))
+    code, report = run_json(capsys, ["ks-search", str(path)])
+    assert code == 0
+    assert report["verdicts"]["status"] == "SAT"
+    assert report["verdicts"]["nodes_explored"] == 2000
+
+
 def test_demo_pauli(capsys):
     code, report = run_json(capsys, ["demo", "pauli"])
     assert code == 0

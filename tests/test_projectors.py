@@ -113,6 +113,18 @@ class TestValidateContext:
         assert excinfo.value.pair == (0, 1)
         assert excinfo.value.residual == pytest.approx(0.5)
 
+    def test_first_offending_pair_in_row_major_order(self):
+        # Pairs (0, 2) and (1, 2) both fail; (0, 2) comes first.
+        members = [
+            pl.Projector(matrix=np.diag([1.0, 0, 0]).astype(complex), rank=1, label="e0"),
+            pl.Projector(matrix=np.diag([0, 1.0, 0]).astype(complex), rank=1, label="e1"),
+            pl.Projector(matrix=np.diag([0.5, 0.25, 1]).astype(complex), rank=1, label="d"),
+        ]
+        with pytest.raises(pl.PairwiseProductNonzeroError) as excinfo:
+            pl.validate_context(members, name="c")
+        assert excinfo.value.pair == (0, 2)
+        assert excinfo.value.residual == 0.5
+
     def test_incomplete_sum_rejected(self):
         with pytest.raises(pl.SumNotIdentityError):
             pl.validate_context([pl.validate_projector(P1Z)])
@@ -193,6 +205,26 @@ class TestContextCollection:
         first = collection.identity_of(0, 0)
         assert all(collection.identity_of(ci, 0) == first for ci in range(3))
         assert len(collection.registry) == 1 + 2 * 3
+
+    def test_member_takes_first_representative_within_tolerance(self):
+        eps = pl.TolerancePolicy().eps_subspace
+        a = np.diag([1.0, 0]).astype(complex)
+        e = np.array([[0, 1], [1, 0]], dtype=complex) / np.sqrt(2)  # unit Frobenius norm
+        contexts = [
+            pl.MaximalContext(
+                name,
+                (
+                    pl.Projector(matrix=a + t * eps * e, rank=1, label=f"{name}0"),
+                    pl.Projector(matrix=np.eye(2) - a - t * eps * e, rank=1, label=f"{name}1"),
+                ),
+            )
+            for name, t in (("A", 0.0), ("B", 1.5), ("M", 0.75))
+        ]
+        collection = pl.ContextCollection(contexts)
+        assert len(collection.registry) == 4  # A and B stay apart
+        assert collection.identity_of(2, 0) == collection.identity_of(0, 0)
+        assert collection.identity_of(2, 1) == collection.identity_of(0, 1)
+        assert collection.registry[0].occurrences == ((0, 0), (2, 0))
 
     def test_mixed_dimensions_rejected(self):
         ctx2 = pl.context_from_basis([[1, 0], [0, 1]])

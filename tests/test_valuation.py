@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 import projlat as pl
-from conftest import ks18_collection, random_projector, random_state
+from conftest import (
+    KS18_GROUPS,
+    ks18_collection,
+    ks18_ray_names,
+    random_projector,
+    random_state,
+)
 from projlat import TruthValue
 
 E1 = np.array([1, 0], dtype=complex)
@@ -203,3 +209,153 @@ class TestSharedProjectorConsistency:
             assert result.satisfiable
             shared_id = collection.identity_of(0, 0)
             assert result.assignment[shared_id] == 1
+
+
+def reference_search(collection):
+    """Test oracle: the dict-based recursive search the bitset walk replaced.
+
+    Same branching order and node count (one node per tried position, the
+    first success included); it recurses once per context.
+    """
+    context_ids = [
+        [collection.identity_of(ci, mi) for mi in range(len(ctx.members))]
+        for ci, ctx in enumerate(collection.contexts)
+    ]
+    assignment = {}
+    nodes = 0
+
+    def try_context(ids, one_position):
+        wanted = {}
+        for pos, identity in enumerate(ids):
+            value = 1 if pos == one_position else 0
+            if wanted.get(identity, value) != value:
+                return None
+            wanted[identity] = value
+        for identity, value in wanted.items():
+            if assignment.get(identity, value) != value:
+                return None
+        fresh = [identity for identity in wanted if identity not in assignment]
+        for identity in fresh:
+            assignment[identity] = wanted[identity]
+        return fresh
+
+    def backtrack(level):
+        nonlocal nodes
+        if level == len(context_ids):
+            return True
+        ids = context_ids[level]
+        for pos in range(len(ids)):
+            nodes += 1
+            fresh = try_context(ids, pos)
+            if fresh is None:
+                continue
+            if backtrack(level + 1):
+                return True
+            for identity in fresh:
+                del assignment[identity]
+        return False
+
+    if backtrack(0):
+        return pl.AssignmentSearchResult(True, dict(sorted(assignment.items())), nodes)
+    return pl.AssignmentSearchResult(False, None, nodes)
+
+
+def ray_projector(ray):
+    v = np.array(ray, dtype=complex)
+    return np.outer(v, v.conj()) / np.vdot(v, v).real
+
+
+def random_identity_collection(rng):
+    """Small C^4 collection with sharing across and inside contexts.
+
+    Contexts are KS-18 bases (shuffled, in some collections with two rays
+    merged into one rank-2 member) or coordinate partitions, which share
+    rays with them; about a third of the collections hold all nine KS-18
+    bases. In half of the collections a context may carry one or two rank-0
+    members, and every rank-0 member of a collection has one identity.
+    """
+    merges, zeros = rng.random() < 0.3, rng.random() < 0.5
+    groups = list(range(len(KS18_GROUPS)))
+    if rng.random() < 0.35:
+        chosen = [int(g) for g in rng.permutation(groups)]
+        chosen += [None] * int(rng.integers(0, 2))
+    else:
+        chosen = [
+            int(rng.integers(len(groups))) if rng.random() < 0.75 else None
+            for _ in range(int(rng.integers(1, 7)))
+        ]
+    contexts = []
+    for ci, group in enumerate(chosen):
+        if group is None:
+            blocks = np.array_split(rng.permutation(4), int(rng.integers(1, 5)))
+            matrices = [np.diag(np.isin(np.arange(4), b).astype(complex)) for b in blocks]
+        else:
+            matrices = [ray_projector(KS18_GROUPS[group][k]) for k in rng.permutation(4)]
+            if merges and rng.random() < 0.5:
+                matrices[:2] = [matrices[0] + matrices[1]]
+        for _ in range(int(rng.choice(3, p=[0.4, 0.3, 0.3])) if zeros else 0):
+            matrices.insert(int(rng.integers(len(matrices) + 1)), np.zeros((4, 4)))
+        members = [pl.validate_projector(m, label=f"c{ci}[{k}]") for k, m in enumerate(matrices)]
+        contexts.append(pl.validate_context(members, name=f"c{ci}"))
+    return pl.ContextCollection(contexts)
+
+
+def ks18_tensor_c2_collection():
+    """KS-18 tensored with C^2 and turned by a seeded unitary, as the benchmark builds it."""
+    names = ks18_ray_names()
+    q, _ = np.linalg.qr(np.random.default_rng(7).normal(size=(8, 8)))
+    eye = np.eye(2)
+    rays = {
+        f"{name}_{j}": [[float(x), 0.0] for x in q @ np.kron(np.array(ray, float), eye[j])]
+        for ray, name in names.items()
+        for j in range(2)
+    }
+    groups = {
+        f"c{gi}": [f"{names[ray]}_{j}" for j in range(2) for ray in group]
+        for gi, group in enumerate(KS18_GROUPS)
+    }
+    collection, _ = pl.parse_document({"dim": 8, "rays": rays, "groups": groups})
+    return collection
+
+
+class TestSearchAgainstReference:
+    def test_randomized_collections_match_reference(self):
+        statuses = {"SAT": 0, "UNSAT": 0}
+        rank0_pairs = 0
+        for seed in range(100):
+            collection = random_identity_collection(np.random.default_rng([113, seed]))
+            result = pl.search_noncontextual_assignment(collection)
+            reference = reference_search(collection)
+            assert result == reference, seed
+            assert list(result.assignment or ()) == list(reference.assignment or ())
+            statuses[result.status] += 1
+            rank0_pairs += any(
+                sum(p.rank == 0 for p in ctx.members) >= 2 for ctx in collection.contexts
+            )
+        assert min(statuses.values()) >= 10
+        assert rank0_pairs >= 10
+
+    def test_two_rank0_members_of_one_context_share_an_identity(self):
+        zero = pl.validate_projector(np.zeros((2, 2)), label="0")
+        one = pl.validate_projector(np.eye(2), label="1")
+        ctx = pl.validate_context([zero, one, zero], name="c")
+        collection = pl.ContextCollection([ctx, pl.pauli_contexts().context_named("z")])
+        assert collection.identity_of(0, 0) == collection.identity_of(0, 2)
+        result = pl.search_noncontextual_assignment(collection)
+        assert result == reference_search(collection)
+        # Position 0 puts 1 and 0 on the shared identity: one node, no branch.
+        assert result.nodes_explored == 3
+        assert result.assignment == {0: 0, 1: 1, 2: 1, 3: 0}
+
+    def test_ks18_node_count(self, ks18):
+        result = pl.search_noncontextual_assignment(ks18)
+        assert result.nodes_explored == 852
+        assert result == reference_search(ks18)
+
+    def test_ks18_tensor_c2_node_count(self):
+        collection = ks18_tensor_c2_collection()
+        assert len(collection.registry) == 36
+        result = pl.search_noncontextual_assignment(collection)
+        assert not result.satisfiable
+        assert result.nodes_explored == 30584
+        assert result == reference_search(collection)

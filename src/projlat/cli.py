@@ -6,6 +6,7 @@ assignment search, 3 enumeration or search cap exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -134,9 +135,10 @@ def _cmd_validate(args, overrides):
         ],
         "registry_size": len(collection.registry),
     }
+    residuals = _collection_residuals(collection)
     lines = [f"ambient dimension: {collection.ambient_dim}"]
     for ctx in collection.contexts:
-        res = context_residuals(ctx)
+        res = residuals[ctx.name]
         lines.append(
             f"context {ctx.name}: {len(ctx)} members, ranks "
             f"{[p.rank for p in ctx.members]}, pairwise residual "
@@ -144,7 +146,7 @@ def _cmd_validate(args, overrides):
         )
     lines.append(f"registry: {len(collection.registry)} distinct projector identities")
     lines.append("verdict: valid")
-    return verdicts, _collection_residuals(collection), lines, EXIT_OK
+    return verdicts, residuals, lines, EXIT_OK
 
 
 def _cmd_lattice(args, overrides):
@@ -386,8 +388,14 @@ def _emit_failure(fmt: str, command: str, message: str, code: int) -> int:
     return code
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first ``main`` call and kept for the process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     overrides = {
         "eps_rank": args.eps_rank,
         "eps_entry": args.eps_entry,

@@ -11,6 +11,9 @@ exactly one of two payloads:
   vector (same ``[re, im]`` encoding); ``groups`` maps a context name to an
   array of ray names. Rays are directions: they are normalized and turned
   into rank-1 projectors, and every group must form an orthonormal basis.
+
+A matrix or vector is decoded in one numpy call; the per-entry walk runs
+only for a payload that call rejects, to name what is wrong with it.
 """
 from __future__ import annotations
 
@@ -44,9 +47,29 @@ def _parse_complex(entry, where: str) -> complex:
     return value
 
 
+def _decode(obj, shape: tuple[int, ...]) -> np.ndarray | None:
+    """The ``[re, im]`` pairs as complex128 in one call, or None for the walk.
+
+    Only a finite boolean, integer or float array of exactly ``shape``
+    qualifies. The pairs are read through a complex view of their float64
+    copy, which keeps signed zeros (``re + 1j * im`` would lose a ``-0.0``
+    imaginary part).
+    """
+    try:
+        arr = np.array(obj)
+    except (ValueError, TypeError, OverflowError):
+        return None
+    if arr.shape != shape or arr.dtype.kind not in "biuf" or not np.isfinite(arr).all():
+        return None
+    return np.ascontiguousarray(arr, dtype=np.float64).view(np.complex128)[..., 0]
+
+
 def _parse_vector(obj, dim: int, where: str) -> np.ndarray:
     if not isinstance(obj, list) or len(obj) != dim:
         raise ParseError(f"{where}: expected a vector of {dim} [re, im] pairs")
+    decoded = _decode(obj, (dim, 2))
+    if decoded is not None:
+        return decoded
     return np.array(
         [_parse_complex(entry, f"{where}[{i}]") for i, entry in enumerate(obj)]
     )
@@ -55,6 +78,9 @@ def _parse_vector(obj, dim: int, where: str) -> np.ndarray:
 def _parse_matrix(obj, dim: int, where: str) -> np.ndarray:
     if not isinstance(obj, list) or len(obj) != dim:
         raise ParseError(f"{where}: expected a {dim}x{dim} matrix as {dim} rows")
+    decoded = _decode(obj, (dim, dim, 2))
+    if decoded is not None:
+        return decoded
     return np.array(
         [
             [

@@ -5,10 +5,14 @@ to C^n (a projector's range and kernel, a context's nonzero members), and
 lists the spans of atom subsets in ascending bitmask order: atom ``i`` sits
 at position ``2^i``. Families meet in the sums of connected components of
 the graph linking overlapping atoms; a meet of only {0, C^n} is trivial.
+A built family keeps only its atoms and the bitmasks of its elements; an
+element, the QR of its atoms' stacked bases, is taken when the elements
+are first read, so a meet of 2^c elements costs 2^c QRs however large the
+input families are.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,42 +24,107 @@ from .tolerance import TolerancePolicy, resolve
 DEFAULT_MEMBER_CAP = 20
 
 
-@dataclass(frozen=True)
+class _Atoms(NamedTuple):
+    """Atom bases with the names, part count and label pattern of their family."""
+
+    bases: tuple[np.ndarray, ...]
+    names: tuple[str, ...]
+    parts: int
+    wrap: str
+
+
+def _bits(mask: int) -> list[int]:
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
 class LatticeFamily:
     """A family of subspaces with reporting labels.
 
     Always contains the zero subspace and the full space; no two elements
-    are equal within ``eps_subspace``. Built families are Boolean over atoms.
+    are equal within ``eps_subspace``. ``LatticeFamily(n, elements, labels)``
+    holds the given tuples. Built families are Boolean over atoms and keep
+    only the atoms and the bitmasks of their elements: ``elements`` and
+    ``labels`` are built on first access, and ``len``, ``is_trivial`` and
+    ``intersect_lattices`` never build them.
     """
 
-    ambient_dim: int
-    elements: tuple[Subspace, ...]
-    labels: tuple[str, ...]
+    __slots__ = ("ambient_dim", "_elements", "_labels", "_atom_set", "_masks")
+
+    def __init__(self, ambient_dim: int, elements, labels):
+        self.ambient_dim = ambient_dim
+        self._elements = tuple(elements)
+        self._labels = tuple(labels)
+        self._atom_set = self._masks = None
+
+    @classmethod
+    def _over_atoms(cls, n: int, atoms: _Atoms, masks) -> "LatticeFamily":
+        """The spans of the atom subsets ``masks``, built when first read."""
+        family = cls.__new__(cls)
+        family.ambient_dim = n
+        family._elements = family._labels = None
+        family._atom_set, family._masks = atoms, masks
+        return family
+
+    @property
+    def elements(self) -> tuple[Subspace, ...]:
+        if self._elements is None:
+            n, bases = self.ambient_dim, self._atom_set.bases
+            self._elements = tuple(
+                Subspace(n, np.linalg.qr(np.hstack([bases[i] for i in _bits(mask)]))[0])
+                if mask
+                else Subspace.zero(n)
+                for mask in self._masks
+            )
+        return self._elements
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        if self._labels is None:
+            names, parts, wrap = self._atom_set.names, self._atom_set.parts, self._atom_set.wrap
+            self._labels = tuple(
+                "ran(0)"
+                if not mask
+                else "ran(1)"
+                if mask.bit_count() == parts
+                else wrap % "+".join(names[i] for i in _bits(mask))
+                for mask in self._masks
+            )
+        return self._labels
+
+    def _dims(self) -> list[int]:
+        if self._atom_set is None:
+            return [s.dim for s in self._elements]
+        widths = [u.shape[1] for u in self._atom_set.bases]
+        # The QR of stacked bases has at most n columns.
+        return [
+            min(self.ambient_dim, sum(widths[i] for i in _bits(mask))) for mask in self._masks
+        ]
 
     def is_trivial(self) -> bool:
         """True when the family is exactly {zero subspace, full space}."""
-        return sorted(s.dim for s in self.elements) == [0, self.ambient_dim]
+        return len(self) == 2 and sorted(self._dims()) == [0, self.ambient_dim]
 
     def contains(self, subspace: Subspace, tol: TolerancePolicy | None = None) -> bool:
         return any(el.equals(subspace, tol) for el in self.elements)
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self._elements if self._atom_set is None else self._masks)
 
     def __iter__(self):
         return iter(self.elements)
+
+    def __repr__(self) -> str:
+        return f"LatticeFamily(dim={self.ambient_dim}, elements={len(self)})"
 
 
 def _boolean_family(n: int, parts: list[tuple[Subspace, str]], wrap: str) -> LatticeFamily:
     """Spans of subsets of the nonzero orthogonal parts; ``ran(1)`` needs every part."""
     atoms = [(sub.basis, name) for sub, name in parts if not sub.is_zero()]
-    elements, labels = [Subspace.zero(n)], ["ran(0)"]
-    for mask in range(1, 1 << len(atoms)):
-        chosen = [atoms[i] for i in range(len(atoms)) if mask >> i & 1]
-        elements.append(Subspace(n, np.linalg.qr(np.hstack([b for b, _ in chosen]))[0]))
-        full = len(chosen) == len(parts)
-        labels.append("ran(1)" if full else wrap % "+".join(name for _, name in chosen))
-    return LatticeFamily(n, tuple(elements), tuple(labels))
+    return LatticeFamily._over_atoms(
+        n,
+        _Atoms(tuple(b for b, _ in atoms), tuple(name for _, name in atoms), len(parts), wrap),
+        range(1 << len(atoms)),
+    )
 
 
 def projector_lattice(
@@ -76,8 +145,10 @@ def context_lattice(
 
     Bit ``i`` selects the ``i``-th nonzero member, which fixes the element
     order. Distinct subsets of orthogonal atoms are distinct subspaces, so
-    nothing is deduplicated. Contexts with more than ``member_cap`` members,
-    rank-0 ones included, are rejected to bound the 2^m enumeration.
+    nothing is deduplicated. Only the member ranges are computed here; the
+    2^m elements are built when first read. Contexts with more than
+    ``member_cap`` members, rank-0 ones included, are rejected here, before
+    any element exists.
     """
     m = len(ctx.members)
     if m > member_cap:
@@ -87,9 +158,17 @@ def context_lattice(
 
 
 def _atoms(fam: LatticeFamily) -> list[np.ndarray]:
-    """Atom bases of a Boolean family: its elements at positions 2^i."""
+    """Atom bases of a Boolean family: its elements at positions 2^i.
+
+    A built family stacks the bases of the atoms it was built from instead
+    of taking a QR; the two span the same subspace.
+    """
     k = len(fam).bit_length() - 1
-    atoms = [fam.elements[1 << i].basis for i in range(k)]
+    if fam._atom_set is None:
+        atoms = [fam.elements[1 << i].basis for i in range(k)]
+    else:
+        bases = fam._atom_set.bases
+        atoms = [np.hstack([bases[j] for j in _bits(fam._masks[1 << i])]) for i in range(k)]
     if len(fam) != 1 << k or sum(u.shape[1] for u in atoms) != fam.ambient_dim:
         raise ValueError("family is not Boolean over atoms spanning the whole space")
     return atoms
@@ -134,9 +213,12 @@ def intersect_lattices(
     k = int(np.sum(family == 0))
     blocks = sorted({int(reach[i, :k] @ (1 << np.arange(k))) for i in range(k)})
     keep = [sum(b for j, b in enumerate(blocks) if c >> j & 1) for c in range(1 << len(blocks))]
-    return LatticeFamily(
-        n, tuple(fams[0].elements[i] for i in keep), tuple(fams[0].labels[i] for i in keep)
-    )
+    first = fams[0]
+    if first._atom_set is None:
+        return LatticeFamily(
+            n, tuple(first.elements[i] for i in keep), tuple(first.labels[i] for i in keep)
+        )
+    return LatticeFamily._over_atoms(n, first._atom_set, tuple(first._masks[i] for i in keep))
 
 
 def is_closed_under_meet_join(

@@ -10,7 +10,7 @@ is what makes cross-context value assignments meaningful.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -63,6 +63,12 @@ def validate_projector(
     with the measured residual when an axiom fails.
     """
     tol = resolve(tol)
+    arr = _checked_projector_matrix(matrix, tol)
+    return Projector(matrix=arr, rank=linalg.numerical_rank(arr, tol), label=label)
+
+
+def _checked_projector_matrix(matrix, tol: TolerancePolicy) -> np.ndarray:
+    """A read-only complex copy of ``matrix`` that passed the projector axioms."""
     arr = linalg.as_complex_matrix(matrix)
     if arr.shape[0] != arr.shape[1]:
         raise NotSquareError(arr.shape)
@@ -73,7 +79,7 @@ def validate_projector(
     if idem > tol.eps_entry:
         raise NotIdempotentError(idem, tol.eps_entry)
     arr.setflags(write=False)
-    return Projector(matrix=arr, rank=linalg.numerical_rank(arr, tol), label=label)
+    return arr
 
 
 def is_invariant(
@@ -102,6 +108,10 @@ class MaximalContext:
 
     name: str
     members: tuple[Projector, ...]
+    # Set by ``validate_context`` from the products it has just measured.
+    _residuals: dict[str, float] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def ambient_dim(self) -> int:
@@ -135,13 +145,23 @@ def _pairwise_products(members) -> np.ndarray:
     return out + out.T
 
 
-def context_residuals(ctx: MaximalContext) -> dict[str, float]:
-    """Measured axiom residuals of a context, for reporting."""
-    total = sum(p.matrix for p in ctx.members)
+def _residuals(members, pairwise: np.ndarray) -> dict[str, float]:
+    total = sum(p.matrix for p in members)
     return {
-        "pairwise_product": float(_pairwise_products(ctx.members).max()),
-        "sum_minus_identity": linalg.max_abs(total - np.eye(ctx.ambient_dim)),
+        "pairwise_product": float(pairwise.max()),
+        "sum_minus_identity": linalg.max_abs(total - np.eye(members[0].ambient_dim)),
     }
+
+
+def context_residuals(ctx: MaximalContext) -> dict[str, float]:
+    """Measured axiom residuals of a context, for reporting.
+
+    A context from ``validate_context`` reports the residuals measured
+    there; one built by hand has them computed now.
+    """
+    if ctx._residuals is None:
+        return _residuals(ctx.members, _pairwise_products(ctx.members))
+    return dict(ctx._residuals)
 
 
 def validate_context(
@@ -163,11 +183,12 @@ def validate_context(
     if len(offending):
         i, j = (int(k) for k in offending[0])  # row-major: the first pair (i, j)
         raise PairwiseProductNonzeroError(name, i, j, float(pairwise[i, j]), tol.eps_entry)
-    total = sum(p.matrix for p in members)
-    residual = linalg.max_abs(total - np.eye(dim))
-    if residual > tol.eps_entry:
-        raise SumNotIdentityError(name, residual, tol.eps_entry)
-    return MaximalContext(name=name, members=members)
+    residuals = _residuals(members, pairwise)
+    if residuals["sum_minus_identity"] > tol.eps_entry:
+        raise SumNotIdentityError(name, residuals["sum_minus_identity"], tol.eps_entry)
+    ctx = MaximalContext(name=name, members=members)
+    object.__setattr__(ctx, "_residuals", residuals)
+    return ctx
 
 
 def context_from_basis(
@@ -196,10 +217,11 @@ def context_from_basis(
         raise NotCompleteError(len(vecs), dim)
     if labels is not None and len(labels) != len(vecs):
         raise ValidationError(f"context {name!r}: {len(labels)} labels for {len(vecs)} vectors")
+    # v v^H has one nonzero singular value, |v|^2, so its rank needs no SVD.
     members = [
-        validate_projector(
-            np.outer(v, v.conj()),
-            tol,
+        Projector(
+            matrix=_checked_projector_matrix(np.outer(v, v.conj()), tol),
+            rank=linalg.singular_rank([gram[i, i].real], tol),
             label=labels[i] if labels is not None else f"{name}[{i}]",
         )
         for i, v in enumerate(vecs)

@@ -7,6 +7,7 @@ import pytest
 
 import projlat as pl
 from conftest import ks18_document
+from projlat import cli
 from projlat.cli import main
 
 
@@ -86,6 +87,18 @@ def test_lattice_single_context(pauli_file, capsys):
     code, report = run_json(capsys, ["lattice", pauli_file, "--context", "x"])
     assert code == 0
     assert set(report["verdicts"]["lattices"]) == {"x"}
+
+
+def test_kept_parser_leaks_no_argument_between_calls(pauli_file, capsys):
+    code, report = run_json(capsys, ["lattice", pauli_file, "--context", "x"])
+    assert code == 0 and set(report["verdicts"]["lattices"]) == {"x"}
+    code, report = run_json(capsys, ["lattice", pauli_file])
+    assert code == 0 and set(report["verdicts"]["lattices"]) == {"z", "x", "y"}
+    assert main(["lattice", pauli_file, "--context", "y", "--eps-entry", "1e-8"]) == 0
+    assert "lattice y:" in capsys.readouterr().out
+    code, report = run_json(capsys, ["lattice", pauli_file])
+    assert set(report["verdicts"]["lattices"]) == {"z", "x", "y"}
+    assert cli._parser() is cli._parser()
 
 
 def test_lattice_unknown_context(pauli_file, capsys):

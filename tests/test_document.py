@@ -182,3 +182,158 @@ def test_duplicate_keys_rejected(tmp_path, text, key):
     path.write_text(text)
     with pytest.raises(pl.ParseError, match=f"duplicate key {key}"):
         pl.load_document(path)
+
+
+# The per-entry parser that decoded every payload before the one-call path;
+# kept as the oracle for values and for error messages.
+def oracle_parse_complex(entry, where):
+    from numbers import Real
+
+    if (
+        not isinstance(entry, (list, tuple))
+        or len(entry) != 2
+        or not all(isinstance(part, Real) for part in entry)
+    ):
+        raise pl.ParseError(f"{where}: expected a [re, im] number pair, got {entry!r}")
+    value = complex(entry[0], entry[1])
+    if not np.isfinite(value):
+        raise pl.ParseError(f"{where}: entries must be finite")
+    return value
+
+
+def oracle_parse_vector(obj, dim, where):
+    if not isinstance(obj, list) or len(obj) != dim:
+        raise pl.ParseError(f"{where}: expected a vector of {dim} [re, im] pairs")
+    return np.array(
+        [oracle_parse_complex(entry, f"{where}[{i}]") for i, entry in enumerate(obj)]
+    )
+
+
+def oracle_parse_matrix(obj, dim, where):
+    if not isinstance(obj, list) or len(obj) != dim:
+        raise pl.ParseError(f"{where}: expected a {dim}x{dim} matrix as {dim} rows")
+    rows = []
+    for r, row in enumerate(obj):
+        if not isinstance(row, list) or len(row) != dim:
+            raise pl.ParseError(f"{where}[{r}]: expected a row of {dim} [re, im] pairs")
+        rows.append([oracle_parse_complex(e, f"{where}[{r}][{c}]") for c, e in enumerate(row)])
+    return np.array(rows)
+
+
+def _outcome(parse, obj, dim):
+    """The parsed bytes, or the exception type and message."""
+    try:
+        arr = parse(obj, dim, "m")
+    except Exception as exc:  # the oracle may raise more than ParseError
+        return type(exc), str(exc)
+    return arr.dtype, arr.shape, arr.tobytes()
+
+
+SPECIAL_VALUES = [
+    0.0, -0.0, True, False, 0, -1, 2**53 + 1, -(2**62) - 3, 2**63 - 1,
+    2**63, 2**63 + 1025, 2**64 - 1, 1e308, -1e308, 5e-324, -2.5e-310, 1e-300,
+]
+
+
+def _special_entries(rng, count):
+    """[re, im] pairs mixing plain floats with the special values above."""
+    entries = []
+    for _ in range(count):
+        pair = []
+        for _ in range(2):
+            if rng.random() < 0.5:
+                pair.append(SPECIAL_VALUES[int(rng.integers(len(SPECIAL_VALUES)))])
+            else:
+                pair.append(float(rng.normal()))
+        entries.append(pair)
+    return entries
+
+
+class TestOneCallDecode:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_the_per_entry_parser(self, seed):
+        rng = np.random.default_rng(1600 + seed)
+        dim = int(rng.integers(1, 7))
+        entries = _special_entries(rng, dim * dim + dim)
+        matrix = [entries[r * dim : (r + 1) * dim] for r in range(dim)]
+        vector = entries[dim * dim :]
+        # Through JSON text too, as load_document sees a document.
+        for m, v in ((matrix, vector), json.loads(json.dumps([matrix, vector]))):
+            assert pl.document._decode(m, (dim, dim, 2)) is not None
+            assert pl.document._decode(v, (dim, 2)) is not None
+            got = _outcome(pl.document._parse_matrix, m, dim)
+            assert got == _outcome(oracle_parse_matrix, m, dim)
+            assert got[0] == np.complex128
+            assert _outcome(pl.document._parse_vector, v, dim) == _outcome(
+                oracle_parse_vector, v, dim
+            )
+
+    def test_signed_zeros_survive(self):
+        parsed = pl.document._parse_vector([[-0.0, -0.0], [0.0, -0.0]], 2, "v")
+        assert list(np.signbit(parsed.real)) == [True, False]
+        assert list(np.signbit(parsed.imag)) == [True, True]
+
+    def test_documents_parse_to_the_same_bytes(self, pauli):
+        doc = pl.collection_to_document(pauli)
+        doc["contexts"]["z"][0][1][0] = [-0.0, -0.0]
+        doc["contexts"]["z"][1][0][1] = [0, -0.0]
+        collection, _ = pl.parse_document(doc)
+        for ctx, matrices in zip(collection.contexts, doc["contexts"].values()):
+            for member, matrix in zip(ctx.members, matrices):
+                want = oracle_parse_matrix(matrix, 2, "m")
+                assert member.matrix.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            ["1.0", 0.0],
+            [None, 0.0],
+            [1.0, 0.0, 0.0],
+            [1.0],
+            [],
+            [float("nan"), 0.0],
+            [0.0, float("inf")],
+            [-float("inf"), 0.0],
+            {"re": 1.0, "im": 0.0},
+            [[1.0, 0.0], 0.0],
+            [{"x": 1}, 0.0],
+            [2**64, 0.0],
+            [0.0, 2**70 + 1],
+            [10**400, 0.0],
+            "ab",
+            None,
+            1.0,
+        ],
+        ids=lambda bad: repr(bad)[:24],
+    )
+    def test_bad_entries_fail_as_before(self, bad):
+        rng = np.random.default_rng(1660)
+        for dim in (1, 3):
+            entries = [[float(x), float(y)] for x, y in rng.normal(size=(dim * dim, 2))]
+            entries[-1] = bad
+            matrix = [entries[r * dim : (r + 1) * dim] for r in range(dim)]
+            vector = entries[-dim:]
+            want = _outcome(oracle_parse_matrix, matrix, dim)
+            assert _outcome(pl.document._parse_matrix, matrix, dim) == want
+            want = _outcome(oracle_parse_vector, vector, dim)
+            assert _outcome(pl.document._parse_vector, vector, dim) == want
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            [[[1, 0], [0, 0]], [[0, 0]]],  # ragged rows
+            [[[1, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]]],
+            [[[1, 0], [0, 0]], [[0, 0], [1, 0, 0]]],  # a 3-element pair
+            [[[1, 0], [0, 0]]],  # too few rows
+            [[[1, 0], [0, 0]], "ab"],
+            [[[1, 0], [0, 0]], None],
+            [[[1, 0], [0, 0]], {"a": 1, "b": 2}],
+            [[[1, 0], [0, 0]], [[[0, 0]], [1, 0]]],  # a pair nested one level deeper
+            [[[1, 0], [0, 0]], [[0, 0], [True, "x"]]],
+            "not a matrix",
+        ],
+    )
+    def test_malformed_matrices_fail_as_before(self, matrix):
+        want = _outcome(oracle_parse_matrix, matrix, 2)
+        assert want[0] is pl.ParseError
+        assert _outcome(pl.document._parse_matrix, matrix, 2) == want

@@ -1,9 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
 import projlat as pl
 from conftest import random_rank1_context
 from projlat import Subspace
+from projlat.cli import main
 
 
 @pytest.fixture(scope="module")
@@ -373,3 +376,128 @@ class TestIntersectionGuard:
             pl.intersect_lattices([skew])
         with pytest.raises(ValueError):
             pl.intersect_lattices([pauli_lattices["z"], skew])
+
+
+# The eager build every family used before families kept their atoms: all
+# 2^k elements and labels at once, one QR of the stacked atom bases each.
+def eager_boolean_family(n, parts, wrap):
+    atoms = [(sub.basis, name) for sub, name in parts if not sub.is_zero()]
+    elements, labels = [Subspace.zero(n)], ["ran(0)"]
+    for mask in range(1, 1 << len(atoms)):
+        chosen = [atoms[i] for i in range(len(atoms)) if mask >> i & 1]
+        elements.append(Subspace(n, np.linalg.qr(np.hstack([b for b, _ in chosen]))[0]))
+        full = len(chosen) == len(parts)
+        labels.append("ran(1)" if full else wrap % "+".join(name for _, name in chosen))
+    return pl.LatticeFamily(n, tuple(elements), tuple(labels))
+
+
+def eager_context_lattice(ctx):
+    parts = [(p.range(), p.label) for p in ctx.members]
+    return eager_boolean_family(ctx.ambient_dim, parts, "ran(%s)")
+
+
+def assert_identical_family(got, want):
+    """Same labels, and element bases equal to the last bit."""
+    assert got.labels == want.labels
+    assert len(got) == len(want) == len(got.elements)
+    for g, w in zip(got.elements, want.elements):
+        assert g.basis.shape == w.basis.shape
+        assert np.array_equal(g.basis, w.basis)
+
+
+@pytest.fixture()
+def built_elements(monkeypatch):
+    """Counts the subspaces the lattice module builds."""
+    count = {"n": 0}
+
+    class Counted(Subspace):
+        __slots__ = ()
+
+        def __init__(self, *args, **kwargs):
+            count["n"] += 1
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(pl.lattice, "Subspace", Counted)
+    return count
+
+
+def planted_blocks_document(seed):
+    """Benchmark-shaped: three contexts of six rank-2 members in C^12, each
+    refining the same three planted 4-dimensional blocks."""
+    rng = np.random.default_rng(seed)
+    frame = _haar(rng, 12)
+    contexts = {}
+    for c in range(3):
+        columns = np.hstack([frame[:, 4 * b : 4 * b + 4] @ _haar(rng, 4) for b in range(3)])
+        contexts[f"c{c}"] = [
+            pl.document.matrix_to_json(columns[:, k : k + 2] @ columns[:, k : k + 2].conj().T)
+            for k in range(0, 12, 2)
+        ]
+    return {"dim": 12, "contexts": contexts}
+
+
+class TestFamiliesKeepAtoms:
+    def test_size_triviality_and_meet_build_no_element(self, pauli, built_elements):
+        families = [pl.context_lattice(ctx) for ctx in pauli.contexts]
+        meet = pl.intersect_lattices(families)
+        again = pl.intersect_lattices([meet] + families)
+        assert [len(f) for f in families] == [4, 4, 4]
+        assert meet.is_trivial() and again.is_trivial()
+        assert not any(f.is_trivial() for f in families)
+        assert built_elements["n"] == 0
+        assert len(meet.elements) == 2
+        assert built_elements["n"] == 2
+        meet.elements  # built once
+        assert built_elements["n"] == 2
+
+    def test_intersect_builds_exactly_the_meet(self, tmp_path, capsys, built_elements):
+        path = tmp_path / "blocks.json"
+        path.write_text(json.dumps(planted_blocks_document(1800)))
+        assert main(["intersect", str(path), "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)["verdicts"]
+        assert report["per_context_sizes"] == {"c0": 64, "c1": 64, "c2": 64}
+        assert report["intersection"]["size"] == 8
+        assert built_elements["n"] == 8
+        built_elements["n"] = 0
+        assert main(["irreducible", str(path), "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["verdicts"]["irreducible"] is False
+        assert built_elements["n"] == 0
+
+    @pytest.mark.parametrize("chunk", range(4))
+    def test_lazy_build_equals_the_eager_build(self, chunk):
+        for seed in range(1000 + 30 * chunk, 1030 + 30 * chunk):
+            contexts = planted_case(seed)
+            families = [pl.context_lattice(ctx) for ctx in contexts]
+            eager = [eager_context_lattice(ctx) for ctx in contexts]
+            for fam, want in zip(families, eager):
+                assert_identical_family(fam, want)
+            meet = pl.intersect_lattices(families)
+            index = {label: i for i, label in enumerate(eager[0].labels)}
+            for element, label in zip(meet.elements, meet.labels):
+                assert np.array_equal(element.basis, eager[0].elements[index[label]].basis)
+            # The eager copies meet in the same elements.
+            assert_identical_family(pl.intersect_lattices(eager), meet)
+
+    def test_meet_of_a_meet(self):
+        collection, _ = pl.parse_document(planted_blocks_document(1810))
+        families = [pl.context_lattice(ctx) for ctx in collection.contexts]
+        meet = pl.intersect_lattices(families)
+        assert len(meet) == 8
+        again = pl.intersect_lattices([meet] + families)
+        assert_identical_family(again, meet)
+        assert_identical_family(pl.intersect_lattices([meet]), meet)
+        frozen = pl.LatticeFamily(meet.ambient_dim, meet.elements, meet.labels)
+        assert_identical_family(pl.intersect_lattices([frozen] + families[1:]), meet)
+
+    def test_projector_lattice_equals_the_eager_build(self, pauli):
+        for projector in (
+            pl.validate_projector(np.zeros((2, 2)), label="0"),
+            pl.validate_projector(np.eye(3), label="1"),
+            *pauli.context_named("y").members,
+        ):
+            parts = [
+                (projector.range(), f"ran({projector.label})"),
+                (projector.kernel(), f"ker({projector.label})"),
+            ]
+            want = eager_boolean_family(projector.ambient_dim, parts, "%s")
+            assert_identical_family(pl.projector_lattice(projector), want)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import projlat as pl
-from conftest import random_projector, random_rank1_context
+from conftest import ks18_document, random_projector, random_rank1_context
 from projlat import Subspace
 
 I2 = np.eye(2)
@@ -259,3 +259,110 @@ class TestPairwiseSubspaceIdentities:
                     else:
                         remainder = Subspace.zero(dim)
                     assert kernels[i].meet(kernels[j]).equals(remainder)
+
+
+def _perturbed_basis(rng, dim, scale):
+    """A Haar basis of C^dim whose Gram matrix is off by about ``scale``."""
+    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, _ = np.linalg.qr(z)
+    noise = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return [q[:, i] + scale * noise[:, i] / np.abs(noise).max() for i in range(dim)]
+
+
+class TestBasisRanksWithoutSvd:
+    def test_rank_equals_numerical_rank(self):
+        eps = pl.TolerancePolicy().eps_entry
+        rng = np.random.default_rng(1700)
+        accepted = 0
+        for dim in range(1, 9):
+            for scale in (0.0, 1e-13, 0.2 * eps, 0.4 * eps, 0.49 * eps):
+                basis = _perturbed_basis(rng, dim, scale)
+                stacked = np.column_stack(basis)
+                gram_residual = np.abs(stacked.conj().T @ stacked - np.eye(dim)).max()
+                if gram_residual > eps:
+                    continue
+                accepted += 1
+                ctx = pl.context_from_basis(basis, name="b")
+                for member in ctx.members:
+                    assert member.rank == pl.numerical_rank(member.matrix) == 1
+        assert accepted >= 30
+
+    def test_loose_tolerances_can_give_rank_zero(self):
+        # |v|^2 = 0.3 passes a Gram check at eps_entry 0.9 but lies below the
+        # rank cutoff 0.5: the SVD said rank 0, and so must the shortcut.
+        tol = pl.TolerancePolicy(eps_rank=0.5, eps_entry=0.9, eps_subspace=0.9)
+        basis = list(np.sqrt(0.3) * np.eye(2))
+        ctx = pl.context_from_basis(basis, tol, name="small")
+        for member in ctx.members:
+            assert member.rank == pl.numerical_rank(member.matrix, tol) == 0
+
+    def test_no_svd_is_taken(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("context_from_basis took an SVD")
+
+        monkeypatch.setattr(pl.linalg, "numerical_rank", refuse)
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        rng = np.random.default_rng(1710)
+        ctx = random_rank1_context(rng, 5)
+        assert [p.rank for p in ctx.members] == [1] * 5
+
+    def test_axiom_checks_still_run(self):
+        with pytest.raises(pl.NotOrthonormalError):
+            pl.context_from_basis([[1, 0], [1e-6, 1]])
+        # |v|^2 = 1.5: the Gram residual 0.5 passes, the idempotency
+        # residual (|v|^2 - 1) |v|^2 = 0.75 does not.
+        tol = pl.TolerancePolicy(eps_rank=1e-10, eps_entry=0.6, eps_subspace=0.6)
+        with pytest.raises(pl.NotIdempotentError):
+            pl.context_from_basis([[np.sqrt(1.5), 0], [0, 1]], tol)
+
+
+def _loop_residuals(ctx):
+    pairwise = 0.0
+    for i, a in enumerate(ctx.members):
+        for b in ctx.members[i + 1 :]:
+            pairwise = max(
+                pairwise,
+                float(np.abs(a.matrix @ b.matrix).max()),
+                float(np.abs(b.matrix @ a.matrix).max()),
+            )
+    total = sum(p.matrix for p in ctx.members)
+    return {
+        "pairwise_product": pairwise,
+        "sum_minus_identity": float(np.abs(total - np.eye(ctx.ambient_dim)).max()),
+    }
+
+
+class TestKeptResiduals:
+    def _contexts(self, pauli):
+        rng = np.random.default_rng(1720)
+        contexts = list(pauli.contexts) + list(pl.parse_document(ks18_document())[0].contexts)
+        for dim in (2, 3, 5, 8):
+            contexts.append(random_rank1_context(rng, dim))
+            plane = random_projector(rng, dim, dim // 2)
+            contexts.append(
+                pl.validate_context(
+                    [plane, pl.validate_projector(np.eye(dim) - plane.matrix)], name="two"
+                )
+            )
+        return contexts
+
+    def test_kept_residuals_equal_a_fresh_measurement(self, pauli):
+        for ctx in self._contexts(pauli):
+            kept = pl.context_residuals(ctx)
+            by_hand = pl.MaximalContext(ctx.name, ctx.members)
+            assert pl.context_residuals(by_hand) == kept
+            assert _loop_residuals(ctx) == kept
+
+    def test_residuals_are_a_copy(self, pauli):
+        ctx = pauli.contexts[0]
+        pl.context_residuals(ctx)["pairwise_product"] = 1.0
+        assert pl.context_residuals(ctx)["pairwise_product"] <= 1e-15
+
+    def test_hand_built_context_measures_on_demand(self):
+        half = np.diag([1.0, 0.0]).astype(complex)
+        skew = pl.Projector(matrix=np.array([[0.5, 0.5], [0.5, 0.5]]), rank=1, label="x")
+        ctx = pl.MaximalContext("h", (pl.Projector(matrix=half, rank=1, label="z"), skew))
+        res = pl.context_residuals(ctx)
+        assert res["pairwise_product"] == 0.5
+        assert res["sum_minus_identity"] == 0.5
+        assert ctx == pl.MaximalContext("h", ctx.members)

@@ -382,7 +382,7 @@ _HANDLERS = {
 
 def _emit_failure(fmt: str, command: str, message: str, code: int) -> int:
     if fmt == "json":
-        print(json.dumps({"command": command, "error": message, "exit_code": code}, indent=2))
+        print(json.dumps({"command": command, "error": message, "exit_code": code}))
     else:
         print(f"error: {message}", file=sys.stderr)
     return code
@@ -416,7 +416,7 @@ def main(argv=None) -> int:
         "timing_ms": elapsed_ms,
     }
     if args.format == "json":
-        print(json.dumps(report, indent=2))
+        print(json.dumps(report))
     else:
         for line in lines:
             print(line)

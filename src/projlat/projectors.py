@@ -217,16 +217,43 @@ def context_from_basis(
         raise NotCompleteError(len(vecs), dim)
     if labels is not None and len(labels) != len(vecs):
         raise ValidationError(f"context {name!r}: {len(labels)} labels for {len(vecs)} vectors")
+    matrices = _checked_rank1_stack(np.stack(vecs), tol)
     # v v^H has one nonzero singular value, |v|^2, so its rank needs no SVD.
     members = [
         Projector(
-            matrix=_checked_projector_matrix(np.outer(v, v.conj()), tol),
+            matrix=matrices[i],
             rank=linalg.singular_rank([gram[i, i].real], tol),
             label=labels[i] if labels is not None else f"{name}[{i}]",
         )
-        for i, v in enumerate(vecs)
+        for i in range(len(vecs))
     ]
     return validate_context(members, tol, name=name)
+
+
+def _checked_rank1_stack(rows: np.ndarray, tol: TolerancePolicy) -> np.ndarray:
+    """Read-only stack of the matrices ``v v^H``, one per row ``v``.
+
+    Each matrix passes the checks of ``_checked_projector_matrix``, made with
+    one batched call per residual; the first failing member, in row order,
+    raises what ``validate_projector`` would raise for it alone, with the
+    same residual.
+    """
+    stack = rows[:, :, None] * rows.conj()[:, None, :]
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    # Members from the first non-finite one on are never measured.
+    checked = stack[: len(stack) if finite.all() else int(np.argmin(finite))]
+    herm = np.abs(checked - checked.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+    idem = np.abs(checked @ checked - checked).max(axis=(1, 2))
+    failing = np.flatnonzero((herm > tol.eps_entry) | (idem > tol.eps_entry))
+    if failing.size:
+        i = failing[0]
+        if herm[i] > tol.eps_entry:
+            raise NotHermitianError(float(herm[i]), tol.eps_entry)
+        raise NotIdempotentError(float(idem[i]), tol.eps_entry)
+    if len(checked) < len(stack):
+        raise ValidationError("matrix entries must be finite")
+    stack.setflags(write=False)
+    return stack
 
 
 @dataclass(frozen=True)

@@ -125,6 +125,13 @@ def bivalence_report(
     )
 
 
+# Entries in the search's table of exhausted subtrees, at most. One entry
+# holds a tuple of three ints and one count, about 200 bytes with 40-bit
+# masks, so a full table takes about 13 MB; a search that fills it stays
+# exact, it only stops remembering.
+FAILED_SUBTREE_LIMIT = 1 << 16
+
+
 @dataclass(frozen=True)
 class AssignmentSearchResult:
     satisfiable: bool
@@ -157,6 +164,18 @@ def search_noncontextual_assignment(
     rank-0 members) can never be taken. Backtracking restores the two ints
     from an explicit per-level stack, so the depth (the number of contexts)
     is not bounded by Python's recursion limit.
+
+    Exhausted subtrees are remembered. Every test below level ``k`` reads
+    only identities of contexts ``k`` onwards, so the state masked to those
+    identities fixes the subtree's outcome and node count. A subtree that
+    failed is stored under ``(k, masked ones, masked zeros)`` with its node
+    count; when a later candidate leads to a stored state, that count is
+    added to the nodes and the walk moves on to the next candidate without
+    descending. ``nodes_explored`` therefore stays the size of the
+    chronological tree, and the branching order and first solution are
+    unchanged. Nothing is stored for a success, which ends the walk. The
+    table stops growing at ``FAILED_SUBTREE_LIMIT`` entries; past it the walk
+    descends as before.
     """
     patterns = []
     for ci, ctx in enumerate(collection.contexts):
@@ -167,30 +186,48 @@ def search_noncontextual_assignment(
                 for pos, bit in enumerate(bits)
             ]
         )
-    nodes = 0
+    depth = len(patterns)
+    # live[k]: the identities that contexts k onwards can test.
+    live = [0] * (depth + 1)
+    for level in range(depth - 1, -1, -1):
+        live[level] = live[level + 1] | reduce(operator.or_, (b for b, _ in patterns[level]), 0)
+    failed: dict[tuple[int, int, int], int] = {}
+    nodes = start = 0
     ones = zeros = 0
+    key = None
     stack: list[tuple] = []
     candidates = iter(patterns[0])
     while True:
+        level = len(stack) + 1  # the level a taken candidate leads to
         for p_ones, p_zeros in candidates:
             nodes += 1
-            if not (p_ones & p_zeros or p_ones & zeros or p_zeros & ones):
+            if p_ones & p_zeros or p_ones & zeros or p_zeros & ones:
+                continue
+            if level == depth:
+                ones |= p_ones
+                # Every registry identity occurs in some context, so all are assigned.
+                assignment = {i: (ones >> i) & 1 for i in range(len(collection.registry))}
+                return AssignmentSearchResult(
+                    satisfiable=True, assignment=assignment, nodes_explored=nodes
+                )
+            mask = live[level]
+            child = (level, (ones | p_ones) & mask, (zeros | p_zeros) & mask)
+            credit = failed.get(child)
+            if credit is None:
                 break
+            nodes += credit
         else:
             if not stack:
                 return AssignmentSearchResult(
                     satisfiable=False, assignment=None, nodes_explored=nodes
                 )
-            candidates, ones, zeros = stack.pop()
+            if len(failed) < FAILED_SUBTREE_LIMIT:
+                failed[key] = nodes - start
+            candidates, ones, zeros, start, key = stack.pop()
             continue
-        stack.append((candidates, ones, zeros))
+        stack.append((candidates, ones, zeros, start, key))
         ones |= p_ones
         zeros |= p_zeros
-        if len(stack) == len(patterns):
-            break
-        candidates = iter(patterns[len(stack)])
-    # Every registry identity occurs in some context, so all are assigned.
-    assignment = {index: (ones >> index) & 1 for index in range(len(collection.registry))}
-    return AssignmentSearchResult(
-        satisfiable=True, assignment=assignment, nodes_explored=nodes
-    )
+        start, key = nodes, child
+        candidates = iter(patterns[level])
+

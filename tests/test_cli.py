@@ -283,3 +283,12 @@ def test_module_entry_point(pauli_file):
     )
     assert proc.returncode == 0
     assert "SAT" in proc.stdout
+
+
+def test_json_reports_are_one_line(ks18_file, tmp_path, capsys):
+    absent = str(tmp_path / "absent.json")
+    for argv in (["demo", "pauli"], ["ks-search", ks18_file], ["validate", absent]):
+        main(argv + ["--format", "json"])
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1, argv
+        assert isinstance(json.loads(lines[0]), dict)

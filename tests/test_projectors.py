@@ -366,3 +366,84 @@ class TestKeptResiduals:
         assert res["pairwise_product"] == 0.5
         assert res["sum_minus_identity"] == 0.5
         assert ctx == pl.MaximalContext("h", ctx.members)
+
+
+def _first_member_error(basis, tol):
+    """What validating each ``v v^H`` on its own raises first, as (type, message)."""
+    for v in basis:
+        try:
+            pl.validate_projector(np.outer(v, np.conj(v)), tol)
+        except pl.ValidationError as exc:
+            return type(exc), str(exc)
+    return None
+
+
+class TestRank1Stack:
+    def _bases(self):
+        rng = np.random.default_rng(1730)
+        bases = [_perturbed_basis(rng, dim, scale) for dim in range(1, 9) for scale in (0.0, 1e-12)]
+        bases.append(list(np.eye(4)))
+        bases.append([np.array(ray, dtype=float) / np.linalg.norm(ray) for ray in [(1, 1), (1, -1)]])
+        return bases
+
+    def test_members_equal_outer_products_byte_for_byte(self):
+        for basis in self._bases():
+            ctx = pl.context_from_basis(basis)
+            for v, member in zip(basis, ctx.members):
+                expected = np.outer(np.asarray(v, dtype=complex), np.conj(np.asarray(v, dtype=complex)))
+                assert member.matrix.dtype == expected.dtype
+                assert member.matrix.tobytes() == expected.tobytes()
+
+    def test_members_are_read_only_views_of_one_stack(self):
+        ctx = random_rank1_context(np.random.default_rng(1731), 5)
+        stack = ctx.members[0].matrix.base
+        assert stack.shape == (5, 5, 5) and not stack.flags.writeable
+        for i, member in enumerate(ctx.members):
+            assert member.matrix.base is stack
+            assert member.matrix.flags.c_contiguous and not member.matrix.flags.writeable
+            assert np.shares_memory(member.matrix, stack[i])
+            with pytest.raises(ValueError):
+                member.matrix[0, 0] = 0
+
+    def test_ranks_equal_numerical_rank(self):
+        loose = pl.TolerancePolicy(eps_rank=0.5, eps_entry=0.9, eps_subspace=0.9)
+        for basis in self._bases():
+            for member in pl.context_from_basis(basis).members:
+                assert member.rank == pl.numerical_rank(member.matrix)
+        for scale in (np.sqrt(0.3), np.sqrt(0.7)):
+            for member in pl.context_from_basis(list(scale * np.eye(3)), loose).members:
+                assert member.rank == pl.numerical_rank(member.matrix, loose)
+
+    def test_residuals_equal_the_explicit_double_loop(self):
+        for basis in self._bases():
+            ctx = pl.context_from_basis(basis)
+            assert pl.context_residuals(ctx) == _loop_residuals(ctx)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_first_failing_member_raises_as_on_its_own(self):
+        # |v|^2 = 1 + d passes a Gram check at eps_entry 0.6 for d <= 0.6;
+        # for v near a coordinate axis the idempotency residual, about
+        # d (1 + d), passes it at d = 0.4 and fails it at d = 0.5.
+        loose = pl.TolerancePolicy(eps_rank=1e-10, eps_entry=0.6, eps_subspace=0.6)
+        rng = np.random.default_rng(1732)
+        cases = []
+        for dim in range(3, 8):
+            noise = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            q = np.linalg.qr(np.eye(dim) + 0.02 * noise)[0]
+            basis = [q[:, i] for i in range(dim)]
+            for i, d in zip(rng.choice(dim, size=3, replace=False), (0.4, 0.5, 0.55)):
+                basis[i] = np.sqrt(1 + d) * basis[i]
+            cases.append((basis, loose))
+        # Overflowing entries: a non-finite member, and an overflowing square.
+        default = pl.TolerancePolicy()
+        cases.append(([[1e200, 1e200], [1e200, 1e200j]], default))
+        cases.append(([[0, 1e154], [1e200, 1e200 + 1e200j]], default))
+        raised = set()
+        for basis, tol in cases:
+            expected = _first_member_error(basis, tol)
+            assert expected is not None
+            with pytest.raises(pl.ValidationError) as info:
+                pl.context_from_basis(basis, tol)
+            assert (type(info.value), str(info.value)) == expected
+            raised.add(expected[0])
+        assert raised == {pl.NotIdempotentError, pl.ValidationError}

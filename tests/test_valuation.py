@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import numpy as np
@@ -11,7 +12,7 @@ from conftest import (
     random_projector,
     random_state,
 )
-from projlat import TruthValue
+from projlat import TruthValue, valuation
 
 E1 = np.array([1, 0], dtype=complex)
 PLUS = np.array([1, 1], dtype=complex) / np.sqrt(2)
@@ -359,3 +360,107 @@ class TestSearchAgainstReference:
         assert not result.satisfiable
         assert result.nodes_explored == 30584
         assert result == reference_search(collection)
+
+
+def ks18_family(rng, groups, tensor=False, trailing_line=False):
+    """Contexts from KS-18 bases, by index into ``KS18_GROUPS`` (repeats allowed).
+
+    Members come in a shuffled order. With ``tensor`` each basis is
+    tensored with C^2 and turned by the seeded orthogonal matrix of
+    ``ks18_tensor_c2_collection``. With ``trailing_line`` the space gains one
+    coordinate and every context ends with the projector onto it. When the
+    bases alone are UNSAT, that line must be valued 1 everywhere, so the
+    search has to exhaust every choice that values it 0.
+    """
+    turn, _ = np.linalg.qr(np.random.default_rng(7).normal(size=(8, 8)))
+    contexts = []
+    for ci, group in enumerate(groups):
+        rays = [np.array(ray, dtype=float) for ray in KS18_GROUPS[group]]
+        if tensor:
+            rays = [turn @ np.kron(ray, e) for e in np.eye(2) for ray in rays]
+        basis = [rays[k] / np.linalg.norm(rays[k]) for k in rng.permutation(len(rays))]
+        if trailing_line:
+            basis = [np.append(b, 0.0) for b in basis] + [np.eye(len(basis) + 1)[-1]]
+        contexts.append(pl.context_from_basis(basis, name=f"c{ci}"))
+    return pl.ContextCollection(contexts)
+
+
+def memo_corpus_collection(seed):
+    """One of three shapes, by ``seed % 3``, over KS-18 or (about a quarter) KS-18⊗C².
+
+    0: all nine bases in a shuffled order (UNSAT);
+    1: all nine bases, or all but one or two of them, with up to two of
+       them repeated, shuffled (UNSAT when all nine are in);
+    2: all nine bases with a trailing line (SAT, after the last context has
+       failed every assignment that values the line 0).
+    """
+    rng = np.random.default_rng([131, seed])
+    tensor = rng.random() < 0.25
+    groups = [int(g) for g in rng.permutation(len(KS18_GROUPS))]
+    if seed % 3 == 1:
+        groups = groups[: len(groups) - (seed // 3) % 3]
+        groups += [int(g) for g in rng.choice(groups, size=int(rng.integers(0, 3)))]
+        groups = [groups[k] for k in rng.permutation(len(groups))]
+    return ks18_family(rng, groups, tensor, trailing_line=seed % 3 == 2)
+
+
+@functools.cache
+def memo_corpus():
+    """Collections whose search revisits failed subtrees, with the oracle's results."""
+    collections = [memo_corpus_collection(seed) for seed in range(30)]
+    return [(c, reference_search(c)) for c in collections]
+
+
+@functools.cache
+def existing_corpus():
+    """The collections of ``TestSearchAgainstReference``, with the oracle's results."""
+    zero = pl.validate_projector(np.zeros((2, 2)), label="0")
+    one = pl.validate_projector(np.eye(2), label="1")
+    collections = [
+        random_identity_collection(np.random.default_rng([113, seed])) for seed in range(100)
+    ]
+    collections += [
+        pl.ContextCollection(
+            [pl.validate_context([zero, one, zero], name="c"), pl.pauli_contexts().context_named("z")]
+        ),
+        pl.pauli_contexts(),
+        ks18_collection(),
+        ks18_tensor_c2_collection(),
+    ]
+    return [(c, reference_search(c)) for c in collections]
+
+
+def assert_matches_reference(corpus):
+    for k, (collection, reference) in enumerate(corpus):
+        result = pl.search_noncontextual_assignment(collection)
+        assert result == reference, k
+        assert list(result.assignment or ()) == list(reference.assignment or ()), k
+
+
+class TestFailedSubtreeTable:
+    def test_corpus_that_revisits_failed_subtrees(self):
+        corpus = memo_corpus()
+        assert_matches_reference(corpus)
+        statuses = [reference.status for _, reference in corpus]
+        assert statuses.count("SAT") >= 10 and statuses.count("UNSAT") >= 10
+        # The trailing-line collections are SAT only after long backtracking.
+        assert all(
+            reference.satisfiable and reference.nodes_explored > 1000
+            for seed, (_, reference) in enumerate(corpus)
+            if seed % 3 == 2
+        )
+        assert any(c.ambient_dim == 9 for c, _ in corpus)
+
+    @pytest.mark.parametrize("limit", [0, 1])
+    def test_bounded_table_stays_exact(self, monkeypatch, limit):
+        monkeypatch.setattr(valuation, "FAILED_SUBTREE_LIMIT", limit)
+        assert_matches_reference(existing_corpus())
+        assert_matches_reference(memo_corpus())
+
+    @pytest.mark.parametrize("limit", [0, 1, valuation.FAILED_SUBTREE_LIMIT])
+    def test_pinned_node_counts(self, monkeypatch, pauli, ks18, limit):
+        monkeypatch.setattr(valuation, "FAILED_SUBTREE_LIMIT", limit)
+        assert pl.search_noncontextual_assignment(pauli).nodes_explored == 3
+        assert pl.search_noncontextual_assignment(ks18).nodes_explored == 852
+        tensor = pl.search_noncontextual_assignment(ks18_tensor_c2_collection())
+        assert tensor.nodes_explored == 30584

@@ -23,8 +23,12 @@ from numbers import Real
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .projectors import (
+# ``validate_projector`` and ``validate_context`` are no longer called here;
+# they stay importable from this module, where bench/tracing.py wraps them.
+from .projectors import (  # noqa: F401
     ContextCollection,
+    _checked_context,
+    _checked_stack,
     context_from_basis,
     validate_context,
     validate_projector,
@@ -98,6 +102,25 @@ def _expect_row(row, dim: int, where: str) -> list:
     return row
 
 
+def _matrix_context(name: str, matrices: list, dim: int, tol: TolerancePolicy):
+    """One matrix-form context, its members checked as one stack.
+
+    Errors come in document order: a member that fails the projector axioms
+    raises before a later member that does not parse, as if each member were
+    parsed and validated in turn.
+    """
+    labels = [f"{name}[{i}]" for i in range(len(matrices))]
+    stack = np.empty((len(matrices), dim, dim), dtype=np.complex128)
+    for i, matrix in enumerate(matrices):
+        try:
+            stack[i] = _parse_matrix(matrix, dim, f"contexts[{name}][{i}]")
+        except ParseError:
+            if i:
+                _checked_stack(stack[:i], tol, labels)
+            raise
+    return _checked_context(*_checked_stack(stack, tol, labels), tol, name)
+
+
 def _parse_tolerances(data: dict, overrides: dict | None) -> TolerancePolicy:
     fields = {}
     for key in TOLERANCE_FIELDS:
@@ -143,15 +166,7 @@ def parse_document(
         for name, matrices in contexts_obj.items():
             if not isinstance(matrices, list) or not matrices:
                 raise ParseError(f"context {name!r} must be a non-empty array of matrices")
-            members = [
-                validate_projector(
-                    _parse_matrix(matrix, dim, f"contexts[{name}][{i}]"),
-                    tol,
-                    label=f"{name}[{i}]",
-                )
-                for i, matrix in enumerate(matrices)
-            ]
-            contexts.append(validate_context(members, tol, name=name))
+            contexts.append(_matrix_context(name, matrices, dim, tol))
         return ContextCollection(contexts, tol), tol
 
     rays_obj = data.get("rays")

@@ -29,6 +29,14 @@ from .errors import (
 from .subspace import Subspace
 from .tolerance import TolerancePolicy, resolve
 
+# Entries, in complex128 (4 MB), of the block of pairwise products that
+# ``_measure`` holds at once, or of one row of them if that is larger. The
+# whole product of one 64-member context in C^64 would be 268 MB.
+# ``ContextCollection`` screens and measures registry pairs in blocks of
+# about the same size.
+_CHUNK_ENTRIES = 1 << 18
+_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
+
 
 @dataclass(frozen=True, eq=False)
 class Projector:
@@ -60,26 +68,76 @@ def validate_projector(
     """Check the projector axioms and wrap the matrix unchanged.
 
     Raises ``NotSquareError``, ``NotHermitianError`` or ``NotIdempotentError``
-    with the measured residual when an axiom fails.
+    with the measured residual when an axiom fails; a residual that is NaN
+    fails too.
     """
-    tol = resolve(tol)
-    arr = _checked_projector_matrix(matrix, tol)
-    return Projector(matrix=arr, rank=linalg.numerical_rank(arr, tol), label=label)
-
-
-def _checked_projector_matrix(matrix, tol: TolerancePolicy) -> np.ndarray:
-    """A read-only complex copy of ``matrix`` that passed the projector axioms."""
     arr = linalg.as_complex_matrix(matrix)
     if arr.shape[0] != arr.shape[1]:
         raise NotSquareError(arr.shape)
-    herm = linalg.max_abs(arr - arr.conj().T)
-    if herm > tol.eps_entry:
-        raise NotHermitianError(herm, tol.eps_entry)
-    idem = linalg.max_abs(arr @ arr - arr)
-    if idem > tol.eps_entry:
-        raise NotIdempotentError(idem, tol.eps_entry)
-    arr.setflags(write=False)
-    return arr
+    return _checked_stack(arr[None], resolve(tol), [label])[0][0]
+
+
+def _measure(stack: np.ndarray) -> tuple[np.ndarray, dict[str, float]]:
+    """Every product of a stack of m matrices, and its context residuals.
+
+    ``products[i, j]`` is ``max|Pi Pj|`` for i != j, and the diagonal holds
+    the idempotency residuals ``max|Pi Pi - Pi|``. All m x m products are
+    taken as ``S[rows, None] @ S[None, :]`` over blocks of rows, each block
+    under ``_CHUNK_ENTRIES`` entries, so the temporaries never hold the
+    whole (m, m, n, n) product. The residuals are those ``context_residuals``
+    reports.
+    """
+    m, n = stack.shape[:2]
+    products = np.empty((m, m))
+    step = max(1, _CHUNK_ENTRIES // (m * n * n or 1))
+    for start in range(0, m, step):
+        rows = slice(start, start + step)
+        block = stack[rows, None] @ stack[None, :]
+        # Row r of the block holds P_(start + r) @ P_j; its square sits at
+        # every (m + 1)-th matrix from ``start`` in the flattened block.
+        block.reshape(-1, n, n)[start :: m + 1] -= stack[rows]
+        products[rows] = np.abs(block).max(axis=(2, 3), initial=0.0)
+    pairwise = products.copy()
+    np.fill_diagonal(pairwise, 0.0)
+    # Accumulation adds the members in order, as a loop does; ``sum`` may
+    # add them pairwise when each is 1 x 1.
+    total = np.add.accumulate(stack)[-1]
+    return products, {
+        "pairwise_product": float(pairwise.max()),
+        "sum_minus_identity": float(np.abs(total - np.eye(n)).max(initial=0.0)),
+    }
+
+
+def _checked_stack(stack: np.ndarray, tol: TolerancePolicy, labels, singular=None):
+    """Projectors on read-only views of ``stack``, with ``_measure(stack)``.
+
+    Each matrix passes the projector axioms; the first failing one, in
+    stack order, raises what ``validate_projector`` raises for it alone,
+    with the same residual. Ranks count the singular values above the
+    ``linalg.singular_rank`` cutoff. ``singular`` holds them, largest
+    first, one row per matrix; without it they come from one batched SVD.
+    """
+    eps = tol.eps_entry
+    # An overflow shows as an inf or NaN residual, which fails below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        products, residuals = _measure(stack)
+        herm = np.abs(stack - stack.conj().transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0)
+    idem = products.diagonal()
+    if not (herm.max() <= eps and idem.max() <= eps):
+        i = np.flatnonzero(~((herm <= eps) & (idem <= eps)))[0]
+        if not herm[i] <= eps:
+            raise NotHermitianError(float(herm[i]), eps)
+        raise NotIdempotentError(float(idem[i]), eps)
+    if singular is None:
+        singular = np.linalg.svd(stack, compute_uv=False)
+    cutoff = tol.eps_rank * np.maximum(singular[:, :1], 1.0)
+    ranks = (singular > cutoff).sum(axis=1).tolist()
+    stack.setflags(write=False)
+    members = tuple(
+        Projector(matrix=matrix, rank=rank, label=label)
+        for matrix, rank, label in zip(stack, ranks, labels)
+    )
+    return members, products, residuals
 
 
 def is_invariant(
@@ -108,7 +166,7 @@ class MaximalContext:
 
     name: str
     members: tuple[Projector, ...]
-    # Set by ``validate_context`` from the products it has just measured.
+    # Set by the checks that built the context, from the products they measured.
     _residuals: dict[str, float] | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -128,31 +186,6 @@ class MaximalContext:
         return f"MaximalContext({self.name!r}, members={len(self.members)})"
 
 
-def _pairwise_products(members) -> np.ndarray:
-    """Symmetric m x m matrix of ``max(max|Pi Pj|, max|Pj Pi|)``, zero diagonal.
-
-    Row i takes two batched products against the later members, so the
-    temporaries hold O(m n^2) entries, never the (m, m, n, n) product.
-    """
-    stack = np.stack([p.matrix for p in members])
-    out = np.zeros((len(members), len(members)))
-    for i in range(len(members) - 1):
-        later = stack[i + 1 :]
-        out[i, i + 1 :] = np.maximum(
-            np.abs(stack[i] @ later).max(axis=(1, 2)),
-            np.abs(later @ stack[i]).max(axis=(1, 2)),
-        )
-    return out + out.T
-
-
-def _residuals(members, pairwise: np.ndarray) -> dict[str, float]:
-    total = sum(p.matrix for p in members)
-    return {
-        "pairwise_product": float(pairwise.max()),
-        "sum_minus_identity": linalg.max_abs(total - np.eye(members[0].ambient_dim)),
-    }
-
-
 def context_residuals(ctx: MaximalContext) -> dict[str, float]:
     """Measured axiom residuals of a context, for reporting.
 
@@ -160,7 +193,7 @@ def context_residuals(ctx: MaximalContext) -> dict[str, float]:
     there; one built by hand has them computed now.
     """
     if ctx._residuals is None:
-        return _residuals(ctx.members, _pairwise_products(ctx.members))
+        return _measure(np.array([p.matrix for p in ctx.members]))[1]
     return dict(ctx._residuals)
 
 
@@ -178,14 +211,31 @@ def validate_context(
             raise DimensionMismatchError(
                 f"context {name!r}: mixed ambient dimensions {dim} and {p.ambient_dim}"
             )
-    pairwise = _pairwise_products(members)
-    offending = np.argwhere(np.triu(pairwise > tol.eps_entry))
-    if len(offending):
-        i, j = (int(k) for k in offending[0])  # row-major: the first pair (i, j)
-        raise PairwiseProductNonzeroError(name, i, j, float(pairwise[i, j]), tol.eps_entry)
-    residuals = _residuals(members, pairwise)
-    if residuals["sum_minus_identity"] > tol.eps_entry:
-        raise SumNotIdentityError(name, residuals["sum_minus_identity"], tol.eps_entry)
+    products, residuals = _measure(np.array([p.matrix for p in members]))
+    return _checked_context(members, products, residuals, tol, name)
+
+
+def _checked_context(
+    members: tuple[Projector, ...],
+    products: np.ndarray,
+    residuals: dict[str, float],
+    tol: TolerancePolicy,
+    name: str,
+) -> MaximalContext:
+    """The context of ``members``, from their ``_measure`` products and residuals.
+
+    The first pair (i, j) in row-major order whose products are not within
+    ``eps_entry``, then the sum, raises; a residual that is NaN fails.
+    """
+    eps = tol.eps_entry
+    if not residuals["pairwise_product"] <= eps:
+        pairwise = np.maximum(products, products.T)
+        np.fill_diagonal(pairwise, 0.0)
+        # Symmetric with a zero diagonal: the first hit has i < j.
+        i, j = (int(k) for k in np.argwhere(~(pairwise <= eps))[0])
+        raise PairwiseProductNonzeroError(name, i, j, float(pairwise[i, j]), eps)
+    if not residuals["sum_minus_identity"] <= eps:
+        raise SumNotIdentityError(name, residuals["sum_minus_identity"], eps)
     ctx = MaximalContext(name=name, members=members)
     object.__setattr__(ctx, "_residuals", residuals)
     return ctx
@@ -199,61 +249,39 @@ def context_from_basis(
 ) -> MaximalContext:
     """Rank-1 context ``v v^H`` from an orthonormal basis of the ambient space."""
     tol = resolve(tol)
-    vecs = [linalg.as_state_vector(v) for v in vectors]
-    if not vecs:
-        raise ValidationError(f"context {name!r} needs at least one basis vector")
-    dim = vecs[0].shape[0]
-    for v in vecs[1:]:
-        if v.shape[0] != dim:
-            raise DimensionMismatchError(
-                f"context {name!r}: mixed vector dimensions {dim} and {v.shape[0]}"
-            )
-    stacked = np.column_stack(vecs)
+    vecs = list(vectors)
+    try:
+        rows = np.array(vecs, dtype=np.complex128)
+    except (ValueError, TypeError, OverflowError):
+        rows = None
+    if rows is None or rows.ndim != 2 or not np.isfinite(rows).all():
+        # Check the vectors one by one, to name what is wrong with them.
+        vecs = [linalg.as_state_vector(v) for v in vecs]
+        if not vecs:
+            raise ValidationError(f"context {name!r} needs at least one basis vector")
+        dim = vecs[0].shape[0]
+        for v in vecs[1:]:
+            if v.shape[0] != dim:
+                raise DimensionMismatchError(
+                    f"context {name!r}: mixed vector dimensions {dim} and {v.shape[0]}"
+                )
+        rows = np.array(vecs)
+    count, dim = rows.shape
+    stacked = np.ascontiguousarray(rows.T)
     gram = stacked.conj().T @ stacked
-    residual = linalg.max_abs(gram - np.eye(len(vecs)))
-    if residual > tol.eps_entry:
+    residual = float(np.abs(gram - np.eye(count)).max())
+    if not residual <= tol.eps_entry:
         raise NotOrthonormalError(residual, tol.eps_entry)
-    if len(vecs) != dim:
-        raise NotCompleteError(len(vecs), dim)
-    if labels is not None and len(labels) != len(vecs):
-        raise ValidationError(f"context {name!r}: {len(labels)} labels for {len(vecs)} vectors")
-    matrices = _checked_rank1_stack(np.stack(vecs), tol)
-    # v v^H has one nonzero singular value, |v|^2, so its rank needs no SVD.
-    members = [
-        Projector(
-            matrix=matrices[i],
-            rank=linalg.singular_rank([gram[i, i].real], tol),
-            label=labels[i] if labels is not None else f"{name}[{i}]",
-        )
-        for i in range(len(vecs))
-    ]
-    return validate_context(members, tol, name=name)
-
-
-def _checked_rank1_stack(rows: np.ndarray, tol: TolerancePolicy) -> np.ndarray:
-    """Read-only stack of the matrices ``v v^H``, one per row ``v``.
-
-    Each matrix passes the checks of ``_checked_projector_matrix``, made with
-    one batched call per residual; the first failing member, in row order,
-    raises what ``validate_projector`` would raise for it alone, with the
-    same residual.
-    """
+    if count != dim:
+        raise NotCompleteError(count, dim)
+    if labels is None:
+        labels = [f"{name}[{i}]" for i in range(count)]
+    elif len(labels) != count:
+        raise ValidationError(f"context {name!r}: {len(labels)} labels for {count} vectors")
     stack = rows[:, :, None] * rows.conj()[:, None, :]
-    finite = np.isfinite(stack).all(axis=(1, 2))
-    # Members from the first non-finite one on are never measured.
-    checked = stack[: len(stack) if finite.all() else int(np.argmin(finite))]
-    herm = np.abs(checked - checked.conj().transpose(0, 2, 1)).max(axis=(1, 2))
-    idem = np.abs(checked @ checked - checked).max(axis=(1, 2))
-    failing = np.flatnonzero((herm > tol.eps_entry) | (idem > tol.eps_entry))
-    if failing.size:
-        i = failing[0]
-        if herm[i] > tol.eps_entry:
-            raise NotHermitianError(float(herm[i]), tol.eps_entry)
-        raise NotIdempotentError(float(idem[i]), tol.eps_entry)
-    if len(checked) < len(stack):
-        raise ValidationError("matrix entries must be finite")
-    stack.setflags(write=False)
-    return stack
+    # v v^H has one nonzero singular value, |v|^2, so its rank needs no SVD.
+    checked = _checked_stack(stack, tol, labels, gram.diagonal().real[:, None])
+    return _checked_context(*checked, tol, name)
 
 
 @dataclass(frozen=True)
@@ -289,26 +317,66 @@ class ContextCollection:
         self.registry = self._build_registry(resolve(tol))
 
     def _build_registry(self, tol: TolerancePolicy) -> tuple[RegistryEntry, ...]:
-        reps: list[Projector] = []
-        occurrences: list[list[tuple[int, int]]] = []
-        count = sum(len(ctx) for ctx in self.contexts)
-        stacked = np.empty((count, self.ambient_dim, self.ambient_dim), dtype=complex)
-        for ci, ctx in enumerate(self.contexts):
-            for mi, proj in enumerate(ctx.members):
-                distances = np.linalg.norm(stacked[: len(reps)] - proj.matrix, axis=(1, 2))
-                close = np.flatnonzero(distances <= tol.eps_subspace)
-                if close.size:
-                    found = int(close[0])
-                else:
-                    found = len(reps)
-                    stacked[found] = proj.matrix
-                    reps.append(proj)
-                    occurrences.append([])
-                occurrences[found].append((ci, mi))
-                self._identity[(ci, mi)] = found
+        """One identity per representative, in order of first occurrence.
+
+        Each member takes the identity of the first earlier representative
+        it is close to, ``np.linalg.norm(rep - member) <= eps_subspace``, or
+        becomes a representative itself. That norm is taken only for the
+        pairs the Gram matrix of the flattened members puts near each other:
+        ``|A|^2 + |B|^2 - 2 Re<A, B>`` is their squared distance up to a
+        rounding error of ``gamma * (|A| + |B|)^2``, with ``gamma`` the
+        dot-product bound for ``2 n^2 + 8`` real terms. The screen keeps a
+        pair within ``(eps_subspace * (1 + gamma))^2``, which covers the
+        rounding of the norm, plus twice that error, which covers the
+        rounding of ``|A|`` and ``|B|``. It may keep a pair too many, never
+        one too few.
+        """
+        projectors = [p for ctx in self.contexts for p in ctx.members]
+        places = [(ci, mi) for ci, ctx in enumerate(self.contexts) for mi in range(len(ctx))]
+        stack = np.array([p.matrix for p in projectors], dtype=complex)
+        # Re<A, B> as a real product over the interleaved real and imaginary parts.
+        flat = stack.reshape(len(stack), -1).view(np.float64)
+        squares = np.einsum("ij,ij->i", flat, flat)
+        norms = np.sqrt(squares)
+        gamma = _UNIT_ROUNDOFF * (flat.shape[1] + 8)
+        gamma /= 1 - gamma
+        reach = (tol.eps_subspace * (1 + gamma)) ** 2
+        later, earlier = [], []
+        # Rows of the Gram matrix in blocks, each against the earlier members only.
+        step = max(1, _CHUNK_ENTRIES // len(stack))
+        for start in range(0, len(stack), step):
+            stop = min(start + step, len(stack))
+            rows = slice(start, stop)
+            squared = squares[rows, None] + squares[None, :stop] - 2 * (flat[rows] @ flat[:stop].T)
+            limit = reach + 2 * gamma * (norms[rows, None] + norms[None, :stop]) ** 2
+            # Not ``<=``: a pair whose estimate is NaN is measured too.
+            k, j = np.nonzero(~(squared > limit))
+            k += start
+            later.append(k[j < k])
+            earlier.append(j[j < k])
+        later, earlier = np.concatenate(later), np.concatenate(earlier)
+        close = np.empty(len(later), dtype=bool)
+        step = max(1, _CHUNK_ENTRIES // (stack[0].size or 1))
+        for start in range(0, len(later), step):
+            part = slice(start, start + step)
+            distances = np.linalg.norm(stack[earlier[part]] - stack[later[part]], axis=(1, 2))
+            close[part] = distances <= tol.eps_subspace
+        # Pairs come ordered by the later member, then the earlier one, so the
+        # earlier member's representative is settled when it is read.
+        owner = list(range(len(stack)))
+        for k, j in zip(later[close].tolist(), earlier[close].tolist()):
+            if owner[k] == k and owner[j] == j:
+                owner[k] = j
+        reps = [k for k, own in enumerate(owner) if own == k]
+        index = {k: i for i, k in enumerate(reps)}
+        occurrences: list[list[tuple[int, int]]] = [[] for _ in reps]
+        for place, own in zip(places, owner):
+            found = index[own]
+            occurrences[found].append(place)
+            self._identity[place] = found
         return tuple(
-            RegistryEntry(index=i, projector=rep, occurrences=tuple(occ))
-            for i, (rep, occ) in enumerate(zip(reps, occurrences))
+            RegistryEntry(index=i, projector=projectors[k], occurrences=tuple(occ))
+            for i, (k, occ) in enumerate(zip(reps, occurrences))
         )
 
     def identity_of(self, context_index: int, member_index: int) -> int:

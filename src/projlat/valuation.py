@@ -126,8 +126,8 @@ def bivalence_report(
 
 
 # Entries in the search's table of exhausted subtrees, at most. One entry
-# holds a tuple of three ints and one count, about 200 bytes with 40-bit
-# masks, so a full table takes about 13 MB; a search that fills it stays
+# holds a tuple of two ints and one count, about 160 bytes with 40-bit
+# masks, so a full table takes about 10 MB; a search that fills it stays
 # exact, it only stops remembering.
 FAILED_SUBTREE_LIMIT = 1 << 16
 
@@ -168,14 +168,16 @@ def search_noncontextual_assignment(
     Exhausted subtrees are remembered. Every test below level ``k`` reads
     only identities of contexts ``k`` onwards, so the state masked to those
     identities fixes the subtree's outcome and node count. A subtree that
-    failed is stored under ``(k, masked ones, masked zeros)`` with its node
-    count; when a later candidate leads to a stored state, that count is
-    added to the nodes and the walk moves on to the next candidate without
-    descending. ``nodes_explored`` therefore stays the size of the
-    chronological tree, and the branching order and first solution are
-    unchanged. Nothing is stored for a success, which ends the walk. The
-    table stops growing at ``FAILED_SUBTREE_LIMIT`` entries; past it the walk
-    descends as before.
+    failed is stored under ``(k, masked ones)`` with its node count. The
+    masked zeros need no place in the key: at level ``k`` every identity of
+    the earlier contexts is valued, so they are those identities, masked,
+    minus the masked ones. When a later candidate leads to a stored state,
+    that count is added to the nodes and the walk moves on to the next
+    candidate without descending. ``nodes_explored`` therefore stays the
+    size of the chronological tree, and the branching order and first
+    solution are unchanged. Nothing is stored for a success, which ends the
+    walk. The table stops growing at ``FAILED_SUBTREE_LIMIT`` entries; past
+    it the walk descends as before.
     """
     patterns = []
     for ci, ctx in enumerate(collection.contexts):
@@ -191,7 +193,7 @@ def search_noncontextual_assignment(
     live = [0] * (depth + 1)
     for level in range(depth - 1, -1, -1):
         live[level] = live[level + 1] | reduce(operator.or_, (b for b, _ in patterns[level]), 0)
-    failed: dict[tuple[int, int, int], int] = {}
+    failed: dict[tuple[int, int], int] = {}
     nodes = start = 0
     ones = zeros = 0
     key = None
@@ -210,8 +212,7 @@ def search_noncontextual_assignment(
                 return AssignmentSearchResult(
                     satisfiable=True, assignment=assignment, nodes_explored=nodes
                 )
-            mask = live[level]
-            child = (level, (ones | p_ones) & mask, (zeros | p_zeros) & mask)
+            child = (level, (ones | p_ones) & live[level])
             credit = failed.get(child)
             if credit is None:
                 break

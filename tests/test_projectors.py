@@ -33,6 +33,15 @@ class TestValidateProjector:
         with pytest.raises(pl.NotSquareError):
             pl.validate_projector(np.ones((2, 3)))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_idempotency_residual_fails(self):
+        # Hermitian, but M^2 overflows: inf - inf makes the residual NaN.
+        big = 1e200
+        matrix = [[big, big * (1 + 1j)], [big * (1 - 1j), big]]
+        with pytest.raises(pl.NotIdempotentError) as info:
+            pl.validate_projector(matrix)
+        assert np.isnan(info.value.residual)
+
     def test_matrix_is_stored_as_given(self):
         noisy = P1X + 1e-11  # within tolerance, must not be cleaned up
         p = pl.validate_projector(noisy)
@@ -434,10 +443,6 @@ class TestRank1Stack:
             for i, d in zip(rng.choice(dim, size=3, replace=False), (0.4, 0.5, 0.55)):
                 basis[i] = np.sqrt(1 + d) * basis[i]
             cases.append((basis, loose))
-        # Overflowing entries: a non-finite member, and an overflowing square.
-        default = pl.TolerancePolicy()
-        cases.append(([[1e200, 1e200], [1e200, 1e200j]], default))
-        cases.append(([[0, 1e154], [1e200, 1e200 + 1e200j]], default))
         raised = set()
         for basis, tol in cases:
             expected = _first_member_error(basis, tol)
@@ -446,4 +451,16 @@ class TestRank1Stack:
                 pl.context_from_basis(basis, tol)
             assert (type(info.value), str(info.value)) == expected
             raised.add(expected[0])
-        assert raised == {pl.NotIdempotentError, pl.ValidationError}
+        assert raised == {pl.NotIdempotentError}
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "basis", [[[1e200, 1e200], [1e200, 1e200j]], [[0, 1e154], [1e200, 1e200 + 1e200j]]]
+    )
+    def test_overflowing_gram_fails_orthonormality(self, basis):
+        # The Gram matrix overflows to a NaN residual, which fails the check
+        # before any member is built.
+        with pytest.raises(pl.NotOrthonormalError) as info:
+            pl.context_from_basis(basis)
+        assert np.isnan(info.value.residual)
+        assert "= nan >" in str(info.value)

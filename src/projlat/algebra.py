@@ -63,10 +63,27 @@ class IrreducibilityReport:
     witness: Subspace | None
 
 
-def _coerce_generators(generators) -> list[np.ndarray]:
+def _coerce_generators(generators) -> np.ndarray:
+    """The generators as one finite ``(k, n, n)`` complex128 stack.
+
+    The stack is taken in one call; input it does not fit is coerced one
+    generator at a time, which names the first bad one.
+    """
+    generators = [g.matrix if isinstance(g, Projector) else g for g in generators]
+    try:
+        stack = np.array(generators, dtype=np.complex128)
+    except (TypeError, ValueError):
+        stack = None
+    if (
+        stack is not None
+        and stack.ndim == 3
+        and stack.shape[1] == stack.shape[2]
+        and np.isfinite(stack).all()
+    ):
+        return stack
     mats = []
     for g in generators:
-        arr = linalg.as_complex_matrix(g.matrix if isinstance(g, Projector) else g)
+        arr = linalg.as_complex_matrix(g)
         if arr.shape[0] != arr.shape[1]:
             raise DimensionMismatchError(f"generators must be square, got {arr.shape}")
         mats.append(arr)
@@ -78,7 +95,7 @@ def _coerce_generators(generators) -> list[np.ndarray]:
             raise DimensionMismatchError(
                 f"mixed generator dimensions: {dim} and {arr.shape[0]}"
             )
-    return mats
+    return np.array(mats)
 
 
 def algebra_closure(
@@ -93,7 +110,7 @@ def algebra_closure(
     """
     mats = _coerce_generators(generators)
     n = mats[0].shape[0]
-    seed = [np.eye(n, dtype=complex)] + mats
+    seed = [np.eye(n, dtype=complex), *mats]
     basis = linalg.orthonormalize([m.reshape(-1) for m in seed], tol)
     generations = 0
     while True:
@@ -175,9 +192,23 @@ def invariant_subspace_witness(
     return None
 
 
-def _commutant(mats: list[np.ndarray], tol: TolerancePolicy) -> np.ndarray:
-    """Orthonormal basis (trace inner product) of {X : GX = XG for all G},
-    stacked as a ``(k, n, n)`` array.
+def _commutator_maps(stack: np.ndarray) -> np.ndarray:
+    """The maps X -> GX - XG of a ``(k, n, n)`` stack, stacked as rows.
+
+    Entry ``[(i, k), (j, l)]`` of G's map is ``G[i, j] I[k, l] - I[i, j] G[l, k]``:
+    one broadcast of the products ``np.kron(G, I) - np.kron(I, G^T)`` forms,
+    in the same order, so the maps are bit-identical to theirs.
+    """
+    k, n, _ = stack.shape
+    eye = np.eye(n)
+    maps = stack[:, :, None, :, None] * eye[:, None, :]
+    maps -= eye[:, None, :, None] * stack.transpose(0, 2, 1)[:, None, :, None, :]
+    return maps.reshape(k * n * n, n * n)
+
+
+def _commutant(stack: np.ndarray, tol: TolerancePolicy) -> np.ndarray:
+    """Orthonormal basis (trace inner product) of {X : GX = XG for all G}
+    in a ``(k, n, n)`` generator stack, stacked as a ``(d, n, n)`` array.
 
     The commutant is the joint null space of the maps X -> GX - XG, which
     are kron(G, I) - kron(I, G^T) on row-major vectorized X. They are folded
@@ -185,16 +216,28 @@ def _commutant(mats: list[np.ndarray], tol: TolerancePolicy) -> np.ndarray:
     stack is never held whole, and the rank is decided from the singular
     values of R, which are those of the stack.
     """
-    n = mats[0].shape[0]
-    eye = np.eye(n)
+    n = stack.shape[1]
     # Each fold refactors R along with the chunk, so a chunk of one map
     # would double the work.
     per_chunk = max(2, _CHUNK_ENTRIES // n**4)
     r = np.zeros((0, n * n), dtype=complex)
-    for start in range(0, len(mats), per_chunk):
-        chunk = [np.kron(g, eye) - np.kron(eye, g.T) for g in mats[start : start + per_chunk]]
-        r = np.linalg.qr(np.vstack([r, *chunk]), mode="r")
+    for start in range(0, len(stack), per_chunk):
+        chunk = _commutator_maps(stack[start : start + per_chunk])
+        r = np.linalg.qr(np.vstack([r, chunk]), mode="r")
     return np.array(linalg.kernel_basis(r, tol)).reshape(-1, n, n)
+
+
+def _self_adjoint(stack: np.ndarray, tol: TolerancePolicy) -> bool:
+    """True when no generator of a ``(k, n, n)`` stack has an entry of
+    ``G - G^H`` above ``eps_entry``.
+
+    A generator's largest entry is NaN when any is, and NaN is not above
+    ``eps_entry``, so each generator is screened as ``linalg.max_abs`` would
+    screen it alone; a residual that overflows is infinite, hence above.
+    """
+    with np.errstate(over="ignore"):
+        residual = np.abs(stack - stack.conj().transpose(0, 2, 1))
+        return not (residual.max(axis=(1, 2), initial=0.0) > tol.eps_entry).any()
 
 
 def _bicommutant_dimension(commutant: np.ndarray, tol: TolerancePolicy) -> int:
@@ -227,7 +270,7 @@ def _hermitian_units(n: int):
 
 
 def _commutant_witness(
-    commutant: np.ndarray, mats: list[np.ndarray], tol: TolerancePolicy
+    commutant: np.ndarray, mats: np.ndarray, tol: TolerancePolicy
 ) -> Subspace | None:
     """Eigenspace of a non-scalar Hermitian element of the commutant.
 
@@ -276,7 +319,7 @@ def is_irreducible(
     n = mats[0].shape[0]
     if n == 1:
         raise AmbientDimOneError()
-    if any(linalg.max_abs(m - m.conj().T) > tol.eps_entry for m in mats):
+    if not _self_adjoint(mats, tol):
         closure = algebra_closure(mats, tol)
         witness = None
         if not closure.saturated and n <= DEFAULT_WITNESS_CAP:

@@ -14,7 +14,7 @@ import time
 import numpy as np
 
 from .algebra import is_irreducible
-from .document import load_document, vector_to_json
+from .document import _parse_tolerances, load_document, matrix_to_json, vector_to_json
 from .errors import (
     CapExceededError,
     DimensionMismatchError,
@@ -96,7 +96,7 @@ def parse_state_flag(text: str) -> np.ndarray:
 
 
 def _subspace_json(sub: Subspace, label: str) -> dict:
-    return {"label": label, "dim": sub.dim, "basis": [vector_to_json(v) for v in sub.basis.T]}
+    return {"label": label, "dim": sub.dim, "basis": matrix_to_json(sub.basis.T)}
 
 
 def _family_json(family: LatticeFamily) -> dict:
@@ -334,7 +334,7 @@ def _cmd_ks_search(args, overrides):
 
 
 def _cmd_demo(args, overrides):
-    tol = TolerancePolicy(**{k: v for k, v in overrides.items() if v is not None})
+    tol = _parse_tolerances({}, overrides)
     collection = pauli_contexts(tol)
     families, meet = _intersection(collection, tol)
     lattices = {

@@ -228,17 +228,17 @@ def load_document(
     return parse_document(data, tol_overrides)
 
 
-def complex_to_json(value: complex) -> list[float]:
-    return [float(value.real), float(value.imag)]
+def _pairs(arr: np.ndarray) -> list:
+    """``[re, im]`` float pairs in the shape of ``arr``, from one ``tolist``."""
+    return np.stack((arr.real, arr.imag), -1).tolist()
 
 
 def matrix_to_json(matrix) -> list[list[list[float]]]:
-    arr = np.asarray(matrix, dtype=complex)
-    return [[complex_to_json(entry) for entry in row] for row in arr]
+    return _pairs(np.asarray(matrix, dtype=complex))
 
 
 def vector_to_json(vector) -> list[list[float]]:
-    return [complex_to_json(entry) for entry in np.asarray(vector, dtype=complex)]
+    return _pairs(np.asarray(vector, dtype=complex))
 
 
 def collection_to_document(

@@ -16,6 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import linalg
 from .errors import DimensionMismatchError, SubsetLimitExceededError
 from .projectors import MaximalContext, Projector, is_invariant
 from .subspace import Subspace
@@ -117,9 +118,10 @@ class LatticeFamily:
         return f"LatticeFamily(dim={self.ambient_dim}, elements={len(self)})"
 
 
-def _boolean_family(n: int, parts: list[tuple[Subspace, str]], wrap: str) -> LatticeFamily:
-    """Spans of subsets of the nonzero orthogonal parts; ``ran(1)`` needs every part."""
-    atoms = [(sub.basis, name) for sub, name in parts if not sub.is_zero()]
+def _boolean_family(n: int, parts: list[tuple[np.ndarray, str]], wrap: str) -> LatticeFamily:
+    """Spans of subsets of the orthogonal parts, each an orthonormal ``(n, r)``
+    basis; parts with no columns are not atoms, and ``ran(1)`` needs every part."""
+    atoms = [(basis, name) for basis, name in parts if basis.shape[1]]
     return LatticeFamily._over_atoms(
         n,
         _Atoms(tuple(b for b, _ in atoms), tuple(name for _, name in atoms), len(parts), wrap),
@@ -132,7 +134,10 @@ def projector_lattice(
 ) -> LatticeFamily:
     """The invariant family {zero, range, kernel, whole space} of one projector."""
     label = projector.label
-    parts = [(projector.range(tol), f"ran({label})"), (projector.kernel(tol), f"ker({label})")]
+    parts = [
+        (projector.range(tol).basis, f"ran({label})"),
+        (projector.kernel(tol).basis, f"ker({label})"),
+    ]
     return _boolean_family(projector.ambient_dim, parts, "%s")
 
 
@@ -145,15 +150,22 @@ def context_lattice(
 
     Bit ``i`` selects the ``i``-th nonzero member, which fixes the element
     order. Distinct subsets of orthogonal atoms are distinct subspaces, so
-    nothing is deduplicated. Only the member ranges are computed here; the
-    2^m elements are built when first read. Contexts with more than
-    ``member_cap`` members, rank-0 ones included, are rejected here, before
-    any element exists.
+    nothing is deduplicated. Only the member ranges are computed here, from
+    one SVD of the member stack: a member's range is the first ``rank``
+    left singular vectors, as ``Projector.range`` takes them one member at
+    a time. The 2^m elements are built when first read. Contexts with more
+    than ``member_cap`` members, rank-0 ones included, are rejected here,
+    before any element exists.
     """
     m = len(ctx.members)
     if m > member_cap:
         raise SubsetLimitExceededError(m, member_cap)
-    parts = [(p.range(tol), p.label) for p in ctx.members]
+    u, s, _ = np.linalg.svd(np.array([p.matrix for p in ctx.members], dtype=np.complex128))
+    u.setflags(write=False)
+    parts = [
+        (u[i][:, : linalg.singular_rank(s[i], tol)], p.label)
+        for i, p in enumerate(ctx.members)
+    ]
     return _boolean_family(ctx.ambient_dim, parts, "ran(%s)")
 
 

@@ -300,3 +300,171 @@ def test_real_generators_are_embedded_as_complex():
     closure = pl.algebra_closure(generators)
     assert all(m.dtype == np.complex128 for m in closure.basis)
     assert closure.dimension == 4 and closure.saturated
+
+
+# The commutant route before its maps were built as one broadcast: two
+# np.kron calls per generator, a chunk of generators per QR fold.
+def oracle_commutator_maps(mats):
+    eye = np.eye(mats[0].shape[0])
+    return np.vstack([np.kron(g, eye) - np.kron(eye, g.T) for g in mats])
+
+
+def oracle_commutant(mats, tol):
+    n = mats[0].shape[0]
+    per_chunk = max(2, pl.algebra._CHUNK_ENTRIES // n**4)
+    r = np.zeros((0, n * n), dtype=complex)
+    for start in range(0, len(mats), per_chunk):
+        chunk = oracle_commutator_maps(mats[start : start + per_chunk])
+        r = np.linalg.qr(np.vstack([r, chunk]), mode="r")
+    return np.array(pl.linalg.kernel_basis(r, tol)).reshape(-1, n, n)
+
+
+def oracle_coerce(generators):
+    mats = []
+    for g in generators:
+        arr = pl.linalg.as_complex_matrix(g.matrix if isinstance(g, pl.Projector) else g)
+        if arr.shape[0] != arr.shape[1]:
+            raise pl.DimensionMismatchError(f"generators must be square, got {arr.shape}")
+        mats.append(arr)
+    if not mats:
+        raise ValueError("need at least one generator")
+    for arr in mats[1:]:
+        if arr.shape[0] != mats[0].shape[0]:
+            raise pl.DimensionMismatchError(
+                f"mixed generator dimensions: {mats[0].shape[0]} and {arr.shape[0]}"
+            )
+    return mats
+
+
+def oracle_self_adjoint(mats, tol):
+    with np.errstate(over="ignore", invalid="ignore"):
+        return not any(pl.linalg.max_abs(m - m.conj().T) > tol.eps_entry for m in mats)
+
+
+def signed_zero_stack(rng, k, n):
+    """Complex entries drawn from 0.0, -0.0, +-1 and +-0.5 in both parts."""
+    values = np.array([0.0, -0.0, 1.0, -1.0, 0.5, -0.5])
+    stack = np.empty((k, n, n), dtype=complex)
+    stack.real = rng.choice(values, size=(k, n, n))
+    stack.imag = rng.choice(values, size=(k, n, n))
+    return stack
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return type(exc), str(exc)
+
+
+class TestBatchedCommutant:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_maps_equal_kron_bit_for_bit(self, n):
+        rng = np.random.default_rng(1900 + n)
+        shape = (3, n, n)
+        projectors = np.array(
+            rank1_projectors(haar_unitary(rng, n)) + [np.eye(n), np.zeros((n, n))], dtype=complex
+        )
+        for stack in (
+            rng.normal(size=shape) + 1j * rng.normal(size=shape),
+            rng.normal(size=shape).astype(complex),
+            rng.normal(size=shape),
+            signed_zero_stack(rng, 3, n),
+            projectors,
+        ):
+            got = pl.algebra._commutator_maps(stack)
+            want = oracle_commutator_maps(list(stack))
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_chunks_of_two_and_one_match_the_kron_route(self, monkeypatch, n):
+        rng = np.random.default_rng(1910 + n)
+        tol = pl.TolerancePolicy()
+        stack = np.array(planted_blocks(rng, (n - 1, 1)) + [np.eye(n)], dtype=complex)
+        want_default = oracle_commutant(list(stack), tol)
+        assert pl.algebra._commutant(stack, tol).tobytes() == want_default.tobytes()
+        chunks = []
+        maps = pl.algebra._commutator_maps
+        monkeypatch.setattr(pl.algebra, "_CHUNK_ENTRIES", 1)
+        monkeypatch.setattr(
+            pl.algebra, "_commutator_maps", lambda s: chunks.append(len(s)) or maps(s)
+        )
+        got = pl.algebra._commutant(stack, tol)
+        assert chunks == [2] * n + [1]
+        want = oracle_commutant(list(stack), tol)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert len(got) == len(want_default) == 2
+
+    def test_coerced_stack_equals_the_per_generator_copies(self, pauli):
+        rng = np.random.default_rng(1920)
+        for generators in (
+            [entry.projector for entry in pauli.registry],
+            [np.array([[1, 0], [0, 0]]), [[0.5, 0.5], [0.5, 0.5]]],
+            list(signed_zero_stack(rng, 4, 3)),
+            [np.zeros((0, 0))],
+        ):
+            got = pl.algebra._coerce_generators(generators)
+            want = np.array(oracle_coerce(generators))
+            assert got.dtype == np.complex128 and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "generators",
+        [
+            [],
+            [np.eye(2), np.eye(3)],
+            [np.eye(3), np.ones((2, 3))],
+            [np.ones((2, 3))],
+            [np.eye(2), [1.0, 0.0]],
+            [np.eye(2), np.ones((2, 2, 2))],
+            [np.eye(2), [[1.0, 0.0], [0.0]]],
+            [np.eye(2), [[np.nan, 0.0], [0.0, 1.0]]],
+            [[[np.inf, 0.0], [0.0, 1.0]], np.eye(3)],
+            [np.eye(2), [["a", "b"], ["c", "d"]]],
+            [5.0],
+        ],
+    )
+    def test_bad_generators_fail_as_before(self, generators):
+        got = _outcome(pl.algebra._coerce_generators, generators)
+        want = _outcome(oracle_coerce, generators)
+        assert isinstance(got, tuple) and got == want
+
+    def test_screen_routes_as_the_per_generator_max(self):
+        rng = np.random.default_rng(1930)
+        tol = pl.TolerancePolicy()
+        eps = tol.eps_entry
+        hermitian = [rank1_projectors(haar_unitary(rng, 3))[0] for _ in range(3)]
+        cases = [hermitian, [np.eye(2)], [np.zeros((1, 1))]]
+        for scale in (1 - 1e-9, 1.0, 1 + 1e-9, 1e3):
+            for where in range(3):
+                mats = [m.copy() for m in hermitian]
+                mats[where][0, 2] += scale * eps
+                cases.append(mats)
+                skew = [m.copy() for m in hermitian]
+                skew[where][1, 0] += 1j * scale * eps
+                cases.append(skew)
+        big = np.zeros((2, 2), dtype=complex)
+        big[0, 1], big[1, 0] = 1e308, -1e308  # G - G^H overflows to inf
+        wide = np.zeros((2, 2), dtype=complex)
+        wide[0, 1] = complex(1.7e308, 1.7e308)  # finite difference, |.| overflows
+        huge_hermitian = np.array([[1e308, 1.7e308], [1.7e308, -1e308]], dtype=complex)
+        nan = np.array([[np.nan, 0.0], [0.0, 1.0]], dtype=complex)
+        cases += [
+            [np.eye(2), big],
+            [wide],
+            [huge_hermitian, np.eye(2)],
+            [nan],
+            [nan, np.eye(2)],
+            [nan, big],
+            [np.eye(2), nan, wide],
+        ]
+        routes = []
+        for mats in cases:
+            stack = np.array(mats, dtype=complex)
+            got = pl.algebra._self_adjoint(stack, tol)
+            assert got == oracle_self_adjoint(mats, tol)
+            routes.append(got)
+        assert True in routes and False in routes
+        assert pl.algebra._self_adjoint(np.array([big]), tol) is False
+        assert pl.algebra._self_adjoint(np.array([nan]), tol) is True

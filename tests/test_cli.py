@@ -242,6 +242,28 @@ def test_demo_pauli(capsys):
     assert verdicts["assignment_search"]["status"] == "SAT"
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--eps-rank", "0.5"],
+        ["--eps-entry", "1e-12"],
+        ["--eps-subspace", "-1"],
+        ["--eps-rank", "nan"],
+    ],
+)
+def test_demo_rejects_bad_tolerances_as_file_commands_do(pauli_file, capsys, flags):
+    code, report = run_json(capsys, ["demo", "pauli"] + flags)
+    assert code == 1
+    assert report["command"] == "demo"
+    assert report["error"].startswith("tolerances must satisfy")
+    _, file_report = run_json(capsys, ["validate", pauli_file] + flags)
+    assert report == {**file_report, "command": "demo"}
+    assert main(["demo", "pauli"] + flags) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {report['error']}\n"
+
+
 def test_demo_text_mentions_both_verdicts(capsys):
     assert main(["demo", "pauli"]) == 0
     out = capsys.readouterr().out

@@ -337,3 +337,53 @@ class TestOneCallDecode:
         want = _outcome(oracle_parse_matrix, matrix, 2)
         assert want[0] is pl.ParseError
         assert _outcome(pl.document._parse_matrix, matrix, 2) == want
+
+
+# The per-entry encoder the writers used before they encoded in one call.
+def oracle_complex_to_json(value):
+    return [float(value.real), float(value.imag)]
+
+
+def oracle_matrix_to_json(matrix):
+    return [[oracle_complex_to_json(e) for e in row] for row in np.asarray(matrix, dtype=complex)]
+
+
+def oracle_vector_to_json(vector):
+    return [oracle_complex_to_json(e) for e in np.asarray(vector, dtype=complex)]
+
+
+ENCODED_SPECIALS = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 1e308, -5e-324, 2.5e-310]
+
+
+class TestOneCallEncode:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_the_per_entry_encoder(self, seed):
+        rng = np.random.default_rng(1700 + seed)
+        rows, cols = int(rng.integers(0, 6)), int(rng.integers(1, 6))
+        parts = rng.normal(size=(2, rows, cols))
+        special = rng.random(size=parts.shape) < 0.3
+        parts[special] = rng.choice(ENCODED_SPECIALS, size=int(special.sum()))
+        matrix = np.empty((rows, cols), dtype=complex)
+        matrix.real, matrix.imag = parts
+        integers = rng.integers(-3, 4, size=(rows, cols))
+        for m in (matrix, matrix.T, parts[0], integers):
+            assert json.dumps(pl.document.matrix_to_json(m)) == json.dumps(
+                oracle_matrix_to_json(m)
+            )
+            for row in np.asarray(m):
+                assert json.dumps(pl.document.vector_to_json(row)) == json.dumps(
+                    oracle_vector_to_json(row)
+                )
+
+    def test_signed_zeros_and_nan_survive(self):
+        v = np.empty(3, dtype=complex)
+        v.real, v.imag = [-0.0, 0.0, -np.inf], [-0.0, np.nan, 1.0]
+        assert json.dumps(pl.document.vector_to_json(v)) == "[[-0.0, -0.0], [0.0, NaN], [-Infinity, 1.0]]"
+
+    def test_saved_documents_keep_their_bytes(self, pauli, tmp_path):
+        doc = pl.collection_to_document(pauli)
+        want = {
+            ctx.name: [oracle_matrix_to_json(p.matrix) for p in ctx.members]
+            for ctx in pauli.contexts
+        }
+        assert json.dumps(doc["contexts"]) == json.dumps(want)

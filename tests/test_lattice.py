@@ -501,3 +501,54 @@ class TestFamiliesKeepAtoms:
             ]
             want = eager_boolean_family(projector.ambient_dim, parts, "%s")
             assert_identical_family(pl.projector_lattice(projector), want)
+
+
+def noisy_context(rng, dim, noise, tol):
+    """A rank-1 context with every member moved by a Hermitian ``noise``:
+    its small singular values count as rank under a tight ``eps_rank``."""
+    members = []
+    for i, p in enumerate(random_rank1_context(rng, dim).members):
+        e = noise * (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+        members.append(pl.validate_projector(p.matrix + (e + e.conj().T) / 2, tol, f"m{i}"))
+    return pl.validate_context(members, tol, name="noisy")
+
+
+class TestBatchedRanges:
+    """Atoms from one SVD of the member stack against ``Projector.range``."""
+
+    LOOSE = pl.TolerancePolicy(eps_rank=1e-4, eps_entry=1e-4, eps_subspace=1e-3)
+
+    @staticmethod
+    def assert_atoms_are_ranges(ctx, tol):
+        atoms = pl.context_lattice(ctx, tol)._atom_set
+        ranges = [(p.range(tol), p.label) for p in ctx.members]
+        kept = [(sub, label) for sub, label in ranges if not sub.is_zero()]
+        assert atoms.parts == len(ctx.members)
+        assert atoms.names == tuple(label for _, label in kept)
+        for basis, (sub, _) in zip(atoms.bases, kept):
+            assert basis.dtype == np.complex128 and basis.shape == sub.basis.shape
+            assert np.ascontiguousarray(basis).tobytes() == sub.basis.tobytes()
+            assert not basis.flags.writeable
+        return [sub.dim for sub, _ in ranges]
+
+    def test_planted_cases_with_rank0_members(self):
+        zero_members = 0
+        for seed in range(1000, 1060):
+            for ctx in planted_case(seed):
+                ranks = self.assert_atoms_are_ranges(ctx, None)
+                assert self.assert_atoms_are_ranges(ctx, self.LOOSE) == ranks
+                zero_members += ranks.count(0)
+        assert zero_members > 0
+
+    def test_documents(self, pauli, ks18):
+        collection, _ = pl.parse_document(planted_blocks_document(1820))
+        for ctx in (*pauli.contexts, *ks18.contexts, *collection.contexts):
+            self.assert_atoms_are_ranges(ctx, None)
+            self.assert_atoms_are_ranges(ctx, self.LOOSE)
+
+    def test_loose_eps_rank_drops_the_noise(self):
+        rng = np.random.default_rng(1830)
+        for dim in (2, 3, 5):
+            ctx = noisy_context(rng, dim, 1e-7, self.LOOSE)
+            assert self.assert_atoms_are_ranges(ctx, self.LOOSE) == [1] * dim
+            assert self.assert_atoms_are_ranges(ctx, None) == [dim] * dim

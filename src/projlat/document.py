@@ -17,6 +17,7 @@ only for a payload that call rejects, to name what is wrong with it.
 """
 from __future__ import annotations
 
+import gc
 import json
 from numbers import Real
 
@@ -27,6 +28,7 @@ from .errors import ParseError, ValidationError
 # they stay importable from this module, where bench/tracing.py wraps them.
 from .projectors import (  # noqa: F401
     ContextCollection,
+    _basis_contexts,
     _checked_context,
     _checked_stack,
     context_from_basis,
@@ -116,9 +118,70 @@ def _matrix_context(name: str, matrices: list, dim: int, tol: TolerancePolicy):
             stack[i] = _parse_matrix(matrix, dim, f"contexts[{name}][{i}]")
         except ParseError:
             if i:
-                _checked_stack(stack[:i], tol, labels)
+                _checked_stack(stack[None, :i], tol, [labels])
             raise
-    return _checked_context(*_checked_stack(stack, tol, labels), tol, name)
+    members, products, residuals = _checked_stack(stack[None], tol, [labels])
+    return _checked_context(members[0], products[0], residuals[0], tol, name)
+
+
+def _unit_rays(rays_obj: dict, dim: int) -> np.ndarray:
+    """Every ray, normalized, as one (rays, dim) row array in document order.
+
+    All rays are decoded in one call; the ray-by-ray walk runs only for a
+    payload that call rejects, to name the ray that does not parse. Either
+    way the first ray that does not parse or has zero norm raises.
+    """
+    vectors = list(rays_obj.values())
+    rows = None
+    if all(isinstance(vector, list) and len(vector) == dim for vector in vectors):
+        rows = _decode(vectors, (len(vectors), dim, 2))
+    walk = rows is None
+    if walk:
+        rows = np.empty((len(vectors), dim), dtype=np.complex128)
+    norms = np.empty(len(vectors))
+    for k, (name, vector) in enumerate(rays_obj.items()):
+        if walk:
+            rows[k] = _parse_vector(vector, dim, f"rays[{name}]")
+        # One norm per ray: a norm along axis 1 may round differently.
+        norms[k] = float(np.linalg.norm(rows[k]))
+        if norms[k] == 0.0:
+            raise ValidationError(f"ray {name!r} has zero norm")
+    return rows / norms[:, None]
+
+
+def _group_rays(group_name, ray_names, index: dict) -> list[int]:
+    """Row indices of a group's rays, or a ``ParseError`` naming what is wrong."""
+    if not isinstance(ray_names, list) or not ray_names:
+        raise ParseError(f"group {group_name!r} must be a non-empty array of ray names")
+    rows = []
+    for pos, ray_name in enumerate(ray_names):
+        if not isinstance(ray_name, str):
+            raise ParseError(
+                f"group {group_name!r}[{pos}]: expected a ray name string, got {ray_name!r}"
+            )
+        if ray_name not in index:
+            raise ParseError(f"group {group_name!r} references unknown ray {ray_name!r}")
+        rows.append(index[ray_name])
+    return rows
+
+
+def _ray_contexts(rays: np.ndarray, groups: list, tol: TolerancePolicy) -> list:
+    """The contexts of ``(name, row indices, ray names)`` groups of ``dim`` rays each.
+
+    All groups are checked as one (C, dim, dim) stack. If a check fails, the
+    groups are checked one by one in document order, so the first failing
+    group raises what it raises on its own.
+    """
+    if not groups:
+        return []
+    names, indices, labels = zip(*groups)
+    try:
+        return _basis_contexts(rays[list(indices)], tol, names, labels)
+    except ValidationError:
+        return [
+            context_from_basis(rays[rows], tol, name=name, labels=list(ray_names))
+            for name, rows, ray_names in groups
+        ]
 
 
 def _parse_tolerances(data: dict, overrides: dict | None) -> TolerancePolicy:
@@ -175,28 +238,27 @@ def parse_document(
         raise ParseError("'rays' must be a non-empty object")
     if not isinstance(groups_obj, dict) or not groups_obj:
         raise ParseError("'groups' must be a non-empty object")
-    rays = {}
-    for name, vector in rays_obj.items():
-        arr = _parse_vector(vector, dim, f"rays[{name}]")
-        norm = float(np.linalg.norm(arr))
-        if norm == 0.0:
-            raise ValidationError(f"ray {name!r} has zero norm")
-        rays[name] = arr / norm
-    contexts = []
+    rays = _unit_rays(rays_obj, dim)
+    index = {name: k for k, name in enumerate(rays_obj)}
+    # Groups of dim rays wait to be checked as one stack. A malformed group
+    # or one of another size ends the wait: the groups before it are
+    # checked first, so errors come in document order.
+    contexts, waiting = [], []
     for group_name, ray_names in groups_obj.items():
-        if not isinstance(ray_names, list) or not ray_names:
-            raise ParseError(f"group {group_name!r} must be a non-empty array of ray names")
-        for ray_name in ray_names:
-            if ray_name not in rays:
-                raise ParseError(f"group {group_name!r} references unknown ray {ray_name!r}")
+        try:
+            rows = _group_rays(group_name, ray_names, index)
+        except ParseError:
+            _ray_contexts(rays, waiting, tol)
+            raise
+        if len(rows) == dim:
+            waiting.append((group_name, rows, ray_names))
+            continue
+        contexts += _ray_contexts(rays, waiting, tol)
+        waiting = []
         contexts.append(
-            context_from_basis(
-                [rays[ray_name] for ray_name in ray_names],
-                tol,
-                name=group_name,
-                labels=list(ray_names),
-            )
+            context_from_basis(rays[rows], tol, name=group_name, labels=list(ray_names))
         )
+    contexts += _ray_contexts(rays, waiting, tol)
     return ContextCollection(contexts, tol), tol
 
 
@@ -216,8 +278,12 @@ def load_document(
 
     A key repeated within one JSON object (two contexts or two rays of the
     same name, say) is a ``ParseError``: plain JSON decoding would silently
-    keep the last one.
+    keep the last one. The cyclic garbage collector is paused while the
+    file is decoded: the many small lists JSON builds set it off, yet they
+    form no cycles. The caller's collector state is restored afterwards.
     """
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         with open(path, encoding="utf-8") as handle:
             data = json.load(handle, object_pairs_hook=_unique_keys)
@@ -225,6 +291,9 @@ def load_document(
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
     except ParseError as exc:
         raise ParseError(f"{path}: {exc}") from exc
+    finally:
+        if collecting:
+            gc.enable()
     return parse_document(data, tol_overrides)
 
 

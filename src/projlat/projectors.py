@@ -74,69 +74,78 @@ def validate_projector(
     arr = linalg.as_complex_matrix(matrix)
     if arr.shape[0] != arr.shape[1]:
         raise NotSquareError(arr.shape)
-    return _checked_stack(arr[None], resolve(tol), [label])[0][0]
+    return _checked_stack(arr[None, None], resolve(tol), [[label]])[0][0][0]
 
 
-def _measure(stack: np.ndarray) -> tuple[np.ndarray, dict[str, float]]:
-    """Every product of a stack of m matrices, and its context residuals.
+def _measure(stack: np.ndarray) -> tuple[np.ndarray, list[dict[str, float]]]:
+    """Every product within each context of a (C, m, n, n) stack, and the residuals.
 
-    ``products[i, j]`` is ``max|Pi Pj|`` for i != j, and the diagonal holds
-    the idempotency residuals ``max|Pi Pi - Pi|``. All m x m products are
-    taken as ``S[rows, None] @ S[None, :]`` over blocks of rows, each block
-    under ``_CHUNK_ENTRIES`` entries, so the temporaries never hold the
-    whole (m, m, n, n) product. The residuals are those ``context_residuals``
-    reports.
+    ``products[c, i, j]`` is ``max|Pi Pj|`` over the members of context c
+    for i != j, and the diagonal holds the idempotency residuals
+    ``max|Pi Pi - Pi|``. The products are taken as
+    ``S[contexts, rows, None] @ S[contexts, None, :]`` over blocks of
+    (context, row) pairs, each block under ``_CHUNK_ENTRIES`` entries, so
+    the temporaries never hold the whole (C, m, m, n, n) product. The
+    residuals, one dict per context, are those ``context_residuals`` reports.
     """
-    m, n = stack.shape[:2]
-    products = np.empty((m, m))
+    count, m, n = stack.shape[:3]
+    products = np.empty((count, m, m))
     step = max(1, _CHUNK_ENTRIES // (m * n * n or 1))
-    for start in range(0, m, step):
-        rows = slice(start, start + step)
-        block = stack[rows, None] @ stack[None, :]
-        # Row r of the block holds P_(start + r) @ P_j; its square sits at
-        # every (m + 1)-th matrix from ``start`` in the flattened block.
-        block.reshape(-1, n, n)[start :: m + 1] -= stack[rows]
-        products[rows] = np.abs(block).max(axis=(2, 3), initial=0.0)
-    pairwise = products.copy()
-    np.fill_diagonal(pairwise, 0.0)
+    rows_per, contexts_per = min(m, step), max(1, step // m)
+    for start in range(0, count, contexts_per):
+        contexts = slice(start, start + contexts_per)
+        for first in range(0, m, rows_per):
+            rows = slice(first, first + rows_per)
+            block = stack[contexts, rows, None] @ stack[contexts, None, :]
+            # Row r of the block holds P_(first + r) @ P_j; its square is at j = first + r.
+            diagonal = np.arange(block.shape[1])
+            block[:, diagonal, first + diagonal] -= stack[contexts, rows]
+            products[contexts, rows] = np.abs(block).max(axis=(3, 4), initial=0.0)
+    pairwise = np.where(np.eye(m, dtype=bool), 0.0, products).max(axis=(1, 2))
     # Accumulation adds the members in order, as a loop does; ``sum`` may
     # add them pairwise when each is 1 x 1.
-    total = np.add.accumulate(stack)[-1]
-    return products, {
-        "pairwise_product": float(pairwise.max()),
-        "sum_minus_identity": float(np.abs(total - np.eye(n)).max(initial=0.0)),
-    }
+    total = np.add.accumulate(stack, axis=1)[:, -1]
+    sums = np.abs(total - np.eye(n)).max(axis=(1, 2), initial=0.0)
+    return products, [
+        {"pairwise_product": p, "sum_minus_identity": s}
+        for p, s in zip(pairwise.tolist(), sums.tolist())
+    ]
 
 
 def _checked_stack(stack: np.ndarray, tol: TolerancePolicy, labels, singular=None):
-    """Projectors on read-only views of ``stack``, with ``_measure(stack)``.
+    """Projectors on read-only views of a (C, m, n, n) ``stack``, with ``_measure(stack)``.
 
-    Each matrix passes the projector axioms; the first failing one, in
-    stack order, raises what ``validate_projector`` raises for it alone,
-    with the same residual. Ranks count the singular values above the
-    ``linalg.singular_rank`` cutoff. ``singular`` holds them, largest
-    first, one row per matrix; without it they come from one batched SVD.
+    ``labels[c][i]`` labels ``stack[c, i]``. Each matrix passes the projector
+    axioms; the first failing one, in row-major order, raises what
+    ``validate_projector`` raises for it alone, with the same residual.
+    Ranks count the singular values above the ``linalg.singular_rank``
+    cutoff. ``singular`` holds them, largest first, one row per matrix;
+    without it they come from one batched SVD. Returns the members of each
+    context, the products and the residuals.
     """
     eps = tol.eps_entry
     # An overflow shows as an inf or NaN residual, which fails below.
     with np.errstate(over="ignore", invalid="ignore"):
         products, residuals = _measure(stack)
-        herm = np.abs(stack - stack.conj().transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0)
-    idem = products.diagonal()
+        herm = np.abs(stack - stack.conj().swapaxes(2, 3)).max(axis=(2, 3), initial=0.0)
+    idem = products.diagonal(axis1=1, axis2=2)
     if not (herm.max() <= eps and idem.max() <= eps):
-        i = np.flatnonzero(~((herm <= eps) & (idem <= eps)))[0]
-        if not herm[i] <= eps:
-            raise NotHermitianError(float(herm[i]), eps)
-        raise NotIdempotentError(float(idem[i]), eps)
+        c, i = np.argwhere(~((herm <= eps) & (idem <= eps)))[0]
+        if not herm[c, i] <= eps:
+            raise NotHermitianError(float(herm[c, i]), eps)
+        raise NotIdempotentError(float(idem[c, i]), eps)
     if singular is None:
         singular = np.linalg.svd(stack, compute_uv=False)
-    cutoff = tol.eps_rank * np.maximum(singular[:, :1], 1.0)
-    ranks = (singular > cutoff).sum(axis=1).tolist()
+    cutoff = tol.eps_rank * np.maximum(singular[..., :1], 1.0)
+    ranks = (singular > cutoff).sum(axis=2).tolist()
     stack.setflags(write=False)
-    members = tuple(
-        Projector(matrix=matrix, rank=rank, label=label)
-        for matrix, rank, label in zip(stack, ranks, labels)
-    )
+    members = [
+        tuple(
+            Projector(matrix=matrix, rank=rank, label=label)
+            for matrix, rank, label in zip(matrices, context_ranks, context_labels)
+        )
+        for matrices, context_ranks, context_labels in zip(stack, ranks, labels)
+    ]
     return members, products, residuals
 
 
@@ -193,7 +202,7 @@ def context_residuals(ctx: MaximalContext) -> dict[str, float]:
     there; one built by hand has them computed now.
     """
     if ctx._residuals is None:
-        return _measure(np.array([p.matrix for p in ctx.members]))[1]
+        return _measure(np.array([[p.matrix for p in ctx.members]]))[1][0]
     return dict(ctx._residuals)
 
 
@@ -211,8 +220,8 @@ def validate_context(
             raise DimensionMismatchError(
                 f"context {name!r}: mixed ambient dimensions {dim} and {p.ambient_dim}"
             )
-    products, residuals = _measure(np.array([p.matrix for p in members]))
-    return _checked_context(members, products, residuals, tol, name)
+    products, residuals = _measure(np.array([[p.matrix for p in members]]))
+    return _checked_context(members, products[0], residuals[0], tol, name)
 
 
 def _checked_context(
@@ -266,22 +275,53 @@ def context_from_basis(
                     f"context {name!r}: mixed vector dimensions {dim} and {v.shape[0]}"
                 )
         rows = np.array(vecs)
-    count, dim = rows.shape
-    stacked = np.ascontiguousarray(rows.T)
-    gram = stacked.conj().T @ stacked
-    residual = float(np.abs(gram - np.eye(count)).max())
-    if not residual <= tol.eps_entry:
-        raise NotOrthonormalError(residual, tol.eps_entry)
-    if count != dim:
-        raise NotCompleteError(count, dim)
     if labels is None:
-        labels = [f"{name}[{i}]" for i in range(count)]
-    elif len(labels) != count:
-        raise ValidationError(f"context {name!r}: {len(labels)} labels for {count} vectors")
-    stack = rows[:, :, None] * rows.conj()[:, None, :]
+        labels = [f"{name}[{i}]" for i in range(len(rows))]
+    return _basis_contexts(rows[None], tol, [name], [labels])[0]
+
+
+def _basis_contexts(
+    rows: np.ndarray, tol: TolerancePolicy, names, labels
+) -> list[MaximalContext]:
+    """The rank-1 contexts of C bases, checked as one stack.
+
+    Row i of ``rows[c]`` is vector i of basis c, which becomes member
+    ``v v^H`` of context ``names[c]``, labelled ``labels[c][i]``. The Gram
+    matrices, the outer products and ``_checked_stack`` each take one pass
+    over all C bases, and every slice is computed as for the basis alone.
+    A failing check raises for the first basis that fails that check, so
+    for C = 1 this is ``context_from_basis``. For C > 1 an earlier basis
+    may fail a check made later; a caller that needs the first failing
+    basis in order checks the bases one at a time once this raises.
+    """
+    count, m, n = rows.shape
+    eps = tol.eps_entry
+    # V^H V with the vectors as the columns of V.
+    stacked = np.ascontiguousarray(rows.transpose(0, 2, 1))
+    gram = stacked.conj().transpose(0, 2, 1) @ stacked
+    orthonormal = np.abs(gram - np.eye(m)).max(axis=(1, 2))
+    if not (orthonormal <= eps).all():
+        raise NotOrthonormalError(float(orthonormal[~(orthonormal <= eps)][0]), eps)
+    if m != n:
+        raise NotCompleteError(m, n)
+    for name, context_labels in zip(names, labels):
+        if len(context_labels) != m:
+            raise ValidationError(
+                f"context {name!r}: {len(context_labels)} labels for {m} vectors"
+            )
+    # One owner of every member, shaped (C m, n, n).
+    flat = rows.reshape(-1, n)
+    stack = flat[:, :, None] * flat.conj()[:, None, :]
+    stack.setflags(write=False)
     # v v^H has one nonzero singular value, |v|^2, so its rank needs no SVD.
-    checked = _checked_stack(stack, tol, labels, gram.diagonal().real[:, None])
-    return _checked_context(*checked, tol, name)
+    singular = gram.diagonal(axis1=1, axis2=2).real[..., None]
+    members, products, residuals = _checked_stack(
+        stack.reshape(count, m, n, n), tol, labels, singular
+    )
+    return [
+        _checked_context(*checked, tol, name)
+        for checked, name in zip(zip(members, products, residuals), names)
+    ]
 
 
 @dataclass(frozen=True)

@@ -125,10 +125,12 @@ def bivalence_report(
     )
 
 
-# Entries in the search's table of exhausted subtrees, at most. One entry
-# holds a tuple of two ints and one count, about 160 bytes with 40-bit
-# masks, so a full table takes about 10 MB; a search that fills it stays
-# exact, it only stops remembering.
+# Entries in each of the search's two tables, at most: exhausted subtrees
+# and candidate menus. A subtree entry holds one int key and one count,
+# about 120 bytes with 40-bit masks, so that table stays under about 8 MB;
+# a menu takes a few hundred bytes, at most about 1 KB for a context of
+# eight members. A search that fills a table stays exact, it only stops
+# remembering.
 FAILED_SUBTREE_LIMIT = 1 << 16
 
 
@@ -156,28 +158,38 @@ def search_noncontextual_assignment(
     on failure the node count certifies the exhaustion. Single-threaded and
     deterministic by construction.
 
-    The state is two Python-int bitsets over registry identities, the ones
-    valued 1 and the ones valued 0. Each (context, 1-position) pattern is
-    precomputed as the same pair: ``ones`` holds the chosen member's
-    identity, ``zeros`` the other members'. A pattern with ``ones & zeros``
-    nonzero (two members of one context sharing an identity, such as two
-    rank-0 members) can never be taken. Backtracking restores the two ints
-    from an explicit per-level stack, so the depth (the number of contexts)
-    is not bounded by Python's recursion limit.
+    The state is one Python-int bitset over registry identities, the ones
+    valued 1. At level ``k`` every identity of contexts 0 to k - 1 is valued
+    and no other, so the ones fix the zeros too. Each (context, 1-position)
+    pattern is precomputed as two bitsets: ``ones`` holds the chosen
+    member's identity, ``zeros`` the other members'. A pattern is admissible
+    when it values no identity both ways: it has ``ones & zeros`` zero (two
+    members of one context that share an identity, such as two rank-0
+    members, never do), and it agrees with the values already set.
+    Backtracking restores the state from an explicit per-level stack, so the
+    depth (the number of contexts) is not bounded by Python's recursion
+    limit.
+
+    Candidates come from menus. Admissibility at level ``k`` reads only the
+    identities of context ``k``, so it is fixed by the local state
+    ``ones & own[k]``, with ``own[k]`` the OR of that context's identity
+    bits. The menu of a local state lists its admissible patterns in
+    member order, each with the number of inadmissible ones skipped before
+    it, plus the number after the last one. Entering a context then costs
+    one dict lookup, and the skipped patterns are still counted as nodes.
 
     Exhausted subtrees are remembered. Every test below level ``k`` reads
     only identities of contexts ``k`` onwards, so the state masked to those
-    identities fixes the subtree's outcome and node count. A subtree that
-    failed is stored under ``(k, masked ones)`` with its node count. The
-    masked zeros need no place in the key: at level ``k`` every identity of
-    the earlier contexts is valued, so they are those identities, masked,
-    minus the masked ones. When a later candidate leads to a stored state,
-    that count is added to the nodes and the walk moves on to the next
-    candidate without descending. ``nodes_explored`` therefore stays the
-    size of the chronological tree, and the branching order and first
-    solution are unchanged. Nothing is stored for a success, which ends the
-    walk. The table stops growing at ``FAILED_SUBTREE_LIMIT`` entries; past
-    it the walk descends as before.
+    identities, ``ones & live[k]``, fixes the subtree's outcome and node
+    count. A subtree that failed is stored under that int in the table of
+    level ``k``, with its node count. When a later candidate leads to a
+    stored state, that count is added to the nodes and the walk moves on to
+    the next candidate without descending. ``nodes_explored`` therefore
+    stays the size of the chronological tree, and the branching order and
+    first solution are unchanged. Nothing is stored for a success, which
+    ends the walk. Each table stops growing at ``FAILED_SUBTREE_LIMIT``
+    entries; past it the walk descends, or tests a context's patterns on
+    every entry, as before.
     """
     patterns = []
     for ci, ctx in enumerate(collection.contexts):
@@ -189,22 +201,47 @@ def search_noncontextual_assignment(
             ]
         )
     depth = len(patterns)
+    own = [reduce(operator.or_, (b for b, _ in level), 0) for level in patterns]
+    # seen[k]: the identities of contexts 0 to k - 1, the ones valued at level k.
     # live[k]: the identities that contexts k onwards can test.
-    live = [0] * (depth + 1)
+    seen, live = [0] * (depth + 1), [0] * (depth + 1)
+    for level in range(depth):
+        seen[level + 1] = seen[level] | own[level]
     for level in range(depth - 1, -1, -1):
-        live[level] = live[level + 1] | reduce(operator.or_, (b for b, _ in patterns[level]), 0)
-    failed: dict[tuple[int, int], int] = {}
+        live[level] = live[level + 1] | own[level]
+    menus: list[dict[int, tuple]] = [{} for _ in range(depth)]
+    failed: list[dict[int, int]] = [{} for _ in range(depth)]
+    stored_menus = stored_failed = 0
+
+    def menu(level: int, ones: int) -> tuple:
+        """([(skipped, pattern ones), ...], tail): the menu of the local state at ``level``."""
+        nonlocal stored_menus
+        local = ones & own[level]
+        found = menus[level].get(local)
+        if found is None:
+            local_zeros = (own[level] & seen[level]) ^ local
+            entries, skipped = [], 0
+            for p_ones, p_zeros in patterns[level]:
+                if p_ones & p_zeros or p_ones & local_zeros or p_zeros & local:
+                    skipped += 1
+                else:
+                    entries.append((skipped, p_ones))
+                    skipped = 0
+            found = (entries, skipped)
+            if stored_menus < FAILED_SUBTREE_LIMIT:
+                menus[level][local] = found
+                stored_menus += 1
+        return found
+
     nodes = start = 0
-    ones = zeros = 0
-    key = None
+    ones = key = 0
     stack: list[tuple] = []
-    candidates = iter(patterns[0])
+    entries, tail = menu(0, 0)
+    candidates = iter(entries)
     while True:
         level = len(stack) + 1  # the level a taken candidate leads to
-        for p_ones, p_zeros in candidates:
-            nodes += 1
-            if p_ones & p_zeros or p_ones & zeros or p_zeros & ones:
-                continue
+        for skipped, p_ones in candidates:
+            nodes += skipped + 1
             if level == depth:
                 ones |= p_ones
                 # Every registry identity occurs in some context, so all are assigned.
@@ -212,23 +249,24 @@ def search_noncontextual_assignment(
                 return AssignmentSearchResult(
                     satisfiable=True, assignment=assignment, nodes_explored=nodes
                 )
-            child = (level, (ones | p_ones) & live[level])
-            credit = failed.get(child)
+            child = (ones | p_ones) & live[level]
+            credit = failed[level].get(child)
             if credit is None:
                 break
             nodes += credit
         else:
+            nodes += tail
             if not stack:
                 return AssignmentSearchResult(
                     satisfiable=False, assignment=None, nodes_explored=nodes
                 )
-            if len(failed) < FAILED_SUBTREE_LIMIT:
-                failed[key] = nodes - start
-            candidates, ones, zeros, start, key = stack.pop()
+            if stored_failed < FAILED_SUBTREE_LIMIT:
+                failed[level - 1][key] = nodes - start
+                stored_failed += 1
+            candidates, tail, ones, start, key = stack.pop()
             continue
-        stack.append((candidates, ones, zeros, start, key))
+        stack.append((candidates, tail, ones, start, key))
         ones |= p_ones
-        zeros |= p_zeros
         start, key = nodes, child
-        candidates = iter(patterns[level])
-
+        entries, tail = menu(level, ones)
+        candidates = iter(entries)

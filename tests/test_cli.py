@@ -71,6 +71,19 @@ def test_parse_failure_exits_one(tmp_path, capsys):
     assert main(["validate", str(path)]) == 1
 
 
+def test_non_string_ray_name_is_a_json_error_report(tmp_path, capsys):
+    doc = {"dim": 1, "rays": {"a": [[1, 0]], "b": [[1, 0]]}, "groups": {"z": [["a"], "b"]}}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, report = run_json(capsys, ["ks-search", str(path)])
+    assert code == 1
+    assert report == {
+        "command": "ks-search",
+        "error": "group 'z'[0]: expected a ray name string, got ['a']",
+        "exit_code": 1,
+    }
+
+
 def test_missing_file_exits_one(tmp_path):
     assert main(["validate", str(tmp_path / "absent.json")]) == 1
 

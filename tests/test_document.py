@@ -1,3 +1,4 @@
+import gc
 import json
 
 import numpy as np
@@ -182,6 +183,63 @@ def test_duplicate_keys_rejected(tmp_path, text, key):
     path.write_text(text)
     with pytest.raises(pl.ParseError, match=f"duplicate key {key}"):
         pl.load_document(path)
+
+
+@pytest.mark.parametrize(
+    "entry", [["a"], {"name": "a"}, 5, None, True], ids=["list", "object", "int", "null", "bool"]
+)
+def test_non_string_ray_name_rejected(entry):
+    doc = {
+        "dim": 2,
+        "rays": {"a": [[1, 0], [0, 0]], "b": [[0, 0], [1, 0]]},
+        "groups": {"z": ["a", "b"], "w": ["b", entry]},
+    }
+    with pytest.raises(pl.ParseError) as info:
+        pl.parse_document(doc)
+    assert str(info.value) == f"group 'w'[1]: expected a ray name string, got {entry!r}"
+
+
+class TestCollectorPause:
+    """``load_document`` decodes with the cyclic collector off and restores it."""
+
+    def _write(self, tmp_path, text):
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        return path
+
+    def test_collector_is_off_while_decoding(self, pauli, tmp_path, monkeypatch):
+        seen = []
+        unique_keys = pl.document._unique_keys
+
+        def recording(pairs):
+            seen.append(gc.isenabled())
+            return unique_keys(pairs)
+
+        monkeypatch.setattr(pl.document, "_unique_keys", recording)
+        path = self._write(tmp_path, json.dumps(pauli_matrix_document(pauli)))
+        assert gc.isenabled()
+        pl.load_document(path)
+        assert seen and not any(seen)
+        assert gc.isenabled()
+
+    def test_state_kept_after_a_parse_error(self, tmp_path):
+        for text in (DUPLICATE_RAYS, "{not json"):
+            path = self._write(tmp_path, text)
+            with pytest.raises(pl.ParseError):
+                pl.load_document(path)
+            assert gc.isenabled()
+
+    def test_disabled_collector_stays_disabled(self, pauli, tmp_path):
+        path = self._write(tmp_path, json.dumps(pauli_matrix_document(pauli)))
+        gc.disable()
+        try:
+            pl.load_document(path)
+            assert not gc.isenabled()
+            with pytest.raises(pl.ParseError):
+                pl.load_document(self._write(tmp_path, DUPLICATE_RAYS))
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
 
 
 # The per-entry parser that decoded every payload before the one-call path;

@@ -97,7 +97,7 @@ def oracle_registry(contexts, tol):
 
 
 def oracle_parse_document(doc):
-    """The parent's loading loop: each member parsed, then validated, in turn."""
+    """The plain loading loop: each member parsed, then validated, in turn."""
     dim = doc["dim"]
     tol = _parse_tolerances(doc, None)
     contexts = []
@@ -114,8 +114,20 @@ def oracle_parse_document(doc):
         rays = {}
         for name, vector in doc["rays"].items():
             arr = _parse_vector(vector, dim, f"rays[{name}]")
-            rays[name] = arr / float(np.linalg.norm(arr))
+            norm = float(np.linalg.norm(arr))
+            if norm == 0.0:
+                raise pl.ValidationError(f"ray {name!r} has zero norm")
+            rays[name] = arr / norm
         for name, ray_names in doc["groups"].items():
+            if not isinstance(ray_names, list) or not ray_names:
+                raise pl.ParseError(f"group {name!r} must be a non-empty array of ray names")
+            for pos, ray in enumerate(ray_names):
+                if not isinstance(ray, str):
+                    raise pl.ParseError(
+                        f"group {name!r}[{pos}]: expected a ray name string, got {ray!r}"
+                    )
+                if ray not in rays:
+                    raise pl.ParseError(f"group {name!r} references unknown ray {ray!r}")
             contexts.append(
                 oracle_from_basis([rays[r] for r in ray_names], tol, name, list(ray_names))
             )
@@ -295,6 +307,183 @@ def _hand_built(rng, dim, offsets, direction):
     return contexts
 
 
+RAY_FAULTS = (
+    "unknown name",
+    "non-string name",
+    "short group",
+    "long group",
+    "repeated ray",
+    "not orthonormal",
+    "zero ray",
+    "bad entry",
+    "non-finite entry",
+    "huge ray",
+    "empty group",
+)
+
+
+def _ray_fault(rng, doc, fault):
+    """Break a ray document in place; ``doc`` keeps every group of dim rays."""
+    rays, groups, dim = doc["rays"], doc["groups"], doc["dim"]
+    filled = [g for g in groups.values() if g]
+    if not filled:
+        return
+    group = filled[int(rng.integers(len(filled)))]
+    pos = int(rng.integers(len(group)))
+    ray = list(rays)[int(rng.integers(len(rays)))]
+    if fault == "unknown name":
+        group[pos] = "missing"
+    elif fault == "non-string name":
+        group[pos] = [["a"], {"name": group[pos]}, 3, None][int(rng.integers(4))]
+    elif fault == "short group":
+        group.pop(pos)
+    elif fault == "long group":
+        group.insert(pos, ray)
+    elif fault == "repeated ray":
+        group[pos] = group[(pos + 1) % len(group)]
+    elif fault == "not orthonormal":
+        rays[group[pos]] = _random_ray(rng, dim)
+    elif fault == "zero ray":
+        rays[ray] = [[0.0, -0.0]] * dim
+    elif fault == "bad entry":
+        rays[ray] = [list(pair) for pair in rays[ray]]
+        rays[ray][int(rng.integers(dim))] = ["1.0", None, [1.0], {"re": 1.0}][int(rng.integers(4))]
+    elif fault == "non-finite entry":
+        rays[ray] = [list(pair) for pair in rays[ray]]
+        value = float(rng.choice([np.inf, -np.inf, np.nan]))
+        rays[ray][int(rng.integers(dim))][int(rng.integers(2))] = value
+    elif fault == "huge ray":
+        # Not a fault: a ray is a direction, so a large scale is valid.
+        rays[ray] = [[1e100 * float(re), 1e100 * float(im)] for re, im in rays[ray]]
+    elif fault == "empty group":
+        groups[list(groups)[int(rng.integers(len(groups)))]] = []
+
+
+def _random_ray(rng, dim):
+    return [[float(re), float(im)] for re, im in rng.normal(size=(dim, 2))]
+
+
+def faulty_ray_document(rng, faults=()):
+    """Bases sharing rays, some turned by about ``eps_subspace``, with the given faults.
+
+    Entries mix plain floats with booleans and (large) integers, on the
+    coordinate bases, and some rays belong to no group.
+    """
+    dim = int(rng.integers(1, 7))
+    unitary = np.eye(dim) if rng.random() < 0.3 else _unitary(rng, dim)
+    rays, groups = {}, {}
+    for c in range(int(rng.integers(1, 7))):
+        if c and dim > 1 and rng.random() < 0.7:
+            i, j = rng.choice(dim, size=2, replace=False)
+            unitary = _turn(unitary, i, j, BOUNDARY[int(rng.integers(len(BOUNDARY)))])
+        names = []
+        for k in rng.permutation(dim):
+            name = f"r{c}_{k}"
+            column = unitary[:, k]
+            if np.array_equal(column, np.eye(dim)[k]):
+                scale = [True, 1, 2**40, 2**63 + 1025][int(rng.integers(4))]
+                rays[name] = [[scale if z else False, 0] for z in column]
+            else:
+                rays[name] = [[float(z.real), float(z.imag)] for z in column]
+            names.append(name)
+        groups[f"g{c}"] = names
+    for k in range(int(rng.integers(0, 3))):
+        rays[f"unused{k}"] = _random_ray(rng, dim)
+    doc = {"dim": dim, "rays": rays, "groups": groups}
+    for fault in faults:
+        _ray_fault(rng, doc, fault)
+    return doc
+
+
+def ray_corpus():
+    """Seeded documents with no fault, one fault, or two in either order."""
+    docs = []
+    for seed in range(150):
+        rng = np.random.default_rng([2000, seed])
+        count = seed % 3
+        faults = list(rng.choice(RAY_FAULTS, size=count, replace=True))
+        docs.append(faulty_ray_document(rng, faults))
+    return docs
+
+
+class TestBatchedRayLoader:
+    """Every group of a ray document is checked in one stack; the per-context
+    loop above is the oracle for member bytes, ranks, residuals, registry
+    and errors."""
+
+    def _check(self, docs):
+        outcomes = []
+        for k, doc in enumerate(docs):
+            got, got_error = outcome(pl.parse_document, doc)
+            want, want_error = outcome(oracle_parse_document, doc)
+            assert got_error == want_error, k
+            if got_error is None:
+                assert_same_collection(got[0], want[0], got[1])
+            outcomes.append(got_error[0] if got_error else None)
+        return outcomes
+
+    def test_documents(self):
+        outcomes = self._check(ray_corpus())
+        assert outcomes.count(None) >= 40
+        assert set(outcomes) >= {
+            None,
+            pl.ParseError,
+            pl.NotOrthonormalError,
+            pl.NotCompleteError,
+            pl.ValidationError,
+        }
+
+    def test_one_pair_per_block(self, monkeypatch):
+        monkeypatch.setattr(pl.projectors, "_CHUNK_ENTRIES", 1)
+        self._check(ray_corpus()[::3])
+
+    @pytest.mark.parametrize("first, second", [(0, 2), (2, 0)])
+    def test_two_failing_groups_raise_the_first(self, first, second):
+        # Group g0 is not orthonormal, group g2 is one ray short; either can
+        # come first in the document, and the first one raises.
+        rng = np.random.default_rng(2100)
+        doc = faulty_ray_document(rng)
+        while len(doc["groups"]) < 3 or doc["dim"] < 2:
+            doc = faulty_ray_document(rng)
+        names = list(doc["groups"])
+        doc["rays"][doc["groups"][names[first]][0]] = _random_ray(rng, doc["dim"])
+        doc["groups"][names[second]] = doc["groups"][names[second]][1:]
+        got = outcome(pl.parse_document, doc)[1]
+        assert got == outcome(oracle_parse_document, doc)[1]
+        expected = pl.NotOrthonormalError if first < second else pl.NotCompleteError
+        assert got[0] is expected
+
+    @pytest.mark.parametrize("order", [("a", "b"), ("b", "a")])
+    def test_sum_failure_and_gram_failure_in_either_order(self, order):
+        # Under eps_entry 0.29, basis a passes its Gram check but not its
+        # sum, and basis b fails its Gram check: the stack sees b fail
+        # first, yet the first of the two in the document must raise.
+        rng = np.random.default_rng(2200)
+        while True:
+            v = np.linalg.qr(rng.normal(size=(3, 3)))[0] + 0.1 * rng.normal(size=(3, 3))
+            v /= np.linalg.norm(v, axis=0)
+            gram = np.abs(v.T @ v - np.eye(3)).max()
+            if gram < 0.27 and np.abs(v @ v.T - np.eye(3)).max() > 0.31:
+                break
+        rays = {f"a{k}": [[float(x), 0.0] for x in v[:, k]] for k in range(3)}
+        rays.update(b0=[[1, 0], [0, 0], [0, 0]], b1=[[0, 0], [1, 0], [0, 0]])
+        rays["b2"] = [[1, 0], [1, 0], [0, 0]]
+        groups = {name: [f"{name}{k}" for k in range(3)] for name in order}
+        doc = {"dim": 3, "eps_entry": 0.29, "eps_subspace": 0.29, "rays": rays, "groups": groups}
+        got = outcome(pl.parse_document, doc)[1]
+        assert got == outcome(oracle_parse_document, doc)[1]
+        assert got[0] is (pl.SumNotIdentityError if order[0] == "a" else pl.NotOrthonormalError)
+
+    def test_groups_share_one_read_only_stack(self):
+        doc = ks18_document()
+        collection, _ = pl.parse_document(doc)
+        owner = collection.contexts[0].members[0].matrix.base
+        assert owner.shape == (36, 4, 4) and not owner.flags.writeable
+        for ctx in collection.contexts:
+            for member in ctx.members:
+                assert member.matrix.base is owner
+
+
 class TestScreenedRegistry:
     @pytest.mark.parametrize("seed", range(20))
     def test_pairs_at_the_tolerance(self, seed):
@@ -402,9 +591,9 @@ class TestDocumentOrder:
 
 class TestNanResiduals:
     def test_hermitian(self):
-        stack = np.array([[[1.0, np.nan], [0.0, 0.0]]], dtype=complex)
+        stack = np.array([[[[1.0, np.nan], [0.0, 0.0]]]], dtype=complex)
         with pytest.raises(pl.NotHermitianError):
-            pl.projectors._checked_stack(stack, resolve(None), ["n"])
+            pl.projectors._checked_stack(stack, resolve(None), [["n"]])
 
     def test_pairwise(self):
         members = [

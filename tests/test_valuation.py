@@ -464,3 +464,62 @@ class TestFailedSubtreeTable:
         assert pl.search_noncontextual_assignment(ks18).nodes_explored == 852
         tensor = pl.search_noncontextual_assignment(ks18_tensor_c2_collection())
         assert tensor.nodes_explored == 30584
+
+
+def diagonal_context(name, blocks, dim=3):
+    """Context of the coordinate projectors onto each block of coordinates."""
+    members = [
+        pl.validate_projector(np.diag(np.isin(np.arange(dim), block)), label=str(block))
+        for block in blocks
+    ]
+    return pl.validate_context(members, name=name)
+
+
+class TestCandidateMenus:
+    """Menus of admissible candidates keep the reference's nodes and order."""
+
+    def test_context_entered_with_two_identities_valued_one(self):
+        # c0 values {0} 1 and c1 values {1} 1, so every candidate of c2 puts
+        # a 0 on an identity valued 1: its menu is empty, with a tail of 3.
+        contexts = [
+            diagonal_context("c0", [(0,), (1, 2)]),
+            diagonal_context("c1", [(1,), (0, 2)]),
+            diagonal_context("c2", [(0,), (1,), (2,)]),
+        ]
+        collection = pl.ContextCollection(contexts)
+        result = pl.search_noncontextual_assignment(collection)
+        assert result == reference_search(collection)
+        # 1 (c0) + 1 (c1) + 3 (c2, none admissible) + 1 (c1 again) + 1 (c2).
+        assert result.nodes_explored == 7
+        ones = {collection.identity_of(0, 0), collection.identity_of(1, 1)}
+        assert {i for i, v in result.assignment.items() if v} == ones
+
+    def test_orders_of_diagonal_contexts(self):
+        contexts = [
+            diagonal_context("c0", [(0,), (1, 2)]),
+            diagonal_context("c1", [(1,), (0, 2)]),
+            diagonal_context("c2", [(0,), (1,), (2,)]),
+            diagonal_context("c3", [(2,), (0, 1)]),
+            diagonal_context("c4", [(0, 1, 2)]),
+        ]
+        for order in itertools.permutations(range(len(contexts))):
+            collection = pl.ContextCollection([contexts[k] for k in order])
+            result = pl.search_noncontextual_assignment(collection)
+            assert result == reference_search(collection), order
+            assert list(result.assignment) == list(reference_search(collection).assignment)
+
+    def test_members_sharing_an_identity_on_entry(self):
+        # Two rank-0 members share one identity: a candidate that values one
+        # of them 1 also values it 0, whatever the state on entry.
+        zero = pl.validate_projector(np.zeros((3, 3)), label="0")
+        p0, p12 = diagonal_context("p", [(0,), (1, 2)]).members
+        contexts = [
+            diagonal_context("c0", [(0,), (1, 2)]),
+            pl.validate_context([zero, p0, zero, p12], name="c1"),
+            pl.validate_context([p12, zero, p0], name="c2"),
+            diagonal_context("c3", [(1,), (0, 2)]),
+        ]
+        for order in itertools.permutations(range(len(contexts))):
+            collection = pl.ContextCollection([contexts[k] for k in order])
+            result = pl.search_noncontextual_assignment(collection)
+            assert result == reference_search(collection), order

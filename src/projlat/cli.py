@@ -1,7 +1,7 @@
 """Command-line interface: document ingestion, verdict reports, exit codes.
 
 Exit codes: 0 success, 1 parse/validation failure, 2 unsatisfiable
-assignment search, 3 enumeration or search cap exceeded.
+assignment search, 3 element-listing or search cap exceeded.
 """
 from __future__ import annotations
 
@@ -15,13 +15,7 @@ import numpy as np
 
 from .algebra import is_irreducible
 from .document import _parse_tolerances, load_document, matrix_to_json, vector_to_json
-from .errors import (
-    CapExceededError,
-    DimensionMismatchError,
-    ParseError,
-    SubsetLimitExceededError,
-    ValidationError,
-)
+from .errors import CapExceededError, DimensionMismatchError, ParseError, ValidationError
 from .lattice import LatticeFamily, context_lattice, intersect_lattices
 from .projectors import ContextCollection, context_residuals, pauli_contexts
 from .subspace import Subspace
@@ -101,7 +95,7 @@ def _subspace_json(sub: Subspace, label: str) -> dict:
 
 def _family_json(family: LatticeFamily) -> dict:
     return {
-        "size": len(family),
+        "size": family.size,
         "elements": [
             _subspace_json(el, label)
             for el, label in zip(family.elements, family.labels)
@@ -110,7 +104,7 @@ def _family_json(family: LatticeFamily) -> dict:
 
 
 def _family_lines(name: str, family: LatticeFamily) -> list[str]:
-    lines = [f"lattice {name}: {len(family)} elements"]
+    lines = [f"lattice {name}: {family.size} elements"]
     for el, label in zip(family.elements, family.labels):
         lines.append(f"  {label}: dim {el.dim}")
     return lines
@@ -176,13 +170,13 @@ def _cmd_intersect(args, overrides):
     families, meet = _intersection(collection, tol)
     verdicts = {
         "per_context_sizes": {
-            ctx.name: len(fam) for ctx, fam in zip(collection.contexts, families)
+            ctx.name: fam.size for ctx, fam in zip(collection.contexts, families)
         },
         "intersection": _family_json(meet),
         "trivial": meet.is_trivial(),
     }
     lines = [
-        f"context {ctx.name}: {len(fam)} lattice elements"
+        f"context {ctx.name}: {fam.size} lattice elements"
         for ctx, fam in zip(collection.contexts, families)
     ]
     lines.extend(_family_lines("intersection", meet))
@@ -193,20 +187,8 @@ def _cmd_intersect(args, overrides):
 def _irreducibility_verdicts(collection: ContextCollection, tol: TolerancePolicy) -> dict:
     generators = [entry.projector for entry in collection.registry]
     report = is_irreducible(generators, tol)
-    note = (
-        "irreducible means the unital algebra generated by the supplied "
-        "projectors is the full algebra on C^n; the lattice route checks "
-        "the finite subset-sum families and is reported alongside"
-    )
-    # The lattice route is advisory: hitting its cap must not withhold the
-    # algebra verdict, which is already decided.
-    try:
-        _, meet = _intersection(collection, tol)
-        lattice_trivial = meet.is_trivial()
-        routes_agree = report.irreducible == lattice_trivial
-    except SubsetLimitExceededError as exc:
-        lattice_trivial = routes_agree = None
-        note += f"; lattice route skipped: {exc}"
+    _, meet = _intersection(collection, tol)
+    lattice_trivial = meet.is_trivial()
     return {
         "ambient_dim": collection.ambient_dim,
         "generators": len(generators),
@@ -216,13 +198,16 @@ def _irreducibility_verdicts(collection: ContextCollection, tol: TolerancePolicy
             None if report.witness is None else _subspace_json(report.witness, "witness")
         ),
         "lattice_intersection_trivial": lattice_trivial,
-        "routes_agree": routes_agree,
-        "note": note,
+        "routes_agree": report.irreducible == lattice_trivial,
+        "note": (
+            "irreducible means the unital algebra generated by the supplied "
+            "projectors is the full algebra on C^n; the lattice route checks "
+            "the finite subset-sum families and is reported alongside"
+        ),
     }
 
 
 def _irreducibility_lines(verdicts: dict) -> list[str]:
-    trivial = verdicts["lattice_intersection_trivial"]
     lines = [
         f"generators: {verdicts['generators']} registry projectors on "
         f"C^{verdicts['ambient_dim']}",
@@ -230,12 +215,10 @@ def _irreducibility_lines(verdicts: dict) -> list[str]:
         f"(saturated at {verdicts['ambient_dim'] ** 2})",
         f"irreducible: {'yes' if verdicts['irreducible'] else 'no'}",
         "lattice intersection trivial: "
-        + ("not computed" if trivial is None else "yes" if trivial else "no"),
+        + ("yes" if verdicts["lattice_intersection_trivial"] else "no"),
     ]
     if verdicts["witness"] is not None:
         lines.append(f"witness subspace: dim {verdicts['witness']['dim']}")
-    if trivial is None:
-        lines.append(f"note: {verdicts['note']}")
     return lines
 
 

@@ -47,7 +47,10 @@ def _parse_complex(entry, where: str) -> complex:
         or not all(isinstance(part, Real) for part in entry)
     ):
         raise ParseError(f"{where}: expected a [re, im] number pair, got {entry!r}")
-    value = complex(entry[0], entry[1])
+    try:
+        value = complex(entry[0], entry[1])
+    except OverflowError as exc:  # an integer past the float range
+        raise ParseError(f"{where}: entries must lie within the float range") from exc
     if not np.isfinite(value):
         raise ParseError(f"{where}: entries must be finite")
     return value
@@ -129,7 +132,9 @@ def _unit_rays(rays_obj: dict, dim: int) -> np.ndarray:
 
     All rays are decoded in one call; the ray-by-ray walk runs only for a
     payload that call rejects, to name the ray that does not parse. Either
-    way the first ray that does not parse or has zero norm raises.
+    way the first ray that does not parse or has zero norm raises. A ray
+    whose norm overflows or underflows is first divided by its largest
+    real or imaginary part; every other ray keeps the bits of its plain norm.
     """
     vectors = list(rays_obj.values())
     rows = None
@@ -139,13 +144,19 @@ def _unit_rays(rays_obj: dict, dim: int) -> np.ndarray:
     if walk:
         rows = np.empty((len(vectors), dim), dtype=np.complex128)
     norms = np.empty(len(vectors))
-    for k, (name, vector) in enumerate(rays_obj.items()):
-        if walk:
-            rows[k] = _parse_vector(vector, dim, f"rays[{name}]")
-        # One norm per ray: a norm along axis 1 may round differently.
-        norms[k] = float(np.linalg.norm(rows[k]))
-        if norms[k] == 0.0:
-            raise ValidationError(f"ray {name!r} has zero norm")
+    with np.errstate(over="ignore"):
+        for k, (name, vector) in enumerate(rays_obj.items()):
+            if walk:
+                rows[k] = _parse_vector(vector, dim, f"rays[{name}]")
+            # One norm per ray: a norm along axis 1 may round differently.
+            norms[k] = float(np.linalg.norm(rows[k]))
+            if not 0.0 < norms[k] < np.inf:
+                parts = rows[k].view(np.float64)
+                largest = np.abs(parts).max()
+                if largest == 0.0:
+                    raise ValidationError(f"ray {name!r} has zero norm")
+                parts /= largest
+                norms[k] = float(np.linalg.norm(rows[k]))
     return rows / norms[:, None]
 
 
@@ -166,22 +177,23 @@ def _group_rays(group_name, ray_names, index: dict) -> list[int]:
 
 
 def _ray_contexts(rays: np.ndarray, groups: list, tol: TolerancePolicy) -> list:
-    """The contexts of ``(name, row indices, ray names)`` groups of ``dim`` rays each.
+    """The contexts of ``(name, row indices, ray names)`` groups, in document order.
 
-    All groups are checked as one (C, dim, dim) stack. If a check fails, the
-    groups are checked one by one in document order, so the first failing
-    group raises what it raises on its own.
+    When every group has ``dim`` rays, all are checked as one (C, dim, dim)
+    stack. Otherwise, or if a check fails, the groups are checked one by one
+    in document order, so the first failing group raises what it raises on
+    its own. A group of another size fails its own check in any case.
     """
-    if not groups:
-        return []
-    names, indices, labels = zip(*groups)
-    try:
-        return _basis_contexts(rays[list(indices)], tol, names, labels)
-    except ValidationError:
-        return [
-            context_from_basis(rays[rows], tol, name=name, labels=list(ray_names))
-            for name, rows, ray_names in groups
-        ]
+    if groups and all(len(rows) == rays.shape[1] for _, rows, _ in groups):
+        names, indices, labels = zip(*groups)
+        try:
+            return _basis_contexts(rays[list(indices)], tol, names, labels)
+        except ValidationError:
+            pass
+    return [
+        context_from_basis(rays[rows], tol, name=name, labels=list(ray_names))
+        for name, rows, ray_names in groups
+    ]
 
 
 def _parse_tolerances(data: dict, overrides: dict | None) -> TolerancePolicy:
@@ -240,26 +252,16 @@ def parse_document(
         raise ParseError("'groups' must be a non-empty object")
     rays = _unit_rays(rays_obj, dim)
     index = {name: k for k, name in enumerate(rays_obj)}
-    # Groups of dim rays wait to be checked as one stack. A malformed group
-    # or one of another size ends the wait: the groups before it are
-    # checked first, so errors come in document order.
-    contexts, waiting = [], []
+    # A malformed group raises after the groups before it are checked, so
+    # errors come in document order.
+    groups = []
     for group_name, ray_names in groups_obj.items():
         try:
-            rows = _group_rays(group_name, ray_names, index)
+            groups.append((group_name, _group_rays(group_name, ray_names, index), ray_names))
         except ParseError:
-            _ray_contexts(rays, waiting, tol)
+            _ray_contexts(rays, groups, tol)
             raise
-        if len(rows) == dim:
-            waiting.append((group_name, rows, ray_names))
-            continue
-        contexts += _ray_contexts(rays, waiting, tol)
-        waiting = []
-        contexts.append(
-            context_from_basis(rays[rows], tol, name=group_name, labels=list(ray_names))
-        )
-    contexts += _ray_contexts(rays, waiting, tol)
-    return ContextCollection(contexts, tol), tol
+    return ContextCollection(_ray_contexts(rays, groups, tol), tol), tol
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:

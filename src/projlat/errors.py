@@ -102,12 +102,12 @@ class CapExceededError(ProjlatError):
 
 
 class SubsetLimitExceededError(CapExceededError):
-    def __init__(self, members: int, cap: int):
-        self.members = members
+    def __init__(self, atoms: int, cap: int):
+        self.atoms = atoms
         self.cap = cap
         super().__init__(
-            f"context has {members} members; subset enumeration is capped at {cap} "
-            f"(2^{cap} subsets)"
+            f"lattice family has {atoms} atoms; listing its elements is capped at {cap} "
+            f"atoms (2^{cap} elements)"
         )
 
 

@@ -5,10 +5,10 @@ to C^n (a projector's range and kernel, a context's nonzero members), and
 lists the spans of atom subsets in ascending bitmask order: atom ``i`` sits
 at position ``2^i``. Families meet in the sums of connected components of
 the graph linking overlapping atoms; a meet of only {0, C^n} is trivial.
-A built family keeps only its atoms and the bitmasks of its elements; an
-element, the QR of its atoms' stacked bases, is taken when the elements
-are first read, so a meet of 2^c elements costs 2^c QRs however large the
-input families are.
+A built family keeps only its atoms and its blocks, disjoint atom bitmasks
+whose unions are its elements. An element, the QR of its atoms' stacked
+bases, is taken when the elements are first read, for at most
+``DEFAULT_MEMBER_CAP`` blocks, so a meet of 2^c elements costs 2^c QRs.
 """
 from __future__ import annotations
 
@@ -38,33 +38,53 @@ def _bits(mask: int) -> list[int]:
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
+def _unions(blocks) -> list[int]:
+    """The unions of subsets of disjoint ``blocks``: subset ``i`` at position ``i``."""
+    unions = [0]
+    for block in blocks:
+        unions += [union | block for union in unions]
+    return unions
+
+
 class LatticeFamily:
     """A family of subspaces with reporting labels.
 
     Always contains the zero subspace and the full space; no two elements
     are equal within ``eps_subspace``. ``LatticeFamily(n, elements, labels)``
-    holds the given tuples. Built families are Boolean over atoms and keep
-    only the atoms and the bitmasks of their elements: ``elements`` and
-    ``labels`` are built on first access, and ``len``, ``is_trivial`` and
+    holds the given tuples. Element ``i`` of a built family spans the atoms
+    of its blocks at the set bits of ``i``. ``elements`` and ``labels`` are
+    built on first access, past ``DEFAULT_MEMBER_CAP`` blocks they raise
+    ``SubsetLimitExceededError``, and ``size``, ``len``, ``is_trivial`` and
     ``intersect_lattices`` never build them.
     """
 
-    __slots__ = ("ambient_dim", "_elements", "_labels", "_atom_set", "_masks")
+    __slots__ = ("ambient_dim", "_elements", "_labels", "_atom_set", "_blocks")
 
     def __init__(self, ambient_dim: int, elements, labels):
         self.ambient_dim = ambient_dim
         self._elements = tuple(elements)
         self._labels = tuple(labels)
-        self._atom_set = self._masks = None
+        self._atom_set = self._blocks = None
 
     @classmethod
-    def _over_atoms(cls, n: int, atoms: _Atoms, masks) -> "LatticeFamily":
-        """The spans of the atom subsets ``masks``, built when first read."""
+    def _over_atoms(cls, n: int, atoms: _Atoms, blocks: tuple[int, ...]) -> "LatticeFamily":
+        """Boolean over ``blocks``, disjoint bitmasks of ``atoms``; built when first read."""
         family = cls.__new__(cls)
         family.ambient_dim = n
         family._elements = family._labels = None
-        family._atom_set, family._masks = atoms, masks
+        family._atom_set, family._blocks = atoms, blocks
         return family
+
+    @property
+    def size(self) -> int:
+        """The number of elements, 2^blocks for a built family, as a Python int."""
+        return len(self._elements) if self._atom_set is None else 1 << len(self._blocks)
+
+    def _masks(self) -> list[int]:
+        """The atom bitmask of each element of a built family, in order."""
+        if len(self._blocks) > DEFAULT_MEMBER_CAP:
+            raise SubsetLimitExceededError(len(self._blocks), DEFAULT_MEMBER_CAP)
+        return _unions(self._blocks)
 
     @property
     def elements(self) -> tuple[Subspace, ...]:
@@ -74,7 +94,7 @@ class LatticeFamily:
                 Subspace(n, np.linalg.qr(np.hstack([bases[i] for i in _bits(mask)]))[0])
                 if mask
                 else Subspace.zero(n)
-                for mask in self._masks
+                for mask in self._masks()
             )
         return self._elements
 
@@ -88,34 +108,30 @@ class LatticeFamily:
                 else "ran(1)"
                 if mask.bit_count() == parts
                 else wrap % "+".join(names[i] for i in _bits(mask))
-                for mask in self._masks
+                for mask in self._masks()
             )
         return self._labels
 
-    def _dims(self) -> list[int]:
-        if self._atom_set is None:
-            return [s.dim for s in self._elements]
-        widths = [u.shape[1] for u in self._atom_set.bases]
-        # The QR of stacked bases has at most n columns.
-        return [
-            min(self.ambient_dim, sum(widths[i] for i in _bits(mask))) for mask in self._masks
-        ]
-
     def is_trivial(self) -> bool:
         """True when the family is exactly {zero subspace, full space}."""
-        return len(self) == 2 and sorted(self._dims()) == [0, self.ambient_dim]
+        n = self.ambient_dim
+        if self._atom_set is None:
+            return self.size == 2 and sorted(s.dim for s in self._elements) == [0, n]
+        # One block, whose atoms span C^n.
+        widths = [u.shape[1] for u in self._atom_set.bases]
+        return len(self._blocks) == 1 and sum(widths[i] for i in _bits(self._blocks[0])) >= n
 
     def contains(self, subspace: Subspace, tol: TolerancePolicy | None = None) -> bool:
         return any(el.equals(subspace, tol) for el in self.elements)
 
     def __len__(self) -> int:
-        return len(self._elements if self._atom_set is None else self._masks)
+        return self.size
 
     def __iter__(self):
         return iter(self.elements)
 
     def __repr__(self) -> str:
-        return f"LatticeFamily(dim={self.ambient_dim}, elements={len(self)})"
+        return f"LatticeFamily(dim={self.ambient_dim}, elements={self.size})"
 
 
 def _boolean_family(n: int, parts: list[tuple[np.ndarray, str]], wrap: str) -> LatticeFamily:
@@ -125,7 +141,7 @@ def _boolean_family(n: int, parts: list[tuple[np.ndarray, str]], wrap: str) -> L
     return LatticeFamily._over_atoms(
         n,
         _Atoms(tuple(b for b, _ in atoms), tuple(name for _, name in atoms), len(parts), wrap),
-        range(1 << len(atoms)),
+        tuple(1 << i for i in range(len(atoms))),
     )
 
 
@@ -141,11 +157,7 @@ def projector_lattice(
     return _boolean_family(projector.ambient_dim, parts, "%s")
 
 
-def context_lattice(
-    ctx: MaximalContext,
-    tol: TolerancePolicy | None = None,
-    member_cap: int = DEFAULT_MEMBER_CAP,
-) -> LatticeFamily:
+def context_lattice(ctx: MaximalContext, tol: TolerancePolicy | None = None) -> LatticeFamily:
     """Ranges of all subset sums of a context's members.
 
     Bit ``i`` selects the ``i``-th nonzero member, which fixes the element
@@ -153,13 +165,9 @@ def context_lattice(
     nothing is deduplicated. Only the member ranges are computed here, from
     one SVD of the member stack: a member's range is the first ``rank``
     left singular vectors, as ``Projector.range`` takes them one member at
-    a time. The 2^m elements are built when first read. Contexts with more
-    than ``member_cap`` members, rank-0 ones included, are rejected here,
-    before any element exists.
+    a time. The 2^m elements are built when first read, for at most
+    ``DEFAULT_MEMBER_CAP`` nonzero members.
     """
-    m = len(ctx.members)
-    if m > member_cap:
-        raise SubsetLimitExceededError(m, member_cap)
     u, s, _ = np.linalg.svd(np.array([p.matrix for p in ctx.members], dtype=np.complex128))
     u.setflags(write=False)
     parts = [
@@ -172,16 +180,16 @@ def context_lattice(
 def _atoms(fam: LatticeFamily) -> list[np.ndarray]:
     """Atom bases of a Boolean family: its elements at positions 2^i.
 
-    A built family stacks the bases of the atoms it was built from instead
-    of taking a QR; the two span the same subspace.
+    A built family stacks the bases of each block's atoms instead of taking
+    a QR; the two span the same subspace.
     """
-    k = len(fam).bit_length() - 1
+    k = fam.size.bit_length() - 1
     if fam._atom_set is None:
         atoms = [fam.elements[1 << i].basis for i in range(k)]
     else:
         bases = fam._atom_set.bases
-        atoms = [np.hstack([bases[j] for j in _bits(fam._masks[1 << i])]) for i in range(k)]
-    if len(fam) != 1 << k or sum(u.shape[1] for u in atoms) != fam.ambient_dim:
+        atoms = [np.hstack([bases[j] for j in _bits(block)]) for block in fam._blocks]
+    if fam.size != 1 << k or sum(u.shape[1] for u in atoms) != fam.ambient_dim:
         raise ValueError("family is not Boolean over atoms spanning the whole space")
     return atoms
 
@@ -222,15 +230,19 @@ def intersect_lattices(
     reach = linked.astype(float)
     while not np.array_equal(grown := np.minimum(reach @ reach, 1), reach):
         reach = grown
+    # Python int masks: a float or int64 product is inexact past 53 atoms.
     k = int(np.sum(family == 0))
-    blocks = sorted({int(reach[i, :k] @ (1 << np.arange(k))) for i in range(k)})
-    keep = [sum(b for j, b in enumerate(blocks) if c >> j & 1) for c in range(1 << len(blocks))]
+    components = sorted(
+        {sum(1 << int(j) for j in np.flatnonzero(reach[i, :k])) for i in range(k)}
+    )
     first = fams[0]
     if first._atom_set is None:
+        keep = _unions(components)
         return LatticeFamily(
             n, tuple(first.elements[i] for i in keep), tuple(first.labels[i] for i in keep)
         )
-    return LatticeFamily._over_atoms(n, first._atom_set, tuple(first._masks[i] for i in keep))
+    blocks = tuple(sum(first._blocks[j] for j in _bits(c)) for c in components)
+    return LatticeFamily._over_atoms(n, first._atom_set, blocks)
 
 
 def is_closed_under_meet_join(

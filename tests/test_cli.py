@@ -84,6 +84,20 @@ def test_non_string_ray_name_is_a_json_error_report(tmp_path, capsys):
     }
 
 
+def test_integer_past_the_float_range_is_a_json_error_report(tmp_path, capsys):
+    rays = {"a": [[10**400, 0], [0, 0]], "b": [[0, 0], [1, 0]]}
+    doc = {"dim": 2, "rays": rays, "groups": {"z": ["a", "b"]}}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    code, report = run_json(capsys, ["validate", str(path)])
+    assert code == 1
+    assert report == {
+        "command": "validate",
+        "error": "rays[a][0]: entries must lie within the float range",
+        "exit_code": 1,
+    }
+
+
 def test_missing_file_exits_one(tmp_path):
     assert main(["validate", str(tmp_path / "absent.json")]) == 1
 
@@ -164,7 +178,8 @@ def test_irreducible_reducible_document(tmp_path, capsys):
 
 
 def test_irreducible_survives_lattice_cap(pauli, tmp_path, capsys):
-    # the algebra decides; the advisory lattice route hits its 20-member cap
+    # 21 members, but rank-0 members are not atoms: the cap counts 2 here,
+    # and the lattice route reports beside the algebra
     doc = pl.collection_to_document(pauli)
     zero = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
     big = doc["contexts"]["z"] + [zero] * 19
@@ -176,13 +191,35 @@ def test_irreducible_survives_lattice_cap(pauli, tmp_path, capsys):
     verdicts = report["verdicts"]
     assert verdicts["irreducible"] is True
     assert verdicts["algebra_dimension"] == 4
-    assert verdicts["lattice_intersection_trivial"] is None
-    assert verdicts["routes_agree"] is None
-    assert "capped at 20" in verdicts["note"]
+    assert verdicts["lattice_intersection_trivial"] is True
+    assert verdicts["routes_agree"] is True
     assert main(["irreducible", str(path)]) == 0
-    out = capsys.readouterr().out
-    assert "lattice intersection trivial: not computed" in out
-    assert "capped at 20" in out
+    assert "lattice intersection trivial: yes" in capsys.readouterr().out
+
+
+def haar_bases_document(rng, dim):
+    """Two Haar-random orthonormal bases of C^dim as ray groups."""
+    rays, groups = {}, {}
+    for g in range(2):
+        z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        q, _ = np.linalg.qr(z)
+        groups[f"b{g}"] = [f"b{g}r{k}" for k in range(dim)]
+        for k in range(dim):
+            rays[f"b{g}r{k}"] = [[float(x.real), float(x.imag)] for x in q[:, k]]
+    return {"dim": dim, "rays": rays, "groups": groups}
+
+
+def test_intersect_past_the_member_cap(tmp_path, capsys):
+    # Two contexts of 21 atoms each: only the 2-element meet is listed.
+    path = tmp_path / "haar21.json"
+    path.write_text(json.dumps(haar_bases_document(np.random.default_rng(2300), 21)))
+    code, report = run_json(capsys, ["intersect", str(path)])
+    assert code == 0
+    verdicts = report["verdicts"]
+    assert verdicts["per_context_sizes"] == {"b0": 2**21, "b1": 2**21}
+    assert verdicts["intersection"]["size"] == 2
+    assert [el["dim"] for el in verdicts["intersection"]["elements"]] == [0, 21]
+    assert verdicts["trivial"] is True
 
 
 def test_valuate_command(pauli_file, capsys):

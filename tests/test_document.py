@@ -93,6 +93,19 @@ def test_zero_ray_rejected():
         pl.parse_document(doc)
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e308, 1e-200, 1e-320])
+def test_ray_scale_does_not_matter(scale):
+    # The plain norm of these rays overflows or underflows.
+    def doc(s):
+        rays = {"a": [[s, 0], [0, s]], "b": [[1, 0], [0, -1]]}
+        return {"dim": 2, "rays": rays, "groups": {"z": ["a", "b"]}}
+
+    got, _ = pl.parse_document(doc(scale))
+    want, _ = pl.parse_document(doc(1.0))
+    for g, w in zip(got.contexts[0].members, want.contexts[0].members):
+        assert g.matrix.tobytes() == w.matrix.tobytes()
+
+
 def test_axiom_failure_carries_context_name(pauli):
     z = pauli.context_named("z").members
     x = pauli.context_named("x").members
@@ -253,7 +266,10 @@ def oracle_parse_complex(entry, where):
         or not all(isinstance(part, Real) for part in entry)
     ):
         raise pl.ParseError(f"{where}: expected a [re, im] number pair, got {entry!r}")
-    value = complex(entry[0], entry[1])
+    try:
+        value = complex(entry[0], entry[1])
+    except OverflowError:
+        raise pl.ParseError(f"{where}: entries must lie within the float range") from None
     if not np.isfinite(value):
         raise pl.ParseError(f"{where}: entries must be finite")
     return value

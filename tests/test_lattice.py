@@ -60,9 +60,22 @@ class TestContextLattice:
         assert len(family) == 8
         assert sorted(el.dim for el in family.elements) == [0, 1, 1, 1, 2, 2, 2, 3]
 
-    def test_member_cap(self, pauli):
+    def test_member_cap(self, pauli, tmp_path, monkeypatch, capsys):
+        # The cap counts a family's blocks and bounds only the listing.
+        monkeypatch.setattr(pl.lattice, "DEFAULT_MEMBER_CAP", 1)
+        families = [pl.context_lattice(ctx) for ctx in pauli.contexts]
         with pytest.raises(pl.SubsetLimitExceededError):
-            pl.context_lattice(pauli.contexts[0], member_cap=1)
+            families[0].elements
+        with pytest.raises(pl.SubsetLimitExceededError):
+            families[0].labels
+        assert [len(f) for f in families] == [4, 4, 4]
+        assert not families[0].is_trivial()
+        meet = pl.intersect_lattices(families)
+        assert meet.is_trivial() and len(meet.elements) == 2
+        path = tmp_path / "pauli.json"
+        pl.save_document(pauli, path)
+        assert main(["lattice", str(path), "--format", "json"]) == 3
+        assert json.loads(capsys.readouterr().out)["exit_code"] == 3
 
     def test_two_member_context_matches_single_projector_lattice(self, pauli):
         for ctx in pauli.contexts:
@@ -461,6 +474,28 @@ class TestFamiliesKeepAtoms:
         built_elements["n"] = 0
         assert main(["irreducible", str(path), "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["verdicts"]["irreducible"] is False
+        assert built_elements["n"] == 0
+
+    def test_sixty_four_atoms(self, built_elements):
+        # 2^64 elements: sizes and block masks stay exact Python ints, which
+        # a float or int64 mask product would not.
+        rng = np.random.default_rng(2310)
+        q, _ = np.linalg.qr(rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64)))
+        rays = [q[:, i] for i in range(64)]
+        families = [
+            pl.context_lattice(pl.context_from_basis(rays, name="a")),
+            pl.context_lattice(pl.context_from_basis(rays[::-1], name="b")),
+        ]
+        meet = pl.intersect_lattices(families)
+        assert [f.size for f in families] == [2**64, 2**64]
+        assert meet.size == 2**64
+        assert meet._blocks == tuple(1 << i for i in range(64))
+        assert not meet.is_trivial()
+        assert pl.intersect_lattices([families[1], meet]).size == 2**64
+        with pytest.raises(pl.SubsetLimitExceededError):
+            meet.elements
+        with pytest.raises(pl.SubsetLimitExceededError):
+            meet.labels
         assert built_elements["n"] == 0
 
     @pytest.mark.parametrize("chunk", range(4))

@@ -453,6 +453,17 @@ class TestBatchedRayLoader:
         expected = pl.NotOrthonormalError if first < second else pl.NotCompleteError
         assert got[0] is expected
 
+    @pytest.mark.parametrize("short, malformed", [(1, 4), (4, 1)])
+    def test_short_group_and_malformed_group_raise_the_first(self, short, malformed):
+        # A group of another size sends every group to the one-by-one check.
+        doc = ks18_document()
+        names = list(doc["groups"])
+        doc["groups"][names[short]] = doc["groups"][names[short]][1:]
+        doc["groups"][names[malformed]][0] = "missing"
+        got = outcome(pl.parse_document, doc)[1]
+        assert got == outcome(oracle_parse_document, doc)[1]
+        assert got[0] is (pl.NotCompleteError if short < malformed else pl.ParseError)
+
     @pytest.mark.parametrize("order", [("a", "b"), ("b", "a")])
     def test_sum_failure_and_gram_failure_in_either_order(self, order):
         # Under eps_entry 0.29, basis a passes its Gram check but not its

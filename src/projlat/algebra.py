@@ -6,13 +6,21 @@ generators admit no nontrivial common invariant subspace (over the complex
 field).
 
 For self-adjoint generators (every generator the CLI passes is a projector)
-the generated algebra is a unital *-algebra, so by von Neumann's bicommutant
-theorem it equals the commutant of its commutant {X : GX = XG for all G}.
-The decision is then one null-space computation: the generators are
-irreducible exactly when their commutant is the scalars C*I. Otherwise the
-algebra dimension is that of the bicommutant, and any non-scalar Hermitian
-element of the commutant has eigenspaces that are common invariant
-subspaces, which gives a witness at every n.
+the generated algebra is a unital *-algebra. Irreducibility is first
+certified by spinning one vector (Norton's test from the MeatAxe): an
+eigenvector v of a simple eigenvalue of a fixed Hermitian element of the
+algebra lies in every invariant subspace or is orthogonal to it, so if
+closing span{v} under the generators gives all of C^n, no proper invariant
+subspace exists. This costs O(k n^3) and needs no n^2 x n^2 matrix. When the
+spin cannot certify (no well-separated eigenvalue, a proper spin, or a
+failed margin), the commutant decides. By von Neumann's bicommutant theorem
+the algebra equals the commutant of its commutant {X : GX = XG for all G},
+so the generators are irreducible exactly when their commutant is the
+scalars C*I. Otherwise the algebra dimension is that of the bicommutant, and
+any non-scalar Hermitian element of the commutant has eigenspaces that are
+common invariant subspaces, which gives a witness at every n. The commutant
+costs O(n^6) time and O(n^4) memory, and runs only when the spin falls
+through.
 
 For general (non-self-adjoint) generators the commutant test is not enough:
 the upper-triangular algebra has a trivial commutant but is reducible. Such
@@ -43,6 +51,11 @@ DEFAULT_WITNESS_CAP = 6
 # input twice, so the peak is a few times this. At n = 24 the whole stack
 # for two bases would be 255 MB.
 _CHUNK_ENTRIES = 1 << 20
+# The spin certificate's two margins: the leak it tolerates sits this far
+# below eps_rank, and the singular values it keeps this far above the cutoff.
+_SPIN_MARGIN = 1000.0
+_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
+_GOLDEN_RATIO = (1 + 5**0.5) / 2
 
 
 @dataclass(frozen=True)
@@ -240,6 +253,94 @@ def _self_adjoint(stack: np.ndarray, tol: TolerancePolicy) -> bool:
         return not (residual.max(axis=(1, 2), initial=0.0) > tol.eps_entry).any()
 
 
+def _spin_element(stack: np.ndarray) -> np.ndarray:
+    """The fixed element ``sum c_i G_i + xy + yx`` of the algebra a
+    ``(k, n, n)`` stack generates.
+
+    ``x = sum d_i G_i`` and ``y = sum e_i G_i``; the coefficients ``c``,
+    ``d`` and ``e`` are the fractional parts of ``j * golden ratio`` for
+    ``j = 1 .. 3k``, in that order, so they depend on the generator count
+    alone and no two coincide. The element is Hermitian when the generators
+    are.
+    """
+    k, n, _ = stack.shape
+    coefficients = np.modf(np.arange(1, 3 * k + 1) * _GOLDEN_RATIO)[0].reshape(3, k)
+    linear, x, y = (coefficients @ stack.reshape(k, n * n)).reshape(3, n, n)
+    return linear + x @ y + y @ x
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _spin_certifies(stack: np.ndarray, tol: TolerancePolicy) -> bool:
+    """True when spinning one eigenvector proves a self-adjoint ``(k, n, n)``
+    stack irreducible; False means only that the spin cannot tell.
+
+    ``v`` is the eigenvector of the Hermitian part of ``_spin_element``
+    whose eigenvalue has the widest gap to its nearer neighbour. Were the
+    generators reducible, with a proper invariant U, that element would be
+    block-diagonal over U and U^perp up to an error ``delta``, so v would lie
+    within ``delta / (gap - delta)`` of U or of U^perp; call that piece W. The
+    spin closes span{v} under the generators a block at a time: the images of
+    the newest directions, orthogonalized twice against the directions so
+    far, keep their left singular vectors above the rank cutoff
+    ``eps_rank * max(g, 1)``, where g is the Frobenius norm of the whole
+    stack. The leak of the directions so far out of W is bounded as it goes:
+
+    * it starts at ``delta / (gap - delta)``, where ``delta`` is ``u * |a|``
+      (u the unit roundoff, |a| the largest eigenvalue magnitude) plus the
+      Frobenius norm of the element's anti-Hermitian part;
+    * each step adds ``((g + 2m)(leak + u) + 2s) / s_min``, where m is the
+      Frobenius norm of the images before orthogonalization, s that of the
+      generators' anti-Hermitian parts, and s_min the smallest kept singular
+      value. The g term covers the images of the leak, the m term the
+      leak of the directions projected out and the roundoff, and the s term
+      the images of U^perp, which the generators keep only up to it.
+
+    A spin that fills C^n with a leak below 1 leaves no proper W, so no
+    proper U. Two margins must hold. Every direction the spin feeds back
+    into the generators (v and each block but the last) leaks at most
+    ``eps_rank / _SPIN_MARGIN``, so what the leak alone maps to lies far
+    below the cutoff, and the finished basis leaks at most
+    ``1 / _SPIN_MARGIN``. Every kept singular value is at least
+    ``_SPIN_MARGIN`` times the cutoff. A failed margin, or a spin that
+    closes short of C^n, returns False; so does a norm that overflows.
+    """
+    n = stack.shape[1]
+    a = _spin_element(stack)
+    hermitian = (a + a.conj().T) / 2
+    growth = float(np.linalg.norm(stack))
+    skew = float(np.linalg.norm(stack - stack.conj().transpose(0, 2, 1))) / 2
+    if not (np.isfinite(hermitian).all() and growth + skew < np.inf):
+        return False
+    values, vectors = np.linalg.eigh(hermitian)
+    padded = np.concatenate(([np.inf], np.diff(values), [np.inf]))
+    nearest = np.minimum(padded[:-1], padded[1:])
+    pick = int(np.argmax(nearest))
+    gap = float(nearest[pick])
+    reach = tol.eps_rank / _SPIN_MARGIN
+    delta = _UNIT_ROUNDOFF * max(-float(values[0]), float(values[-1]))
+    delta += float(np.linalg.norm(a - a.conj().T)) / 2
+    if not delta < reach * (gap - delta):
+        return False
+    leak = delta / (gap - delta)
+    cutoff = tol.eps_rank * max(growth, 1.0)
+    basis = frontier = vectors[:, pick : pick + 1]
+    while basis.shape[1] < n:
+        images = (stack @ frontier).transpose(1, 0, 2).reshape(n, -1)
+        spread = growth + 2 * float(np.linalg.norm(images))
+        for _ in range(2):
+            images -= basis @ (basis.conj().T @ images)
+        u, s, _ = np.linalg.svd(images, full_matrices=False)
+        rank = int(np.count_nonzero(s > cutoff))
+        if not 0 < rank <= n - basis.shape[1] or s[rank - 1] < _SPIN_MARGIN * cutoff:
+            return False
+        leak += (spread * (leak + _UNIT_ROUNDOFF) + 2 * skew) / s[rank - 1]
+        frontier = u[:, :rank]
+        basis = np.hstack([basis, frontier])
+        if not leak <= (reach if basis.shape[1] < n else 1 / _SPIN_MARGIN):
+            return False
+    return True
+
+
 def _bicommutant_dimension(commutant: np.ndarray, tol: TolerancePolicy) -> int:
     """Dimension of the commutant of the *-algebra ``commutant`` spans.
 
@@ -306,12 +407,15 @@ def is_irreducible(
     """Decide irreducibility; attach a common invariant subspace if reducible.
 
     Irreducible means the generated unital algebra has dimension n^2. When
-    every generator is self-adjoint within ``eps_entry``, the decision comes
-    from the commutant (see the module docstring): ``algebra_dimension`` is
-    n^2 when the commutant is C*I and the bicommutant's dimension otherwise,
-    and a reducible set always gets a witness (``_commutant_witness`` fixes
-    which one). Other generators are decided by ``algebra_closure``, with a
-    witness from ``invariant_subspace_witness`` only up to dimension
+    every generator is self-adjoint within ``eps_entry``, a set that
+    ``_spin_certifies`` is irreducible with ``algebra_dimension`` n^2 and no
+    witness, and no commutator map is built. Every other self-adjoint set
+    is decided by the commutant (see the module docstring):
+    ``algebra_dimension`` is n^2 when the commutant is C*I and the
+    bicommutant's dimension otherwise, and a reducible set always gets a
+    witness (``_commutant_witness`` fixes which one). Other generators are
+    decided by ``algebra_closure``, with a witness from
+    ``invariant_subspace_witness`` only up to dimension
     ``DEFAULT_WITNESS_CAP``.
     """
     tol = resolve(tol)
@@ -329,6 +433,8 @@ def is_irreducible(
             algebra_dimension=closure.dimension,
             witness=witness,
         )
+    if _spin_certifies(mats, tol):
+        return IrreducibilityReport(irreducible=True, algebra_dimension=n * n, witness=None)
     commutant = _commutant(mats, tol)
     if len(commutant) == 1:
         return IrreducibilityReport(irreducible=True, algebra_dimension=n * n, witness=None)

@@ -170,10 +170,8 @@ def context_lattice(ctx: MaximalContext, tol: TolerancePolicy | None = None) -> 
     """
     u, s, _ = np.linalg.svd(np.array([p.matrix for p in ctx.members], dtype=np.complex128))
     u.setflags(write=False)
-    parts = [
-        (u[i][:, : linalg.singular_rank(s[i], tol)], p.label)
-        for i, p in enumerate(ctx.members)
-    ]
+    ranks = linalg.singular_rank(s, tol)
+    parts = [(ui[:, :r], p.label) for ui, r, p in zip(u, ranks.tolist(), ctx.members)]
     return _boolean_family(ctx.ambient_dim, parts, "ran(%s)")
 
 

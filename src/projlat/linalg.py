@@ -100,10 +100,14 @@ def singular_rank(singular_values, tol: TolerancePolicy | None = None) -> int:
 
     The threshold is ``eps_rank`` times the largest singular value, floored
     at ``eps_rank`` itself so that a matrix consisting of pure roundoff noise
-    counts as zero instead of as full rank.
+    counts as zero instead of as full rank. A stack of descending rows, as
+    ``np.linalg.svd`` returns for a stack of matrices, gives an array of
+    counts, one per row.
     """
     tol = resolve(tol)
     s = np.asarray(singular_values, dtype=float)
+    if s.ndim > 1:
+        return np.count_nonzero(s > tol.eps_rank * np.maximum(s[..., :1], 1.0), axis=-1)
     if s.size == 0 or s[0] <= 0.0:
         return 0
     return int(np.count_nonzero(s > tol.eps_rank * max(s[0], 1.0)))

@@ -102,9 +102,11 @@ def _measure(stack: np.ndarray) -> tuple[np.ndarray, list[dict[str, float]]]:
             block[:, diagonal, first + diagonal] -= stack[contexts, rows]
             products[contexts, rows] = np.abs(block).max(axis=(3, 4), initial=0.0)
     pairwise = np.where(np.eye(m, dtype=bool), 0.0, products).max(axis=(1, 2))
-    # Accumulation adds the members in order, as a loop does; ``sum`` may
-    # add them pairwise when each is 1 x 1.
-    total = np.add.accumulate(stack, axis=1)[:, -1]
+    # The members are added in order; ``sum`` may add them pairwise when
+    # each is 1 x 1, and ``np.add.accumulate`` keeps every partial sum.
+    total = stack[:, 0].copy()
+    for i in range(1, m):
+        total += stack[:, i]
     sums = np.abs(total - np.eye(n)).max(axis=(1, 2), initial=0.0)
     return products, [
         {"pairwise_product": p, "sum_minus_identity": s}

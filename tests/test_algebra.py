@@ -468,3 +468,217 @@ class TestBatchedCommutant:
         assert True in routes and False in routes
         assert pl.algebra._self_adjoint(np.array([big]), tol) is False
         assert pl.algebra._self_adjoint(np.array([nan]), tol) is True
+
+
+def haar_pair(rng, dim):
+    """The rank-1 projectors of two Haar bases of C^dim."""
+    return rank1_projectors(haar_unitary(rng, dim)) + rank1_projectors(haar_unitary(rng, dim))
+
+
+def random_hermitian(rng, dim):
+    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return (z + z.conj().T) / 2
+
+
+def turned(rng, blocks):
+    """Block-diagonal generators, one block per entry of each tuple in
+    ``blocks``, turned by one Haar unitary and made exactly Hermitian."""
+    dim = sum(b.shape[0] for b in blocks[0])
+    turn = haar_unitary(rng, dim)
+    generators = []
+    for parts in blocks:
+        g = np.zeros((dim, dim), dtype=complex)
+        start = 0
+        for part in parts:
+            g[start : start + len(part), start : start + len(part)] = part
+            start += len(part)
+        g = turn @ g @ turn.conj().T
+        generators.append((g + g.conj().T) / 2)
+    return generators
+
+
+def clifford_contexts(count):
+    """The contexts {(I + s)/2, (I - s)/2} of ``count`` anticommuting Hermitian
+    involutions s of C^4: every element of their span, and of its closure under
+    xy + yx, has two doubled eigenvalues; four or five of them are irreducible."""
+    sx = np.array([[0, 1], [1, 0]], dtype=complex)
+    sy = np.array([[0, -1j], [1j, 0]])
+    sz = np.diag([1.0, -1.0]).astype(complex)
+    gammas = [np.kron(sx, I2), np.kron(sy, I2), np.kron(sz, sx), np.kron(sz, sy), np.kron(sz, sz)]
+    return [(np.eye(4) + sign * s) / 2 for s in gammas[:count] for sign in (1, -1)]
+
+
+class TestSpinCertificate:
+    """The spin certificate against the commutant route it short-cuts."""
+
+    @staticmethod
+    def commutant_route(monkeypatch, generators):
+        with monkeypatch.context() as patch:
+            patch.setattr(pl.algebra, "_spin_certifies", lambda stack, tol: False)
+            return pl.is_irreducible(generators)
+
+    @staticmethod
+    def certifies(generators):
+        stack = pl.algebra._coerce_generators(generators)
+        return pl.algebra._spin_certifies(stack, pl.TolerancePolicy())
+
+    def corpus(self, pauli):
+        rng = np.random.default_rng(1941)
+        sets = TestRouteAgreement().corpus(pauli) + TestCommutantRoute().corpus(pauli)
+        sets += [haar_pair(rng, dim) for dim in range(2, 13)]
+        for sizes in ((5,), (4, 3), (2, 2, 3), (4, 4), (3, 3, 2), (1, 6)):
+            sets.append(planted_blocks(rng, sizes))
+        for copies in (2, 4):
+            dim = 3 * copies
+            turn = haar_unitary(rng, dim)
+            sets.append(
+                [turn @ np.kron(g, np.eye(copies)) @ turn.conj().T for g in haar_pair(rng, 3)]
+            )
+        return sets
+
+    def assert_same_report(self, monkeypatch, generators):
+        got = pl.is_irreducible(generators)
+        want = self.commutant_route(monkeypatch, generators)
+        assert got.irreducible == want.irreducible
+        assert got.algebra_dimension == want.algebra_dimension
+        if want.witness is None:
+            assert got.witness is None
+        else:
+            assert got.witness.basis.tobytes() == want.witness.basis.tobytes()
+        return got
+
+    def test_same_reports_as_the_commutant_route(self, monkeypatch, pauli):
+        for generators in self.corpus(pauli):
+            self.assert_same_report(monkeypatch, generators)
+
+    def test_certifies_exactly_the_irreducible_sets(self, monkeypatch, pauli):
+        for generators in self.corpus(pauli):
+            report = self.commutant_route(monkeypatch, generators)
+            assert self.certifies(generators) == report.irreducible
+        # Certified and fallen through: 3 and 8 in one corpus, 4 and 9 in the other.
+        for corpus, certified in (
+            (TestRouteAgreement().corpus(pauli), 3),
+            (TestCommutantRoute().corpus(pauli), 4),
+        ):
+            assert sum(self.certifies(g) for g in corpus) == certified
+
+    def test_spin_factors_fall_through(self, monkeypatch):
+        # No element built from a spin factor has a simple eigenvalue, so the
+        # commutant decides: reducible with three involutions, not with four.
+        for count, irreducible in ((3, False), (4, True), (5, True)):
+            generators = clifford_contexts(count)
+            assert not self.certifies(generators)
+            report = self.assert_same_report(monkeypatch, generators)
+            assert report.irreducible == irreducible
+
+    @pytest.mark.parametrize("delta", [1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 0.0])
+    @pytest.mark.parametrize("conjugate", [False, True], ids=["H", "conj(H)"])
+    def test_never_certifies_near_equivalent_pieces(self, delta, conjugate):
+        # diag(H, H + delta E), or diag(H, conj(H) + delta E): the second
+        # piece is inequivalent to the first, yet the element's spectrum on it
+        # is that of the first, so the picked eigenvalue is at most a split
+        # of order delta away from its partner.
+        rng = np.random.default_rng([1951, int(conjugate), int(delta * 1e12)])
+        for _ in range(20):
+            parts = []
+            for _ in range(2):
+                h = random_hermitian(rng, 3)
+                second = h.conj() if conjugate else h
+                parts.append((h, second + delta * random_hermitian(rng, 3)))
+            assert not self.certifies(turned(rng, parts))
+
+    def test_same_reports_at_the_tolerance_edge(self, monkeypatch):
+        # Two pieces coupled by eps: irreducible, with the spin's and the
+        # commutant's smallest singular values near their rank cutoffs.
+        rng = np.random.default_rng(1961)
+        for eps in np.logspace(-12, -6, 25):
+            for _ in range(4):
+                pieces = [(random_hermitian(rng, 3), random_hermitian(rng, 3)) for _ in range(2)]
+                generators = []
+                for g in turned(rng, pieces):
+                    coupling = random_hermitian(rng, 6)
+                    coupling[:3, :3] = coupling[3:, 3:] = 0
+                    generators.append(g + eps * coupling)
+                self.assert_same_report(monkeypatch, generators)
+                # Couplings this weak leave the spin singular values within
+                # its margin above the cutoff, so the commutant decides them.
+                if eps <= 1e-8:
+                    assert not self.certifies(generators)
+
+    def test_certified_sets_build_no_commutator_maps(self, monkeypatch, pauli, ks18):
+        def forbidden(stack, tol):
+            raise AssertionError("the commutant ran on a certified set")
+
+        monkeypatch.setattr(pl.algebra, "_commutant", forbidden)
+        rng = np.random.default_rng(1971)
+        sets = [haar_pair(rng, 5) for _ in range(8)] + [haar_pair(rng, 64)]
+        sets += [pauli_projector_matrices(pauli), [e.projector for e in ks18.registry]]
+        for generators in sets:
+            n = pl.algebra._coerce_generators(generators).shape[1]
+            report = pl.is_irreducible(generators)
+            assert report.irreducible and report.algebra_dimension == n * n
+            assert report.witness is None
+
+    def test_element_is_the_documented_combination(self):
+        # c, d and e are the fractional parts of j * golden ratio, j = 1 .. 3k.
+        rng = np.random.default_rng(1981)
+        generators = np.array(haar_pair(rng, 4) + [random_hermitian(rng, 4)])
+        k = len(generators)
+        golden = (1 + np.sqrt(5)) / 2
+        c, d, e = (np.arange(1, 3 * k + 1) * golden % 1).reshape(3, k)
+        x = sum(w * g for w, g in zip(d, generators))
+        y = sum(w * g for w, g in zip(e, generators))
+        want = sum(w * g for w, g in zip(c, generators)) + x @ y + y @ x
+        got = pl.algebra._spin_element(generators)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e6, 1e9, 1e12])
+    def test_same_reports_on_scaled_generators(self, monkeypatch, scale):
+        # The rank cutoff follows the generators' norm, so the roundoff left
+        # after projecting out the directions so far is never kept as one.
+        rng = np.random.default_rng([1991, int(np.log10(scale)) + 6])
+        sets = [planted_blocks(rng, sizes) for sizes in ((5,), (4, 3), (2, 2, 3), (4, 4))]
+        sets += [haar_pair(rng, 6)]
+        for copies in (2, 4):
+            turn = haar_unitary(rng, 3 * copies)
+            sets.append(
+                [turn @ np.kron(g, np.eye(copies)) @ turn.conj().T for g in haar_pair(rng, 3)]
+            )
+        for generators in sets:
+            scaled = [scale * (g + g.conj().T) / 2 for g in generators]
+            report = self.assert_same_report(monkeypatch, scaled)
+            assert report.irreducible or not self.certifies(scaled)
+
+    @pytest.mark.parametrize("block_diagonal", [True, False], ids=["reducible", "coupled"])
+    def test_same_reports_just_inside_self_adjoint(self, monkeypatch, block_diagonal):
+        # Pieces whose generators are 0.9 eps_entry from Hermitian. A
+        # block-diagonal anti-Hermitian part keeps them reducible, with U^perp
+        # no longer invariant; a full one couples the pieces.
+        rng = np.random.default_rng([2003, int(block_diagonal)])
+        tol = pl.TolerancePolicy()
+        for sizes in ((4, 3), (2, 2, 3), (3, 3)):
+            dim = sum(sizes)
+            for _ in range(5):
+                turn = haar_unitary(rng, dim)
+                generators = []
+                for _ in range(3):
+                    g = np.zeros((dim, dim), dtype=complex)
+                    mask = np.zeros((dim, dim), dtype=bool)
+                    start = 0
+                    for size in sizes:
+                        g[start : start + size, start : start + size] = random_hermitian(rng, size)
+                        mask[start : start + size, start : start + size] = True
+                        start += size
+                    skew = 1j * random_hermitian(rng, dim)
+                    if block_diagonal:
+                        skew[~mask] = 0
+                    skew = turn @ skew @ turn.conj().T
+                    g = turn @ g @ turn.conj().T
+                    g = (g + g.conj().T) / 2
+                    generators.append(g + 0.45 * tol.eps_entry * skew / np.abs(skew).max())
+                stack = pl.algebra._coerce_generators(generators)
+                assert pl.algebra._self_adjoint(stack, tol)
+                report = self.assert_same_report(monkeypatch, generators)
+                if block_diagonal:
+                    assert not report.irreducible
+                assert report.irreducible or not self.certifies(generators)

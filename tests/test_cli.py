@@ -364,3 +364,11 @@ def test_json_reports_are_one_line(ks18_file, tmp_path, capsys):
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 1, argv
         assert isinstance(json.loads(lines[0]), dict)
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # Nothing draws random numbers at import, which keeps the CLI's start-up lean.
+    code = "import sys, projlat.cli; print('numpy.random' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

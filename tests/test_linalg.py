@@ -145,6 +145,15 @@ class TestNumericalRank:
         with pytest.raises(pl.ValidationError):
             pl.numerical_rank([[np.nan, 0], [0, 1]])
 
+    def test_stacked_singular_values_rank_each_row(self):
+        rng = np.random.default_rng(17)
+        stack = np.array(
+            [P1X, I2, np.zeros((2, 2)), P1Y, 1e-12 * I2, 1e12 * P1Z + 1e-3 * P2Z]
+        ) + 1e-14 * rng.normal(size=(6, 2, 2))
+        s = np.linalg.svd(stack, compute_uv=False)
+        ranks = linalg.singular_rank(s)
+        assert ranks.tolist() == [linalg.singular_rank(row) for row in s] == [1, 2, 0, 1, 0, 1]
+
 
 class TestTolerancePolicy:
     def test_defaults_are_ordered(self):

@@ -30,7 +30,6 @@ from .errors import (
     PairwiseProductNonzeroError,
     ParseError,
     ProjlatError,
-    SearchCapExceededError,
     SubsetLimitExceededError,
     SumNotIdentityError,
     ValidationError,
@@ -95,7 +94,6 @@ __all__ = [
     "Projector",
     "ProjlatError",
     "RegistryEntry",
-    "SearchCapExceededError",
     "SubsetLimitExceededError",
     "Subspace",
     "SumNotIdentityError",

@@ -24,14 +24,15 @@ through.
 
 For general (non-self-adjoint) generators the commutant test is not enough:
 the upper-triangular algebra has a trivial commutant but is reducible. Such
-input is decided by span closure: orthonormalize the generators (plus the
-identity) under the trace inner product, adjoin all pairwise products, and
-repeat until the dimension stops growing. A best-effort eigenvector search,
-capped at dimension 6, looks for a witness; its empty-handed outcome is
-never used to claim irreducibility. Closure and search also serve as the
-reference the commutant route is tested against. Inputs are treated as
-complex: real matrices are embedded into C^(n x n), since the criterion is
-specific to the complex field.
+input is decided by span closure: the algebra is the smallest subspace of
+M_n that holds the identity and is closed under left multiplication by each
+generator, so spinning the identity under the generators builds it in
+O(k n^6) time at worst. When the closure is proper, the orbit of a fixed
+eigenvector of an element of it is a common invariant subspace, which gives
+a witness at every n. The closure also serves as the reference the spin and
+commutant routes are tested against. Inputs are treated as complex: real
+matrices are embedded into C^(n x n), since the criterion is specific to the
+complex field.
 """
 from __future__ import annotations
 
@@ -40,16 +41,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import AmbientDimOneError, DimensionMismatchError, SearchCapExceededError
+from .errors import AmbientDimOneError, DimensionMismatchError
 from .projectors import Projector, is_invariant
 from .subspace import Subspace
 from .tolerance import TolerancePolicy, resolve
 
-DEFAULT_WITNESS_CAP = 6
 # Stack of commutator maps, in complex128 entries (16 MB), that
 # ``_commutant`` holds at once, or two maps if they are larger; QR copies its
 # input twice, so the peak is a few times this. At n = 24 the whole stack
-# for two bases would be 255 MB.
+# for two bases would be 255 MB. ``algebra_closure`` holds at most this many
+# image entries at once, or the images of one direction.
 _CHUNK_ENTRIES = 1 << 20
 # The spin certificate's two margins: the leak it tolerates sits this far
 # below eps_rank, and the singular values it keeps this far above the cutoff.
@@ -116,93 +117,92 @@ def algebra_closure(
 ) -> AlgebraClosure:
     """Span closure of the unital algebra generated by ``generators``.
 
-    The identity is always adjoined. Each pass forms all pairwise products
-    of the current basis and re-orthonormalizes; the dimension grows strictly
-    until stable, so the loop terminates within n^2 passes. Basis order is
-    fixed by generation-then-index, making the result deterministic.
+    The algebra is the smallest subspace of matrices that holds the identity
+    and is closed under X -> G X for every generator G, so the identity is
+    spun: each step multiplies the newest directions by every generator in
+    one batched product, a chunk of at most ``_CHUNK_ENTRIES`` image entries
+    at a time, orthogonalizes the images twice against the basis so far and
+    keeps their right singular vectors above the rank cutoff
+    ``eps_rank * max(g, 1)``, g the largest Frobenius norm of a generator.
+    The spin stops when a step adds nothing or the basis fills all n^2
+    dimensions; ``generations`` counts its steps. The basis is orthonormal
+    under the trace inner product and fixed by the input order.
     """
+    tol = resolve(tol)
     mats = _coerce_generators(generators)
-    n = mats[0].shape[0]
-    seed = [np.eye(n, dtype=complex), *mats]
-    basis = linalg.orthonormalize([m.reshape(-1) for m in seed], tol)
+    k, n, _ = mats.shape
+    full = n * n
+    cutoff = tol.eps_rank * max(float(np.linalg.norm(mats, axis=(1, 2)).max()), 1.0)
+    per_chunk = max(1, _CHUNK_ENTRIES // max(k * full, 1))
+    basis = frontier = np.eye(n, dtype=complex).reshape(min(n, 1), full) / np.sqrt(max(n, 1))
     generations = 0
-    while True:
+    while len(frontier) and len(basis) < full:
         generations += 1
-        square = [v.reshape(n, n) for v in basis]
-        products = [(a @ b).reshape(-1) for a in square for b in square]
-        grown = linalg.orthonormalize(basis + products, tol)
-        if len(grown) == len(basis):
-            break
-        basis = grown
-    matrices = []
-    for v in basis:
-        m = v.reshape(n, n)
-        m.setflags(write=False)
-        matrices.append(m)
+        grown = []
+        for start in range(0, len(frontier), per_chunk):
+            chunk = frontier[start : start + per_chunk].reshape(-1, n, n)
+            images = (mats[:, None] @ chunk).reshape(-1, full)
+            for _ in range(2):
+                images -= (images @ basis.conj().T) @ basis
+            _, s, vh = np.linalg.svd(images, full_matrices=False)
+            rank = min(int(np.count_nonzero(s > cutoff)), full - len(basis))
+            basis = np.vstack([basis, vh[:rank]])
+            grown.append(vh[:rank])
+        frontier = np.vstack(grown)
+    matrices = basis.reshape(len(basis), n, n)
+    matrices.setflags(write=False)
     return AlgebraClosure(
         ambient_dim=n,
         basis=tuple(matrices),
         dimension=len(matrices),
         generations=generations,
-        saturated=len(matrices) == n * n,
+        saturated=len(matrices) == full,
     )
 
 
-def invariant_subspace_witness(
-    generators,
-    tol: TolerancePolicy | None = None,
-    dimension_cap: int = DEFAULT_WITNESS_CAP,
-) -> Subspace | None:
-    """Best-effort search for a nontrivial common invariant subspace.
+def _closure_witness(closure: AlgebraClosure, tol: TolerancePolicy) -> Subspace | None:
+    """A proper common invariant subspace of the algebra ``closure`` spans,
+    or ``None`` when it is all of M_n.
 
-    Takes the fixed combination ``1*G_1 + 2*G_2 + ...`` of the generators,
-    orders its eigenvalues descending by (real, imaginary) part, and tests
-    sums of eigenvalue-cluster eigenspaces for invariance under every
-    generator, falling back to spans of individual eigenvector subsets.
-    Returns the first hit in that fixed order, or ``None``; an empty result
-    is advisory only.
+    ``a`` is the trace-inner-product projection onto the algebra of the
+    fixed matrix Z whose row-major entries have real parts the fractional
+    parts of ``j * golden ratio`` for j = 1 .. n^2 and imaginary parts those
+    for j = n^2 + 1 .. 2 n^2; the projection does not depend on the basis.
+    The eigenvectors v of ``a`` are taken in descending (real, imaginary)
+    order of their eigenvalues, and the witness is the orbit span{B_j v}
+    (B_j the basis) of the first whose orbit is proper: it is the smallest
+    invariant subspace holding v. Any eigenvector of ``a`` inside a proper
+    invariant subspace has a proper orbit. ``a`` has one in each such
+    subspace; ``eig`` returns it when its eigenvalue is simple, and when the
+    eigenvalue repeats because a block recurs, every vector of its
+    eigenspace lies in a proper invariant subspace. ``None`` for a proper
+    algebra would take eigenvalues that collide across inequivalent pieces,
+    or roundoff that blurs every such eigenvector.
+    """
+    n = closure.ambient_dim
+    if closure.saturated:
+        return None
+    basis = np.array(closure.basis)
+    flat = basis.reshape(len(basis), n * n)
+    parts = np.modf(np.arange(1, 2 * n * n + 1) * _GOLDEN_RATIO)[0].reshape(2, n * n)
+    a = ((flat.conj() @ (parts[0] + 1j * parts[1])) @ flat).reshape(n, n)
+    values, vectors = np.linalg.eig(a)
+    for i in np.lexsort((-values.imag, -values.real)):
+        u, s, _ = np.linalg.svd((basis @ vectors[:, i]).T, full_matrices=False)
+        rank = linalg.singular_rank(s, tol)
+        if rank < n:
+            return Subspace(n, u[:, :rank])
+    return None
+
+
+def invariant_subspace_witness(
+    generators, tol: TolerancePolicy | None = None
+) -> Subspace | None:
+    """A nontrivial common invariant subspace of ``generators``, or ``None``
+    when they are irreducible: ``_closure_witness`` of ``algebra_closure``.
     """
     tol = resolve(tol)
-    mats = _coerce_generators(generators)
-    n = mats[0].shape[0]
-    if n > dimension_cap:
-        raise SearchCapExceededError(n, dimension_cap)
-    combo = sum((k + 1) * m for k, m in enumerate(mats))
-    if linalg.max_abs(combo - combo.conj().T) <= tol.eps_entry:
-        values, vectors = np.linalg.eigh(combo)
-        values = values.astype(complex)
-    else:
-        values, vectors = np.linalg.eig(combo)
-    order = np.lexsort((-values.imag, -values.real))
-    values = values[order]
-    vectors = vectors[:, order]
-
-    scale = max(1.0, float(np.max(np.abs(values))))
-    clusters: list[list[int]] = []
-    for idx, lam in enumerate(values):
-        if clusters and abs(lam - values[clusters[-1][0]]) <= tol.eps_subspace * scale:
-            clusters[-1].append(idx)
-        else:
-            clusters.append([idx])
-
-    def candidate(indices: list[int]) -> Subspace | None:
-        sub = Subspace.from_span([vectors[:, i] for i in indices], ambient_dim=n, tol=tol)
-        if 0 < sub.dim < n and all(is_invariant(sub, m, tol) for m in mats):
-            return sub
-        return None
-
-    k = len(clusters)
-    for mask in range(1, (1 << k) - 1):
-        indices = [i for c in range(k) if mask >> c & 1 for i in clusters[c]]
-        found = candidate(indices)
-        if found is not None:
-            return found
-    if k < n:
-        for mask in range(1, (1 << n) - 1):
-            found = candidate([i for i in range(n) if mask >> i & 1])
-            if found is not None:
-                return found
-    return None
+    return _closure_witness(algebra_closure(generators, tol), tol)
 
 
 def _commutator_maps(stack: np.ndarray) -> np.ndarray:
@@ -240,17 +240,20 @@ def _commutant(stack: np.ndarray, tol: TolerancePolicy) -> np.ndarray:
     return np.array(linalg.kernel_basis(r, tol)).reshape(-1, n, n)
 
 
-def _self_adjoint(stack: np.ndarray, tol: TolerancePolicy) -> bool:
-    """True when no generator of a ``(k, n, n)`` stack has an entry of
-    ``G - G^H`` above ``eps_entry``.
+def _skew_residuals(stack: np.ndarray) -> tuple[np.ndarray, float]:
+    """Each generator's largest entry of ``|G - G^H|`` in a ``(k, n, n)``
+    stack, and the Frobenius norm of the whole ``G - G^H`` stack.
 
-    A generator's largest entry is NaN when any is, and NaN is not above
-    ``eps_entry``, so each generator is screened as ``linalg.max_abs`` would
-    screen it alone; a residual that overflows is infinite, hence above.
+    Both come from one pass over one stack-sized array. A generator's
+    largest entry is NaN when any is, so NaN is not above any tolerance; a
+    difference or a magnitude that overflows is infinite.
     """
-    with np.errstate(over="ignore"):
-        residual = np.abs(stack - stack.conj().transpose(0, 2, 1))
-        return not (residual.max(axis=(1, 2), initial=0.0) > tol.eps_entry).any()
+    with np.errstate(over="ignore", invalid="ignore"):
+        skew = np.conjugate(stack.transpose(0, 2, 1), order="C")
+        np.subtract(stack, skew, out=skew)
+        norm = float(np.linalg.norm(skew))
+        np.abs(skew, out=skew)
+        return skew.real.max(axis=(1, 2), initial=0.0), norm
 
 
 def _spin_element(stack: np.ndarray) -> np.ndarray:
@@ -270,7 +273,7 @@ def _spin_element(stack: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _spin_certifies(stack: np.ndarray, tol: TolerancePolicy) -> bool:
+def _spin_certifies(stack: np.ndarray, skew_norm: float, tol: TolerancePolicy) -> bool:
     """True when spinning one eigenvector proves a self-adjoint ``(k, n, n)``
     stack irreducible; False means only that the spin cannot tell.
 
@@ -290,7 +293,8 @@ def _spin_certifies(stack: np.ndarray, tol: TolerancePolicy) -> bool:
       Frobenius norm of the element's anti-Hermitian part;
     * each step adds ``((g + 2m)(leak + u) + 2s) / s_min``, where m is the
       Frobenius norm of the images before orthogonalization, s that of the
-      generators' anti-Hermitian parts, and s_min the smallest kept singular
+      generators' anti-Hermitian parts (half ``skew_norm``, the norm of the
+      stack's ``G - G^H``), and s_min the smallest kept singular
       value. The g term covers the images of the leak, the m term the
       leak of the directions projected out and the roundoff, and the s term
       the images of U^perp, which the generators keep only up to it.
@@ -308,7 +312,7 @@ def _spin_certifies(stack: np.ndarray, tol: TolerancePolicy) -> bool:
     a = _spin_element(stack)
     hermitian = (a + a.conj().T) / 2
     growth = float(np.linalg.norm(stack))
-    skew = float(np.linalg.norm(stack - stack.conj().transpose(0, 2, 1))) / 2
+    skew = skew_norm / 2
     if not (np.isfinite(hermitian).all() and growth + skew < np.inf):
         return False
     values, vectors = np.linalg.eigh(hermitian)
@@ -414,26 +418,23 @@ def is_irreducible(
     ``algebra_dimension`` is n^2 when the commutant is C*I and the
     bicommutant's dimension otherwise, and a reducible set always gets a
     witness (``_commutant_witness`` fixes which one). Other generators are
-    decided by ``algebra_closure``, with a witness from
-    ``invariant_subspace_witness`` only up to dimension
-    ``DEFAULT_WITNESS_CAP``.
+    decided by one ``algebra_closure``, which gives the dimension, and the
+    witness is ``_closure_witness`` of that closure.
     """
     tol = resolve(tol)
     mats = _coerce_generators(generators)
     n = mats[0].shape[0]
     if n == 1:
         raise AmbientDimOneError()
-    if not _self_adjoint(mats, tol):
+    largest_skew, skew_norm = _skew_residuals(mats)
+    if (largest_skew > tol.eps_entry).any():
         closure = algebra_closure(mats, tol)
-        witness = None
-        if not closure.saturated and n <= DEFAULT_WITNESS_CAP:
-            witness = invariant_subspace_witness(mats, tol)
         return IrreducibilityReport(
             irreducible=closure.saturated,
             algebra_dimension=closure.dimension,
-            witness=witness,
+            witness=_closure_witness(closure, tol),
         )
-    if _spin_certifies(mats, tol):
+    if _spin_certifies(mats, skew_norm, tol):
         return IrreducibilityReport(irreducible=True, algebra_dimension=n * n, witness=None)
     commutant = _commutant(mats, tol)
     if len(commutant) == 1:

@@ -1,7 +1,7 @@
 """Command-line interface: document ingestion, verdict reports, exit codes.
 
 Exit codes: 0 success, 1 parse/validation failure, 2 unsatisfiable
-assignment search, 3 element-listing or search cap exceeded.
+assignment search, 3 element-listing cap exceeded.
 """
 from __future__ import annotations
 

@@ -98,7 +98,7 @@ class ParseError(ProjlatError, ValueError):
 
 
 class CapExceededError(ProjlatError):
-    """A configured enumeration or search limit was exceeded."""
+    """A configured enumeration limit was exceeded."""
 
 
 class SubsetLimitExceededError(CapExceededError):
@@ -108,13 +108,4 @@ class SubsetLimitExceededError(CapExceededError):
         super().__init__(
             f"lattice family has {atoms} atoms; listing its elements is capped at {cap} "
             f"atoms (2^{cap} elements)"
-        )
-
-
-class SearchCapExceededError(CapExceededError):
-    def __init__(self, ambient_dim: int, cap: int):
-        self.ambient_dim = ambient_dim
-        self.cap = cap
-        super().__init__(
-            f"witness search supports ambient dimension <= {cap}, got {ambient_dim}"
         )

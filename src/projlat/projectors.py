@@ -138,8 +138,7 @@ def _checked_stack(stack: np.ndarray, tol: TolerancePolicy, labels, singular=Non
         raise NotIdempotentError(float(idem[c, i]), eps)
     if singular is None:
         singular = np.linalg.svd(stack, compute_uv=False)
-    cutoff = tol.eps_rank * np.maximum(singular[..., :1], 1.0)
-    ranks = (singular > cutoff).sum(axis=2).tolist()
+    ranks = linalg.singular_rank(singular, tol).tolist()
     stack.setflags(write=False)
     members = [
         tuple(

@@ -114,10 +114,6 @@ class TestWitnessSearch:
         for g in generators:
             assert pl.is_invariant(witness, g)
 
-    def test_search_cap(self):
-        with pytest.raises(pl.SearchCapExceededError):
-            pl.invariant_subspace_witness([np.eye(7)])
-
     def test_deterministic(self, pauli):
         first = pl.invariant_subspace_witness(diagonal_pair(pauli))
         second = pl.invariant_subspace_witness(diagonal_pair(pauli))
@@ -149,9 +145,11 @@ class TestRouteAgreement:
         for generators in self.corpus(pauli):
             dim = generators[0].shape[0]
             closure = pl.algebra_closure(generators)
+            assert closure.dimension == oracle_closure_dimension(generators)
             witness = pl.invariant_subspace_witness(generators)
             reducible = closure.dimension < dim * dim
             assert (witness is not None) == reducible
+            assert (oracle_witness_search(generators) is not None) == reducible
             if witness is not None:
                 assert 0 < witness.dim < dim
                 assert all(pl.is_invariant(witness, g) for g in generators)
@@ -211,17 +209,19 @@ class TestCommutantRoute:
             closure = pl.algebra_closure(generators)
             assert report.irreducible == closure.saturated
             assert report.algebra_dimension == closure.dimension
+            assert closure.dimension == oracle_closure_dimension(generators)
             searched = pl.invariant_subspace_witness(generators)
-            assert (searched is None) == report.irreducible
             if report.irreducible:
-                assert report.witness is None
+                assert report.witness is None and searched is None
             else:
                 assert_is_witness(report.witness, generators)
+                assert_is_witness(searched, generators)
 
-    def test_repeated_block_gets_witness_the_search_misses(self):
-        # W (G (x) I_2) W^H: the commutant is a copy of M_2, every eigenvalue
-        # of the search's fixed combination is doubled, and no subset of the
-        # eigenvectors eigh picks spans an invariant subspace
+    def test_repeated_block_gets_witness_from_both_routes(self):
+        # W (G (x) I_2) W^H: the commutant is a copy of M_2 and every
+        # eigenvalue of an element of the algebra is doubled, so no subset of
+        # the eigenvectors eigh picks spans an invariant subspace, yet the
+        # orbit of any one of them is a proper one
         rng = np.random.default_rng(97)
         turn = haar_unitary(rng, 4)
         generators = [
@@ -230,18 +230,20 @@ class TestCommutantRoute:
         report = pl.is_irreducible(generators)
         assert not report.irreducible
         assert report.algebra_dimension == pl.algebra_closure(generators).dimension == 4
-        assert pl.invariant_subspace_witness(generators) is None
+        assert oracle_witness_search(generators) is None
+        assert_is_witness(pl.invariant_subspace_witness(generators), generators)
         assert_is_witness(report.witness, generators)
 
     @pytest.mark.parametrize("sizes", [(4, 3), (2, 2, 3), (4, 4), (3, 3, 2)])
     def test_witness_beyond_search_cap(self, sizes):
+        # Beyond n = 6, where the eigenvector-subset search used to stop.
         generators = planted_blocks(np.random.default_rng(101), sizes)
         report = pl.is_irreducible(generators)
         assert not report.irreducible
         assert report.algebra_dimension == sum(d * d for d in sizes)
+        assert report.algebra_dimension == pl.algebra_closure(generators).dimension
         assert_is_witness(report.witness, generators)
-        with pytest.raises(pl.SearchCapExceededError):
-            pl.invariant_subspace_witness(generators)
+        assert_is_witness(pl.invariant_subspace_witness(generators), generators)
 
     @pytest.mark.parametrize(
         "blocks", [((2, 2), (1, 3)), ((3, 1), (1, 2), (1, 3))], ids=["n7", "n8"]
@@ -267,6 +269,7 @@ class TestCommutantRoute:
         expected = sum(d * d for d, _ in blocks)
         assert report.algebra_dimension == pl.algebra_closure(generators).dimension == expected
         assert_is_witness(report.witness, generators)
+        assert_is_witness(pl.invariant_subspace_witness(generators), generators)
 
     def test_irreducible_at_dimension_eight(self):
         rng = np.random.default_rng(103)
@@ -295,6 +298,95 @@ class TestCommutantRoute:
         assert report.witness.equals(Subspace.from_span([[1, 0]]))
 
 
+def block_triangular(rng, sizes, count=3):
+    """``count`` random complex matrices, block upper-triangular over
+    ``sizes`` and turned by one Haar unitary: they generate every block
+    upper-triangular matrix, of dimension sum_(i <= j) d_i d_j, and the
+    leading blocks are their invariant subspaces."""
+    dim = sum(sizes)
+    turn = haar_unitary(rng, dim)
+    generators = []
+    for _ in range(count):
+        g = np.zeros((dim, dim), dtype=complex)
+        start = 0
+        for size in sizes:
+            rest = dim - start
+            g[start : start + size, start:] = rng.normal(size=(size, rest)) + 1j * rng.normal(
+                size=(size, rest)
+            )
+            start += size
+        generators.append(turn @ g @ turn.conj().T)
+    return generators
+
+
+def triangular_dimension(sizes):
+    return sum(d * e for i, d in enumerate(sizes) for e in sizes[i:])
+
+
+class TestNonSelfAdjoint:
+    """Generators that are not self-adjoint are decided by the closure."""
+
+    SMALL = [(1, 1), (1, 2), (2, 1), (2, 2), (1, 1, 1), (3, 3), (2, 2, 2), (1, 4)]
+
+    def corpus(self):
+        rng = np.random.default_rng(2011)
+        sets = [block_triangular(rng, sizes) for sizes in self.SMALL]
+        for dim in (2, 3, 5, 6):
+            sets.append([rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))])
+            sets.append(
+                [rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)) for _ in range(2)]
+            )
+        sets.append([np.diag(np.ones(3), 1)])  # one nilpotent Jordan block of C^4
+        return sets
+
+    def test_closure_matches_the_pairwise_oracle(self):
+        for generators in self.corpus():
+            assert pl.algebra_closure(generators).dimension == oracle_closure_dimension(
+                generators
+            )
+
+    @pytest.mark.parametrize(
+        "sizes", [(4, 4), (3, 5), (2, 2, 2, 2), (6, 6), (4, 4, 4), (5, 4, 3), (1, 11)]
+    )
+    def test_block_triangular_gets_witness_at_any_size(self, sizes):
+        generators = block_triangular(np.random.default_rng([2027, *sizes]), sizes)
+        report = pl.is_irreducible(generators)
+        assert not report.irreducible
+        assert report.algebra_dimension == triangular_dimension(sizes)
+        assert_is_witness(report.witness, generators)
+        witness = pl.invariant_subspace_witness(generators)
+        assert_is_witness(witness, generators)
+        assert witness.basis.tobytes() == report.witness.basis.tobytes()
+
+    @pytest.mark.parametrize("dim", [8, 12])
+    def test_random_pairs_are_irreducible(self, dim):
+        rng = np.random.default_rng(2039 + dim)
+        generators = [rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)) for _ in range(2)]
+        report = pl.is_irreducible(generators)
+        assert report.irreducible and report.algebra_dimension == dim * dim
+        assert report.witness is None
+
+    def test_every_reducible_set_gets_a_witness(self):
+        for i, generators in enumerate(self.corpus()):
+            dim = generators[0].shape[0]
+            report = pl.is_irreducible(generators)
+            if i < len(self.SMALL):
+                assert report.algebra_dimension == triangular_dimension(self.SMALL[i])
+            if report.algebra_dimension == dim * dim:
+                assert report.irreducible and report.witness is None
+            else:
+                assert not report.irreducible
+                assert_is_witness(report.witness, generators)
+
+    def test_closure_chunks_give_the_same_dimension(self, monkeypatch):
+        # One direction's images per chunk, and the spin still closes.
+        generators = block_triangular(np.random.default_rng(2053), (2, 3))
+        want = pl.algebra_closure(generators)
+        monkeypatch.setattr(pl.algebra, "_CHUNK_ENTRIES", 1)
+        got = pl.algebra_closure(generators)
+        assert got.dimension == want.dimension == triangular_dimension((2, 3))
+
+
 def test_real_generators_are_embedded_as_complex():
     generators = [np.array([[1, 0], [0, 0]]), 0.5 * np.array([[1, 1], [1, 1]])]
     closure = pl.algebra_closure(generators)
@@ -319,6 +411,55 @@ def oracle_commutant(mats, tol):
     return np.array(pl.linalg.kernel_basis(r, tol)).reshape(-1, n, n)
 
 
+# The closure and the witness search before the closure spun the identity:
+# all pairwise products of the basis, orthonormalized until the dimension
+# stops growing (O(n^8), so n <= 6), and sums of eigenvalue clusters, then
+# subsets of eigenvectors, of 1*G_1 + 2*G_2 + ... tried in a fixed order.
+def oracle_closure_dimension(generators, tol=None):
+    mats = oracle_coerce(generators)
+    n = mats[0].shape[0]
+    basis = pl.orthonormalize([np.eye(n).reshape(-1)] + [m.reshape(-1) for m in mats], tol)
+    while True:
+        square = [v.reshape(n, n) for v in basis]
+        products = [(a @ b).reshape(-1) for a in square for b in square]
+        grown = pl.orthonormalize(basis + products, tol)
+        if len(grown) == len(basis):
+            return len(basis)
+        basis = grown
+
+
+def oracle_witness_search(generators, tol=None):
+    tol = pl.tolerance.resolve(tol)
+    mats = oracle_coerce(generators)
+    n = mats[0].shape[0]
+    combo = sum((k + 1) * m for k, m in enumerate(mats))
+    if pl.linalg.max_abs(combo - combo.conj().T) <= tol.eps_entry:
+        values, vectors = np.linalg.eigh(combo)
+        values = values.astype(complex)
+    else:
+        values, vectors = np.linalg.eig(combo)
+    order = np.lexsort((-values.imag, -values.real))
+    values, vectors = values[order], vectors[:, order]
+    scale = max(1.0, float(np.max(np.abs(values))))
+    clusters = []
+    for idx, lam in enumerate(values):
+        if clusters and abs(lam - values[clusters[-1][0]]) <= tol.eps_subspace * scale:
+            clusters[-1].append(idx)
+        else:
+            clusters.append([idx])
+    candidates = [
+        [i for c in range(len(clusters)) if mask >> c & 1 for i in clusters[c]]
+        for mask in range(1, (1 << len(clusters)) - 1)
+    ]
+    if len(clusters) < n:
+        candidates += [[i for i in range(n) if mask >> i & 1] for mask in range(1, (1 << n) - 1)]
+    for indices in candidates:
+        sub = Subspace.from_span([vectors[:, i] for i in indices], ambient_dim=n, tol=tol)
+        if 0 < sub.dim < n and all(pl.is_invariant(sub, m, tol) for m in mats):
+            return sub
+    return None
+
+
 def oracle_coerce(generators):
     mats = []
     for g in generators:
@@ -339,6 +480,16 @@ def oracle_coerce(generators):
 def oracle_self_adjoint(mats, tol):
     with np.errstate(over="ignore", invalid="ignore"):
         return not any(pl.linalg.max_abs(m - m.conj().T) > tol.eps_entry for m in mats)
+
+
+def oracle_skew_norm(stack):
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.linalg.norm(stack - stack.conj().transpose(0, 2, 1)))
+
+
+def self_adjoint(stack, tol):
+    largest, _ = pl.algebra._skew_residuals(stack)
+    return not (largest > tol.eps_entry).any()
 
 
 def signed_zero_stack(rng, k, n):
@@ -462,12 +613,15 @@ class TestBatchedCommutant:
         routes = []
         for mats in cases:
             stack = np.array(mats, dtype=complex)
-            got = pl.algebra._self_adjoint(stack, tol)
+            got = self_adjoint(stack, tol)
             assert got == oracle_self_adjoint(mats, tol)
+            # The spin reads the norm of the same pass, bit for bit.
+            norm = pl.algebra._skew_residuals(stack)[1]
+            assert np.array([norm]).tobytes() == np.array([oracle_skew_norm(stack)]).tobytes()
             routes.append(got)
         assert True in routes and False in routes
-        assert pl.algebra._self_adjoint(np.array([big]), tol) is False
-        assert pl.algebra._self_adjoint(np.array([nan]), tol) is True
+        assert self_adjoint(np.array([big]), tol) is False
+        assert self_adjoint(np.array([nan]), tol) is True
 
 
 def haar_pair(rng, dim):
@@ -514,13 +668,14 @@ class TestSpinCertificate:
     @staticmethod
     def commutant_route(monkeypatch, generators):
         with monkeypatch.context() as patch:
-            patch.setattr(pl.algebra, "_spin_certifies", lambda stack, tol: False)
+            patch.setattr(pl.algebra, "_spin_certifies", lambda stack, skew, tol: False)
             return pl.is_irreducible(generators)
 
     @staticmethod
     def certifies(generators):
         stack = pl.algebra._coerce_generators(generators)
-        return pl.algebra._spin_certifies(stack, pl.TolerancePolicy())
+        skew_norm = pl.algebra._skew_residuals(stack)[1]
+        return pl.algebra._spin_certifies(stack, skew_norm, pl.TolerancePolicy())
 
     def corpus(self, pauli):
         rng = np.random.default_rng(1941)
@@ -550,6 +705,13 @@ class TestSpinCertificate:
     def test_same_reports_as_the_commutant_route(self, monkeypatch, pauli):
         for generators in self.corpus(pauli):
             self.assert_same_report(monkeypatch, generators)
+
+    def test_closure_matches_the_commutant_route(self, monkeypatch, pauli):
+        for generators in self.corpus(pauli):
+            n = pl.algebra._coerce_generators(generators).shape[1]
+            if n <= 10:
+                want = self.commutant_route(monkeypatch, generators).algebra_dimension
+                assert pl.algebra_closure(generators).dimension == want
 
     def test_certifies_exactly_the_irreducible_sets(self, monkeypatch, pauli):
         for generators in self.corpus(pauli):
@@ -677,7 +839,7 @@ class TestSpinCertificate:
                     g = (g + g.conj().T) / 2
                     generators.append(g + 0.45 * tol.eps_entry * skew / np.abs(skew).max())
                 stack = pl.algebra._coerce_generators(generators)
-                assert pl.algebra._self_adjoint(stack, tol)
+                assert self_adjoint(stack, tol)
                 report = self.assert_same_report(monkeypatch, generators)
                 if block_diagonal:
                     assert not report.irreducible

@@ -162,14 +162,22 @@ def context_lattice(ctx: MaximalContext, tol: TolerancePolicy | None = None) -> 
 
     Bit ``i`` selects the ``i``-th nonzero member, which fixes the element
     order. Distinct subsets of orthogonal atoms are distinct subspaces, so
-    nothing is deduplicated. Only the member ranges are computed here, from
-    one SVD of the member stack: a member's range is the first ``rank``
-    left singular vectors, as ``Projector.range`` takes them one member at
-    a time. The 2^m elements are built when first read, for at most
+    nothing is deduplicated. Only the member ranges are computed here. A
+    context built from a basis has its vectors as ranges: member ``v v^H``
+    has the single singular value ``|v|^2`` and the atom ``v``, a unit
+    column within ``eps_entry``, so no SVD is taken. Any other context takes
+    one SVD of the member stack: a member's range is the first ``rank`` left
+    singular vectors, as ``Projector.range`` takes them one member at a
+    time. The 2^m elements are built when first read, for at most
     ``DEFAULT_MEMBER_CAP`` nonzero members.
     """
-    u, s, _ = np.linalg.svd(np.array([p.matrix for p in ctx.members], dtype=np.complex128))
-    u.setflags(write=False)
+    if ctx._rays is not None:
+        # (m, n, 1): each ray as a column, ranked by its singular value |v|^2.
+        u = ctx._rays[:, :, None]
+        s = np.linalg.norm(ctx._rays, axis=1)[:, None] ** 2
+    else:
+        u, s, _ = np.linalg.svd(np.array([p.matrix for p in ctx.members], dtype=np.complex128))
+        u.setflags(write=False)
     ranks = linalg.singular_rank(s, tol)
     parts = [(ui[:, :r], p.label) for ui, r, p in zip(u, ranks.tolist(), ctx.members)]
     return _boolean_family(ctx.ambient_dim, parts, "ran(%s)")

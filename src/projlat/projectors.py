@@ -86,7 +86,7 @@ def _measure(stack: np.ndarray) -> tuple[np.ndarray, list[dict[str, float]]]:
     ``S[contexts, rows, None] @ S[contexts, None, :]`` over blocks of
     (context, row) pairs, each block under ``_CHUNK_ENTRIES`` entries, so
     the temporaries never hold the whole (C, m, m, n, n) product. The
-    residuals, one dict per context, are those ``context_residuals`` reports.
+    residuals are those of ``_residuals``.
     """
     count, m, n = stack.shape[:3]
     products = np.empty((count, m, m))
@@ -101,6 +101,33 @@ def _measure(stack: np.ndarray) -> tuple[np.ndarray, list[dict[str, float]]]:
             diagonal = np.arange(block.shape[1])
             block[:, diagonal, first + diagonal] -= stack[contexts, rows]
             products[contexts, rows] = np.abs(block).max(axis=(3, 4), initial=0.0)
+    return products, _residuals(products, stack)
+
+
+def _rank1_products(rows: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """The products ``_measure`` takes, for the members ``v v^H`` of C bases.
+
+    ``rows[c, i]`` is vector v_i of basis c and ``offsets[c]`` is
+    ``|G - I|`` for its Gram matrix ``G[i, j] = <v_i, v_j>``. Since
+    ``Pi Pj = G[i, j] v_i v_j^H`` and ``Pi Pi - Pi = (G[i, i] - 1) v_i v_i^H``,
+    entry (i, j) is ``|G - I|[i, j] * p_i * p_j`` with ``p_i = max_a |v_i[a]|``:
+    O(m^2) per basis instead of m^2 products of n x n matrices. Both this and
+    the dense products round an n-term inner product per entry; for unit
+    vectors they differ by at most ``4 (n + 2) u max p_i^2``, u the unit
+    roundoff.
+    """
+    peaks = np.abs(rows).max(axis=2, initial=0.0)
+    return offsets * peaks[:, :, None] * peaks[:, None, :]
+
+
+def _residuals(products: np.ndarray, stack: np.ndarray) -> list[dict[str, float]]:
+    """The residuals ``context_residuals`` reports, one dict per context.
+
+    ``pairwise_product`` is the largest off-diagonal entry of ``products``
+    and ``sum_minus_identity`` is ``max|sum_i Pi - I|`` over the (C, m, n, n)
+    ``stack``.
+    """
+    count, m, n = stack.shape[:3]
     pairwise = np.where(np.eye(m, dtype=bool), 0.0, products).max(axis=(1, 2))
     # The members are added in order; ``sum`` may add them pairwise when
     # each is 1 x 1, and ``np.add.accumulate`` keeps every partial sum.
@@ -108,27 +135,31 @@ def _measure(stack: np.ndarray) -> tuple[np.ndarray, list[dict[str, float]]]:
     for i in range(1, m):
         total += stack[:, i]
     sums = np.abs(total - np.eye(n)).max(axis=(1, 2), initial=0.0)
-    return products, [
+    return [
         {"pairwise_product": p, "sum_minus_identity": s}
         for p, s in zip(pairwise.tolist(), sums.tolist())
     ]
 
 
-def _checked_stack(stack: np.ndarray, tol: TolerancePolicy, labels, singular=None):
-    """Projectors on read-only views of a (C, m, n, n) ``stack``, with ``_measure(stack)``.
+def _checked_stack(
+    stack: np.ndarray, tol: TolerancePolicy, labels, singular=None, measured=None
+):
+    """Projectors on read-only views of a (C, m, n, n) ``stack``, with its products.
 
     ``labels[c][i]`` labels ``stack[c, i]``. Each matrix passes the projector
     axioms; the first failing one, in row-major order, raises what
-    ``validate_projector`` raises for it alone, with the same residual.
-    Ranks count the singular values above the ``linalg.singular_rank``
-    cutoff. ``singular`` holds them, largest first, one row per matrix;
-    without it they come from one batched SVD. Returns the members of each
-    context, the products and the residuals.
+    ``validate_projector`` raises for it alone, with the residual that
+    ``measured`` holds. ``measured`` holds the products and residuals, as
+    ``_measure(stack)`` returns them; without it they come from
+    ``_measure``. Ranks count the singular values above the
+    ``linalg.singular_rank`` cutoff. ``singular`` holds them, largest
+    first, one row per matrix; without it they come from one batched SVD.
+    Returns the members of each context, the products and the residuals.
     """
     eps = tol.eps_entry
     # An overflow shows as an inf or NaN residual, which fails below.
     with np.errstate(over="ignore", invalid="ignore"):
-        products, residuals = _measure(stack)
+        products, residuals = _measure(stack) if measured is None else measured
         herm = np.abs(stack - stack.conj().swapaxes(2, 3)).max(axis=(2, 3), initial=0.0)
     idem = products.diagonal(axis1=1, axis2=2)
     if not (herm.max() <= eps and idem.max() <= eps):
@@ -180,6 +211,9 @@ class MaximalContext:
     _residuals: dict[str, float] | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    # Set for a context built from a basis: its (m, n) vectors, read-only, with
+    # member i equal to the outer product of row i with its conjugate.
+    _rays: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def ambient_dim(self) -> int:
@@ -199,8 +233,9 @@ class MaximalContext:
 def context_residuals(ctx: MaximalContext) -> dict[str, float]:
     """Measured axiom residuals of a context, for reporting.
 
-    A context from ``validate_context`` reports the residuals measured
-    there; one built by hand has them computed now.
+    A context from ``validate_context`` or ``context_from_basis`` reports
+    the residuals measured there, for a basis from its Gram matrix; one
+    built by hand has them computed now from its members' products.
     """
     if ctx._residuals is None:
         return _measure(np.array([[p.matrix for p in ctx.members]]))[1][0]
@@ -232,7 +267,7 @@ def _checked_context(
     tol: TolerancePolicy,
     name: str,
 ) -> MaximalContext:
-    """The context of ``members``, from their ``_measure`` products and residuals.
+    """The context of ``members``, from the products and residuals ``_checked_stack`` returns.
 
     The first pair (i, j) in row-major order whose products are not within
     ``eps_entry``, then the sum, raises; a residual that is NaN fails.
@@ -287,20 +322,25 @@ def _basis_contexts(
     """The rank-1 contexts of C bases, checked as one stack.
 
     Row i of ``rows[c]`` is vector i of basis c, which becomes member
-    ``v v^H`` of context ``names[c]``, labelled ``labels[c][i]``. The Gram
-    matrices, the outer products and ``_checked_stack`` each take one pass
-    over all C bases, and every slice is computed as for the basis alone.
-    A failing check raises for the first basis that fails that check, so
-    for C = 1 this is ``context_from_basis``. For C > 1 an earlier basis
-    may fail a check made later; a caller that needs the first failing
-    basis in order checks the bases one at a time once this raises.
+    ``v v^H`` of context ``names[c]``, labelled ``labels[c][i]``. One Gram
+    matrix per basis gives its orthonormality residual and, through
+    ``_rank1_products``, the pairwise products and idempotency residuals,
+    so no two members are multiplied. The outer products and
+    ``_checked_stack`` take one pass over all C bases, and every slice is
+    computed as for the basis alone. Each context keeps its basis, read-only,
+    as ``_rays``. A failing check raises for the first basis that fails
+    that check, so for C = 1 this is ``context_from_basis``. For C > 1 an
+    earlier basis may fail a check made later; a caller that needs the
+    first failing basis in order checks the bases one at a time once this
+    raises.
     """
     count, m, n = rows.shape
     eps = tol.eps_entry
     # V^H V with the vectors as the columns of V.
     stacked = np.ascontiguousarray(rows.transpose(0, 2, 1))
     gram = stacked.conj().transpose(0, 2, 1) @ stacked
-    orthonormal = np.abs(gram - np.eye(m)).max(axis=(1, 2))
+    offsets = np.abs(gram - np.eye(m))
+    orthonormal = offsets.max(axis=(1, 2))
     if not (orthonormal <= eps).all():
         raise NotOrthonormalError(float(orthonormal[~(orthonormal <= eps)][0]), eps)
     if m != n:
@@ -314,15 +354,21 @@ def _basis_contexts(
     flat = rows.reshape(-1, n)
     stack = flat[:, :, None] * flat.conj()[:, None, :]
     stack.setflags(write=False)
+    rows.setflags(write=False)
     # v v^H has one nonzero singular value, |v|^2, so its rank needs no SVD.
     singular = gram.diagonal(axis1=1, axis2=2).real[..., None]
-    members, products, residuals = _checked_stack(
-        stack.reshape(count, m, n, n), tol, labels, singular
-    )
-    return [
+    stack = stack.reshape(count, m, n, n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        products = _rank1_products(rows, offsets)
+        measured = products, _residuals(products, stack)
+    members, products, residuals = _checked_stack(stack, tol, labels, singular, measured)
+    contexts = [
         _checked_context(*checked, tol, name)
         for checked, name in zip(zip(members, products, residuals), names)
     ]
+    for ctx, rays in zip(contexts, rows):
+        object.__setattr__(ctx, "_rays", rays)
+    return contexts
 
 
 @dataclass(frozen=True)

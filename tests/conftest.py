@@ -47,6 +47,14 @@ def ks18_collection() -> pl.ContextCollection:
     return collection
 
 
+def rank1_bound(rays) -> float:
+    """How far products taken from the Gram matrix of (m, n) ``rays`` may lie
+    from the dense products of their members: 4 (n + 2) u max p_i^2, with
+    p_i = max_a |v_i[a]| and u = 2^-53."""
+    rays = np.asarray(rays)
+    return 4 * (rays.shape[1] + 2) * 2.0**-53 * float(np.abs(rays).max()) ** 2
+
+
 def random_rank1_context(rng, dim: int, name: str = "ctx") -> pl.MaximalContext:
     """Maximal context from a Haar-ish random orthonormal basis of C^dim."""
     z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))

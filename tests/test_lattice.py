@@ -549,7 +549,8 @@ def noisy_context(rng, dim, noise, tol):
 
 
 class TestBatchedRanges:
-    """Atoms from one SVD of the member stack against ``Projector.range``."""
+    """Atoms from one SVD of the member stack, or a basis context's own
+    rays, against ``Projector.range``."""
 
     LOOSE = pl.TolerancePolicy(eps_rank=1e-4, eps_entry=1e-4, eps_subspace=1e-3)
 
@@ -557,12 +558,17 @@ class TestBatchedRanges:
     def assert_atoms_are_ranges(ctx, tol):
         atoms = pl.context_lattice(ctx, tol)._atom_set
         ranges = [(p.range(tol), p.label) for p in ctx.members]
-        kept = [(sub, label) for sub, label in ranges if not sub.is_zero()]
+        kept = [(i, sub, label) for i, (sub, label) in enumerate(ranges) if not sub.is_zero()]
         assert atoms.parts == len(ctx.members)
-        assert atoms.names == tuple(label for _, label in kept)
-        for basis, (sub, _) in zip(atoms.bases, kept):
+        assert atoms.names == tuple(label for _, _, label in kept)
+        for basis, (i, sub, _) in zip(atoms.bases, kept):
             assert basis.dtype == np.complex128 and basis.shape == sub.basis.shape
-            assert np.ascontiguousarray(basis).tobytes() == sub.basis.tobytes()
+            if ctx._rays is None:
+                assert np.ascontiguousarray(basis).tobytes() == sub.basis.tobytes()
+            else:
+                # The unit ray itself, which may differ from the SVD's in phase.
+                assert basis[:, 0].tobytes() == ctx._rays[i].tobytes()
+                assert Subspace(ctx.ambient_dim, basis).equals(sub, tol)
             assert not basis.flags.writeable
         return [sub.dim for sub, _ in ranges]
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import projlat as pl
-from conftest import ks18_document, random_projector, random_rank1_context
+from conftest import ks18_document, random_projector, random_rank1_context, rank1_bound
 from projlat import Subspace
 
 I2 = np.eye(2)
@@ -341,6 +341,20 @@ def _loop_residuals(ctx):
     }
 
 
+def _rank1_loop_residuals(ctx):
+    """The residuals of a basis context from the rank-1 formula, one pair at a
+    time: ``max|Pi Pj| = |G[i, j]| p_i p_j`` with ``p_i = max_a |v_i[a]|``."""
+    rays = ctx._rays
+    gram = rays.conj() @ rays.T
+    peaks = [np.abs(v).max() for v in rays]
+    pairwise = 0.0
+    for i in range(len(rays)):
+        for j in range(len(rays)):
+            if i != j:
+                pairwise = max(pairwise, float(np.abs(gram[i, j]) * peaks[i] * peaks[j]))
+    return dict(_loop_residuals(ctx), pairwise_product=pairwise)
+
+
 class TestKeptResiduals:
     def _contexts(self, pauli):
         rng = np.random.default_rng(1720)
@@ -356,11 +370,19 @@ class TestKeptResiduals:
         return contexts
 
     def test_kept_residuals_equal_a_fresh_measurement(self, pauli):
+        # A basis context keeps its rank-1 residuals; the same members in a
+        # context built by hand are measured from their dense products.
+        kinds = set()
         for ctx in self._contexts(pauli):
             kept = pl.context_residuals(ctx)
             by_hand = pl.MaximalContext(ctx.name, ctx.members)
-            assert pl.context_residuals(by_hand) == kept
-            assert _loop_residuals(ctx) == kept
+            assert pl.context_residuals(by_hand) == _loop_residuals(ctx)
+            kinds.add(ctx._rays is None)
+            if ctx._rays is None:
+                assert _loop_residuals(ctx) == kept
+            else:
+                assert _rank1_loop_residuals(ctx) == kept
+        assert kinds == {True, False}
 
     def test_residuals_are_a_copy(self, pauli):
         ctx = pauli.contexts[0]
@@ -426,7 +448,30 @@ class TestRank1Stack:
     def test_residuals_equal_the_explicit_double_loop(self):
         for basis in self._bases():
             ctx = pl.context_from_basis(basis)
-            assert pl.context_residuals(ctx) == _loop_residuals(ctx)
+            assert pl.context_residuals(ctx) == _rank1_loop_residuals(ctx)
+
+    def test_rank1_residuals_lie_within_the_bound_of_the_dense_ones(self):
+        # |Gram residual - dense residual| <= 4 (n + 2) u max p_i^2, on Haar
+        # bases up to C^32, some off by about 1e-12, and coordinate bases.
+        rng = np.random.default_rng(1733)
+        moved = 0
+        for basis in self._bases() + [
+            _perturbed_basis(rng, dim, scale) for dim in (16, 32) for scale in (0.0, 1e-12)
+        ]:
+            ctx = pl.context_from_basis(basis)
+            rank1 = pl.context_residuals(ctx)
+            dense = _loop_residuals(ctx)
+            gap = abs(rank1["pairwise_product"] - dense["pairwise_product"])
+            assert gap <= rank1_bound(ctx._rays)
+            assert rank1["sum_minus_identity"] == dense["sum_minus_identity"]
+            moved += gap > 0
+            # Every product and idempotency residual, not only the largest.
+            rays = ctx._rays
+            offsets = np.abs(rays.conj() @ rays.T - np.eye(len(rays)))
+            products = pl.projectors._rank1_products(rays[None], offsets[None])[0]
+            measured = pl.projectors._measure(np.array([p.matrix for p in ctx.members])[None])[0]
+            assert np.abs(products - measured[0]).max() <= rank1_bound(rays)
+        assert moved
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_first_failing_member_raises_as_on_its_own(self):

@@ -2,16 +2,17 @@
 
 The oracles below are the plain reading of the axioms and of the registry
 rule: they check one member at a time, and compare each member with every
-earlier representative by one norm. On a seeded corpus of documents and
-hand-built collections the package must give the same member bytes, ranks,
-residual floats, identities and occurrences, and on every failure the same
-exception class and message.
+earlier representative by one norm. A basis is checked through the rank-1
+formula, one pair at a time, and every other context through the dense
+products. On a seeded corpus of documents and hand-built collections the
+package must give the same member bytes, ranks, residual floats, identities
+and occurrences, and on every failure the same exception class and message.
 """
 import numpy as np
 import pytest
 
 import projlat as pl
-from conftest import ks18_document
+from conftest import ks18_document, rank1_bound
 from projlat import linalg
 from projlat.document import _parse_matrix, _parse_tolerances, _parse_vector
 from projlat.tolerance import resolve
@@ -46,9 +47,26 @@ def oracle_residuals(members):
     }
 
 
-def oracle_context(members, tol, name):
+def oracle_rank1_products(vecs, gram):
+    """``|G - I|[i, j] p_i p_j`` for every pair (i, j), ``p_i = max_a |v_i[a]|``:
+    ``max|Pi Pj|`` off the diagonal and ``max|Pi Pi - Pi|`` on it, for
+    ``Pi = v_i v_i^H`` and the Gram matrix ``G`` of the vectors."""
+    peaks = [np.abs(v).max() for v in vecs]
+    products = np.zeros((len(vecs), len(vecs)))
+    for i in range(len(vecs)):
+        for j in range(len(vecs)):
+            products[i, j] = np.abs(gram[i, j] - (i == j)) * peaks[i] * peaks[j]
+    return products
+
+
+def oracle_context(members, tol, name, products=None):
+    """The context of ``members``; ``products`` replaces their dense products."""
     members = tuple(members)
     pairwise, residuals = oracle_residuals(members)
+    if products is not None:
+        pairwise = np.maximum(products, products.T)
+        np.fill_diagonal(pairwise, 0.0)
+        residuals["pairwise_product"] = float(pairwise.max())
     for i in range(len(members)):
         for j in range(i + 1, len(members)):
             if not pairwise[i, j] <= tol.eps_entry:
@@ -69,12 +87,18 @@ def oracle_from_basis(vectors, tol, name, labels):
         raise pl.NotOrthonormalError(residual, tol.eps_entry)
     if len(vecs) != stacked.shape[0]:
         raise pl.NotCompleteError(len(vecs), stacked.shape[0])
+    products = oracle_rank1_products(vecs, gram)
     members = []
     for i, v in enumerate(vecs):
-        checked = oracle_projector(np.outer(v, v.conj()), tol, labels[i])
+        matrix = np.outer(v, v.conj())
+        herm = linalg.max_abs(matrix - matrix.conj().T)
+        if not herm <= tol.eps_entry:
+            raise pl.NotHermitianError(herm, tol.eps_entry)
+        if not products[i, i] <= tol.eps_entry:
+            raise pl.NotIdempotentError(float(products[i, i]), tol.eps_entry)
         rank = linalg.singular_rank([gram[i, i].real], tol)
-        members.append(pl.Projector(matrix=checked.matrix, rank=rank, label=labels[i]))
-    return oracle_context(members, tol, name)
+        members.append(pl.Projector(matrix=matrix, rank=rank, label=labels[i]))
+    return oracle_context(members, tol, name, products)
 
 
 def oracle_registry(contexts, tol):
@@ -151,7 +175,15 @@ def assert_same_collection(collection, oracle_contexts, tol):
             assert got.rank == exp.rank
             assert not got.matrix.flags.writeable
         assert pl.context_residuals(ctx) == residuals
-        assert pl.context_residuals(pl.MaximalContext(ctx.name, ctx.members)) == residuals
+        # A context built by hand keeps no rays: its products are the dense ones.
+        dense = oracle_residuals(ctx.members)[1]
+        assert pl.context_residuals(pl.MaximalContext(ctx.name, ctx.members)) == dense
+        if ctx._rays is None:
+            assert dense == residuals
+        else:
+            gap = abs(dense["pairwise_product"] - residuals["pairwise_product"])
+            assert gap <= rank1_bound(ctx._rays)
+            assert dense["sum_minus_identity"] == residuals["sum_minus_identity"]
     assert_same_registry(collection, [c for c, _ in oracle_contexts], tol)
 
 
@@ -638,10 +670,14 @@ class TestSumOrder:
 
 class TestMemoryBound:
     def test_products_are_taken_in_blocks(self, monkeypatch):
-        # At m = n = 8 one row of products has 512 entries: a block of 100
-        # entries still takes one row, and the residuals do not change.
-        ctx = pl.context_from_basis(list(_unitary(np.random.default_rng(1995), 8).T))
-        whole = pl.context_residuals(pl.MaximalContext(ctx.name, ctx.members))
+        # Matrix-form members, whose products are dense. At m = n = 8 one row
+        # of products has 512 entries: a block of 100 entries still takes one
+        # row, and the residuals do not change.
+        basis = pl.context_from_basis(list(_unitary(np.random.default_rng(1995), 8).T))
+        doc = pl.collection_to_document(pl.ContextCollection([basis]))
+        whole = pl.context_residuals(pl.parse_document(doc)[0].contexts[0])
         monkeypatch.setattr(pl.projectors, "_CHUNK_ENTRIES", 100)
+        ctx = pl.parse_document(doc)[0].contexts[0]
+        assert ctx._rays is None
+        assert pl.context_residuals(ctx) == whole
         assert pl.context_residuals(pl.MaximalContext(ctx.name, ctx.members)) == whole
-        assert whole == pl.context_residuals(ctx)

@@ -5,34 +5,23 @@ C^n is the full n^2-dimensional algebra of linear maps exactly when the
 generators admit no nontrivial common invariant subspace (over the complex
 field).
 
-For self-adjoint generators (every generator the CLI passes is a projector)
-the generated algebra is a unital *-algebra. Irreducibility is first
-certified by spinning one vector (Norton's test from the MeatAxe): an
-eigenvector v of a simple eigenvalue of a fixed Hermitian element of the
-algebra lies in every invariant subspace or is orthogonal to it, so if
-closing span{v} under the generators gives all of C^n, no proper invariant
-subspace exists. This costs O(k n^3) and needs no n^2 x n^2 matrix. When the
-spin cannot certify (no well-separated eigenvalue, a proper spin, or a
-failed margin), the commutant decides. By von Neumann's bicommutant theorem
-the algebra equals the commutant of its commutant {X : GX = XG for all G},
-so the generators are irreducible exactly when their commutant is the
-scalars C*I. Otherwise the algebra dimension is that of the bicommutant, and
-any non-scalar Hermitian element of the commutant has eigenspaces that are
-common invariant subspaces, which gives a witness at every n. The commutant
-costs O(n^6) time and O(n^4) memory, and runs only when the spin falls
-through.
-
-For general (non-self-adjoint) generators the commutant test is not enough:
-the upper-triangular algebra has a trivial commutant but is reducible. Such
-input is decided by span closure: the algebra is the smallest subspace of
-M_n that holds the identity and is closed under left multiplication by each
+The algebra is built by span closure: it is the smallest subspace of M_n
+that holds the identity and is closed under left multiplication by each
 generator, so spinning the identity under the generators builds it in
-O(k n^6) time at worst. When the closure is proper, the orbit of a fixed
-eigenvector of an element of it is a common invariant subspace, which gives
-a witness at every n. The closure also serves as the reference the spin and
-commutant routes are tested against. Inputs are treated as complex: real
-matrices are embedded into C^(n x n), since the criterion is specific to the
-complex field.
+O(k n^6) time at worst. Its dimension is the algebra dimension. When it is
+proper, the orbit of a fixed eigenvector of an element of it is a common
+invariant subspace, which gives a witness at every n.
+
+For self-adjoint generators (every generator the CLI passes is a projector)
+irreducibility is first certified by spinning one vector (Norton's test from
+the MeatAxe): an eigenvector v of a simple eigenvalue of a fixed Hermitian
+element of the algebra lies in every invariant subspace or is orthogonal to
+it, so if closing span{v} under the generators gives all of C^n, no proper
+invariant subspace exists. This costs O(k n^3) and builds nothing in M_n.
+Every set the spin cannot certify (no well-separated eigenvalue, a proper
+spin, a failed margin, or generators that are not self-adjoint) is decided
+by the closure. Inputs are treated as complex: real matrices are embedded
+into C^(n x n), since the criterion is specific to the complex field.
 """
 from __future__ import annotations
 
@@ -46,11 +35,9 @@ from .projectors import Projector, is_invariant
 from .subspace import Subspace
 from .tolerance import TolerancePolicy, resolve
 
-# Stack of commutator maps, in complex128 entries (16 MB), that
-# ``_commutant`` holds at once, or two maps if they are larger; QR copies its
-# input twice, so the peak is a few times this. At n = 24 the whole stack
-# for two bases would be 255 MB. ``algebra_closure`` holds at most this many
-# image entries at once, or the images of one direction.
+# Image entries, in complex128 (16 MB), that ``algebra_closure`` holds at
+# once, or the images of one direction if they are more; the QR and SVD of a
+# chunk copy it a few times, so the peak is a few times this.
 _CHUNK_ENTRIES = 1 << 20
 # The spin certificate's two margins: the leak it tolerates sits this far
 # below eps_rank, and the singular values it keeps this far above the cutoff.
@@ -124,6 +111,8 @@ def algebra_closure(
     at a time, orthogonalizes the images twice against the basis so far and
     keeps their right singular vectors above the rank cutoff
     ``eps_rank * max(g, 1)``, g the largest Frobenius norm of a generator.
+    Images with more rows than n^2 are first reduced to the R factor of
+    their QR, which has the same singular values and right singular vectors.
     The spin stops when a step adds nothing or the basis fills all n^2
     dimensions; ``generations`` counts its steps. The basis is orthonormal
     under the trace inner product and fixed by the input order.
@@ -144,6 +133,8 @@ def algebra_closure(
             images = (mats[:, None] @ chunk).reshape(-1, full)
             for _ in range(2):
                 images -= (images @ basis.conj().T) @ basis
+            if len(images) > full:
+                images = np.linalg.qr(images, mode="r")
             _, s, vh = np.linalg.svd(images, full_matrices=False)
             rank = min(int(np.count_nonzero(s > cutoff)), full - len(basis))
             basis = np.vstack([basis, vh[:rank]])
@@ -160,9 +151,11 @@ def algebra_closure(
     )
 
 
-def _closure_witness(closure: AlgebraClosure, tol: TolerancePolicy) -> Subspace | None:
-    """A proper common invariant subspace of the algebra ``closure`` spans,
-    or ``None`` when it is all of M_n.
+def _closure_witness(
+    closure: AlgebraClosure, mats: np.ndarray, tol: TolerancePolicy
+) -> Subspace | None:
+    """A proper common invariant subspace of the algebra ``closure`` spans
+    from the ``(k, n, n)`` stack ``mats``, or ``None`` when it is all of M_n.
 
     ``a`` is the trace-inner-product projection onto the algebra of the
     fixed matrix Z whose row-major entries have real parts the fractional
@@ -170,14 +163,19 @@ def _closure_witness(closure: AlgebraClosure, tol: TolerancePolicy) -> Subspace 
     for j = n^2 + 1 .. 2 n^2; the projection does not depend on the basis.
     The eigenvectors v of ``a`` are taken in descending (real, imaginary)
     order of their eigenvalues, and the witness is the orbit span{B_j v}
-    (B_j the basis) of the first whose orbit is proper: it is the smallest
-    invariant subspace holding v. Any eigenvector of ``a`` inside a proper
-    invariant subspace has a proper orbit. ``a`` has one in each such
-    subspace; ``eig`` returns it when its eigenvalue is simple, and when the
+    (B_j the basis) of the first that is proper and passes ``is_invariant``
+    for every generator: it is the smallest invariant subspace holding v.
+    The orbit's rank counts its singular values above
+    ``eps_subspace * max(s_1, 1)``, the level at which ``is_invariant``
+    judges a leak, so a direction the generators reach only at that level
+    is not kept. Any eigenvector of ``a`` inside a proper invariant
+    subspace has a proper orbit. ``a`` has one in each such subspace;
+    ``eig`` returns it when its eigenvalue is simple, and when the
     eigenvalue repeats because a block recurs, every vector of its
     eigenspace lies in a proper invariant subspace. ``None`` for a proper
     algebra would take eigenvalues that collide across inequivalent pieces,
-    or roundoff that blurs every such eigenvector.
+    roundoff that blurs every such eigenvector, or generators so large that
+    the absolute ``is_invariant`` test fails on every orbit.
     """
     n = closure.ambient_dim
     if closure.saturated:
@@ -189,9 +187,11 @@ def _closure_witness(closure: AlgebraClosure, tol: TolerancePolicy) -> Subspace 
     values, vectors = np.linalg.eig(a)
     for i in np.lexsort((-values.imag, -values.real)):
         u, s, _ = np.linalg.svd((basis @ vectors[:, i]).T, full_matrices=False)
-        rank = linalg.singular_rank(s, tol)
+        rank = int(np.count_nonzero(s > tol.eps_subspace * max(s[0], 1.0)))
         if rank < n:
-            return Subspace(n, u[:, :rank])
+            witness = Subspace(n, u[:, :rank])
+            if all(is_invariant(witness, m, tol) for m in mats):
+                return witness
     return None
 
 
@@ -202,42 +202,8 @@ def invariant_subspace_witness(
     when they are irreducible: ``_closure_witness`` of ``algebra_closure``.
     """
     tol = resolve(tol)
-    return _closure_witness(algebra_closure(generators, tol), tol)
-
-
-def _commutator_maps(stack: np.ndarray) -> np.ndarray:
-    """The maps X -> GX - XG of a ``(k, n, n)`` stack, stacked as rows.
-
-    Entry ``[(i, k), (j, l)]`` of G's map is ``G[i, j] I[k, l] - I[i, j] G[l, k]``:
-    one broadcast of the products ``np.kron(G, I) - np.kron(I, G^T)`` forms,
-    in the same order, so the maps are bit-identical to theirs.
-    """
-    k, n, _ = stack.shape
-    eye = np.eye(n)
-    maps = stack[:, :, None, :, None] * eye[:, None, :]
-    maps -= eye[:, None, :, None] * stack.transpose(0, 2, 1)[:, None, :, None, :]
-    return maps.reshape(k * n * n, n * n)
-
-
-def _commutant(stack: np.ndarray, tol: TolerancePolicy) -> np.ndarray:
-    """Orthonormal basis (trace inner product) of {X : GX = XG for all G}
-    in a ``(k, n, n)`` generator stack, stacked as a ``(d, n, n)`` array.
-
-    The commutant is the joint null space of the maps X -> GX - XG, which
-    are kron(G, I) - kron(I, G^T) on row-major vectorized X. They are folded
-    into the n^2 x n^2 R factor of their stack a chunk at a time, so the
-    stack is never held whole, and the rank is decided from the singular
-    values of R, which are those of the stack.
-    """
-    n = stack.shape[1]
-    # Each fold refactors R along with the chunk, so a chunk of one map
-    # would double the work.
-    per_chunk = max(2, _CHUNK_ENTRIES // n**4)
-    r = np.zeros((0, n * n), dtype=complex)
-    for start in range(0, len(stack), per_chunk):
-        chunk = _commutator_maps(stack[start : start + per_chunk])
-        r = np.linalg.qr(np.vstack([r, chunk]), mode="r")
-    return np.array(linalg.kernel_basis(r, tol)).reshape(-1, n, n)
+    mats = _coerce_generators(generators)
+    return _closure_witness(algebra_closure(mats, tol), mats, tol)
 
 
 def _skew_residuals(stack: np.ndarray) -> tuple[np.ndarray, float]:
@@ -345,66 +311,6 @@ def _spin_certifies(stack: np.ndarray, skew_norm: float, tol: TolerancePolicy) -
     return True
 
 
-def _bicommutant_dimension(commutant: np.ndarray, tol: TolerancePolicy) -> int:
-    """Dimension of the commutant of the *-algebra ``commutant`` spans.
-
-    With X_k an orthonormal basis of a *-algebra B, the map
-    Y -> sum_k X_k Y X_k^H has range exactly the commutant B', and on it
-    each nonzero eigenvalue is a ratio of block sizes between 1/n and n, so
-    the rank decision is well separated. Its matrix on row-major vectorized
-    Y is sum_k kron(X_k, conj(X_k)), one tensor contraction over k.
-    """
-    n = commutant.shape[1]
-    phi = np.tensordot(commutant, commutant.conj(), axes=(0, 0)).transpose(0, 2, 1, 3)
-    return linalg.numerical_rank(phi.reshape(n * n, n * n), tol)
-
-
-def _hermitian_units(n: int):
-    """E_11, ..., E_nn, then E_jk + E_kj and i(E_jk - E_kj) for j < k."""
-    for j in range(n):
-        unit = np.zeros((n, n), dtype=complex)
-        unit[j, j] = 1.0
-        yield unit
-    for j in range(n):
-        for k in range(j + 1, n):
-            for phase in (1.0, 1j):
-                unit = np.zeros((n, n), dtype=complex)
-                unit[j, k] = phase
-                unit[k, j] = np.conj(phase)
-                yield unit
-
-
-def _commutant_witness(
-    commutant: np.ndarray, mats: np.ndarray, tol: TolerancePolicy
-) -> Subspace | None:
-    """Eigenspace of a non-scalar Hermitian element of the commutant.
-
-    The element is the orthogonal projection (trace inner product) onto the
-    commutant of the first Hermitian matrix unit, in ``_hermitian_units``
-    order, whose projection is not scalar. The projection does not depend on
-    the basis of the commutant, and it is Hermitian because the commutant of
-    self-adjoint generators is closed under the adjoint. Its eigenvalues are
-    split at the widest gap, the first if several tie, and the witness is
-    the span of the eigenvectors above that gap. The projections of all
-    units span the Hermitian part of the commutant, so a commutant larger
-    than C*I yields a witness; ``None`` would take a spectrum whose gaps
-    all sink below ``eps_subspace`` for every unit.
-    """
-    n = commutant.shape[1]
-    flat = commutant.reshape(len(commutant), n * n)
-    for unit in _hermitian_units(n):
-        c = ((flat.conj() @ unit.reshape(-1)) @ flat).reshape(n, n)
-        values, vectors = np.linalg.eigh((c + c.conj().T) / 2)
-        gaps = np.diff(values)
-        cut = int(np.argmax(gaps))
-        if gaps[cut] <= tol.eps_subspace * max(1.0, float(np.max(np.abs(values)))):
-            continue
-        witness = Subspace(n, vectors[:, cut + 1 :])
-        if all(is_invariant(witness, m, tol) for m in mats):
-            return witness
-    return None
-
-
 def is_irreducible(
     generators, tol: TolerancePolicy | None = None
 ) -> IrreducibilityReport:
@@ -413,13 +319,9 @@ def is_irreducible(
     Irreducible means the generated unital algebra has dimension n^2. When
     every generator is self-adjoint within ``eps_entry``, a set that
     ``_spin_certifies`` is irreducible with ``algebra_dimension`` n^2 and no
-    witness, and no commutator map is built. Every other self-adjoint set
-    is decided by the commutant (see the module docstring):
-    ``algebra_dimension`` is n^2 when the commutant is C*I and the
-    bicommutant's dimension otherwise, and a reducible set always gets a
-    witness (``_commutant_witness`` fixes which one). Other generators are
-    decided by one ``algebra_closure``, which gives the dimension, and the
-    witness is ``_closure_witness`` of that closure.
+    witness, and nothing in M_n is built. Every other set is decided by one
+    ``algebra_closure``, which gives the dimension, and the witness is
+    ``_closure_witness`` of that closure.
     """
     tol = resolve(tol)
     mats = _coerce_generators(generators)
@@ -427,20 +329,11 @@ def is_irreducible(
     if n == 1:
         raise AmbientDimOneError()
     largest_skew, skew_norm = _skew_residuals(mats)
-    if (largest_skew > tol.eps_entry).any():
-        closure = algebra_closure(mats, tol)
-        return IrreducibilityReport(
-            irreducible=closure.saturated,
-            algebra_dimension=closure.dimension,
-            witness=_closure_witness(closure, tol),
-        )
-    if _spin_certifies(mats, skew_norm, tol):
+    if not (largest_skew > tol.eps_entry).any() and _spin_certifies(mats, skew_norm, tol):
         return IrreducibilityReport(irreducible=True, algebra_dimension=n * n, witness=None)
-    commutant = _commutant(mats, tol)
-    if len(commutant) == 1:
-        return IrreducibilityReport(irreducible=True, algebra_dimension=n * n, witness=None)
+    closure = algebra_closure(mats, tol)
     return IrreducibilityReport(
-        irreducible=False,
-        algebra_dimension=_bicommutant_dimension(commutant, tol),
-        witness=_commutant_witness(commutant, mats, tol),
+        irreducible=closure.saturated,
+        algebra_dimension=closure.dimension,
+        witness=_closure_witness(closure, mats, tol),
     )

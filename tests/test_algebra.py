@@ -190,7 +190,8 @@ def assert_is_witness(witness, generators):
 
 
 class TestCommutantRoute:
-    """The commutant route against closure and eigenvector search (n <= 6)."""
+    """Self-adjoint sets the commutant route used to decide, against the
+    pairwise closure and the eigenvector search (n <= 6)."""
 
     def corpus(self, pauli):
         rng = np.random.default_rng(89)
@@ -281,8 +282,8 @@ class TestCommutantRoute:
         assert report.witness is None
 
     def test_witness_rule_reaches_off_diagonal_units(self, pauli):
-        # E_11 and E_22 project to I/2 on the x context's commutant; the next
-        # unit, E_12 + E_21, is sigma_x, whose top eigenspace is ran(x[0])
+        # The algebra is span{x[0], x[1]}; the fixed matrix projects onto it
+        # with the larger weight on x[0], whose range is the first orbit
         x_context = [p.matrix for p in pauli.context_named("x").members]
         report = pl.is_irreducible(x_context)
         assert report.witness.equals(Subspace.from_span([[1, 1]]))
@@ -394,8 +395,15 @@ def test_real_generators_are_embedded_as_complex():
     assert closure.dimension == 4 and closure.saturated
 
 
-# The commutant route before its maps were built as one broadcast: two
-# np.kron calls per generator, a chunk of generators per QR fold.
+# The commutant route, which decided every self-adjoint set the spin
+# certificate could not, kept as the oracle for n <= 10 (O(n^6) time, O(n^4)
+# memory). By von Neumann's bicommutant theorem the algebra is the commutant
+# of the commutant {X : GX = XG for all G}, the joint null space of the maps
+# kron(G, I) - kron(I, G^T), folded a chunk of generators at a time into the
+# R factor of one QR.
+ORACLE_CHUNK_ENTRIES = 1 << 20
+
+
 def oracle_commutator_maps(mats):
     eye = np.eye(mats[0].shape[0])
     return np.vstack([np.kron(g, eye) - np.kron(eye, g.T) for g in mats])
@@ -403,12 +411,76 @@ def oracle_commutator_maps(mats):
 
 def oracle_commutant(mats, tol):
     n = mats[0].shape[0]
-    per_chunk = max(2, pl.algebra._CHUNK_ENTRIES // n**4)
+    per_chunk = max(2, ORACLE_CHUNK_ENTRIES // n**4)
     r = np.zeros((0, n * n), dtype=complex)
     for start in range(0, len(mats), per_chunk):
         chunk = oracle_commutator_maps(mats[start : start + per_chunk])
         r = np.linalg.qr(np.vstack([r, chunk]), mode="r")
     return np.array(pl.linalg.kernel_basis(r, tol)).reshape(-1, n, n)
+
+
+def oracle_bicommutant_dimension(commutant, tol):
+    # With X_k an orthonormal basis of the *-algebra B, Y -> sum_k X_k Y X_k^H
+    # has range exactly B', and its nonzero eigenvalues lie between 1/n and n.
+    n = commutant.shape[1]
+    phi = np.tensordot(commutant, commutant.conj(), axes=(0, 0)).transpose(0, 2, 1, 3)
+    return pl.linalg.numerical_rank(phi.reshape(n * n, n * n), tol)
+
+
+def oracle_hermitian_units(n):
+    """E_11, ..., E_nn, then E_jk + E_kj and i(E_jk - E_kj) for j < k."""
+    for j in range(n):
+        unit = np.zeros((n, n), dtype=complex)
+        unit[j, j] = 1.0
+        yield unit
+    for j in range(n):
+        for k in range(j + 1, n):
+            for phase in (1.0, 1j):
+                unit = np.zeros((n, n), dtype=complex)
+                unit[j, k] = phase
+                unit[k, j] = np.conj(phase)
+                yield unit
+
+
+def oracle_commutant_witness(commutant, mats, tol):
+    # The eigenspace above the widest gap of the commutant projection of the
+    # first Hermitian unit whose projection is not scalar and whose eigenspace
+    # is invariant under every generator.
+    n = commutant.shape[1]
+    flat = commutant.reshape(len(commutant), n * n)
+    for unit in oracle_hermitian_units(n):
+        c = ((flat.conj() @ unit.reshape(-1)) @ flat).reshape(n, n)
+        values, vectors = np.linalg.eigh((c + c.conj().T) / 2)
+        gaps = np.diff(values)
+        cut = int(np.argmax(gaps))
+        if gaps[cut] <= tol.eps_subspace * max(1.0, float(np.max(np.abs(values)))):
+            continue
+        witness = Subspace(n, vectors[:, cut + 1 :])
+        if all(pl.is_invariant(witness, m, tol) for m in mats):
+            return witness
+    return None
+
+
+def oracle_commutant_report(generators, tol=None):
+    tol = pl.tolerance.resolve(tol)
+    mats = oracle_coerce(generators)
+    n = mats[0].shape[0]
+    commutant = oracle_commutant(mats, tol)
+    if len(commutant) == 1:
+        return pl.IrreducibilityReport(irreducible=True, algebra_dimension=n * n, witness=None)
+    return pl.IrreducibilityReport(
+        irreducible=False,
+        algebra_dimension=oracle_bicommutant_dimension(commutant, tol),
+        witness=oracle_commutant_witness(commutant, mats, tol),
+    )
+
+
+def assert_agrees_with_the_commutant(generators, got, want):
+    assert got.irreducible == want.irreducible
+    assert got.algebra_dimension == want.algebra_dimension
+    assert (got.witness is None) == (want.witness is None)
+    if got.witness is not None:
+        assert_is_witness(got.witness, generators)
 
 
 # The closure and the witness search before the closure spun the identity:
@@ -509,44 +581,6 @@ def _outcome(fn, *args):
 
 
 class TestBatchedCommutant:
-    @pytest.mark.parametrize("n", range(1, 9))
-    def test_maps_equal_kron_bit_for_bit(self, n):
-        rng = np.random.default_rng(1900 + n)
-        shape = (3, n, n)
-        projectors = np.array(
-            rank1_projectors(haar_unitary(rng, n)) + [np.eye(n), np.zeros((n, n))], dtype=complex
-        )
-        for stack in (
-            rng.normal(size=shape) + 1j * rng.normal(size=shape),
-            rng.normal(size=shape).astype(complex),
-            rng.normal(size=shape),
-            signed_zero_stack(rng, 3, n),
-            projectors,
-        ):
-            got = pl.algebra._commutator_maps(stack)
-            want = oracle_commutator_maps(list(stack))
-            assert got.dtype == want.dtype and got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("n", [2, 3, 5])
-    def test_chunks_of_two_and_one_match_the_kron_route(self, monkeypatch, n):
-        rng = np.random.default_rng(1910 + n)
-        tol = pl.TolerancePolicy()
-        stack = np.array(planted_blocks(rng, (n - 1, 1)) + [np.eye(n)], dtype=complex)
-        want_default = oracle_commutant(list(stack), tol)
-        assert pl.algebra._commutant(stack, tol).tobytes() == want_default.tobytes()
-        chunks = []
-        maps = pl.algebra._commutator_maps
-        monkeypatch.setattr(pl.algebra, "_CHUNK_ENTRIES", 1)
-        monkeypatch.setattr(
-            pl.algebra, "_commutator_maps", lambda s: chunks.append(len(s)) or maps(s)
-        )
-        got = pl.algebra._commutant(stack, tol)
-        assert chunks == [2] * n + [1]
-        want = oracle_commutant(list(stack), tol)
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
-        assert len(got) == len(want_default) == 2
-
     def test_coerced_stack_equals_the_per_generator_copies(self, pauli):
         rng = np.random.default_rng(1920)
         for generators in (
@@ -663,10 +697,11 @@ def clifford_contexts(count):
 
 
 class TestSpinCertificate:
-    """The spin certificate against the commutant route it short-cuts."""
+    """The spin certificate against the closure it short-cuts, and
+    ``is_irreducible`` against the commutant oracle."""
 
     @staticmethod
-    def commutant_route(monkeypatch, generators):
+    def fallback_route(monkeypatch, generators):
         with monkeypatch.context() as patch:
             patch.setattr(pl.algebra, "_spin_certifies", lambda stack, skew, tol: False)
             return pl.is_irreducible(generators)
@@ -691,9 +726,54 @@ class TestSpinCertificate:
             )
         return sets
 
+    SCALES = [1e-6, 1e6, 1e9, 1e12]
+
+    @staticmethod
+    def scaled_corpus(scale):
+        rng = np.random.default_rng([1991, int(np.log10(scale)) + 6])
+        sets = [planted_blocks(rng, sizes) for sizes in ((5,), (4, 3), (2, 2, 3), (4, 4))]
+        sets += [haar_pair(rng, 6)]
+        for copies in (2, 4):
+            turn = haar_unitary(rng, 3 * copies)
+            sets.append(
+                [turn @ np.kron(g, np.eye(copies)) @ turn.conj().T for g in haar_pair(rng, 3)]
+            )
+        return [[scale * (g + g.conj().T) / 2 for g in generators] for generators in sets]
+
+    @staticmethod
+    def just_inside_corpus(block_diagonal):
+        # Pieces whose generators are 0.9 eps_entry from Hermitian. A
+        # block-diagonal anti-Hermitian part keeps them reducible, with U^perp
+        # no longer invariant; a full one couples the pieces.
+        rng = np.random.default_rng([2003, int(block_diagonal)])
+        tol = pl.TolerancePolicy()
+        sets = []
+        for sizes in ((4, 3), (2, 2, 3), (3, 3)):
+            dim = sum(sizes)
+            for _ in range(5):
+                turn = haar_unitary(rng, dim)
+                generators = []
+                for _ in range(3):
+                    g = np.zeros((dim, dim), dtype=complex)
+                    mask = np.zeros((dim, dim), dtype=bool)
+                    start = 0
+                    for size in sizes:
+                        g[start : start + size, start : start + size] = random_hermitian(rng, size)
+                        mask[start : start + size, start : start + size] = True
+                        start += size
+                    skew = 1j * random_hermitian(rng, dim)
+                    if block_diagonal:
+                        skew[~mask] = 0
+                    skew = turn @ skew @ turn.conj().T
+                    g = turn @ g @ turn.conj().T
+                    g = (g + g.conj().T) / 2
+                    generators.append(g + 0.45 * tol.eps_entry * skew / np.abs(skew).max())
+                sets.append(generators)
+        return sets
+
     def assert_same_report(self, monkeypatch, generators):
         got = pl.is_irreducible(generators)
-        want = self.commutant_route(monkeypatch, generators)
+        want = self.fallback_route(monkeypatch, generators)
         assert got.irreducible == want.irreducible
         assert got.algebra_dimension == want.algebra_dimension
         if want.witness is None:
@@ -702,20 +782,29 @@ class TestSpinCertificate:
             assert got.witness.basis.tobytes() == want.witness.basis.tobytes()
         return got
 
-    def test_same_reports_as_the_commutant_route(self, monkeypatch, pauli):
-        for generators in self.corpus(pauli):
-            self.assert_same_report(monkeypatch, generators)
+    def test_same_reports_as_the_commutant_route(self, pauli):
+        # The verdict, the dimension and whether a witness exists, as the
+        # commutant decided them; the scaled sets of 1e9 and 1e12 get no
+        # witness from either, since is_invariant's tolerance is absolute.
+        sets = self.corpus(pauli) + [clifford_contexts(count) for count in (3, 4, 5)]
+        for scale in self.SCALES:
+            sets += self.scaled_corpus(scale)
+        sets += self.just_inside_corpus(True) + self.just_inside_corpus(False)
+        for generators in sets:
+            if pl.algebra._coerce_generators(generators).shape[1] <= 10:
+                want = oracle_commutant_report(generators)
+                assert_agrees_with_the_commutant(generators, pl.is_irreducible(generators), want)
 
-    def test_closure_matches_the_commutant_route(self, monkeypatch, pauli):
+    def test_closure_matches_the_commutant_route(self, pauli):
         for generators in self.corpus(pauli):
             n = pl.algebra._coerce_generators(generators).shape[1]
             if n <= 10:
-                want = self.commutant_route(monkeypatch, generators).algebra_dimension
+                want = oracle_commutant_report(generators).algebra_dimension
                 assert pl.algebra_closure(generators).dimension == want
 
     def test_certifies_exactly_the_irreducible_sets(self, monkeypatch, pauli):
         for generators in self.corpus(pauli):
-            report = self.commutant_route(monkeypatch, generators)
+            report = self.fallback_route(monkeypatch, generators)
             assert self.certifies(generators) == report.irreducible
         # Certified and fallen through: 3 and 8 in one corpus, 4 and 9 in the other.
         for corpus, certified in (
@@ -726,7 +815,7 @@ class TestSpinCertificate:
 
     def test_spin_factors_fall_through(self, monkeypatch):
         # No element built from a spin factor has a simple eigenvalue, so the
-        # commutant decides: reducible with three involutions, not with four.
+        # closure decides: reducible with three involutions, not with four.
         for count, irreducible in ((3, False), (4, True), (5, True)):
             generators = clifford_contexts(count)
             assert not self.certifies(generators)
@@ -751,7 +840,7 @@ class TestSpinCertificate:
 
     def test_same_reports_at_the_tolerance_edge(self, monkeypatch):
         # Two pieces coupled by eps: irreducible, with the spin's and the
-        # commutant's smallest singular values near their rank cutoffs.
+        # closure's smallest singular values near their rank cutoffs.
         rng = np.random.default_rng(1961)
         for eps in np.logspace(-12, -6, 25):
             for _ in range(4):
@@ -761,17 +850,24 @@ class TestSpinCertificate:
                     coupling = random_hermitian(rng, 6)
                     coupling[:3, :3] = coupling[3:, 3:] = 0
                     generators.append(g + eps * coupling)
-                self.assert_same_report(monkeypatch, generators)
+                report = self.assert_same_report(monkeypatch, generators)
+                # Below 1e-9 the closure keeps singular values the commutant
+                # dropped, so it may call irreducible what the commutant
+                # called reducible; never the other way round.
+                want = oracle_commutant_report(generators)
+                if report.irreducible and not want.irreducible and eps < 1e-9:
+                    continue
+                assert_agrees_with_the_commutant(generators, report, want)
                 # Couplings this weak leave the spin singular values within
-                # its margin above the cutoff, so the commutant decides them.
+                # its margin above the cutoff, so the closure decides them.
                 if eps <= 1e-8:
                     assert not self.certifies(generators)
 
-    def test_certified_sets_build_no_commutator_maps(self, monkeypatch, pauli, ks18):
-        def forbidden(stack, tol):
-            raise AssertionError("the commutant ran on a certified set")
+    def test_certified_sets_build_no_closure(self, monkeypatch, pauli, ks18):
+        def forbidden(generators, tol=None):
+            raise AssertionError("the closure ran on a certified set")
 
-        monkeypatch.setattr(pl.algebra, "_commutant", forbidden)
+        monkeypatch.setattr(pl.algebra, "algebra_closure", forbidden)
         rng = np.random.default_rng(1971)
         sets = [haar_pair(rng, 5) for _ in range(8)] + [haar_pair(rng, 64)]
         sets += [pauli_projector_matrices(pauli), [e.projector for e in ks18.registry]]
@@ -794,53 +890,20 @@ class TestSpinCertificate:
         got = pl.algebra._spin_element(generators)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
-    @pytest.mark.parametrize("scale", [1e-6, 1e6, 1e9, 1e12])
+    @pytest.mark.parametrize("scale", SCALES)
     def test_same_reports_on_scaled_generators(self, monkeypatch, scale):
         # The rank cutoff follows the generators' norm, so the roundoff left
         # after projecting out the directions so far is never kept as one.
-        rng = np.random.default_rng([1991, int(np.log10(scale)) + 6])
-        sets = [planted_blocks(rng, sizes) for sizes in ((5,), (4, 3), (2, 2, 3), (4, 4))]
-        sets += [haar_pair(rng, 6)]
-        for copies in (2, 4):
-            turn = haar_unitary(rng, 3 * copies)
-            sets.append(
-                [turn @ np.kron(g, np.eye(copies)) @ turn.conj().T for g in haar_pair(rng, 3)]
-            )
-        for generators in sets:
-            scaled = [scale * (g + g.conj().T) / 2 for g in generators]
-            report = self.assert_same_report(monkeypatch, scaled)
-            assert report.irreducible or not self.certifies(scaled)
+        for generators in self.scaled_corpus(scale):
+            report = self.assert_same_report(monkeypatch, generators)
+            assert report.irreducible or not self.certifies(generators)
 
     @pytest.mark.parametrize("block_diagonal", [True, False], ids=["reducible", "coupled"])
     def test_same_reports_just_inside_self_adjoint(self, monkeypatch, block_diagonal):
-        # Pieces whose generators are 0.9 eps_entry from Hermitian. A
-        # block-diagonal anti-Hermitian part keeps them reducible, with U^perp
-        # no longer invariant; a full one couples the pieces.
-        rng = np.random.default_rng([2003, int(block_diagonal)])
         tol = pl.TolerancePolicy()
-        for sizes in ((4, 3), (2, 2, 3), (3, 3)):
-            dim = sum(sizes)
-            for _ in range(5):
-                turn = haar_unitary(rng, dim)
-                generators = []
-                for _ in range(3):
-                    g = np.zeros((dim, dim), dtype=complex)
-                    mask = np.zeros((dim, dim), dtype=bool)
-                    start = 0
-                    for size in sizes:
-                        g[start : start + size, start : start + size] = random_hermitian(rng, size)
-                        mask[start : start + size, start : start + size] = True
-                        start += size
-                    skew = 1j * random_hermitian(rng, dim)
-                    if block_diagonal:
-                        skew[~mask] = 0
-                    skew = turn @ skew @ turn.conj().T
-                    g = turn @ g @ turn.conj().T
-                    g = (g + g.conj().T) / 2
-                    generators.append(g + 0.45 * tol.eps_entry * skew / np.abs(skew).max())
-                stack = pl.algebra._coerce_generators(generators)
-                assert self_adjoint(stack, tol)
-                report = self.assert_same_report(monkeypatch, generators)
-                if block_diagonal:
-                    assert not report.irreducible
-                assert report.irreducible or not self.certifies(generators)
+        for generators in self.just_inside_corpus(block_diagonal):
+            assert self_adjoint(pl.algebra._coerce_generators(generators), tol)
+            report = self.assert_same_report(monkeypatch, generators)
+            if block_diagonal:
+                assert not report.irreducible
+            assert report.irreducible or not self.certifies(generators)

@@ -198,8 +198,12 @@ def _closure_witness(
 def invariant_subspace_witness(
     generators, tol: TolerancePolicy | None = None
 ) -> Subspace | None:
-    """A nontrivial common invariant subspace of ``generators``, or ``None``
-    when they are irreducible: ``_closure_witness`` of ``algebra_closure``.
+    """A nontrivial common invariant subspace of ``generators``, or ``None``:
+    ``_closure_witness`` of ``algebra_closure``.
+
+    ``None`` when they are irreducible, and also for a reducible set none of
+    whose orbits passes the absolute ``is_invariant`` tolerance, such as
+    generators scaled to 1e9.
     """
     tol = resolve(tol)
     mats = _coerce_generators(generators)
@@ -321,7 +325,9 @@ def is_irreducible(
     ``_spin_certifies`` is irreducible with ``algebra_dimension`` n^2 and no
     witness, and nothing in M_n is built. Every other set is decided by one
     ``algebra_closure``, which gives the dimension, and the witness is
-    ``_closure_witness`` of that closure.
+    ``_closure_witness`` of that closure. A reducible report can carry no
+    witness: when no orbit passes the absolute ``is_invariant`` tolerance,
+    as for generators scaled to 1e9, the witness is ``None``.
     """
     tol = resolve(tol)
     mats = _coerce_generators(generators)

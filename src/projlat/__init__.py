@@ -43,7 +43,7 @@ from .lattice import (
     is_closed_under_meet_join,
     projector_lattice,
 )
-from .linalg import adjoint, multiply, nullspace, numerical_rank, orthonormalize
+from .linalg import adjoint, numerical_rank, orthonormalize
 from .projectors import (
     ContextCollection,
     MaximalContext,
@@ -116,8 +116,6 @@ __all__ = [
     "is_invariant",
     "is_irreducible",
     "load_document",
-    "multiply",
-    "nullspace",
     "numerical_rank",
     "orthonormalize",
     "parse_document",

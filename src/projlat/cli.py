@@ -1,5 +1,9 @@
 """Command-line interface: document ingestion, verdict reports, exit codes.
 
+Every command is one pipeline: load the collection, build the JSON report
+(its verdicts, every context's residuals and the time taken), then print
+the report or the text its renderer reads off the report alone.
+
 Exit codes: 0 success, 1 parse/validation failure, 2 unsatisfiable
 assignment search, 3 element-listing cap exceeded.
 """
@@ -44,35 +48,20 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", parents=[common], help="check context axioms of a document")
-    p.add_argument("file")
-
-    p = sub.add_parser("lattice", parents=[common], help="invariant-subspace family per context")
-    p.add_argument("file")
-    p.add_argument("--context", default=None, help="restrict to one context name")
-
-    p = sub.add_parser("intersect", parents=[common], help="intersect all context lattices")
-    p.add_argument("file")
-
-    p = sub.add_parser(
-        "irreducible", parents=[common], help="algebra irreducibility test with a witness"
-    )
-    p.add_argument("file")
-
-    p = sub.add_parser("valuate", parents=[common], help="truth values of a state")
-    p.add_argument("file")
-    p.add_argument(
+    commands = {
+        name: sub.add_parser(name, parents=[common], help=text)
+        for name, (text, _, _) in _COMMANDS.items()
+    }
+    for name, command in commands.items():
+        if name != "demo":
+            command.add_argument("file")
+    commands["lattice"].add_argument("--context", default=None, help="restrict to one context name")
+    commands["valuate"].add_argument(
         "--state",
         required=True,
         help="semicolon-separated complex pairs, e.g. \"1,0;0,0\"",
     )
-
-    p = sub.add_parser("ks-search", parents=[common], help="search a global 0/1 assignment")
-    p.add_argument("file")
-
-    p = sub.add_parser("demo", parents=[common], help="built-in worked example")
-    p.add_argument("example", choices=("pauli",))
+    commands["demo"].add_argument("example", choices=("pauli",))
     return parser
 
 
@@ -103,24 +92,17 @@ def _family_json(family: LatticeFamily) -> dict:
     }
 
 
-def _family_lines(name: str, family: LatticeFamily) -> list[str]:
-    lines = [f"lattice {name}: {family.size} elements"]
-    for el, label in zip(family.elements, family.labels):
-        lines.append(f"  {label}: dim {el.dim}")
-    return lines
+def _intersection(collection: ContextCollection, tol: TolerancePolicy):
+    """Each context's lattice family by context name, and their meet."""
+    families = {ctx.name: context_lattice(ctx, tol) for ctx in collection.contexts}
+    return families, intersect_lattices(list(families.values()), tol)
 
 
-def _collection_residuals(collection: ContextCollection) -> dict:
-    return {ctx.name: context_residuals(ctx) for ctx in collection.contexts}
+# Verdict builders, ``(args, collection, tol) -> verdicts``.
 
 
-def _load(args, overrides) -> tuple[ContextCollection, TolerancePolicy]:
-    return load_document(args.file, overrides)
-
-
-def _cmd_validate(args, overrides):
-    collection, _ = _load(args, overrides)
-    verdicts = {
+def _validate_verdicts(args, collection: ContextCollection, tol: TolerancePolicy) -> dict:
+    return {
         "valid": True,
         "ambient_dim": collection.ambient_dim,
         "contexts": [
@@ -129,65 +111,34 @@ def _cmd_validate(args, overrides):
         ],
         "registry_size": len(collection.registry),
     }
-    residuals = _collection_residuals(collection)
-    lines = [f"ambient dimension: {collection.ambient_dim}"]
-    for ctx in collection.contexts:
-        res = residuals[ctx.name]
-        lines.append(
-            f"context {ctx.name}: {len(ctx)} members, ranks "
-            f"{[p.rank for p in ctx.members]}, pairwise residual "
-            f"{res['pairwise_product']:.2e}, sum residual {res['sum_minus_identity']:.2e}"
-        )
-    lines.append(f"registry: {len(collection.registry)} distinct projector identities")
-    lines.append("verdict: valid")
-    return verdicts, residuals, lines, EXIT_OK
 
 
-def _cmd_lattice(args, overrides):
-    collection, tol = _load(args, overrides)
+def _lattice_verdicts(args, collection: ContextCollection, tol: TolerancePolicy) -> dict:
+    contexts = collection.contexts
     if args.context is not None:
         try:
             contexts = [collection.context_named(args.context)]
         except KeyError as exc:
             raise ParseError(str(exc)) from exc
-    else:
-        contexts = list(collection.contexts)
-    lattices = {ctx.name: context_lattice(ctx, tol) for ctx in contexts}
-    verdicts = {"lattices": {name: _family_json(fam) for name, fam in lattices.items()}}
-    lines: list[str] = []
-    for name, fam in lattices.items():
-        lines.extend(_family_lines(name, fam))
-    return verdicts, _collection_residuals(collection), lines, EXIT_OK
+    return {"lattices": {ctx.name: _family_json(context_lattice(ctx, tol)) for ctx in contexts}}
 
 
-def _intersection(collection: ContextCollection, tol: TolerancePolicy):
-    families = [context_lattice(ctx, tol) for ctx in collection.contexts]
-    return families, intersect_lattices(families, tol)
-
-
-def _cmd_intersect(args, overrides):
-    collection, tol = _load(args, overrides)
+def _intersect_verdicts(args, collection: ContextCollection, tol: TolerancePolicy) -> dict:
     families, meet = _intersection(collection, tol)
-    verdicts = {
-        "per_context_sizes": {
-            ctx.name: fam.size for ctx, fam in zip(collection.contexts, families)
-        },
+    return {
+        "per_context_sizes": {name: fam.size for name, fam in families.items()},
         "intersection": _family_json(meet),
         "trivial": meet.is_trivial(),
     }
-    lines = [
-        f"context {ctx.name}: {fam.size} lattice elements"
-        for ctx, fam in zip(collection.contexts, families)
-    ]
-    lines.extend(_family_lines("intersection", meet))
-    lines.append(f"trivial: {'yes' if meet.is_trivial() else 'no'}")
-    return verdicts, _collection_residuals(collection), lines, EXIT_OK
 
 
-def _irreducibility_verdicts(collection: ContextCollection, tol: TolerancePolicy) -> dict:
+def _irreducible_verdicts(args, collection, tol, meet: LatticeFamily | None = None) -> dict:
+    """The algebra verdict beside the lattice route, whose ``meet`` is built
+    here unless the caller has built it."""
     generators = [entry.projector for entry in collection.registry]
     report = is_irreducible(generators, tol)
-    _, meet = _intersection(collection, tol)
+    if meet is None:
+        _, meet = _intersection(collection, tol)
     lattice_trivial = meet.is_trivial()
     return {
         "ambient_dim": collection.ambient_dim,
@@ -205,27 +156,6 @@ def _irreducibility_verdicts(collection: ContextCollection, tol: TolerancePolicy
             "the finite subset-sum families and is reported alongside"
         ),
     }
-
-
-def _irreducibility_lines(verdicts: dict) -> list[str]:
-    lines = [
-        f"generators: {verdicts['generators']} registry projectors on "
-        f"C^{verdicts['ambient_dim']}",
-        f"algebra dimension: {verdicts['algebra_dimension']} "
-        f"(saturated at {verdicts['ambient_dim'] ** 2})",
-        f"irreducible: {'yes' if verdicts['irreducible'] else 'no'}",
-        "lattice intersection trivial: "
-        + ("yes" if verdicts["lattice_intersection_trivial"] else "no"),
-    ]
-    if verdicts["witness"] is not None:
-        lines.append(f"witness subspace: dim {verdicts['witness']['dim']}")
-    return lines
-
-
-def _cmd_irreducible(args, overrides):
-    collection, tol = _load(args, overrides)
-    verdicts = _irreducibility_verdicts(collection, tol)
-    return verdicts, _collection_residuals(collection), _irreducibility_lines(verdicts), EXIT_OK
 
 
 def _valuation_verdicts(state, collection: ContextCollection, tol: TolerancePolicy) -> dict:
@@ -246,7 +176,108 @@ def _valuation_verdicts(state, collection: ContextCollection, tol: TolerancePoli
     }
 
 
-def _valuation_lines(verdicts: dict) -> list[str]:
+def _valuate_verdicts(args, collection: ContextCollection, tol: TolerancePolicy) -> dict:
+    return _valuation_verdicts(parse_state_flag(args.state), collection, tol)
+
+
+def _search_verdicts(collection: ContextCollection) -> dict:
+    result = search_noncontextual_assignment(collection)
+    assignment = None
+    if result.assignment is not None:
+        assignment = [
+            {"index": index, "label": collection.registry[index].projector.label, "value": value}
+            for index, value in result.assignment.items()
+        ]
+    return {
+        "status": result.status,
+        "nodes_explored": result.nodes_explored,
+        "assignment": assignment,
+    }
+
+
+def _ks_search_verdicts(args, collection: ContextCollection, tol: TolerancePolicy) -> dict:
+    return {
+        **_search_verdicts(collection),
+        "note": (
+            "tolerances are used only to validate the document and to build the "
+            "projector registry; the search itself is exact over registry identities"
+        ),
+    }
+
+
+def _demo_verdicts(args, collection: ContextCollection, tol: TolerancePolicy) -> dict:
+    families, meet = _intersection(collection, tol)
+    state = np.array([1.0, 0.0], dtype=complex)
+    return {
+        "ambient_dim": collection.ambient_dim,
+        "contexts": list(collection.context_names),
+        "lattices": {name: _family_json(fam) for name, fam in families.items()},
+        "intersection": _family_json(meet),
+        "intersection_trivial": meet.is_trivial(),
+        "algebra": _irreducible_verdicts(args, collection, tol, meet),
+        "valuation": _valuation_verdicts(state, collection, tol),
+        "assignment_search": _search_verdicts(collection),
+        "note": (
+            "the lattice intersection is trivial and the state valuation is "
+            "partial, while the identity-level one-hot search is satisfiable; "
+            "the verdicts answer different questions and are shown side by side"
+        ),
+    }
+
+
+# Text renderers, ``(verdicts, residuals) -> lines``, reading nothing else.
+
+
+def _yes_no(flag: bool) -> str:
+    return "yes" if flag else "no"
+
+
+def _family_lines(name: str, family: dict) -> list[str]:
+    lines = [f"lattice {name}: {family['size']} elements"]
+    return lines + [f"  {el['label']}: dim {el['dim']}" for el in family["elements"]]
+
+
+def _validate_lines(verdicts: dict, residuals: dict) -> list[str]:
+    lines = [f"ambient dimension: {verdicts['ambient_dim']}"]
+    for ctx in verdicts["contexts"]:
+        res = residuals[ctx["name"]]
+        lines.append(
+            f"context {ctx['name']}: {ctx['members']} members, ranks "
+            f"{ctx['ranks']}, pairwise residual "
+            f"{res['pairwise_product']:.2e}, sum residual {res['sum_minus_identity']:.2e}"
+        )
+    lines.append(f"registry: {verdicts['registry_size']} distinct projector identities")
+    return lines + ["verdict: valid"]
+
+
+def _lattice_lines(verdicts: dict, residuals: dict) -> list[str]:
+    lattices = verdicts["lattices"].items()
+    return [line for name, family in lattices for line in _family_lines(name, family)]
+
+
+def _intersect_lines(verdicts: dict, residuals: dict) -> list[str]:
+    lines = [
+        f"context {name}: {size} lattice elements"
+        for name, size in verdicts["per_context_sizes"].items()
+    ]
+    lines.extend(_family_lines("intersection", verdicts["intersection"]))
+    return lines + [f"trivial: {_yes_no(verdicts['trivial'])}"]
+
+
+def _irreducible_lines(verdicts: dict, residuals: dict) -> list[str]:
+    dim = verdicts["ambient_dim"]
+    lines = [
+        f"generators: {verdicts['generators']} registry projectors on C^{dim}",
+        f"algebra dimension: {verdicts['algebra_dimension']} (saturated at {dim ** 2})",
+        f"irreducible: {_yes_no(verdicts['irreducible'])}",
+        f"lattice intersection trivial: {_yes_no(verdicts['lattice_intersection_trivial'])}",
+    ]
+    if verdicts["witness"] is not None:
+        lines.append(f"witness subspace: dim {verdicts['witness']['dim']}")
+    return lines
+
+
+def _valuate_lines(verdicts: dict, residuals: dict) -> list[str]:
     lines = []
     for name, ctx in verdicts["contexts"].items():
         values = ", ".join(
@@ -258,39 +289,9 @@ def _valuation_lines(verdicts: dict) -> list[str]:
         if ctx["sum"] is None:
             lines.append(f"context {name}: non-bivalent for this state")
     if verdicts["bivalent"]:
-        lines.append("verdict: bivalent at this state")
-    else:
-        lines.append(
-            "verdict: bivalence fails at this state; undefined on "
-            + ", ".join(verdicts["undefined"])
-        )
-    return lines
-
-
-def _cmd_valuate(args, overrides):
-    collection, tol = _load(args, overrides)
-    state = parse_state_flag(args.state)
-    verdicts = _valuation_verdicts(state, collection, tol)
-    return verdicts, _collection_residuals(collection), _valuation_lines(verdicts), EXIT_OK
-
-
-def _search_verdicts(collection: ContextCollection) -> dict:
-    result = search_noncontextual_assignment(collection)
-    assignment = None
-    if result.assignment is not None:
-        assignment = [
-            {
-                "index": index,
-                "label": collection.registry[index].projector.label,
-                "value": value,
-            }
-            for index, value in result.assignment.items()
-        ]
-    return {
-        "status": result.status,
-        "nodes_explored": result.nodes_explored,
-        "assignment": assignment,
-    }
+        return lines + ["verdict: bivalent at this state"]
+    undefined = ", ".join(verdicts["undefined"])
+    return lines + [f"verdict: bivalence fails at this state; undefined on {undefined}"]
 
 
 def _search_lines(verdicts: dict) -> list[str]:
@@ -304,71 +305,80 @@ def _search_lines(verdicts: dict) -> list[str]:
     return lines
 
 
-def _cmd_ks_search(args, overrides):
-    collection, _ = _load(args, overrides)
-    verdicts = _search_verdicts(collection)
-    verdicts["note"] = (
-        "tolerances are used only to validate the document and to build the "
-        "projector registry; the search itself is exact over registry identities"
-    )
-    code = EXIT_OK if verdicts["status"] == "SAT" else EXIT_UNSAT
-    lines = _search_lines(verdicts) + [f"note: {verdicts['note']}"]
-    return verdicts, _collection_residuals(collection), lines, code
+def _ks_search_lines(verdicts: dict, residuals: dict) -> list[str]:
+    return _search_lines(verdicts) + [f"note: {verdicts['note']}"]
 
 
-def _cmd_demo(args, overrides):
-    tol = _parse_tolerances({}, overrides)
-    collection = pauli_contexts(tol)
-    families, meet = _intersection(collection, tol)
-    lattices = {
-        ctx.name: fam for ctx, fam in zip(collection.contexts, families)
-    }
-    state = np.array([1.0, 0.0], dtype=complex)
-    verdicts = {
-        "ambient_dim": collection.ambient_dim,
-        "contexts": list(collection.context_names),
-        "lattices": {name: _family_json(fam) for name, fam in lattices.items()},
-        "intersection": _family_json(meet),
-        "intersection_trivial": meet.is_trivial(),
-        "algebra": _irreducibility_verdicts(collection, tol),
-        "valuation": _valuation_verdicts(state, collection, tol),
-        "assignment_search": _search_verdicts(collection),
-        "note": (
-            "the lattice intersection is trivial and the state valuation is "
-            "partial, while the identity-level one-hot search is satisfiable; "
-            "the verdicts answer different questions and are shown side by side"
-        ),
-    }
-    lines: list[str] = [f"three maximal contexts on C^2: {', '.join(collection.context_names)}"]
-    for name, fam in lattices.items():
-        lines.extend(_family_lines(name, fam))
-    lines.extend(_family_lines("intersection", meet))
-    lines.append(f"intersection trivial: {'yes' if meet.is_trivial() else 'no'}")
-    lines.extend(_irreducibility_lines(verdicts["algebra"]))
+def _demo_lines(verdicts: dict, residuals: dict) -> list[str]:
+    names = ", ".join(verdicts["contexts"])
+    lines = [f"three maximal contexts on C^{verdicts['ambient_dim']}: {names}"]
+    lines += _lattice_lines(verdicts, residuals)
+    lines += _family_lines("intersection", verdicts["intersection"])
+    lines.append(f"intersection trivial: {_yes_no(verdicts['intersection_trivial'])}")
+    lines += _irreducible_lines(verdicts["algebra"], residuals)
     lines.append("valuation of state [1, 0]:")
-    lines.extend("  " + line for line in _valuation_lines(verdicts["valuation"]))
-    lines.extend(_search_lines(verdicts["assignment_search"]))
-    lines.append(verdicts["note"])
-    return verdicts, _collection_residuals(collection), lines, EXIT_OK
+    lines += ["  " + line for line in _valuate_lines(verdicts["valuation"], residuals)]
+    lines += _search_lines(verdicts["assignment_search"])
+    return lines + [verdicts["note"]]
 
 
-_HANDLERS = {
-    "validate": _cmd_validate,
-    "lattice": _cmd_lattice,
-    "intersect": _cmd_intersect,
-    "irreducible": _cmd_irreducible,
-    "valuate": _cmd_valuate,
-    "ks-search": _cmd_ks_search,
-    "demo": _cmd_demo,
+# Command -> (help, verdict builder, text renderer), in the order of ``--help``.
+_COMMANDS = {
+    "validate": ("check context axioms of a document", _validate_verdicts, _validate_lines),
+    "lattice": ("invariant-subspace family per context", _lattice_verdicts, _lattice_lines),
+    "intersect": ("intersect all context lattices", _intersect_verdicts, _intersect_lines),
+    "irreducible": (
+        "algebra irreducibility test with a witness",
+        _irreducible_verdicts,
+        _irreducible_lines,
+    ),
+    "valuate": ("truth values of a state", _valuate_verdicts, _valuate_lines),
+    "ks-search": ("search a global 0/1 assignment", _ks_search_verdicts, _ks_search_lines),
+    "demo": ("built-in worked example", _demo_verdicts, _demo_lines),
 }
 
 
-def _emit_failure(fmt: str, command: str, message: str, code: int) -> int:
-    if fmt == "json":
-        print(json.dumps({"command": command, "error": message, "exit_code": code}))
-    else:
-        print(f"error: {message}", file=sys.stderr)
-    return code
+def _build_report(args) -> dict:
+    """The JSON report of one parsed command line.
+
+    It holds the verdicts, every context's residuals and ``timing_ms``; a
+    failure gives ``{"command", "error", "exit_code"}`` instead.
+    """
+    overrides = {key: getattr(args, key) for key in ("eps_rank", "eps_entry", "eps_subspace")}
+    started = time.perf_counter()
+    try:
+        if args.command == "demo":
+            tol = _parse_tolerances({}, overrides)
+            collection = pauli_contexts(tol)
+        else:
+            collection, tol = load_document(args.file, overrides)
+        verdicts = _COMMANDS[args.command][1](args, collection, tol)
+        residuals = {ctx.name: context_residuals(ctx) for ctx in collection.contexts}
+    except CapExceededError as exc:
+        return {"command": args.command, "error": str(exc), "exit_code": EXIT_CAP}
+    except (ParseError, ValidationError, DimensionMismatchError, OSError) as exc:
+        return {"command": args.command, "error": str(exc), "exit_code": EXIT_INVALID}
+    return {
+        "command": args.command,
+        "verdicts": verdicts,
+        "residuals": residuals,
+        "timing_ms": (time.perf_counter() - started) * 1000.0,
+    }
+
+
+def render_text(report: dict) -> list[str]:
+    """The text of a report: its lines, or for a failure the one stderr line."""
+    if "error" in report:
+        return [f"error: {report['error']}"]
+    lines = _COMMANDS[report["command"]][2](report["verdicts"], report["residuals"])
+    return lines + [f"time: {report['timing_ms']:.1f} ms"]
+
+
+def exit_code(report: dict) -> int:
+    """The failure's code, 2 for an unsatisfiable search, else 0."""
+    if "error" in report:
+        return report["exit_code"]
+    return EXIT_UNSAT if report["verdicts"].get("status") == "UNSAT" else EXIT_OK
 
 
 @functools.cache
@@ -379,32 +389,14 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    overrides = {
-        "eps_rank": args.eps_rank,
-        "eps_entry": args.eps_entry,
-        "eps_subspace": args.eps_subspace,
-    }
-    started = time.perf_counter()
-    try:
-        verdicts, residuals, lines, code = _HANDLERS[args.command](args, overrides)
-    except CapExceededError as exc:
-        return _emit_failure(args.format, args.command, str(exc), EXIT_CAP)
-    except (ParseError, ValidationError, DimensionMismatchError, OSError) as exc:
-        return _emit_failure(args.format, args.command, str(exc), EXIT_INVALID)
-    elapsed_ms = (time.perf_counter() - started) * 1000.0
-    report = {
-        "command": args.command,
-        "verdicts": verdicts,
-        "residuals": residuals,
-        "timing_ms": elapsed_ms,
-    }
+    report = _build_report(args)
     if args.format == "json":
         print(json.dumps(report))
     else:
-        for line in lines:
-            print(line)
-        print(f"time: {elapsed_ms:.1f} ms")
-    return code
+        stream = sys.stderr if "error" in report else sys.stdout
+        for line in render_text(report):
+            print(line, file=stream)
+    return exit_code(report)
 
 
 if __name__ == "__main__":

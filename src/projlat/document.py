@@ -121,10 +121,9 @@ def _matrix_context(name: str, matrices: list, dim: int, tol: TolerancePolicy):
             stack[i] = _parse_matrix(matrix, dim, f"contexts[{name}][{i}]")
         except ParseError:
             if i:
-                _checked_stack(stack[None, :i], tol, [labels])
+                _checked_stack(stack[:i], tol, labels)
             raise
-    members, products, residuals = _checked_stack(stack[None], tol, [labels])
-    return _checked_context(members[0], products[0], residuals[0], tol, name)
+    return _checked_context(*_checked_stack(stack, tol, labels), tol, name)
 
 
 def _unit_rays(rays_obj: dict, dim: int) -> np.ndarray:

@@ -11,7 +11,7 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NotSquareError, ValidationError
+from .errors import DimensionMismatchError, ValidationError
 from .tolerance import TolerancePolicy, resolve
 
 
@@ -38,17 +38,6 @@ def as_state_vector(vector) -> np.ndarray:
 def adjoint(matrix) -> np.ndarray:
     """Conjugate transpose."""
     return as_complex_matrix(matrix).conj().T.copy()
-
-
-def multiply(a, b) -> np.ndarray:
-    """Matrix product, with an explicit shape check."""
-    left = as_complex_matrix(a)
-    right = as_complex_matrix(b)
-    if left.shape[1] != right.shape[0]:
-        raise DimensionMismatchError(
-            f"cannot multiply shapes {left.shape} and {right.shape}"
-        )
-    return left @ right
 
 
 def max_abs(matrix) -> float:
@@ -122,24 +111,16 @@ def numerical_rank(matrix, tol: TolerancePolicy | None = None) -> int:
 
 
 def kernel_basis(matrix, tol: TolerancePolicy | None = None) -> list[np.ndarray]:
-    """Orthonormal kernel basis of a (possibly rectangular) matrix via SVD."""
+    """Orthonormal kernel basis of a (possibly rectangular) matrix via SVD.
+
+    The basis spans exactly the vectors ``v`` with ``|M v|`` below the rank
+    threshold relative to the largest singular value; its size is the
+    column count minus the numerical rank.
+    """
     arr = as_complex_matrix(matrix)
     _, s, vh = np.linalg.svd(arr)
     rank = singular_rank(s, tol)
     return [vh[i].conj() for i in range(rank, arr.shape[1])]
-
-
-def nullspace(matrix, tol: TolerancePolicy | None = None) -> list[np.ndarray]:
-    """Orthonormal basis of the null space of a square matrix.
-
-    The basis spans exactly the vectors ``v`` with ``|M v|`` below the rank
-    threshold relative to the largest singular value; its size is the matrix
-    dimension minus the numerical rank.
-    """
-    arr = as_complex_matrix(matrix)
-    if arr.shape[0] != arr.shape[1]:
-        raise NotSquareError(arr.shape)
-    return kernel_basis(arr, tol)
 
 
 def range_basis(matrix, tol: TolerancePolicy | None = None) -> list[np.ndarray]:

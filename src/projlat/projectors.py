@@ -74,34 +74,29 @@ def validate_projector(
     arr = linalg.as_complex_matrix(matrix)
     if arr.shape[0] != arr.shape[1]:
         raise NotSquareError(arr.shape)
-    return _checked_stack(arr[None, None], resolve(tol), [[label]])[0][0][0]
+    return _checked_stack(arr[None], resolve(tol), [label])[0][0]
 
 
-def _measure(stack: np.ndarray) -> tuple[np.ndarray, list[dict[str, float]]]:
-    """Every product within each context of a (C, m, n, n) stack, and the residuals.
+def _measure(stack: np.ndarray) -> tuple[np.ndarray, dict[str, float]]:
+    """Every product of one context's (m, n, n) member stack, and its residuals.
 
-    ``products[c, i, j]`` is ``max|Pi Pj|`` over the members of context c
-    for i != j, and the diagonal holds the idempotency residuals
-    ``max|Pi Pi - Pi|``. The products are taken as
-    ``S[contexts, rows, None] @ S[contexts, None, :]`` over blocks of
-    (context, row) pairs, each block under ``_CHUNK_ENTRIES`` entries, so
-    the temporaries never hold the whole (C, m, m, n, n) product. The
-    residuals are those of ``_residuals``.
+    ``products[i, j]`` is ``max|Pi Pj|`` for i != j, and the diagonal holds
+    the idempotency residuals ``max|Pi Pi - Pi|``. The products are taken as
+    ``S[rows, None] @ S[None, :]`` over blocks of rows, each block under
+    ``_CHUNK_ENTRIES`` entries or one row, so the temporaries never hold the
+    whole (m, m, n, n) product. The residuals are those of ``_residuals``.
     """
-    count, m, n = stack.shape[:3]
-    products = np.empty((count, m, m))
-    step = max(1, _CHUNK_ENTRIES // (m * n * n or 1))
-    rows_per, contexts_per = min(m, step), max(1, step // m)
-    for start in range(0, count, contexts_per):
-        contexts = slice(start, start + contexts_per)
-        for first in range(0, m, rows_per):
-            rows = slice(first, first + rows_per)
-            block = stack[contexts, rows, None] @ stack[contexts, None, :]
-            # Row r of the block holds P_(first + r) @ P_j; its square is at j = first + r.
-            diagonal = np.arange(block.shape[1])
-            block[:, diagonal, first + diagonal] -= stack[contexts, rows]
-            products[contexts, rows] = np.abs(block).max(axis=(3, 4), initial=0.0)
-    return products, _residuals(products, stack)
+    m, n = stack.shape[:2]
+    products = np.empty((m, m))
+    rows_per = max(1, _CHUNK_ENTRIES // (m * n * n or 1))
+    for first in range(0, m, rows_per):
+        rows = slice(first, first + rows_per)
+        block = stack[rows, None] @ stack[None, :]
+        # Row r of the block holds P_(first + r) @ P_j; its square is at j = first + r.
+        diagonal = np.arange(len(block))
+        block[diagonal, first + diagonal] -= stack[rows]
+        products[rows] = np.abs(block).max(axis=(2, 3), initial=0.0)
+    return products, _residuals(products[None], stack[None])[0]
 
 
 def _rank1_products(rows: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -141,43 +136,32 @@ def _residuals(products: np.ndarray, stack: np.ndarray) -> list[dict[str, float]
     ]
 
 
-def _checked_stack(
-    stack: np.ndarray, tol: TolerancePolicy, labels, singular=None, measured=None
-):
-    """Projectors on read-only views of a (C, m, n, n) ``stack``, with its products.
+def _checked_stack(stack: np.ndarray, tol: TolerancePolicy, labels):
+    """Projectors on read-only views of one context's (m, n, n) ``stack``.
 
-    ``labels[c][i]`` labels ``stack[c, i]``. Each matrix passes the projector
-    axioms; the first failing one, in row-major order, raises what
-    ``validate_projector`` raises for it alone, with the residual that
-    ``measured`` holds. ``measured`` holds the products and residuals, as
-    ``_measure(stack)`` returns them; without it they come from
-    ``_measure``. Ranks count the singular values above the
-    ``linalg.singular_rank`` cutoff. ``singular`` holds them, largest
-    first, one row per matrix; without it they come from one batched SVD.
-    Returns the members of each context, the products and the residuals.
+    ``labels[i]`` labels ``stack[i]``. Each matrix passes the projector
+    axioms; the first failing one raises what ``validate_projector`` raises
+    for it alone. Ranks count the singular values above the
+    ``linalg.singular_rank`` cutoff, from one batched SVD. Returns the
+    members, and the products and residuals as ``_measure`` gives them.
     """
     eps = tol.eps_entry
     # An overflow shows as an inf or NaN residual, which fails below.
     with np.errstate(over="ignore", invalid="ignore"):
-        products, residuals = _measure(stack) if measured is None else measured
-        herm = np.abs(stack - stack.conj().swapaxes(2, 3)).max(axis=(2, 3), initial=0.0)
-    idem = products.diagonal(axis1=1, axis2=2)
+        products, residuals = _measure(stack)
+        herm = np.abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2), initial=0.0)
+    idem = products.diagonal()
     if not (herm.max() <= eps and idem.max() <= eps):
-        c, i = np.argwhere(~((herm <= eps) & (idem <= eps)))[0]
-        if not herm[c, i] <= eps:
-            raise NotHermitianError(float(herm[c, i]), eps)
-        raise NotIdempotentError(float(idem[c, i]), eps)
-    if singular is None:
-        singular = np.linalg.svd(stack, compute_uv=False)
-    ranks = linalg.singular_rank(singular, tol).tolist()
+        i = np.flatnonzero(~((herm <= eps) & (idem <= eps)))[0]
+        if not herm[i] <= eps:
+            raise NotHermitianError(float(herm[i]), eps)
+        raise NotIdempotentError(float(idem[i]), eps)
+    ranks = linalg.singular_rank(np.linalg.svd(stack, compute_uv=False), tol).tolist()
     stack.setflags(write=False)
-    members = [
-        tuple(
-            Projector(matrix=matrix, rank=rank, label=label)
-            for matrix, rank, label in zip(matrices, context_ranks, context_labels)
-        )
-        for matrices, context_ranks, context_labels in zip(stack, ranks, labels)
-    ]
+    members = tuple(
+        Projector(matrix=matrix, rank=rank, label=label)
+        for matrix, rank, label in zip(stack, ranks, labels)
+    )
     return members, products, residuals
 
 
@@ -238,7 +222,7 @@ def context_residuals(ctx: MaximalContext) -> dict[str, float]:
     built by hand has them computed now from its members' products.
     """
     if ctx._residuals is None:
-        return _measure(np.array([[p.matrix for p in ctx.members]]))[1][0]
+        return _measure(np.array([p.matrix for p in ctx.members]))[1]
     return dict(ctx._residuals)
 
 
@@ -256,8 +240,7 @@ def validate_context(
             raise DimensionMismatchError(
                 f"context {name!r}: mixed ambient dimensions {dim} and {p.ambient_dim}"
             )
-    products, residuals = _measure(np.array([[p.matrix for p in members]]))
-    return _checked_context(members, products[0], residuals[0], tol, name)
+    return _checked_context(members, *_measure(np.array([p.matrix for p in members])), tol, name)
 
 
 def _checked_context(
@@ -325,14 +308,18 @@ def _basis_contexts(
     ``v v^H`` of context ``names[c]``, labelled ``labels[c][i]``. One Gram
     matrix per basis gives its orthonormality residual and, through
     ``_rank1_products``, the pairwise products and idempotency residuals,
-    so no two members are multiplied. The outer products and
-    ``_checked_stack`` take one pass over all C bases, and every slice is
-    computed as for the basis alone. Each context keeps its basis, read-only,
-    as ``_rays``. A failing check raises for the first basis that fails
-    that check, so for C = 1 this is ``context_from_basis``. For C > 1 an
-    earlier basis may fail a check made later; a caller that needs the
-    first failing basis in order checks the bases one at a time once this
-    raises.
+    so no two members are multiplied. Its diagonal gives the ranks, since
+    ``v v^H`` has the one nonzero singular value ``|v|^2``. No Hermitian
+    residual is taken: entries (a, b) and (b, a) of ``v v^H`` are rounded
+    from the same real products, so they are conjugate up to a few units of
+    roundoff times ``max|v_a|^2``, inside the bound of ``_rank1_products``.
+    The outer products take one pass over all C bases, and every slice is
+    computed as for the basis alone. Each context keeps its basis,
+    read-only, as ``_rays``. A failing check raises for the first basis
+    that fails that check, so for C = 1 this is ``context_from_basis``.
+    For C > 1 an earlier basis may fail a check made later; a caller that
+    needs the first failing basis in order checks the bases one at a time
+    once this raises.
     """
     count, m, n = rows.shape
     eps = tol.eps_entry
@@ -355,19 +342,24 @@ def _basis_contexts(
     stack = flat[:, :, None] * flat.conj()[:, None, :]
     stack.setflags(write=False)
     rows.setflags(write=False)
-    # v v^H has one nonzero singular value, |v|^2, so its rank needs no SVD.
-    singular = gram.diagonal(axis1=1, axis2=2).real[..., None]
     stack = stack.reshape(count, m, n, n)
     with np.errstate(over="ignore", invalid="ignore"):
         products = _rank1_products(rows, offsets)
-        measured = products, _residuals(products, stack)
-    members, products, residuals = _checked_stack(stack, tol, labels, singular, measured)
-    contexts = [
-        _checked_context(*checked, tol, name)
-        for checked, name in zip(zip(members, products, residuals), names)
-    ]
-    for ctx, rays in zip(contexts, rows):
-        object.__setattr__(ctx, "_rays", rays)
+        residuals = _residuals(products, stack)
+    idem = products.diagonal(axis1=1, axis2=2)
+    if not idem.max() <= eps:
+        c, i = np.argwhere(~(idem <= eps))[0]
+        raise NotIdempotentError(float(idem[c, i]), eps)
+    ranks = linalg.singular_rank(gram.diagonal(axis1=1, axis2=2).real[..., None], tol).tolist()
+    contexts = []
+    for c, name in enumerate(names):
+        members = tuple(
+            Projector(matrix=matrix, rank=rank, label=label)
+            for matrix, rank, label in zip(stack[c], ranks[c], labels[c])
+        )
+        ctx = _checked_context(members, products[c], residuals[c], tol, name)
+        object.__setattr__(ctx, "_rays", rows[c])
+        contexts.append(ctx)
     return contexts
 
 

@@ -1,6 +1,8 @@
 import json
+import re
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -372,3 +374,71 @@ def test_import_leaves_numpy_random_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_text_is_rendered_from_the_json_report(pauli, tmp_path, capsys):
+    ks18 = ks18_document()
+    docs = {
+        "pauli": pl.collection_to_document(pauli),
+        "ks18": ks18,
+        "ks18twin": pl.collection_to_document(*pl.parse_document(ks18)),
+        "reducible": {
+            "dim": 2,
+            "rays": {"a": [[1, 0], [0, 0]], "b": [[0, 0], [1, 0]]},
+            "groups": {"z": ["a", "b"]},
+        },
+        # 21 atoms: `lattice` exits 3, every other command reports.
+        "capped": haar_bases_document(np.random.default_rng(2310), 21),
+    }
+    paths = {}
+    for name, doc in docs.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    runs = [
+        [command, path]
+        for path in paths.values()
+        for command in ("validate", "lattice", "intersect", "irreducible", "ks-search")
+    ]
+    runs += [
+        ["valuate", paths["pauli"], "--state", "1,0;0,0"],
+        ["valuate", paths["ks18"], "--state", "1,0;0,0;0,0;0,0"],
+        ["valuate", paths["reducible"], "--state", "1,0;0,0"],
+        ["lattice", paths["pauli"], "--context", "x"],
+        ["lattice", paths["pauli"], "--context", "w"],
+        ["validate", str(tmp_path / "absent.json")],
+        ["demo", "pauli"],
+        ["demo", "pauli", "--eps-rank", "0.5"],
+    ]
+    codes = Counter()
+    for argv in runs:
+        code = main(argv + ["--format", "json"])
+        report = json.loads(capsys.readouterr().out)
+        assert main(argv) == code == cli.exit_code(report)
+        captured = capsys.readouterr()
+        want = cli.render_text(report)
+        if "error" in report:
+            assert captured.out == "" and captured.err.splitlines() == want, argv
+        else:
+            lines = captured.out.splitlines()
+            assert captured.err == "" and lines[:-1] == want[:-1], argv
+            assert re.fullmatch(r"time: \d+\.\d ms", lines[-1]), argv
+        codes[code] += 1
+    assert set(codes) == {0, 1, 2, 3}
+
+
+def test_demo_builds_each_lattice_and_the_meet_once(monkeypatch, capsys):
+    calls = Counter()
+
+    def counted(name):
+        original = getattr(cli, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return call
+
+    for name in ("context_lattice", "intersect_lattices"):
+        monkeypatch.setattr(cli, name, counted(name))
+    assert main(["demo", "pauli"]) == 0
+    assert calls == {"context_lattice": 3, "intersect_lattices": 1}

@@ -28,34 +28,6 @@ class TestAdjoint:
             assert np.array_equal(pl.adjoint(pl.adjoint(m)), m)
 
 
-class TestMultiply:
-    def test_orthogonal_projectors_annihilate(self):
-        assert np.allclose(pl.multiply(P1Z, P2Z), np.zeros((2, 2)))
-
-    def test_identity_is_neutral(self):
-        assert np.allclose(pl.multiply(I2, P1X), P1X)
-
-    def test_z_times_x_projector(self):
-        expected = 0.5 * np.array([[1, 1], [0, 0]])
-        assert np.allclose(pl.multiply(P1Z, P1X), expected)
-
-    def test_shape_mismatch_raises(self):
-        with pytest.raises(pl.DimensionMismatchError):
-            pl.multiply(np.ones((2, 3)), np.ones((2, 3)))
-
-    def test_associative_within_entry_tolerance(self):
-        rng = np.random.default_rng(11)
-        tol = pl.DEFAULT_TOLERANCES
-        for dim in (2, 3, 4):
-            a, b, c = (
-                rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-                for _ in range(3)
-            )
-            left = pl.multiply(pl.multiply(a, b), c)
-            right = pl.multiply(a, pl.multiply(b, c))
-            assert linalg.max_abs(left - right) <= tol.eps_entry
-
-
 class TestOrthonormalize:
     def test_collinear_vectors_collapse(self):
         basis = pl.orthonormalize([[1, 0], [2, 0]])
@@ -102,20 +74,22 @@ class TestOrthonormalize:
 
 class TestNullspace:
     def test_rank_one_projector(self):
-        basis = pl.nullspace(P1Z)
+        basis = linalg.kernel_basis(P1Z)
         assert len(basis) == 1
         assert np.allclose(np.abs(basis[0]), [0, 1])
 
     def test_identity_has_trivial_kernel(self):
-        assert pl.nullspace(I2) == []
+        assert linalg.kernel_basis(I2) == []
 
     def test_zero_matrix_has_full_kernel(self):
-        basis = pl.nullspace(np.zeros((2, 2)))
+        basis = linalg.kernel_basis(np.zeros((2, 2)))
         assert len(basis) == 2
 
-    def test_non_square_raises(self):
-        with pytest.raises(pl.NotSquareError):
-            pl.nullspace(np.ones((2, 3)))
+    def test_rectangular_matrix_has_column_kernel(self):
+        # The kernel lies in the column space's domain: C^3 for a 2 x 3 matrix.
+        basis = linalg.kernel_basis(np.ones((2, 3)))
+        assert len(basis) == 2 and all(v.shape == (3,) for v in basis)
+        assert all(np.linalg.norm(np.ones((2, 3)) @ v) <= 1e-12 for v in basis)
 
     def test_rank_nullity(self):
         rng = np.random.default_rng(3)
@@ -123,13 +97,13 @@ class TestNullspace:
             m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
             if dim > 2:
                 m[:, -1] = m[:, 0]  # force a rank deficiency
-            assert pl.numerical_rank(m) + len(pl.nullspace(m)) == dim
+            assert pl.numerical_rank(m) + len(linalg.kernel_basis(m)) == dim
 
     def test_kernel_vectors_are_annihilated(self):
         rng = np.random.default_rng(5)
         m = rng.normal(size=(4, 4))
         m[:, 3] = m[:, 1] - m[:, 2]
-        for v in pl.nullspace(m):
+        for v in linalg.kernel_basis(m):
             assert np.linalg.norm(m @ v) <= 1e-9
 
 

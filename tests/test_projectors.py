@@ -469,8 +469,8 @@ class TestRank1Stack:
             rays = ctx._rays
             offsets = np.abs(rays.conj() @ rays.T - np.eye(len(rays)))
             products = pl.projectors._rank1_products(rays[None], offsets[None])[0]
-            measured = pl.projectors._measure(np.array([p.matrix for p in ctx.members])[None])[0]
-            assert np.abs(products - measured[0]).max() <= rank1_bound(rays)
+            measured = pl.projectors._measure(np.array([p.matrix for p in ctx.members]))[0]
+            assert np.abs(products - measured).max() <= rank1_bound(rays)
         assert moved
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")

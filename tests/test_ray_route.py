@@ -109,6 +109,34 @@ class TestMechanism:
         pl.parse_document(_twin(ks18_document())[0])
         assert len(calls) == 9
 
+    def test_ray_documents_take_no_dense_checks(self, monkeypatch):
+        # ``document`` binds ``_checked_stack`` at import, so both names are spied on.
+        calls = []
+        checked = pl.projectors._checked_stack
+
+        def counted(stack, *args):
+            calls.append(stack.shape)
+            return checked(stack, *args)
+
+        monkeypatch.setattr(pl.projectors, "_checked_stack", counted)
+        monkeypatch.setattr(pl.document, "_checked_stack", counted)
+        for _, doc in corpus():
+            pl.parse_document(doc)
+        pl.context_from_basis(list(np.eye(3)))
+        assert calls == []
+        pl.parse_document(_twin(ks18_document())[0])
+        assert calls == [(4, 4, 4)] * 9
+
+    def test_ray_members_are_hermitian_within_the_rank1_bound(self):
+        # No Hermitian residual is taken for v v^H; the dense one stays at roundoff.
+        docs = corpus() + [("haar64", _ray_document([_haar(np.random.default_rng(2401), 64)]))]
+        for _, doc in docs:
+            collection, _ = pl.parse_document(doc)
+            for ctx in collection.contexts:
+                stack = np.array([p.matrix for p in ctx.members])
+                herm = np.abs(stack - stack.conj().swapaxes(1, 2)).max()
+                assert herm <= rank1_bound(ctx._rays)
+
     def test_ray_contexts_take_no_svd(self, monkeypatch):
         ray_form, _ = pl.parse_document(ks18_document())
         matrix_form, _ = pl.parse_document(_twin(ks18_document())[0])

@@ -634,9 +634,9 @@ class TestDocumentOrder:
 
 class TestNanResiduals:
     def test_hermitian(self):
-        stack = np.array([[[[1.0, np.nan], [0.0, 0.0]]]], dtype=complex)
+        stack = np.array([[[1.0, np.nan], [0.0, 0.0]]], dtype=complex)
         with pytest.raises(pl.NotHermitianError):
-            pl.projectors._checked_stack(stack, resolve(None), [["n"]])
+            pl.projectors._checked_stack(stack, resolve(None), ["n"])
 
     def test_pairwise(self):
         members = [

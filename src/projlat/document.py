@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import gc
 import json
+import math
 from numbers import Real
 
 import numpy as np
@@ -126,6 +127,18 @@ def _matrix_context(name: str, matrices: list, dim: int, tol: TolerancePolicy):
     return _checked_context(*_checked_stack(stack, tol, labels), tol, name)
 
 
+def _norm(vector: np.ndarray) -> float:
+    """``np.linalg.norm`` of one contiguous complex vector, bit for bit.
+
+    It takes the same two real ``dot`` calls over the real and imaginary
+    parts, adds them and takes one square root, which IEEE arithmetic
+    rounds correctly in ``math.sqrt`` and numpy alike, without the
+    argument handling that makes one call cost several microseconds.
+    """
+    real, imag = vector.real, vector.imag
+    return math.sqrt(real.dot(real) + imag.dot(imag))
+
+
 def _unit_rays(rays_obj: dict, dim: int) -> np.ndarray:
     """Every ray, normalized, as one (rays, dim) row array in document order.
 
@@ -148,14 +161,15 @@ def _unit_rays(rays_obj: dict, dim: int) -> np.ndarray:
             if walk:
                 rows[k] = _parse_vector(vector, dim, f"rays[{name}]")
             # One norm per ray: a norm along axis 1 may round differently.
-            norms[k] = float(np.linalg.norm(rows[k]))
-            if not 0.0 < norms[k] < np.inf:
+            norm = _norm(rows[k])
+            if not 0.0 < norm < math.inf:
                 parts = rows[k].view(np.float64)
                 largest = np.abs(parts).max()
                 if largest == 0.0:
                     raise ValidationError(f"ray {name!r} has zero norm")
                 parts /= largest
-                norms[k] = float(np.linalg.norm(rows[k]))
+                norm = _norm(rows[k])
+            norms[k] = norm
     return rows / norms[:, None]
 
 

@@ -363,6 +363,107 @@ def _basis_contexts(
     return contexts
 
 
+def _dot_bound(terms: int) -> float:
+    """``k u / (1 - k u)``: the rounding error bound of a k-term real dot product."""
+    gamma = _UNIT_ROUNDOFF * terms
+    return gamma / (1 - gamma)
+
+
+def _flat_screen(stack: np.ndarray, tol: TolerancePolicy) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (later, earlier) of the (K, n, n) ``stack`` that may lie within ``eps_subspace``.
+
+    ``|A|^2 + |B|^2 - 2 Re<A, B>``, from the Gram matrix of the flattened
+    members, is their squared distance up to a rounding error of
+    ``gamma * (|A| + |B|)^2``, with ``gamma`` the dot-product bound for
+    ``2 n^2 + 8`` real terms. The screen keeps a pair within
+    ``(eps_subspace * (1 + gamma))^2``, which covers the rounding of the
+    norm, plus twice that error, which covers the rounding of ``|A|`` and
+    ``|B|``. The Gram matrix is taken in blocks of rows, each against the
+    earlier members only; pairs come ordered by the later member, then the
+    earlier one.
+    """
+    # Re<A, B> as a real product over the interleaved real and imaginary parts.
+    flat = stack.reshape(len(stack), -1).view(np.float64)
+    squares = np.einsum("ij,ij->i", flat, flat)
+    norms = np.sqrt(squares)
+    gamma = _dot_bound(flat.shape[1] + 8)
+    reach = (tol.eps_subspace * (1 + gamma)) ** 2
+    later, earlier = [], []
+    step = max(1, _CHUNK_ENTRIES // len(stack))
+    for start in range(0, len(stack), step):
+        stop = min(start + step, len(stack))
+        rows = slice(start, stop)
+        squared = squares[rows, None] + squares[None, :stop] - 2 * (flat[rows] @ flat[:stop].T)
+        limit = reach + 2 * gamma * (norms[rows, None] + norms[None, :stop]) ** 2
+        # Not ``<=``: a pair whose estimate is NaN is measured too.
+        k, j = np.nonzero(~(squared > limit))
+        k += start
+        later.append(k[j < k])
+        earlier.append(j[j < k])
+    return np.concatenate(later), np.concatenate(earlier)
+
+
+def _ray_screen(rays: np.ndarray, tol: TolerancePolicy):
+    """The pairs of ``_flat_screen`` for the members ``u u^H`` of the (K, n) ``rays``.
+
+    Returns ``(later, earlier, first)``, with ``first[k]`` the first row
+    whose bytes equal those of row k. A repeated row is in no pair: equal
+    bytes give equal elementwise products, so its member has the bytes of
+    its first occurrence's, at distance 0, and the first representative
+    within ``eps_subspace`` of the one is the first of the other. The
+    greedy rule therefore gives it the identity of its first occurrence.
+
+    The distinct rows are screened with one Gram matrix of the rays, taken
+    in blocks of rows, since ``|u u^H - v v^H|_F^2 = |u|^4 + |v|^4 -
+    2 |<u, v>|^2``: O(K^2 n) instead of O(K^2 n^2). Rounding: with
+    ``a = |u|^2`` and ``b = |v|^2``, the stored member rounds one complex
+    product per entry, so it lies within ``sqrt(2) gamma_2 a`` of
+    ``u u^H`` in Frobenius norm. The computed squared norms ``s`` and the
+    real and imaginary parts of ``<u, v>`` are 2n-term real dot products,
+    within ``gamma_2n a`` and ``sqrt(2) gamma_2n sqrt(a b)``; squaring and
+    the three additions leave the estimate within ``gamma (a + b)^2`` of
+    the exact squared distance, with ``gamma`` the dot-product bound for
+    ``8 n + 16`` real terms (the error is below ``gamma_(6n + 6)`` to first
+    order). A pair the norm accepts has ``|A - B|_F <= eps_subspace
+    (1 + gamma_F)``, ``gamma_F`` as in ``_flat_screen``, so the exact
+    distance of its rays' outer products is at most ``r = eps_subspace
+    (1 + gamma_F) + gamma S`` for any ``S >= s_u + s_v``; the screen takes
+    twice the largest ``s`` for every pair. It keeps a pair whose estimate
+    is within ``r^2 + 2 gamma S^2``, where the factor 2 covers
+    ``(a + b)^2 <= (s_u + s_v)^2 / (1 - gamma_2n)^2``, or is NaN. The few
+    roundings of the limit itself fall within the slack of the ``+ 8`` in
+    ``gamma_F`` and of that factor 2.
+    """
+    n = rays.shape[1]
+    first, seen = [], {}
+    for k, key in enumerate(rays.view((np.void, n * rays.itemsize)).ravel().tolist()):
+        first.append(seen.setdefault(key, k))
+    distinct = np.fromiter(seen.values(), dtype=np.intp, count=len(seen))
+    rows = rays[distinct]
+    flat = rows.view(np.float64)
+    squares = np.einsum("ij,ij->i", flat, flat)
+    fourth = squares ** 2
+    gamma = _dot_bound(8 * n + 16)
+    total = 2 * squares.max()
+    limit = (tol.eps_subspace * (1 + _dot_bound(2 * n * n + 8)) + gamma * total) ** 2
+    limit += 2 * gamma * total ** 2
+    later, earlier = [], []
+    step = max(1, _CHUNK_ENTRIES // len(rows))
+    for start in range(0, len(rows), step):
+        stop = min(start + step, len(rows))
+        block = rows[start:stop].conj() @ rows[:stop].T
+        inner = block.real ** 2
+        inner += block.imag ** 2
+        estimate = fourth[start:stop, None] + fourth[None, :stop]
+        estimate -= 2 * inner
+        # Not ``<=``: a pair whose estimate is NaN is measured too.
+        k, j = np.nonzero(~(estimate > limit))
+        k += start
+        later.append(k[j < k])
+        earlier.append(j[j < k])
+    return distinct[np.concatenate(later)], distinct[np.concatenate(earlier)], first
+
+
 @dataclass(frozen=True)
 class RegistryEntry:
     """One shared projector identity across a collection.
@@ -401,51 +502,38 @@ class ContextCollection:
         Each member takes the identity of the first earlier representative
         it is close to, ``np.linalg.norm(rep - member) <= eps_subspace``, or
         becomes a representative itself. That norm is taken only for the
-        pairs the Gram matrix of the flattened members puts near each other:
-        ``|A|^2 + |B|^2 - 2 Re<A, B>`` is their squared distance up to a
-        rounding error of ``gamma * (|A| + |B|)^2``, with ``gamma`` the
-        dot-product bound for ``2 n^2 + 8`` real terms. The screen keeps a
-        pair within ``(eps_subspace * (1 + gamma))^2``, which covers the
-        rounding of the norm, plus twice that error, which covers the
-        rounding of ``|A|`` and ``|B|``. It may keep a pair too many, never
-        one too few.
+        pairs a screen keeps: ``_ray_screen`` when every context carries its
+        rays, ``_flat_screen`` otherwise. A screen may keep a pair too many,
+        never one too few, so the identities are those of comparing each
+        member with every earlier representative.
         """
         projectors = [p for ctx in self.contexts for p in ctx.members]
         places = [(ci, mi) for ci, ctx in enumerate(self.contexts) for mi in range(len(ctx))]
-        stack = np.array([p.matrix for p in projectors], dtype=complex)
-        # Re<A, B> as a real product over the interleaved real and imaginary parts.
-        flat = stack.reshape(len(stack), -1).view(np.float64)
-        squares = np.einsum("ij,ij->i", flat, flat)
-        norms = np.sqrt(squares)
-        gamma = _UNIT_ROUNDOFF * (flat.shape[1] + 8)
-        gamma /= 1 - gamma
-        reach = (tol.eps_subspace * (1 + gamma)) ** 2
-        later, earlier = [], []
-        # Rows of the Gram matrix in blocks, each against the earlier members only.
-        step = max(1, _CHUNK_ENTRIES // len(stack))
-        for start in range(0, len(stack), step):
-            stop = min(start + step, len(stack))
-            rows = slice(start, stop)
-            squared = squares[rows, None] + squares[None, :stop] - 2 * (flat[rows] @ flat[:stop].T)
-            limit = reach + 2 * gamma * (norms[rows, None] + norms[None, :stop]) ** 2
-            # Not ``<=``: a pair whose estimate is NaN is measured too.
-            k, j = np.nonzero(~(squared > limit))
-            k += start
-            later.append(k[j < k])
-            earlier.append(j[j < k])
-        later, earlier = np.concatenate(later), np.concatenate(earlier)
+        if all(ctx._rays is not None for ctx in self.contexts):
+            rays = np.concatenate([ctx._rays for ctx in self.contexts])
+            later, earlier, first = _ray_screen(rays, tol)
+
+            def members(ks):
+                return np.array([projectors[k].matrix for k in ks.tolist()])
+        else:
+            stack = np.array([p.matrix for p in projectors], dtype=complex)
+            later, earlier = _flat_screen(stack, tol)
+            first = range(len(stack))
+            members = stack.__getitem__
         close = np.empty(len(later), dtype=bool)
-        step = max(1, _CHUNK_ENTRIES // (stack[0].size or 1))
+        step = max(1, _CHUNK_ENTRIES // (projectors[0].matrix.size or 1))
         for start in range(0, len(later), step):
             part = slice(start, start + step)
-            distances = np.linalg.norm(stack[earlier[part]] - stack[later[part]], axis=(1, 2))
-            close[part] = distances <= tol.eps_subspace
+            gaps = members(earlier[part]) - members(later[part])
+            close[part] = np.linalg.norm(gaps, axis=(1, 2)) <= tol.eps_subspace
         # Pairs come ordered by the later member, then the earlier one, so the
         # earlier member's representative is settled when it is read.
-        owner = list(range(len(stack)))
+        owner = list(range(len(projectors)))
         for k, j in zip(later[close].tolist(), earlier[close].tolist()):
             if owner[k] == k and owner[j] == j:
                 owner[k] = j
+        # A repeated ray is in no screened pair; its first occurrence is earlier.
+        owner = [owner[j] for j in first]
         reps = [k for k, own in enumerate(owner) if own == k]
         index = {k: i for i, k in enumerate(reps)}
         occurrences: list[list[tuple[int, int]]] = [[] for _ in reps]

@@ -14,9 +14,7 @@ sharing is what can make the search unsatisfiable.
 from __future__ import annotations
 
 import enum
-import operator
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -191,17 +189,20 @@ def search_noncontextual_assignment(
     entries; past it the walk descends, or tests a context's patterns on
     every entry, as before.
     """
-    patterns = []
+    patterns, own = [], []
     for ci, ctx in enumerate(collection.contexts):
         bits = [1 << collection.identity_of(ci, mi) for mi in range(len(ctx.members))]
-        patterns.append(
-            [
-                (bit, reduce(operator.or_, bits[:pos] + bits[pos + 1 :], 0))
-                for pos, bit in enumerate(bits)
-            ]
-        )
+        # before[i] | after[i + 1] is the OR of every bit but bits[i], which
+        # still holds bits[i] when another member shares its identity.
+        before, after = [0], [0]
+        for bit in bits:
+            before.append(before[-1] | bit)
+        for bit in reversed(bits):
+            after.append(after[-1] | bit)
+        after.reverse()
+        patterns.append([(bit, before[pos] | after[pos + 1]) for pos, bit in enumerate(bits)])
+        own.append(before[-1])
     depth = len(patterns)
-    own = [reduce(operator.or_, (b for b, _ in level), 0) for level in patterns]
     # seen[k]: the identities of contexts 0 to k - 1, the ones valued at level k.
     # live[k]: the identities that contexts k onwards can test.
     seen, live = [0] * (depth + 1), [0] * (depth + 1)

@@ -106,6 +106,39 @@ def test_ray_scale_does_not_matter(scale):
         assert g.matrix.tobytes() == w.matrix.tobytes()
 
 
+def oracle_unit_rays(rows):
+    """Each ray divided by one ``np.linalg.norm``, rescaled first when that
+    norm overflows or underflows."""
+    out = []
+    with np.errstate(over="ignore"):
+        for row in rows:
+            row = row.copy()
+            norm = float(np.linalg.norm(row))
+            if not 0.0 < norm < np.inf:
+                parts = row.view(np.float64)
+                parts /= np.abs(parts).max()
+                norm = float(np.linalg.norm(row))
+            out.append(row / norm)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_ray_norms_match_numpy_bit_for_bit(seed):
+    # Plain rays, and rays whose plain norm overflows or underflows.
+    rng = np.random.default_rng(1700 + seed)
+    dim = int(rng.integers(1, 40))
+    scales = (1.0, 1e-3, 1e3, 1e160, 1e200, 1e305, 1e-170, 1e-200, 1e-310)
+    rows = np.array(
+        [(rng.normal(size=dim) + 1j * rng.normal(size=dim)) * scale for scale in scales]
+    )
+    with np.errstate(over="ignore"):
+        for row in rows:
+            assert pl.document._norm(row) == np.linalg.norm(row)
+    rays = {f"r{k}": pl.document.vector_to_json(row) for k, row in enumerate(rows)}
+    got = pl.document._unit_rays(rays, dim)
+    assert got.tobytes() == oracle_unit_rays(rows).tobytes()
+
+
 def test_axiom_failure_carries_context_name(pauli):
     z = pauli.context_named("z").members
     x = pauli.context_named("x").members

@@ -611,6 +611,160 @@ class TestScreenedRegistry:
         assert collection.identity_of(2, 0) == collection.identity_of(1, 0)
 
 
+def _from_bases(bases):
+    """One basis context per (n, n) array of columns."""
+    return [pl.context_from_basis(list(basis.T), name=f"b{c}") for c, basis in enumerate(bases)]
+
+
+def _turned_bases(rng, dim, offsets):
+    """One Haar basis, and copies with vectors 0 and 1 turned by each offset."""
+    basis = _unitary(rng, dim)
+    return [_turn(basis, 0, 1, t) for t in offsets]
+
+
+class TestRayScreen:
+    """Collections whose contexts all keep their rays are screened from the rays."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_pairs_at_the_tolerance(self, seed):
+        rng = np.random.default_rng(2100 + seed)
+        dim = int(rng.integers(2, 9))
+        offsets = [0.0] + list(rng.choice(BOUNDARY, size=8)) + list(
+            EPS * rng.uniform(0.9, 1.1, size=8)
+        )
+        contexts = _from_bases(_turned_bases(rng, dim, offsets))
+        assert all(ctx._rays is not None for ctx in contexts)
+        assert_same_registry(pl.ContextCollection(contexts), contexts, resolve(None))
+
+    def test_boundary_pairs_fall_on_both_sides(self):
+        tol = resolve(None)
+        near = far = 0
+        for seed in range(20):
+            rng = np.random.default_rng(2150 + seed)
+            dim = int(rng.integers(2, 9))
+            offsets = [0.0, EPS * (1 - 1e-9), EPS * (1 + 1e-9)]
+            contexts = _from_bases(_turned_bases(rng, dim, offsets))
+            identity, _ = oracle_registry(contexts, tol)
+            near += sum(identity[(c, 0)] == identity[(0, 0)] for c in (1, 2))
+            far += sum(identity[(c, 0)] != identity[(0, 0)] for c in (1, 2))
+            assert_same_registry(pl.ContextCollection(contexts), contexts, tol)
+        assert near and far
+
+    @pytest.mark.parametrize("chunk", [1, 7, 100])
+    def test_blocks_give_the_same_identities(self, monkeypatch, chunk):
+        monkeypatch.setattr(pl.projectors, "_CHUNK_ENTRIES", chunk)
+        for seed in range(5):
+            rng = np.random.default_rng(2100 + seed)
+            contexts = _from_bases(_turned_bases(rng, 3, list(rng.choice(BOUNDARY, size=12))))
+            assert_same_registry(pl.ContextCollection(contexts), contexts, resolve(None))
+
+    def test_one_ray_under_two_names(self):
+        basis = _unitary(np.random.default_rng(2170), 3)
+        rays = {f"a{i}": pl.document.vector_to_json(basis[:, i]) for i in range(3)}
+        rays["again"] = rays["a0"]
+        groups = {"x": ["a0", "a1", "a2"], "y": ["a1", "a2", "again"]}
+        doc = {"dim": 3, "rays": rays, "groups": groups}
+        collection, tol = pl.parse_document(doc)
+        assert_same_registry(collection, collection.contexts, tol)
+        assert collection.identity_of(1, 2) == collection.identity_of(0, 0)
+        assert len(collection.registry) == 3
+        # Equal bytes: the repeat is in no screened pair and no distance is taken.
+        rays = np.concatenate([ctx._rays for ctx in collection.contexts])
+        later, earlier, first = pl.projectors._ray_screen(rays, tol)
+        assert first == [0, 1, 2, 1, 2, 0]
+        assert len(later) == len(earlier) == 0
+
+    def test_phase_turned_copy_is_measured(self):
+        # e^{i phi} u has other bytes than u but the same outer product, up to rounding.
+        basis = _unitary(np.random.default_rng(2180), 4)
+        turned = basis * np.exp(1j * np.array([0.3, 1.1, 2.0, -2.5]))
+        contexts = _from_bases([basis, turned])
+        collection = pl.ContextCollection(contexts)
+        assert_same_registry(collection, contexts, resolve(None))
+        assert [collection.identity_of(1, i) for i in range(4)] == [0, 1, 2, 3]
+        rays = np.concatenate([ctx._rays for ctx in contexts])
+        later, earlier, first = pl.projectors._ray_screen(rays, resolve(None))
+        assert first == list(range(8))
+        assert sorted(zip(later.tolist(), earlier.tolist())) == [(4 + i, i) for i in range(4)]
+
+    def test_nan_estimate_keeps_its_pair(self):
+        # Validated rays are near unit length; these overflow on purpose.
+        rays = np.array([[1e200, 0.0], [1e200, 1.0], [0.0, 1.0]], dtype=complex)
+        with np.errstate(over="ignore", invalid="ignore"):
+            later, earlier, first = pl.projectors._ray_screen(rays, resolve(None))
+        assert first == [0, 1, 2]
+        assert list(zip(later.tolist(), earlier.tolist())) == [(1, 0), (2, 0), (2, 1)]
+
+    def test_non_transitive_chain(self):
+        rng = np.random.default_rng(2190)
+        for order in ([0.0, 0.6, 1.2], [0.6, 0.0, 1.2], [1.2, 0.6, 0.0], [0.0, 1.2, 0.6]):
+            contexts = _from_bases(_turned_bases(rng, 2, [t * EPS for t in order]))
+            assert_same_registry(pl.ContextCollection(contexts), contexts, resolve(None))
+        bases = _turned_bases(rng, 2, [0.0, 0.6 * EPS, 1.2 * EPS])
+        chain = pl.ContextCollection(_from_bases(bases))
+        assert [chain.identity_of(c, 0) for c in range(3)] == [0, 0, 2]
+
+    def test_ray_and_matrix_contexts_mixed(self, monkeypatch):
+        rng = np.random.default_rng(2195)
+        bases = _turned_bases(rng, 3, [0.0, 0.5 * EPS, 2 * EPS])
+        rays = _from_bases(bases)
+        members = [
+            pl.validate_projector(np.outer(v, v.conj()), label=f"m{i}")
+            for i, v in enumerate(bases[1].T)
+        ]
+        matrix = pl.validate_context(members, name="m")
+        contexts = [rays[0], matrix, rays[2]]
+        screens = []
+        flat_screen = pl.projectors._flat_screen
+        monkeypatch.setattr(
+            pl.projectors, "_flat_screen", lambda *a: screens.append(1) or flat_screen(*a)
+        )
+        collection = pl.ContextCollection(contexts)
+        assert screens == [1]
+        assert_same_registry(collection, contexts, resolve(None))
+        assert collection.identity_of(1, 0) == collection.identity_of(0, 0)
+
+    def test_no_member_stack_and_no_flattened_gram(self, monkeypatch):
+        # The members of a ray collection are read only for the pairs the
+        # ray screen keeps, never all at once, and never flattened.
+        rng = np.random.default_rng(2199)
+        bases = _turned_bases(rng, 4, [0.0, 0.5 * EPS, 0.0])
+        contexts = _from_bases(bases)
+        built = []
+
+        class Spy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def _record(self, make, *args, **kwargs):
+                out = make(*args, **kwargs)
+                built.append(out.shape)
+                return out
+
+            def array(self, *args, **kwargs):
+                return self._record(np.array, *args, **kwargs)
+
+            def stack(self, *args, **kwargs):
+                return self._record(np.stack, *args, **kwargs)
+
+            def concatenate(self, *args, **kwargs):
+                return self._record(np.concatenate, *args, **kwargs)
+
+        def flat_screen(*args):
+            raise AssertionError("a ray collection took the flattened screen")
+
+        monkeypatch.setattr(pl.projectors, "np", Spy())
+        monkeypatch.setattr(pl.projectors, "_flat_screen", flat_screen)
+        collection = pl.ContextCollection(contexts)
+        monkeypatch.undo()
+        assert_same_registry(collection, contexts, resolve(None))
+        members = [shape for shape in built if shape[-2:] == (4, 4)]
+        # Context 1 turns two rays of context 0 within eps_subspace, so those
+        # two pairs are measured; context 2 repeats context 0 bit for bit.
+        assert members == [(2, 4, 4)] * 2
+        assert len(collection.registry) == 4
+
+
 class TestDocumentOrder:
     def _doc(self, first, second):
         good = [_to_json(np.diag([1.0, 0.0])), _to_json(np.diag([0.0, 1.0]))]

@@ -113,18 +113,20 @@ def _matrix_context(name: str, matrices: list, dim: int, tol: TolerancePolicy):
 
     Errors come in document order: a member that fails the projector axioms
     raises before a later member that does not parse, as if each member were
-    parsed and validated in turn.
+    parsed and validated in turn. The stack is built from the parsed
+    members, so neither ``dim`` nor the member count is trusted before the
+    payload backs it.
     """
     labels = [f"{name}[{i}]" for i in range(len(matrices))]
-    stack = np.empty((len(matrices), dim, dim), dtype=np.complex128)
+    parsed = []
     for i, matrix in enumerate(matrices):
         try:
-            stack[i] = _parse_matrix(matrix, dim, f"contexts[{name}][{i}]")
+            parsed.append(_parse_matrix(matrix, dim, f"contexts[{name}][{i}]"))
         except ParseError:
-            if i:
-                _checked_stack(stack[:i], tol, labels)
+            if parsed:
+                _checked_stack(np.array(parsed), tol, labels)
             raise
-    return _checked_context(*_checked_stack(stack, tol, labels), tol, name)
+    return _checked_context(*_checked_stack(np.array(parsed), tol, labels), tol, name)
 
 
 def _norm(vector: np.ndarray) -> float:
@@ -143,10 +145,12 @@ def _unit_rays(rays_obj: dict, dim: int) -> np.ndarray:
     """Every ray, normalized, as one (rays, dim) row array in document order.
 
     All rays are decoded in one call; the ray-by-ray walk runs only for a
-    payload that call rejects, to name the ray that does not parse. Either
-    way the first ray that does not parse or has zero norm raises. A ray
-    whose norm overflows or underflows is first divided by its largest
-    real or imaginary part; every other ray keeps the bits of its plain norm.
+    payload that call rejects, to name the ray that does not parse, and
+    keeps each ray as it parses, so a ``dim`` the payload does not back
+    allocates nothing. Either way the first ray that does not parse or has
+    zero norm raises. A ray whose norm overflows or underflows is first
+    divided by its largest real or imaginary part; every other ray keeps the
+    bits of its plain norm.
     """
     vectors = list(rays_obj.values())
     rows = None
@@ -154,12 +158,12 @@ def _unit_rays(rays_obj: dict, dim: int) -> np.ndarray:
         rows = _decode(vectors, (len(vectors), dim, 2))
     walk = rows is None
     if walk:
-        rows = np.empty((len(vectors), dim), dtype=np.complex128)
+        rows = []
     norms = np.empty(len(vectors))
     with np.errstate(over="ignore"):
         for k, (name, vector) in enumerate(rays_obj.items()):
             if walk:
-                rows[k] = _parse_vector(vector, dim, f"rays[{name}]")
+                rows.append(_parse_vector(vector, dim, f"rays[{name}]"))
             # One norm per ray: a norm along axis 1 may round differently.
             norm = _norm(rows[k])
             if not 0.0 < norm < math.inf:
@@ -170,7 +174,7 @@ def _unit_rays(rays_obj: dict, dim: int) -> np.ndarray:
                 parts /= largest
                 norm = _norm(rows[k])
             norms[k] = norm
-    return rows / norms[:, None]
+    return np.asarray(rows) / norms[:, None]
 
 
 def _group_rays(group_name, ray_names, index: dict) -> list[int]:
@@ -291,11 +295,12 @@ def load_document(
 ) -> tuple[ContextCollection, TolerancePolicy]:
     """Read and parse a document file.
 
-    A key repeated within one JSON object (two contexts or two rays of the
-    same name, say) is a ``ParseError``: plain JSON decoding would silently
-    keep the last one. The cyclic garbage collector is paused while the
-    file is decoded: the many small lists JSON builds set it off, yet they
-    form no cycles. The caller's collector state is restored afterwards.
+    A file that is not UTF-8 is a ``ParseError``. A key repeated within one
+    JSON object (two contexts or two rays of the same name, say) is one too:
+    plain JSON decoding would silently keep the last one. The cyclic garbage
+    collector is paused while the file is decoded: the many small lists JSON
+    builds set it off, yet they form no cycles. The caller's collector state
+    is restored afterwards.
     """
     collecting = gc.isenabled()
     gc.disable()
@@ -304,6 +309,8 @@ def load_document(
             data = json.load(handle, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8: {exc}") from exc
     except ParseError as exc:
         raise ParseError(f"{path}: {exc}") from exc
     finally:

@@ -1,12 +1,13 @@
 """Finite invariant-subspace families and their intersection.
 
-A family is Boolean over its atoms, orthogonal nonzero subspaces that sum
-to C^n (a projector's range and kernel, a context's nonzero members), and
-lists the spans of atom subsets in ascending bitmask order: atom ``i`` sits
-at position ``2^i``. Families meet in the sums of connected components of
-the graph linking overlapping atoms; a meet of only {0, C^n} is trivial.
-A built family keeps only its atoms and its blocks, disjoint atom bitmasks
-whose unions are its elements. An element, the QR of its atoms' stacked
+Families come only from ``context_lattice``, ``projector_lattice`` and
+``intersect_lattices``, always as atoms plus blocks. The atoms are
+orthogonal nonzero subspaces that sum to C^n (a projector's range and
+kernel, a context's nonzero members); the blocks are disjoint atom bitmasks,
+and the family is Boolean over them: it lists the spans of block subsets in
+ascending bitmask order, block ``i`` at position ``2^i``. Families meet in
+the sums of connected components of the graph linking overlapping atoms; a
+meet of only {0, C^n} is trivial. An element, the QR of its atoms' stacked
 bases, is taken when the elements are first read, for at most
 ``DEFAULT_MEMBER_CAP`` blocks, so a meet of 2^c elements costs 2^c QRs.
 """
@@ -47,41 +48,33 @@ def _unions(blocks) -> list[int]:
 
 
 class LatticeFamily:
-    """A family of subspaces with reporting labels.
+    """A family of subspaces with reporting labels, Boolean over its blocks.
 
-    Always contains the zero subspace and the full space; no two elements
-    are equal within ``eps_subspace``. ``LatticeFamily(n, elements, labels)``
-    holds the given tuples. Element ``i`` of a built family spans the atoms
-    of its blocks at the set bits of ``i``. ``elements`` and ``labels`` are
-    built on first access, past ``DEFAULT_MEMBER_CAP`` blocks they raise
-    ``SubsetLimitExceededError``, and ``size``, ``len``, ``is_trivial`` and
-    ``intersect_lattices`` never build them.
+    ``LatticeFamily(n, atoms, blocks)`` takes the atom bases and ``blocks``,
+    disjoint bitmasks of the atoms; ``context_lattice``, ``projector_lattice``
+    and ``intersect_lattices`` build every family. Element ``i`` spans the
+    atoms of the blocks at the set bits of ``i``: element 0 is the zero
+    subspace, the last one spans every atom, and distinct subsets of
+    orthogonal atoms give distinct subspaces. ``elements`` and ``labels``
+    are built on first access, past ``DEFAULT_MEMBER_CAP`` blocks they
+    raise ``SubsetLimitExceededError``, and ``size``, ``len``,
+    ``is_trivial`` and ``intersect_lattices`` never build them.
     """
 
     __slots__ = ("ambient_dim", "_elements", "_labels", "_atom_set", "_blocks")
 
-    def __init__(self, ambient_dim: int, elements, labels):
+    def __init__(self, ambient_dim: int, atoms: _Atoms, blocks: tuple[int, ...]):
         self.ambient_dim = ambient_dim
-        self._elements = tuple(elements)
-        self._labels = tuple(labels)
-        self._atom_set = self._blocks = None
-
-    @classmethod
-    def _over_atoms(cls, n: int, atoms: _Atoms, blocks: tuple[int, ...]) -> "LatticeFamily":
-        """Boolean over ``blocks``, disjoint bitmasks of ``atoms``; built when first read."""
-        family = cls.__new__(cls)
-        family.ambient_dim = n
-        family._elements = family._labels = None
-        family._atom_set, family._blocks = atoms, blocks
-        return family
+        self._elements = self._labels = None
+        self._atom_set, self._blocks = atoms, blocks
 
     @property
     def size(self) -> int:
-        """The number of elements, 2^blocks for a built family, as a Python int."""
-        return len(self._elements) if self._atom_set is None else 1 << len(self._blocks)
+        """The number of elements, 2^blocks, as a Python int."""
+        return 1 << len(self._blocks)
 
     def _masks(self) -> list[int]:
-        """The atom bitmask of each element of a built family, in order."""
+        """The atom bitmask of each element, in order."""
         if len(self._blocks) > DEFAULT_MEMBER_CAP:
             raise SubsetLimitExceededError(len(self._blocks), DEFAULT_MEMBER_CAP)
         return _unions(self._blocks)
@@ -114,10 +107,8 @@ class LatticeFamily:
 
     def is_trivial(self) -> bool:
         """True when the family is exactly {zero subspace, full space}."""
-        n = self.ambient_dim
-        if self._atom_set is None:
-            return self.size == 2 and sorted(s.dim for s in self._elements) == [0, n]
         # One block, whose atoms span C^n.
+        n = self.ambient_dim
         widths = [u.shape[1] for u in self._atom_set.bases]
         return len(self._blocks) == 1 and sum(widths[i] for i in _bits(self._blocks[0])) >= n
 
@@ -127,9 +118,6 @@ class LatticeFamily:
     def __len__(self) -> int:
         return self.size
 
-    def __iter__(self):
-        return iter(self.elements)
-
     def __repr__(self) -> str:
         return f"LatticeFamily(dim={self.ambient_dim}, elements={self.size})"
 
@@ -138,7 +126,7 @@ def _boolean_family(n: int, parts: list[tuple[np.ndarray, str]], wrap: str) -> L
     """Spans of subsets of the orthogonal parts, each an orthonormal ``(n, r)``
     basis; parts with no columns are not atoms, and ``ran(1)`` needs every part."""
     atoms = [(basis, name) for basis, name in parts if basis.shape[1]]
-    return LatticeFamily._over_atoms(
+    return LatticeFamily(
         n,
         _Atoms(tuple(b for b, _ in atoms), tuple(name for _, name in atoms), len(parts), wrap),
         tuple(1 << i for i in range(len(atoms))),
@@ -184,18 +172,11 @@ def context_lattice(ctx: MaximalContext, tol: TolerancePolicy | None = None) -> 
 
 
 def _atoms(fam: LatticeFamily) -> list[np.ndarray]:
-    """Atom bases of a Boolean family: its elements at positions 2^i.
-
-    A built family stacks the bases of each block's atoms instead of taking
-    a QR; the two span the same subspace.
-    """
-    k = fam.size.bit_length() - 1
-    if fam._atom_set is None:
-        atoms = [fam.elements[1 << i].basis for i in range(k)]
-    else:
-        bases = fam._atom_set.bases
-        atoms = [np.hstack([bases[j] for j in _bits(block)]) for block in fam._blocks]
-    if fam.size != 1 << k or sum(u.shape[1] for u in atoms) != fam.ambient_dim:
+    """One basis per block: the stacked bases of its atoms, not their QR,
+    which spans the same subspace."""
+    bases = fam._atom_set.bases
+    atoms = [np.hstack([bases[j] for j in _bits(block)]) for block in fam._blocks]
+    if sum(u.shape[1] for u in atoms) != fam.ambient_dim:
         raise ValueError("family is not Boolean over atoms spanning the whole space")
     return atoms
 
@@ -242,13 +223,8 @@ def intersect_lattices(
         {sum(1 << int(j) for j in np.flatnonzero(reach[i, :k])) for i in range(k)}
     )
     first = fams[0]
-    if first._atom_set is None:
-        keep = _unions(components)
-        return LatticeFamily(
-            n, tuple(first.elements[i] for i in keep), tuple(first.labels[i] for i in keep)
-        )
     blocks = tuple(sum(first._blocks[j] for j in _bits(c)) for c in components)
-    return LatticeFamily._over_atoms(n, first._atom_set, blocks)
+    return LatticeFamily(n, first._atom_set, blocks)
 
 
 def is_closed_under_meet_join(

@@ -573,27 +573,14 @@ class ContextCollection:
 def pauli_contexts(tol: TolerancePolicy | None = None) -> ContextCollection:
     """The three rank-1 contexts on C^2 built from the Pauli eigenprojectors."""
     half = 0.5
-    matrices = {
-        "z": [np.array([[1, 0], [0, 0]], dtype=complex), np.array([[0, 0], [0, 1]], dtype=complex)],
-        "x": [
-            half * np.array([[1, 1], [1, 1]], dtype=complex),
-            half * np.array([[1, -1], [-1, 1]], dtype=complex),
-        ],
-        "y": [
-            half * np.array([[1, -1j], [1j, 1]], dtype=complex),
-            half * np.array([[1, 1j], [-1j, 1]], dtype=complex),
-        ],
+    stacks = {
+        "z": np.array([[[1, 0], [0, 0]], [[0, 0], [0, 1]]], dtype=complex),
+        "x": half * np.array([[[1, 1], [1, 1]], [[1, -1], [-1, 1]]], dtype=complex),
+        "y": half * np.array([[[1, -1j], [1j, 1]], [[1, 1j], [-1j, 1]]], dtype=complex),
     }
-    contexts = []
-    for name, (first, second) in matrices.items():
-        contexts.append(
-            validate_context(
-                [
-                    validate_projector(first, tol, label=f"P1_{name}"),
-                    validate_projector(second, tol, label=f"P2_{name}"),
-                ],
-                tol,
-                name=name,
-            )
-        )
+    tol = resolve(tol)
+    contexts = [
+        _checked_context(*_checked_stack(stack, tol, [f"P1_{name}", f"P2_{name}"]), tol, name)
+        for name, stack in stacks.items()
+    ]
     return ContextCollection(contexts, tol)

@@ -100,6 +100,23 @@ def test_integer_past_the_float_range_is_a_json_error_report(tmp_path, capsys):
     }
 
 
+def test_non_utf8_document_is_an_error_report(tmp_path, capsys):
+    # A ray named "a\xff", whose bytes are not UTF-8.
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"dim": 1, "rays": {"a\xff": [[1, 0]]}, "groups": {"z": ["a\xff"]}}')
+    assert main(["validate", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: {path}: not UTF-8: ")
+    assert main(["validate", str(path), "--format", "json"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    report = json.loads(lines[0])
+    assert report["command"] == "validate" and report["exit_code"] == 1
+    assert report["error"] == err[len("error: ") : -1]
+
+
 def test_missing_file_exits_one(tmp_path):
     assert main(["validate", str(tmp_path / "absent.json")]) == 1
 

@@ -93,6 +93,47 @@ def test_zero_ray_rejected():
         pl.parse_document(doc)
 
 
+def test_matrix_dim_is_not_trusted_before_member_zero_parses():
+    # A stack of 10^8 x 10^8 matrices would not fit in the address space.
+    doc = {"dim": 10**8, "contexts": {"z": [[[[1, 0]]]]}}
+    with pytest.raises(pl.ParseError) as info:
+        pl.parse_document(doc)
+    assert str(info.value) == (
+        "contexts[z][0]: expected a 100000000x100000000 matrix as 100000000 rows"
+    )
+
+
+def test_member_count_is_not_trusted_before_the_members_parse():
+    # One 300 x 300 projector and 10^5 entries that are not matrices: a
+    # stack for every entry would take 144 GB.
+    first = np.zeros((300, 300))
+    first[0, 0] = 1
+    doc = {"dim": 300, "contexts": {"z": [pl.document.matrix_to_json(first)] + [0] * 10**5}}
+    with pytest.raises(pl.ParseError) as info:
+        pl.parse_document(doc)
+    assert str(info.value) == "contexts[z][1]: expected a 300x300 matrix as 300 rows"
+
+
+def test_ray_dim_is_not_trusted_before_a_ray_parses():
+    # Ten rays of 10^13 entries would not fit in the address space.
+    rays = {f"r{k}": [[1, 0]] for k in range(10)}
+    doc = {"dim": 10**13, "rays": rays, "groups": {"g": list(rays)}}
+    with pytest.raises(pl.ParseError) as info:
+        pl.parse_document(doc)
+    assert str(info.value) == "rays[r0]: expected a vector of 10000000000000 [re, im] pairs"
+
+
+def test_ray_walk_keeps_document_order():
+    # Ray b does not parse, so the rays are walked one by one: the zero ray
+    # before it raises first, and a bad ray before a zero ray does.
+    rays = {"a": [[0, 0], [0, 0]], "b": [[1, 0]]}
+    with pytest.raises(pl.ValidationError, match="ray 'a' has zero norm"):
+        pl.parse_document({"dim": 2, "rays": rays, "groups": {"z": ["a", "b"]}})
+    rays = {"b": [[1, 0]], "a": [[0, 0], [0, 0]]}
+    with pytest.raises(pl.ParseError, match=r"rays\[b\]: expected a vector of 2"):
+        pl.parse_document({"dim": 2, "rays": rays, "groups": {"z": ["a", "b"]}})
+
+
 @pytest.mark.parametrize("scale", [1e200, 1e308, 1e-200, 1e-320])
 def test_ray_scale_does_not_matter(scale):
     # The plain norm of these rays overflows or underflows.

@@ -1,4 +1,5 @@
 import json
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -7,6 +8,22 @@ import projlat as pl
 from conftest import random_rank1_context
 from projlat import Subspace
 from projlat.cli import main
+
+
+LOOSE = pl.TolerancePolicy(eps_rank=1e-4, eps_entry=1e-4, eps_subspace=1e-3)
+
+
+@dataclass(frozen=True)
+class Listed:
+    """Subspaces and labels held as given, for the brute-force oracles and for
+    families no function of the package builds."""
+
+    ambient_dim: int
+    elements: tuple
+    labels: tuple
+
+    def contains(self, subspace, tol=None):
+        return any(el.equals(subspace, tol) for el in self.elements)
 
 
 @pytest.fixture(scope="module")
@@ -163,11 +180,16 @@ class TestIntersectLattices:
 
 
 class TestTriviality:
-    def test_trivial_family(self):
-        family = pl.LatticeFamily(
-            2, (Subspace.zero(2), Subspace.full(2)), ("ran(0)", "ran(1)")
-        )
-        assert family.is_trivial()
+    def test_trivial_family(self, pauli_lattices):
+        # {0, C^n} from one rank-n member, from a projector whose kernel is
+        # zero, and from a meet.
+        for family in (
+            pl.context_lattice(pl.validate_context([pl.validate_projector(np.eye(3))])),
+            pl.projector_lattice(pl.validate_projector(np.eye(2), label="1")),
+            pl.intersect_lattices(pauli_lattices.values()),
+        ):
+            assert family.is_trivial()
+            assert [el.dim for el in family.elements] == [0, family.ambient_dim]
 
     def test_projector_lattice_is_not_trivial(self, pauli):
         family = pl.projector_lattice(pauli.context_named("z").members[0])
@@ -186,7 +208,7 @@ class TestClosureVerification:
 
     def test_detects_a_family_that_is_not_closed(self):
         # join of the two distinct lines is the full space, which is missing
-        broken = pl.LatticeFamily(
+        broken = Listed(
             2,
             (
                 Subspace.zero(2),
@@ -206,7 +228,7 @@ def _oracle_dedup(pairs, n):
         if not any(sub.equals(seen) for seen in elements):
             elements.append(sub)
             labels.append(label)
-    return pl.LatticeFamily(n, tuple(elements), tuple(labels))
+    return Listed(n, tuple(elements), tuple(labels))
 
 
 def oracle_projector_lattice(projector):
@@ -250,7 +272,7 @@ def oracle_intersect(families):
 def assert_same_family(got, want):
     assert got.ambient_dim == want.ambient_dim
     assert got.labels == want.labels
-    assert len(got) == len(want)
+    assert len(got) == len(want.elements)
     for g, w in zip(got.elements, want.elements):
         assert g.dim == w.dim
         assert g.equals(w)
@@ -355,39 +377,30 @@ class TestAgainstBruteForceOracle:
         # stay unlinked while the projector distance exceeds eps_subspace.
         families = self._z_and_turned_z(pauli, 8.5e-9)
         assert len(pl.intersect_lattices(families)) == 4
-        assert len(oracle_intersect(families)) == 2
+        assert len(oracle_intersect(families).elements) == 2
 
 
 class TestIntersectionGuard:
+    """Families validated under loose tolerances, met under the defaults."""
+
     def test_non_boolean_family_is_rejected(self, pauli_lattices):
-        broken = pl.LatticeFamily(
-            2,
-            (
-                Subspace.zero(2),
-                Subspace.from_span([[1, 0]]),
-                Subspace.from_span([[1, 1]]),
-            ),
-            ("a", "b", "c"),
-        )
-        with pytest.raises(ValueError):
+        # Each noisy member has rank 2 under the default eps_rank: atom
+        # widths (2, 2) in C^2.
+        ctx = noisy_context(np.random.default_rng(1830), 2, 1e-7, LOOSE)
+        broken = pl.context_lattice(ctx)
+        assert [u.shape[1] for u in broken._atom_set.bases] == [2, 2]
+        with pytest.raises(ValueError, match="not Boolean over atoms spanning"):
             pl.intersect_lattices([broken])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not Boolean over atoms spanning"):
             pl.intersect_lattices([pauli_lattices["z"], broken])
 
     def test_overlapping_atoms_are_rejected(self, pauli_lattices):
-        skew = pl.LatticeFamily(
-            2,
-            (
-                Subspace.zero(2),
-                Subspace.from_span([[1, 0]]),
-                Subspace.from_span([[1, 1]]),
-                Subspace.full(2),
-            ),
-            ("0", "a", "b", "1"),
-        )
-        with pytest.raises(ValueError):
+        # Two rays 1e-5 apart from orthogonal, past the default eps_subspace.
+        ctx = pl.context_from_basis([[1, 0], [1e-5, np.sqrt(1 - 1e-10)]], LOOSE)
+        skew = pl.context_lattice(ctx)
+        with pytest.raises(ValueError, match="atoms of one family overlap"):
             pl.intersect_lattices([skew])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="atoms of one family overlap"):
             pl.intersect_lattices([pauli_lattices["z"], skew])
 
 
@@ -401,7 +414,7 @@ def eager_boolean_family(n, parts, wrap):
         elements.append(Subspace(n, np.linalg.qr(np.hstack([b for b, _ in chosen]))[0]))
         full = len(chosen) == len(parts)
         labels.append("ran(1)" if full else wrap % "+".join(name for _, name in chosen))
-    return pl.LatticeFamily(n, tuple(elements), tuple(labels))
+    return Listed(n, tuple(elements), tuple(labels))
 
 
 def eager_context_lattice(ctx):
@@ -412,7 +425,7 @@ def eager_context_lattice(ctx):
 def assert_identical_family(got, want):
     """Same labels, and element bases equal to the last bit."""
     assert got.labels == want.labels
-    assert len(got) == len(want) == len(got.elements)
+    assert len(got) == len(want.elements) == len(got.elements)
     for g, w in zip(got.elements, want.elements):
         assert g.basis.shape == w.basis.shape
         assert np.array_equal(g.basis, w.basis)
@@ -510,8 +523,8 @@ class TestFamiliesKeepAtoms:
             index = {label: i for i, label in enumerate(eager[0].labels)}
             for element, label in zip(meet.elements, meet.labels):
                 assert np.array_equal(element.basis, eager[0].elements[index[label]].basis)
-            # The eager copies meet in the same elements.
-            assert_identical_family(pl.intersect_lattices(eager), meet)
+            # The eager copies meet, by membership, in the same elements.
+            assert_identical_family(meet, oracle_intersect(eager))
 
     def test_meet_of_a_meet(self):
         collection, _ = pl.parse_document(planted_blocks_document(1810))
@@ -521,8 +534,6 @@ class TestFamiliesKeepAtoms:
         again = pl.intersect_lattices([meet] + families)
         assert_identical_family(again, meet)
         assert_identical_family(pl.intersect_lattices([meet]), meet)
-        frozen = pl.LatticeFamily(meet.ambient_dim, meet.elements, meet.labels)
-        assert_identical_family(pl.intersect_lattices([frozen] + families[1:]), meet)
 
     def test_projector_lattice_equals_the_eager_build(self, pauli):
         for projector in (
@@ -552,8 +563,6 @@ class TestBatchedRanges:
     """Atoms from one SVD of the member stack, or a basis context's own
     rays, against ``Projector.range``."""
 
-    LOOSE = pl.TolerancePolicy(eps_rank=1e-4, eps_entry=1e-4, eps_subspace=1e-3)
-
     @staticmethod
     def assert_atoms_are_ranges(ctx, tol):
         atoms = pl.context_lattice(ctx, tol)._atom_set
@@ -577,7 +586,7 @@ class TestBatchedRanges:
         for seed in range(1000, 1060):
             for ctx in planted_case(seed):
                 ranks = self.assert_atoms_are_ranges(ctx, None)
-                assert self.assert_atoms_are_ranges(ctx, self.LOOSE) == ranks
+                assert self.assert_atoms_are_ranges(ctx, LOOSE) == ranks
                 zero_members += ranks.count(0)
         assert zero_members > 0
 
@@ -585,11 +594,11 @@ class TestBatchedRanges:
         collection, _ = pl.parse_document(planted_blocks_document(1820))
         for ctx in (*pauli.contexts, *ks18.contexts, *collection.contexts):
             self.assert_atoms_are_ranges(ctx, None)
-            self.assert_atoms_are_ranges(ctx, self.LOOSE)
+            self.assert_atoms_are_ranges(ctx, LOOSE)
 
     def test_loose_eps_rank_drops_the_noise(self):
         rng = np.random.default_rng(1830)
         for dim in (2, 3, 5):
-            ctx = noisy_context(rng, dim, 1e-7, self.LOOSE)
-            assert self.assert_atoms_are_ranges(ctx, self.LOOSE) == [1] * dim
+            ctx = noisy_context(rng, dim, 1e-7, LOOSE)
+            assert self.assert_atoms_are_ranges(ctx, LOOSE) == [1] * dim
             assert self.assert_atoms_are_ranges(ctx, None) == [dim] * dim

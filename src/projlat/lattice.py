@@ -19,7 +19,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionMismatchError, SubsetLimitExceededError
-from .projectors import MaximalContext, Projector, is_invariant
+from .projectors import MaximalContext, Projector, _member_factors, is_invariant
 from .subspace import Subspace
 from .tolerance import TolerancePolicy, resolve
 
@@ -150,22 +150,16 @@ def context_lattice(ctx: MaximalContext, tol: TolerancePolicy | None = None) -> 
 
     Bit ``i`` selects the ``i``-th nonzero member, which fixes the element
     order. Distinct subsets of orthogonal atoms are distinct subspaces, so
-    nothing is deduplicated. Only the member ranges are computed here. A
-    context built from a basis has its vectors as ranges: member ``v v^H``
-    has the single singular value ``|v|^2`` and the atom ``v``, a unit
-    column within ``eps_entry``, so no SVD is taken. Any other context takes
-    one SVD of the member stack: a member's range is the first ``rank`` left
-    singular vectors, as ``Projector.range`` takes them one member at a
-    time. The 2^m elements are built when first read, for at most
+    nothing is deduplicated. The atoms come from the context's factors
+    (``_member_factors``), taken once when it was checked: a member's range
+    is its first ``rank`` left singular vectors, ranked under ``tol``, as
+    ``Projector.range`` takes them one member at a time. A context built
+    from a basis has its vectors as ranges: member ``v v^H`` has the single
+    singular value ``|v|^2`` and the atom ``v``, a unit column within
+    ``eps_entry``. The 2^m elements are built when first read, for at most
     ``DEFAULT_MEMBER_CAP`` nonzero members.
     """
-    if ctx._rays is not None:
-        # (m, n, 1): each ray as a column, ranked by its singular value |v|^2.
-        u = ctx._rays[:, :, None]
-        s = np.linalg.norm(ctx._rays, axis=1)[:, None] ** 2
-    else:
-        u, s, _ = np.linalg.svd(np.array([p.matrix for p in ctx.members], dtype=np.complex128))
-        u.setflags(write=False)
+    u, s = _member_factors(ctx)
     ranks = linalg.singular_rank(s, tol)
     parts = [(ui[:, :r], p.label) for ui, r, p in zip(u, ranks.tolist(), ctx.members)]
     return _boolean_family(ctx.ambient_dim, parts, "ran(%s)")

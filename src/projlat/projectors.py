@@ -141,9 +141,11 @@ def _checked_stack(stack: np.ndarray, tol: TolerancePolicy, labels):
 
     ``labels[i]`` labels ``stack[i]``. Each matrix passes the projector
     axioms; the first failing one raises what ``validate_projector`` raises
-    for it alone. Ranks count the singular values above the
-    ``linalg.singular_rank`` cutoff, from one batched SVD. Returns the
-    members, and the products and residuals as ``_measure`` gives them.
+    for it alone. One batched SVD factors the stack: ranks count the
+    singular values above the ``linalg.singular_rank`` cutoff, and its
+    left singular vectors and singular values, read-only, are the context's
+    factors. Returns the members, the products and residuals as
+    ``_measure`` gives them, and the factors ``(u, s)``.
     """
     eps = tol.eps_entry
     # An overflow shows as an inf or NaN residual, which fails below.
@@ -156,13 +158,15 @@ def _checked_stack(stack: np.ndarray, tol: TolerancePolicy, labels):
         if not herm[i] <= eps:
             raise NotHermitianError(float(herm[i]), eps)
         raise NotIdempotentError(float(idem[i]), eps)
-    ranks = linalg.singular_rank(np.linalg.svd(stack, compute_uv=False), tol).tolist()
-    stack.setflags(write=False)
+    u, s, _ = np.linalg.svd(stack)
+    ranks = linalg.singular_rank(s, tol).tolist()
+    for arr in (stack, u, s):
+        arr.setflags(write=False)
     members = tuple(
         Projector(matrix=matrix, rank=rank, label=label)
         for matrix, rank, label in zip(stack, ranks, labels)
     )
-    return members, products, residuals
+    return members, products, residuals, (u, s)
 
 
 def is_invariant(
@@ -198,6 +202,12 @@ class MaximalContext:
     # Set for a context built from a basis: its (m, n) vectors, read-only, with
     # member i equal to the outer product of row i with its conjugate.
     _rays: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    # ``(u, s)``, read-only: member i has the singular values ``s[i]`` and the
+    # left singular vectors ``u[i]``. Set by the checks that built the
+    # context, or by ``_member_factors`` when first read.
+    _factors: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def ambient_dim(self) -> int:
@@ -212,6 +222,23 @@ class MaximalContext:
 
     def __repr__(self) -> str:
         return f"MaximalContext({self.name!r}, members={len(self.members)})"
+
+
+def _member_factors(ctx: MaximalContext) -> tuple[np.ndarray, np.ndarray]:
+    """The context's factors ``(u, s)``, its members' ranges and singular values.
+
+    A matrix-form context keeps the SVD of its member stack that
+    ``_checked_stack`` took; a context built from a basis keeps its rays
+    as one-column ``u`` with ``s = |v|^2``, the one nonzero singular value
+    of ``v v^H``. Any other context takes one SVD of its member stack now,
+    and keeps it.
+    """
+    if ctx._factors is None:
+        u, s, _ = np.linalg.svd(np.array([p.matrix for p in ctx.members], dtype=np.complex128))
+        u.setflags(write=False)
+        s.setflags(write=False)
+        object.__setattr__(ctx, "_factors", (u, s))
+    return ctx._factors
 
 
 def context_residuals(ctx: MaximalContext) -> dict[str, float]:
@@ -240,20 +267,24 @@ def validate_context(
             raise DimensionMismatchError(
                 f"context {name!r}: mixed ambient dimensions {dim} and {p.ambient_dim}"
             )
-    return _checked_context(members, *_measure(np.array([p.matrix for p in members])), tol, name)
+    products, residuals = _measure(np.array([p.matrix for p in members]))
+    return _checked_context(members, products, residuals, None, tol, name)
 
 
 def _checked_context(
     members: tuple[Projector, ...],
     products: np.ndarray,
     residuals: dict[str, float],
+    factors: tuple[np.ndarray, np.ndarray] | None,
     tol: TolerancePolicy,
     name: str,
 ) -> MaximalContext:
-    """The context of ``members``, from the products and residuals ``_checked_stack`` returns.
+    """The context of ``members``, from what ``_checked_stack`` returns.
 
     The first pair (i, j) in row-major order whose products are not within
-    ``eps_entry``, then the sum, raises; a residual that is NaN fails.
+    ``eps_entry``, then the sum, raises; a residual that is NaN fails. The
+    context keeps ``factors``; when they are None, ``_member_factors``
+    takes them when first read.
     """
     eps = tol.eps_entry
     if not residuals["pairwise_product"] <= eps:
@@ -266,6 +297,7 @@ def _checked_context(
         raise SumNotIdentityError(name, residuals["sum_minus_identity"], eps)
     ctx = MaximalContext(name=name, members=members)
     object.__setattr__(ctx, "_residuals", residuals)
+    object.__setattr__(ctx, "_factors", factors)
     return ctx
 
 
@@ -315,8 +347,10 @@ def _basis_contexts(
     roundoff times ``max|v_a|^2``, inside the bound of ``_rank1_products``.
     The outer products take one pass over all C bases, and every slice is
     computed as for the basis alone. Each context keeps its basis,
-    read-only, as ``_rays``. A failing check raises for the first basis
-    that fails that check, so for C = 1 this is ``context_from_basis``.
+    read-only, as ``_rays``, and as its factors: each ray a one-column
+    ``u``, with ``s = |v|^2`` from one norm over all the bases. A failing
+    check raises for the first basis that fails that check, so for C = 1
+    this is ``context_from_basis``.
     For C > 1 an earlier basis may fail a check made later; a caller that
     needs the first failing basis in order checks the bases one at a time
     once this raises.
@@ -351,13 +385,17 @@ def _basis_contexts(
         c, i = np.argwhere(~(idem <= eps))[0]
         raise NotIdempotentError(float(idem[c, i]), eps)
     ranks = linalg.singular_rank(gram.diagonal(axis1=1, axis2=2).real[..., None], tol).tolist()
+    # (C, m, n, 1) and (C, m, 1): each ray as a column, with its singular value.
+    u = rows[..., None]
+    s = np.linalg.norm(rows, axis=2)[..., None] ** 2
+    s.setflags(write=False)
     contexts = []
     for c, name in enumerate(names):
         members = tuple(
             Projector(matrix=matrix, rank=rank, label=label)
             for matrix, rank, label in zip(stack[c], ranks[c], labels[c])
         )
-        ctx = _checked_context(members, products[c], residuals[c], tol, name)
+        ctx = _checked_context(members, products[c], residuals[c], (u[c], s[c]), tol, name)
         object.__setattr__(ctx, "_rays", rows[c])
         contexts.append(ctx)
     return contexts

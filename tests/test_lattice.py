@@ -6,7 +6,7 @@ import pytest
 
 import projlat as pl
 from conftest import random_rank1_context
-from projlat import Subspace
+from projlat import Subspace, linalg
 from projlat.cli import main
 
 
@@ -194,6 +194,16 @@ class TestTriviality:
     def test_projector_lattice_is_not_trivial(self, pauli):
         family = pl.projector_lattice(pauli.context_named("z").members[0])
         assert not family.is_trivial()
+
+    def test_one_block_narrower_than_the_space_is_not_trivial(self):
+        # No package function builds a family whose one block misses part of
+        # C^n, so the width test is pinned on hand-built families.
+        def one_block(basis):
+            atoms = pl.lattice._Atoms((basis,), ("a",), 1, "%s")
+            return pl.lattice.LatticeFamily(3, atoms, (1,))
+
+        assert not one_block(np.eye(3, dtype=complex)[:, :2]).is_trivial()
+        assert one_block(np.eye(3, dtype=complex)).is_trivial()
 
 
 class TestClosureVerification:
@@ -602,3 +612,109 @@ class TestBatchedRanges:
             ctx = noisy_context(rng, dim, 1e-7, LOOSE)
             assert self.assert_atoms_are_ranges(ctx, LOOSE) == [1] * dim
             assert self.assert_atoms_are_ranges(ctx, None) == [dim] * dim
+
+
+def _mixed_rank_members(rng, n):
+    """Projectors of ranks 0 to 4 cut from Haar-random columns of C^n, shuffled."""
+    columns, mats, start = _haar(rng, n), [], 0
+    while start < n:
+        rank = int(min(rng.integers(0, 5), n - start))
+        piece = columns[:, start : start + rank]
+        mats.append(piece @ piece.conj().T)
+        start += rank
+    return [mats[i] for i in rng.permutation(len(mats))]
+
+
+def oracle_factored_family(ctx, tol):
+    """The atoms from a fresh SVD of the member stack, as ``context_lattice``
+    took them before contexts kept their factors."""
+    u, s, _ = np.linalg.svd(np.array([p.matrix for p in ctx.members], dtype=np.complex128))
+    ranks = linalg.singular_rank(s, tol).tolist()
+    atoms = [(ui[:, :r], p.label) for ui, r, p in zip(u, ranks, ctx.members) if r]
+    return atoms, ranks
+
+
+class TestKeptFactors:
+    """A context is factored once; its lattice reads that factor."""
+
+    @staticmethod
+    def assert_same_as_a_fresh_svd(ctx, tol):
+        family = pl.context_lattice(ctx, tol)
+        atoms, ranks = oracle_factored_family(ctx, tol)
+        assert family._atom_set.parts == len(ctx.members)
+        assert family._atom_set.names == tuple(label for _, label in atoms)
+        assert len(family._atom_set.bases) == len(atoms)
+        for got, (want, _) in zip(family._atom_set.bases, atoms):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        return family, ranks
+
+    def contexts(self, mats, tol, name):
+        """The same members through a document, ``validate_context`` and by hand."""
+        matrices = [pl.document.matrix_to_json(m) for m in mats]
+        doc = {"dim": mats[0].shape[0], "contexts": {name: matrices}}
+        overrides = {f: getattr(tol, f) for f in pl.document.TOLERANCE_FIELDS}
+        parsed, _ = pl.parse_document(doc, overrides)
+        members = [pl.validate_projector(m, tol, f"{name}[{i}]") for i, m in enumerate(mats)]
+        checked = pl.validate_context(members, tol, name=name)
+        return parsed.contexts[0], checked, pl.MaximalContext(name, checked.members)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_mixed_rank_contexts(self, seed):
+        rng = np.random.default_rng(1900 + seed)
+        n = int(rng.integers(1, 13))
+        mats = _mixed_rank_members(rng, n)
+        parsed, checked, by_hand = self.contexts(mats, pl.TolerancePolicy(), "c")
+        assert parsed._factors is not None and checked._factors is None
+        families = []
+        for ctx in (parsed, checked, by_hand):
+            family, ranks = self.assert_same_as_a_fresh_svd(ctx, None)
+            assert [p.rank for p in ctx.members] == ranks
+            families.append(family)
+            # A tolerance other than the context's ranks the same kept factor.
+            self.assert_same_as_a_fresh_svd(ctx, LOOSE)
+        assert checked._factors is not None and not checked._factors[0].flags.writeable
+        for family in families[1:]:
+            assert family._atom_set.names == families[0]._atom_set.names
+            for a, b in zip(family._atom_set.bases, families[0]._atom_set.bases):
+                assert a.tobytes() == b.tobytes()
+        if len(families[0]._blocks) <= 8:
+            for a, b in zip(families[1].elements, families[0].elements):
+                assert a.basis.tobytes() == b.basis.tobytes()
+
+    def test_singular_value_straddling_the_rank_cutoff(self):
+        # Member 0 gains c v v^H along a line of member 1's range, with c on
+        # a grid around the cutoff eps_rank * max(1, s_0) = eps_rank: its
+        # rank is 2 or 3 by the last bits of one singular value, and the
+        # rank validation reports is the width of the atom the lattice takes.
+        rng = np.random.default_rng(1950)
+        tol = pl.TolerancePolicy()
+        mats, columns = [], _haar(rng, 6)
+        for k in range(0, 6, 2):
+            piece = columns[:, k : k + 2]
+            mats.append(piece @ piece.conj().T)
+        v = columns[:, 2:3]
+        ranks = set()
+        for c in tol.eps_rank * (1 + np.linspace(-2e-6, 2e-6, 41)):
+            straddled = [mats[0] + c * (v @ v.conj().T), *mats[1:]]
+            for ctx in self.contexts(straddled, tol, "s"):
+                family, want = self.assert_same_as_a_fresh_svd(ctx, None)
+                assert [p.rank for p in ctx.members] == want
+                assert family._atom_set.bases[0].shape[1] == want[0]
+                ranks.add(want[0])
+        assert ranks == {2, 3}
+
+    def test_ray_factors_are_the_rays(self, ks18):
+        # Bases checked as one stack, with integer and with Haar-random entries.
+        rng = np.random.default_rng(1960)
+        rays, groups = {}, {}
+        for g in range(3):
+            for k, column in enumerate(_haar(rng, 7).T):
+                rays[f"{g}_{k}"] = pl.document.vector_to_json(column)
+            groups[f"g{g}"] = [f"{g}_{k}" for k in range(7)]
+        haar, _ = pl.parse_document({"dim": 7, "rays": rays, "groups": groups})
+        for ctx in (*ks18.contexts, *haar.contexts):
+            u, s = ctx._factors
+            n = ctx.ambient_dim
+            assert u.shape == (n, n, 1) and np.shares_memory(u, ctx._rays)
+            assert s.tobytes() == (np.linalg.norm(ctx._rays, axis=1)[:, None] ** 2).tobytes()
+            assert not u.flags.writeable and not s.flags.writeable

@@ -138,22 +138,25 @@ class TestMechanism:
                 assert herm <= rank1_bound(ctx._rays)
 
     def test_ray_contexts_take_no_svd(self, monkeypatch):
-        ray_form, _ = pl.parse_document(ks18_document())
-        matrix_form, _ = pl.parse_document(_twin(ks18_document())[0])
+        # A matrix-form context is factored once, at load, with its left
+        # singular vectors; its lattice reads that factor and takes no SVD.
         svd = np.linalg.svd
         calls = []
 
         def counted(*args, **kwargs):
-            calls.append(args[0].shape)
+            calls.append((args[0].shape, kwargs.get("compute_uv", True)))
             return svd(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", counted)
+        ray_form, _ = pl.parse_document(ks18_document())
         for ctx in ray_form.contexts:
             assert pl.context_lattice(ctx).size == 16
         assert calls == []
+        matrix_form, _ = pl.parse_document(_twin(ks18_document())[0])
+        assert calls == [((4, 4, 4), True)] * 9
         for ctx in matrix_form.contexts:
             assert ctx._rays is None and pl.context_lattice(ctx).size == 16
-        assert calls == [(4, 4, 4)] * 9
+        assert len(calls) == 9
 
     def test_kept_rays_are_read_only_rows_of_the_members(self):
         collection, _ = pl.parse_document(ks18_document())

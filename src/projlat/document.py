@@ -12,9 +12,8 @@ exactly one of two payloads:
   array of ray names. Rays are directions: they are normalized and turned
   into rank-1 projectors, and every group must form an orthonormal basis.
 
-A context's matrices, all rays, or one matrix or vector are decoded in one
-numpy call; the per-member and per-entry walk runs only for a payload that
-call rejects, to name what is wrong with it.
+A matrix or vector is decoded in one numpy call; the per-entry walk runs
+only for a payload that call rejects, to name what is wrong with it.
 """
 from __future__ import annotations
 
@@ -112,29 +111,22 @@ def _expect_row(row, dim: int, where: str) -> list:
 def _matrix_context(name: str, matrices: list, dim: int, tol: TolerancePolicy):
     """One matrix-form context, its members checked as one stack.
 
-    When every member is a list of ``dim`` rows, all members are decoded in
-    one call. Otherwise, or if that call rejects the payload, the members
-    are walked one by one, each kept as it parses, so neither ``dim`` nor
-    the member count is trusted before the payload backs it. Errors come in
-    document order: a member that fails the projector axioms raises before
-    a later member that does not parse, as if each member were parsed and
-    validated in turn.
+    Errors come in document order: a member that fails the projector axioms
+    raises before a later member that does not parse, as if each member were
+    parsed and validated in turn. The stack is built from the parsed
+    members, so neither ``dim`` nor the member count is trusted before the
+    payload backs it.
     """
     labels = [f"{name}[{i}]" for i in range(len(matrices))]
-    stack = None
-    if all(isinstance(matrix, list) and len(matrix) == dim for matrix in matrices):
-        stack = _decode(matrices, (len(matrices), dim, dim, 2))
-    if stack is None:
-        parsed = []
-        for i, matrix in enumerate(matrices):
-            try:
-                parsed.append(_parse_matrix(matrix, dim, f"contexts[{name}][{i}]"))
-            except ParseError:
-                if parsed:
-                    _checked_stack(np.array(parsed), tol, labels)
-                raise
-        stack = np.array(parsed)
-    return _checked_context(*_checked_stack(stack, tol, labels), tol, name)
+    parsed = []
+    for i, matrix in enumerate(matrices):
+        try:
+            parsed.append(_parse_matrix(matrix, dim, f"contexts[{name}][{i}]"))
+        except ParseError:
+            if parsed:
+                _checked_stack(np.array(parsed), tol, labels)
+            raise
+    return _checked_context(*_checked_stack(np.array(parsed), tol, labels), tol, name)
 
 
 def _norm(vector: np.ndarray) -> float:

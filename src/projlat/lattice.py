@@ -151,9 +151,10 @@ def context_lattice(ctx: MaximalContext, tol: TolerancePolicy | None = None) -> 
     Bit ``i`` selects the ``i``-th nonzero member, which fixes the element
     order. Distinct subsets of orthogonal atoms are distinct subspaces, so
     nothing is deduplicated. The atoms come from the context's factors
-    (``_member_factors``), taken once when it was checked: a member's range
-    is its first ``rank`` left singular vectors, ranked under ``tol``, as
-    ``Projector.range`` takes them one member at a time. A context built
+    (``_member_factors``), taken at load for a document's context or on
+    first read otherwise, and kept: a member's range is its first ``rank``
+    left singular vectors, ranked under ``tol``, as ``Projector.range``
+    takes them one member at a time. A context built
     from a basis has its vectors as ranges: member ``v v^H`` has the single
     singular value ``|v|^2`` and the atom ``v``, a unit column within
     ``eps_entry``. The 2^m elements are built when first read, for at most

@@ -487,88 +487,6 @@ class TestOneCallDecode:
         assert _outcome(pl.document._parse_matrix, matrix, 2) == want
 
 
-def walked_stack(matrices, dim):
-    """A context's members parsed one at a time, then stacked."""
-    return np.array(
-        [pl.document._parse_matrix(m, dim, f"m[{i}]") for i, m in enumerate(matrices)]
-    )
-
-
-class TestOneCallContextDecode:
-    """A matrix-form context is decoded in one call, as the per-member walk would."""
-
-    @pytest.mark.parametrize("seed", range(12))
-    def test_matches_the_per_member_walk(self, seed):
-        rng = np.random.default_rng(1870 + seed)
-        dim, count = int(rng.integers(1, 5)), int(rng.integers(1, 6))
-        # Ints, bools, signed zeros and exact floats, so every member decodes
-        # in one call on its own and the context does too.
-        plain = [0, 1, -2, 7, True, False, 0.0, -0.0, 0.5, -3.25]
-        entries = rng.choice(len(plain), size=(count, dim, dim, 2)).tolist()
-        matrices = [[[[plain[k] for k in pair] for pair in row] for row in m] for m in entries]
-        for doc in (matrices, json.loads(json.dumps(matrices))):
-            got = pl.document._decode(doc, (count, dim, dim, 2))
-            assert got is not None
-            want = walked_stack(doc, dim)
-            assert got.dtype == want.dtype and got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("seed", range(12))
-    def test_special_values_match_the_walk(self, seed):
-        rng = np.random.default_rng(1910 + seed)
-        dim, count = int(rng.integers(1, 4)), int(rng.integers(2, 5))
-        entries = _special_entries(rng, count * dim * dim)
-        matrices = [
-            [entries[(m * dim + r) * dim : (m * dim + r + 1) * dim] for r in range(dim)]
-            for m in range(count)
-        ]
-        got = pl.document._decode(matrices, (count, dim, dim, 2))
-        assert got is not None
-        assert got.tobytes() == walked_stack(matrices, dim).tobytes()
-
-    def test_projector_documents_parse_to_the_walked_bytes(self):
-        # A signed zero, a bool and an int in each member.
-        members = [
-            [[[True, -0.0], [0, 0]], [[0, -0.0], [False, 0.0]]],
-            [[[0, 0], [-0.0, 0]], [[0, 0], [1, -0.0]]],
-        ]
-        for doc in (members, json.loads(json.dumps(members))):
-            collection, _ = pl.parse_document({"dim": 2, "contexts": {"z": doc}})
-            want = walked_stack(doc, 2)
-            for member, matrix in zip(collection.contexts[0].members, want):
-                assert member.matrix.tobytes() == matrix.tobytes()
-
-    def test_invalid_member_before_one_the_call_rejects(self):
-        # Member 2 has dim rows, so the one-call decode is tried and rejects
-        # its last entry; member 1, not self-adjoint, still raises first.
-        good = [pl.document.matrix_to_json(np.diag(d)) for d in ([1.0, 0.0], [0.0, 1.0])]
-        skew = pl.document.matrix_to_json(np.array([[0.0, 1.0], [0.0, 0.0]]))
-        bad = [[[0, 0], [0, 0]], [[0, 0], ["x", 0]]]
-        doc = {"dim": 2, "contexts": {"z": [good[0], skew, bad, good[1]]}}
-        with pytest.raises(pl.NotHermitianError):
-            pl.parse_document(doc)
-        doc["contexts"]["z"][1] = good[1]
-        with pytest.raises(pl.ParseError, match=r"contexts\[z\]\[2\]\[1\]\[1\]"):
-            pl.parse_document(doc)
-
-    def test_one_decode_call_per_context(self, monkeypatch):
-        decode = pl.document._decode
-        shapes = []
-
-        def counted(obj, shape):
-            shapes.append(shape)
-            return decode(obj, shape)
-
-        monkeypatch.setattr(pl.document, "_decode", counted)
-        contexts = [
-            random_rank1_context(np.random.default_rng(1880 + c), 5, f"c{c}") for c in range(3)
-        ]
-        doc = pl.collection_to_document(pl.ContextCollection(contexts))
-        collection, _ = pl.parse_document(doc)
-        assert shapes == [(5, 5, 5, 2)] * 3
-        assert [ctx._factors[0].shape for ctx in collection.contexts] == [(5, 5, 5)] * 3
-
-
 # The per-entry encoder the writers used before they encoded in one call.
 def oracle_complex_to_json(value):
     return [float(value.real), float(value.imag)]

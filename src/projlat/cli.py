@@ -94,7 +94,7 @@ def _family_json(family: LatticeFamily) -> dict:
 
 def _intersection(collection: ContextCollection, tol: TolerancePolicy):
     """Each context's lattice family by context name, and their meet."""
-    families = {ctx.name: context_lattice(ctx, tol) for ctx in collection.contexts}
+    families = {ctx.name: context_lattice(ctx) for ctx in collection.contexts}
     return families, intersect_lattices(list(families.values()), tol)
 
 
@@ -120,7 +120,7 @@ def _lattice_verdicts(args, collection: ContextCollection, tol: TolerancePolicy)
             contexts = [collection.context_named(args.context)]
         except KeyError as exc:
             raise ParseError(str(exc)) from exc
-    return {"lattices": {ctx.name: _family_json(context_lattice(ctx, tol)) for ctx in contexts}}
+    return {"lattices": {ctx.name: _family_json(context_lattice(ctx)) for ctx in contexts}}
 
 
 def _intersect_verdicts(args, collection: ContextCollection, tol: TolerancePolicy) -> dict:

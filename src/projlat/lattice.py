@@ -17,9 +17,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import linalg
 from .errors import DimensionMismatchError, SubsetLimitExceededError
-from .projectors import MaximalContext, Projector, _member_factors, is_invariant
+from .projectors import MaximalContext, Projector, is_invariant
 from .subspace import Subspace
 from .tolerance import TolerancePolicy, resolve
 
@@ -133,36 +132,29 @@ def _boolean_family(n: int, parts: list[tuple[np.ndarray, str]], wrap: str) -> L
     )
 
 
-def projector_lattice(
-    projector: Projector, tol: TolerancePolicy | None = None
-) -> LatticeFamily:
+def projector_lattice(projector: Projector) -> LatticeFamily:
     """The invariant family {zero, range, kernel, whole space} of one projector."""
     label = projector.label
     parts = [
-        (projector.range(tol).basis, f"ran({label})"),
-        (projector.kernel(tol).basis, f"ker({label})"),
+        (projector.range().basis, f"ran({label})"),
+        (projector.kernel().basis, f"ker({label})"),
     ]
     return _boolean_family(projector.ambient_dim, parts, "%s")
 
 
-def context_lattice(ctx: MaximalContext, tol: TolerancePolicy | None = None) -> LatticeFamily:
+def context_lattice(ctx: MaximalContext) -> LatticeFamily:
     """Ranges of all subset sums of a context's members.
 
     Bit ``i`` selects the ``i``-th nonzero member, which fixes the element
     order. Distinct subsets of orthogonal atoms are distinct subspaces, so
-    nothing is deduplicated. The atoms come from the context's factors
-    (``_member_factors``), taken at load for a document's context or on
-    first read otherwise, and kept: a member's range is its first ``rank``
-    left singular vectors, ranked under ``tol``, as ``Projector.range``
-    takes them one member at a time. A context built
-    from a basis has its vectors as ranges: member ``v v^H`` has the single
-    singular value ``|v|^2`` and the atom ``v``, a unit column within
-    ``eps_entry``. The 2^m elements are built when first read, for at most
-    ``DEFAULT_MEMBER_CAP`` nonzero members.
+    nothing is deduplicated. The atoms are the members' range bases, kept
+    since the checks that ranked them: for a matrix member its first
+    ``rank`` left singular vectors from the SVD taken at load, for a ray
+    member the unit ray. No rank is decided here and no SVD is taken,
+    except once for a hand-built member. The 2^m elements are built when
+    first read, for at most ``DEFAULT_MEMBER_CAP`` nonzero members.
     """
-    u, s = _member_factors(ctx)
-    ranks = linalg.singular_rank(s, tol)
-    parts = [(ui[:, :r], p.label) for ui, r, p in zip(u, ranks.tolist(), ctx.members)]
+    parts = [(p._range_basis(), p.label) for p in ctx.members]
     return _boolean_family(ctx.ambient_dim, parts, "ran(%s)")
 
 

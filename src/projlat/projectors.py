@@ -40,23 +40,40 @@ _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 
 @dataclass(frozen=True, eq=False)
 class Projector:
-    """A validated self-adjoint idempotent matrix with its numerical rank."""
+    """A validated self-adjoint idempotent matrix with its rank and range.
+
+    Rank and range are one decision, made once. The checks keep, in
+    ``_range``, a read-only ``(n, rank)`` orthonormal basis: the first
+    ``rank`` left singular vectors of the SVD that ranked a matrix member,
+    or a ray member's ray. A projector built by hand takes those vectors
+    from one SVD of its matrix when its range is first read.
+    """
 
     matrix: np.ndarray
     rank: int
     label: str
+    _range: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def ambient_dim(self) -> int:
         return self.matrix.shape[0]
 
-    def range(self, tol: TolerancePolicy | None = None) -> Subspace:
-        """Column space: the vectors the projector fixes."""
-        return Subspace.column_space(self.matrix, tol)
+    def _range_basis(self) -> np.ndarray:
+        """The kept ``(n, rank)`` range basis, taken now for a hand-built projector."""
+        if self._range is None:
+            u = np.linalg.svd(linalg.as_complex_matrix(self.matrix))[0][:, : self.rank].copy()
+            u.setflags(write=False)
+            object.__setattr__(self, "_range", u)
+        return self._range
 
-    def kernel(self, tol: TolerancePolicy | None = None) -> Subspace:
-        """Null space: the vectors the projector annihilates."""
-        return Subspace.column_space(np.eye(self.ambient_dim) - self.matrix, tol)
+    def range(self) -> Subspace:
+        """Column space: the vectors the projector fixes."""
+        return Subspace(self.ambient_dim, self._range_basis())
+
+    def kernel(self) -> Subspace:
+        """Null space: the complement of the range, from one complete QR of its basis."""
+        q = np.linalg.qr(self._range_basis(), mode="complete")[0]
+        return Subspace(self.ambient_dim, q[:, self.rank :])
 
     def __repr__(self) -> str:
         return f"Projector({self.label!r}, rank={self.rank}, dim={self.ambient_dim})"
@@ -141,11 +158,11 @@ def _checked_stack(stack: np.ndarray, tol: TolerancePolicy, labels):
 
     ``labels[i]`` labels ``stack[i]``. Each matrix passes the projector
     axioms; the first failing one raises what ``validate_projector`` raises
-    for it alone. One batched SVD factors the stack: ranks count the
-    singular values above the ``linalg.singular_rank`` cutoff, and its
-    left singular vectors and singular values, read-only, are the context's
-    factors. Returns the members, the products and residuals as
-    ``_measure`` gives them, and the factors ``(u, s)``.
+    for it alone. One batched SVD factors the stack: a member's rank counts
+    its singular values above the ``linalg.singular_rank`` cutoff, and its
+    range is a read-only copy of its first ``rank`` left singular vectors,
+    so no member keeps the whole U. Returns the members, and the products
+    and residuals as ``_measure`` gives them.
     """
     eps = tol.eps_entry
     # An overflow shows as an inf or NaN residual, which fails below.
@@ -160,13 +177,14 @@ def _checked_stack(stack: np.ndarray, tol: TolerancePolicy, labels):
         raise NotIdempotentError(float(idem[i]), eps)
     u, s, _ = np.linalg.svd(stack)
     ranks = linalg.singular_rank(s, tol).tolist()
-    for arr in (stack, u, s):
+    ranges = [ui[:, :rank].copy() for ui, rank in zip(u, ranks)]
+    for arr in (stack, *ranges):
         arr.setflags(write=False)
     members = tuple(
-        Projector(matrix=matrix, rank=rank, label=label)
-        for matrix, rank, label in zip(stack, ranks, labels)
+        Projector(matrix=matrix, rank=rank, label=label, _range=basis)
+        for matrix, rank, label, basis in zip(stack, ranks, labels, ranges)
     )
-    return members, products, residuals, (u, s)
+    return members, products, residuals
 
 
 def is_invariant(
@@ -202,12 +220,6 @@ class MaximalContext:
     # Set for a context built from a basis: its (m, n) vectors, read-only, with
     # member i equal to the outer product of row i with its conjugate.
     _rays: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    # ``(u, s)``, read-only: member i has the singular values ``s[i]`` and the
-    # left singular vectors ``u[i]``. Set by the checks that built the
-    # context, or by ``_member_factors`` when first read.
-    _factors: tuple[np.ndarray, np.ndarray] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     @property
     def ambient_dim(self) -> int:
@@ -222,23 +234,6 @@ class MaximalContext:
 
     def __repr__(self) -> str:
         return f"MaximalContext({self.name!r}, members={len(self.members)})"
-
-
-def _member_factors(ctx: MaximalContext) -> tuple[np.ndarray, np.ndarray]:
-    """The context's factors ``(u, s)``, its members' ranges and singular values.
-
-    A matrix-form context keeps the SVD of its member stack that
-    ``_checked_stack`` took; a context built from a basis keeps its rays
-    as one-column ``u`` with ``s = |v|^2``, the one nonzero singular value
-    of ``v v^H``. Any other context takes one SVD of its member stack now,
-    and keeps it.
-    """
-    if ctx._factors is None:
-        u, s, _ = np.linalg.svd(np.array([p.matrix for p in ctx.members], dtype=np.complex128))
-        u.setflags(write=False)
-        s.setflags(write=False)
-        object.__setattr__(ctx, "_factors", (u, s))
-    return ctx._factors
 
 
 def context_residuals(ctx: MaximalContext) -> dict[str, float]:
@@ -268,23 +263,24 @@ def validate_context(
                 f"context {name!r}: mixed ambient dimensions {dim} and {p.ambient_dim}"
             )
     products, residuals = _measure(np.array([p.matrix for p in members]))
-    return _checked_context(members, products, residuals, None, tol, name)
+    return _checked_context(members, products, residuals, tol, name)
 
 
 def _checked_context(
     members: tuple[Projector, ...],
     products: np.ndarray,
     residuals: dict[str, float],
-    factors: tuple[np.ndarray, np.ndarray] | None,
     tol: TolerancePolicy,
     name: str,
 ) -> MaximalContext:
     """The context of ``members``, from what ``_checked_stack`` returns.
 
     The first pair (i, j) in row-major order whose products are not within
-    ``eps_entry``, then the sum, raises; a residual that is NaN fails. The
-    context keeps ``factors``; when they are None, ``_member_factors``
-    takes them when first read.
+    ``eps_entry``, then the sum, raises; a residual that is NaN fails. Last,
+    a ``ValidationError`` names the member ranks when they do not sum to the
+    dimension, as when a singular value between ``eps_rank`` and
+    ``eps_entry`` counts as rank, so a checked context's ranges are the
+    atoms of a Boolean family.
     """
     eps = tol.eps_entry
     if not residuals["pairwise_product"] <= eps:
@@ -295,9 +291,14 @@ def _checked_context(
         raise PairwiseProductNonzeroError(name, i, j, float(pairwise[i, j]), eps)
     if not residuals["sum_minus_identity"] <= eps:
         raise SumNotIdentityError(name, residuals["sum_minus_identity"], eps)
+    ranks = [p.rank for p in members]
+    if sum(ranks) != members[0].ambient_dim:
+        raise ValidationError(
+            f"context {name!r}: member ranks {ranks} sum to {sum(ranks)}, "
+            f"not to the dimension {members[0].ambient_dim}"
+        )
     ctx = MaximalContext(name=name, members=members)
     object.__setattr__(ctx, "_residuals", residuals)
-    object.__setattr__(ctx, "_factors", factors)
     return ctx
 
 
@@ -347,10 +348,10 @@ def _basis_contexts(
     roundoff times ``max|v_a|^2``, inside the bound of ``_rank1_products``.
     The outer products take one pass over all C bases, and every slice is
     computed as for the basis alone. Each context keeps its basis,
-    read-only, as ``_rays``, and as its factors: each ray a one-column
-    ``u``, with ``s = |v|^2`` from one norm over all the bases. A failing
-    check raises for the first basis that fails that check, so for C = 1
-    this is ``context_from_basis``.
+    read-only, as ``_rays``, and each member's range is its ray, a one-column
+    view; a basis with a member of rank 0 fails the rank-sum check of
+    ``_checked_context``. A failing check raises for the first basis that
+    fails that check, so for C = 1 this is ``context_from_basis``.
     For C > 1 an earlier basis may fail a check made later; a caller that
     needs the first failing basis in order checks the bases one at a time
     once this raises.
@@ -385,17 +386,15 @@ def _basis_contexts(
         c, i = np.argwhere(~(idem <= eps))[0]
         raise NotIdempotentError(float(idem[c, i]), eps)
     ranks = linalg.singular_rank(gram.diagonal(axis1=1, axis2=2).real[..., None], tol).tolist()
-    # (C, m, n, 1) and (C, m, 1): each ray as a column, with its singular value.
-    u = rows[..., None]
-    s = np.linalg.norm(rows, axis=2)[..., None] ** 2
-    s.setflags(write=False)
+    # (C, m, n, 1): each ray as a column, its member's range.
+    columns = rows[..., None]
     contexts = []
     for c, name in enumerate(names):
         members = tuple(
-            Projector(matrix=matrix, rank=rank, label=label)
-            for matrix, rank, label in zip(stack[c], ranks[c], labels[c])
+            Projector(matrix=matrix, rank=rank, label=label, _range=ray)
+            for matrix, rank, label, ray in zip(stack[c], ranks[c], labels[c], columns[c])
         )
-        ctx = _checked_context(members, products[c], residuals[c], (u[c], s[c]), tol, name)
+        ctx = _checked_context(members, products[c], residuals[c], tol, name)
         object.__setattr__(ctx, "_rays", rows[c])
         contexts.append(ctx)
     return contexts

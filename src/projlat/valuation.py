@@ -104,17 +104,20 @@ class BivalenceReport:
 def bivalence_report(
     state, collection: ContextCollection, tol: TolerancePolicy | None = None
 ) -> BivalenceReport:
-    """Valuate every registry identity; list the ones left undefined."""
+    """Valuate every context member once; list the registry identities left undefined.
+
+    An identity's projector is the member at its first occurrence, so its
+    value is read off that context's valuation.
+    """
+    per_context = tuple(valuate_context(state, ctx, tol) for ctx in collection.contexts)
     values = tuple(
-        valuate(state, entry.projector, tol) for entry in collection.registry
+        per_context[ci].values[mi]
+        for ci, mi in (entry.occurrences[0] for entry in collection.registry)
     )
     undefined = tuple(
         entry.projector.label
         for entry, value in zip(collection.registry, values)
         if value is TruthValue.UNDEFINED
-    )
-    per_context = tuple(
-        valuate_context(state, ctx, tol) for ctx in collection.contexts
     )
     return BivalenceReport(
         values=values,

@@ -117,6 +117,35 @@ def test_non_utf8_document_is_an_error_report(tmp_path, capsys):
     assert report["error"] == err[len("error: ") : -1]
 
 
+def test_context_whose_ranks_miss_the_dimension_is_an_error_report(tmp_path, capsys):
+    # Member a[0] = diag(1, 5e-10) passes the checks within eps_entry but has
+    # rank 2 under eps_rank: ranks [2, 1] in C^2. Every command rejects the
+    # document at load with one error line.
+    doc = {
+        "dim": 2,
+        "contexts": {
+            "a": [
+                pl.document.matrix_to_json(np.diag([1, 5e-10])),
+                pl.document.matrix_to_json(np.diag([0, 1 - 5e-10])),
+            ],
+            "x": [
+                pl.document.matrix_to_json(np.full((2, 2), 0.5)),
+                pl.document.matrix_to_json(np.array([[0.5, -0.5], [-0.5, 0.5]])),
+            ],
+        },
+    }
+    path = tmp_path / "ambiguous.json"
+    path.write_text(json.dumps(doc))
+    error = "context 'a': member ranks [2, 1] sum to 3, not to the dimension 2"
+    for command in ("validate", "lattice", "intersect", "irreducible", "ks-search"):
+        assert main([command, str(path)]) == 1
+        assert capsys.readouterr() == ("", f"error: {error}\n")
+        code = main([command, str(path), "--format", "json"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 1 and len(lines) == 1
+        assert json.loads(lines[0]) == {"command": command, "error": error, "exit_code": 1}
+
+
 def test_missing_file_exits_one(tmp_path):
     assert main(["validate", str(tmp_path / "absent.json")]) == 1
 

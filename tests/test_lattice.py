@@ -394,10 +394,15 @@ class TestIntersectionGuard:
     """Families validated under loose tolerances, met under the defaults."""
 
     def test_non_boolean_family_is_rejected(self, pauli_lattices):
-        # Each noisy member has rank 2 under the default eps_rank: atom
-        # widths (2, 2) in C^2.
+        # A checked context has ranks summing to the dimension, so only
+        # hand-built members reach the guard: the noisy members' rank 2
+        # under the default eps_rank gives atom widths (2, 2) in C^2.
         ctx = noisy_context(np.random.default_rng(1830), 2, 1e-7, LOOSE)
-        broken = pl.context_lattice(ctx)
+        members = tuple(
+            pl.Projector(p.matrix, rank=pl.numerical_rank(p.matrix), label=p.label)
+            for p in ctx.members
+        )
+        broken = pl.context_lattice(pl.MaximalContext("broken", members))
         assert [u.shape[1] for u in broken._atom_set.bases] == [2, 2]
         with pytest.raises(ValueError, match="not Boolean over atoms spanning"):
             pl.intersect_lattices([broken])
@@ -570,48 +575,51 @@ def noisy_context(rng, dim, noise, tol):
 
 
 class TestBatchedRanges:
-    """Atoms from one SVD of the member stack, or a basis context's own
-    rays, against ``Projector.range``."""
+    """Atoms are the members' ``Projector.range`` bases: the columns of one
+    SVD of the member stack, or a basis context's own rays."""
 
     @staticmethod
-    def assert_atoms_are_ranges(ctx, tol):
-        atoms = pl.context_lattice(ctx, tol)._atom_set
-        ranges = [(p.range(tol), p.label) for p in ctx.members]
+    def assert_atoms_are_ranges(ctx):
+        atoms = pl.context_lattice(ctx)._atom_set
+        ranges = [(p.range(), p.label) for p in ctx.members]
         kept = [(i, sub, label) for i, (sub, label) in enumerate(ranges) if not sub.is_zero()]
         assert atoms.parts == len(ctx.members)
         assert atoms.names == tuple(label for _, _, label in kept)
         for basis, (i, sub, _) in zip(atoms.bases, kept):
             assert basis.dtype == np.complex128 and basis.shape == sub.basis.shape
-            if ctx._rays is None:
-                assert np.ascontiguousarray(basis).tobytes() == sub.basis.tobytes()
-            else:
-                # The unit ray itself, which may differ from the SVD's in phase.
+            assert np.ascontiguousarray(basis).tobytes() == sub.basis.tobytes()
+            if ctx._rays is not None:
+                # The unit ray itself, which may differ from an SVD's in phase.
                 assert basis[:, 0].tobytes() == ctx._rays[i].tobytes()
-                assert Subspace(ctx.ambient_dim, basis).equals(sub, tol)
+                assert Subspace.column_space(ctx.members[i].matrix).equals(sub)
             assert not basis.flags.writeable
-        return [sub.dim for sub, _ in ranges]
+        ranks = [sub.dim for sub, _ in ranges]
+        assert ranks == [p.rank for p in ctx.members]
+        return ranks
 
     def test_planted_cases_with_rank0_members(self):
         zero_members = 0
         for seed in range(1000, 1060):
             for ctx in planted_case(seed):
-                ranks = self.assert_atoms_are_ranges(ctx, None)
-                assert self.assert_atoms_are_ranges(ctx, LOOSE) == ranks
+                ranks = self.assert_atoms_are_ranges(ctx)
+                assert ranks == [pl.numerical_rank(p.matrix) for p in ctx.members]
                 zero_members += ranks.count(0)
         assert zero_members > 0
 
     def test_documents(self, pauli, ks18):
         collection, _ = pl.parse_document(planted_blocks_document(1820))
         for ctx in (*pauli.contexts, *ks18.contexts, *collection.contexts):
-            self.assert_atoms_are_ranges(ctx, None)
-            self.assert_atoms_are_ranges(ctx, LOOSE)
+            self.assert_atoms_are_ranges(ctx)
 
     def test_loose_eps_rank_drops_the_noise(self):
+        # Ranked under the loose eps_rank they were validated with; the
+        # default eps_entry rejects the noisy members outright.
         rng = np.random.default_rng(1830)
         for dim in (2, 3, 5):
             ctx = noisy_context(rng, dim, 1e-7, LOOSE)
-            assert self.assert_atoms_are_ranges(ctx, LOOSE) == [1] * dim
-            assert self.assert_atoms_are_ranges(ctx, None) == [dim] * dim
+            assert self.assert_atoms_are_ranges(ctx) == [1] * dim
+            with pytest.raises(pl.NotIdempotentError):
+                pl.validate_projector(ctx.members[0].matrix)
 
 
 def _mixed_rank_members(rng, n):
@@ -625,54 +633,63 @@ def _mixed_rank_members(rng, n):
     return [mats[i] for i in rng.permutation(len(mats))]
 
 
-def oracle_factored_family(ctx, tol):
-    """The atoms from a fresh SVD of the member stack, as ``context_lattice``
-    took them before contexts kept their factors."""
+def oracle_factored_family(ctx):
+    """The atoms and ranks from a fresh SVD of the member stack, the
+    reference for the ranges members keep from load."""
     u, s, _ = np.linalg.svd(np.array([p.matrix for p in ctx.members], dtype=np.complex128))
-    ranks = linalg.singular_rank(s, tol).tolist()
+    ranks = linalg.singular_rank(s).tolist()
     atoms = [(ui[:, :r], p.label) for ui, r, p in zip(u, ranks, ctx.members) if r]
     return atoms, ranks
 
 
 class TestKeptFactors:
-    """A context is factored once; its lattice reads that factor."""
+    """A member is ranked once, at load; its lattice atom is the range kept then."""
 
     @staticmethod
-    def assert_same_as_a_fresh_svd(ctx, tol):
-        family = pl.context_lattice(ctx, tol)
-        atoms, ranks = oracle_factored_family(ctx, tol)
+    def assert_same_as_a_fresh_svd(ctx):
+        family = pl.context_lattice(ctx)
+        atoms, ranks = oracle_factored_family(ctx)
         assert family._atom_set.parts == len(ctx.members)
         assert family._atom_set.names == tuple(label for _, label in atoms)
         assert len(family._atom_set.bases) == len(atoms)
         for got, (want, _) in zip(family._atom_set.bases, atoms):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert [p.rank for p in ctx.members] == ranks
         return family, ranks
 
-    def contexts(self, mats, tol, name):
-        """The same members through a document, ``validate_context`` and by hand."""
+    @staticmethod
+    def document(mats, name):
         matrices = [pl.document.matrix_to_json(m) for m in mats]
-        doc = {"dim": mats[0].shape[0], "contexts": {name: matrices}}
-        overrides = {f: getattr(tol, f) for f in pl.document.TOLERANCE_FIELDS}
-        parsed, _ = pl.parse_document(doc, overrides)
-        members = [pl.validate_projector(m, tol, f"{name}[{i}]") for i, m in enumerate(mats)]
-        checked = pl.validate_context(members, tol, name=name)
-        return parsed.contexts[0], checked, pl.MaximalContext(name, checked.members)
+        return {"dim": mats[0].shape[0], "contexts": {name: matrices}}
+
+    def contexts(self, mats, name):
+        """The same members through a document, ``validate_context``, by hand
+        from checked members, and by hand from hand-built members."""
+        parsed, _ = pl.parse_document(self.document(mats, name))
+        members = [pl.validate_projector(m, label=f"{name}[{i}]") for i, m in enumerate(mats)]
+        checked = pl.validate_context(members, name=name)
+        hand_built = tuple(pl.Projector(p.matrix, p.rank, p.label) for p in members)
+        return (
+            parsed.contexts[0],
+            checked,
+            pl.MaximalContext(name, checked.members),
+            pl.MaximalContext(name, hand_built),
+        )
 
     @pytest.mark.parametrize("seed", range(12))
     def test_random_mixed_rank_contexts(self, seed):
         rng = np.random.default_rng(1900 + seed)
         n = int(rng.integers(1, 13))
         mats = _mixed_rank_members(rng, n)
-        parsed, checked, by_hand = self.contexts(mats, pl.TolerancePolicy(), "c")
-        assert parsed._factors is not None and checked._factors is None
-        families = []
-        for ctx in (parsed, checked, by_hand):
-            family, ranks = self.assert_same_as_a_fresh_svd(ctx, None)
-            assert [p.rank for p in ctx.members] == ranks
-            families.append(family)
-            # A tolerance other than the context's ranks the same kept factor.
-            self.assert_same_as_a_fresh_svd(ctx, LOOSE)
-        assert checked._factors is not None and not checked._factors[0].flags.writeable
+        contexts = self.contexts(mats, "c")
+        for ctx in contexts[:3]:
+            for p in ctx.members:
+                assert p._range.shape == (n, p.rank) and not p._range.flags.writeable
+        assert all(p._range is None for p in contexts[3].members)
+        families = [self.assert_same_as_a_fresh_svd(ctx)[0] for ctx in contexts]
+        # A hand-built member takes its one SVD on first read, and keeps it.
+        for p in contexts[3].members:
+            assert p._range is not None and p._range_basis() is p._range
         for family in families[1:]:
             assert family._atom_set.names == families[0]._atom_set.names
             for a, b in zip(family._atom_set.bases, families[0]._atom_set.bases):
@@ -683,9 +700,10 @@ class TestKeptFactors:
 
     def test_singular_value_straddling_the_rank_cutoff(self):
         # Member 0 gains c v v^H along a line of member 1's range, with c on
-        # a grid around the cutoff eps_rank * max(1, s_0) = eps_rank: its
-        # rank is 2 or 3 by the last bits of one singular value, and the
-        # rank validation reports is the width of the atom the lattice takes.
+        # a grid around the cutoff eps_rank * max(1, s_0) = eps_rank: a fresh
+        # SVD ranks it 2 or 3 by the last bits of one singular value. Below
+        # the cutoff the context loads and each atom is as wide as its rank;
+        # above it the ranks [3, 2, 2] do not sum to 6 and loading raises.
         rng = np.random.default_rng(1950)
         tol = pl.TolerancePolicy()
         mats, columns = [], _haar(rng, 6)
@@ -693,18 +711,29 @@ class TestKeptFactors:
             piece = columns[:, k : k + 2]
             mats.append(piece @ piece.conj().T)
         v = columns[:, 2:3]
-        ranks = set()
+        seen = set()
         for c in tol.eps_rank * (1 + np.linspace(-2e-6, 2e-6, 41)):
             straddled = [mats[0] + c * (v @ v.conj().T), *mats[1:]]
-            for ctx in self.contexts(straddled, tol, "s"):
-                family, want = self.assert_same_as_a_fresh_svd(ctx, None)
-                assert [p.rank for p in ctx.members] == want
-                assert family._atom_set.bases[0].shape[1] == want[0]
-                ranks.add(want[0])
-        assert ranks == {2, 3}
+            stack = np.array(straddled, dtype=np.complex128)
+            want = linalg.singular_rank(np.linalg.svd(stack, compute_uv=False), tol).tolist()
+            seen.add(tuple(want))
+            if want == [2, 2, 2]:
+                for ctx in self.contexts(straddled, "s"):
+                    family, _ = self.assert_same_as_a_fresh_svd(ctx)
+                    assert [u.shape[1] for u in family._atom_set.bases] == want
+                continue
+            message = r"context 's': member ranks \[3, 2, 2\] sum to 7, not to the dimension 6"
+            with pytest.raises(pl.ValidationError, match=message):
+                pl.parse_document(self.document(straddled, "s"))
+            members = [pl.validate_projector(m, label=f"s[{i}]") for i, m in enumerate(straddled)]
+            assert [p.rank for p in members] == want
+            with pytest.raises(pl.ValidationError, match=message):
+                pl.validate_context(members, name="s")
+        assert seen == {(2, 2, 2), (3, 2, 2)}
 
     def test_ray_factors_are_the_rays(self, ks18):
-        # Bases checked as one stack, with integer and with Haar-random entries.
+        # Each ray member's range is its ray, a read-only view of the basis;
+        # bases checked as one stack, with integer and with Haar-random entries.
         rng = np.random.default_rng(1960)
         rays, groups = {}, {}
         for g in range(3):
@@ -713,8 +742,53 @@ class TestKeptFactors:
             groups[f"g{g}"] = [f"{g}_{k}" for k in range(7)]
         haar, _ = pl.parse_document({"dim": 7, "rays": rays, "groups": groups})
         for ctx in (*ks18.contexts, *haar.contexts):
-            u, s = ctx._factors
             n = ctx.ambient_dim
-            assert u.shape == (n, n, 1) and np.shares_memory(u, ctx._rays)
-            assert s.tobytes() == (np.linalg.norm(ctx._rays, axis=1)[:, None] ** 2).tobytes()
-            assert not u.flags.writeable and not s.flags.writeable
+            for ray, p in zip(ctx._rays, ctx.members):
+                assert p.rank == 1 and p._range.shape == (n, 1)
+                assert np.shares_memory(p._range, ctx._rays)
+                assert p._range[:, 0].tobytes() == ray.tobytes()
+                assert not p._range.flags.writeable
+
+
+class TestRangeAndKernel:
+    """``Projector.range`` is the kept basis and ``kernel`` its complement."""
+
+    @staticmethod
+    def projectors(rng):
+        """Mixed-rank projectors of C^n, n <= 12, and the member straddling
+        the rank cutoff above it, which ranks 3 on a plane's projector."""
+        n = int(rng.integers(1, 13))
+        mats = _mixed_rank_members(rng, n)
+        columns = _haar(rng, 6)
+        v = columns[:, 2:3]
+        straddled = columns[:, :2] @ columns[:, :2].conj().T + 1.01e-10 * (v @ v.conj().T)
+        return [pl.validate_projector(m, label=f"p{i}") for i, m in enumerate(mats + [straddled])]
+
+    def test_range_kernel_and_atoms(self):
+        rng = np.random.default_rng(1970)
+        disagree, straddled = [], []
+        for _ in range(40):
+            members = self.projectors(rng)
+            straddled.append(members[-1])
+            assert members[-1].rank == 3
+            for p in members:
+                n = p.ambient_dim
+                ran, ker = p.range(), p.kernel()
+                assert ran.dim == p.rank and ker.dim == n - p.rank
+                roundoff = 8 * n * np.finfo(float).eps
+                assert linalg.max_abs(ran.basis.conj().T @ ker.basis) <= roundoff
+                assert linalg.max_abs(ker.basis.conj().T @ ker.basis - np.eye(ker.dim)) <= roundoff
+                old = Subspace.column_space(np.eye(n) - p.matrix)
+                if old.dim == ker.dim:
+                    assert ker.equals(old)
+                else:
+                    disagree.append(p)
+            ctx = pl.validate_context(members[:-1])
+            atoms = pl.context_lattice(ctx)._atom_set.bases
+            ranges = [p.range().basis for p in ctx.members if p.rank]
+            assert [a.tobytes() for a in atoms] == [r.tobytes() for r in ranges]
+        # Only on the straddling member does the old kernel differ in rank:
+        # I - P has rank 4 there, not 6 - 3.
+        assert [id(p) for p in disagree] == [id(p) for p in straddled]
+
+

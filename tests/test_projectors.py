@@ -298,12 +298,14 @@ class TestBasisRanksWithoutSvd:
 
     def test_loose_tolerances_can_give_rank_zero(self):
         # |v|^2 = 0.3 passes a Gram check at eps_entry 0.9 but lies below the
-        # rank cutoff 0.5: the SVD said rank 0, and so must the shortcut.
+        # rank cutoff 0.5: the SVD says rank 0, and so does the shortcut,
+        # whose ranks then fail to sum to the dimension.
         tol = pl.TolerancePolicy(eps_rank=0.5, eps_entry=0.9, eps_subspace=0.9)
         basis = list(np.sqrt(0.3) * np.eye(2))
-        ctx = pl.context_from_basis(basis, tol, name="small")
-        for member in ctx.members:
-            assert member.rank == pl.numerical_rank(member.matrix, tol) == 0
+        for v in basis:
+            assert pl.numerical_rank(np.outer(v, v.conj()), tol) == 0
+        with pytest.raises(pl.ValidationError, match=r"'small': member ranks \[0, 0\] sum to 0"):
+            pl.context_from_basis(basis, tol, name="small")
 
     def test_no_svd_is_taken(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -441,9 +443,12 @@ class TestRank1Stack:
         for basis in self._bases():
             for member in pl.context_from_basis(basis).members:
                 assert member.rank == pl.numerical_rank(member.matrix)
-        for scale in (np.sqrt(0.3), np.sqrt(0.7)):
-            for member in pl.context_from_basis(list(scale * np.eye(3)), loose).members:
-                assert member.rank == pl.numerical_rank(member.matrix, loose)
+        for member in pl.context_from_basis(list(np.sqrt(0.7) * np.eye(3)), loose).members:
+            assert member.rank == pl.numerical_rank(member.matrix, loose) == 1
+        # Rank 0 for |v|^2 = 0.3, as the SVD says: the ranks do not sum to 3.
+        assert pl.numerical_rank(0.3 * np.diag([1, 0, 0]), loose) == 0
+        with pytest.raises(pl.ValidationError, match=r"member ranks \[0, 0, 0\] sum to 0"):
+            pl.context_from_basis(list(np.sqrt(0.3) * np.eye(3)), loose)
 
     def test_residuals_equal_the_explicit_double_loop(self):
         for basis in self._bases():

@@ -207,8 +207,8 @@ class TestCrossFormAgreement:
         ray_form, tol = pl.parse_document(doc)
         twin, names = _twin(doc)
         matrix_form, _ = pl.parse_document(twin)
-        ray_families = [pl.context_lattice(ctx, tol) for ctx in ray_form.contexts]
-        matrix_families = [pl.context_lattice(ctx, tol) for ctx in matrix_form.contexts]
+        ray_families = [pl.context_lattice(ctx) for ctx in ray_form.contexts]
+        matrix_families = [pl.context_lattice(ctx) for ctx in matrix_form.contexts]
         pairs = list(zip(ray_families, matrix_families))
         pairs.append(tuple(pl.intersect_lattices(f) for f in (ray_families, matrix_families)))
         for mine, theirs in pairs:

@@ -123,6 +123,28 @@ class TestBivalenceReport:
         assert report.bivalent
         assert report.values == (TruthValue.ONE,)
 
+    def test_each_member_is_valued_once(self, monkeypatch, ks18):
+        # 36 members, 18 registry identities: each member valued once, and
+        # each identity valued as its projector is valued alone.
+        calls = []
+
+        def spy(state, projector, tol=None):
+            calls.append(projector)
+            return pl.valuate(state, projector, tol)
+
+        monkeypatch.setattr(valuation, "valuate", spy)
+        rng = np.random.default_rng(1980)
+        states = [np.array([1, 0, 0, 0], dtype=complex), np.array([1, 1, 0, 0]) / np.sqrt(2)]
+        for state in states + [random_state(rng, 4) for _ in range(3)]:
+            calls.clear()
+            report = pl.bivalence_report(state, ks18)
+            members = [p for ctx in ks18.contexts for p in ctx.members]
+            assert [id(p) for p in calls] == [id(p) for p in members]
+            assert report.values == tuple(
+                pl.valuate(state, entry.projector) for entry in ks18.registry
+            )
+            assert len(report.values) == 18
+
 
 def brute_force_one_hot(collection):
     """Independent oracle: enumerate every one-hot choice per context."""

@@ -208,7 +208,7 @@ def _ks_search_verdicts(args, collection: ContextCollection, tol: TolerancePolic
 def _demo_verdicts(args, collection: ContextCollection, tol: TolerancePolicy) -> dict:
     families, meet = _intersection(collection, tol)
     state = np.array([1.0, 0.0], dtype=complex)
-    return {
+    verdicts = {
         "ambient_dim": collection.ambient_dim,
         "contexts": list(collection.context_names),
         "lattices": {name: _family_json(fam) for name, fam in families.items()},
@@ -217,12 +217,16 @@ def _demo_verdicts(args, collection: ContextCollection, tol: TolerancePolicy) ->
         "algebra": _irreducible_verdicts(args, collection, tol, meet),
         "valuation": _valuation_verdicts(state, collection, tol),
         "assignment_search": _search_verdicts(collection),
-        "note": (
-            "the lattice intersection is trivial and the state valuation is "
-            "partial, while the identity-level one-hot search is satisfiable; "
-            "the verdicts answer different questions and are shown side by side"
-        ),
     }
+    trivial = "trivial" if verdicts["intersection_trivial"] else "non-trivial"
+    valuation = "bivalent" if verdicts["valuation"]["bivalent"] else "partial"
+    search = "satisfiable" if verdicts["assignment_search"]["status"] == "SAT" else "unsatisfiable"
+    verdicts["note"] = (
+        f"the lattice intersection is {trivial} and the state valuation is "
+        f"{valuation}, while the identity-level one-hot search is {search}; "
+        "the verdicts answer different questions and are shown side by side"
+    )
+    return verdicts
 
 
 # Text renderers, ``(verdicts, residuals) -> lines``, reading nothing else.

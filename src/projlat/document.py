@@ -217,7 +217,7 @@ def _parse_tolerances(data: dict, overrides: dict | None) -> TolerancePolicy:
     fields = {}
     for key in TOLERANCE_FIELDS:
         if key in data:
-            if not isinstance(data[key], Real):
+            if isinstance(data[key], bool) or not isinstance(data[key], Real):
                 raise ParseError(f"{key!r} must be a number")
             fields[key] = float(data[key])
     if overrides:

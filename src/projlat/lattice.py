@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatchError, SubsetLimitExceededError
-from .projectors import MaximalContext, Projector, is_invariant
+from .projectors import MaximalContext, Projector, _overlaps, _padded, is_invariant
 from .subspace import Subspace
 from .tolerance import TolerancePolicy, resolve
 
@@ -173,12 +173,13 @@ def intersect_lattices(
 ) -> LatticeFamily:
     """Elements present in every input family, found from the atoms alone.
 
-    Atoms of different families are linked when ``|U_a^H U_b|_F`` exceeds
-    ``eps_subspace``. The first family's elements that are sums of connected
-    components survive, with its labels, Boolean over the components ordered
-    by their highest first-family atom. A family that is not Boolean over
-    atoms summing to the whole space, or whose atoms overlap above
-    ``eps_subspace``, raises ``ValueError``. For ``S = sum_I A_i`` and
+    Atoms of different families are linked when ``|U_a^H U_b|_F`` (from
+    ``_overlaps``, as in the registry screen) exceeds ``eps_subspace``. The
+    first family's elements that are sums of connected components survive,
+    with its labels, Boolean over the components ordered by their highest
+    first-family atom. A family that is not Boolean over atoms summing to
+    the whole space, or whose atoms overlap above ``eps_subspace``, raises
+    ``ValueError``. For ``S = sum_I A_i`` and
     ``T = sum_J B_j``, ``|S - T|_F^2`` is the sum of ``|A_i B_j|_F^2`` over
     pairs crossing the cut, so this rule and equality within
     ``eps_subspace`` can only disagree when some atom overlap lies in
@@ -195,10 +196,8 @@ def intersect_lattices(
             )
     atoms = [(f, u) for f, fam in enumerate(fams) for u in _atoms(fam)]
     family = np.array([f for f, _ in atoms])
-    owner = np.repeat(np.eye(len(atoms)), [u.shape[1] for _, u in atoms], axis=0)
-    stacked = np.hstack([u for _, u in atoms])
-    gram = np.abs(stacked.conj().T @ stacked) ** 2
-    linked = owner.T @ gram @ owner > resolve(tol).eps_subspace ** 2
+    ranges = _padded([u.T[None] for _, u in atoms])
+    linked = _overlaps(ranges, ranges) > resolve(tol).eps_subspace ** 2
     if (linked & (family[:, None] == family) & ~np.eye(len(atoms), dtype=bool)).any():
         raise ValueError("atoms of one family overlap above eps_subspace")
     reach = linked.astype(float)

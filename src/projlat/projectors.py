@@ -10,6 +10,7 @@ is what makes cross-context value assignments meaningful.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,31 +41,44 @@ _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 
 @dataclass(frozen=True, eq=False)
 class Projector:
-    """A validated self-adjoint idempotent matrix with its rank and range.
+    """A validated self-adjoint idempotent matrix with its rank, range and gap.
 
     Rank and range are one decision, made once. The checks keep, in
-    ``_range``, a read-only ``(n, rank)`` orthonormal basis: the first
-    ``rank`` left singular vectors of the SVD that ranked a matrix member,
-    or a ray member's ray. A projector built by hand takes those vectors
-    from one SVD of its matrix when its range is first read.
+    ``_range``, a read-only ``(n, rank)`` orthonormal basis Q, a view of its
+    context's range stack: the first ``rank`` left singular vectors of the
+    SVD that ranked a matrix member, or a ray member's ray. ``_gap`` bounds
+    ``|P - Q Q^H|_F`` (``_kept_ranges``); a ray member's is 0. A projector
+    built by hand takes both from one SVD when first read, or NaN for a
+    matrix that is not finite, whose ``range`` and ``kernel`` raise.
     """
 
     matrix: np.ndarray
     rank: int
     label: str
     _range: np.ndarray | None = field(default=None, repr=False)
+    _gap: float | None = field(default=None, repr=False)
 
     @property
     def ambient_dim(self) -> int:
         return self.matrix.shape[0]
 
-    def _range_basis(self) -> np.ndarray:
-        """The kept ``(n, rank)`` range basis, taken now for a hand-built projector."""
+    def _factors(self) -> tuple[np.ndarray, float]:
+        """The kept range basis and gap, taken now for a hand-built projector."""
         if self._range is None:
-            u = np.linalg.svd(linalg.as_complex_matrix(self.matrix))[0][:, : self.rank].copy()
-            u.setflags(write=False)
-            object.__setattr__(self, "_range", u)
-        return self._range
+            matrix = np.asarray(self.matrix, dtype=np.complex128)
+            with np.errstate(over="ignore", invalid="ignore"):
+                u = np.linalg.svd(matrix)[0] if np.isfinite(matrix).all() else matrix * np.nan
+                columns, gaps = _kept_ranges(matrix[None], u[None], [self.rank])
+            object.__setattr__(self, "_range", columns[0])
+            object.__setattr__(self, "_gap", float(gaps[0]))
+        return self._range, self._gap
+
+    def _range_basis(self) -> np.ndarray:
+        """The kept range basis; a matrix that is not finite has none."""
+        basis, gap = self._factors()
+        if math.isnan(gap):
+            raise ValidationError("matrix entries must be finite")
+        return basis
 
     def range(self) -> Subspace:
         """Column space: the vectors the projector fixes."""
@@ -153,6 +167,27 @@ def _residuals(products: np.ndarray, stack: np.ndarray) -> list[dict[str, float]
     ]
 
 
+def _kept_ranges(stack: np.ndarray, u: np.ndarray, ranks) -> tuple[np.ndarray, np.ndarray]:
+    """The ranges and gaps of the (m, n, n) ``stack``, from its left singular vectors.
+
+    Entry i of the read-only (m, n, w) stack is Q_i, the first ``ranks[i]``
+    columns of ``u[i]``, zero-padded to the largest rank w. Gap ``g = (d +
+    2 gamma_(2n+2) s) (1 + gamma_(2n^2+16))`` bounds ``|P_i - Q_i
+    Q_i^H|_F``, ``gamma_k = k u / (1 - k u)``: ``fl(Q Q^H)`` lies within
+    ``sqrt(2) gamma_(2n+2) |Q|_F^2`` of ``Q Q^H``, the 2 covering the
+    rounding of Q's computed square sum s, and the computed norm d of ``P -
+    fl(Q Q^H)`` is within ``gamma_(2n^2+4)`` of the exact one; 12 spare units
+    cover the roundings of g and of the screen's limit. NaN gives NaN.
+    """
+    n, width = stack.shape[1], max(ranks, default=0)
+    q = np.where(np.arange(width) < np.array(ranks)[:, None, None], u[:, :, :width], 0)
+    q.setflags(write=False)
+    flat = q.reshape(len(q), -1).view(np.float64)
+    gaps = np.linalg.norm(stack - q @ q.conj().swapaxes(1, 2), axis=(1, 2))
+    gaps += 2 * _dot_bound(2 * n + 2) * np.einsum("ij,ij->i", flat, flat)
+    return q, gaps * (1 + _dot_bound(2 * n * n + 16))
+
+
 def _checked_stack(stack: np.ndarray, tol: TolerancePolicy, labels):
     """Projectors on read-only views of one context's (m, n, n) ``stack``.
 
@@ -160,9 +195,9 @@ def _checked_stack(stack: np.ndarray, tol: TolerancePolicy, labels):
     axioms; the first failing one raises what ``validate_projector`` raises
     for it alone. One batched SVD factors the stack: a member's rank counts
     its singular values above the ``linalg.singular_rank`` cutoff, and its
-    range is a read-only copy of its first ``rank`` left singular vectors,
-    so no member keeps the whole U. Returns the members, and the products
-    and residuals as ``_measure`` gives them.
+    range and gap are those of ``_kept_ranges``. Returns the members, the
+    products and residuals as ``_measure`` gives them, and the (m, w, n)
+    range stack.
     """
     eps = tol.eps_entry
     # An overflow shows as an inf or NaN residual, which fails below.
@@ -177,14 +212,13 @@ def _checked_stack(stack: np.ndarray, tol: TolerancePolicy, labels):
         raise NotIdempotentError(float(idem[i]), eps)
     u, s, _ = np.linalg.svd(stack)
     ranks = linalg.singular_rank(s, tol).tolist()
-    ranges = [ui[:, :rank].copy() for ui, rank in zip(u, ranks)]
-    for arr in (stack, *ranges):
-        arr.setflags(write=False)
+    columns, gaps = _kept_ranges(stack, u, ranks)
+    stack.setflags(write=False)
     members = tuple(
-        Projector(matrix=matrix, rank=rank, label=label, _range=basis)
-        for matrix, rank, label, basis in zip(stack, ranks, labels, ranges)
+        Projector(matrix=matrix, rank=rank, label=label, _range=q[:, :rank], _gap=gap)
+        for matrix, rank, label, q, gap in zip(stack, ranks, labels, columns, gaps.tolist())
     )
-    return members, products, residuals
+    return members, products, residuals, columns.swapaxes(1, 2)
 
 
 def is_invariant(
@@ -217,9 +251,9 @@ class MaximalContext:
     _residuals: dict[str, float] | None = field(
         default=None, init=False, repr=False, compare=False
     )
-    # Set for a context built from a basis: its (m, n) vectors, read-only, with
-    # member i equal to the outer product of row i with its conjugate.
-    _rays: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    # Set by the checks that built the context: the (m, w, n) stack of its
+    # members' ranges (``_kept_ranges``), of which each member's is a view.
+    _ranges: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def ambient_dim(self) -> int:
@@ -263,17 +297,20 @@ def validate_context(
                 f"context {name!r}: mixed ambient dimensions {dim} and {p.ambient_dim}"
             )
     products, residuals = _measure(np.array([p.matrix for p in members]))
-    return _checked_context(members, products, residuals, tol, name)
+    return _checked_context(members, products, residuals, None, tol, name)
 
 
 def _checked_context(
     members: tuple[Projector, ...],
     products: np.ndarray,
     residuals: dict[str, float],
+    ranges: np.ndarray | None,
     tol: TolerancePolicy,
     name: str,
 ) -> MaximalContext:
     """The context of ``members``, from what ``_checked_stack`` returns.
+
+    ``ranges`` becomes the context's ``_ranges``; None leaves it unset.
 
     The first pair (i, j) in row-major order whose products are not within
     ``eps_entry``, then the sum, raises; a residual that is NaN fails. Last,
@@ -299,6 +336,7 @@ def _checked_context(
         )
     ctx = MaximalContext(name=name, members=members)
     object.__setattr__(ctx, "_residuals", residuals)
+    object.__setattr__(ctx, "_ranges", ranges)
     return ctx
 
 
@@ -348,10 +386,12 @@ def _basis_contexts(
     roundoff times ``max|v_a|^2``, inside the bound of ``_rank1_products``.
     The outer products take one pass over all C bases, and every slice is
     computed as for the basis alone. Each context keeps its basis,
-    read-only, as ``_rays``, and each member's range is its ray, a one-column
-    view; a basis with a member of rank 0 fails the rank-sum check of
-    ``_checked_context``. A failing check raises for the first basis that
-    fails that check, so for C = 1 this is ``context_from_basis``.
+    read-only, as its (m, 1, n) range stack ``_ranges``, and each member's
+    range is its ray, a one-column view, with gap 0 (the registry screen
+    covers the rounding of ``v v^H``); a basis with a member of rank 0 fails
+    the rank-sum check of ``_checked_context``. A failing check raises for
+    the first basis that fails that check, so for C = 1 this is
+    ``context_from_basis``.
     For C > 1 an earlier basis may fail a check made later; a caller that
     needs the first failing basis in order checks the bases one at a time
     once this raises.
@@ -391,12 +431,11 @@ def _basis_contexts(
     contexts = []
     for c, name in enumerate(names):
         members = tuple(
-            Projector(matrix=matrix, rank=rank, label=label, _range=ray)
+            Projector(matrix=matrix, rank=rank, label=label, _range=ray, _gap=0.0)
             for matrix, rank, label, ray in zip(stack[c], ranks[c], labels[c], columns[c])
         )
-        ctx = _checked_context(members, products[c], residuals[c], tol, name)
-        object.__setattr__(ctx, "_rays", rows[c])
-        contexts.append(ctx)
+        ranges = rows[c][:, None]
+        contexts.append(_checked_context(members, products[c], residuals[c], ranges, tol, name))
     return contexts
 
 
@@ -406,99 +445,94 @@ def _dot_bound(terms: int) -> float:
     return gamma / (1 - gamma)
 
 
-def _flat_screen(stack: np.ndarray, tol: TolerancePolicy) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs (later, earlier) of the (K, n, n) ``stack`` that may lie within ``eps_subspace``.
+def _padded(stacks) -> np.ndarray:
+    """The (m, w, n) range stacks as one, zero-padded to the largest width."""
+    width = max(max(stack.shape[1] for stack in stacks), 1)
+    padded = np.zeros((sum(map(len, stacks)), width, stacks[0].shape[2]), dtype=complex)
+    end = 0
+    for stack in stacks:
+        padded[end : end + len(stack), : stack.shape[1]] = stack
+        end += len(stack)
+    return padded
 
-    ``|A|^2 + |B|^2 - 2 Re<A, B>``, from the Gram matrix of the flattened
-    members, is their squared distance up to a rounding error of
-    ``gamma * (|A| + |B|)^2``, with ``gamma`` the dot-product bound for
-    ``2 n^2 + 8`` real terms. The screen keeps a pair within
-    ``(eps_subspace * (1 + gamma))^2``, which covers the rounding of the
-    norm, plus twice that error, which covers the rounding of ``|A|`` and
-    ``|B|``. The Gram matrix is taken in blocks of rows, each against the
-    earlier members only; pairs come ordered by the later member, then the
-    earlier one.
+
+def _overlaps(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """``|Q_a^H Q_b|_F^2 = <Q_a Q_a^H, Q_b Q_b^H>_F`` for each range Q_a of
+    ``left`` and Q_b of ``right``, range stacks whose zero rows add nothing."""
+    n, w, v = left.shape[2], left.shape[1], right.shape[1]
+    gram = left.reshape(-1, n).conj() @ right.reshape(-1, n).T
+    squares = gram.real ** 2
+    squares += gram.imag ** 2
+    # Row i of range a is row a w + i of the Gram matrix.
+    down = sum((squares[i::w] for i in range(1, w)), squares[::w])
+    return sum((down[:, j::v] for j in range(1, v)), down[:, ::v])
+
+
+def _range_screen(members, ranges: np.ndarray, gaps: np.ndarray, tol: TolerancePolicy):
+    """The member pairs ``(later, earlier)`` that may lie within ``eps_subspace``.
+
+    ``ranges`` is the members' (K, r, n) range stack and ``gaps`` theirs.
+    ``first[k]`` is the first member with k's range bytes and an equal
+    matrix; k is in no pair and takes its identity. Equal range bytes give
+    equal matrices when both gaps are 0 (a ray member's matrix is computed
+    entrywise from its ray, a zero matrix is zeros); other candidates with
+    finite gaps are compared in one call. The rest are screened in blocks of
+    ``_CHUNK_ENTRIES`` Gram entries against the earlier members, by ``|A -
+    B|_F^2 = |Q_a^H Q_a|_F^2 + |Q_b^H Q_b|_F^2 - 2 |Q_a^H Q_b|_F^2`` for ``A
+    = Q_a Q_a^H`` (``_overlaps``), O(K^2 n r), ordered by the later member.
+
+    No pair the norm accepts is dropped. With ``gamma_k = k u / (1 - k u)``
+    and ``a = |Q_a|_F^2``, computed as s_a: a Gram entry's parts are 2n-term
+    dot products, so its ``re^2 + im^2`` lies within ``(6n + 3) u |q_i|^2
+    |q_j|^2`` of ``|<q_i, q_j>|^2`` to first order, and a block sum of r^2
+    terms adds ``gamma_(r^2) a b``: the estimate is within ``gamma (a +
+    b)^2`` of ``|A - B|_F^2``, gamma for ``8n + 15 + r^2`` terms. An accepted
+    pair has ``|P_a - P_b|_F <= eps_subspace (1 + gamma_F)``, ``gamma_F`` for
+    ``2n^2 + 8`` terms, so ``|A - B|_F`` is at most that plus ``g_a + g_b +
+    gamma S`` for ``S >= s_a + s_b``; ``gamma S`` also covers a ray member's
+    stored ``v v^H``, within ``sqrt(2) gamma_2 a`` of A. With S twice the
+    largest s that is not NaN, a pair is kept when its estimate is NaN or
+    within that radius squared plus ``2 gamma S^2``, as ``(a + b)^2 <= (s_a +
+    s_b)^2 / (1 - gamma_(2nr))^2``. A NaN range has a NaN gap, which keeps
+    its pairs. The limit's roundings fall within the slack of the ``+ 8``,
+    the gaps and that 2. With ranks 1 and gaps 0 it is ``(eps_subspace (1 +
+    gamma_F) + gamma S)^2 + 2 gamma S^2`` for every pair.
     """
-    # Re<A, B> as a real product over the interleaved real and imaginary parts.
-    flat = stack.reshape(len(stack), -1).view(np.float64)
+    count, width, n = ranges.shape
+    flat = ranges.reshape(count, -1)
+    seen: dict[bytes, int] = {}
+    keys = flat.view((np.void, flat.shape[1] * flat.itemsize)).ravel().tolist()
+    first = [seen.setdefault(key, k) for k, key in enumerate(keys)]
+    gap = gaps.tolist()
+    check = [k for k, j in enumerate(first) if j != k and (gap[k] or gap[j])]
+    if check:
+        pairs = np.array([members[k].matrix for k in check + [first[k] for k in check]])
+        same = (pairs[: len(check)] == pairs[len(check) :]).all(axis=(1, 2))
+        # A candidate that is no repeat keys itself.
+        for k in np.array(check)[~(same & np.isfinite(gaps[check]))].tolist():
+            first[k] = seen[k] = k
+    kept = np.sort(np.fromiter(seen.values(), np.intp, len(seen)))
+    ranges, gaps = ranges[kept], gaps[kept]
+    flat = ranges.reshape(len(kept), -1).view(np.float64)
     squares = np.einsum("ij,ij->i", flat, flat)
-    norms = np.sqrt(squares)
-    gamma = _dot_bound(flat.shape[1] + 8)
-    reach = (tol.eps_subspace * (1 + gamma)) ** 2
-    later, earlier = [], []
-    step = max(1, _CHUNK_ENTRIES // len(stack))
-    for start in range(0, len(stack), step):
-        stop = min(start + step, len(stack))
-        rows = slice(start, stop)
-        squared = squares[rows, None] + squares[None, :stop] - 2 * (flat[rows] @ flat[:stop].T)
-        limit = reach + 2 * gamma * (norms[rows, None] + norms[None, :stop]) ** 2
-        # Not ``<=``: a pair whose estimate is NaN is measured too.
-        k, j = np.nonzero(~(squared > limit))
-        k += start
-        later.append(k[j < k])
-        earlier.append(j[j < k])
-    return np.concatenate(later), np.concatenate(earlier)
-
-
-def _ray_screen(rays: np.ndarray, tol: TolerancePolicy):
-    """The pairs of ``_flat_screen`` for the members ``u u^H`` of the (K, n) ``rays``.
-
-    Returns ``(later, earlier, first)``, with ``first[k]`` the first row
-    whose bytes equal those of row k. A repeated row is in no pair: equal
-    bytes give equal elementwise products, so its member has the bytes of
-    its first occurrence's, at distance 0, and the first representative
-    within ``eps_subspace`` of the one is the first of the other. The
-    greedy rule therefore gives it the identity of its first occurrence.
-
-    The distinct rows are screened with one Gram matrix of the rays, taken
-    in blocks of rows, since ``|u u^H - v v^H|_F^2 = |u|^4 + |v|^4 -
-    2 |<u, v>|^2``: O(K^2 n) instead of O(K^2 n^2). Rounding: with
-    ``a = |u|^2`` and ``b = |v|^2``, the stored member rounds one complex
-    product per entry, so it lies within ``sqrt(2) gamma_2 a`` of
-    ``u u^H`` in Frobenius norm. The computed squared norms ``s`` and the
-    real and imaginary parts of ``<u, v>`` are 2n-term real dot products,
-    within ``gamma_2n a`` and ``sqrt(2) gamma_2n sqrt(a b)``; squaring and
-    the three additions leave the estimate within ``gamma (a + b)^2`` of
-    the exact squared distance, with ``gamma`` the dot-product bound for
-    ``8 n + 16`` real terms (the error is below ``gamma_(6n + 6)`` to first
-    order). A pair the norm accepts has ``|A - B|_F <= eps_subspace
-    (1 + gamma_F)``, ``gamma_F`` as in ``_flat_screen``, so the exact
-    distance of its rays' outer products is at most ``r = eps_subspace
-    (1 + gamma_F) + gamma S`` for any ``S >= s_u + s_v``; the screen takes
-    twice the largest ``s`` for every pair. It keeps a pair whose estimate
-    is within ``r^2 + 2 gamma S^2``, where the factor 2 covers
-    ``(a + b)^2 <= (s_u + s_v)^2 / (1 - gamma_2n)^2``, or is NaN. The few
-    roundings of the limit itself fall within the slack of the ``+ 8`` in
-    ``gamma_F`` and of that factor 2.
-    """
-    n = rays.shape[1]
-    first, seen = [], {}
-    for k, key in enumerate(rays.view((np.void, n * rays.itemsize)).ravel().tolist()):
-        first.append(seen.setdefault(key, k))
-    distinct = np.fromiter(seen.values(), dtype=np.intp, count=len(seen))
-    rows = rays[distinct]
-    flat = rows.view(np.float64)
-    squares = np.einsum("ij,ij->i", flat, flat)
-    fourth = squares ** 2
-    gamma = _dot_bound(8 * n + 16)
-    total = 2 * squares.max()
-    limit = (tol.eps_subspace * (1 + _dot_bound(2 * n * n + 8)) + gamma * total) ** 2
-    limit += 2 * gamma * total ** 2
-    later, earlier = [], []
-    step = max(1, _CHUNK_ENTRIES // len(rows))
-    for start in range(0, len(rows), step):
-        stop = min(start + step, len(rows))
-        block = rows[start:stop].conj() @ rows[:stop].T
-        inner = block.real ** 2
-        inner += block.imag ** 2
-        estimate = fourth[start:stop, None] + fourth[None, :stop]
-        estimate -= 2 * inner
+    gamma = _dot_bound(8 * n + 15 + width ** 2)
+    total = 2 * np.fmax.reduce(squares)
+    reach = tol.eps_subspace * (1 + _dot_bound(2 * n * n + 8)) + gamma * total + gaps
+    slack = 2 * gamma * total ** 2
+    own, later, earlier = np.empty(len(kept)), [], []
+    step = max(1, _CHUNK_ENTRIES // (len(kept) * width * width))
+    for start in range(0, len(kept), step):
+        stop = min(start + step, len(kept))
+        block = _overlaps(ranges[start:stop], ranges[:stop])
+        own[start:stop] = block.diagonal(start)
+        estimate = np.add.outer(own[start:stop], own[:stop]) - 2 * block
+        limit = np.add.outer(reach[start:stop], gaps[:stop]) ** 2 + slack
         # Not ``<=``: a pair whose estimate is NaN is measured too.
         k, j = np.nonzero(~(estimate > limit))
         k += start
         later.append(k[j < k])
         earlier.append(j[j < k])
-    return distinct[np.concatenate(later)], distinct[np.concatenate(earlier)], first
+    return kept[np.concatenate(later)], kept[np.concatenate(earlier)], first
 
 
 @dataclass(frozen=True)
@@ -530,7 +564,6 @@ class ContextCollection:
                 )
         self.ambient_dim = dim
         self.contexts = members
-        self._identity: dict[tuple[int, int], int] = {}
         self.registry = self._build_registry(resolve(tol))
 
     def _build_registry(self, tol: TolerancePolicy) -> tuple[RegistryEntry, ...]:
@@ -539,53 +572,59 @@ class ContextCollection:
         Each member takes the identity of the first earlier representative
         it is close to, ``np.linalg.norm(rep - member) <= eps_subspace``, or
         becomes a representative itself. That norm is taken only for the
-        pairs a screen keeps: ``_ray_screen`` when every context carries its
-        rays, ``_flat_screen`` otherwise. A screen may keep a pair too many,
-        never one too few, so the identities are those of comparing each
-        member with every earlier representative.
+        pairs ``_range_screen`` keeps from the members' kept ranges and
+        gaps, whatever form the contexts came in (a context built by hand
+        gathers them from its members), and not for a repeat. The screen
+        may keep a pair too many, never one too few, so the identities are
+        those of comparing each member with every earlier representative.
+        Sets ``_identities``, one list per context.
         """
         projectors = [p for ctx in self.contexts for p in ctx.members]
-        places = [(ci, mi) for ci, ctx in enumerate(self.contexts) for mi in range(len(ctx))]
-        if all(ctx._rays is not None for ctx in self.contexts):
-            rays = np.concatenate([ctx._rays for ctx in self.contexts])
-            later, earlier, first = _ray_screen(rays, tol)
+        ranges = _padded([
+            _padded([p._factors()[0].T[None] for p in ctx.members])
+            if ctx._ranges is None else ctx._ranges
+            for ctx in self.contexts
+        ])
+        gaps = np.array([p._gap for p in projectors], dtype=float)
+        later, earlier, first = _range_screen(projectors, ranges, gaps, tol)
 
-            def members(ks):
-                return np.array([projectors[k].matrix for k in ks.tolist()])
-        else:
-            stack = np.array([p.matrix for p in projectors], dtype=complex)
-            later, earlier = _flat_screen(stack, tol)
-            first = range(len(stack))
-            members = stack.__getitem__
+        def matrices(ks):
+            return np.array([projectors[k].matrix for k in ks.tolist()])
+
         close = np.empty(len(later), dtype=bool)
         step = max(1, _CHUNK_ENTRIES // (projectors[0].matrix.size or 1))
         for start in range(0, len(later), step):
             part = slice(start, start + step)
-            gaps = members(earlier[part]) - members(later[part])
-            close[part] = np.linalg.norm(gaps, axis=(1, 2)) <= tol.eps_subspace
+            distances = np.linalg.norm(matrices(earlier[part]) - matrices(later[part]), axis=(1, 2))
+            close[part] = distances <= tol.eps_subspace
         # Pairs come ordered by the later member, then the earlier one, so the
         # earlier member's representative is settled when it is read.
         owner = list(range(len(projectors)))
         for k, j in zip(later[close].tolist(), earlier[close].tolist()):
             if owner[k] == k and owner[j] == j:
                 owner[k] = j
-        # A repeated ray is in no screened pair; its first occurrence is earlier.
+        # A repeat is in no screened pair; its first occurrence is earlier.
         owner = [owner[j] for j in first]
-        reps = [k for k, own in enumerate(owner) if own == k]
-        index = {k: i for i, k in enumerate(reps)}
-        occurrences: list[list[tuple[int, int]]] = [[] for _ in reps]
-        for place, own in zip(places, owner):
-            found = index[own]
-            occurrences[found].append(place)
-            self._identity[place] = found
+        # Each representative precedes the members it owns, so identities are
+        # numbered in order of first occurrence.
+        index: dict[int, int] = {}
+        found = [index.setdefault(own, len(index)) for own in owner]
+        occurrences: list[list[tuple[int, int]]] = [[] for _ in index]
+        self._identities, end = [], 0
+        for ci, ctx in enumerate(self.contexts):
+            identities = found[end : end + len(ctx)]
+            end += len(ctx)
+            self._identities.append(identities)
+            for mi, i in enumerate(identities):
+                occurrences[i].append((ci, mi))
         return tuple(
-            RegistryEntry(index=i, projector=projectors[k], occurrences=tuple(occ))
-            for i, (k, occ) in enumerate(zip(reps, occurrences))
+            RegistryEntry(i, projectors[k], tuple(occ))
+            for i, (k, occ) in enumerate(zip(index, occurrences))
         )
 
     def identity_of(self, context_index: int, member_index: int) -> int:
         """Registry identity of one context member."""
-        return self._identity[(context_index, member_index)]
+        return self._identities[context_index][member_index]
 
     @property
     def context_names(self) -> tuple[str, ...]:

@@ -8,6 +8,7 @@ Three thresholds, ordered from tightest to loosest:
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -18,10 +19,11 @@ class TolerancePolicy:
     eps_subspace: float = 1e-8
 
     def __post_init__(self):
-        if not (0.0 < self.eps_rank <= self.eps_entry <= self.eps_subspace):
+        # An infinite eps_subspace would make every two projectors one.
+        if not 0.0 < self.eps_rank <= self.eps_entry <= self.eps_subspace < math.inf:
             raise ValueError(
-                "tolerances must satisfy 0 < eps_rank <= eps_entry <= eps_subspace, "
-                f"got {self.eps_rank}, {self.eps_entry}, {self.eps_subspace}"
+                "tolerances must satisfy 0 < eps_rank <= eps_entry <= eps_subspace "
+                f"and be finite, got {self.eps_rank}, {self.eps_entry}, {self.eps_subspace}"
             )
 
 

@@ -55,6 +55,16 @@ def rank1_bound(rays) -> float:
     return 4 * (rays.shape[1] + 2) * 2.0**-53 * float(np.abs(rays).max()) ** 2
 
 
+def from_basis(ctx) -> bool:
+    """True for a context checked as a basis, whose members' gaps are all 0."""
+    return all(p._gap == 0.0 for p in ctx.members)
+
+
+def rays_of(ctx) -> np.ndarray:
+    """The (m, n) unit rays of a basis context, from its (m, 1, n) range stack."""
+    return ctx._ranges[:, 0]
+
+
 def random_rank1_context(rng, dim: int, name: str = "ctx") -> pl.MaximalContext:
     """Maximal context from a Haar-ish random orthonormal basis of C^dim."""
     z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))

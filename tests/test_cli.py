@@ -362,6 +362,65 @@ def test_demo_rejects_bad_tolerances_as_file_commands_do(pauli_file, capsys, fla
     assert captured.err == f"error: {report['error']}\n"
 
 
+PAULI_ZX = {
+    "dim": 2,
+    "contexts": {
+        "z": [[[[1, 0], [0, 0]], [[0, 0], [0, 0]]], [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]],
+        "x": [
+            [[[0.5, 0], [0.5, 0]], [[0.5, 0], [0.5, 0]]],
+            [[[0.5, 0], [-0.5, 0]], [[-0.5, 0], [0.5, 0]]],
+        ],
+    },
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "intersect", "irreducible", "ks-search"])
+def test_infinite_eps_subspace_is_an_error_report(tmp_path, capsys, command):
+    # Before, "eps_subspace": Infinity gave z and x one registry identity:
+    # validate exited 0, ks-search said UNSAT and irreducible printed a
+    # witness of dim 0.
+    path = tmp_path / "inf.json"
+    path.write_text(json.dumps({**PAULI_ZX, "eps_subspace": float("inf")}))
+    flag_path = tmp_path / "zx.json"
+    flag_path.write_text(json.dumps(PAULI_ZX))
+    for argv in ([command, str(path)], [command, str(flag_path), "--eps-subspace", "inf"]):
+        code, report = run_json(capsys, argv)
+        assert code == 1 and report["exit_code"] == 1
+        assert "be finite" in report["error"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+
+
+def test_boolean_tolerance_field_is_an_error_report(tmp_path, capsys):
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps({**PAULI_ZX, "eps_rank": True}))
+    code, report = run_json(capsys, ["validate", str(path)])
+    assert code == 1 and report["error"] == "'eps_rank' must be a number"
+
+
+def test_demo_note_reads_the_verdicts(capsys):
+    # Under eps_subspace 1.5 every Pauli member shares one identity with
+    # another: the meet is no longer trivial and the search is UNSAT.
+    code, report = run_json(capsys, ["demo", "pauli", "--eps-subspace", "1.5"])
+    verdicts = report["verdicts"]
+    assert code == 0 and verdicts["assignment_search"]["status"] == "UNSAT"
+    assert verdicts["intersection_trivial"] is False
+    assert verdicts["note"].startswith(
+        "the lattice intersection is non-trivial and the state valuation is "
+        f"{'bivalent' if verdicts['valuation']['bivalent'] else 'partial'}, while the "
+        "identity-level one-hot search is unsatisfiable;"
+    )
+    assert main(["demo", "pauli", "--eps-subspace", "1.5"]) == 0
+    assert verdicts["note"] in capsys.readouterr().out
+    _, default = run_json(capsys, ["demo", "pauli"])
+    assert default["verdicts"]["note"] == (
+        "the lattice intersection is trivial and the state valuation is "
+        "partial, while the identity-level one-hot search is satisfiable; "
+        "the verdicts answer different questions and are shown side by side"
+    )
+
+
 def test_demo_text_mentions_both_verdicts(capsys):
     assert main(["demo", "pauli"]) == 0
     out = capsys.readouterr().out

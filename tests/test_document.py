@@ -218,6 +218,24 @@ def test_tolerance_fields_and_overrides():
         pl.parse_document({**doc, "eps_entry": 1.0})  # breaks the ordering
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("eps_subspace", float("inf"), "be finite"),
+        ("eps_entry", float("inf"), "tolerances must satisfy"),
+        ("eps_rank", True, "'eps_rank' must be a number"),
+        ("eps_subspace", False, "'eps_subspace' must be a number"),
+    ],
+)
+def test_non_finite_and_boolean_tolerance_fields_are_rejected(field, value, message):
+    # Before, an infinite eps_subspace gave the Pauli z and x contexts one
+    # registry identity, and "eps_rank": true read as 1.0.
+    z = [[[[1, 0], [0, 0]], [[0, 0], [0, 0]]], [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]]
+    doc = {"dim": 2, "contexts": {"z": z}, field: value}
+    with pytest.raises(pl.ParseError, match=message):
+        pl.parse_document(doc)
+
+
 def test_round_trip_preserves_matrices_and_registry(pauli):
     rng = np.random.default_rng(113)
     collections = [pauli]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import projlat as pl
-from conftest import random_rank1_context
+from conftest import from_basis, random_rank1_context, rays_of
 from projlat import Subspace, linalg
 from projlat.cli import main
 
@@ -588,9 +588,9 @@ class TestBatchedRanges:
         for basis, (i, sub, _) in zip(atoms.bases, kept):
             assert basis.dtype == np.complex128 and basis.shape == sub.basis.shape
             assert np.ascontiguousarray(basis).tobytes() == sub.basis.tobytes()
-            if ctx._rays is not None:
+            if from_basis(ctx):
                 # The unit ray itself, which may differ from an SVD's in phase.
-                assert basis[:, 0].tobytes() == ctx._rays[i].tobytes()
+                assert basis[:, 0].tobytes() == rays_of(ctx)[i].tobytes()
                 assert Subspace.column_space(ctx.members[i].matrix).equals(sub)
             assert not basis.flags.writeable
         ranks = [sub.dim for sub, _ in ranges]
@@ -743,9 +743,9 @@ class TestKeptFactors:
         haar, _ = pl.parse_document({"dim": 7, "rays": rays, "groups": groups})
         for ctx in (*ks18.contexts, *haar.contexts):
             n = ctx.ambient_dim
-            for ray, p in zip(ctx._rays, ctx.members):
+            for ray, p in zip(rays_of(ctx), ctx.members):
                 assert p.rank == 1 and p._range.shape == (n, 1)
-                assert np.shares_memory(p._range, ctx._rays)
+                assert np.shares_memory(p._range, ctx._ranges)
                 assert p._range[:, 0].tobytes() == ray.tobytes()
                 assert not p._range.flags.writeable
 

@@ -141,6 +141,10 @@ class TestTolerancePolicy:
             {"eps_rank": 0.0},
             {"eps_entry": 1e-12},          # below eps_rank
             {"eps_subspace": 1e-10},       # below eps_entry
+            {"eps_subspace": float("inf")},
+            {"eps_entry": float("inf"), "eps_subspace": float("inf")},
+            {"eps_rank": float("inf"), "eps_entry": float("inf"), "eps_subspace": float("inf")},
+            {"eps_subspace": float("nan")},
         ],
     )
     def test_invalid_policies_rejected(self, fields):

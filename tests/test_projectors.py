@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 import projlat as pl
-from conftest import ks18_document, random_projector, random_rank1_context, rank1_bound
+from conftest import (
+    from_basis,
+    ks18_document,
+    random_projector,
+    random_rank1_context,
+    rank1_bound,
+    rays_of,
+)
 from projlat import Subspace
 
 I2 = np.eye(2)
@@ -346,7 +353,7 @@ def _loop_residuals(ctx):
 def _rank1_loop_residuals(ctx):
     """The residuals of a basis context from the rank-1 formula, one pair at a
     time: ``max|Pi Pj| = |G[i, j]| p_i p_j`` with ``p_i = max_a |v_i[a]|``."""
-    rays = ctx._rays
+    rays = rays_of(ctx)
     gram = rays.conj() @ rays.T
     peaks = [np.abs(v).max() for v in rays]
     pairwise = 0.0
@@ -379,8 +386,8 @@ class TestKeptResiduals:
             kept = pl.context_residuals(ctx)
             by_hand = pl.MaximalContext(ctx.name, ctx.members)
             assert pl.context_residuals(by_hand) == _loop_residuals(ctx)
-            kinds.add(ctx._rays is None)
-            if ctx._rays is None:
+            kinds.add(from_basis(ctx))
+            if not from_basis(ctx):
                 assert _loop_residuals(ctx) == kept
             else:
                 assert _rank1_loop_residuals(ctx) == kept
@@ -467,11 +474,11 @@ class TestRank1Stack:
             rank1 = pl.context_residuals(ctx)
             dense = _loop_residuals(ctx)
             gap = abs(rank1["pairwise_product"] - dense["pairwise_product"])
-            assert gap <= rank1_bound(ctx._rays)
+            assert gap <= rank1_bound(rays_of(ctx))
             assert rank1["sum_minus_identity"] == dense["sum_minus_identity"]
             moved += gap > 0
             # Every product and idempotency residual, not only the largest.
-            rays = ctx._rays
+            rays = rays_of(ctx)
             offsets = np.abs(rays.conj() @ rays.T - np.eye(len(rays)))
             products = pl.projectors._rank1_products(rays[None], offsets[None])[0]
             measured = pl.projectors._measure(np.array([p.matrix for p in ctx.members]))[0]

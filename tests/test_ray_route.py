@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import projlat as pl
-from conftest import KS18_GROUPS, ks18_document, rank1_bound
+from conftest import KS18_GROUPS, from_basis, ks18_document, rank1_bound, rays_of
 from projlat.cli import main
 from projlat.lattice import _atoms
 
@@ -104,7 +104,7 @@ class TestMechanism:
         monkeypatch.setattr(pl.projectors, "_measure", counted)
         for _, doc in corpus():
             collection, _ = pl.parse_document(doc)
-            assert all(ctx._rays is not None for ctx in collection.contexts)
+            assert all(from_basis(ctx) for ctx in collection.contexts)
         assert calls == []
         pl.parse_document(_twin(ks18_document())[0])
         assert len(calls) == 9
@@ -135,7 +135,7 @@ class TestMechanism:
             for ctx in collection.contexts:
                 stack = np.array([p.matrix for p in ctx.members])
                 herm = np.abs(stack - stack.conj().swapaxes(1, 2)).max()
-                assert herm <= rank1_bound(ctx._rays)
+                assert herm <= rank1_bound(rays_of(ctx))
 
     def test_ray_contexts_take_no_svd(self, monkeypatch):
         # A matrix-form context is factored once, at load, with its left
@@ -155,19 +155,19 @@ class TestMechanism:
         matrix_form, _ = pl.parse_document(_twin(ks18_document())[0])
         assert calls == [((4, 4, 4), True)] * 9
         for ctx in matrix_form.contexts:
-            assert ctx._rays is None and pl.context_lattice(ctx).size == 16
+            assert not from_basis(ctx) and pl.context_lattice(ctx).size == 16
         assert len(calls) == 9
 
     def test_kept_rays_are_read_only_rows_of_the_members(self):
         collection, _ = pl.parse_document(ks18_document())
         for ctx in collection.contexts:
-            assert ctx._rays.shape == (4, 4) and not ctx._rays.flags.writeable
-            for ray, member in zip(ctx._rays, ctx.members):
+            assert ctx._ranges.shape == (4, 1, 4) and not ctx._ranges.flags.writeable
+            for ray, member in zip(rays_of(ctx), ctx.members):
                 assert np.outer(ray, ray.conj()).tobytes() == member.matrix.tobytes()
-        # Equality and the repr ignore the rays, as they ignore the residuals.
+        # Equality and the repr ignore the range rows, as they ignore the residuals.
         ctx = collection.contexts[0]
         assert ctx == pl.MaximalContext(ctx.name, ctx.members)
-        assert "rays" not in repr(ctx)
+        assert "ranges" not in repr(ctx)
 
 
 class TestCrossFormAgreement:
@@ -199,7 +199,7 @@ class TestCrossFormAgreement:
             for context, residuals in ray_report["residuals"].items():
                 dense = twin_report["residuals"][context]
                 gap = abs(residuals["pairwise_product"] - dense["pairwise_product"])
-                assert gap <= rank1_bound(ray_form.context_named(context)._rays)
+                assert gap <= rank1_bound(rays_of(ray_form.context_named(context)))
                 assert residuals["sum_minus_identity"] == dense["sum_minus_identity"]
 
     @pytest.mark.parametrize("name, doc", corpus(), ids=[name for name, _ in corpus()])

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import projlat as pl
-from conftest import ks18_document, rank1_bound
+from conftest import from_basis, ks18_document, rank1_bound, rays_of
 from projlat import linalg
 from projlat.document import _parse_matrix, _parse_tolerances, _parse_vector
 from projlat.tolerance import resolve
@@ -175,14 +175,14 @@ def assert_same_collection(collection, oracle_contexts, tol):
             assert got.rank == exp.rank
             assert not got.matrix.flags.writeable
         assert pl.context_residuals(ctx) == residuals
-        # A context built by hand keeps no rays: its products are the dense ones.
+        # A context built by hand is measured from its dense products.
         dense = oracle_residuals(ctx.members)[1]
         assert pl.context_residuals(pl.MaximalContext(ctx.name, ctx.members)) == dense
-        if ctx._rays is None:
+        if not from_basis(ctx):
             assert dense == residuals
         else:
             gap = abs(dense["pairwise_product"] - residuals["pairwise_product"])
-            assert gap <= rank1_bound(ctx._rays)
+            assert gap <= rank1_bound(rays_of(ctx))
             assert dense["sum_minus_identity"] == residuals["sum_minus_identity"]
     assert_same_registry(collection, [c for c, _ in oracle_contexts], tol)
 
@@ -622,8 +622,132 @@ def _turned_bases(rng, dim, offsets):
     return [_turn(basis, 0, 1, t) for t in offsets]
 
 
+# The two screens the range screen replaced, kept verbatim as oracles: the
+# Gram matrix of the flattened members, and that of the rays.
+_CHUNK_ENTRIES = pl.projectors._CHUNK_ENTRIES
+_dot_bound = pl.projectors._dot_bound
+
+
+def _flat_screen(stack: np.ndarray, tol) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (later, earlier) of the (K, n, n) ``stack`` that may lie within ``eps_subspace``.
+
+    ``|A|^2 + |B|^2 - 2 Re<A, B>``, from the Gram matrix of the flattened
+    members, is their squared distance up to a rounding error of
+    ``gamma * (|A| + |B|)^2``, with ``gamma`` the dot-product bound for
+    ``2 n^2 + 8`` real terms. The screen keeps a pair within
+    ``(eps_subspace * (1 + gamma))^2``, which covers the rounding of the
+    norm, plus twice that error, which covers the rounding of ``|A|`` and
+    ``|B|``. The Gram matrix is taken in blocks of rows, each against the
+    earlier members only; pairs come ordered by the later member, then the
+    earlier one.
+    """
+    # Re<A, B> as a real product over the interleaved real and imaginary parts.
+    flat = stack.reshape(len(stack), -1).view(np.float64)
+    squares = np.einsum("ij,ij->i", flat, flat)
+    norms = np.sqrt(squares)
+    gamma = _dot_bound(flat.shape[1] + 8)
+    reach = (tol.eps_subspace * (1 + gamma)) ** 2
+    later, earlier = [], []
+    step = max(1, _CHUNK_ENTRIES // len(stack))
+    for start in range(0, len(stack), step):
+        stop = min(start + step, len(stack))
+        rows = slice(start, stop)
+        squared = squares[rows, None] + squares[None, :stop] - 2 * (flat[rows] @ flat[:stop].T)
+        limit = reach + 2 * gamma * (norms[rows, None] + norms[None, :stop]) ** 2
+        # Not ``<=``: a pair whose estimate is NaN is measured too.
+        k, j = np.nonzero(~(squared > limit))
+        k += start
+        later.append(k[j < k])
+        earlier.append(j[j < k])
+    return np.concatenate(later), np.concatenate(earlier)
+
+
+def _ray_screen(rays: np.ndarray, tol):
+    """The pairs of ``_flat_screen`` for the members ``u u^H`` of the (K, n) ``rays``.
+
+    Returns ``(later, earlier, first)``, with ``first[k]`` the first row
+    whose bytes equal those of row k. A repeated row is in no pair: equal
+    bytes give equal elementwise products, so its member has the bytes of
+    its first occurrence's, at distance 0, and the first representative
+    within ``eps_subspace`` of the one is the first of the other. The
+    greedy rule therefore gives it the identity of its first occurrence.
+
+    The distinct rows are screened with one Gram matrix of the rays, taken
+    in blocks of rows, since ``|u u^H - v v^H|_F^2 = |u|^4 + |v|^4 -
+    2 |<u, v>|^2``: O(K^2 n) instead of O(K^2 n^2). Rounding: with
+    ``a = |u|^2`` and ``b = |v|^2``, the stored member rounds one complex
+    product per entry, so it lies within ``sqrt(2) gamma_2 a`` of
+    ``u u^H`` in Frobenius norm. The computed squared norms ``s`` and the
+    real and imaginary parts of ``<u, v>`` are 2n-term real dot products,
+    within ``gamma_2n a`` and ``sqrt(2) gamma_2n sqrt(a b)``; squaring and
+    the three additions leave the estimate within ``gamma (a + b)^2`` of
+    the exact squared distance, with ``gamma`` the dot-product bound for
+    ``8 n + 16`` real terms (the error is below ``gamma_(6n + 6)`` to first
+    order). A pair the norm accepts has ``|A - B|_F <= eps_subspace
+    (1 + gamma_F)``, ``gamma_F`` as in ``_flat_screen``, so the exact
+    distance of its rays' outer products is at most ``r = eps_subspace
+    (1 + gamma_F) + gamma S`` for any ``S >= s_u + s_v``; the screen takes
+    twice the largest ``s`` for every pair. It keeps a pair whose estimate
+    is within ``r^2 + 2 gamma S^2``, where the factor 2 covers
+    ``(a + b)^2 <= (s_u + s_v)^2 / (1 - gamma_2n)^2``, or is NaN. The few
+    roundings of the limit itself fall within the slack of the ``+ 8`` in
+    ``gamma_F`` and of that factor 2.
+    """
+    n = rays.shape[1]
+    first, seen = [], {}
+    for k, key in enumerate(rays.view((np.void, n * rays.itemsize)).ravel().tolist()):
+        first.append(seen.setdefault(key, k))
+    distinct = np.fromiter(seen.values(), dtype=np.intp, count=len(seen))
+    rows = rays[distinct]
+    flat = rows.view(np.float64)
+    squares = np.einsum("ij,ij->i", flat, flat)
+    fourth = squares ** 2
+    gamma = _dot_bound(8 * n + 16)
+    total = 2 * squares.max()
+    limit = (tol.eps_subspace * (1 + _dot_bound(2 * n * n + 8)) + gamma * total) ** 2
+    limit += 2 * gamma * total ** 2
+    later, earlier = [], []
+    step = max(1, _CHUNK_ENTRIES // len(rows))
+    for start in range(0, len(rows), step):
+        stop = min(start + step, len(rows))
+        block = rows[start:stop].conj() @ rows[:stop].T
+        inner = block.real ** 2
+        inner += block.imag ** 2
+        estimate = fourth[start:stop, None] + fourth[None, :stop]
+        estimate -= 2 * inner
+        # Not ``<=``: a pair whose estimate is NaN is measured too.
+        k, j = np.nonzero(~(estimate > limit))
+        k += start
+        later.append(k[j < k])
+        earlier.append(j[j < k])
+    return distinct[np.concatenate(later)], distinct[np.concatenate(earlier)], first
+
+
+def range_screen(contexts, tol):
+    """``_range_screen`` on the members of ``contexts``, as the registry calls it."""
+    members = [p for ctx in contexts for p in ctx.members]
+    padded = pl.projectors._padded
+    ranges = padded([
+        padded([p._factors()[0].T[None] for p in ctx.members]) if ctx._ranges is None else ctx._ranges
+        for ctx in contexts
+    ])
+    gaps = np.array([p._gap for p in members], dtype=float)
+    return pl.projectors._range_screen(members, ranges, gaps, tol)
+
+
+def pair_list(later, earlier):
+    return list(zip(later.tolist(), earlier.tolist()))
+
+
 class TestRayScreen:
-    """Collections whose contexts all keep their rays are screened from the rays."""
+    """Basis collections: the range screen keeps the pairs the ray screen kept."""
+
+    @staticmethod
+    def assert_ray_screen_pairs(contexts, tol):
+        later, earlier, first = range_screen(contexts, tol)
+        want = _ray_screen(np.concatenate([rays_of(ctx) for ctx in contexts]), tol)
+        assert pair_list(later, earlier) == pair_list(*want[:2])
+        assert first == want[2]
 
     @pytest.mark.parametrize("seed", range(20))
     def test_pairs_at_the_tolerance(self, seed):
@@ -633,8 +757,9 @@ class TestRayScreen:
             EPS * rng.uniform(0.9, 1.1, size=8)
         )
         contexts = _from_bases(_turned_bases(rng, dim, offsets))
-        assert all(ctx._rays is not None for ctx in contexts)
+        assert all(from_basis(ctx) for ctx in contexts)
         assert_same_registry(pl.ContextCollection(contexts), contexts, resolve(None))
+        self.assert_ray_screen_pairs(contexts, resolve(None))
 
     def test_boundary_pairs_fall_on_both_sides(self):
         tol = resolve(None)
@@ -648,6 +773,7 @@ class TestRayScreen:
             near += sum(identity[(c, 0)] == identity[(0, 0)] for c in (1, 2))
             far += sum(identity[(c, 0)] != identity[(0, 0)] for c in (1, 2))
             assert_same_registry(pl.ContextCollection(contexts), contexts, tol)
+            self.assert_ray_screen_pairs(contexts, tol)
         assert near and far
 
     @pytest.mark.parametrize("chunk", [1, 7, 100])
@@ -657,6 +783,7 @@ class TestRayScreen:
             rng = np.random.default_rng(2100 + seed)
             contexts = _from_bases(_turned_bases(rng, 3, list(rng.choice(BOUNDARY, size=12))))
             assert_same_registry(pl.ContextCollection(contexts), contexts, resolve(None))
+            self.assert_ray_screen_pairs(contexts, resolve(None))
 
     def test_one_ray_under_two_names(self):
         basis = _unitary(np.random.default_rng(2170), 3)
@@ -668,11 +795,12 @@ class TestRayScreen:
         assert_same_registry(collection, collection.contexts, tol)
         assert collection.identity_of(1, 2) == collection.identity_of(0, 0)
         assert len(collection.registry) == 3
-        # Equal bytes: the repeat is in no screened pair and no distance is taken.
-        rays = np.concatenate([ctx._rays for ctx in collection.contexts])
-        later, earlier, first = pl.projectors._ray_screen(rays, tol)
+        # Equal ray bytes with gaps 0: the repeat is in no screened pair and
+        # no distance is taken.
+        later, earlier, first = range_screen(collection.contexts, tol)
         assert first == [0, 1, 2, 1, 2, 0]
         assert len(later) == len(earlier) == 0
+        self.assert_ray_screen_pairs(collection.contexts, tol)
 
     def test_phase_turned_copy_is_measured(self):
         # e^{i phi} u has other bytes than u but the same outer product, up to rounding.
@@ -682,18 +810,19 @@ class TestRayScreen:
         collection = pl.ContextCollection(contexts)
         assert_same_registry(collection, contexts, resolve(None))
         assert [collection.identity_of(1, i) for i in range(4)] == [0, 1, 2, 3]
-        rays = np.concatenate([ctx._rays for ctx in contexts])
-        later, earlier, first = pl.projectors._ray_screen(rays, resolve(None))
+        later, earlier, first = range_screen(contexts, resolve(None))
         assert first == list(range(8))
-        assert sorted(zip(later.tolist(), earlier.tolist())) == [(4 + i, i) for i in range(4)]
+        assert sorted(pair_list(later, earlier)) == [(4 + i, i) for i in range(4)]
+        self.assert_ray_screen_pairs(contexts, resolve(None))
 
     def test_nan_estimate_keeps_its_pair(self):
-        # Validated rays are near unit length; these overflow on purpose.
+        # Validated ranges are near unit length; these overflow on purpose.
         rays = np.array([[1e200, 0.0], [1e200, 1.0], [0.0, 1.0]], dtype=complex)
         with np.errstate(over="ignore", invalid="ignore"):
-            later, earlier, first = pl.projectors._ray_screen(rays, resolve(None))
+            later, earlier, first = pl.projectors._range_screen([], rays[:, None], np.zeros(3), resolve(None))
+            want = _ray_screen(rays, resolve(None))
         assert first == [0, 1, 2]
-        assert list(zip(later.tolist(), earlier.tolist())) == [(1, 0), (2, 0), (2, 1)]
+        assert pair_list(later, earlier) == [(1, 0), (2, 0), (2, 1)] == pair_list(*want[:2])
 
     def test_non_transitive_chain(self):
         rng = np.random.default_rng(2190)
@@ -715,18 +844,24 @@ class TestRayScreen:
         matrix = pl.validate_context(members, name="m")
         contexts = [rays[0], matrix, rays[2]]
         screens = []
-        flat_screen = pl.projectors._flat_screen
+        range_screen_ = pl.projectors._range_screen
         monkeypatch.setattr(
-            pl.projectors, "_flat_screen", lambda *a: screens.append(1) or flat_screen(*a)
+            pl.projectors, "_range_screen", lambda *a: screens.append(a[1].shape) or range_screen_(*a)
         )
         collection = pl.ContextCollection(contexts)
-        assert screens == [1]
+        # One screen over the range stack of all nine members.
+        assert screens == [(9, 1, 3)]
         assert_same_registry(collection, contexts, resolve(None))
         assert collection.identity_of(1, 0) == collection.identity_of(0, 0)
+        # The matrix context, built from validated members, has no range
+        # stack: the registry gathers its members' SVD factors. The rays are
+        # the basis contexts' ranges.
+        assert matrix._ranges is None and all(p._range.shape == (3, 1) for p in members)
+        assert rays[0]._ranges.tobytes() == np.ascontiguousarray(bases[0].T).tobytes()
 
     def test_no_member_stack_and_no_flattened_gram(self, monkeypatch):
         # The members of a ray collection are read only for the pairs the
-        # ray screen keeps, never all at once, and never flattened.
+        # screen keeps, never all at once, and never flattened.
         rng = np.random.default_rng(2199)
         bases = _turned_bases(rng, 4, [0.0, 0.5 * EPS, 0.0])
         contexts = _from_bases(bases)
@@ -750,11 +885,7 @@ class TestRayScreen:
             def concatenate(self, *args, **kwargs):
                 return self._record(np.concatenate, *args, **kwargs)
 
-        def flat_screen(*args):
-            raise AssertionError("a ray collection took the flattened screen")
-
         monkeypatch.setattr(pl.projectors, "np", Spy())
-        monkeypatch.setattr(pl.projectors, "_flat_screen", flat_screen)
         collection = pl.ContextCollection(contexts)
         monkeypatch.undo()
         assert_same_registry(collection, contexts, resolve(None))
@@ -763,6 +894,237 @@ class TestRayScreen:
         # two pairs are measured; context 2 repeats context 0 bit for bit.
         assert members == [(2, 4, 4)] * 2
         assert len(collection.registry) == 4
+
+
+LOOSE = pl.TolerancePolicy(eps_rank=1e-10, eps_entry=1e-3, eps_subspace=1e-3)
+
+
+def _groups(rng, dim):
+    """Column groups of C^dim for members of ranks 0 to 3, with at least one column each."""
+    sizes = []
+    while sum(sizes) < dim:
+        sizes.append(int(rng.integers(0 if sizes else 1, min(3, dim - sum(sizes)) + 1)))
+    edges = np.cumsum([0] + sizes)
+    return [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
+
+
+def _matrix_context(members, tol, name, checked):
+    """A matrix-form context, factored at load or built from validated members."""
+    if checked:
+        doc = {"dim": len(members[0]), "contexts": {name: [_to_json(m) for m in members]}}
+        doc.update(eps_rank=tol.eps_rank, eps_entry=tol.eps_entry, eps_subspace=tol.eps_subspace)
+        return pl.parse_document(doc)[0].contexts[0]
+    projectors = [pl.validate_projector(m, tol, f"{name}[{i}]") for i, m in enumerate(members)]
+    return pl.validate_context(projectors, tol, name)
+
+
+def mixed_collection(rng, tol=None, scale=0.0):
+    """Ray and matrix contexts of one turned unitary, members of ranks 0 to 3.
+
+    Each context turns two columns of the last one's unitary by a boundary
+    offset, then takes its columns as a basis or as column groups. In a
+    matrix context the group holding column 0 is scaled by ``1 - scale``,
+    which keeps it a member within ``eps_entry`` and gives it a gap; the
+    turned member then moves by the offset exactly. Some matrix contexts
+    have a zero member.
+    """
+    tol = resolve(tol)
+    eps = tol.eps_subspace
+    offsets = (eps * (1 - 1e-9), eps * (1 + 1e-9), 0.5 * eps, 1.5 * eps, 0.0)
+    dim = int(rng.integers(2, 8))
+    unitary = _unitary(rng, dim)
+    contexts = []
+    for c in range(int(rng.integers(2, 6))):
+        if c:
+            i, j = (0, 1) if rng.random() < 0.5 else rng.choice(dim, size=2, replace=False)
+            unitary = _turn(unitary, i, j, offsets[int(rng.integers(len(offsets)))] / (1 - scale))
+        if rng.random() < 0.35:
+            contexts.append(pl.context_from_basis(list(unitary.T), tol, name=f"r{c}"))
+            continue
+        members = []
+        for group in _groups(rng, dim):
+            cols = unitary[:, group]
+            members.append(cols @ cols.conj().T * (1 - scale if group.start == 0 else 1))
+        if rng.random() < 0.3:
+            members.insert(int(rng.integers(len(members) + 1)), np.zeros((dim, dim)))
+        contexts.append(_matrix_context(members, tol, f"m{c}", rng.random() < 0.6))
+    return contexts, tol
+
+
+class TestRangeScreen:
+    """One screen for every form: identities as the oracle's, from kept ranges and gaps."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_mixed_forms_and_ranks(self, seed):
+        rng = np.random.default_rng(2300 + seed)
+        contexts, tol = mixed_collection(rng)
+        assert_same_registry(pl.ContextCollection(contexts, tol), contexts, tol)
+
+    def test_mixed_corpus_covers_every_case(self):
+        ranks, forms, shared = set(), 0, 0
+        for seed in range(30):
+            contexts, tol = mixed_collection(np.random.default_rng(2300 + seed))
+            collection = pl.ContextCollection(contexts, tol)
+            ranks |= {p.rank for ctx in contexts for p in ctx.members}
+            kinds = {from_basis(ctx) for ctx in contexts}
+            forms += kinds == {True, False}
+            shared += sum(
+                len({from_basis(contexts[ci]) for ci, _ in entry.occurrences}) == 2
+                for entry in collection.registry
+            )
+        assert ranks == {0, 1, 2, 3} and forms >= 10 and shared >= 10
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_gapped_members_at_the_tolerance(self, seed):
+        # Members scaled by 1 - 4e-4 lie within eps_entry of a projector, and
+        # a turned one moves by eps_subspace (1 +- 1e-9) while its range
+        # moves about 4e-4 eps_subspace more: only the gaps keep such pairs.
+        rng = np.random.default_rng(2400 + seed)
+        contexts, tol = mixed_collection(rng, LOOSE, scale=4e-4)
+        assert_same_registry(pl.ContextCollection(contexts, tol), contexts, tol)
+
+    def test_gapped_pairs_fall_on_both_sides(self):
+        near = far = 0
+        for seed in range(30):
+            contexts, tol = mixed_collection(np.random.default_rng(2400 + seed), LOOSE, 4e-4)
+            members = [p for ctx in contexts for p in ctx.members]
+            for a, p in enumerate(members):
+                for q in members[:a]:
+                    if p._gap > 1e-4 and q._gap > 1e-4 and p.rank == q.rank:
+                        distance = np.linalg.norm(p.matrix - q.matrix)
+                        near += 0.999 * tol.eps_subspace < distance <= tol.eps_subspace
+                        far += tol.eps_subspace < distance < 1.001 * tol.eps_subspace
+        assert near and far
+
+    def test_equal_ranges_with_other_matrices_are_measured(self):
+        # diag(1, 1, 0) and 0.9991 diag(1, 1, 0) have the same range bytes,
+        # but lie 9e-4 sqrt(2) > eps_subspace apart: not a repeat.
+        shrunk = 1 - 9e-4
+        a = _matrix_context([np.diag([1.0, 1.0, 0.0]), np.diag([0.0, 0.0, 1.0])], LOOSE, "a", True)
+        b = _matrix_context([np.diag([shrunk, shrunk, 0.0]), np.diag([0.0, 0.0, 1.0])], LOOSE, "b", True)
+        c = _matrix_context([np.diag([0.0, 0.0, 1.0]), np.diag([1.0, 1.0, 0.0])], LOOSE, "c", False)
+        contexts = [a, b, c]
+        assert a.members[0]._range.tobytes() == b.members[0]._range.tobytes()
+        collection = pl.ContextCollection(contexts, LOOSE)
+        assert_same_registry(collection, contexts, LOOSE)
+        assert [e.occurrences for e in collection.registry] == [
+            ((0, 0), (2, 1)),
+            ((0, 1), (1, 1), (2, 0)),
+            ((1, 0),),
+        ]
+        later, earlier, first = range_screen(contexts, LOOSE)
+        assert first == [0, 1, 2, 1, 1, 0]
+        assert pair_list(later, earlier) == [(2, 0)]
+
+    def test_matrix_twin_of_ks18(self):
+        # Every member of the twin repeats its first occurrence's range and
+        # matrix bytes: no pair is measured, as for the ray form.
+        ray_form, tol = pl.parse_document(ks18_document())
+        twin, _ = pl.parse_document(pl.collection_to_document(ray_form, tol))
+        assert_same_registry(twin, twin.contexts, tol)
+        later, earlier, first = range_screen(twin.contexts, tol)
+        assert len(later) == 0 and first == range_screen(ray_form.contexts, tol)[2]
+        assert [e.occurrences for e in twin.registry] == [
+            e.occurrences for e in ray_form.registry
+        ]
+
+    def test_pairs_of_rank0_members(self):
+        # Under eps_rank 1e-3, a and -a times a projector of norm a <= 9e-4
+        # are rank-0 members; they lie 2 a sqrt(rank) apart.
+        tol = pl.TolerancePolicy(eps_rank=1e-3, eps_entry=1e-3, eps_subspace=1e-3)
+        rng = np.random.default_rng(2450)
+        contexts = []
+        for c, a in enumerate([9e-4, -9e-4, 0.0, 2e-4, -2e-4, 0.0, 9e-4]):
+            u = _unitary(rng, 3)
+            tiny = a * np.outer(u[:, 0], u[:, 0].conj())
+            contexts.append(_matrix_context([tiny, np.eye(3)], tol, f"z{c}", c % 2 == 0))
+        collection = pl.ContextCollection(contexts, tol)
+        assert {p.rank for ctx in contexts for p in ctx.members} == {0, 3}
+        assert_same_registry(collection, contexts, tol)
+        zeros = {collection.identity_of(c, 0) for c in range(len(contexts))}
+        assert 1 < len(zeros) < len(contexts)
+
+    def test_non_finite_hand_built_members(self):
+        # Their ranges and gaps are NaN: every pair with them is measured and
+        # fails, and a byte-equal copy is no repeat. The range itself raises.
+        nan = np.array([[np.nan, 0.0], [0.0, 0.0]])
+        inf = np.array([[np.inf, 0.0], [0.0, 0.0]])
+        z = np.diag([1.0, 0.0])
+
+        def context(name, first):
+            return pl.MaximalContext(
+                name,
+                (
+                    pl.Projector(matrix=first, rank=1, label=f"{name}a"),
+                    pl.Projector(matrix=np.eye(2) - z, rank=1, label=f"{name}b"),
+                ),
+            )
+
+        contexts = [context("n", nan), context("z", z), context("n2", nan.copy()), context("i", inf)]
+        contexts.append(context("i2", inf.copy()))
+        contexts.append(pl.MaximalContext("same", contexts[0].members))
+        with np.errstate(invalid="ignore", over="ignore"):
+            collection = pl.ContextCollection(contexts)
+            assert_same_registry(collection, contexts, resolve(None))
+        firsts = [collection.identity_of(c, 0) for c in range(len(contexts))]
+        assert len(set(firsts)) == len(contexts)
+        with pytest.raises(pl.ValidationError, match="finite"):
+            contexts[0].members[0].range()
+
+    def test_a_non_finite_member_keeps_only_its_own_pairs(self):
+        # Its NaN range rows and gap reach no other pair: the limit of every
+        # finite pair stays finite, so only the NaN member's pairs are measured.
+        rng = np.random.default_rng(2460)
+        contexts = [pl.context_from_basis(list(_unitary(rng, 2).T), name=f"r{c}") for c in range(12)]
+        z = np.diag([1.0, 0.0])
+        bad = (
+            pl.Projector(matrix=np.array([[np.nan, 0.0], [0.0, 0.0]]), rank=1, label="nan"),
+            pl.Projector(matrix=np.eye(2) - z, rank=1, label="rest"),
+        )
+        contexts.insert(5, pl.MaximalContext("bad", bad))
+        with np.errstate(invalid="ignore", over="ignore"):
+            later, earlier, _ = range_screen(contexts, resolve(None))
+            collection = pl.ContextCollection(contexts)
+            assert_same_registry(collection, contexts, resolve(None))
+        # Member 10 is the NaN one, among 26.
+        want = {(10, j) for j in range(10)} | {(k, 10) for k in range(11, 26)}
+        assert set(pair_list(later, earlier)) == want
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int64])
+    def test_repeats_of_hand_built_matrices_of_any_dtype(self, dtype):
+        # The repeats' matrices are compared by value in one array, whatever
+        # their dtype, here 3 x 3 single-precision entries among them.
+        z = np.diag([1, 0, 0]).astype(dtype)
+        contexts = [
+            pl.MaximalContext(
+                name,
+                (
+                    pl.Projector(matrix=z, rank=1, label=f"{name}a"),
+                    pl.Projector(matrix=(np.eye(3) - z).astype(dtype), rank=2, label=f"{name}b"),
+                ),
+            )
+            for name in ("a", "b")
+        ]
+        collection = pl.ContextCollection(contexts)
+        assert_same_registry(collection, contexts, resolve(None))
+        assert range_screen(contexts, resolve(None))[2] == [0, 1, 0, 1]
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_every_accepted_pair_is_kept(self, seed):
+        # Both the range screen and the flattened-screen oracle keep every
+        # pair of distinct members that the norm accepts.
+        rng = np.random.default_rng(2500 + seed)
+        for tol, scale in ((None, 0.0), (LOOSE, 4e-4)):
+            contexts, tol = mixed_collection(rng, tol, scale)
+            members = [p for ctx in contexts for p in ctx.members]
+            later, earlier, first = range_screen(contexts, tol)
+            flat = _flat_screen(np.array([p.matrix for p in members]), tol)
+            kept, flat_kept = set(pair_list(later, earlier)), set(pair_list(*flat))
+            for k, p in enumerate(members):
+                for j in range(k):
+                    if np.linalg.norm(members[j].matrix - p.matrix) <= tol.eps_subspace:
+                        assert (k, j) in flat_kept
+                        assert (k, j) in kept or first[k] != k or first[j] != j
 
 
 class TestDocumentOrder:
@@ -832,6 +1194,6 @@ class TestMemoryBound:
         whole = pl.context_residuals(pl.parse_document(doc)[0].contexts[0])
         monkeypatch.setattr(pl.projectors, "_CHUNK_ENTRIES", 100)
         ctx = pl.parse_document(doc)[0].contexts[0]
-        assert ctx._rays is None
+        assert not from_basis(ctx)
         assert pl.context_residuals(ctx) == whole
         assert pl.context_residuals(pl.MaximalContext(ctx.name, ctx.members)) == whole

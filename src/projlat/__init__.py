@@ -40,8 +40,6 @@ from .lattice import (
     all_elements_invariant,
     context_lattice,
     intersect_lattices,
-    is_closed_under_meet_join,
-    projector_lattice,
 )
 from .linalg import adjoint, numerical_rank, orthonormalize
 from .projectors import (
@@ -56,7 +54,7 @@ from .projectors import (
     validate_context,
     validate_projector,
 )
-from .subspace import Subspace, is_direct_sum_decomposition
+from .subspace import Subspace
 from .tolerance import DEFAULT_TOLERANCES, TolerancePolicy
 from .valuation import (
     AssignmentSearchResult,
@@ -111,8 +109,6 @@ __all__ = [
     "context_residuals",
     "intersect_lattices",
     "invariant_subspace_witness",
-    "is_closed_under_meet_join",
-    "is_direct_sum_decomposition",
     "is_invariant",
     "is_irreducible",
     "load_document",
@@ -120,7 +116,6 @@ __all__ = [
     "orthonormalize",
     "parse_document",
     "pauli_contexts",
-    "projector_lattice",
     "save_document",
     "search_noncontextual_assignment",
     "valuate",

@@ -379,10 +379,12 @@ def render_text(report: dict) -> list[str]:
 
 
 def exit_code(report: dict) -> int:
-    """The failure's code, 2 for an unsatisfiable search, else 0."""
+    """The failure's code, 2 for an unsatisfiable search (the verdicts of
+    ``ks-search``, the ``assignment_search`` of ``demo``), else 0."""
     if "error" in report:
         return report["exit_code"]
-    return EXIT_UNSAT if report["verdicts"].get("status") == "UNSAT" else EXIT_OK
+    search = report["verdicts"].get("assignment_search", report["verdicts"])
+    return EXIT_UNSAT if search.get("status") == "UNSAT" else EXIT_OK
 
 
 @functools.cache

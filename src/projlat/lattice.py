@@ -1,9 +1,9 @@
 """Finite invariant-subspace families and their intersection.
 
-Families come only from ``context_lattice``, ``projector_lattice`` and
-``intersect_lattices``, always as atoms plus blocks. The atoms are
-orthogonal nonzero subspaces that sum to C^n (a projector's range and
-kernel, a context's nonzero members); the blocks are disjoint atom bitmasks,
+Families come only from ``context_lattice`` and ``intersect_lattices``,
+always as atoms plus blocks; a projector P's family is that of the context
+{P, I - P}. The atoms are orthogonal nonzero subspaces that sum to C^n (a
+context's nonzero members); the blocks are disjoint atom bitmasks,
 and the family is Boolean over them: it lists the spans of block subsets in
 ascending bitmask order, block ``i`` at position ``2^i``. Families meet in
 the sums of connected components of the graph linking overlapping atoms; a
@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatchError, SubsetLimitExceededError
-from .projectors import MaximalContext, Projector, _overlaps, _padded, is_invariant
+from .projectors import MaximalContext, _overlaps, _padded, is_invariant
 from .subspace import Subspace
 from .tolerance import TolerancePolicy, resolve
 
@@ -26,12 +26,11 @@ DEFAULT_MEMBER_CAP = 20
 
 
 class _Atoms(NamedTuple):
-    """Atom bases with the names, part count and label pattern of their family."""
+    """Atom bases with their names and the member count of their context."""
 
     bases: tuple[np.ndarray, ...]
     names: tuple[str, ...]
     parts: int
-    wrap: str
 
 
 def _bits(mask: int) -> list[int]:
@@ -50,8 +49,8 @@ class LatticeFamily:
     """A family of subspaces with reporting labels, Boolean over its blocks.
 
     ``LatticeFamily(n, atoms, blocks)`` takes the atom bases and ``blocks``,
-    disjoint bitmasks of the atoms; ``context_lattice``, ``projector_lattice``
-    and ``intersect_lattices`` build every family. Element ``i`` spans the
+    disjoint bitmasks of the atoms; ``context_lattice`` and
+    ``intersect_lattices`` build every family. Element ``i`` spans the
     atoms of the blocks at the set bits of ``i``: element 0 is the zero
     subspace, the last one spans every atom, and distinct subsets of
     orthogonal atoms give distinct subspaces. ``elements`` and ``labels``
@@ -93,13 +92,13 @@ class LatticeFamily:
     @property
     def labels(self) -> tuple[str, ...]:
         if self._labels is None:
-            names, parts, wrap = self._atom_set.names, self._atom_set.parts, self._atom_set.wrap
+            names, parts = self._atom_set.names, self._atom_set.parts
             self._labels = tuple(
                 "ran(0)"
                 if not mask
                 else "ran(1)"
                 if mask.bit_count() == parts
-                else wrap % "+".join(names[i] for i in _bits(mask))
+                else "ran(" + "+".join(names[i] for i in _bits(mask)) + ")"
                 for mask in self._masks()
             )
         return self._labels
@@ -121,27 +120,6 @@ class LatticeFamily:
         return f"LatticeFamily(dim={self.ambient_dim}, elements={self.size})"
 
 
-def _boolean_family(n: int, parts: list[tuple[np.ndarray, str]], wrap: str) -> LatticeFamily:
-    """Spans of subsets of the orthogonal parts, each an orthonormal ``(n, r)``
-    basis; parts with no columns are not atoms, and ``ran(1)`` needs every part."""
-    atoms = [(basis, name) for basis, name in parts if basis.shape[1]]
-    return LatticeFamily(
-        n,
-        _Atoms(tuple(b for b, _ in atoms), tuple(name for _, name in atoms), len(parts), wrap),
-        tuple(1 << i for i in range(len(atoms))),
-    )
-
-
-def projector_lattice(projector: Projector) -> LatticeFamily:
-    """The invariant family {zero, range, kernel, whole space} of one projector."""
-    label = projector.label
-    parts = [
-        (projector.range().basis, f"ran({label})"),
-        (projector.kernel().basis, f"ker({label})"),
-    ]
-    return _boolean_family(projector.ambient_dim, parts, "%s")
-
-
 def context_lattice(ctx: MaximalContext) -> LatticeFamily:
     """Ranges of all subset sums of a context's members.
 
@@ -151,11 +129,17 @@ def context_lattice(ctx: MaximalContext) -> LatticeFamily:
     since the checks that ranked them: for a matrix member its first
     ``rank`` left singular vectors from the SVD taken at load, for a ray
     member the unit ray. No rank is decided here and no SVD is taken,
-    except once for a hand-built member. The 2^m elements are built when
-    first read, for at most ``DEFAULT_MEMBER_CAP`` nonzero members.
+    except once for a hand-built member. Rank-0 members are not atoms, and
+    ``ran(1)`` needs every member. The 2^m elements are built when first
+    read, for at most ``DEFAULT_MEMBER_CAP`` nonzero members.
     """
     parts = [(p._range_basis(), p.label) for p in ctx.members]
-    return _boolean_family(ctx.ambient_dim, parts, "ran(%s)")
+    atoms = [(basis, name) for basis, name in parts if basis.shape[1]]
+    return LatticeFamily(
+        ctx.ambient_dim,
+        _Atoms(tuple(b for b, _ in atoms), tuple(name for _, name in atoms), len(parts)),
+        tuple(1 << i for i in range(len(atoms))),
+    )
 
 
 def _atoms(fam: LatticeFamily) -> list[np.ndarray]:
@@ -211,19 +195,6 @@ def intersect_lattices(
     first = fams[0]
     blocks = tuple(sum(first._blocks[j] for j in _bits(c)) for c in components)
     return LatticeFamily(n, first._atom_set, blocks)
-
-
-def is_closed_under_meet_join(
-    family: LatticeFamily, tol: TolerancePolicy | None = None
-) -> bool:
-    """Verification pass: every pairwise meet and join is again a member."""
-    for i, u in enumerate(family.elements):
-        for v in family.elements[i:]:
-            if not family.contains(u.meet(v, tol), tol):
-                return False
-            if not family.contains(u.join(v, tol), tol):
-                return False
-    return True
 
 
 def all_elements_invariant(

@@ -1,9 +1,11 @@
 """Dense complex linear algebra primitives.
 
-Everything downstream (subspaces, lattices, algebra closure) is built on the
-handful of operations here, so they follow one discipline: inputs are coerced
-to fresh ``complex128`` arrays, rank decisions use a relative singular-value
-threshold, and results are deterministic for a fixed input order.
+The coercions that name bad input and the rank rule live here, and
+``Subspace`` is built on the rest. They follow one discipline: inputs are
+coerced to fresh ``complex128`` arrays, rank decisions use a relative
+singular-value threshold, and results are deterministic for a fixed input
+order. The batched work of projectors, lattice and algebra calls numpy
+directly; projectors rank their members with ``singular_rank``.
 """
 from __future__ import annotations
 

@@ -10,7 +10,6 @@ is what makes cross-context value assignments meaningful.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,8 +47,8 @@ class Projector:
     context's range stack: the first ``rank`` left singular vectors of the
     SVD that ranked a matrix member, or a ray member's ray. ``_gap`` bounds
     ``|P - Q Q^H|_F`` (``_kept_ranges``); a ray member's is 0. A projector
-    built by hand takes both from one SVD when first read, or NaN for a
-    matrix that is not finite, whose ``range`` and ``kernel`` raise.
+    built by hand takes both from one SVD when first read; a matrix that is
+    not finite raises ``ValidationError`` then.
     """
 
     matrix: np.ndarray
@@ -65,20 +64,17 @@ class Projector:
     def _factors(self) -> tuple[np.ndarray, float]:
         """The kept range basis and gap, taken now for a hand-built projector."""
         if self._range is None:
-            matrix = np.asarray(self.matrix, dtype=np.complex128)
-            with np.errstate(over="ignore", invalid="ignore"):
-                u = np.linalg.svd(matrix)[0] if np.isfinite(matrix).all() else matrix * np.nan
+            matrix = linalg.as_complex_matrix(self.matrix)
+            u = np.linalg.svd(matrix)[0]
+            # A gap whose norm overflows is +inf.
+            with np.errstate(over="ignore"):
                 columns, gaps = _kept_ranges(matrix[None], u[None], [self.rank])
             object.__setattr__(self, "_range", columns[0])
             object.__setattr__(self, "_gap", float(gaps[0]))
         return self._range, self._gap
 
     def _range_basis(self) -> np.ndarray:
-        """The kept range basis; a matrix that is not finite has none."""
-        basis, gap = self._factors()
-        if math.isnan(gap):
-            raise ValidationError("matrix entries must be finite")
-        return basis
+        return self._factors()[0]
 
     def range(self) -> Subspace:
         """Column space: the vectors the projector fixes."""
@@ -177,7 +173,7 @@ def _kept_ranges(stack: np.ndarray, u: np.ndarray, ranks) -> tuple[np.ndarray, n
     ``sqrt(2) gamma_(2n+2) |Q|_F^2`` of ``Q Q^H``, the 2 covering the
     rounding of Q's computed square sum s, and the computed norm d of ``P -
     fl(Q Q^H)`` is within ``gamma_(2n^2+4)`` of the exact one; 12 spare units
-    cover the roundings of g and of the screen's limit. NaN gives NaN.
+    cover the roundings of g and of the screen's limit.
     """
     n, width = stack.shape[1], max(ranks, default=0)
     q = np.where(np.arange(width) < np.array(ranks)[:, None, None], u[:, :, :width], 0)
@@ -348,23 +344,17 @@ def context_from_basis(
 ) -> MaximalContext:
     """Rank-1 context ``v v^H`` from an orthonormal basis of the ambient space."""
     tol = resolve(tol)
-    vecs = list(vectors)
-    try:
-        rows = np.array(vecs, dtype=np.complex128)
-    except (ValueError, TypeError, OverflowError):
-        rows = None
-    if rows is None or rows.ndim != 2 or not np.isfinite(rows).all():
-        # Check the vectors one by one, to name what is wrong with them.
-        vecs = [linalg.as_state_vector(v) for v in vecs]
-        if not vecs:
-            raise ValidationError(f"context {name!r} needs at least one basis vector")
-        dim = vecs[0].shape[0]
-        for v in vecs[1:]:
-            if v.shape[0] != dim:
-                raise DimensionMismatchError(
-                    f"context {name!r}: mixed vector dimensions {dim} and {v.shape[0]}"
-                )
-        rows = np.array(vecs)
+    # Each vector is coerced on its own, so an error names what is wrong with it.
+    vecs = [linalg.as_state_vector(v) for v in vectors]
+    if not vecs:
+        raise ValidationError(f"context {name!r} needs at least one basis vector")
+    dim = vecs[0].shape[0]
+    for v in vecs[1:]:
+        if v.shape[0] != dim:
+            raise DimensionMismatchError(
+                f"context {name!r}: mixed vector dimensions {dim} and {v.shape[0]}"
+            )
+    rows = np.array(vecs)
     if labels is None:
         labels = [f"{name}[{i}]" for i in range(len(rows))]
     return _basis_contexts(rows[None], tol, [name], [labels])[0]
@@ -475,11 +465,11 @@ def _range_screen(members, ranges: np.ndarray, gaps: np.ndarray, tol: ToleranceP
     ``first[k]`` is the first member with k's range bytes and an equal
     matrix; k is in no pair and takes its identity. Equal range bytes give
     equal matrices when both gaps are 0 (a ray member's matrix is computed
-    entrywise from its ray, a zero matrix is zeros); other candidates with
-    finite gaps are compared in one call. The rest are screened in blocks of
-    ``_CHUNK_ENTRIES`` Gram entries against the earlier members, by ``|A -
-    B|_F^2 = |Q_a^H Q_a|_F^2 + |Q_b^H Q_b|_F^2 - 2 |Q_a^H Q_b|_F^2`` for ``A
-    = Q_a Q_a^H`` (``_overlaps``), O(K^2 n r), ordered by the later member.
+    entrywise from its ray, a zero matrix is zeros); other candidates are
+    compared in one call. The rest are screened in blocks of ``_CHUNK_ENTRIES``
+    Gram entries against the earlier members, by ``|A - B|_F^2 = |Q_a^H
+    Q_a|_F^2 + |Q_b^H Q_b|_F^2 - 2 |Q_a^H Q_b|_F^2`` for ``A = Q_a Q_a^H``
+    (``_overlaps``), O(K^2 n r), ordered by the later member.
 
     No pair the norm accepts is dropped. With ``gamma_k = k u / (1 - k u)``
     and ``a = |Q_a|_F^2``, computed as s_a: a Gram entry's parts are 2n-term
@@ -491,11 +481,11 @@ def _range_screen(members, ranges: np.ndarray, gaps: np.ndarray, tol: ToleranceP
     ``2n^2 + 8`` terms, so ``|A - B|_F`` is at most that plus ``g_a + g_b +
     gamma S`` for ``S >= s_a + s_b``; ``gamma S`` also covers a ray member's
     stored ``v v^H``, within ``sqrt(2) gamma_2 a`` of A. With S twice the
-    largest s that is not NaN, a pair is kept when its estimate is NaN or
-    within that radius squared plus ``2 gamma S^2``, as ``(a + b)^2 <= (s_a +
-    s_b)^2 / (1 - gamma_(2nr))^2``. A NaN range has a NaN gap, which keeps
-    its pairs. The limit's roundings fall within the slack of the ``+ 8``,
-    the gaps and that 2. With ranks 1 and gaps 0 it is ``(eps_subspace (1 +
+    largest s, a pair is kept when its estimate is within that radius
+    squared plus ``2 gamma S^2``, as ``(a + b)^2 <= (s_a + s_b)^2 / (1 -
+    gamma_(2nr))^2``. A gap that overflowed is +inf and keeps its member's
+    pairs. The limit's roundings fall within the slack of the ``+ 8``, the
+    gaps and that 2. With ranks 1 and gaps 0 it is ``(eps_subspace (1 +
     gamma_F) + gamma S)^2 + 2 gamma S^2`` for every pair.
     """
     count, width, n = ranges.shape
@@ -509,14 +499,14 @@ def _range_screen(members, ranges: np.ndarray, gaps: np.ndarray, tol: ToleranceP
         pairs = np.array([members[k].matrix for k in check + [first[k] for k in check]])
         same = (pairs[: len(check)] == pairs[len(check) :]).all(axis=(1, 2))
         # A candidate that is no repeat keys itself.
-        for k in np.array(check)[~(same & np.isfinite(gaps[check]))].tolist():
+        for k in np.array(check)[~same].tolist():
             first[k] = seen[k] = k
     kept = np.sort(np.fromiter(seen.values(), np.intp, len(seen)))
     ranges, gaps = ranges[kept], gaps[kept]
     flat = ranges.reshape(len(kept), -1).view(np.float64)
     squares = np.einsum("ij,ij->i", flat, flat)
     gamma = _dot_bound(8 * n + 15 + width ** 2)
-    total = 2 * np.fmax.reduce(squares)
+    total = 2 * squares.max()
     reach = tol.eps_subspace * (1 + _dot_bound(2 * n * n + 8)) + gamma * total + gaps
     slack = 2 * gamma * total ** 2
     own, later, earlier = np.empty(len(kept)), [], []
@@ -527,8 +517,7 @@ def _range_screen(members, ranges: np.ndarray, gaps: np.ndarray, tol: ToleranceP
         own[start:stop] = block.diagonal(start)
         estimate = np.add.outer(own[start:stop], own[:stop]) - 2 * block
         limit = np.add.outer(reach[start:stop], gaps[:stop]) ** 2 + slack
-        # Not ``<=``: a pair whose estimate is NaN is measured too.
-        k, j = np.nonzero(~(estimate > limit))
+        k, j = np.nonzero(estimate <= limit)
         k += start
         later.append(k[j < k])
         earlier.append(j[j < k])
@@ -574,7 +563,8 @@ class ContextCollection:
         becomes a representative itself. That norm is taken only for the
         pairs ``_range_screen`` keeps from the members' kept ranges and
         gaps, whatever form the contexts came in (a context built by hand
-        gathers them from its members), and not for a repeat. The screen
+        gathers them from its members, and a member whose matrix is not
+        finite raises ``ValidationError``), and not for a repeat. The screen
         may keep a pair too many, never one too few, so the identities are
         those of comparing each member with every earlier representative.
         Sets ``_identities``, one list per context.

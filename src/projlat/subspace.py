@@ -138,21 +138,6 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
 
-def is_direct_sum_decomposition(
-    u: Subspace, v: Subspace, tol: TolerancePolicy | None = None
-) -> bool:
-    """True when ``u`` and ``v`` are orthogonal and jointly span the ambient space."""
-    if u.ambient_dim != v.ambient_dim:
-        raise DimensionMismatchError(
-            f"ambient dimensions differ: {u.ambient_dim} vs {v.ambient_dim}"
-        )
-    if not u.meet(v, tol).is_zero():
-        return False
-    if not u.join(v, tol).is_full():
-        return False
-    return linalg.max_abs(u.projector @ v.projector) <= resolve(tol).eps_entry
-
-
 def _stack(vectors: list[np.ndarray], ambient_dim: int) -> np.ndarray:
     if not vectors:
         return np.zeros((ambient_dim, 0))

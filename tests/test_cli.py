@@ -404,14 +404,14 @@ def test_demo_note_reads_the_verdicts(capsys):
     # another: the meet is no longer trivial and the search is UNSAT.
     code, report = run_json(capsys, ["demo", "pauli", "--eps-subspace", "1.5"])
     verdicts = report["verdicts"]
-    assert code == 0 and verdicts["assignment_search"]["status"] == "UNSAT"
+    assert code == 2 and verdicts["assignment_search"]["status"] == "UNSAT"
     assert verdicts["intersection_trivial"] is False
     assert verdicts["note"].startswith(
         "the lattice intersection is non-trivial and the state valuation is "
         f"{'bivalent' if verdicts['valuation']['bivalent'] else 'partial'}, while the "
         "identity-level one-hot search is unsatisfiable;"
     )
-    assert main(["demo", "pauli", "--eps-subspace", "1.5"]) == 0
+    assert main(["demo", "pauli", "--eps-subspace", "1.5"]) == 2
     assert verdicts["note"] in capsys.readouterr().out
     _, default = run_json(capsys, ["demo", "pauli"])
     assert default["verdicts"]["note"] == (

@@ -31,9 +31,29 @@ def pauli_lattices(pauli):
     return {ctx.name: pl.context_lattice(ctx) for ctx in pauli.contexts}
 
 
+def complement_context(projector):
+    """The checked context {P, I - P} of one projector."""
+    rest = np.eye(projector.ambient_dim) - projector.matrix
+    return pl.validate_context([projector, pl.validate_projector(rest, label=f"1-{projector.label}")])
+
+
+def projector_family(projector):
+    """A projector's family: that of the context {P, I - P}."""
+    return pl.context_lattice(complement_context(projector))
+
+
+def closed_under_meet_join(family, tol=None):
+    """Every pairwise meet and join of the elements is again an element."""
+    return all(
+        family.contains(u.meet(v, tol), tol) and family.contains(u.join(v, tol), tol)
+        for i, u in enumerate(family.elements)
+        for v in family.elements[i:]
+    )
+
+
 class TestProjectorLattice:
     def test_z_projector_has_four_elements(self, pauli):
-        family = pl.projector_lattice(pauli.context_named("z").members[0])
+        family = projector_family(pauli.context_named("z").members[0])
         assert len(family) == 4
         expected = [
             Subspace.zero(2),
@@ -45,12 +65,12 @@ class TestProjectorLattice:
             assert want.equals(got)
 
     def test_identity_collapses_to_two_elements(self):
-        family = pl.projector_lattice(pl.validate_projector(np.eye(2), label="1"))
+        family = projector_family(pl.validate_projector(np.eye(2), label="1"))
         assert len(family) == 2
         assert family.is_trivial()
 
     def test_y_projector_contains_both_eigenlines(self, pauli):
-        family = pl.projector_lattice(pauli.context_named("y").members[0])
+        family = projector_family(pauli.context_named("y").members[0])
         assert len(family) == 4
         assert family.contains(Subspace.from_span([[1j, 1]]))
         assert family.contains(Subspace.from_span([[1, 1j]]))
@@ -98,7 +118,7 @@ class TestContextLattice:
         for ctx in pauli.contexts:
             family = pl.context_lattice(ctx)
             for member in ctx.members:
-                single = pl.projector_lattice(member)
+                single = projector_family(member)
                 assert len(single) == len(family)
                 assert all(family.contains(el) for el in single.elements)
 
@@ -185,21 +205,21 @@ class TestTriviality:
         # zero, and from a meet.
         for family in (
             pl.context_lattice(pl.validate_context([pl.validate_projector(np.eye(3))])),
-            pl.projector_lattice(pl.validate_projector(np.eye(2), label="1")),
+            projector_family(pl.validate_projector(np.eye(2), label="1")),
             pl.intersect_lattices(pauli_lattices.values()),
         ):
             assert family.is_trivial()
             assert [el.dim for el in family.elements] == [0, family.ambient_dim]
 
     def test_projector_lattice_is_not_trivial(self, pauli):
-        family = pl.projector_lattice(pauli.context_named("z").members[0])
+        family = projector_family(pauli.context_named("z").members[0])
         assert not family.is_trivial()
 
     def test_one_block_narrower_than_the_space_is_not_trivial(self):
         # No package function builds a family whose one block misses part of
         # C^n, so the width test is pinned on hand-built families.
         def one_block(basis):
-            atoms = pl.lattice._Atoms((basis,), ("a",), 1, "%s")
+            atoms = pl.lattice._Atoms((basis,), ("a",), 1)
             return pl.lattice.LatticeFamily(3, atoms, (1,))
 
         assert not one_block(np.eye(3, dtype=complex)[:, :2]).is_trivial()
@@ -209,12 +229,12 @@ class TestTriviality:
 class TestClosureVerification:
     def test_context_lattices_are_closed(self, pauli_lattices):
         for family in pauli_lattices.values():
-            assert pl.is_closed_under_meet_join(family)
+            assert closed_under_meet_join(family)
 
     def test_random_context_lattice_is_closed(self):
         rng = np.random.default_rng(73)
         ctx = random_rank1_context(rng, 3)
-        assert pl.is_closed_under_meet_join(pl.context_lattice(ctx))
+        assert closed_under_meet_join(pl.context_lattice(ctx))
 
     def test_detects_a_family_that_is_not_closed(self):
         # join of the two distinct lines is the full space, which is missing
@@ -227,7 +247,7 @@ class TestClosureVerification:
             ),
             ("a", "b", "c"),
         )
-        assert not pl.is_closed_under_meet_join(broken)
+        assert not closed_under_meet_join(broken)
 
 
 # Brute-force reference: ranges of all 2^m subset sums, deduplicated
@@ -239,17 +259,6 @@ def _oracle_dedup(pairs, n):
             elements.append(sub)
             labels.append(label)
     return Listed(n, tuple(elements), tuple(labels))
-
-
-def oracle_projector_lattice(projector):
-    n = projector.ambient_dim
-    pairs = [
-        (Subspace.zero(n), "ran(0)"),
-        (Subspace.column_space(projector.matrix), f"ran({projector.label})"),
-        (Subspace.column_space(np.eye(n) - projector.matrix), f"ker({projector.label})"),
-        (Subspace.full(n), "ran(1)"),
-    ]
-    return _oracle_dedup(pairs, n)
 
 
 def oracle_context_lattice(ctx):
@@ -338,9 +347,8 @@ class TestAgainstBruteForceOracle:
             z0,
             pauli.context_named("y").members[1],
         ):
-            assert_same_family(
-                pl.projector_lattice(projector), oracle_projector_lattice(projector)
-            )
+            ctx = complement_context(projector)
+            assert_same_family(pl.context_lattice(ctx), oracle_context_lattice(ctx))
 
     @pytest.mark.parametrize("chunk", range(4))
     def test_random_cases_match_the_oracle(self, chunk):
@@ -421,20 +429,20 @@ class TestIntersectionGuard:
 
 # The eager build every family used before families kept their atoms: all
 # 2^k elements and labels at once, one QR of the stacked atom bases each.
-def eager_boolean_family(n, parts, wrap):
+def eager_boolean_family(n, parts):
     atoms = [(sub.basis, name) for sub, name in parts if not sub.is_zero()]
     elements, labels = [Subspace.zero(n)], ["ran(0)"]
     for mask in range(1, 1 << len(atoms)):
         chosen = [atoms[i] for i in range(len(atoms)) if mask >> i & 1]
         elements.append(Subspace(n, np.linalg.qr(np.hstack([b for b, _ in chosen]))[0]))
         full = len(chosen) == len(parts)
-        labels.append("ran(1)" if full else wrap % "+".join(name for _, name in chosen))
+        labels.append("ran(1)" if full else "ran(" + "+".join(name for _, name in chosen) + ")")
     return Listed(n, tuple(elements), tuple(labels))
 
 
 def eager_context_lattice(ctx):
     parts = [(p.range(), p.label) for p in ctx.members]
-    return eager_boolean_family(ctx.ambient_dim, parts, "ran(%s)")
+    return eager_boolean_family(ctx.ambient_dim, parts)
 
 
 def assert_identical_family(got, want):
@@ -556,12 +564,8 @@ class TestFamiliesKeepAtoms:
             pl.validate_projector(np.eye(3), label="1"),
             *pauli.context_named("y").members,
         ):
-            parts = [
-                (projector.range(), f"ran({projector.label})"),
-                (projector.kernel(), f"ker({projector.label})"),
-            ]
-            want = eager_boolean_family(projector.ambient_dim, parts, "%s")
-            assert_identical_family(pl.projector_lattice(projector), want)
+            ctx = complement_context(projector)
+            assert_identical_family(pl.context_lattice(ctx), eager_context_lattice(ctx))
 
 
 def noisy_context(rng, dim, noise, tol):

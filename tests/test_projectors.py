@@ -149,6 +149,14 @@ class TestValidateContext:
         with pytest.raises(pl.ValidationError):
             pl.validate_context([])
 
+    def test_mixed_ambient_dimensions_rejected(self):
+        members = [pl.validate_projector(P1Z), pl.validate_projector(np.eye(3))]
+        with pytest.raises(
+            pl.DimensionMismatchError,
+            match="^context 'context': mixed ambient dimensions 2 and 3$",
+        ):
+            pl.validate_context(members)
+
     def test_rank_sum_matches_ambient_dimension(self):
         rng = np.random.default_rng(53)
         for dim in (2, 3, 4):
@@ -175,6 +183,23 @@ class TestContextFromBasis:
     def test_non_orthonormal_basis_rejected(self):
         with pytest.raises(pl.NotOrthonormalError):
             pl.context_from_basis([[1, 0], [1, 1]])
+
+    @pytest.mark.parametrize(
+        "vectors, labels, error, message",
+        [
+            ([[1, 0], [0, 1, 0]], None, pl.DimensionMismatchError,
+             "context 'context': mixed vector dimensions 2 and 3"),
+            ([[1, 0], [0, np.nan]], None, pl.ValidationError, "vector entries must be finite"),
+            ([[[1, 0]], [[0, 1]]], None, pl.ValidationError,
+             "expected a 1-D vector, got 2 dimension(s)"),
+            ([], None, pl.ValidationError, "context 'context' needs at least one basis vector"),
+            ([[1, 0], [0, 1]], ["a"], pl.ValidationError, "context 'context': 1 labels for 2 vectors"),
+        ],
+    )
+    def test_bad_vectors_are_named(self, vectors, labels, error, message):
+        with pytest.raises(error) as info:
+            pl.context_from_basis(vectors, labels=labels)
+        assert str(info.value) == message
 
 
 class TestPauliContexts:
@@ -247,6 +272,10 @@ class TestContextCollection:
         ctx3 = pl.context_from_basis([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
         with pytest.raises(pl.DimensionMismatchError):
             pl.ContextCollection([ctx2, ctx3])
+
+    def test_empty_collection_rejected(self):
+        with pytest.raises(pl.ValidationError, match="^a collection needs at least one context$"):
+            pl.ContextCollection([])
 
     def test_unknown_context_name(self, pauli):
         with pytest.raises(KeyError):

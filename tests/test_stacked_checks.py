@@ -815,15 +815,6 @@ class TestRayScreen:
         assert sorted(pair_list(later, earlier)) == [(4 + i, i) for i in range(4)]
         self.assert_ray_screen_pairs(contexts, resolve(None))
 
-    def test_nan_estimate_keeps_its_pair(self):
-        # Validated ranges are near unit length; these overflow on purpose.
-        rays = np.array([[1e200, 0.0], [1e200, 1.0], [0.0, 1.0]], dtype=complex)
-        with np.errstate(over="ignore", invalid="ignore"):
-            later, earlier, first = pl.projectors._range_screen([], rays[:, None], np.zeros(3), resolve(None))
-            want = _ray_screen(rays, resolve(None))
-        assert first == [0, 1, 2]
-        assert pair_list(later, earlier) == [(1, 0), (2, 0), (2, 1)] == pair_list(*want[:2])
-
     def test_non_transitive_chain(self):
         rng = np.random.default_rng(2190)
         for order in ([0.0, 0.6, 1.2], [0.6, 0.0, 1.2], [1.2, 0.6, 0.0], [0.0, 1.2, 0.6]):
@@ -1045,48 +1036,39 @@ class TestRangeScreen:
         assert 1 < len(zeros) < len(contexts)
 
     def test_non_finite_hand_built_members(self):
-        # Their ranges and gaps are NaN: every pair with them is measured and
-        # fails, and a byte-equal copy is no repeat. The range itself raises.
-        nan = np.array([[np.nan, 0.0], [0.0, 0.0]])
-        inf = np.array([[np.inf, 0.0], [0.0, 0.0]])
-        z = np.diag([1.0, 0.0])
+        # A NaN or inf matrix has no range: each first read of it raises.
+        good = pl.context_from_basis([[1, 0], [0, 1]], name="z")
+        rest = pl.Projector(matrix=np.diag([0.0, 1.0]), rank=1, label="rest")
+        for value in (np.nan, np.inf):
+            bad = pl.Projector(matrix=np.diag([value, 0.0]), rank=1, label="bad")
+            ctx = pl.MaximalContext("bad", (bad, rest))
+            for read in (
+                lambda: pl.ContextCollection([good, ctx]),
+                bad.range,
+                bad.kernel,
+                lambda: pl.context_lattice(ctx),
+            ):
+                with pytest.raises(pl.ValidationError, match="^matrix entries must be finite$"):
+                    read()
 
-        def context(name, first):
-            return pl.MaximalContext(
-                name,
-                (
-                    pl.Projector(matrix=first, rank=1, label=f"{name}a"),
-                    pl.Projector(matrix=np.eye(2) - z, rank=1, label=f"{name}b"),
-                ),
-            )
-
-        contexts = [context("n", nan), context("z", z), context("n2", nan.copy()), context("i", inf)]
-        contexts.append(context("i2", inf.copy()))
-        contexts.append(pl.MaximalContext("same", contexts[0].members))
-        with np.errstate(invalid="ignore", over="ignore"):
-            collection = pl.ContextCollection(contexts)
-            assert_same_registry(collection, contexts, resolve(None))
-        firsts = [collection.identity_of(c, 0) for c in range(len(contexts))]
-        assert len(set(firsts)) == len(contexts)
-        with pytest.raises(pl.ValidationError, match="finite"):
-            contexts[0].members[0].range()
-
-    def test_a_non_finite_member_keeps_only_its_own_pairs(self):
-        # Its NaN range rows and gap reach no other pair: the limit of every
-        # finite pair stays finite, so only the NaN member's pairs are measured.
+    def test_an_overflowed_gap_keeps_only_its_own_pairs(self):
+        # A member of norm 1e200 has a unit range but a gap whose norm
+        # overflows to +inf: that keeps every pair with it, and the limit of
+        # every other pair stays finite, so only its own pairs are measured.
         rng = np.random.default_rng(2460)
         contexts = [pl.context_from_basis(list(_unitary(rng, 2).T), name=f"r{c}") for c in range(12)]
         z = np.diag([1.0, 0.0])
-        bad = (
-            pl.Projector(matrix=np.array([[np.nan, 0.0], [0.0, 0.0]]), rank=1, label="nan"),
+        big = (
+            pl.Projector(matrix=1e200 * z, rank=1, label="big"),
             pl.Projector(matrix=np.eye(2) - z, rank=1, label="rest"),
         )
-        contexts.insert(5, pl.MaximalContext("bad", bad))
-        with np.errstate(invalid="ignore", over="ignore"):
+        contexts.insert(5, pl.MaximalContext("big", big))
+        with np.errstate(over="ignore"):
             later, earlier, _ = range_screen(contexts, resolve(None))
             collection = pl.ContextCollection(contexts)
             assert_same_registry(collection, contexts, resolve(None))
-        # Member 10 is the NaN one, among 26.
+        assert big[0]._gap == np.inf
+        # Member 10 is the big one, among 26.
         want = {(10, j) for j in range(10)} | {(k, 10) for k in range(11, 26)}
         assert set(pair_list(later, earlier)) == want
 

@@ -124,17 +124,29 @@ class TestOrthoComplement:
 
 
 class TestDirectSum:
+    """``u + v = C^n`` with ``u`` and ``v`` orthogonal: their meet is zero,
+    their join is full and their projectors annihilate."""
+
+    @staticmethod
+    def orthogonal(u, v):
+        return pl.linalg.max_abs(u.projector @ v.projector) <= pl.DEFAULT_TOLERANCES.eps_entry
+
     def test_range_and_kernel_decompose(self):
         rng = np.random.default_rng(31)
         for dim in (2, 3, 4):
             p = random_projector(rng, dim, rng.integers(1, dim))
-            assert pl.is_direct_sum_decomposition(p.range(), p.kernel())
+            ran, ker = p.range(), p.kernel()
+            assert ran.meet(ker).is_zero() and ran.join(ker).is_full()
+            assert self.orthogonal(ran, ker)
 
     def test_full_and_zero(self):
-        assert pl.is_direct_sum_decomposition(Subspace.full(2), Subspace.zero(2))
+        full, zero = Subspace.full(2), Subspace.zero(2)
+        assert full.meet(zero).is_zero() and full.join(zero).is_full()
+        assert self.orthogonal(full, zero)
 
     def test_spanning_but_non_orthogonal_pair_fails(self):
-        assert not pl.is_direct_sum_decomposition(LINE_E1, LINE_PLUS)
+        assert LINE_E1.meet(LINE_PLUS).is_zero() and LINE_E1.join(LINE_PLUS).is_full()
+        assert not self.orthogonal(LINE_E1, LINE_PLUS)
 
 
 class TestLatticeLaws:

@@ -8,6 +8,7 @@ import projlat as pl
 from conftest import (
     KS18_GROUPS,
     ks18_collection,
+    ks18_document,
     ks18_ray_names,
     random_projector,
     random_state,
@@ -486,6 +487,22 @@ class TestFailedSubtreeTable:
         assert pl.search_noncontextual_assignment(ks18).nodes_explored == 852
         tensor = pl.search_noncontextual_assignment(ks18_tensor_c2_collection())
         assert tensor.nodes_explored == 30584
+
+    @pytest.mark.parametrize(
+        "order, nodes",
+        [(["c6", "c4", "c0", "c1", "c7", "c5", "c8", "c2"], 30), (["c0", "c4", "c2", "c6", "c1"], 43)],
+    )
+    def test_failed_subtree_key_needs_its_level(self, order, nodes):
+        # Groups of the 18-ray set in these orders reach one masked state
+        # ``ones & live[k]`` at two levels. With one table shared by all
+        # levels, a failure stored at one level is read at the other: the
+        # first order turns UNSAT after 1372 nodes, the second takes 51.
+        doc = ks18_document()
+        doc["groups"] = {name: doc["groups"][name] for name in order}
+        collection, _ = pl.parse_document(doc)
+        result = pl.search_noncontextual_assignment(collection)
+        assert result == reference_search(collection)
+        assert result.satisfiable and result.nodes_explored == nodes
 
 
 def diagonal_context(name, blocks, dim=3):

@@ -9,6 +9,7 @@ from .algebra import (
     AlgebraClosure,
     IrreducibilityReport,
     algebra_closure,
+    collection_irreducibility,
     invariant_subspace_witness,
     is_irreducible,
 )
@@ -103,6 +104,7 @@ __all__ = [
     "algebra_closure",
     "all_elements_invariant",
     "bivalence_report",
+    "collection_irreducibility",
     "collection_to_document",
     "context_from_basis",
     "context_lattice",

@@ -22,6 +22,11 @@ Every set the spin cannot certify (no well-separated eigenvalue, a proper
 spin, a failed margin, or generators that are not self-adjoint) is decided
 by the closure. Inputs are treated as complex: real matrices are embedded
 into C^(n x n), since the criterion is specific to the complex field.
+
+A collection of contexts is first split along the connected components of
+its meet (``collection_irreducibility``): the algebra is the direct sum of
+one algebra per component, and a component of rank-1 members is all of
+L(S_c) with no matrix built.
 """
 from __future__ import annotations
 
@@ -31,7 +36,8 @@ import numpy as np
 
 from . import linalg
 from .errors import AmbientDimOneError, DimensionMismatchError
-from .projectors import Projector, is_invariant
+from .lattice import LatticeFamily, context_lattice, intersect_lattices
+from .projectors import ContextCollection, Projector, is_invariant
 from .subspace import Subspace
 from .tolerance import TolerancePolicy, resolve
 
@@ -343,3 +349,129 @@ def is_irreducible(
         algebra_dimension=closure.dimension,
         witness=_closure_witness(closure, mats, tol),
     )
+
+
+def _member_components(collection: ContextCollection, meet: LatticeFamily):
+    """The meet's component of every context member, or None where the
+    components do not split the collection.
+
+    Returns the component of each member, one list per context (-1 for a
+    rank-0 member, which is no atom); d_c, the summed rank of each
+    component's members in any one context; and whether each component's
+    members all have rank 1. None when two contexts give a component
+    different ranks, as when a component holds no atom of the first
+    context; both happen only at the tolerance edge.
+    """
+    # The last entry counts the members of components with no first-context
+    # atom (label -1): none in the first context, so any elsewhere differs.
+    count = len(meet._blocks) + 1
+    dims, rank1, where = None, [True] * count, []
+    for ctx, parts in zip(collection.contexts, meet._parts):
+        labels = iter(parts)
+        row = [next(labels) if p.rank else -1 for p in ctx.members]
+        ranks = [0] * count
+        for p, c in zip(ctx.members, row):
+            if p.rank:
+                ranks[c] += p.rank
+                rank1[c] = rank1[c] and p.rank == 1
+        if dims is not None and ranks != dims:
+            return None
+        dims = ranks
+        where.append(row)
+    return where, dims[:-1], rank1[:-1]
+
+
+def _component_basis(members, rank: int) -> np.ndarray:
+    """An orthonormal ``(n, rank)`` basis of the range of the sum of
+    ``members``: the eigenvectors of its ``rank`` largest eigenvalues."""
+    return np.linalg.eigh(sum(p.matrix for p in members))[1][:, -rank:]
+
+
+def collection_irreducibility(
+    collection: ContextCollection,
+    meet: LatticeFamily | None = None,
+    tol: TolerancePolicy | None = None,
+) -> IrreducibilityReport:
+    """``is_irreducible`` of the registry's projectors, decided one connected
+    component of the meet at a time.
+
+    ``meet`` is ``intersect_lattices`` of the contexts' families in order,
+    built here when not given. Its graph links the atoms (nonzero members'
+    ranges Q) of different contexts when ``|Q_a^H Q_b|_F > eps_subspace``.
+    Let c be a component, S_c the span of the first context's atoms in c,
+    d_c its dimension and E_c the sum of those members, the projector onto
+    S_c.
+
+    Direct sum. Take unlinked atoms as orthogonal. The first context's
+    atoms outside c span S_c^perp, so every atom of c, orthogonal to them,
+    lies in S_c, and every atom outside c, orthogonal to the first context's
+    atoms in c, lies in S_c^perp. The generators are the registry's
+    identities, each a member (one that shares an identity lies within
+    ``eps_subspace`` of it), and the first context's members are all
+    identities. So every generator commutes with every E_c, and E_c, a sum
+    of generators, lies in the algebra A. Each word in
+    the generators is then block-diagonal over the S_c, with block c the
+    word in their compressions to S_c. Hence A is the direct sum of the
+    E_c A E_c, the unital algebra A_c generated on S_c by the compressions
+    of c's generators, and ``algebra_dimension`` is the sum of dim A_c.
+    Rank 1. For rays, ``P_i P_k P_j = <v_i, v_k> <v_k, v_j> v_i v_j^H``,
+    so along a path of linked rays from i to j the product of their
+    projectors is a nonzero multiple of ``v_i v_j^H``. The first context's
+    rays in c form a basis of S_c, so a component of rank-1 members has
+    A_c = L(S_c), of dimension d_c^2, with no matrix built; d_c = 1 gives 1.
+    Any other component takes ``is_irreducible`` of its generators'
+    compressions ``B^H P B`` (spin, then closure), B from
+    ``_component_basis``; a component that spans C^n needs no compression,
+    and its generators are all of them.
+
+    The set is irreducible when it has one component whose algebra is
+    full. With one component the witness is that of ``is_irreducible``;
+    with more, it is S_c of the first, from the first context's member
+    matrices, whose bytes a ray document and its matrix-form twin share.
+    Leak bound. Unlinked atoms overlap by at most ``eps_subspace``. For the
+    witness E = E_c, the first context's atoms being orthonormal, and a
+    generator ``P = Q_b Q_b^H``: if b lies in c, ``|(I - E) P E|_F <= |(I -
+    E) Q_b|_F = (sum_a |Q_a^H Q_b|_F^2)^(1/2)`` over the first context's
+    atoms a outside c, as those span the range of I - E; if b lies outside
+    c, ``|(I - E) P E|_F <= |Q_b^H E|_F``, the same sum over its atoms a in
+    c. So a generator leaks at most the root of the squared overlaps of
+    its atom with the first context's atoms across the cut, each at most
+    ``eps_subspace^2``. The witness must still pass ``is_invariant`` for
+    every generator; when it does not (a leak summed from several overlaps
+    near ``eps_subspace``), or when ``_member_components`` finds no split,
+    the whole set is decided by ``is_irreducible``.
+    """
+    tol = resolve(tol)
+    n = collection.ambient_dim
+    if n == 1:
+        raise AmbientDimOneError()
+    generators = [entry.projector for entry in collection.registry]
+    if meet is None:
+        meet = intersect_lattices([context_lattice(ctx) for ctx in collection.contexts], tol)
+    split = _member_components(collection, meet)
+    if split is None:
+        return is_irreducible(generators, tol)
+    where, dims, rank1 = split
+    if len(dims) == 1:
+        if rank1[0]:
+            return IrreducibilityReport(irreducible=True, algebra_dimension=n * n, witness=None)
+        return is_irreducible(generators, tol)
+    first = collection.contexts[0].members
+
+    def span(c: int) -> np.ndarray:
+        return _component_basis([p for p, o in zip(first, where[0]) if o == c], dims[c])
+
+    witness = Subspace(n, span(0))
+    if not all(is_invariant(witness, p, tol) for p in generators):
+        return is_irreducible(generators, tol)
+    # A generator's component is that of its first occurrence.
+    homes = [where[ci][mi] for ci, mi in (entry.occurrences[0] for entry in collection.registry)]
+    dimension = 0
+    for c, d in enumerate(dims):
+        if rank1[c]:
+            dimension += d * d
+            continue
+        b = witness.basis if c == 0 else span(c)
+        pieces = [b.conj().T @ p.matrix @ b for p, home in zip(generators, homes) if home == c]
+        dimension += is_irreducible(pieces, tol).algebra_dimension
+    return IrreducibilityReport(irreducible=False, algebra_dimension=dimension, witness=witness)

@@ -17,7 +17,9 @@ import time
 
 import numpy as np
 
-from .algebra import is_irreducible
+# ``is_irreducible`` is no longer called here; it stays importable from this
+# module, where bench/tracing.py wraps it.
+from .algebra import collection_irreducibility, is_irreducible  # noqa: F401
 from .document import _parse_tolerances, load_document, matrix_to_json, vector_to_json
 from .errors import CapExceededError, DimensionMismatchError, ParseError, ValidationError
 from .lattice import LatticeFamily, context_lattice, intersect_lattices
@@ -133,16 +135,15 @@ def _intersect_verdicts(args, collection: ContextCollection, tol: TolerancePolic
 
 
 def _irreducible_verdicts(args, collection, tol, meet: LatticeFamily | None = None) -> dict:
-    """The algebra verdict beside the lattice route, whose ``meet`` is built
-    here unless the caller has built it."""
-    generators = [entry.projector for entry in collection.registry]
-    report = is_irreducible(generators, tol)
+    """The algebra verdict, decided over the components of the lattice
+    route's ``meet``, which is built here unless the caller has built it."""
     if meet is None:
         _, meet = _intersection(collection, tol)
+    report = collection_irreducibility(collection, meet, tol)
     lattice_trivial = meet.is_trivial()
     return {
         "ambient_dim": collection.ambient_dim,
-        "generators": len(generators),
+        "generators": len(collection.registry),
         "algebra_dimension": report.algebra_dimension,
         "irreducible": report.irreducible,
         "witness": (
@@ -151,9 +152,10 @@ def _irreducible_verdicts(args, collection, tol, meet: LatticeFamily | None = No
         "lattice_intersection_trivial": lattice_trivial,
         "routes_agree": report.irreducible == lattice_trivial,
         "note": (
-            "irreducible means the unital algebra generated by the supplied "
-            "projectors is the full algebra on C^n; the lattice route checks "
-            "the finite subset-sum families and is reported alongside"
+            "irreducible means the unital algebra generated by the registry "
+            "projectors is the full algebra on C^n; it is the direct sum of one "
+            "algebra per connected component of the lattice route's meet, and "
+            "the meet is reported alongside"
         ),
     }
 
@@ -272,7 +274,7 @@ def _irreducible_lines(verdicts: dict, residuals: dict) -> list[str]:
     dim = verdicts["ambient_dim"]
     lines = [
         f"generators: {verdicts['generators']} registry projectors on C^{dim}",
-        f"algebra dimension: {verdicts['algebra_dimension']} (saturated at {dim ** 2})",
+        f"algebra dimension: {verdicts['algebra_dimension']} (full algebra: {dim ** 2})",
         f"irreducible: {_yes_no(verdicts['irreducible'])}",
         f"lattice intersection trivial: {_yes_no(verdicts['lattice_intersection_trivial'])}",
     ]

@@ -34,7 +34,13 @@ class _Atoms(NamedTuple):
 
 
 def _bits(mask: int) -> list[int]:
-    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+    """The set bits of ``mask``, ascending, one step per set bit."""
+    bits = []
+    while mask:
+        low = mask & -mask
+        bits.append(low.bit_length() - 1)
+        mask ^= low
+    return bits
 
 
 def _unions(blocks) -> list[int]:
@@ -59,12 +65,14 @@ class LatticeFamily:
     ``is_trivial`` and ``intersect_lattices`` never build them.
     """
 
-    __slots__ = ("ambient_dim", "_elements", "_labels", "_atom_set", "_blocks")
+    __slots__ = ("ambient_dim", "_elements", "_labels", "_atom_set", "_blocks", "_parts")
 
-    def __init__(self, ambient_dim: int, atoms: _Atoms, blocks: tuple[int, ...]):
+    def __init__(
+        self, ambient_dim: int, atoms: _Atoms, blocks: tuple[int, ...], parts=None
+    ):
         self.ambient_dim = ambient_dim
         self._elements = self._labels = None
-        self._atom_set, self._blocks = atoms, blocks
+        self._atom_set, self._blocks, self._parts = atoms, blocks, parts
 
     @property
     def size(self) -> int:
@@ -133,7 +141,7 @@ def context_lattice(ctx: MaximalContext) -> LatticeFamily:
     ``ran(1)`` needs every member. The 2^m elements are built when first
     read, for at most ``DEFAULT_MEMBER_CAP`` nonzero members.
     """
-    parts = [(p._range_basis(), p.label) for p in ctx.members]
+    parts = [(p._factors()[0], p.label) for p in ctx.members]
     atoms = [(basis, name) for basis, name in parts if basis.shape[1]]
     return LatticeFamily(
         ctx.ambient_dim,
@@ -144,9 +152,10 @@ def context_lattice(ctx: MaximalContext) -> LatticeFamily:
 
 def _atoms(fam: LatticeFamily) -> list[np.ndarray]:
     """One basis per block: the stacked bases of its atoms, not their QR,
-    which spans the same subspace."""
+    which spans the same subspace; a block of one atom is that atom's basis."""
     bases = fam._atom_set.bases
-    atoms = [np.hstack([bases[j] for j in _bits(block)]) for block in fam._blocks]
+    parts = [[bases[j] for j in _bits(block)] for block in fam._blocks]
+    atoms = [part[0] if len(part) == 1 else np.hstack(part) for part in parts]
     if sum(u.shape[1] for u in atoms) != fam.ambient_dim:
         raise ValueError("family is not Boolean over atoms spanning the whole space")
     return atoms
@@ -158,12 +167,14 @@ def intersect_lattices(
     """Elements present in every input family, found from the atoms alone.
 
     Atoms of different families are linked when ``|U_a^H U_b|_F`` (from
-    ``_overlaps``, as in the registry screen) exceeds ``eps_subspace``. The
-    first family's elements that are sums of connected components survive,
-    with its labels, Boolean over the components ordered by their highest
-    first-family atom. A family that is not Boolean over atoms summing to
-    the whole space, or whose atoms overlap above ``eps_subspace``, raises
-    ``ValueError``. For ``S = sum_I A_i`` and
+    ``_overlaps``, as in the registry screen) exceeds ``eps_subspace``, and
+    one breadth-first search per component (``_components``) finds the
+    connected components of that graph. The first family's elements that
+    are sums of connected components survive, with its labels, Boolean over
+    the components ordered by their highest first-family atom; the meet's
+    ``_parts`` give the component of every input atom. A family that is not
+    Boolean over atoms summing to the whole space, or whose atoms overlap
+    above ``eps_subspace``, raises ``ValueError``. For ``S = sum_I A_i`` and
     ``T = sum_J B_j``, ``|S - T|_F^2`` is the sum of ``|A_i B_j|_F^2`` over
     pairs crossing the cut, so this rule and equality within
     ``eps_subspace`` can only disagree when some atom overlap lies in
@@ -178,23 +189,59 @@ def intersect_lattices(
             raise DimensionMismatchError(
                 f"mixed ambient dimensions: {n} and {fam.ambient_dim}"
             )
-    atoms = [(f, u) for f, fam in enumerate(fams) for u in _atoms(fam)]
-    family = np.array([f for f, _ in atoms])
-    ranges = _padded([u.T[None] for _, u in atoms])
-    linked = _overlaps(ranges, ranges) > resolve(tol).eps_subspace ** 2
-    if (linked & (family[:, None] == family) & ~np.eye(len(atoms), dtype=bool)).any():
-        raise ValueError("atoms of one family overlap above eps_subspace")
-    reach = linked.astype(float)
-    while not np.array_equal(grown := np.minimum(reach @ reach, 1), reach):
-        reach = grown
-    # Python int masks: a float or int64 product is inexact past 53 atoms.
-    k = int(np.sum(family == 0))
-    components = sorted(
-        {sum(1 << int(j) for j in np.flatnonzero(reach[i, :k])) for i in range(k)}
-    )
+    ranges = _padded([u.T[None] for fam in fams for u in _atoms(fam)])
+    rows = _rows(_overlaps(ranges, ranges) > resolve(tol).eps_subspace ** 2)
+    # Python int masks over the atoms, exact past 53 atoms.
+    start = 0
+    for fam in fams:
+        own = ((1 << len(fam._blocks)) - 1) << start
+        for i in range(start, start + len(fam._blocks)):
+            if rows[i] & own & ~(1 << i):
+                raise ValueError("atoms of one family overlap above eps_subspace")
+        start += len(fam._blocks)
     first = fams[0]
-    blocks = tuple(sum(first._blocks[j] for j in _bits(c)) for c in components)
-    return LatticeFamily(n, first._atom_set, blocks)
+    head = (1 << len(first._blocks)) - 1
+    kept = sorted((c for c in _components(rows) if c & head), key=lambda c: c & head)
+    found = [-1] * len(rows)
+    for label, component in enumerate(kept):
+        for i in _bits(component):
+            found[i] = label
+    parts, start = [], 0
+    for fam in fams:
+        parts.append(tuple(found[start : start + len(fam._blocks)]))
+        start += len(fam._blocks)
+    blocks = tuple(sum(first._blocks[j] for j in _bits(c & head)) for c in kept)
+    return LatticeFamily(n, first._atom_set, blocks, tuple(parts))
+
+
+def _rows(linked: np.ndarray) -> list[int]:
+    """Each row of an (N, N) boolean matrix as a Python int, bit j for column j."""
+    width = -(-len(linked) // 8)
+    packed = np.packbits(linked, axis=1, bitorder="little").tobytes()
+    return [
+        int.from_bytes(packed[i : i + width], "little") for i in range(0, len(packed), width)
+    ]
+
+
+def _components(rows: list[int]) -> list[int]:
+    """The connected components of the symmetric graph whose node i links
+    the nodes of ``rows[i]``, as node masks in order of their lowest node.
+
+    One breadth-first search per component: each node's row is read once,
+    so the search takes O(N^2 / 64) word operations for N nodes.
+    """
+    components, left = [], (1 << len(rows)) - 1
+    while left:
+        frontier = component = left & -left
+        while frontier:
+            reached = 0
+            for i in _bits(frontier):
+                reached |= rows[i]
+            frontier = reached & ~component
+            component |= frontier
+        components.append(component)
+        left &= ~component
+    return components
 
 
 def all_elements_invariant(

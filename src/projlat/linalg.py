@@ -42,14 +42,6 @@ def adjoint(matrix) -> np.ndarray:
     return as_complex_matrix(matrix).conj().T.copy()
 
 
-def max_abs(matrix) -> float:
-    """Largest entry magnitude; 0.0 for an empty array."""
-    arr = np.asarray(matrix)
-    if arr.size == 0:
-        return 0.0
-    return float(np.max(np.abs(arr)))
-
-
 def orthonormalize(
     vectors: Iterable, tol: TolerancePolicy | None = None
 ) -> list[np.ndarray]:

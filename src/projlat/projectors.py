@@ -73,16 +73,13 @@ class Projector:
             object.__setattr__(self, "_gap", float(gaps[0]))
         return self._range, self._gap
 
-    def _range_basis(self) -> np.ndarray:
-        return self._factors()[0]
-
     def range(self) -> Subspace:
         """Column space: the vectors the projector fixes."""
-        return Subspace(self.ambient_dim, self._range_basis())
+        return Subspace(self.ambient_dim, self._factors()[0])
 
     def kernel(self) -> Subspace:
         """Null space: the complement of the range, from one complete QR of its basis."""
-        q = np.linalg.qr(self._range_basis(), mode="complete")[0]
+        q = np.linalg.qr(self._factors()[0], mode="complete")[0]
         return Subspace(self.ambient_dim, q[:, self.rank :])
 
     def __repr__(self) -> str:
@@ -437,7 +434,10 @@ def _dot_bound(terms: int) -> float:
 
 def _padded(stacks) -> np.ndarray:
     """The (m, w, n) range stacks as one, zero-padded to the largest width."""
-    width = max(max(stack.shape[1] for stack in stacks), 1)
+    widths = {stack.shape[1] for stack in stacks}
+    if len(widths) == 1 and 0 not in widths:
+        return np.concatenate(stacks, dtype=complex)
+    width = max(max(widths), 1)
     padded = np.zeros((sum(map(len, stacks)), width, stacks[0].shape[2]), dtype=complex)
     end = 0
     for stack in stacks:
@@ -524,18 +524,52 @@ def _range_screen(members, ranges: np.ndarray, gaps: np.ndarray, tol: ToleranceP
     return kept[np.concatenate(later)], kept[np.concatenate(earlier)], first
 
 
-@dataclass(frozen=True)
 class RegistryEntry:
     """One shared projector identity across a collection.
 
     ``projector`` is the first occurrence; ``occurrences`` lists every
     ``(context index, member index)`` whose matrix coincides with it within
-    ``eps_subspace``.
+    ``eps_subspace``. The three are read-only, and two entries are equal
+    when all three are (the projector by identity).
     """
 
-    index: int
-    projector: Projector
-    occurrences: tuple[tuple[int, int], ...]
+    __slots__ = ("index", "projector", "occurrences")
+
+    def __init__(
+        self, index: int, projector: Projector, occurrences: tuple[tuple[int, int], ...]
+    ):
+        _set_index(self, index)
+        _set_projector(self, projector)
+        _set_occurrences(self, occurrences)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return self.index, self.projector, self.occurrences
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"RegistryEntry(index={self.index!r}, projector={self.projector!r}, "
+            f"occurrences={self.occurrences!r})"
+        )
+
+
+# The slots' own setters, which the read-only ``__setattr__`` leaves to ``__init__``.
+_set_index, _set_projector, _set_occurrences = (
+    RegistryEntry.__dict__[name].__set__ for name in RegistryEntry.__slots__
+)
 
 
 class ContextCollection:
@@ -585,7 +619,11 @@ class ContextCollection:
         step = max(1, _CHUNK_ENTRIES // (projectors[0].matrix.size or 1))
         for start in range(0, len(later), step):
             part = slice(start, start + step)
-            distances = np.linalg.norm(matrices(earlier[part]) - matrices(later[part]), axis=(1, 2))
+            # A distance that overflows is +inf, which is not close.
+            with np.errstate(over="ignore"):
+                distances = np.linalg.norm(
+                    matrices(earlier[part]) - matrices(later[part]), axis=(1, 2)
+                )
             close[part] = distances <= tol.eps_subspace
         # Pairs come ordered by the later member, then the earlier one, so the
         # earlier member's representative is settled when it is read.

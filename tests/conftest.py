@@ -55,6 +55,12 @@ def rank1_bound(rays) -> float:
     return 4 * (rays.shape[1] + 2) * 2.0**-53 * float(np.abs(rays).max()) ** 2
 
 
+def max_abs(matrix) -> float:
+    """Largest entry magnitude; 0.0 for an empty array."""
+    arr = np.asarray(matrix)
+    return float(np.abs(arr).max(initial=0.0))
+
+
 def from_basis(ctx) -> bool:
     """True for a context checked as a basis, whose members' gaps are all 0."""
     return all(p._gap == 0.0 for p in ctx.members)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import projlat as pl
-from conftest import from_basis, random_rank1_context, rays_of
+from conftest import from_basis, max_abs, random_rank1_context, rays_of
 from projlat import Subspace, linalg
 from projlat.cli import main
 
@@ -693,7 +693,7 @@ class TestKeptFactors:
         families = [self.assert_same_as_a_fresh_svd(ctx)[0] for ctx in contexts]
         # A hand-built member takes its one SVD on first read, and keeps it.
         for p in contexts[3].members:
-            assert p._range is not None and p._range_basis() is p._range
+            assert p._range is not None and p._factors()[0] is p._range
         for family in families[1:]:
             assert family._atom_set.names == families[0]._atom_set.names
             for a, b in zip(family._atom_set.bases, families[0]._atom_set.bases):
@@ -780,8 +780,8 @@ class TestRangeAndKernel:
                 ran, ker = p.range(), p.kernel()
                 assert ran.dim == p.rank and ker.dim == n - p.rank
                 roundoff = 8 * n * np.finfo(float).eps
-                assert linalg.max_abs(ran.basis.conj().T @ ker.basis) <= roundoff
-                assert linalg.max_abs(ker.basis.conj().T @ ker.basis - np.eye(ker.dim)) <= roundoff
+                assert max_abs(ran.basis.conj().T @ ker.basis) <= roundoff
+                assert max_abs(ker.basis.conj().T @ ker.basis - np.eye(ker.dim)) <= roundoff
                 old = Subspace.column_space(np.eye(n) - p.matrix)
                 if old.dim == ker.dim:
                     assert ker.equals(old)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import projlat as pl
+from conftest import max_abs
 from projlat import linalg
 
 I2 = np.eye(2)
@@ -39,7 +40,7 @@ class TestOrthonormalize:
         assert len(basis) == 2
         stacked = np.column_stack(basis)
         gram = stacked.conj().T @ stacked
-        assert linalg.max_abs(gram - np.eye(2)) <= pl.DEFAULT_TOLERANCES.eps_entry
+        assert max_abs(gram - np.eye(2)) <= pl.DEFAULT_TOLERANCES.eps_entry
 
     def test_empty_input(self):
         assert pl.orthonormalize([]) == []

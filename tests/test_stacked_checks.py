@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import projlat as pl
-from conftest import from_basis, ks18_document, rank1_bound, rays_of
+from conftest import from_basis, ks18_document, max_abs, rank1_bound, rays_of
 from projlat import linalg
 from projlat.document import _parse_matrix, _parse_tolerances, _parse_vector
 from projlat.tolerance import resolve
@@ -22,10 +22,10 @@ def oracle_projector(matrix, tol, label):
     arr = linalg.as_complex_matrix(matrix)
     if arr.shape[0] != arr.shape[1]:
         raise pl.NotSquareError(arr.shape)
-    herm = linalg.max_abs(arr - arr.conj().T)
+    herm = max_abs(arr - arr.conj().T)
     if not herm <= tol.eps_entry:
         raise pl.NotHermitianError(herm, tol.eps_entry)
-    idem = linalg.max_abs(arr @ arr - arr)
+    idem = max_abs(arr @ arr - arr)
     if not idem <= tol.eps_entry:
         raise pl.NotIdempotentError(idem, tol.eps_entry)
     return pl.Projector(matrix=arr, rank=linalg.numerical_rank(arr, tol), label=label)
@@ -43,7 +43,7 @@ def oracle_residuals(members):
     total = sum(matrices)
     return pairwise, {
         "pairwise_product": float(pairwise.max()),
-        "sum_minus_identity": linalg.max_abs(total - np.eye(len(total))),
+        "sum_minus_identity": max_abs(total - np.eye(len(total))),
     }
 
 
@@ -82,7 +82,7 @@ def oracle_from_basis(vectors, tol, name, labels):
     vecs = [linalg.as_state_vector(v) for v in vectors]
     stacked = np.column_stack(vecs)
     gram = stacked.conj().T @ stacked
-    residual = linalg.max_abs(gram - np.eye(len(vecs)))
+    residual = max_abs(gram - np.eye(len(vecs)))
     if not residual <= tol.eps_entry:
         raise pl.NotOrthonormalError(residual, tol.eps_entry)
     if len(vecs) != stacked.shape[0]:
@@ -91,7 +91,7 @@ def oracle_from_basis(vectors, tol, name, labels):
     members = []
     for i, v in enumerate(vecs):
         matrix = np.outer(v, v.conj())
-        herm = linalg.max_abs(matrix - matrix.conj().T)
+        herm = max_abs(matrix - matrix.conj().T)
         if not herm <= tol.eps_entry:
             raise pl.NotHermitianError(herm, tol.eps_entry)
         if not products[i, i] <= tol.eps_entry:
@@ -609,6 +609,25 @@ class TestScreenedRegistry:
             assert_same_registry(collection, contexts, resolve(None))
         # The screen's estimate overflows; the pair is measured all the same.
         assert collection.identity_of(2, 0) == collection.identity_of(1, 0)
+
+    def test_overflowing_distance_warns_nothing(self):
+        # Under the project's error::RuntimeWarning filter and no errstate:
+        # the gap of a member past 1e154 is +inf, so its pair with the Pauli
+        # z member is kept and measured, and the distance that overflows is
+        # +inf, not close.
+        contexts = [
+            pl.MaximalContext(
+                name,
+                (
+                    pl.Projector(matrix=m, rank=1, label=f"{name}a"),
+                    pl.Projector(matrix=np.eye(2) - m, rank=1, label=f"{name}b"),
+                ),
+            )
+            for name, m in (("z", np.diag([1.0, 0.0])), ("b", np.diag([1e200, 0.0])))
+        ]
+        collection = pl.ContextCollection(contexts)
+        assert collection._identities == [[0, 1], [2, 3]]
+        assert [e.occurrences for e in collection.registry] == [((0, 0),), ((0, 1),), ((1, 0),), ((1, 1),)]
 
 
 def _from_bases(bases):

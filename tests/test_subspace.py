@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import projlat as pl
-from conftest import random_projector
+from conftest import max_abs, random_projector
 from projlat import Subspace
 
 LINE_E1 = Subspace.from_span([[1, 0]])
@@ -129,7 +129,7 @@ class TestDirectSum:
 
     @staticmethod
     def orthogonal(u, v):
-        return pl.linalg.max_abs(u.projector @ v.projector) <= pl.DEFAULT_TOLERANCES.eps_entry
+        return max_abs(u.projector @ v.projector) <= pl.DEFAULT_TOLERANCES.eps_entry
 
     def test_range_and_kernel_decompose(self):
         rng = np.random.default_rng(31)

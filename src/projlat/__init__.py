@@ -9,7 +9,6 @@ from .algebra import (
     AlgebraClosure,
     IrreducibilityReport,
     algebra_closure,
-    collection_irreducibility,
     invariant_subspace_witness,
     is_irreducible,
 )
@@ -104,7 +103,6 @@ __all__ = [
     "algebra_closure",
     "all_elements_invariant",
     "bivalence_report",
-    "collection_irreducibility",
     "collection_to_document",
     "context_from_basis",
     "context_lattice",

@@ -25,8 +25,8 @@ into C^(n x n), since the criterion is specific to the complex field.
 
 A collection of contexts is first split along the connected components of
 its meet (``collection_irreducibility``): the algebra is the direct sum of
-one algebra per component, and a component of rank-1 members is all of
-L(S_c) with no matrix built.
+one algebra per component, and a component whose atoms are all generator
+rays is all of L(S_c) with no matrix built.
 """
 from __future__ import annotations
 
@@ -36,7 +36,7 @@ import numpy as np
 
 from . import linalg
 from .errors import AmbientDimOneError, DimensionMismatchError
-from .lattice import LatticeFamily, context_lattice, intersect_lattices
+from .lattice import LatticeFamily
 from .projectors import ContextCollection, Projector, is_invariant
 from .subspace import Subspace
 from .tolerance import TolerancePolicy, resolve
@@ -351,34 +351,49 @@ def is_irreducible(
     )
 
 
+def _merged_members(collection: ContextCollection) -> set[tuple[int, int]]:
+    """The ``(context, member)`` positions that share an identity with an
+    earlier member without repeating its matrix exactly: no generator, yet
+    their atoms are in the meet's graph."""
+    contexts = collection.contexts
+    return {
+        (ci, mi)
+        for entry in collection.registry
+        for ci, mi in entry.occurrences[1:]
+        if not np.array_equal(contexts[ci].members[mi].matrix, entry.projector.matrix)
+    }
+
+
 def _member_components(collection: ContextCollection, meet: LatticeFamily):
     """The meet's component of every context member, or None where the
     components do not split the collection.
 
     Returns the component of each member, one list per context (-1 for a
     rank-0 member, which is no atom); d_c, the summed rank of each
-    component's members in any one context; and whether each component's
-    members all have rank 1. None when two contexts give a component
+    component's members in any one context; and whether the rank-1 theorem
+    gives each component its full algebra: all its members are rays, none
+    of them in ``_merged_members``. None when two contexts give a component
     different ranks, as when a component holds no atom of the first
     context; both happen only at the tolerance edge.
     """
+    merged = _merged_members(collection)
     # The last entry counts the members of components with no first-context
     # atom (label -1): none in the first context, so any elsewhere differs.
     count = len(meet._blocks) + 1
-    dims, rank1, where = None, [True] * count, []
-    for ctx, parts in zip(collection.contexts, meet._parts):
+    dims, full, where = None, [True] * count, []
+    for ci, (ctx, parts) in enumerate(zip(collection.contexts, meet._parts)):
         labels = iter(parts)
         row = [next(labels) if p.rank else -1 for p in ctx.members]
         ranks = [0] * count
-        for p, c in zip(ctx.members, row):
+        for mi, (p, c) in enumerate(zip(ctx.members, row)):
             if p.rank:
                 ranks[c] += p.rank
-                rank1[c] = rank1[c] and p.rank == 1
+                full[c] = full[c] and p.rank == 1 and (ci, mi) not in merged
         if dims is not None and ranks != dims:
             return None
         dims = ranks
         where.append(row)
-    return where, dims[:-1], rank1[:-1]
+    return where, dims[:-1], full[:-1]
 
 
 def _component_basis(members, rank: int) -> np.ndarray:
@@ -388,19 +403,17 @@ def _component_basis(members, rank: int) -> np.ndarray:
 
 
 def collection_irreducibility(
-    collection: ContextCollection,
-    meet: LatticeFamily | None = None,
-    tol: TolerancePolicy | None = None,
-) -> IrreducibilityReport:
+    collection: ContextCollection, meet: LatticeFamily, tol: TolerancePolicy | None = None
+) -> IrreducibilityReport | None:
     """``is_irreducible`` of the registry's projectors, decided one connected
-    component of the meet at a time.
+    component of the meet at a time, or None where the components do not
+    decide it and ``is_irreducible`` of every generator must.
 
-    ``meet`` is ``intersect_lattices`` of the contexts' families in order,
-    built here when not given. Its graph links the atoms (nonzero members'
-    ranges Q) of different contexts when ``|Q_a^H Q_b|_F > eps_subspace``.
-    Let c be a component, S_c the span of the first context's atoms in c,
-    d_c its dimension and E_c the sum of those members, the projector onto
-    S_c.
+    ``meet`` is ``intersect_lattices`` of the contexts' families in order.
+    Its graph links the atoms (nonzero members' ranges Q) of different
+    contexts when ``|Q_a^H Q_b|_F > eps_subspace``. Let c be a component,
+    S_c the span of the first context's atoms in c, d_c its dimension and
+    E_c the sum of those members, the projector onto S_c.
 
     Direct sum. Take unlinked atoms as orthogonal. The first context's
     atoms outside c span S_c^perp, so every atom of c, orthogonal to them,
@@ -415,19 +428,24 @@ def collection_irreducibility(
     E_c A E_c, the unital algebra A_c generated on S_c by the compressions
     of c's generators, and ``algebra_dimension`` is the sum of dim A_c.
     Rank 1. For rays, ``P_i P_k P_j = <v_i, v_k> <v_k, v_j> v_i v_j^H``,
-    so along a path of linked rays from i to j the product of their
-    projectors is a nonzero multiple of ``v_i v_j^H``. The first context's
-    rays in c form a basis of S_c, so a component of rank-1 members has
-    A_c = L(S_c), of dimension d_c^2, with no matrix built; d_c = 1 gives 1.
+    so along a path of linked generator rays from i to j the product of
+    their projectors is a nonzero multiple of ``v_i v_j^H``. The first
+    context's rays in c form a basis of S_c, so a component whose atoms are
+    all generator rays has A_c = L(S_c), of dimension d_c^2, with no matrix
+    built, and one of d_c = 1 has A_c = C E_c whatever its members. An
+    exact repeat of a generator has its atom and its links. A member merged
+    into an identity at a nonzero distance does not: it is no generator,
+    yet its links join the graph, so its component is decided like one of
+    higher rank.
     Any other component takes ``is_irreducible`` of its generators'
     compressions ``B^H P B`` (spin, then closure), B from
     ``_component_basis``; a component that spans C^n needs no compression,
-    and its generators are all of them.
+    and its generators are all of them (None).
 
     The set is irreducible when it has one component whose algebra is
-    full. With one component the witness is that of ``is_irreducible``;
-    with more, it is S_c of the first, from the first context's member
-    matrices, whose bytes a ray document and its matrix-form twin share.
+    full. With more, the witness is S_c of the first, from the first
+    context's member matrices, whose bytes a ray document and its
+    matrix-form twin share.
     Leak bound. Unlinked atoms overlap by at most ``eps_subspace``. For the
     witness E = E_c, the first context's atoms being orthonormal, and a
     generator ``P = Q_b Q_b^H``: if b lies in c, ``|(I - E) P E|_F <= |(I -
@@ -439,23 +457,21 @@ def collection_irreducibility(
     ``eps_subspace^2``. The witness must still pass ``is_invariant`` for
     every generator; when it does not (a leak summed from several overlaps
     near ``eps_subspace``), or when ``_member_components`` finds no split,
-    the whole set is decided by ``is_irreducible``.
+    the answer is None.
     """
     tol = resolve(tol)
     n = collection.ambient_dim
     if n == 1:
         raise AmbientDimOneError()
-    generators = [entry.projector for entry in collection.registry]
-    if meet is None:
-        meet = intersect_lattices([context_lattice(ctx) for ctx in collection.contexts], tol)
     split = _member_components(collection, meet)
     if split is None:
-        return is_irreducible(generators, tol)
-    where, dims, rank1 = split
+        return None
+    where, dims, full = split
     if len(dims) == 1:
-        if rank1[0]:
+        if full[0]:
             return IrreducibilityReport(irreducible=True, algebra_dimension=n * n, witness=None)
-        return is_irreducible(generators, tol)
+        return None
+    generators = [entry.projector for entry in collection.registry]
     first = collection.contexts[0].members
 
     def span(c: int) -> np.ndarray:
@@ -463,12 +479,12 @@ def collection_irreducibility(
 
     witness = Subspace(n, span(0))
     if not all(is_invariant(witness, p, tol) for p in generators):
-        return is_irreducible(generators, tol)
+        return None
     # A generator's component is that of its first occurrence.
     homes = [where[ci][mi] for ci, mi in (entry.occurrences[0] for entry in collection.registry)]
     dimension = 0
     for c, d in enumerate(dims):
-        if rank1[c]:
+        if full[c] or d == 1:
             dimension += d * d
             continue
         b = witness.basis if c == 0 else span(c)

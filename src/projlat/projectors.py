@@ -11,6 +11,7 @@ is what makes cross-context value assignments meaningful.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -434,10 +435,7 @@ def _dot_bound(terms: int) -> float:
 
 def _padded(stacks) -> np.ndarray:
     """The (m, w, n) range stacks as one, zero-padded to the largest width."""
-    widths = {stack.shape[1] for stack in stacks}
-    if len(widths) == 1 and 0 not in widths:
-        return np.concatenate(stacks, dtype=complex)
-    width = max(max(widths), 1)
+    width = max(max(stack.shape[1] for stack in stacks), 1)
     padded = np.zeros((sum(map(len, stacks)), width, stacks[0].shape[2]), dtype=complex)
     end = 0
     for stack in stacks:
@@ -524,52 +522,17 @@ def _range_screen(members, ranges: np.ndarray, gaps: np.ndarray, tol: ToleranceP
     return kept[np.concatenate(later)], kept[np.concatenate(earlier)], first
 
 
-class RegistryEntry:
+class RegistryEntry(NamedTuple):
     """One shared projector identity across a collection.
 
     ``projector`` is the first occurrence; ``occurrences`` lists every
     ``(context index, member index)`` whose matrix coincides with it within
-    ``eps_subspace``. The three are read-only, and two entries are equal
-    when all three are (the projector by identity).
+    ``eps_subspace``.
     """
 
-    __slots__ = ("index", "projector", "occurrences")
-
-    def __init__(
-        self, index: int, projector: Projector, occurrences: tuple[tuple[int, int], ...]
-    ):
-        _set_index(self, index)
-        _set_projector(self, projector)
-        _set_occurrences(self, occurrences)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _key(self) -> tuple:
-        return self.index, self.projector, self.occurrences
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (
-            f"RegistryEntry(index={self.index!r}, projector={self.projector!r}, "
-            f"occurrences={self.occurrences!r})"
-        )
-
-
-# The slots' own setters, which the read-only ``__setattr__`` leaves to ``__init__``.
-_set_index, _set_projector, _set_occurrences = (
-    RegistryEntry.__dict__[name].__set__ for name in RegistryEntry.__slots__
-)
+    index: int
+    projector: Projector
+    occurrences: tuple[tuple[int, int], ...]
 
 
 class ContextCollection:

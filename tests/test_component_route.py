@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import projlat as pl
-from projlat.algebra import _member_components
+from projlat.algebra import _member_components, collection_irreducibility
 from projlat.cli import main
 from projlat.document import matrix_to_json
 from projlat.lattice import _bits, _components, _rows
@@ -129,6 +129,10 @@ def _registry(doc):
     return collection, tol, [e.projector.matrix for e in collection.registry]
 
 
+def _meet(collection, tol):
+    return pl.intersect_lattices([pl.context_lattice(c) for c in collection.contexts], tol)
+
+
 def _witness(verdicts, n):
     basis = np.array([[complex(*z) for z in row] for row in verdicts["witness"]["basis"]])
     return pl.Subspace(n, basis.T)
@@ -183,7 +187,7 @@ class TestAgreement:
         # closure finds the algebra M_3 (x) I_2.
         doc = tensored(np.random.default_rng(2520))
         collection, tol, generators = _registry(doc)
-        meet = pl.intersect_lattices([pl.context_lattice(c) for c in collection.contexts], tol)
+        meet = _meet(collection, tol)
         assert len(meet._blocks) == 1
         code, report = _report(tmp_path, capsys, doc)
         verdicts = report["verdicts"]
@@ -202,12 +206,9 @@ class TestAgreement:
         rng = np.random.default_rng(2530)
         doc = planted_matrices(rng, (4, 2), contexts=3)
         collection, tol, generators = _registry(doc)
-        where, dims, rank1 = _member_components(
-            collection,
-            pl.intersect_lattices([pl.context_lattice(c) for c in collection.contexts], tol),
-        )
-        assert sorted(dims) == [2, 4] and rank1 == [False, False]
-        report = pl.collection_irreducibility(collection, tol=tol)
+        where, dims, full = _member_components(collection, _meet(collection, tol))
+        assert sorted(dims) == [2, 4] and full == [False, False]
+        report = collection_irreducibility(collection, _meet(collection, tol), tol)
         assert not report.irreducible and report.algebra_dimension == 16 + 1
         assert report.algebra_dimension == pl.is_irreducible(generators, tol).algebra_dimension
 
@@ -236,8 +237,59 @@ class TestAgreement:
         path.write_text(json.dumps(doc))
         assert main(["irreducible", str(path)]) == 1
         assert "ambient dimension >= 2" in capsys.readouterr().err
+        collection, tol = pl.parse_document(doc)
         with pytest.raises(pl.AmbientDimOneError):
-            pl.collection_irreducibility(pl.parse_document(doc)[0])
+            collection_irreducibility(collection, _meet(collection, tol), tol)
+
+
+def _turned(n, angle):
+    """The coordinate basis of C^n with e_0, e_1 turned by ``angle``."""
+    basis = np.eye(n, dtype=complex)
+    basis[:2, :2] = [[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]]
+    return basis
+
+
+class TestMergedMembers:
+    # The coordinate basis and the basis turned by +t and by -t. Each turned
+    # ray lies sqrt(2) sin t <= eps_subspace from e_0 or e_1 and shares its
+    # identity, so the generators are the coordinate projectors alone, yet
+    # the turned rays b and c_perp overlap by sin 2t > eps_subspace and link
+    # e_0 to e_1 in the meet.
+    CASES = [(0.3, 0.2), (1e-8, np.arcsin(0.7e-8))]
+
+    @pytest.mark.parametrize("eps, angle", CASES)
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_merged_rays_join_no_generators(self, tmp_path, capsys, eps, angle, n):
+        doc = _ray_document([_turned(n, t) for t in (0.0, angle, -angle)], eps_subspace=eps)
+        collection, tol, generators = _registry(doc)
+        assert len(generators) == n
+        where, dims, full = _member_components(collection, _meet(collection, tol))
+        assert dims[0] == 2 and not full[0]
+        direct = pl.is_irreducible(generators, tol)
+        assert not direct.irreducible and direct.algebra_dimension == n
+        code, report = _report(tmp_path, capsys, doc)
+        verdicts = report["verdicts"]
+        assert code == 0 and verdicts["irreducible"] is False
+        assert verdicts["algebra_dimension"] == n
+        witness = _witness(verdicts, n)
+        assert 0 < witness.dim < n
+        assert all(pl.is_invariant(witness, g, tol) for g in generators)
+
+    def test_exact_repeats_keep_the_rank_one_theorem(self, tmp_path, capsys):
+        # e_0 repeated in the second context: a component of d_c 1 beside the
+        # component {e_1, e_2, (e_1 +- e_2) / sqrt(2)}, both read off the graph.
+        second = np.eye(3, dtype=complex)
+        second[1:, 1:] = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+        doc = _ray_document([np.eye(3, dtype=complex), second])
+        collection, tol, generators = _registry(doc)
+        assert len(generators) == 5
+        where, dims, full = _member_components(collection, _meet(collection, tol))
+        assert sorted(dims) == [1, 2] and full == [True, True]
+        code, report = _report(tmp_path, capsys, doc)
+        verdicts = report["verdicts"]
+        assert verdicts["irreducible"] is False
+        assert verdicts["algebra_dimension"] == 1 + 4
+        assert verdicts["algebra_dimension"] == pl.is_irreducible(generators, tol).algebra_dimension
 
 
 class TestFallback:
@@ -249,7 +301,7 @@ class TestFallback:
         fourier = np.exp(2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n) / np.sqrt(n)
         doc = _ray_document([np.eye(n, dtype=complex), fourier], eps_subspace=0.3)
         collection, tol, generators = _registry(doc)
-        meet = pl.intersect_lattices([pl.context_lattice(c) for c in collection.contexts], tol)
+        meet = _meet(collection, tol)
         assert _member_components(collection, meet) is None
         assert meet.size == 2**n
         code, report = _report(tmp_path, capsys, doc)
@@ -275,7 +327,7 @@ class TestFallback:
         second = np.array(columns, dtype=complex).T
         doc = _ray_document([np.eye(m + 1, dtype=complex), second], eps_subspace=0.3)
         collection, tol, generators = _registry(doc)
-        meet = pl.intersect_lattices([pl.context_lattice(c) for c in collection.contexts], tol)
+        meet = _meet(collection, tol)
         assert meet._blocks[0] == 1 and -1 not in meet._parts[1]
         assert _member_components(collection, meet) is None
         code, report = _report(tmp_path, capsys, doc)
@@ -297,7 +349,7 @@ class TestFallback:
         turn += sine * (np.outer(w, e0) - np.outer(e0, w))
         doc = _ray_document([np.eye(n, dtype=complex), turn], eps_subspace=0.3)
         collection, tol, generators = _registry(doc)
-        meet = pl.intersect_lattices([pl.context_lattice(c) for c in collection.contexts], tol)
+        meet = _meet(collection, tol)
         assert len(meet._blocks) > 1
         first = pl.Subspace(n, np.eye(n)[:, :1])
         assert not all(pl.is_invariant(first, g, tol) for g in generators)

@@ -351,19 +351,6 @@ def is_irreducible(
     )
 
 
-def _merged_members(collection: ContextCollection) -> set[tuple[int, int]]:
-    """The ``(context, member)`` positions that share an identity with an
-    earlier member without repeating its matrix exactly: no generator, yet
-    their atoms are in the meet's graph."""
-    contexts = collection.contexts
-    return {
-        (ci, mi)
-        for entry in collection.registry
-        for ci, mi in entry.occurrences[1:]
-        if not np.array_equal(contexts[ci].members[mi].matrix, entry.projector.matrix)
-    }
-
-
 def _member_components(collection: ContextCollection, meet: LatticeFamily):
     """The meet's component of every context member, or None where the
     components do not split the collection.
@@ -372,11 +359,13 @@ def _member_components(collection: ContextCollection, meet: LatticeFamily):
     rank-0 member, which is no atom); d_c, the summed rank of each
     component's members in any one context; and whether the rank-1 theorem
     gives each component its full algebra: all its members are rays, none
-    of them in ``_merged_members``. None when two contexts give a component
-    different ranks, as when a component holds no atom of the first
-    context; both happen only at the tolerance edge.
+    of them merged into an identity at a nonzero distance (the registry's
+    ``_merged``): such a member is no generator, yet its atom is in the
+    meet's graph. None when two contexts give a component different ranks,
+    as when a component holds no atom of the first context; both happen
+    only at the tolerance edge.
     """
-    merged = _merged_members(collection)
+    merged = collection._merged
     # The last entry counts the members of components with no first-context
     # atom (label -1): none in the first context, so any elsewhere differs.
     count = len(meet._blocks) + 1
@@ -432,11 +421,11 @@ def collection_irreducibility(
     their projectors is a nonzero multiple of ``v_i v_j^H``. The first
     context's rays in c form a basis of S_c, so a component whose atoms are
     all generator rays has A_c = L(S_c), of dimension d_c^2, with no matrix
-    built, and one of d_c = 1 has A_c = C E_c whatever its members. An
-    exact repeat of a generator has its atom and its links. A member merged
-    into an identity at a nonzero distance does not: it is no generator,
-    yet its links join the graph, so its component is decided like one of
-    higher rank.
+    built, and one of d_c = 1 has A_c = C E_c whatever its members. A
+    member equal to a generator has its atom and its links. A member the
+    registry merged into an identity at a nonzero distance does not: it is
+    no generator, yet its links join the graph, so its component is
+    decided like one of higher rank.
     Any other component takes ``is_irreducible`` of its generators'
     compressions ``B^H P B`` (spin, then closure), B from
     ``_component_basis``; a component that spans C^n needs no compression,

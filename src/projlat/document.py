@@ -10,7 +10,8 @@ exactly one of two payloads:
 * ``"rays"`` plus ``"groups"``: ``rays`` maps a ray name to a dim-entry
   vector (same ``[re, im]`` encoding); ``groups`` maps a context name to an
   array of ray names. Rays are directions: they are normalized and turned
-  into rank-1 projectors, and every group must form an orthonormal basis.
+  into rank-1 projectors, one per ray, which every group that names the ray
+  shares; every group must form an orthonormal basis.
 
 A matrix or vector is decoded in one numpy call; the per-entry walk runs
 only for a payload that call rejects, to name what is wrong with it.
@@ -30,8 +31,8 @@ from .errors import ParseError, ValidationError
 from .projectors import (  # noqa: F401
     ContextCollection,
     _basis_contexts,
-    _checked_context,
     _checked_stack,
+    _stack_context,
     context_from_basis,
     validate_context,
     validate_projector,
@@ -126,7 +127,7 @@ def _matrix_context(name: str, matrices: list, dim: int, tol: TolerancePolicy):
             if parsed:
                 _checked_stack(np.array(parsed), tol, labels)
             raise
-    return _checked_context(*_checked_stack(np.array(parsed), tol, labels), tol, name)
+    return _stack_context(np.array(parsed), tol, labels, name)
 
 
 def _norm(vector: np.ndarray) -> float:
@@ -193,23 +194,25 @@ def _group_rays(group_name, ray_names, index: dict) -> list[int]:
     return rows
 
 
-def _ray_contexts(rays: np.ndarray, groups: list, tol: TolerancePolicy) -> list:
-    """The contexts of ``(name, row indices, ray names)`` groups, in document order.
+def _ray_contexts(rays: np.ndarray, names: list, groups: list, tol: TolerancePolicy) -> list:
+    """The contexts of ``(name, row indices)`` groups, in document order.
 
-    When every group has ``dim`` rays, all are checked as one (C, dim, dim)
-    stack. Otherwise, or if a check fails, the groups are checked one by one
-    in document order, so the first failing group raises what it raises on
-    its own. A group of another size fails its own check in any case.
+    ``names`` are the ray names of the rows of ``rays``. When every group
+    has ``dim`` rays, all are checked as one (C, dim) index array over the
+    rays, and a ray that several groups name is one member of all of their
+    contexts. Otherwise, or if a check fails, the groups are checked one by
+    one in document order, so the first failing group raises what it raises
+    on its own. A group of another size fails its own check in any case.
     """
-    if groups and all(len(rows) == rays.shape[1] for _, rows, _ in groups):
-        names, indices, labels = zip(*groups)
+    if groups and all(len(rows) == rays.shape[1] for _, rows in groups):
+        group_names, indices = zip(*groups)
         try:
-            return _basis_contexts(rays[list(indices)], tol, names, labels)
+            return _basis_contexts(rays, np.array(indices), tol, group_names, names)
         except ValidationError:
             pass
     return [
-        context_from_basis(rays[rows], tol, name=name, labels=list(ray_names))
-        for name, rows, ray_names in groups
+        context_from_basis(rays[rows], tol, name=name, labels=[names[k] for k in rows])
+        for name, rows in groups
     ]
 
 
@@ -268,17 +271,18 @@ def parse_document(
     if not isinstance(groups_obj, dict) or not groups_obj:
         raise ParseError("'groups' must be a non-empty object")
     rays = _unit_rays(rays_obj, dim)
-    index = {name: k for k, name in enumerate(rays_obj)}
+    names = list(rays_obj)
+    index = {name: k for k, name in enumerate(names)}
     # A malformed group raises after the groups before it are checked, so
     # errors come in document order.
     groups = []
     for group_name, ray_names in groups_obj.items():
         try:
-            groups.append((group_name, _group_rays(group_name, ray_names, index), ray_names))
+            groups.append((group_name, _group_rays(group_name, ray_names, index)))
         except ParseError:
-            _ray_contexts(rays, groups, tol)
+            _ray_contexts(rays, names, groups, tol)
             raise
-    return ContextCollection(_ray_contexts(rays, groups, tol), tol), tol
+    return ContextCollection(_ray_contexts(rays, names, groups, tol), tol), tol
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:

@@ -11,6 +11,8 @@ is what makes cross-context value assignments meaningful.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import iadd
 from typing import NamedTuple
 
 import numpy as np
@@ -44,12 +46,12 @@ class Projector:
     """A validated self-adjoint idempotent matrix with its rank, range and gap.
 
     Rank and range are one decision, made once. The checks keep, in
-    ``_range``, a read-only ``(n, rank)`` orthonormal basis Q, a view of its
-    context's range stack: the first ``rank`` left singular vectors of the
-    SVD that ranked a matrix member, or a ray member's ray. ``_gap`` bounds
-    ``|P - Q Q^H|_F`` (``_kept_ranges``); a ray member's is 0. A projector
-    built by hand takes both from one SVD when first read; a matrix that is
-    not finite raises ``ValidationError`` then.
+    ``_range``, a read-only ``(n, rank)`` orthonormal basis Q, a view: of
+    the range stack of ``_kept_ranges``, the first ``rank`` left singular
+    vectors of the SVD that ranked a matrix member, or of a ray member's
+    ray. ``_gap`` bounds ``|P - Q Q^H|_F`` (``_kept_ranges``); a ray
+    member's is 0. A projector built by hand takes both from one SVD when
+    first read; a matrix that is not finite raises ``ValidationError`` then.
     """
 
     matrix: np.ndarray
@@ -121,7 +123,8 @@ def _measure(stack: np.ndarray) -> tuple[np.ndarray, dict[str, float]]:
         diagonal = np.arange(len(block))
         block[diagonal, first + diagonal] -= stack[rows]
         products[rows] = np.abs(block).max(axis=(2, 3), initial=0.0)
-    return products, _residuals(products[None], stack[None])[0]
+    total = reduce(iadd, stack[1:], stack[0].copy())
+    return products, _residuals(products[None], total[None])[0]
 
 
 def _rank1_products(rows: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -140,21 +143,18 @@ def _rank1_products(rows: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return offsets * peaks[:, :, None] * peaks[:, None, :]
 
 
-def _residuals(products: np.ndarray, stack: np.ndarray) -> list[dict[str, float]]:
+def _residuals(products: np.ndarray, sums: np.ndarray) -> list[dict[str, float]]:
     """The residuals ``context_residuals`` reports, one dict per context.
 
     ``pairwise_product`` is the largest off-diagonal entry of ``products``
-    and ``sum_minus_identity`` is ``max|sum_i Pi - I|`` over the (C, m, n, n)
-    ``stack``.
+    and ``sum_minus_identity`` is ``max|S - I|`` for the context's member
+    sum S, one of the (C, n, n) ``sums``. Each S is added in place in
+    member order (``reduce``): ``np.sum`` may add pairwise, and
+    ``np.add.accumulate`` keeps every partial sum.
     """
-    count, m, n = stack.shape[:3]
+    m, n = products.shape[1], sums.shape[1]
     pairwise = np.where(np.eye(m, dtype=bool), 0.0, products).max(axis=(1, 2))
-    # The members are added in order; ``sum`` may add them pairwise when
-    # each is 1 x 1, and ``np.add.accumulate`` keeps every partial sum.
-    total = stack[:, 0].copy()
-    for i in range(1, m):
-        total += stack[:, i]
-    sums = np.abs(total - np.eye(n)).max(axis=(1, 2), initial=0.0)
+    sums = np.abs(sums - np.eye(n)).max(axis=(1, 2), initial=0.0)
     return [
         {"pairwise_product": p, "sum_minus_identity": s}
         for p, s in zip(pairwise.tolist(), sums.tolist())
@@ -212,7 +212,7 @@ def _checked_stack(stack: np.ndarray, tol: TolerancePolicy, labels):
         Projector(matrix=matrix, rank=rank, label=label, _range=q[:, :rank], _gap=gap)
         for matrix, rank, label, q, gap in zip(stack, ranks, labels, columns, gaps.tolist())
     )
-    return members, products, residuals, columns.swapaxes(1, 2)
+    return members, products, residuals, np.ascontiguousarray(columns.swapaxes(1, 2))
 
 
 def is_invariant(
@@ -246,7 +246,7 @@ class MaximalContext:
         default=None, init=False, repr=False, compare=False
     )
     # Set by the checks that built the context: the (m, w, n) stack of its
-    # members' ranges (``_kept_ranges``), of which each member's is a view.
+    # members' ranges (``_kept_ranges``), zero-padded to the widest.
     _ranges: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
@@ -334,6 +334,30 @@ def _checked_context(
     return ctx
 
 
+def _stack_context(stack: np.ndarray, tol: TolerancePolicy, labels, name: str) -> MaximalContext:
+    """The context of one (m, n, n) matrix ``stack``, labelled ``labels``.
+
+    Its members pass ``_checked_stack``, then ``_checked_context``. Last,
+    no two of their kept ranges may overlap by ``|Q_i^H Q_j|_F >
+    eps_subspace`` (``_overlaps``), the rule by which ``intersect_lattices``
+    rejects a family: the entrywise bound ``max|Pi Pj| <= eps_entry`` lets
+    rays spread over C^n overlap about n times more. The first such entry
+    (i, j) in row-major order raises a ``ValidationError``. A basis needs no
+    such check: its overlaps are Gram entries, within ``eps_entry``.
+    """
+    ctx = _checked_context(*_checked_stack(stack, tol, labels), tol, name)
+    overlaps = _overlaps(ctx._ranges, ctx._ranges)
+    np.fill_diagonal(overlaps, 0.0)
+    limit = tol.eps_subspace ** 2
+    if not overlaps.max() <= limit:
+        i, j = np.argwhere(overlaps > limit)[0].tolist()
+        raise ValidationError(
+            f"context {name!r}: members {min(i, j)} and {max(i, j)} overlap: "
+            f"|Qi^H Qj|_F = {np.sqrt(overlaps[i, j]):.3e} > {tol.eps_subspace:.3e}"
+        )
+    return ctx
+
+
 def context_from_basis(
     vectors,
     tol: TolerancePolicy | None = None,
@@ -355,37 +379,45 @@ def context_from_basis(
     rows = np.array(vecs)
     if labels is None:
         labels = [f"{name}[{i}]" for i in range(len(rows))]
-    return _basis_contexts(rows[None], tol, [name], [labels])[0]
+    if len(labels) != len(rows):
+        raise ValidationError(f"context {name!r}: {len(labels)} labels for {len(rows)} vectors")
+    return _basis_contexts(rows, np.arange(len(rows))[None], tol, [name], labels)[0]
 
 
 def _basis_contexts(
-    rows: np.ndarray, tol: TolerancePolicy, names, labels
+    rays: np.ndarray, groups: np.ndarray, tol: TolerancePolicy, names, labels
 ) -> list[MaximalContext]:
-    """The rank-1 contexts of C bases, checked as one stack.
+    """The rank-1 contexts of C bases drawn from one set of rays, checked as one stack.
 
-    Row i of ``rows[c]`` is vector i of basis c, which becomes member
-    ``v v^H`` of context ``names[c]``, labelled ``labels[c][i]``. One Gram
-    matrix per basis gives its orthonormality residual and, through
-    ``_rank1_products``, the pairwise products and idempotency residuals,
-    so no two members are multiplied. Its diagonal gives the ranks, since
-    ``v v^H`` has the one nonzero singular value ``|v|^2``. No Hermitian
+    Row k of the (R, n) ``rays`` is a vector labelled ``labels[k]``; row c
+    of the (C, m) integer ``groups`` lists the rays of basis c in order,
+    which becomes context ``names[c]``. Each ray becomes one read-only
+    matrix ``v v^H``, and a ray that a basis names one ``Projector`` that
+    every basis naming it shares, so a repeat is the same object wherever
+    it occurs. One Gram matrix per basis gives its orthonormality residual
+    and, through ``_rank1_products``, the pairwise products and idempotency
+    residuals, so no two members are multiplied. Its diagonal gives the
+    ranks, since ``v v^H`` has the one nonzero singular value ``|v|^2``; a
+    shared ray takes the rank of its first occurrence. No Hermitian
     residual is taken: entries (a, b) and (b, a) of ``v v^H`` are rounded
     from the same real products, so they are conjugate up to a few units of
     roundoff times ``max|v_a|^2``, inside the bound of ``_rank1_products``.
-    The outer products take one pass over all C bases, and every slice is
-    computed as for the basis alone. Each context keeps its basis,
-    read-only, as its (m, 1, n) range stack ``_ranges``, and each member's
-    range is its ray, a one-column view, with gap 0 (the registry screen
-    covers the rounding of ``v v^H``); a basis with a member of rank 0 fails
-    the rank-sum check of ``_checked_context``. A failing check raises for
-    the first basis that fails that check, so for C = 1 this is
-    ``context_from_basis``.
+    The outer products take one pass over the rays, each computed as for
+    the ray alone, and a basis's member sum reads them through ``groups``.
+    Each context keeps its basis, read-only, as its (m, 1, n) range stack
+    ``_ranges``, and each member's range is its ray, a one-column read-only
+    view of ``rays``, with gap 0 (the registry screen covers the rounding
+    of ``v v^H``); a basis with a member of rank 0 fails the rank-sum check
+    of ``_checked_context``. A failing check raises for the first basis
+    that fails that check, so for C = 1 this is ``context_from_basis``.
     For C > 1 an earlier basis may fail a check made later; a caller that
     needs the first failing basis in order checks the bases one at a time
     once this raises.
     """
-    count, m, n = rows.shape
+    count, m = groups.shape
+    n = rays.shape[1]
     eps = tol.eps_entry
+    rows = rays[groups]
     # V^H V with the vectors as the columns of V.
     stacked = np.ascontiguousarray(rows.transpose(0, 2, 1))
     gram = stacked.conj().transpose(0, 2, 1) @ stacked
@@ -395,33 +427,28 @@ def _basis_contexts(
         raise NotOrthonormalError(float(orthonormal[~(orthonormal <= eps)][0]), eps)
     if m != n:
         raise NotCompleteError(m, n)
-    for name, context_labels in zip(names, labels):
-        if len(context_labels) != m:
-            raise ValidationError(
-                f"context {name!r}: {len(context_labels)} labels for {m} vectors"
-            )
-    # One owner of every member, shaped (C m, n, n).
-    flat = rows.reshape(-1, n)
-    stack = flat[:, :, None] * flat.conj()[:, None, :]
-    stack.setflags(write=False)
-    rows.setflags(write=False)
-    stack = stack.reshape(count, m, n, n)
+    matrices = rays[:, :, None] * rays.conj()[:, None, :]
+    for owner in (matrices, rays, rows):
+        owner.setflags(write=False)
     with np.errstate(over="ignore", invalid="ignore"):
         products = _rank1_products(rows, offsets)
-        residuals = _residuals(products, stack)
+        terms = (matrices[groups[:, i]] for i in range(1, m))
+        sums = reduce(iadd, terms, matrices[groups[:, 0]])
+        residuals = _residuals(products, sums)
     idem = products.diagonal(axis1=1, axis2=2)
     if not idem.max() <= eps:
         c, i = np.argwhere(~(idem <= eps))[0]
         raise NotIdempotentError(float(idem[c, i]), eps)
     ranks = linalg.singular_rank(gram.diagonal(axis1=1, axis2=2).real[..., None], tol).tolist()
-    # (C, m, n, 1): each ray as a column, its member's range.
-    columns = rows[..., None]
+    # (R, n, 1): each ray as a column, its member's range.
+    columns = rays[..., None]
+    shared: dict[int, Projector] = {}
     contexts = []
     for c, name in enumerate(names):
-        members = tuple(
-            Projector(matrix=matrix, rank=rank, label=label, _range=ray, _gap=0.0)
-            for matrix, rank, label, ray in zip(stack[c], ranks[c], labels[c], columns[c])
-        )
+        for k, rank in zip(groups[c].tolist(), ranks[c]):
+            if k not in shared:
+                shared[k] = Projector(matrices[k], rank, labels[k], _range=columns[k], _gap=0.0)
+        members = tuple(shared[k] for k in groups[c].tolist())
         ranges = rows[c][:, None]
         contexts.append(_checked_context(members, products[c], residuals[c], ranges, tol, name))
     return contexts
@@ -456,18 +483,14 @@ def _overlaps(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return sum((down[:, j::v] for j in range(1, v)), down[:, ::v])
 
 
-def _range_screen(members, ranges: np.ndarray, gaps: np.ndarray, tol: TolerancePolicy):
+def _range_screen(ranges: np.ndarray, gaps: np.ndarray, tol: TolerancePolicy):
     """The member pairs ``(later, earlier)`` that may lie within ``eps_subspace``.
 
     ``ranges`` is the members' (K, r, n) range stack and ``gaps`` theirs.
-    ``first[k]`` is the first member with k's range bytes and an equal
-    matrix; k is in no pair and takes its identity. Equal range bytes give
-    equal matrices when both gaps are 0 (a ray member's matrix is computed
-    entrywise from its ray, a zero matrix is zeros); other candidates are
-    compared in one call. The rest are screened in blocks of ``_CHUNK_ENTRIES``
-    Gram entries against the earlier members, by ``|A - B|_F^2 = |Q_a^H
-    Q_a|_F^2 + |Q_b^H Q_b|_F^2 - 2 |Q_a^H Q_b|_F^2`` for ``A = Q_a Q_a^H``
-    (``_overlaps``), O(K^2 n r), ordered by the later member.
+    They are screened in blocks of ``_CHUNK_ENTRIES`` Gram entries against
+    the earlier members, by ``|A - B|_F^2 = |Q_a^H Q_a|_F^2 + |Q_b^H
+    Q_b|_F^2 - 2 |Q_a^H Q_b|_F^2`` for ``A = Q_a Q_a^H`` (``_overlaps``),
+    O(K^2 n r), ordered by the later member.
 
     No pair the norm accepts is dropped. With ``gamma_k = k u / (1 - k u)``
     and ``a = |Q_a|_F^2``, computed as s_a: a Gram entry's parts are 2n-term
@@ -487,30 +510,16 @@ def _range_screen(members, ranges: np.ndarray, gaps: np.ndarray, tol: ToleranceP
     gamma_F) + gamma S)^2 + 2 gamma S^2`` for every pair.
     """
     count, width, n = ranges.shape
-    flat = ranges.reshape(count, -1)
-    seen: dict[bytes, int] = {}
-    keys = flat.view((np.void, flat.shape[1] * flat.itemsize)).ravel().tolist()
-    first = [seen.setdefault(key, k) for k, key in enumerate(keys)]
-    gap = gaps.tolist()
-    check = [k for k, j in enumerate(first) if j != k and (gap[k] or gap[j])]
-    if check:
-        pairs = np.array([members[k].matrix for k in check + [first[k] for k in check]])
-        same = (pairs[: len(check)] == pairs[len(check) :]).all(axis=(1, 2))
-        # A candidate that is no repeat keys itself.
-        for k in np.array(check)[~same].tolist():
-            first[k] = seen[k] = k
-    kept = np.sort(np.fromiter(seen.values(), np.intp, len(seen)))
-    ranges, gaps = ranges[kept], gaps[kept]
-    flat = ranges.reshape(len(kept), -1).view(np.float64)
+    flat = ranges.reshape(count, -1).view(np.float64)
     squares = np.einsum("ij,ij->i", flat, flat)
     gamma = _dot_bound(8 * n + 15 + width ** 2)
     total = 2 * squares.max()
     reach = tol.eps_subspace * (1 + _dot_bound(2 * n * n + 8)) + gamma * total + gaps
     slack = 2 * gamma * total ** 2
-    own, later, earlier = np.empty(len(kept)), [], []
-    step = max(1, _CHUNK_ENTRIES // (len(kept) * width * width))
-    for start in range(0, len(kept), step):
-        stop = min(start + step, len(kept))
+    own, later, earlier = np.empty(count), [], []
+    step = max(1, _CHUNK_ENTRIES // (count * width * width))
+    for start in range(0, count, step):
+        stop = min(start + step, count)
         block = _overlaps(ranges[start:stop], ranges[:stop])
         own[start:stop] = block.diagonal(start)
         estimate = np.add.outer(own[start:stop], own[:stop]) - 2 * block
@@ -519,7 +528,7 @@ def _range_screen(members, ranges: np.ndarray, gaps: np.ndarray, tol: ToleranceP
         k += start
         later.append(k[j < k])
         earlier.append(j[j < k])
-    return kept[np.concatenate(later)], kept[np.concatenate(earlier)], first
+    return np.concatenate(later), np.concatenate(earlier)
 
 
 class RegistryEntry(NamedTuple):
@@ -557,57 +566,67 @@ class ContextCollection:
 
         Each member takes the identity of the first earlier representative
         it is close to, ``np.linalg.norm(rep - member) <= eps_subspace``, or
-        becomes a representative itself. That norm is taken only for the
-        pairs ``_range_screen`` keeps from the members' kept ranges and
-        gaps, whatever form the contexts came in (a context built by hand
-        gathers them from its members, and a member whose matrix is not
-        finite raises ``ValidationError``), and not for a repeat. The screen
-        may keep a pair too many, never one too few, so the identities are
-        those of comparing each member with every earlier representative.
-        Sets ``_identities``, one list per context.
+        becomes a representative itself. A repeat, the same ``Projector``
+        object as an earlier member (a ray that several groups of a document
+        name), takes its first occurrence's identity: the first
+        representative close to the one is the first close to the other.
+        The norm is taken only for the pairs of other members that
+        ``_range_screen`` keeps from their kept ranges and gaps, whatever
+        form the contexts came in (a context built by hand gathers them from
+        its members, and a member whose matrix is not finite raises
+        ``ValidationError``). The screen may keep a pair too many, never one
+        too few, so the identities are those of comparing each member with
+        every earlier representative. Sets ``_identities``, one list per
+        context, and ``_merged``, the ``(context, member)`` positions that
+        took an identity at a nonzero distance from its representative.
         """
         projectors = [p for ctx in self.contexts for p in ctx.members]
+        seen: dict[int, int] = {}
+        first = [seen.setdefault(id(p), k) for k, p in enumerate(projectors)]
+        kept = np.fromiter(seen.values(), np.intp, len(seen))
         ranges = _padded([
             _padded([p._factors()[0].T[None] for p in ctx.members])
             if ctx._ranges is None else ctx._ranges
             for ctx in self.contexts
-        ])
-        gaps = np.array([p._gap for p in projectors], dtype=float)
-        later, earlier, first = _range_screen(projectors, ranges, gaps, tol)
+        ])[kept]
+        gaps = np.array([projectors[k]._gap for k in kept.tolist()], dtype=float)
+        later, earlier = (kept[ks] for ks in _range_screen(ranges, gaps, tol))
 
         def matrices(ks):
             return np.array([projectors[k].matrix for k in ks.tolist()])
 
-        close = np.empty(len(later), dtype=bool)
+        distances = np.empty(len(later))
         step = max(1, _CHUNK_ENTRIES // (projectors[0].matrix.size or 1))
         for start in range(0, len(later), step):
             part = slice(start, start + step)
             # A distance that overflows is +inf, which is not close.
             with np.errstate(over="ignore"):
-                distances = np.linalg.norm(
+                distances[part] = np.linalg.norm(
                     matrices(earlier[part]) - matrices(later[part]), axis=(1, 2)
                 )
-            close[part] = distances <= tol.eps_subspace
+        close = distances <= tol.eps_subspace
         # Pairs come ordered by the later member, then the earlier one, so the
         # earlier member's representative is settled when it is read.
         owner = list(range(len(projectors)))
-        for k, j in zip(later[close].tolist(), earlier[close].tolist()):
+        merged = [False] * len(projectors)
+        for k, j, distance in zip(
+            later[close].tolist(), earlier[close].tolist(), distances[close].tolist()
+        ):
             if owner[k] == k and owner[j] == j:
-                owner[k] = j
-        # A repeat is in no screened pair; its first occurrence is earlier.
-        owner = [owner[j] for j in first]
+                owner[k], merged[k] = j, distance > 0
         # Each representative precedes the members it owns, so identities are
         # numbered in order of first occurrence.
         index: dict[int, int] = {}
-        found = [index.setdefault(own, len(index)) for own in owner]
+        found = [index.setdefault(owner[j], len(index)) for j in first]
+        positions = [(ci, mi) for ci, ctx in enumerate(self.contexts) for mi in range(len(ctx))]
         occurrences: list[list[tuple[int, int]]] = [[] for _ in index]
+        for position, i in zip(positions, found):
+            occurrences[i].append(position)
+        self._merged = {position for position, j in zip(positions, first) if merged[j]}
         self._identities, end = [], 0
-        for ci, ctx in enumerate(self.contexts):
-            identities = found[end : end + len(ctx)]
+        for ctx in self.contexts:
+            self._identities.append(found[end : end + len(ctx)])
             end += len(ctx)
-            self._identities.append(identities)
-            for mi, i in enumerate(identities):
-                occurrences[i].append((ci, mi))
         return tuple(
             RegistryEntry(i, projectors[k], tuple(occ))
             for i, (k, occ) in enumerate(zip(index, occurrences))
@@ -647,7 +666,7 @@ def pauli_contexts(tol: TolerancePolicy | None = None) -> ContextCollection:
     }
     tol = resolve(tol)
     contexts = [
-        _checked_context(*_checked_stack(stack, tol, [f"P1_{name}", f"P2_{name}"]), tol, name)
+        _stack_context(stack, tol, [f"P1_{name}", f"P2_{name}"], name)
         for name, stack in stacks.items()
     ]
     return ContextCollection(contexts, tol)

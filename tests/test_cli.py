@@ -146,6 +146,37 @@ def test_context_whose_ranks_miss_the_dimension_is_an_error_report(tmp_path, cap
         assert json.loads(lines[0]) == {"command": command, "error": error, "exit_code": 1}
 
 
+def test_context_whose_atoms_overlap_is_an_error_report(tmp_path, capsys):
+    # The Fourier basis of C^32 with f_1 turned towards f_0 by 1.1e-8: each
+    # |Pi Pj| entry is about |<f_0, f_1>| / n, within eps_entry, but the
+    # ranges overlap by 1.1e-8 > eps_subspace, which intersect_lattices
+    # rejects. Every command rejects the document at load with one error line.
+    n = 32
+    f = np.exp(2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n) / np.sqrt(n)
+    f[:, 1] += 1.1e-8 * f[:, 0]
+    f[:, 1] /= np.linalg.norm(f[:, 1])
+    members = [np.outer(f[:, k], f[:, k].conj()) for k in range(n)]
+    residuals = pl.projectors._measure(np.array(members))[1]
+    assert max(residuals.values()) < pl.TolerancePolicy().eps_entry
+    doc = {
+        "dim": n,
+        "contexts": {
+            "f": [pl.document.matrix_to_json(m) for m in members],
+            "e": [pl.document.matrix_to_json(np.diag(np.eye(n)[k])) for k in range(n)],
+        },
+    }
+    path = tmp_path / "overlap.json"
+    path.write_text(json.dumps(doc))
+    error = "context 'f': members 0 and 1 overlap: |Qi^H Qj|_F = 1.100e-08 > 1.000e-08"
+    for command in ("validate", "intersect", "irreducible", "ks-search"):
+        assert main([command, str(path)]) == 1
+        assert capsys.readouterr() == ("", f"error: {error}\n")
+        code = main([command, str(path), "--format", "json"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 1 and len(lines) == 1
+        assert json.loads(lines[0]) == {"command": command, "error": error, "exit_code": 1}
+
+
 def test_missing_file_exits_one(tmp_path):
     assert main(["validate", str(tmp_path / "absent.json")]) == 1
 

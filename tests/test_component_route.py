@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 
 import projlat as pl
+from conftest import KS18_GROUPS, ks18_ray_names
 from projlat.algebra import _member_components, collection_irreducibility
 from projlat.cli import main
-from projlat.document import matrix_to_json
+from projlat.document import matrix_to_json, vector_to_json
 from projlat.lattice import _bits, _components, _rows
 
 
@@ -48,6 +49,24 @@ def planted_rays(rng, sizes, contexts=2):
     """Rank-1 contexts block-diagonal over ``sizes``, turned by one Haar unitary."""
     turn = _haar(rng, sum(sizes))
     return _ray_document([turn @ _block_diagonal(rng, sizes) for _ in range(contexts)])
+
+
+def ks18_tensored(rng, factors=2):
+    """The 18-ray set tensored with the standard basis of C^factors, turned
+    by one Haar unitary: group g lists its rays tensored with e_0, then e_1."""
+    names = ks18_ray_names()
+    turn = _haar(rng, 4 * factors)
+    eye = np.eye(factors)
+    rays = {
+        f"{name}_{j}": vector_to_json(turn @ np.kron(np.array(ray) / np.linalg.norm(ray), eye[j]))
+        for ray, name in names.items()
+        for j in range(factors)
+    }
+    groups = {
+        f"c{g}": [f"{names[ray]}_{j}" for j in range(factors) for ray in group]
+        for g, group in enumerate(KS18_GROUPS)
+    }
+    return {"dim": 4 * factors, "rays": rays, "groups": groups}
 
 
 def planted_matrices(rng, sizes, rank=2, contexts=2):
@@ -390,3 +409,49 @@ class TestComponentSearch:
                 span = np.hstack([meet._atom_set.bases[i] for i in _bits(block)])
                 # The atom lies in its component's span.
                 assert np.linalg.norm(atom - span @ (span.conj().T @ atom)) < 1e-12
+
+
+def overlap_components(doc, eps):
+    """The connected components of the atoms of a ray document, linked where
+    ``|<u, v>| > eps``, counted by union-find over every pair of atoms."""
+    rays = {name: np.array([complex(*z) for z in v]) for name, v in doc["rays"].items()}
+    atoms = [rays[name] / np.linalg.norm(rays[name]) for group in doc["groups"].values() for name in group]
+    parent = list(range(len(atoms)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, u in enumerate(atoms):
+        for j in range(i):
+            if abs(np.vdot(atoms[j], u)) > eps:
+                parent[find(i)] = find(j)
+    return len({find(i) for i in range(len(atoms))})
+
+
+class TestBooleanMeet:
+    """For rank-1 collections the meet is the Boolean lattice over the
+    components of the ray-overlap graph, and the two routes agree."""
+
+    @staticmethod
+    def assert_boolean(tmp_path, capsys, doc, blocks):
+        components = overlap_components(doc, pl.TolerancePolicy().eps_subspace)
+        assert components == blocks
+        code, report = _report(tmp_path, capsys, doc, "intersect")
+        assert code == 0 and report["verdicts"]["intersection"]["size"] == 2**components
+        code, report = _report(tmp_path, capsys, doc)
+        assert code == 0 and report["verdicts"]["routes_agree"] is True
+        assert report["verdicts"]["irreducible"] is (components == 1)
+
+    @pytest.mark.parametrize("sizes", [(2, 3, 1), (4, 4), (1, 1, 1, 1)])
+    @pytest.mark.parametrize("contexts", [2, 3])
+    def test_planted_blocks(self, tmp_path, capsys, sizes, contexts):
+        doc = planted_rays(np.random.default_rng([2570, contexts, *sizes]), sizes, contexts)
+        self.assert_boolean(tmp_path, capsys, doc, len(sizes))
+
+    def test_ks18_tensored(self, tmp_path, capsys):
+        # Rays v (x) e_0 and w (x) e_1 are orthogonal, and each copy of the
+        # 18-ray graph is connected: two components.
+        self.assert_boolean(tmp_path, capsys, ks18_tensored(np.random.default_rng(2580)), 2)

@@ -736,8 +736,9 @@ class TestKeptFactors:
         assert seen == {(2, 2, 2), (3, 2, 2)}
 
     def test_ray_factors_are_the_rays(self, ks18):
-        # Each ray member's range is its ray, a read-only view of the basis;
-        # bases checked as one stack, with integer and with Haar-random entries.
+        # Each ray member's range is its ray, a read-only view of the rays
+        # of its document; bases checked as one stack, with integer and with
+        # Haar-random entries.
         rng = np.random.default_rng(1960)
         rays, groups = {}, {}
         for g in range(3):
@@ -745,13 +746,15 @@ class TestKeptFactors:
                 rays[f"{g}_{k}"] = pl.document.vector_to_json(column)
             groups[f"g{g}"] = [f"{g}_{k}" for k in range(7)]
         haar, _ = pl.parse_document({"dim": 7, "rays": rays, "groups": groups})
-        for ctx in (*ks18.contexts, *haar.contexts):
-            n = ctx.ambient_dim
-            for ray, p in zip(rays_of(ctx), ctx.members):
-                assert p.rank == 1 and p._range.shape == (n, 1)
-                assert np.shares_memory(p._range, ctx._ranges)
-                assert p._range[:, 0].tobytes() == ray.tobytes()
-                assert not p._range.flags.writeable
+        for collection in (ks18, haar):
+            owner = collection.contexts[0].members[0]._range.base
+            assert owner.shape == (len(collection.registry), collection.ambient_dim)
+            for ctx in collection.contexts:
+                for ray, p in zip(rays_of(ctx), ctx.members):
+                    assert p.rank == 1 and p._range.shape == (ctx.ambient_dim, 1)
+                    assert p._range.base is owner
+                    assert p._range[:, 0].tobytes() == ray.tobytes()
+                    assert not p._range.flags.writeable
 
 
 class TestRangeAndKernel:

@@ -518,13 +518,60 @@ class TestBatchedRayLoader:
         assert got[0] is (pl.SumNotIdentityError if order[0] == "a" else pl.NotOrthonormalError)
 
     def test_groups_share_one_read_only_stack(self):
+        # One member per ray: each of the 18 rays is one object in both of
+        # its groups, a view of one read-only (18, 4, 4) stack, not 36.
         doc = ks18_document()
-        collection, _ = pl.parse_document(doc)
+        collection, tol = pl.parse_document(doc)
         owner = collection.contexts[0].members[0].matrix.base
-        assert owner.shape == (36, 4, 4) and not owner.flags.writeable
+        assert owner.shape == (18, 4, 4) and not owner.flags.writeable
+        members = {}
         for ctx in collection.contexts:
-            for member in ctx.members:
-                assert member.matrix.base is owner
+            for label, member in zip(ctx.labels, ctx.members):
+                assert member.matrix.base is owner and member.label == label
+                assert members.setdefault(label, member) is member
+        assert len(members) == 18
+        assert_same_registry(collection, collection.contexts, tol)
+        assert all(len(entry.occurrences) == 2 for entry in collection.registry)
+
+    def test_ray_of_three_groups_is_one_object(self):
+        # The coordinate ray e0 lies in three bases of C^3; the other rays
+        # are each named once, but "spare" by no group.
+        rng = np.random.default_rng(2080)
+        rays = {"e0": [[1, 0], [0, 0], [0, 0]], "spare": [[0, 0], [1, 0], [0, 0]]}
+        groups = {}
+        for g in range(3):
+            turn = np.eye(3, dtype=complex)
+            turn[1:, 1:] = _unitary(rng, 2)
+            rays.update({f"g{g}r{k}": pl.document.vector_to_json(turn[:, k]) for k in (1, 2)})
+            groups[f"g{g}"] = [f"g{g}r1", "e0", f"g{g}r2"] if g == 1 else ["e0", f"g{g}r1", f"g{g}r2"]
+        doc = {"dim": 3, "rays": rays, "groups": groups}
+        collection, tol = pl.parse_document(doc)
+        shared = [ctx.members[ctx.labels.index("e0")] for ctx in collection.contexts]
+        assert shared[0] is shared[1] is shared[2] and shared[0].label == "e0"
+        assert len({id(p) for ctx in collection.contexts for p in ctx.members}) == 7
+        assert_same_collection(collection, oracle_parse_document(doc)[0], tol)
+        assert collection.registry[0].occurrences == ((0, 0), (1, 1), (2, 0))
+        assert collection._merged == set()
+
+    def test_equal_vectors_and_matrix_twin_match_the_oracle(self):
+        # Two ray names with equal vectors are two objects, measured at
+        # distance 0; the matrix-form twin has no shared object at all. Both
+        # give the oracle's identities and occurrences, with nothing merged.
+        doc = ks18_document()
+        doc["rays"]["again"] = list(doc["rays"]["r00"])
+        doc["groups"]["c1"] = ["again" if r == "r00" else r for r in doc["groups"]["c1"]]
+        collection, tol = pl.parse_document(doc)
+        first, again = collection.contexts[0].members[0], collection.contexts[1].members[0]
+        assert first is not again and first.matrix.tobytes() == again.matrix.tobytes()
+        twin, _ = pl.parse_document(pl.collection_to_document(collection, tol))
+        for loaded in (collection, twin):
+            assert_same_registry(loaded, loaded.contexts, tol)
+            assert loaded._merged == set()
+            assert [e.occurrences for e in loaded.registry] == [
+                e.occurrences for e in collection.registry
+            ]
+        assert collection.identity_of(1, 0) == collection.identity_of(0, 0)
+        assert len(collection.registry) == 18
 
 
 class TestScreenedRegistry:
@@ -743,15 +790,23 @@ def _ray_screen(rays: np.ndarray, tol):
 
 
 def range_screen(contexts, tol):
-    """``_range_screen`` on the members of ``contexts``, as the registry calls it."""
+    """``_range_screen`` on the members of ``contexts``, as the registry calls it.
+
+    Returns ``(later, earlier, first)`` over all members, ``first[k]`` the
+    first member that is the same object as member k; only first
+    occurrences are screened.
+    """
     members = [p for ctx in contexts for p in ctx.members]
+    first = [next(j for j, q in enumerate(members) if q is p) for p in members]
+    kept = np.array(sorted(set(first)), dtype=np.intp)
     padded = pl.projectors._padded
     ranges = padded([
         padded([p._factors()[0].T[None] for p in ctx.members]) if ctx._ranges is None else ctx._ranges
         for ctx in contexts
-    ])
-    gaps = np.array([p._gap for p in members], dtype=float)
-    return pl.projectors._range_screen(members, ranges, gaps, tol)
+    ])[kept]
+    gaps = np.array([members[k]._gap for k in kept], dtype=float)
+    later, earlier = pl.projectors._range_screen(ranges, gaps, tol)
+    return kept[later], kept[earlier], first
 
 
 def pair_list(later, earlier):
@@ -763,10 +818,21 @@ class TestRayScreen:
 
     @staticmethod
     def assert_ray_screen_pairs(contexts, tol):
+        # The ray screen keys equal ray bytes as repeats, the range screen
+        # only repeated objects: among rows of distinct bytes both keep the
+        # same pairs, and each other byte repeat is paired with its first
+        # occurrence, at distance 0.
         later, earlier, first = range_screen(contexts, tol)
-        want = _ray_screen(np.concatenate([rays_of(ctx) for ctx in contexts]), tol)
-        assert pair_list(later, earlier) == pair_list(*want[:2])
-        assert first == want[2]
+        want_later, want_earlier, by_bytes = _ray_screen(
+            np.concatenate([rays_of(ctx) for ctx in contexts]), tol
+        )
+        got, distinct = pair_list(later, earlier), set(by_bytes)
+        assert [(k, j) for k, j in got if k in distinct and j in distinct] == pair_list(
+            want_later, want_earlier
+        )
+        for k, j in enumerate(by_bytes):
+            assert j == k or first[k] != k or (k, j) in got
+        return got
 
     @pytest.mark.parametrize("seed", range(20))
     def test_pairs_at_the_tolerance(self, seed):
@@ -814,12 +880,14 @@ class TestRayScreen:
         assert_same_registry(collection, collection.contexts, tol)
         assert collection.identity_of(1, 2) == collection.identity_of(0, 0)
         assert len(collection.registry) == 3
-        # Equal ray bytes with gaps 0: the repeat is in no screened pair and
-        # no distance is taken.
+        # a1 and a2 are one object in both groups, so they are in no
+        # screened pair; "again" is another ray with a0's bytes, paired with
+        # a0 and measured at distance 0.
         later, earlier, first = range_screen(collection.contexts, tol)
-        assert first == [0, 1, 2, 1, 2, 0]
-        assert len(later) == len(earlier) == 0
-        self.assert_ray_screen_pairs(collection.contexts, tol)
+        assert first == [0, 1, 2, 1, 2, 5]
+        assert collection.contexts[1].members[:2] == collection.contexts[0].members[1:]
+        assert self.assert_ray_screen_pairs(collection.contexts, tol) == [(5, 0)]
+        assert collection._merged == set()
 
     def test_phase_turned_copy_is_measured(self):
         # e^{i phi} u has other bytes than u but the same outer product, up to rounding.
@@ -833,6 +901,8 @@ class TestRayScreen:
         assert first == list(range(8))
         assert sorted(pair_list(later, earlier)) == [(4 + i, i) for i in range(4)]
         self.assert_ray_screen_pairs(contexts, resolve(None))
+        # Each turned copy lies a rounding error from its ray, not at 0.
+        assert collection._merged == {(1, i) for i in range(4)}
 
     def test_non_transitive_chain(self):
         rng = np.random.default_rng(2190)
@@ -856,7 +926,7 @@ class TestRayScreen:
         screens = []
         range_screen_ = pl.projectors._range_screen
         monkeypatch.setattr(
-            pl.projectors, "_range_screen", lambda *a: screens.append(a[1].shape) or range_screen_(*a)
+            pl.projectors, "_range_screen", lambda *a: screens.append(a[0].shape) or range_screen_(*a)
         )
         collection = pl.ContextCollection(contexts)
         # One screen over the range stack of all nine members.
@@ -873,8 +943,12 @@ class TestRayScreen:
         # The members of a ray collection are read only for the pairs the
         # screen keeps, never all at once, and never flattened.
         rng = np.random.default_rng(2199)
-        bases = _turned_bases(rng, 4, [0.0, 0.5 * EPS, 0.0])
-        contexts = _from_bases(bases)
+        basis, turned = _turned_bases(rng, 4, [0.0, 0.5 * EPS])
+        rays = {f"a{i}": pl.document.vector_to_json(v) for i, v in enumerate(basis.T)}
+        rays.update({f"b{i}": pl.document.vector_to_json(turned[:, i]) for i in (0, 1)})
+        groups = {"x": ["a0", "a1", "a2", "a3"], "y": ["b0", "b1", "a2", "a3"]}
+        groups["z"] = groups["x"]
+        contexts = pl.parse_document({"dim": 4, "rays": rays, "groups": groups})[0].contexts
         built = []
 
         class Spy:
@@ -901,7 +975,8 @@ class TestRayScreen:
         assert_same_registry(collection, contexts, resolve(None))
         members = [shape for shape in built if shape[-2:] == (4, 4)]
         # Context 1 turns two rays of context 0 within eps_subspace, so those
-        # two pairs are measured; context 2 repeats context 0 bit for bit.
+        # two pairs are measured; every other member of contexts 1 and 2 is
+        # a ray of context 0, the same object.
         assert members == [(2, 4, 4)] * 2
         assert len(collection.registry) == 4
 
@@ -1022,18 +1097,26 @@ class TestRangeScreen:
             ((0, 1), (1, 1), (2, 0)),
             ((1, 0),),
         ]
+        # No member is another's object: the equal matrices are measured at
+        # distance 0 beside the shrunk pairs (2, 0) and (5, 2), which only
+        # the gaps keep.
         later, earlier, first = range_screen(contexts, LOOSE)
-        assert first == [0, 1, 2, 1, 1, 0]
-        assert pair_list(later, earlier) == [(2, 0)]
+        assert first == list(range(6))
+        assert pair_list(later, earlier) == [(2, 0), (3, 1), (4, 1), (4, 3), (5, 0), (5, 2)]
+        assert collection._merged == set()
 
     def test_matrix_twin_of_ks18(self):
-        # Every member of the twin repeats its first occurrence's range and
-        # matrix bytes: no pair is measured, as for the ray form.
+        # The twin's members are 36 objects: each later occurrence of a ray
+        # is measured against its first, at distance 0, where the ray form
+        # repeats the object and measures nothing.
         ray_form, tol = pl.parse_document(ks18_document())
         twin, _ = pl.parse_document(pl.collection_to_document(ray_form, tol))
         assert_same_registry(twin, twin.contexts, tol)
         later, earlier, first = range_screen(twin.contexts, tol)
-        assert len(later) == 0 and first == range_screen(ray_form.contexts, tol)[2]
+        repeats = range_screen(ray_form.contexts, tol)[2]
+        assert first == list(range(36)) and len(set(repeats)) == 18
+        assert pair_list(later, earlier) == [(k, j) for k, j in enumerate(repeats) if j != k]
+        assert twin._merged == ray_form._merged == set()
         assert [e.occurrences for e in twin.registry] == [
             e.occurrences for e in ray_form.registry
         ]
@@ -1093,7 +1176,7 @@ class TestRangeScreen:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int64])
     def test_repeats_of_hand_built_matrices_of_any_dtype(self, dtype):
-        # The repeats' matrices are compared by value in one array, whatever
+        # Equal matrices of other objects are measured by value, whatever
         # their dtype, here 3 x 3 single-precision entries among them.
         z = np.diag([1, 0, 0]).astype(dtype)
         contexts = [
@@ -1108,7 +1191,9 @@ class TestRangeScreen:
         ]
         collection = pl.ContextCollection(contexts)
         assert_same_registry(collection, contexts, resolve(None))
-        assert range_screen(contexts, resolve(None))[2] == [0, 1, 0, 1]
+        later, earlier, first = range_screen(contexts, resolve(None))
+        assert first == [0, 1, 2, 3] and pair_list(later, earlier) == [(2, 0), (3, 1)]
+        assert collection._identities == [[0, 1], [0, 1]] and collection._merged == set()
 
     @pytest.mark.parametrize("seed", range(10))
     def test_every_accepted_pair_is_kept(self, seed):

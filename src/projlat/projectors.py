@@ -212,7 +212,9 @@ def _checked_stack(stack: np.ndarray, tol: TolerancePolicy, labels):
         Projector(matrix=matrix, rank=rank, label=label, _range=q[:, :rank], _gap=gap)
         for matrix, rank, label, q, gap in zip(stack, ranks, labels, columns, gaps.tolist())
     )
-    return members, products, residuals, np.ascontiguousarray(columns.swapaxes(1, 2))
+    ranges = np.ascontiguousarray(columns.swapaxes(1, 2))
+    ranges.setflags(write=False)
+    return members, products, residuals, ranges
 
 
 def is_invariant(
@@ -620,13 +622,11 @@ class ContextCollection:
         found = [index.setdefault(owner[j], len(index)) for j in first]
         positions = [(ci, mi) for ci, ctx in enumerate(self.contexts) for mi in range(len(ctx))]
         occurrences: list[list[tuple[int, int]]] = [[] for _ in index]
-        for position, i in zip(positions, found):
-            occurrences[i].append(position)
+        self._identities = [[] for _ in self.contexts]
+        for (ci, mi), i in zip(positions, found):
+            occurrences[i].append((ci, mi))
+            self._identities[ci].append(i)
         self._merged = {position for position, j in zip(positions, first) if merged[j]}
-        self._identities, end = [], 0
-        for ctx in self.contexts:
-            self._identities.append(found[end : end + len(ctx)])
-            end += len(ctx)
         return tuple(
             RegistryEntry(i, projectors[k], tuple(occ))
             for i, (k, occ) in enumerate(zip(index, occurrences))

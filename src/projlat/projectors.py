@@ -416,8 +416,7 @@ def _basis_contexts(
     needs the first failing basis in order checks the bases one at a time
     once this raises.
     """
-    count, m = groups.shape
-    n = rays.shape[1]
+    m, n = groups.shape[1], rays.shape[1]
     eps = tol.eps_entry
     rows = rays[groups]
     # V^H V with the vectors as the columns of V.

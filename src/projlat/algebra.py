@@ -96,12 +96,7 @@ def _coerce_generators(generators) -> np.ndarray:
         mats.append(arr)
     if not mats:
         raise ValueError("need at least one generator")
-    dim = mats[0].shape[0]
-    for arr in mats[1:]:
-        if arr.shape[0] != dim:
-            raise DimensionMismatchError(
-                f"mixed generator dimensions: {dim} and {arr.shape[0]}"
-            )
+    linalg._common_dim((arr.shape[0] for arr in mats), "mixed generator dimensions:")
     return np.array(mats)
 
 
@@ -393,10 +388,10 @@ def _component_basis(members, rank: int) -> np.ndarray:
 
 def collection_irreducibility(
     collection: ContextCollection, meet: LatticeFamily, tol: TolerancePolicy | None = None
-) -> IrreducibilityReport | None:
+) -> IrreducibilityReport:
     """``is_irreducible`` of the registry's projectors, decided one connected
-    component of the meet at a time, or None where the components do not
-    decide it and ``is_irreducible`` of every generator must.
+    component of the meet at a time where the components decide it, and by
+    ``is_irreducible`` of every generator where they do not.
 
     ``meet`` is ``intersect_lattices`` of the contexts' families in order.
     Its graph links the atoms (nonzero members' ranges Q) of different
@@ -445,22 +440,23 @@ def collection_irreducibility(
     its atom with the first context's atoms across the cut, each at most
     ``eps_subspace^2``. The witness must still pass ``is_invariant`` for
     every generator; when it does not (a leak summed from several overlaps
-    near ``eps_subspace``), or when ``_member_components`` finds no split,
-    the answer is None.
+    near ``eps_subspace``), when ``_member_components`` finds no split, or
+    when one component is not full, the answer is ``is_irreducible`` of
+    every generator.
     """
     tol = resolve(tol)
     n = collection.ambient_dim
     if n == 1:
         raise AmbientDimOneError()
     split = _member_components(collection, meet)
+    generators = [entry.projector for entry in collection.registry]
     if split is None:
-        return None
+        return is_irreducible(generators, tol)
     where, dims, full = split
     if len(dims) == 1:
         if full[0]:
             return IrreducibilityReport(irreducible=True, algebra_dimension=n * n, witness=None)
-        return None
-    generators = [entry.projector for entry in collection.registry]
+        return is_irreducible(generators, tol)
     first = collection.contexts[0].members
 
     def span(c: int) -> np.ndarray:
@@ -468,7 +464,7 @@ def collection_irreducibility(
 
     witness = Subspace(n, span(0))
     if not all(is_invariant(witness, p, tol) for p in generators):
-        return None
+        return is_irreducible(generators, tol)
     # A generator's component is that of its first occurrence.
     homes = [where[ci][mi] for ci, mi in (entry.occurrences[0] for entry in collection.registry)]
     dimension = 0

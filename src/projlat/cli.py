@@ -17,7 +17,9 @@ import time
 
 import numpy as np
 
-from .algebra import collection_irreducibility, is_irreducible
+# ``is_irreducible`` is no longer called here; it stays importable from this
+# module, where bench/tracing.py wraps it.
+from .algebra import collection_irreducibility, is_irreducible  # noqa: F401
 from .document import _parse_tolerances, load_document, matrix_to_json, vector_to_json
 from .errors import CapExceededError, DimensionMismatchError, ParseError, ValidationError
 from .lattice import LatticeFamily, context_lattice, intersect_lattices
@@ -133,14 +135,11 @@ def _intersect_verdicts(args, collection: ContextCollection, tol: TolerancePolic
 
 
 def _irreducible_verdicts(args, collection, tol, meet: LatticeFamily | None = None) -> dict:
-    """The algebra verdict, decided over the components of the lattice
-    route's ``meet`` (built here unless the caller has built it), or by
-    ``is_irreducible`` of every registry projector where they do not decide it."""
+    """The algebra verdict, ``collection_irreducibility`` over the lattice
+    route's ``meet`` (built here unless the caller has built it)."""
     if meet is None:
         _, meet = _intersection(collection, tol)
     report = collection_irreducibility(collection, meet, tol)
-    if report is None:
-        report = is_irreducible([entry.projector for entry in collection.registry], tol)
     lattice_trivial = meet.is_trivial()
     return {
         "ambient_dim": collection.ambient_dim,

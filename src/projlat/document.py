@@ -199,17 +199,15 @@ def _ray_contexts(rays: np.ndarray, names: list, groups: list, tol: TolerancePol
 
     ``names`` are the ray names of the rows of ``rays``. When every group
     has ``dim`` rays, all are checked as one (C, dim) index array over the
-    rays, and a ray that several groups name is one member of all of their
-    contexts. Otherwise, or if a check fails, the groups are checked one by
-    one in document order, so the first failing group raises what it raises
-    on its own. A group of another size fails its own check in any case.
+    rays by one ``_basis_contexts`` call, which raises for the first failing
+    group, and a ray that several groups name is one member of all of their
+    contexts. Otherwise the groups are checked one by one in document order,
+    so the first failing group raises what it raises on its own; a group of
+    another size fails its own check.
     """
     if groups and all(len(rows) == rays.shape[1] for _, rows in groups):
         group_names, indices = zip(*groups)
-        try:
-            return _basis_contexts(rays, np.array(indices), tol, group_names, names)
-        except ValidationError:
-            pass
+        return _basis_contexts(rays, np.array(indices), tol, group_names, names)
     return [
         context_from_basis(rays[rows], tol, name=name, labels=[names[k] for k in rows])
         for name, rows in groups

@@ -17,7 +17,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatchError, SubsetLimitExceededError
+from .errors import SubsetLimitExceededError
+from .linalg import _common_dim
 from .projectors import MaximalContext, _overlaps, _padded, is_invariant
 from .subspace import Subspace
 from .tolerance import TolerancePolicy, resolve
@@ -183,12 +184,7 @@ def intersect_lattices(
     fams = list(families)
     if not fams:
         raise ValueError("need at least one lattice family to intersect")
-    n = fams[0].ambient_dim
-    for fam in fams[1:]:
-        if fam.ambient_dim != n:
-            raise DimensionMismatchError(
-                f"mixed ambient dimensions: {n} and {fam.ambient_dim}"
-            )
+    n = _common_dim((fam.ambient_dim for fam in fams), "mixed ambient dimensions:")
     ranges = _padded([u.T[None] for fam in fams for u in _atoms(fam)])
     rows = _rows(_overlaps(ranges, ranges) > resolve(tol).eps_subspace ** 2)
     # Python int masks over the atoms, exact past 53 atoms.

@@ -37,6 +37,16 @@ def as_state_vector(vector) -> np.ndarray:
     return arr
 
 
+def _common_dim(dims, what: str) -> int:
+    """The one value of the non-empty ``dims``; the first that differs from it
+    raises ``DimensionMismatchError(f"{what} {first} and {other}")``."""
+    first, *rest = dims
+    for other in rest:
+        if other != first:
+            raise DimensionMismatchError(f"{what} {first} and {other}")
+    return first
+
+
 def adjoint(matrix) -> np.ndarray:
     """Conjugate transpose."""
     return as_complex_matrix(matrix).conj().T.copy()
@@ -56,12 +66,7 @@ def orthonormalize(
     vecs = [as_state_vector(v) for v in vectors]
     if not vecs:
         return []
-    dim = vecs[0].shape[0]
-    for v in vecs[1:]:
-        if v.shape[0] != dim:
-            raise DimensionMismatchError(
-                f"mixed vector dimensions: {dim} and {v.shape[0]}"
-            )
+    _common_dim((v.shape[0] for v in vecs), "mixed vector dimensions:")
     scale = max(float(np.linalg.norm(v)) for v in vecs)
     if scale == 0.0:
         return []
@@ -87,13 +92,9 @@ def singular_rank(singular_values, tol: TolerancePolicy | None = None) -> int:
     ``np.linalg.svd`` returns for a stack of matrices, gives an array of
     counts, one per row.
     """
-    tol = resolve(tol)
     s = np.asarray(singular_values, dtype=float)
-    if s.ndim > 1:
-        return np.count_nonzero(s > tol.eps_rank * np.maximum(s[..., :1], 1.0), axis=-1)
-    if s.size == 0 or s[0] <= 0.0:
-        return 0
-    return int(np.count_nonzero(s > tol.eps_rank * max(s[0], 1.0)))
+    counts = np.count_nonzero(s > resolve(tol).eps_rank * np.maximum(s[..., :1], 1.0), axis=-1)
+    return int(counts) if s.ndim == 1 else counts
 
 
 def numerical_rank(matrix, tol: TolerancePolicy | None = None) -> int:

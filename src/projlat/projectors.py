@@ -281,19 +281,24 @@ def context_residuals(ctx: MaximalContext) -> dict[str, float]:
 def validate_context(
     projectors, tol: TolerancePolicy | None = None, name: str = "context"
 ) -> MaximalContext:
-    """Check the maximal-context axioms over already-validated projectors."""
+    """Check the maximal-context axioms over already-validated projectors.
+
+    After the checks of ``_checked_context``, the members' kept ranges pass
+    the overlap rule (``_check_overlaps``), as a document's matrix context
+    does, so a checked context's ranges are atoms ``intersect_lattices``
+    accepts. The context keeps no ``_ranges``.
+    """
     tol = resolve(tol)
     members = tuple(projectors)
     if not members:
         raise ValidationError(f"context {name!r} has no members")
-    dim = members[0].ambient_dim
-    for p in members[1:]:
-        if p.ambient_dim != dim:
-            raise DimensionMismatchError(
-                f"context {name!r}: mixed ambient dimensions {dim} and {p.ambient_dim}"
-            )
+    linalg._common_dim(
+        (p.ambient_dim for p in members), f"context {name!r}: mixed ambient dimensions"
+    )
     products, residuals = _measure(np.array([p.matrix for p in members]))
-    return _checked_context(members, products, residuals, None, tol, name)
+    ctx = _checked_context(members, products, residuals, None, tol, name)
+    _check_overlaps(_padded([p._factors()[0].T[None] for p in members]), tol, name)
+    return ctx
 
 
 def _checked_context(
@@ -339,16 +344,25 @@ def _checked_context(
 def _stack_context(stack: np.ndarray, tol: TolerancePolicy, labels, name: str) -> MaximalContext:
     """The context of one (m, n, n) matrix ``stack``, labelled ``labels``.
 
-    Its members pass ``_checked_stack``, then ``_checked_context``. Last,
-    no two of their kept ranges may overlap by ``|Q_i^H Q_j|_F >
-    eps_subspace`` (``_overlaps``), the rule by which ``intersect_lattices``
-    rejects a family: the entrywise bound ``max|Pi Pj| <= eps_entry`` lets
-    rays spread over C^n overlap about n times more. The first such entry
-    (i, j) in row-major order raises a ``ValidationError``. A basis needs no
-    such check: its overlaps are Gram entries, within ``eps_entry``.
+    Its members pass ``_checked_stack``, then ``_checked_context``, then
+    the overlap rule (``_check_overlaps``) on their kept ranges.
     """
     ctx = _checked_context(*_checked_stack(stack, tol, labels), tol, name)
-    overlaps = _overlaps(ctx._ranges, ctx._ranges)
+    _check_overlaps(ctx._ranges, tol, name)
+    return ctx
+
+
+def _check_overlaps(ranges: np.ndarray, tol: TolerancePolicy, name: str) -> None:
+    """The overlap rule for the (m, w, n) range stack of context ``name``.
+
+    No two ranges may overlap by ``|Q_i^H Q_j|_F > eps_subspace``
+    (``_overlaps``), the rule by which ``intersect_lattices`` rejects a
+    family: the entrywise bound ``max|Pi Pj| <= eps_entry`` lets rays spread
+    over C^n overlap about n times more. The first such entry (i, j) in
+    row-major order raises a ``ValidationError``. A basis needs no such
+    check: its overlaps are Gram entries, within ``eps_entry``.
+    """
+    overlaps = _overlaps(ranges, ranges)
     np.fill_diagonal(overlaps, 0.0)
     limit = tol.eps_subspace ** 2
     if not overlaps.max() <= limit:
@@ -357,7 +371,6 @@ def _stack_context(stack: np.ndarray, tol: TolerancePolicy, labels, name: str) -
             f"context {name!r}: members {min(i, j)} and {max(i, j)} overlap: "
             f"|Qi^H Qj|_F = {np.sqrt(overlaps[i, j]):.3e} > {tol.eps_subspace:.3e}"
         )
-    return ctx
 
 
 def context_from_basis(
@@ -372,12 +385,7 @@ def context_from_basis(
     vecs = [linalg.as_state_vector(v) for v in vectors]
     if not vecs:
         raise ValidationError(f"context {name!r} needs at least one basis vector")
-    dim = vecs[0].shape[0]
-    for v in vecs[1:]:
-        if v.shape[0] != dim:
-            raise DimensionMismatchError(
-                f"context {name!r}: mixed vector dimensions {dim} and {v.shape[0]}"
-            )
+    linalg._common_dim((v.shape[0] for v in vecs), f"context {name!r}: mixed vector dimensions")
     rows = np.array(vecs)
     if labels is None:
         labels = [f"{name}[{i}]" for i in range(len(rows))]
@@ -410,11 +418,14 @@ def _basis_contexts(
     ``_ranges``, and each member's range is its ray, a one-column read-only
     view of ``rays``, with gap 0 (the registry screen covers the rounding
     of ``v v^H``); a basis with a member of rank 0 fails the rank-sum check
-    of ``_checked_context``. A failing check raises for the first basis
-    that fails that check, so for C = 1 this is ``context_from_basis``.
-    For C > 1 an earlier basis may fail a check made later; a caller that
-    needs the first failing basis in order checks the bases one at a time
-    once this raises.
+    of ``_checked_context``.
+
+    Errors come in basis order, each basis's checks in the order
+    ``context_from_basis`` makes them: one mask marks the bases that fail
+    orthonormality, completeness (m = n) or idempotency; the bases before
+    the first marked one take the pairwise, sum and rank checks of
+    ``_checked_context`` in turn, and then the marked basis raises its own
+    error. So the first failing basis raises what it raises on its own.
     """
     m, n = groups.shape[1], rays.shape[1]
     eps = tol.eps_entry
@@ -424,34 +435,40 @@ def _basis_contexts(
     gram = stacked.conj().transpose(0, 2, 1) @ stacked
     offsets = np.abs(gram - np.eye(m))
     orthonormal = offsets.max(axis=(1, 2))
-    if not (orthonormal <= eps).all():
-        raise NotOrthonormalError(float(orthonormal[~(orthonormal <= eps)][0]), eps)
-    if m != n:
-        raise NotCompleteError(m, n)
-    matrices = rays[:, :, None] * rays.conj()[:, None, :]
-    for owner in (matrices, rays, rows):
-        owner.setflags(write=False)
+    # Only a basis that fails orthonormality can overflow. ``worst`` is each
+    # basis's larger residual; a NaN stays NaN and fails.
     with np.errstate(over="ignore", invalid="ignore"):
         products = _rank1_products(rows, offsets)
-        terms = (matrices[groups[:, i]] for i in range(1, m))
-        sums = reduce(iadd, terms, matrices[groups[:, 0]])
-        residuals = _residuals(products, sums)
-    idem = products.diagonal(axis1=1, axis2=2)
-    if not idem.max() <= eps:
-        c, i = np.argwhere(~(idem <= eps))[0]
-        raise NotIdempotentError(float(idem[c, i]), eps)
+        idem = products.diagonal(axis1=1, axis2=2)
+        worst = np.maximum(orthonormal, idem.max(axis=1))
+        count = len(worst)
+        if m != n or not worst.max() <= eps:
+            count = int(np.argmax(~(worst <= eps) | (m != n)))
+        matrices = rays[:, :, None] * rays.conj()[:, None, :]
+        terms = (matrices[groups[:count, i]] for i in range(1, m))
+        sums = reduce(iadd, terms, matrices[groups[:count, 0]])
+        residuals = _residuals(products[:count], sums)
+    for owner in (matrices, rays, rows):
+        owner.setflags(write=False)
     ranks = linalg.singular_rank(gram.diagonal(axis1=1, axis2=2).real[..., None], tol).tolist()
     # (R, n, 1): each ray as a column, its member's range.
     columns = rays[..., None]
     shared: dict[int, Projector] = {}
     contexts = []
-    for c, name in enumerate(names):
+    for c, name in enumerate(names[:count]):
         for k, rank in zip(groups[c].tolist(), ranks[c]):
             if k not in shared:
                 shared[k] = Projector(matrices[k], rank, labels[k], _range=columns[k], _gap=0.0)
         members = tuple(shared[k] for k in groups[c].tolist())
         ranges = rows[c][:, None]
         contexts.append(_checked_context(members, products[c], residuals[c], ranges, tol, name))
+    if count < len(worst):
+        if not orthonormal[count] <= eps:
+            raise NotOrthonormalError(float(orthonormal[count]), eps)
+        if m != n:
+            raise NotCompleteError(m, n)
+        i = np.flatnonzero(~(idem[count] <= eps))[0]
+        raise NotIdempotentError(float(idem[count, i]), eps)
     return contexts
 
 
@@ -552,13 +569,9 @@ class ContextCollection:
         members = tuple(contexts)
         if not members:
             raise ValidationError("a collection needs at least one context")
-        dim = members[0].ambient_dim
-        for ctx in members[1:]:
-            if ctx.ambient_dim != dim:
-                raise DimensionMismatchError(
-                    f"mixed ambient dimensions: {dim} and {ctx.ambient_dim}"
-                )
-        self.ambient_dim = dim
+        self.ambient_dim = linalg._common_dim(
+            (ctx.ambient_dim for ctx in members), "mixed ambient dimensions:"
+        )
         self.contexts = members
         self.registry = self._build_registry(resolve(tol))
 

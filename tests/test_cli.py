@@ -146,16 +146,24 @@ def test_context_whose_ranks_miss_the_dimension_is_an_error_report(tmp_path, cap
         assert json.loads(lines[0]) == {"command": command, "error": error, "exit_code": 1}
 
 
+def _overlapping_fourier_members(n=32):
+    """The Fourier basis of C^n with f_1 turned towards f_0 by 1.1e-8, as projectors."""
+    f = np.exp(2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n) / np.sqrt(n)
+    f[:, 1] += 1.1e-8 * f[:, 0]
+    f[:, 1] /= np.linalg.norm(f[:, 1])
+    return [np.outer(f[:, k], f[:, k].conj()) for k in range(n)]
+
+
+OVERLAP_ERROR = "context 'f': members 0 and 1 overlap: |Qi^H Qj|_F = 1.100e-08 > 1.000e-08"
+
+
 def test_context_whose_atoms_overlap_is_an_error_report(tmp_path, capsys):
     # The Fourier basis of C^32 with f_1 turned towards f_0 by 1.1e-8: each
     # |Pi Pj| entry is about |<f_0, f_1>| / n, within eps_entry, but the
     # ranges overlap by 1.1e-8 > eps_subspace, which intersect_lattices
     # rejects. Every command rejects the document at load with one error line.
     n = 32
-    f = np.exp(2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n) / np.sqrt(n)
-    f[:, 1] += 1.1e-8 * f[:, 0]
-    f[:, 1] /= np.linalg.norm(f[:, 1])
-    members = [np.outer(f[:, k], f[:, k].conj()) for k in range(n)]
+    members = _overlapping_fourier_members(n)
     residuals = pl.projectors._measure(np.array(members))[1]
     assert max(residuals.values()) < pl.TolerancePolicy().eps_entry
     doc = {
@@ -167,7 +175,7 @@ def test_context_whose_atoms_overlap_is_an_error_report(tmp_path, capsys):
     }
     path = tmp_path / "overlap.json"
     path.write_text(json.dumps(doc))
-    error = "context 'f': members 0 and 1 overlap: |Qi^H Qj|_F = 1.100e-08 > 1.000e-08"
+    error = OVERLAP_ERROR
     for command in ("validate", "intersect", "irreducible", "ks-search"):
         assert main([command, str(path)]) == 1
         assert capsys.readouterr() == ("", f"error: {error}\n")
@@ -175,6 +183,19 @@ def test_context_whose_atoms_overlap_is_an_error_report(tmp_path, capsys):
         lines = capsys.readouterr().out.splitlines()
         assert code == 1 and len(lines) == 1
         assert json.loads(lines[0]) == {"command": command, "error": error, "exit_code": 1}
+
+
+def test_validate_context_applies_the_overlap_rule():
+    # The same members through the library path: validate_context raises
+    # the document's error, so no collection of them reaches intersect_lattices.
+    members = [pl.validate_projector(m, label=f"f[{k}]")
+               for k, m in enumerate(_overlapping_fourier_members())]
+    with pytest.raises(pl.ValidationError) as info:
+        pl.validate_context(members, name="f")
+    assert type(info.value) is pl.ValidationError and str(info.value) == OVERLAP_ERROR
+    # The coordinate basis passes, and keeps no range stack, as before.
+    ctx = pl.validate_context([pl.validate_projector(np.diag(np.eye(32)[k])) for k in range(32)])
+    assert ctx._ranges is None
 
 
 def test_missing_file_exits_one(tmp_path):

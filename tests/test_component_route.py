@@ -379,6 +379,25 @@ class TestFallback:
         assert report["verdicts"]["algebra_dimension"] == direct.algebra_dimension == n * n
 
 
+    def test_every_undecided_split_answers_with_is_irreducible(self):
+        # No first-context atom in a component, and one component that is
+        # not full: collection_irreducibility answers with is_irreducible of
+        # every generator, so it never returns None.
+        n = 16
+        fourier = np.exp(2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n) / np.sqrt(n)
+        docs = [
+            _ray_document([np.eye(n, dtype=complex), fourier], eps_subspace=0.3),
+            tensored(np.random.default_rng(2520)),
+        ]
+        for doc in docs:
+            collection, tol, generators = _registry(doc)
+            report = collection_irreducibility(collection, _meet(collection, tol), tol)
+            direct = pl.is_irreducible(generators, tol)
+            assert report.irreducible == direct.irreducible
+            assert report.algebra_dimension == direct.algebra_dimension
+            assert (report.witness is None) == (direct.witness is None)
+
+
 class TestComponentSearch:
     def test_matches_the_squared_reachability(self):
         # The components of the breadth-first search against the fixed point

@@ -129,6 +129,51 @@ class TestNumericalRank:
         ranks = linalg.singular_rank(s)
         assert ranks.tolist() == [linalg.singular_rank(row) for row in s] == [1, 2, 0, 1, 0, 1]
 
+    @pytest.mark.parametrize(
+        "values", [[], [0.0, 0.0], [np.nan, 1.0, 0.5], [np.nan]], ids=["empty", "zero", "nan", "nan1"]
+    )
+    def test_degenerate_rows_count_zero(self, values):
+        # One rule for a row and a stack: a row gives an int, a stack an array.
+        rank = linalg.singular_rank(values)
+        assert type(rank) is int and rank == 0
+        assert linalg.singular_rank([values, values]).tolist() == [0, 0]
+
+
+def _basis(n):
+    return pl.context_from_basis(np.eye(n))
+
+
+# The six checks of one common dimension, each with the class and the exact
+# message it raised before they shared ``linalg._common_dim``. The third
+# operand matches the first, so each message names the first pair that differs.
+DIMENSION_ERRORS = [
+    (lambda: pl.ContextCollection([_basis(2), _basis(3), _basis(2)]),
+     "mixed ambient dimensions: 2 and 3"),
+    (lambda: pl.validate_context([_basis(2).members[0], _basis(3).members[0], _basis(2).members[1]]),
+     "context 'context': mixed ambient dimensions 2 and 3"),
+    (lambda: pl.context_from_basis([[1, 0], [0, 1, 0], [0, 1]]),
+     "context 'context': mixed vector dimensions 2 and 3"),
+    (lambda: pl.intersect_lattices([pl.context_lattice(_basis(n)) for n in (2, 3, 2)]),
+     "mixed ambient dimensions: 2 and 3"),
+    (lambda: pl.is_irreducible([np.eye(2), np.eye(3), np.eye(2)]),
+     "mixed generator dimensions: 2 and 3"),
+    (lambda: pl.orthonormalize([[1, 0], [1, 0, 0], [0, 1]]),
+     "mixed vector dimensions: 2 and 3"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    DIMENSION_ERRORS,
+    ids=["collection", "validate_context", "context_from_basis", "intersect", "generators",
+         "orthonormalize"],
+)
+def test_dimension_errors_keep_class_and_message(call, message):
+    with pytest.raises(pl.DimensionMismatchError) as info:
+        call()
+    assert type(info.value) is pl.DimensionMismatchError
+    assert str(info.value) == message
+
 
 class TestTolerancePolicy:
     def test_defaults_are_ordered(self):

@@ -496,11 +496,10 @@ class TestBatchedRayLoader:
         assert got == outcome(oracle_parse_document, doc)[1]
         assert got[0] is (pl.NotCompleteError if short < malformed else pl.ParseError)
 
-    @pytest.mark.parametrize("order", [("a", "b"), ("b", "a")])
-    def test_sum_failure_and_gram_failure_in_either_order(self, order):
+    @staticmethod
+    def _sum_and_gram_document(order):
         # Under eps_entry 0.29, basis a passes its Gram check but not its
-        # sum, and basis b fails its Gram check: the stack sees b fail
-        # first, yet the first of the two in the document must raise.
+        # sum, and basis b fails its Gram check.
         rng = np.random.default_rng(2200)
         while True:
             v = np.linalg.qr(rng.normal(size=(3, 3)))[0] + 0.1 * rng.normal(size=(3, 3))
@@ -512,10 +511,38 @@ class TestBatchedRayLoader:
         rays.update(b0=[[1, 0], [0, 0], [0, 0]], b1=[[0, 0], [1, 0], [0, 0]])
         rays["b2"] = [[1, 0], [1, 0], [0, 0]]
         groups = {name: [f"{name}{k}" for k in range(3)] for name in order}
-        doc = {"dim": 3, "eps_entry": 0.29, "eps_subspace": 0.29, "rays": rays, "groups": groups}
+        return {"dim": 3, "eps_entry": 0.29, "eps_subspace": 0.29, "rays": rays, "groups": groups}
+
+    @pytest.mark.parametrize("order", [("a", "b"), ("b", "a")])
+    def test_sum_failure_and_gram_failure_in_either_order(self, order):
+        # The Gram check of b comes before the sum check of a in the stack,
+        # yet the first of the two in the document must raise.
+        doc = self._sum_and_gram_document(order)
         got = outcome(pl.parse_document, doc)[1]
         assert got == outcome(oracle_parse_document, doc)[1]
         assert got[0] is (pl.SumNotIdentityError if order[0] == "a" else pl.NotOrthonormalError)
+
+    @pytest.mark.parametrize("order", [("a", "b"), ("b", "a")])
+    def test_a_failing_stack_is_checked_once(self, monkeypatch, order):
+        # The stack itself names the first failing group: one _basis_contexts
+        # call, and no group is checked again through context_from_basis.
+        calls = []
+        stacked = pl.document._basis_contexts
+
+        def spy(*args):
+            calls.append(len(args[1]))
+            return stacked(*args)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("context_from_basis ran")
+
+        monkeypatch.setattr(pl.document, "_basis_contexts", spy)
+        monkeypatch.setattr(pl.document, "context_from_basis", forbidden)
+        doc = self._sum_and_gram_document(order)
+        got = outcome(pl.parse_document, doc)[1]
+        assert calls == [2]
+        monkeypatch.undo()
+        assert got == outcome(oracle_parse_document, doc)[1]
 
     def test_groups_share_one_read_only_stack(self):
         # One member per ray: each of the 18 rays is one object in both of

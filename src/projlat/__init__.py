@@ -62,6 +62,7 @@ from .valuation import (
     ContextValuation,
     TruthValue,
     bivalence_report,
+    parity_certificate,
     search_noncontextual_assignment,
     valuate,
     valuate_context,
@@ -114,6 +115,7 @@ __all__ = [
     "load_document",
     "numerical_rank",
     "orthonormalize",
+    "parity_certificate",
     "parse_document",
     "pauli_contexts",
     "save_document",

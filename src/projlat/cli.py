@@ -26,7 +26,7 @@ from .lattice import LatticeFamily, context_lattice, intersect_lattices
 from .projectors import ContextCollection, context_residuals, pauli_contexts
 from .subspace import Subspace
 from .tolerance import TolerancePolicy
-from .valuation import bivalence_report, search_noncontextual_assignment
+from .valuation import bivalence_report, parity_certificate, search_noncontextual_assignment
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -194,6 +194,7 @@ def _search_verdicts(collection: ContextCollection) -> dict:
         "status": result.status,
         "nodes_explored": result.nodes_explored,
         "assignment": assignment,
+        "parity_certificate": parity_certificate(collection),
     }
 
 
@@ -308,7 +309,8 @@ def _search_lines(verdicts: dict) -> list[str]:
     if verdicts["assignment"] is not None:
         ones = [e["label"] for e in verdicts["assignment"] if e["value"] == 1]
         lines.append("value 1 on: " + ", ".join(ones))
-    return lines
+    certificate = verdicts["parity_certificate"]
+    return lines + ["parity certificate: " + (", ".join(certificate) if certificate else "none")]
 
 
 def _ks_search_lines(verdicts: dict, residuals: dict) -> list[str]:

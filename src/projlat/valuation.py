@@ -7,9 +7,12 @@ when every member is defined the values sum to exactly 1.
 
 Independently of any state, the assignment search decides whether the
 projector identities of a collection admit a global 0/1 labelling with
-exactly one 1 per context. Identities are registry identities, so a
-projector shared by several contexts is constrained by all of them; that
-sharing is what can make the search unsatisfiable.
+exactly one 1 per context, as an exact cover of the contexts by
+identities. Identities are registry identities, so a projector shared by
+several contexts is constrained by all of them; that sharing is what can
+make the search unsatisfiable. The parity certificate is a checkable
+reason for some unsatisfiable collections: contexts whose one-1 equations
+sum to 0 = 1 over GF(2).
 """
 from __future__ import annotations
 
@@ -126,12 +129,10 @@ def bivalence_report(
     )
 
 
-# Entries in each of the search's two tables, at most: exhausted subtrees
-# and candidate menus. A subtree entry holds one int key and one count,
-# about 120 bytes with 40-bit masks, so that table stays under about 8 MB;
-# a menu takes a few hundred bytes, at most about 1 KB for a context of
-# eight members. A search that fills a table stays exact, it only stops
-# remembering.
+# Entries in the search's table of failed uncovered sets, at most. An entry
+# is one int with a bit per context, about 100 bytes up to 60 contexts, so
+# the table stays under about 8 MB there. A search that fills the table stays
+# exact, it only stops remembering.
 FAILED_SUBTREE_LIMIT = 1 << 16
 
 
@@ -151,126 +152,142 @@ def search_noncontextual_assignment(
 ) -> AssignmentSearchResult:
     """Decide whether registry identities admit a one-1-per-context labelling.
 
-    Chronological backtracking over contexts in input order; within a
-    context the 1-position is tried in ascending member index, and shared
-    identities are checked immediately, so the first success is the
-    lexicographically smallest satisfying assignment under that ordering.
-    Every tried position counts as one node, the successful one included;
-    on failure the node count certifies the exhaustion. Single-threaded and
-    deterministic by construction.
+    Exactly one 1 per context is an exact cover of the contexts by registry
+    identities, which this search finds as Knuth's Algorithm X does (Knuth
+    2000, "Dancing Links", arXiv cs/0011047), on Python-int bitsets. The
+    contexts are the items. Identity i is an option that covers
+    ``covers[i]``, the bitset of the contexts that hold it; an identity that
+    occurs twice in one context would put two 1s there, so it is never an
+    option and is valued 0. ``clash[i]`` holds the identities that share a
+    context with i, i included. Choosing i values i 1 and the rest of
+    ``clash[i]`` 0: ``live &= ~clash[i]`` and ``uncovered &= ~covers[i]``.
+    The search stops at the first cover; its identities are the ones valued
+    1, every other identity is valued 0.
 
-    The state is one Python-int bitset over registry identities, the ones
-    valued 1. At level ``k`` every identity of contexts 0 to k - 1 is valued
-    and no other, so the ones fix the zeros too. Each (context, 1-position)
-    pattern is precomputed as two bitsets: ``ones`` holds the chosen
-    member's identity, ``zeros`` the other members'. A pattern is admissible
-    when it values no identity both ways: it has ``ones & zeros`` zero (two
-    members of one context that share an identity, such as two rank-0
-    members, never do), and it agrees with the values already set.
-    Backtracking restores the state from an explicit per-level stack, so the
-    depth (the number of contexts) is not bounded by Python's recursion
-    limit.
+    Each node branches on an uncovered context with the fewest live
+    options, ``(live & ids[c]).bit_count()``, trying them in ascending
+    identity order. Only the contexts in ``near[i]``, those holding an
+    identity of ``clash[i]``, can lose options to choice i, so only the
+    uncovered ones among them are scanned; the root scans every context.
+    A context left with no live option is thus found at the choice that
+    empties it, and when no scanned context is left the lowest uncovered
+    context, which has an option, is taken.
 
-    Candidates come from menus. Admissibility at level ``k`` reads only the
-    identities of context ``k``, so it is fixed by the local state
-    ``ones & own[k]``, with ``own[k]`` the OR of that context's identity
-    bits. The menu of a local state lists its admissible patterns in
-    member order, each with the number of inadmissible ones skipped before
-    it, plus the number after the last one. Entering a context then costs
-    one dict lookup, and the skipped patterns are still counted as nodes.
+    Failed uncovered sets are remembered, since ``live`` is a function of
+    ``uncovered``: the live identities are exactly the options whose
+    contexts are all uncovered. A live identity shares no context with a
+    chosen one, so none of its contexts is covered; a dead option shares a
+    context with some chosen identity (itself, if chosen), and that context
+    is covered. The subtree below a node therefore depends on ``uncovered``
+    alone, and an uncovered set that failed once is skipped when met again.
+    The table holds at most ``FAILED_SUBTREE_LIMIT`` sets; past it the
+    search descends and stays exact.
 
-    Exhausted subtrees are remembered. Every test below level ``k`` reads
-    only identities of contexts ``k`` onwards, so the state masked to those
-    identities, ``ones & live[k]``, fixes the subtree's outcome and node
-    count. A subtree that failed is stored under that int in the table of
-    level ``k``, with its node count. When a later candidate leads to a
-    stored state, that count is added to the nodes and the walk moves on to
-    the next candidate without descending. ``nodes_explored`` therefore
-    stays the size of the chronological tree, and the branching order and
-    first solution are unchanged. Nothing is stored for a success, which
-    ends the walk. Each table stops growing at ``FAILED_SUBTREE_LIMIT``
-    entries; past it the walk descends, or tests a context's patterns on
-    every entry, as before.
+    ``nodes_explored`` counts the options tried, the one that completes the
+    cover included. The stack is explicit, so the number of contexts is not
+    bounded by Python's recursion limit. Single-threaded and deterministic;
+    the assignment is the first cover found, not in general the
+    lexicographically smallest.
     """
-    patterns, own = [], []
-    for ci, ctx in enumerate(collection.contexts):
-        bits = [1 << collection.identity_of(ci, mi) for mi in range(len(ctx.members))]
-        # before[i] | after[i + 1] is the OR of every bit but bits[i], which
-        # still holds bits[i] when another member shares its identity.
-        before, after = [0], [0]
-        for bit in bits:
-            before.append(before[-1] | bit)
-        for bit in reversed(bits):
-            after.append(after[-1] | bit)
-        after.reverse()
-        patterns.append([(bit, before[pos] | after[pos + 1]) for pos, bit in enumerate(bits)])
-        own.append(before[-1])
-    depth = len(patterns)
-    # seen[k]: the identities of contexts 0 to k - 1, the ones valued at level k.
-    # live[k]: the identities that contexts k onwards can test.
-    seen, live = [0] * (depth + 1), [0] * (depth + 1)
-    for level in range(depth):
-        seen[level + 1] = seen[level] | own[level]
-    for level in range(depth - 1, -1, -1):
-        live[level] = live[level + 1] | own[level]
-    menus: list[dict[int, tuple]] = [{} for _ in range(depth)]
-    failed: list[dict[int, int]] = [{} for _ in range(depth)]
-    stored_menus = stored_failed = 0
+    registry, n_contexts = collection.registry, len(collection.contexts)
+    ids, meets = [0] * n_contexts, [0] * n_contexts
+    covers, options = [], 0
+    for i, entry in enumerate(registry):
+        cover = 0
+        for ci, _ in entry.occurrences:
+            cover |= 1 << ci
+            ids[ci] |= 1 << i
+        covers.append(cover)
+        if cover.bit_count() == len(entry.occurrences):
+            options |= 1 << i
+    for entry, cover in zip(registry, covers):
+        for ci, _ in entry.occurrences:
+            meets[ci] |= cover  # the contexts that share an identity with ci
+    clash, near = [], []
+    for entry in registry:
+        shared = reach = 0
+        for ci, _ in entry.occurrences:
+            shared |= ids[ci]
+            reach |= meets[ci]
+        clash.append(shared)
+        near.append(reach)
 
-    def menu(level: int, ones: int) -> tuple:
-        """([(skipped, pattern ones), ...], tail): the menu of the local state at ``level``."""
-        nonlocal stored_menus
-        local = ones & own[level]
-        found = menus[level].get(local)
-        if found is None:
-            local_zeros = (own[level] & seen[level]) ^ local
-            entries, skipped = [], 0
-            for p_ones, p_zeros in patterns[level]:
-                if p_ones & p_zeros or p_ones & local_zeros or p_zeros & local:
-                    skipped += 1
-                else:
-                    entries.append((skipped, p_ones))
-                    skipped = 0
-            found = (entries, skipped)
-            if stored_menus < FAILED_SUBTREE_LIMIT:
-                menus[level][local] = found
-                stored_menus += 1
-        return found
+    def branch(uncovered: int, live: int, scan: int) -> int:
+        """The live options of the context to branch on."""
+        best, fewest = (uncovered & -uncovered).bit_length() - 1, len(registry) + 1
+        scan &= uncovered
+        while scan:
+            low = scan & -scan
+            scan ^= low
+            count = (live & ids[low.bit_length() - 1]).bit_count()
+            if count < fewest:
+                best, fewest = low.bit_length() - 1, count
+        return live & ids[best]
 
-    nodes = start = 0
-    ones = key = 0
-    stack: list[tuple] = []
-    entries, tail = menu(0, 0)
-    candidates = iter(entries)
-    while True:
-        level = len(stack) + 1  # the level a taken candidate leads to
-        for skipped, p_ones in candidates:
-            nodes += skipped + 1
-            if level == depth:
-                ones |= p_ones
-                # Every registry identity occurs in some context, so all are assigned.
-                assignment = {i: (ones >> i) & 1 for i in range(len(collection.registry))}
-                return AssignmentSearchResult(
-                    satisfiable=True, assignment=assignment, nodes_explored=nodes
-                )
-            child = (ones | p_ones) & live[level]
-            credit = failed[level].get(child)
-            if credit is None:
-                break
-            nodes += credit
-        else:
-            nodes += tail
-            if not stack:
-                return AssignmentSearchResult(
-                    satisfiable=False, assignment=None, nodes_explored=nodes
-                )
-            if stored_failed < FAILED_SUBTREE_LIMIT:
-                failed[level - 1][key] = nodes - start
-                stored_failed += 1
-            candidates, tail, ones, start, key = stack.pop()
+    every = (1 << n_contexts) - 1
+    failed: set[int] = set()
+    nodes = 0
+    # Frames [uncovered, live, untried options, identity chosen to get here].
+    stack = [[every, options, branch(every, options, every), -1]]
+    while stack:
+        frame = stack[-1]
+        uncovered, live, untried, _ = frame
+        if not untried:
+            stack.pop()
+            if len(failed) < FAILED_SUBTREE_LIMIT:
+                failed.add(uncovered)
             continue
-        stack.append((candidates, tail, ones, start, key))
-        ones |= p_ones
-        start, key = nodes, child
-        entries, tail = menu(level, ones)
-        candidates = iter(entries)
+        low = untried & -untried
+        frame[2] = untried ^ low
+        i = low.bit_length() - 1
+        nodes += 1
+        rest = uncovered & ~covers[i]
+        if not rest:
+            ones = {f[3] for f in stack[1:]} | {i}
+            assignment = {k: int(k in ones) for k in range(len(registry))}
+            return AssignmentSearchResult(
+                satisfiable=True, assignment=assignment, nodes_explored=nodes
+            )
+        if rest not in failed:
+            live &= ~clash[i]
+            stack.append([rest, live, branch(rest, live, near[i]), i])
+    return AssignmentSearchResult(satisfiable=False, assignment=None, nodes_explored=nodes)
+
+
+def parity_certificate(collection: ContextCollection) -> tuple[str, ...] | None:
+    """Names of contexts whose parity equations sum to 0 = 1, or None.
+
+    Exactly one 1 per context gives each context the equation, over GF(2),
+    that its members' identity values sum to 1, counting member occurrences
+    (an identity held twice cancels). When that system is inconsistent,
+    some contexts' equations sum to 0 = 1: an odd number of contexts in
+    which every identity occurs an even number of times, which no
+    assignment satisfies (Cabello, Estebaranz & García-Alcaine 1996, Phys.
+    Lett. A 212, 183). Anyone can check such a certificate by counting.
+
+    Gaussian elimination on one Python-int row per context, in context
+    order: the bits below ``width`` are the identity coefficients, bit
+    ``width`` the right-hand side, and the bits above it the contexts the
+    row combines. The first row that reduces to 0 = 1 gives the
+    certificate. A certificate implies UNSAT; UNSAT does not imply one.
+    """
+    width = len(collection.registry)
+    coefficients = (1 << width) - 1
+    pivots: dict[int, int] = {}
+    for ci, ctx in enumerate(collection.contexts):
+        row = 1 << width | 1 << (width + 1 + ci)
+        for mi in range(len(ctx.members)):
+            row ^= 1 << collection.identity_of(ci, mi)
+        while row & coefficients:
+            lead = (row & coefficients).bit_length() - 1
+            if lead not in pivots:
+                pivots[lead] = row
+                break
+            row ^= pivots[lead]
+        else:
+            if row >> width & 1:
+                combined = row >> (width + 1)
+                return tuple(
+                    name for k, name in enumerate(collection.context_names) if combined >> k & 1
+                )
+    return None

@@ -2,6 +2,7 @@ import json
 import re
 import subprocess
 import sys
+import time
 from collections import Counter
 
 import numpy as np
@@ -350,6 +351,7 @@ def test_ks_search_sat(pauli_file, capsys):
     assert report["verdicts"]["status"] == "SAT"
     ones = [e["label"] for e in report["verdicts"]["assignment"] if e["value"] == 1]
     assert ones == ["z[0]", "x[0]", "y[0]"]
+    assert report["verdicts"]["parity_certificate"] is None
 
 
 def test_ks_search_unsat_exits_two(ks18_file, capsys):
@@ -357,6 +359,7 @@ def test_ks_search_unsat_exits_two(ks18_file, capsys):
     assert code == 2
     assert report["verdicts"]["status"] == "UNSAT"
     assert report["verdicts"]["assignment"] is None
+    assert report["verdicts"]["parity_certificate"] == [f"c{k}" for k in range(9)]
 
 
 def test_ks_search_reports_how_tolerances_are_used(ks18_file, capsys):
@@ -364,8 +367,9 @@ def test_ks_search_reports_how_tolerances_are_used(ks18_file, capsys):
     assert "validate the document" in report["verdicts"]["note"]
     assert main(["ks-search", ks18_file]) == 2
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "assignment search: UNSAT (852 nodes explored)"
-    assert lines[1] == "note: " + report["verdicts"]["note"]
+    assert lines[0] == "assignment search: UNSAT (44 nodes explored)"
+    assert lines[1] == "parity certificate: " + ", ".join(f"c{k}" for k in range(9))
+    assert lines[2] == "note: " + report["verdicts"]["note"]
 
 
 def test_ks_search_deeper_than_the_recursion_limit(tmp_path, capsys):
@@ -379,7 +383,36 @@ def test_ks_search_deeper_than_the_recursion_limit(tmp_path, capsys):
     code, report = run_json(capsys, ["ks-search", str(path)])
     assert code == 0
     assert report["verdicts"]["status"] == "SAT"
+    # Ray a lies in every group, so choosing it covers all 2,000 at once.
+    assert report["verdicts"]["nodes_explored"] == 1
+
+
+def test_ks_search_on_disjoint_bases_needs_a_deep_stack(tmp_path, capsys):
+    # 2,000 random bases of C^2 that share no ray: the cover takes one
+    # choice per basis, 2,000 frames deep. The search must find each next
+    # basis without scanning every uncovered one, which took about 1 s.
+    rng = np.random.default_rng(2000)
+    rays, groups = {}, {}
+    for k in range(2000):
+        q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        groups[f"g{k:04d}"] = [f"u{k}", f"v{k}"]
+        for name, column in zip(groups[f"g{k:04d}"], q.T):
+            rays[name] = [[z.real, z.imag] for z in column.tolist()]
+    doc = {"dim": 2, "rays": rays, "groups": groups}
+    path = tmp_path / "disjoint.json"
+    path.write_text(json.dumps(doc))
+    code, report = run_json(capsys, ["ks-search", str(path)])
+    assert code == 0
+    assert report["verdicts"]["status"] == "SAT"
     assert report["verdicts"]["nodes_explored"] == 2000
+    collection, _ = pl.parse_document(doc)
+    seconds = []
+    for _ in range(3):
+        start = time.perf_counter()
+        result = pl.search_noncontextual_assignment(collection)
+        seconds.append(time.perf_counter() - start)
+    assert result.nodes_explored == 2000
+    assert min(seconds) < 0.1, seconds
 
 
 def test_demo_pauli(capsys):

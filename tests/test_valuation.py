@@ -8,7 +8,6 @@ import projlat as pl
 from conftest import (
     KS18_GROUPS,
     ks18_collection,
-    ks18_document,
     ks18_ray_names,
     random_projector,
     random_state,
@@ -171,6 +170,26 @@ def brute_force_one_hot(collection):
     return solutions
 
 
+def assert_one_hot(collection, assignment):
+    """Every registry identity valued 0 or 1, and exactly one 1 per context."""
+    assert sorted(assignment) == list(range(len(collection.registry)))
+    assert set(assignment.values()) <= {0, 1}
+    for ci, ctx in enumerate(collection.contexts):
+        ones = [assignment[collection.identity_of(ci, mi)] for mi in range(len(ctx.members))]
+        assert sum(ones) == 1, ctx.name
+
+
+def assert_agrees(collection, reference):
+    """Same status as the oracle's result; a SAT assignment is one-hot."""
+    result = pl.search_noncontextual_assignment(collection)
+    assert result.status == reference.status
+    if result.satisfiable:
+        assert_one_hot(collection, result.assignment)
+    else:
+        assert result.assignment is None
+    return result
+
+
 class TestAssignmentSearch:
     def test_pauli_collection_matches_brute_force(self, pauli):
         result = pl.search_noncontextual_assignment(pauli)
@@ -236,10 +255,11 @@ class TestSharedProjectorConsistency:
 
 
 def reference_search(collection):
-    """Test oracle: the dict-based recursive search the bitset walk replaced.
+    """Test oracle for SAT/UNSAT: a dict-based chronological search.
 
-    Same branching order and node count (one node per tried position, the
-    first success included); it recurses once per context.
+    Contexts in input order, the 1-position in ascending member index, one
+    node per tried position; it recurses once per context, and shares no
+    code with the exact-cover search.
     """
     context_ids = [
         [collection.identity_of(ci, mi) for mi in range(len(ctx.members))]
@@ -348,10 +368,7 @@ class TestSearchAgainstReference:
         rank0_pairs = 0
         for seed in range(100):
             collection = random_identity_collection(np.random.default_rng([113, seed]))
-            result = pl.search_noncontextual_assignment(collection)
-            reference = reference_search(collection)
-            assert result == reference, seed
-            assert list(result.assignment or ()) == list(reference.assignment or ())
+            result = assert_agrees(collection, reference_search(collection))
             statuses[result.status] += 1
             rank0_pairs += any(
                 sum(p.rank == 0 for p in ctx.members) >= 2 for ctx in collection.contexts
@@ -365,42 +382,41 @@ class TestSearchAgainstReference:
         ctx = pl.validate_context([zero, one, zero], name="c")
         collection = pl.ContextCollection([ctx, pl.pauli_contexts().context_named("z")])
         assert collection.identity_of(0, 0) == collection.identity_of(0, 2)
-        result = pl.search_noncontextual_assignment(collection)
-        assert result == reference_search(collection)
-        # Position 0 puts 1 and 0 on the shared identity: one node, no branch.
-        assert result.nodes_explored == 3
+        result = assert_agrees(collection, reference_search(collection))
+        # The shared identity is never an option, so c has one live option
+        # and is covered first: one node for c, one for z.
+        assert result.nodes_explored == 2
         assert result.assignment == {0: 0, 1: 1, 2: 1, 3: 0}
 
     def test_ks18_node_count(self, ks18):
-        result = pl.search_noncontextual_assignment(ks18)
-        assert result.nodes_explored == 852
-        assert result == reference_search(ks18)
+        result = assert_agrees(ks18, reference_search(ks18))
+        assert result.nodes_explored == 44
 
     def test_ks18_tensor_c2_node_count(self):
         collection = ks18_tensor_c2_collection()
         assert len(collection.registry) == 36
-        result = pl.search_noncontextual_assignment(collection)
+        result = assert_agrees(collection, reference_search(collection))
         assert not result.satisfiable
-        assert result.nodes_explored == 30584
-        assert result == reference_search(collection)
+        assert result.nodes_explored == 88
 
 
-def ks18_family(rng, groups, tensor=False, trailing_line=False):
+def ks18_family(rng, groups, factors=1, trailing_line=False):
     """Contexts from KS-18 bases, by index into ``KS18_GROUPS`` (repeats allowed).
 
-    Members come in a shuffled order. With ``tensor`` each basis is
-    tensored with C^2 and turned by the seeded orthogonal matrix of
-    ``ks18_tensor_c2_collection``. With ``trailing_line`` the space gains one
-    coordinate and every context ends with the projector onto it. When the
-    bases alone are UNSAT, that line must be valued 1 everywhere, so the
-    search has to exhaust every choice that values it 0.
+    Members come in a shuffled order. With ``factors`` k > 1 each basis is
+    tensored with C^k and turned by a seeded orthogonal matrix of C^4k (for
+    k = 2 the matrix of ``ks18_tensor_c2_collection``). With
+    ``trailing_line`` the space gains one coordinate and every context ends
+    with the projector onto it. When the bases alone are UNSAT, that line
+    must be valued 1 everywhere, so the search has to exhaust every choice
+    that values it 0.
     """
-    turn, _ = np.linalg.qr(np.random.default_rng(7).normal(size=(8, 8)))
+    turn, _ = np.linalg.qr(np.random.default_rng(7).normal(size=(4 * factors, 4 * factors)))
     contexts = []
     for ci, group in enumerate(groups):
         rays = [np.array(ray, dtype=float) for ray in KS18_GROUPS[group]]
-        if tensor:
-            rays = [turn @ np.kron(ray, e) for e in np.eye(2) for ray in rays]
+        if factors > 1:
+            rays = [turn @ np.kron(ray, e) for e in np.eye(factors) for ray in rays]
         basis = [rays[k] / np.linalg.norm(rays[k]) for k in rng.permutation(len(rays))]
         if trailing_line:
             basis = [np.append(b, 0.0) for b in basis] + [np.eye(len(basis) + 1)[-1]]
@@ -418,13 +434,13 @@ def memo_corpus_collection(seed):
        failed every assignment that values the line 0).
     """
     rng = np.random.default_rng([131, seed])
-    tensor = rng.random() < 0.25
+    factors = 2 if rng.random() < 0.25 else 1
     groups = [int(g) for g in rng.permutation(len(KS18_GROUPS))]
     if seed % 3 == 1:
         groups = groups[: len(groups) - (seed // 3) % 3]
         groups += [int(g) for g in rng.choice(groups, size=int(rng.integers(0, 3)))]
         groups = [groups[k] for k in rng.permutation(len(groups))]
-    return ks18_family(rng, groups, tensor, trailing_line=seed % 3 == 2)
+    return ks18_family(rng, groups, factors, trailing_line=seed % 3 == 2)
 
 
 @functools.cache
@@ -453,11 +469,41 @@ def existing_corpus():
     return [(c, reference_search(c)) for c in collections]
 
 
+@functools.cache
+def sorted_subfamily_oracle(groups):
+    """The oracle's result on KS-18⊗C³ bases ``groups``, in this order.
+
+    A collection's status depends neither on the order of its contexts nor
+    on that of their members, so one oracle run decides every shuffle of a
+    group multiset; the oracle takes about 1 s on all nine bases.
+    """
+    return reference_search(ks18_family(np.random.default_rng(0), list(groups), factors=3))
+
+
+@functools.cache
+def subfamily_corpus():
+    """40 random sub-families of KS-18⊗C³, shuffled, with the oracle's results.
+
+    A quarter hold all nine bases (UNSAT); the rest hold three to eight of
+    them, one of which may be repeated.
+    """
+    corpus = []
+    for seed in range(40):
+        rng = np.random.default_rng([137, seed])
+        groups = [int(g) for g in rng.permutation(len(KS18_GROUPS))]
+        if seed % 4:
+            groups = groups[: int(rng.integers(3, 9))]
+            groups += [int(g) for g in rng.choice(groups, size=int(rng.integers(0, 2)))]
+            groups = [groups[k] for k in rng.permutation(len(groups))]
+        corpus.append(
+            (ks18_family(rng, groups, factors=3), sorted_subfamily_oracle(tuple(sorted(groups))))
+        )
+    return corpus
+
+
 def assert_matches_reference(corpus):
-    for k, (collection, reference) in enumerate(corpus):
-        result = pl.search_noncontextual_assignment(collection)
-        assert result == reference, k
-        assert list(result.assignment or ()) == list(reference.assignment or ()), k
+    for collection, reference in corpus:
+        assert_agrees(collection, reference)
 
 
 class TestFailedSubtreeTable:
@@ -474,35 +520,42 @@ class TestFailedSubtreeTable:
         )
         assert any(c.ambient_dim == 9 for c, _ in corpus)
 
+    def test_ks18_tensor_c3_subfamilies(self):
+        corpus = subfamily_corpus()
+        assert_matches_reference(corpus)
+        statuses = [reference.status for _, reference in corpus]
+        assert statuses.count("SAT") >= 20 and statuses.count("UNSAT") >= 10
+
     @pytest.mark.parametrize("limit", [0, 1])
     def test_bounded_table_stays_exact(self, monkeypatch, limit):
         monkeypatch.setattr(valuation, "FAILED_SUBTREE_LIMIT", limit)
         assert_matches_reference(existing_corpus())
         assert_matches_reference(memo_corpus())
 
-    @pytest.mark.parametrize("limit", [0, 1, valuation.FAILED_SUBTREE_LIMIT])
-    def test_pinned_node_counts(self, monkeypatch, pauli, ks18, limit):
-        monkeypatch.setattr(valuation, "FAILED_SUBTREE_LIMIT", limit)
-        assert pl.search_noncontextual_assignment(pauli).nodes_explored == 3
-        assert pl.search_noncontextual_assignment(ks18).nodes_explored == 852
-        tensor = pl.search_noncontextual_assignment(ks18_tensor_c2_collection())
-        assert tensor.nodes_explored == 30584
+    def test_table_keeps_the_first_cover(self, monkeypatch):
+        # A failed uncovered set fixes its subtree, so skipping it changes
+        # neither the status nor the first cover, only the node count.
+        corpora = existing_corpus() + memo_corpus() + subfamily_corpus()
+        collections = [collection for collection, _ in corpora]
+        remembered = [pl.search_noncontextual_assignment(c) for c in collections]
+        monkeypatch.setattr(valuation, "FAILED_SUBTREE_LIMIT", 0)
+        walked = [pl.search_noncontextual_assignment(c) for c in collections]
+        cut = 0
+        for k, (memo, plain) in enumerate(zip(remembered, walked)):
+            assert (memo.status, memo.assignment) == (plain.status, plain.assignment), k
+            assert memo.nodes_explored <= plain.nodes_explored, k
+            cut += memo.nodes_explored < plain.nodes_explored
+        assert cut >= 20
 
     @pytest.mark.parametrize(
-        "order, nodes",
-        [(["c6", "c4", "c0", "c1", "c7", "c5", "c8", "c2"], 30), (["c0", "c4", "c2", "c6", "c1"], 43)],
+        "limit, nodes",
+        [(0, (3, 49, 504)), (1, (3, 49, 504)), (valuation.FAILED_SUBTREE_LIMIT, (3, 44, 88))],
+        ids=["0", "1", str(valuation.FAILED_SUBTREE_LIMIT)],
     )
-    def test_failed_subtree_key_needs_its_level(self, order, nodes):
-        # Groups of the 18-ray set in these orders reach one masked state
-        # ``ones & live[k]`` at two levels. With one table shared by all
-        # levels, a failure stored at one level is read at the other: the
-        # first order turns UNSAT after 1372 nodes, the second takes 51.
-        doc = ks18_document()
-        doc["groups"] = {name: doc["groups"][name] for name in order}
-        collection, _ = pl.parse_document(doc)
-        result = pl.search_noncontextual_assignment(collection)
-        assert result == reference_search(collection)
-        assert result.satisfiable and result.nodes_explored == nodes
+    def test_pinned_node_counts(self, monkeypatch, pauli, ks18, limit, nodes):
+        monkeypatch.setattr(valuation, "FAILED_SUBTREE_LIMIT", limit)
+        collections = (pauli, ks18, ks18_tensor_c2_collection())
+        assert tuple(pl.search_noncontextual_assignment(c).nodes_explored for c in collections) == nodes
 
 
 def diagonal_context(name, blocks, dim=3):
@@ -514,22 +567,20 @@ def diagonal_context(name, blocks, dim=3):
     return pl.validate_context(members, name=name)
 
 
-class TestCandidateMenus:
-    """Menus of admissible candidates keep the reference's nodes and order."""
+class TestDiagonalContexts:
+    """Small collections of coordinate contexts, every order, against the oracle."""
 
-    def test_context_entered_with_two_identities_valued_one(self):
-        # c0 values {0} 1 and c1 values {1} 1, so every candidate of c2 puts
-        # a 0 on an identity valued 1: its menu is empty, with a tail of 3.
+    def test_first_choice_covers_two_contexts(self):
+        # Identity (0,) lies in c0 and c2; choosing it leaves c1 one live
+        # option, (0, 2), which completes the cover.
         contexts = [
             diagonal_context("c0", [(0,), (1, 2)]),
             diagonal_context("c1", [(1,), (0, 2)]),
             diagonal_context("c2", [(0,), (1,), (2,)]),
         ]
         collection = pl.ContextCollection(contexts)
-        result = pl.search_noncontextual_assignment(collection)
-        assert result == reference_search(collection)
-        # 1 (c0) + 1 (c1) + 3 (c2, none admissible) + 1 (c1 again) + 1 (c2).
-        assert result.nodes_explored == 7
+        result = assert_agrees(collection, reference_search(collection))
+        assert result.nodes_explored == 2
         ones = {collection.identity_of(0, 0), collection.identity_of(1, 1)}
         assert {i for i, v in result.assignment.items() if v} == ones
 
@@ -543,13 +594,11 @@ class TestCandidateMenus:
         ]
         for order in itertools.permutations(range(len(contexts))):
             collection = pl.ContextCollection([contexts[k] for k in order])
-            result = pl.search_noncontextual_assignment(collection)
-            assert result == reference_search(collection), order
-            assert list(result.assignment) == list(reference_search(collection).assignment)
+            assert_agrees(collection, reference_search(collection))
 
-    def test_members_sharing_an_identity_on_entry(self):
-        # Two rank-0 members share one identity: a candidate that values one
-        # of them 1 also values it 0, whatever the state on entry.
+    def test_members_sharing_an_identity(self):
+        # Two rank-0 members share one identity, which is then never an
+        # option: valuing it 1 would put two 1s in its context.
         zero = pl.validate_projector(np.zeros((3, 3)), label="0")
         p0, p12 = diagonal_context("p", [(0,), (1, 2)]).members
         contexts = [
@@ -560,5 +609,39 @@ class TestCandidateMenus:
         ]
         for order in itertools.permutations(range(len(contexts))):
             collection = pl.ContextCollection([contexts[k] for k in order])
-            result = pl.search_noncontextual_assignment(collection)
-            assert result == reference_search(collection), order
+            assert_agrees(collection, reference_search(collection))
+
+
+def assert_parity_certificate(collection, certificate):
+    """An odd number of named contexts holding every identity an even number of times."""
+    assert len(certificate) % 2 == 1
+    assert len(set(certificate)) == len(certificate)
+    counts = [0] * len(collection.registry)
+    for ci, ctx in enumerate(collection.contexts):
+        if ctx.name in certificate:
+            for mi in range(len(ctx.members)):
+                counts[collection.identity_of(ci, mi)] += 1
+    assert all(count % 2 == 0 for count in counts)
+
+
+class TestParityCertificate:
+    def test_ks18_sets_need_all_nine_contexts(self, ks18):
+        for collection in (ks18, ks18_tensor_c2_collection()):
+            certificate = pl.parity_certificate(collection)
+            assert certificate == tuple(f"c{k}" for k in range(9))
+            assert_parity_certificate(collection, certificate)
+
+    def test_pauli_has_none(self, pauli):
+        assert pl.parity_certificate(pauli) is None
+
+    def test_corpora_against_the_search(self):
+        corpora = existing_corpus() + memo_corpus() + subfamily_corpus()
+        certified = 0
+        for k, (collection, reference) in enumerate(corpora):
+            certificate = pl.parity_certificate(collection)
+            if certificate is None:
+                continue
+            assert not reference.satisfiable, k
+            assert_parity_certificate(collection, certificate)
+            certified += 1
+        assert certified >= 20

@@ -8,6 +8,7 @@ import projlat as pl
 from conftest import (
     KS18_GROUPS,
     ks18_collection,
+    ks18_document,
     ks18_ray_names,
     random_projector,
     random_state,
@@ -546,6 +547,26 @@ class TestFailedSubtreeTable:
             assert memo.nodes_explored <= plain.nodes_explored, k
             cut += memo.nodes_explored < plain.nodes_explored
         assert cut >= 20
+
+    @pytest.mark.parametrize(
+        "order, nodes",
+        [(["c6", "c4", "c0", "c1", "c7", "c5", "c8", "c2"], 30), (["c0", "c4", "c2", "c6", "c1"], 43)],
+    )
+    def test_failed_subtree_key_needs_its_level(self, monkeypatch, order, nodes):
+        # Groups of the 18-ray set in these orders reach one state at two
+        # levels of the oracle's chronological walk, which takes ``nodes``
+        # nodes on them. The uncovered set alone keys the table, so it must
+        # change neither the status nor the first cover of either order.
+        doc = ks18_document()
+        doc["groups"] = {name: doc["groups"][name] for name in order}
+        collection, _ = pl.parse_document(doc)
+        reference = reference_search(collection)
+        assert reference.satisfiable and reference.nodes_explored == nodes
+        result = assert_agrees(collection, reference)
+        monkeypatch.setattr(valuation, "FAILED_SUBTREE_LIMIT", 0)
+        plain = pl.search_noncontextual_assignment(collection)
+        assert (result.status, result.assignment) == (plain.status, plain.assignment)
+        assert result.nodes_explored <= plain.nodes_explored
 
     @pytest.mark.parametrize(
         "limit, nodes",

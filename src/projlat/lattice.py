@@ -185,7 +185,7 @@ def intersect_lattices(
     if not fams:
         raise ValueError("need at least one lattice family to intersect")
     n = _common_dim((fam.ambient_dim for fam in fams), "mixed ambient dimensions:")
-    ranges = _padded([u.T[None] for fam in fams for u in _atoms(fam)])
+    ranges = _padded([u for fam in fams for u in _atoms(fam)])
     rows = _rows(_overlaps(ranges, ranges) > resolve(tol).eps_subspace ** 2)
     # Python int masks over the atoms, exact past 53 atoms.
     start = 0

@@ -47,9 +47,10 @@ class Projector:
 
     Rank and range are one decision, made once. The checks keep, in
     ``_range``, a read-only ``(n, rank)`` orthonormal basis Q, a view: of
-    the range stack of ``_kept_ranges``, the first ``rank`` left singular
+    the columns ``_kept_ranges`` keeps, the first ``rank`` left singular
     vectors of the SVD that ranked a matrix member, or of a ray member's
-    ray. ``_gap`` bounds ``|P - Q Q^H|_F`` (``_kept_ranges``); a ray
+    ray. It is the member's only copy of its range: every range stack is
+    ``_padded`` of such bases. ``_gap`` bounds ``|P - Q Q^H|_F`` (``_kept_ranges``); a ray
     member's is 0. A projector built by hand takes both from one SVD when
     first read; a matrix that is not finite raises ``ValidationError`` then.
     """
@@ -189,9 +190,8 @@ def _checked_stack(stack: np.ndarray, tol: TolerancePolicy, labels):
     axioms; the first failing one raises what ``validate_projector`` raises
     for it alone. One batched SVD factors the stack: a member's rank counts
     its singular values above the ``linalg.singular_rank`` cutoff, and its
-    range and gap are those of ``_kept_ranges``. Returns the members, the
-    products and residuals as ``_measure`` gives them, and the (m, w, n)
-    range stack.
+    range and gap are those of ``_kept_ranges``. Returns the members, and
+    the products and residuals as ``_measure`` gives them.
     """
     eps = tol.eps_entry
     # An overflow shows as an inf or NaN residual, which fails below.
@@ -212,9 +212,7 @@ def _checked_stack(stack: np.ndarray, tol: TolerancePolicy, labels):
         Projector(matrix=matrix, rank=rank, label=label, _range=q[:, :rank], _gap=gap)
         for matrix, rank, label, q, gap in zip(stack, ranks, labels, columns, gaps.tolist())
     )
-    ranges = np.ascontiguousarray(columns.swapaxes(1, 2))
-    ranges.setflags(write=False)
-    return members, products, residuals, ranges
+    return members, products, residuals
 
 
 def is_invariant(
@@ -247,9 +245,6 @@ class MaximalContext:
     _residuals: dict[str, float] | None = field(
         default=None, init=False, repr=False, compare=False
     )
-    # Set by the checks that built the context: the (m, w, n) stack of its
-    # members' ranges (``_kept_ranges``), zero-padded to the widest.
-    _ranges: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def ambient_dim(self) -> int:
@@ -286,7 +281,7 @@ def validate_context(
     After the checks of ``_checked_context``, the members' kept ranges pass
     the overlap rule (``_check_overlaps``), as a document's matrix context
     does, so a checked context's ranges are atoms ``intersect_lattices``
-    accepts. The context keeps no ``_ranges``.
+    accepts.
     """
     tol = resolve(tol)
     members = tuple(projectors)
@@ -296,22 +291,17 @@ def validate_context(
         (p.ambient_dim for p in members), f"context {name!r}: mixed ambient dimensions"
     )
     products, residuals = _measure(np.array([p.matrix for p in members]))
-    ctx = _checked_context(members, products, residuals, None, tol, name)
-    _check_overlaps(_padded([p._factors()[0].T[None] for p in members]), tol, name)
-    return ctx
+    return _check_overlaps(_checked_context(members, products, residuals, tol, name), tol)
 
 
 def _checked_context(
     members: tuple[Projector, ...],
     products: np.ndarray,
     residuals: dict[str, float],
-    ranges: np.ndarray | None,
     tol: TolerancePolicy,
     name: str,
 ) -> MaximalContext:
     """The context of ``members``, from what ``_checked_stack`` returns.
-
-    ``ranges`` becomes the context's ``_ranges``; None leaves it unset.
 
     The first pair (i, j) in row-major order whose products are not within
     ``eps_entry``, then the sum, raises; a residual that is NaN fails. Last,
@@ -337,7 +327,6 @@ def _checked_context(
         )
     ctx = MaximalContext(name=name, members=members)
     object.__setattr__(ctx, "_residuals", residuals)
-    object.__setattr__(ctx, "_ranges", ranges)
     return ctx
 
 
@@ -347,13 +336,11 @@ def _stack_context(stack: np.ndarray, tol: TolerancePolicy, labels, name: str) -
     Its members pass ``_checked_stack``, then ``_checked_context``, then
     the overlap rule (``_check_overlaps``) on their kept ranges.
     """
-    ctx = _checked_context(*_checked_stack(stack, tol, labels), tol, name)
-    _check_overlaps(ctx._ranges, tol, name)
-    return ctx
+    return _check_overlaps(_checked_context(*_checked_stack(stack, tol, labels), tol, name), tol)
 
 
-def _check_overlaps(ranges: np.ndarray, tol: TolerancePolicy, name: str) -> None:
-    """The overlap rule for the (m, w, n) range stack of context ``name``.
+def _check_overlaps(ctx: MaximalContext, tol: TolerancePolicy) -> MaximalContext:
+    """``ctx``, once its members' kept ranges pass the overlap rule.
 
     No two ranges may overlap by ``|Q_i^H Q_j|_F > eps_subspace``
     (``_overlaps``), the rule by which ``intersect_lattices`` rejects a
@@ -362,15 +349,17 @@ def _check_overlaps(ranges: np.ndarray, tol: TolerancePolicy, name: str) -> None
     row-major order raises a ``ValidationError``. A basis needs no such
     check: its overlaps are Gram entries, within ``eps_entry``.
     """
+    ranges = _padded([p._factors()[0] for p in ctx.members])
     overlaps = _overlaps(ranges, ranges)
     np.fill_diagonal(overlaps, 0.0)
     limit = tol.eps_subspace ** 2
     if not overlaps.max() <= limit:
         i, j = np.argwhere(overlaps > limit)[0].tolist()
         raise ValidationError(
-            f"context {name!r}: members {min(i, j)} and {max(i, j)} overlap: "
+            f"context {ctx.name!r}: members {min(i, j)} and {max(i, j)} overlap: "
             f"|Qi^H Qj|_F = {np.sqrt(overlaps[i, j]):.3e} > {tol.eps_subspace:.3e}"
         )
+    return ctx
 
 
 def context_from_basis(
@@ -412,13 +401,12 @@ def _basis_contexts(
     residual is taken: entries (a, b) and (b, a) of ``v v^H`` are rounded
     from the same real products, so they are conjugate up to a few units of
     roundoff times ``max|v_a|^2``, inside the bound of ``_rank1_products``.
-    The outer products take one pass over the rays, each computed as for
-    the ray alone, and a basis's member sum reads them through ``groups``.
-    Each context keeps its basis, read-only, as its (m, 1, n) range stack
-    ``_ranges``, and each member's range is its ray, a one-column read-only
-    view of ``rays``, with gap 0 (the registry screen covers the rounding
-    of ``v v^H``); a basis with a member of rank 0 fails the rank-sum check
-    of ``_checked_context``.
+    The outer products take one pass over the rays that some basis names,
+    each computed as for the ray alone, and a basis's member sum reads them
+    through ``groups``; a ray no basis names gets none. Each member's range
+    is its ray, a one-column read-only view of the rays, with gap 0 (the
+    registry screen covers the rounding of ``v v^H``); a basis with a
+    member of rank 0 fails the rank-sum check of ``_checked_context``.
 
     Errors come in basis order, each basis's checks in the order
     ``context_from_basis`` makes them: one mask marks the bases that fail
@@ -429,6 +417,11 @@ def _basis_contexts(
     """
     m, n = groups.shape[1], rays.shape[1]
     eps = tol.eps_entry
+    named = np.zeros(len(rays), dtype=bool)
+    named[groups] = True
+    if not named.all():
+        groups, rays = (np.cumsum(named) - 1)[groups], rays[named]
+        labels = [labels[k] for k in np.flatnonzero(named).tolist()]
     rows = rays[groups]
     # V^H V with the vectors as the columns of V.
     stacked = np.ascontiguousarray(rows.transpose(0, 2, 1))
@@ -448,7 +441,7 @@ def _basis_contexts(
         terms = (matrices[groups[:count, i]] for i in range(1, m))
         sums = reduce(iadd, terms, matrices[groups[:count, 0]])
         residuals = _residuals(products[:count], sums)
-    for owner in (matrices, rays, rows):
+    for owner in (matrices, rays):
         owner.setflags(write=False)
     ranks = linalg.singular_rank(gram.diagonal(axis1=1, axis2=2).real[..., None], tol).tolist()
     # (R, n, 1): each ray as a column, its member's range.
@@ -460,8 +453,7 @@ def _basis_contexts(
             if k not in shared:
                 shared[k] = Projector(matrices[k], rank, labels[k], _range=columns[k], _gap=0.0)
         members = tuple(shared[k] for k in groups[c].tolist())
-        ranges = rows[c][:, None]
-        contexts.append(_checked_context(members, products[c], residuals[c], ranges, tol, name))
+        contexts.append(_checked_context(members, products[c], residuals[c], tol, name))
     if count < len(worst):
         if not orthonormal[count] <= eps:
             raise NotOrthonormalError(float(orthonormal[count]), eps)
@@ -478,15 +470,18 @@ def _dot_bound(terms: int) -> float:
     return gamma / (1 - gamma)
 
 
-def _padded(stacks) -> np.ndarray:
-    """The (m, w, n) range stacks as one, zero-padded to the largest width."""
-    width = max(max(stack.shape[1] for stack in stacks), 1)
-    padded = np.zeros((sum(map(len, stacks)), width, stacks[0].shape[2]), dtype=complex)
-    end = 0
-    for stack in stacks:
-        padded[end : end + len(stack), : stack.shape[1]] = stack
-        end += len(stack)
-    return padded
+def _padded(bases) -> np.ndarray:
+    """The (K, w, n) range stack of K (n, r) bases: entry k is ``bases[k]``
+    transposed, zero-padded to the largest width w. Equal widths take one
+    ``np.array`` call."""
+    widths = {basis.shape[1] for basis in bases}
+    if len(widths) == 1:
+        columns = np.array(bases)
+    else:
+        columns = np.zeros((len(bases), bases[0].shape[0], max(widths)), dtype=complex)
+        for column, basis in zip(columns, bases):
+            column[:, : basis.shape[1]] = basis
+    return np.ascontiguousarray(columns.swapaxes(1, 2))
 
 
 def _overlaps(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -504,7 +499,8 @@ def _overlaps(left: np.ndarray, right: np.ndarray) -> np.ndarray:
 def _range_screen(ranges: np.ndarray, gaps: np.ndarray, tol: TolerancePolicy):
     """The member pairs ``(later, earlier)`` that may lie within ``eps_subspace``.
 
-    ``ranges`` is the members' (K, r, n) range stack and ``gaps`` theirs.
+    ``ranges`` is the members' (K, r, n) range stack (``_padded``) and
+    ``gaps`` theirs.
     They are screened in blocks of ``_CHUNK_ENTRIES`` Gram entries against
     the earlier members, by ``|A - B|_F^2 = |Q_a^H Q_a|_F^2 + |Q_b^H
     Q_b|_F^2 - 2 |Q_a^H Q_b|_F^2`` for ``A = Q_a Q_a^H`` (``_overlaps``),
@@ -586,8 +582,8 @@ class ContextCollection:
         representative close to the one is the first close to the other.
         The norm is taken only for the pairs of other members that
         ``_range_screen`` keeps from their kept ranges and gaps, whatever
-        form the contexts came in (a context built by hand gathers them from
-        its members, and a member whose matrix is not finite raises
+        form the contexts came in (a member built by hand takes them from
+        one SVD, and one whose matrix is not finite raises
         ``ValidationError``). The screen may keep a pair too many, never one
         too few, so the identities are those of comparing each member with
         every earlier representative. Sets ``_identities``, one list per
@@ -598,13 +594,9 @@ class ContextCollection:
         seen: dict[int, int] = {}
         first = [seen.setdefault(id(p), k) for k, p in enumerate(projectors)]
         kept = np.fromiter(seen.values(), np.intp, len(seen))
-        ranges = _padded([
-            _padded([p._factors()[0].T[None] for p in ctx.members])
-            if ctx._ranges is None else ctx._ranges
-            for ctx in self.contexts
-        ])[kept]
-        gaps = np.array([projectors[k]._gap for k in kept.tolist()], dtype=float)
-        later, earlier = (kept[ks] for ks in _range_screen(ranges, gaps, tol))
+        bases, gaps = zip(*(projectors[k]._factors() for k in kept.tolist()))
+        screened = _range_screen(_padded(bases), np.array(gaps, dtype=float), tol)
+        later, earlier = (kept[ks] for ks in screened)
 
         def matrices(ks):
             return np.array([projectors[k].matrix for k in ks.tolist()])

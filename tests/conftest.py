@@ -67,8 +67,8 @@ def from_basis(ctx) -> bool:
 
 
 def rays_of(ctx) -> np.ndarray:
-    """The (m, n) unit rays of a basis context, from its (m, 1, n) range stack."""
-    return ctx._ranges[:, 0]
+    """The (m, n) unit rays of a basis context, from its members' kept ranges."""
+    return np.array([p._range[:, 0] for p in ctx.members])
 
 
 def random_rank1_context(rng, dim: int, name: str = "ctx") -> pl.MaximalContext:

@@ -194,9 +194,9 @@ def test_validate_context_applies_the_overlap_rule():
     with pytest.raises(pl.ValidationError) as info:
         pl.validate_context(members, name="f")
     assert type(info.value) is pl.ValidationError and str(info.value) == OVERLAP_ERROR
-    # The coordinate basis passes, and keeps no range stack, as before.
+    # The coordinate basis passes; each member keeps its read-only range.
     ctx = pl.validate_context([pl.validate_projector(np.diag(np.eye(32)[k])) for k in range(32)])
-    assert ctx._ranges is None
+    assert all(p._range.shape == (32, 1) and not p._range.flags.writeable for p in ctx.members)
 
 
 def test_missing_file_exits_one(tmp_path):

@@ -599,7 +599,7 @@ class TestBatchedRanges:
             assert not basis.flags.writeable
         ranks = [sub.dim for sub, _ in ranges]
         assert ranks == [p.rank for p in ctx.members]
-        assert ctx._ranges is None or not ctx._ranges.flags.writeable
+        assert not any(p._range.flags.writeable for p in ctx.members)
         return ranks
 
     def test_planted_cases_with_rank0_members(self):

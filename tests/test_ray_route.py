@@ -161,10 +161,10 @@ class TestMechanism:
     def test_kept_rays_are_read_only_rows_of_the_members(self):
         collection, _ = pl.parse_document(ks18_document())
         for ctx in collection.contexts:
-            assert ctx._ranges.shape == (4, 1, 4) and not ctx._ranges.flags.writeable
+            assert all(p._range.shape == (4, 1) and not p._range.flags.writeable for p in ctx.members)
             for ray, member in zip(rays_of(ctx), ctx.members):
                 assert np.outer(ray, ray.conj()).tobytes() == member.matrix.tobytes()
-        # Equality and the repr ignore the range rows, as they ignore the residuals.
+        # Equality and the repr ignore the residuals.
         ctx = collection.contexts[0]
         assert ctx == pl.MaximalContext(ctx.name, ctx.members)
         assert "ranges" not in repr(ctx)

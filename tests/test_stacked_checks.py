@@ -580,6 +580,33 @@ class TestBatchedRayLoader:
         assert collection.registry[0].occurrences == ((0, 0), (1, 1), (2, 0))
         assert collection._merged == set()
 
+    def test_unnamed_rays_get_no_outer_product(self):
+        # Rays that no group names, before, between and after the named
+        # ones, change no member's bytes, rank, range or residual, and the
+        # members share one stack of the 18 named rays' outer products.
+        doc = ks18_document()
+        rng = np.random.default_rng(2085)
+        rays = {}
+        for k, (name, ray) in enumerate(doc["rays"].items()):
+            if k % 7 == 0:
+                rays[f"spare{k}"] = _random_ray(rng, 4)
+            rays[name] = ray
+        rays["spare_last"] = _random_ray(rng, 4)
+        plain, tol = pl.parse_document(doc)
+        spared, _ = pl.parse_document({**doc, "rays": rays})
+        assert len(rays) == 22
+        for ctx, twin in zip(plain.contexts, spared.contexts):
+            assert ctx.labels == twin.labels
+            assert pl.context_residuals(ctx) == pl.context_residuals(twin)
+            for p, q in zip(ctx.members, twin.members):
+                assert p.matrix.tobytes() == q.matrix.tobytes() and p.rank == q.rank
+                assert p._range.tobytes() == q._range.tobytes() and q._gap == 0.0
+        owner = spared.contexts[0].members[0].matrix.base
+        assert owner.shape == (18, 4, 4) and not owner.flags.writeable
+        assert all(p.matrix.base is owner for ctx in spared.contexts for p in ctx.members)
+        assert spared._identities == plain._identities
+        assert_same_collection(spared, oracle_parse_document({**doc, "rays": rays})[0], tol)
+
     def test_equal_vectors_and_matrix_twin_match_the_oracle(self):
         # Two ray names with equal vectors are two objects, measured at
         # distance 0; the matrix-form twin has no shared object at all. Both
@@ -826,13 +853,9 @@ def range_screen(contexts, tol):
     members = [p for ctx in contexts for p in ctx.members]
     first = [next(j for j, q in enumerate(members) if q is p) for p in members]
     kept = np.array(sorted(set(first)), dtype=np.intp)
-    padded = pl.projectors._padded
-    ranges = padded([
-        padded([p._factors()[0].T[None] for p in ctx.members]) if ctx._ranges is None else ctx._ranges
-        for ctx in contexts
-    ])[kept]
-    gaps = np.array([members[k]._gap for k in kept], dtype=float)
-    later, earlier = pl.projectors._range_screen(ranges, gaps, tol)
+    bases, gaps = zip(*(members[k]._factors() for k in kept))
+    ranges = pl.projectors._padded(bases)
+    later, earlier = pl.projectors._range_screen(ranges, np.array(gaps, dtype=float), tol)
     return kept[later], kept[earlier], first
 
 
@@ -960,11 +983,10 @@ class TestRayScreen:
         assert screens == [(9, 1, 3)]
         assert_same_registry(collection, contexts, resolve(None))
         assert collection.identity_of(1, 0) == collection.identity_of(0, 0)
-        # The matrix context, built from validated members, has no range
-        # stack: the registry gathers its members' SVD factors. The rays are
-        # the basis contexts' ranges.
-        assert matrix._ranges is None and all(p._range.shape == (3, 1) for p in members)
-        assert rays[0]._ranges.tobytes() == np.ascontiguousarray(bases[0].T).tobytes()
+        # The registry reads the matrix members' SVD factors and the basis
+        # contexts' rays, each member's read-only kept range.
+        assert all(p._range.shape == (3, 1) and not p._range.flags.writeable for p in members)
+        assert rays_of(rays[0]).tobytes() == np.ascontiguousarray(bases[0].T).tobytes()
 
     def test_no_member_stack_and_no_flattened_gram(self, monkeypatch):
         # The members of a ray collection are read only for the pairs the
@@ -1238,6 +1260,84 @@ class TestRangeScreen:
                     if np.linalg.norm(members[j].matrix - p.matrix) <= tol.eps_subspace:
                         assert (k, j) in flat_kept
                         assert (k, j) in kept or first[k] != k or first[j] != j
+
+
+def padded_reference(bases):
+    """(n, r) bases as a (K, w, n) stack, one column at a time, zero-padded."""
+    stack = np.zeros((len(bases), max(b.shape[1] for b in bases), bases[0].shape[0]), dtype=complex)
+    for k, basis in enumerate(bases):
+        for i in range(basis.shape[1]):
+            stack[k, i] = basis[:, i]
+    return stack
+
+
+class TestOneRangeStack:
+    """Every range stack is ``_padded`` of the members' (n, r) kept ranges."""
+
+    def test_mixed_widths_with_rank0_members(self):
+        rng = np.random.default_rng(2600)
+        seen = set()
+        for _ in range(20):
+            n = int(rng.integers(1, 6))
+            widths = rng.integers(0, n + 1, size=int(rng.integers(2, 8))).tolist()
+            widths[0] = max(widths[0], 1)
+            bases = [_unitary(rng, n)[:, :w] for w in widths]
+            got = pl.projectors._padded(bases)
+            want = padded_reference(bases)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            seen.add((0 in widths, len(set(widths)) > 1))
+        assert (True, True) in seen and (False, True) in seen
+
+    def test_equal_widths_give_the_same_bytes(self):
+        rng = np.random.default_rng(2610)
+        for n, w in ((1, 1), (4, 1), (5, 2), (6, 6)):
+            bases = [_unitary(rng, n)[:, :w] for _ in range(5)]
+            got = pl.projectors._padded(bases)
+            assert got.dtype == np.complex128 and got.flags.c_contiguous
+            assert got.shape == (5, w, n) and got.tobytes() == padded_reference(bases).tobytes()
+
+    def test_the_registry_screens_the_distinct_members_ranges(self, monkeypatch):
+        # Ray, matrix, mixed, hand-built and validate_context collections:
+        # the one screen gets the distinct members' kept ranges, zero-padded,
+        # in order of first occurrence, and their gaps.
+        screened = []
+        screen = pl.projectors._range_screen
+
+        def spy(ranges, gaps, tol):
+            screened.append((ranges.copy(), gaps.copy()))
+            return screen(ranges, gaps, tol)
+
+        monkeypatch.setattr(pl.projectors, "_range_screen", spy)
+        rays, tol = pl.parse_document(ks18_document())
+        matrices, _ = pl.parse_document(pl.collection_to_document(rays, tol))
+        rng = np.random.default_rng(2620)
+        validated = [
+            _matrix_context([np.outer(v, v.conj()) for v in _unitary(rng, 3).T], None, f"v{c}", False)
+            for c in range(2)
+        ]
+        z = np.diag([1.0, 0.0, 0.0])
+        hand = [
+            pl.MaximalContext(name, (
+                pl.Projector(matrix=z, rank=1, label=f"{name}a"),
+                pl.Projector(matrix=np.eye(3) - z, rank=2, label=f"{name}b"),
+            ))
+            for name in ("a", "b")
+        ]
+        cases = [rays.contexts, matrices.contexts, validated, hand + validated]
+        cases += [mixed_collection(np.random.default_rng([2630, seed]))[0] for seed in range(10)]
+        counts, ranks = [], set()
+        for contexts in cases:
+            screened.clear()
+            pl.ContextCollection(contexts)
+            distinct = list({id(p): p for ctx in contexts for p in ctx.members}.values())
+            (ranges, gaps), = screened
+            want = padded_reference([p._factors()[0] for p in distinct])
+            assert ranges.shape == want.shape and ranges.tobytes() == want.tobytes()
+            assert gaps.tolist() == [p._gap for p in distinct]
+            counts.append(len(distinct))
+            ranks |= {p.rank for p in distinct}
+        # The 36 ray members are 18 objects; the matrix twin's are 36.
+        assert counts[:4] == [18, 36, 6, 10] and ranks >= {0, 1, 2, 3}
 
 
 class TestDocumentOrder:

@@ -13,8 +13,9 @@ exactly one of two payloads:
   into rank-1 projectors, one per ray, which every group that names the ray
   shares; every group must form an orthonormal basis.
 
-A matrix or vector is decoded in one numpy call; the per-entry walk runs
-only for a payload that call rejects, to name what is wrong with it.
+All matrices, or all rays, of a document are decoded in one numpy call;
+the per-entry walk runs only for a payload that call rejects, to name what
+is wrong with it.
 """
 from __future__ import annotations
 
@@ -26,13 +27,13 @@ from numbers import Real
 import numpy as np
 
 from .errors import ParseError, ValidationError
-# ``validate_projector`` and ``validate_context`` are no longer called here;
-# they stay importable from this module, where bench/tracing.py wraps them.
+# ``validate_projector``, ``validate_context`` and ``context_from_basis``
+# are no longer called here; they stay importable from this module, where
+# bench/tracing.py wraps them.
 from .projectors import (  # noqa: F401
     ContextCollection,
     _basis_contexts,
     _checked_stack,
-    _stack_context,
     context_from_basis,
     validate_context,
     validate_projector,
@@ -109,25 +110,49 @@ def _expect_row(row, dim: int, where: str) -> list:
     return row
 
 
-def _matrix_context(name: str, matrices: list, dim: int, tol: TolerancePolicy):
-    """One matrix-form context, its members checked as one stack.
+def _matrix_contexts(contexts_obj: dict, dim: int, tol: TolerancePolicy) -> list:
+    """Every matrix-form context of a document, checked as one stack.
 
-    Errors come in document order: a member that fails the projector axioms
-    raises before a later member that does not parse, as if each member were
-    parsed and validated in turn. The stack is built from the parsed
-    members, so neither ``dim`` nor the member count is trusted before the
-    payload backs it.
+    All matrices are decoded in one call into one (M, dim, dim) member
+    stack, which one ``_checked_stack`` call checks. The matrix-by-matrix
+    walk runs only for a payload that call rejects, to name what is wrong,
+    and keeps each member as it parses, so neither ``dim`` nor a member
+    count is trusted before the payload backs it. Errors come in document
+    order, as if each context were parsed and checked in turn, each member
+    parsed and validated in turn: a context or member that does not parse
+    raises once the contexts before it, and the members of its context
+    before it, pass their checks.
     """
-    labels = [f"{name}[{i}]" for i in range(len(matrices))]
-    parsed = []
-    for i, matrix in enumerate(matrices):
+    names, counts, matrices, error = [], [], [], None
+    for name, entries in contexts_obj.items():
+        if not isinstance(entries, list) or not entries:
+            error = ParseError(f"context {name!r} must be a non-empty array of matrices")
+            break
+        names.append(name)
+        counts.append(len(entries))
+        matrices += entries
+    labels = [f"{name}[{i}]" for name, count in zip(names, counts) for i in range(count)]
+    stack = None
+    if all(isinstance(matrix, list) and len(matrix) == dim for matrix in matrices):
+        stack = _decode(matrices, (len(matrices), dim, dim, 2))
+    if stack is None:
+        parsed = []
         try:
-            parsed.append(_parse_matrix(matrix, dim, f"contexts[{name}][{i}]"))
-        except ParseError:
-            if parsed:
-                _checked_stack(np.array(parsed), tol, labels)
-            raise
-    return _stack_context(np.array(parsed), tol, labels, name)
+            for name in names:
+                for i, matrix in enumerate(contexts_obj[name]):
+                    parsed.append(_parse_matrix(matrix, dim, f"contexts[{name}][{i}]"))
+        except ParseError as exc:
+            error = exc
+        if not parsed:
+            raise error
+        stack = np.array(parsed)
+        # The contexts that parsed whole, then the one cut short, if any.
+        whole = int(np.searchsorted(np.cumsum(counts), len(parsed), side="right"))
+        names, counts = names[: whole + 1], counts[:whole]
+    contexts = _checked_stack(stack, tol, labels[: len(stack)], names, counts)[1]
+    if error is not None:
+        raise error
+    return contexts
 
 
 def _norm(vector: np.ndarray) -> float:
@@ -197,21 +222,25 @@ def _group_rays(group_name, ray_names, index: dict) -> list[int]:
 def _ray_contexts(rays: np.ndarray, names: list, groups: list, tol: TolerancePolicy) -> list:
     """The contexts of ``(name, row indices)`` groups, in document order.
 
-    ``names`` are the ray names of the rows of ``rays``. When every group
-    has ``dim`` rays, all are checked as one (C, dim) index array over the
-    rays by one ``_basis_contexts`` call, which raises for the first failing
-    group, and a ray that several groups name is one member of all of their
-    contexts. Otherwise the groups are checked one by one in document order,
-    so the first failing group raises what it raises on its own; a group of
-    another size fails its own check.
+    ``names`` are the ray names of the rows of ``rays``. The groups before
+    the first one that does not have ``dim`` rays are checked as one (C, dim)
+    index array over the rays by one ``_basis_contexts`` call, which raises
+    for the first failing group, and a ray that several groups name is one
+    member of all of their contexts. A group of another size then fails its
+    own check. Either way the first failing group raises what it raises on
+    its own, with its name in the message.
     """
-    if groups and all(len(rows) == rays.shape[1] for _, rows in groups):
-        group_names, indices = zip(*groups)
-        return _basis_contexts(rays, np.array(indices), tol, group_names, names)
-    return [
-        context_from_basis(rays[rows], tol, name=name, labels=[names[k] for k in rows])
-        for name, rows in groups
-    ]
+    dim = rays.shape[1]
+    cut = next((k for k, (_, rows) in enumerate(groups) if len(rows) != dim), len(groups))
+
+    def checked(part):
+        if not part:
+            return []
+        group_names, indices = zip(*part)
+        located = True
+        return _basis_contexts(rays, np.array(indices), tol, group_names, names, located)
+
+    return checked(groups[:cut]) + checked(groups[cut : cut + 1])
 
 
 def _parse_tolerances(data: dict, overrides: dict | None) -> TolerancePolicy:
@@ -255,12 +284,7 @@ def parse_document(
         contexts_obj = data["contexts"]
         if not isinstance(contexts_obj, dict) or not contexts_obj:
             raise ParseError("'contexts' must be a non-empty object")
-        contexts = []
-        for name, matrices in contexts_obj.items():
-            if not isinstance(matrices, list) or not matrices:
-                raise ParseError(f"context {name!r} must be a non-empty array of matrices")
-            contexts.append(_matrix_context(name, matrices, dim, tol))
-        return ContextCollection(contexts, tol), tol
+        return ContextCollection(_matrix_contexts(contexts_obj, dim, tol), tol), tol
 
     rays_obj = data.get("rays")
     groups_obj = data.get("groups")
@@ -300,25 +324,33 @@ def load_document(
     A file that is not UTF-8 is a ``ParseError``. A key repeated within one
     JSON object (two contexts or two rays of the same name, say) is one too:
     plain JSON decoding would silently keep the last one. The cyclic garbage
-    collector is paused while the file is decoded: the many small lists JSON
-    builds set it off, yet they form no cycles. The caller's collector state
-    is restored afterwards.
+    collector is paused while the file is decoded and parsed: the many small
+    lists JSON builds would set it off, once or more per load, yet they form
+    no cycles. They are dropped before it resumes, which takes their count
+    back off its allocation counter. The caller's collector state is
+    restored afterwards.
     """
     collecting = gc.isenabled()
     gc.disable()
     try:
+        data = _read_json(path)
+        return parse_document(data, tol_overrides)
+    finally:
+        data = None
+        if collecting:
+            gc.enable()
+
+
+def _read_json(path):
+    try:
         with open(path, encoding="utf-8") as handle:
-            data = json.load(handle, object_pairs_hook=_unique_keys)
+            return json.load(handle, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8: {exc}") from exc
     except ParseError as exc:
         raise ParseError(f"{path}: {exc}") from exc
-    finally:
-        if collecting:
-            gc.enable()
-    return parse_document(data, tol_overrides)
 
 
 def _pairs(arr: np.ndarray) -> list:

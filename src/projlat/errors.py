@@ -2,8 +2,15 @@
 
 Validation errors name the violated axiom and carry the measured residual,
 so callers (and the CLI) can report how far an input is from satisfying it.
+The member-level errors take an optional ``where`` (``"context 'b' member
+b[0]"``, say), which a document load gives them so that the message names
+the failing context and member; the message is then ``"<where>: ..."``.
 """
 from __future__ import annotations
+
+
+def _located(where: str | None, message: str) -> str:
+    return message if where is None else f"{where}: {message}"
 
 
 class ProjlatError(Exception):
@@ -25,21 +32,21 @@ class NotSquareError(ValidationError):
 
 
 class NotHermitianError(ValidationError):
-    def __init__(self, residual: float, limit: float):
+    def __init__(self, residual: float, limit: float, where: str | None = None):
         self.residual = residual
         self.limit = limit
-        super().__init__(
-            f"matrix is not self-adjoint: max |M - M^H| = {residual:.3e} > {limit:.3e}"
-        )
+        super().__init__(_located(
+            where, f"matrix is not self-adjoint: max |M - M^H| = {residual:.3e} > {limit:.3e}"
+        ))
 
 
 class NotIdempotentError(ValidationError):
-    def __init__(self, residual: float, limit: float):
+    def __init__(self, residual: float, limit: float, where: str | None = None):
         self.residual = residual
         self.limit = limit
-        super().__init__(
-            f"matrix is not idempotent: max |M^2 - M| = {residual:.3e} > {limit:.3e}"
-        )
+        super().__init__(_located(
+            where, f"matrix is not idempotent: max |M^2 - M| = {residual:.3e} > {limit:.3e}"
+        ))
 
 
 class PairwiseProductNonzeroError(ValidationError):
@@ -66,21 +73,21 @@ class SumNotIdentityError(ValidationError):
 
 
 class NotOrthonormalError(ValidationError):
-    def __init__(self, residual: float, limit: float):
+    def __init__(self, residual: float, limit: float, where: str | None = None):
         self.residual = residual
         self.limit = limit
-        super().__init__(
-            f"vectors are not orthonormal: max |V^H V - I| = {residual:.3e} > {limit:.3e}"
-        )
+        super().__init__(_located(
+            where, f"vectors are not orthonormal: max |V^H V - I| = {residual:.3e} > {limit:.3e}"
+        ))
 
 
 class NotCompleteError(ValidationError):
-    def __init__(self, count: int, ambient_dim: int):
+    def __init__(self, count: int, ambient_dim: int, where: str | None = None):
         self.count = count
         self.ambient_dim = ambient_dim
-        super().__init__(
-            f"{count} orthonormal vectors do not span a space of dimension {ambient_dim}"
-        )
+        super().__init__(_located(
+            where, f"{count} orthonormal vectors do not span a space of dimension {ambient_dim}"
+        ))
 
 
 class ZeroStateError(ValidationError):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
+from itertools import groupby
 from operator import iadd
 from typing import NamedTuple
 
@@ -50,8 +51,8 @@ class Projector:
     the columns ``_kept_ranges`` keeps, the first ``rank`` left singular
     vectors of the SVD that ranked a matrix member, or of a ray member's
     ray. It is the member's only copy of its range: every range stack is
-    ``_padded`` of such bases. ``_gap`` bounds ``|P - Q Q^H|_F`` (``_kept_ranges``); a ray
-    member's is 0. A projector built by hand takes both from one SVD when
+    ``_padded`` of such bases, or their columns stacked as rows. ``_gap``
+    bounds ``|P - Q Q^H|_F`` (``_kept_ranges``); a ray member's is 0. A projector built by hand takes both from one SVD when
     first read; a matrix that is not finite raises ``ValidationError`` then.
     """
 
@@ -72,8 +73,8 @@ class Projector:
             u = np.linalg.svd(matrix)[0]
             # A gap whose norm overflows is +inf.
             with np.errstate(over="ignore"):
-                columns, gaps = _kept_ranges(matrix[None], u[None], [self.rank])
-            object.__setattr__(self, "_range", columns[0])
+                rows, gaps = _kept_ranges(matrix[None], u[None], [self.rank])
+            object.__setattr__(self, "_range", rows.T)
             object.__setattr__(self, "_gap", float(gaps[0]))
         return self._range, self._gap
 
@@ -105,27 +106,48 @@ def validate_projector(
     return _checked_stack(arr[None], resolve(tol), [label])[0][0]
 
 
-def _measure(stack: np.ndarray) -> tuple[np.ndarray, dict[str, float]]:
-    """Every product of one context's (m, n, n) member stack, and its residuals.
+def _measure(stack: np.ndarray, counts=None):
+    """Every in-context product of an (M, n, n) member stack, and the residuals.
 
-    ``products[i, j]`` is ``max|Pi Pj|`` for i != j, and the diagonal holds
-    the idempotency residuals ``max|Pi Pi - Pi|``. The products are taken as
-    ``S[rows, None] @ S[None, :]`` over blocks of rows, each block under
-    ``_CHUNK_ENTRIES`` entries or one row, so the temporaries never hold the
-    whole (m, m, n, n) product. The residuals are those of ``_residuals``.
+    Context c is the next ``counts[c]`` members; without ``counts`` the stack
+    is one context, whose products and residuals come alone rather than in
+    lists. In a context's (m, m) products, entry (i, j) is ``max|Pi Pj|``
+    for i != j, and the diagonal holds the idempotency residuals
+    ``max|Pi Pi - Pi|``. Each run of consecutive contexts with m members
+    each is a (k, m, n, n) stack, whose products are taken as ``S[:, rows,
+    None] @ S[:, None, :]`` over blocks of whole contexts, or of rows of one
+    context, each block under ``_CHUNK_ENTRIES`` entries or one row; so a
+    block runs across context boundaries, and the temporaries never hold
+    the whole (k, m, m, n, n) product. The residuals are those of
+    ``_residuals``, each member sum added in place in member order, one
+    batched addition per member position of a run.
     """
-    m, n = stack.shape[:2]
-    products = np.empty((m, m))
-    rows_per = max(1, _CHUNK_ENTRIES // (m * n * n or 1))
-    for first in range(0, m, rows_per):
-        rows = slice(first, first + rows_per)
-        block = stack[rows, None] @ stack[None, :]
-        # Row r of the block holds P_(first + r) @ P_j; its square is at j = first + r.
-        diagonal = np.arange(len(block))
-        block[diagonal, first + diagonal] -= stack[rows]
-        products[rows] = np.abs(block).max(axis=(2, 3), initial=0.0)
-    total = reduce(iadd, stack[1:], stack[0].copy())
-    return products, _residuals(products[None], total[None])[0]
+    sizes = [len(stack)] if counts is None else list(counts)
+    n = stack.shape[1]
+    products, residuals, start = [], [], 0
+    for m, run in groupby(sizes):
+        k = len(list(run))
+        run = stack[start : start + k * m].reshape(k, m, n, n)
+        start += k * m
+        measured = np.empty((k, m, m))
+        rows = max(1, _CHUNK_ENTRIES // (m * n * n))
+        per = max(1, rows // m)
+        for c in range(0, k, per):
+            part = run[c : c + per]
+            for first in range(0, m, rows):
+                block = part[:, first : first + rows, None] @ part[:, None, :]
+                # Row r of the block holds P_(first + r) @ P_j; its square is at j = first + r.
+                diagonal = np.arange(block.shape[1])
+                block[:, diagonal, first + diagonal] -= part[:, first : first + rows]
+                measured[c : c + per, first : first + rows] = np.abs(block).max(
+                    axis=(3, 4), initial=0.0
+                )
+        products += list(measured)
+        sums = reduce(iadd, run.swapaxes(0, 1)[1:], run[:, 0].copy())
+        residuals += _residuals(measured, sums)
+    if counts is None:
+        return products[0], residuals[0]
+    return products, residuals
 
 
 def _rank1_products(rows: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -165,54 +187,107 @@ def _residuals(products: np.ndarray, sums: np.ndarray) -> list[dict[str, float]]
 def _kept_ranges(stack: np.ndarray, u: np.ndarray, ranks) -> tuple[np.ndarray, np.ndarray]:
     """The ranges and gaps of the (m, n, n) ``stack``, from its left singular vectors.
 
-    Entry i of the read-only (m, n, w) stack is Q_i, the first ``ranks[i]``
-    columns of ``u[i]``, zero-padded to the largest rank w. Gap ``g = (d +
+    Member i's range Q_i is the first ``ranks[i]`` columns of ``u[i]``. The
+    read-only (sum(ranks), n) array returned holds them as rows, member by
+    member, so Q_i is the transpose of its block of rows. Gap ``g = (d +
     2 gamma_(2n+2) s) (1 + gamma_(2n^2+16))`` bounds ``|P_i - Q_i
     Q_i^H|_F``, ``gamma_k = k u / (1 - k u)``: ``fl(Q Q^H)`` lies within
     ``sqrt(2) gamma_(2n+2) |Q|_F^2`` of ``Q Q^H``, the 2 covering the
     rounding of Q's computed square sum s, and the computed norm d of ``P -
     fl(Q Q^H)`` is within ``gamma_(2n^2+4)`` of the exact one; 12 spare units
-    cover the roundings of g and of the screen's limit.
+    cover the roundings of g and of the screen's limit. The products are
+    taken with each Q_i zero-padded to the largest rank.
     """
     n, width = stack.shape[1], max(ranks, default=0)
-    q = np.where(np.arange(width) < np.array(ranks)[:, None, None], u[:, :, :width], 0)
-    q.setflags(write=False)
-    flat = q.reshape(len(q), -1).view(np.float64)
-    gaps = np.linalg.norm(stack - q @ q.conj().swapaxes(1, 2), axis=(1, 2))
+    kept = np.arange(width) < np.array(ranks, dtype=int)[:, None]
+    q = np.where(kept[:, None, :], u[:, :, :width], 0)
+    flat = q.reshape(len(q), n * width).view(np.float64)
+    # ``Q Q^H - P`` in place: its norm is that of ``P - Q Q^H``, bit for bit.
+    residual = q @ q.conj().swapaxes(1, 2)
+    residual -= stack
+    gaps = np.linalg.norm(residual, axis=(1, 2))
     gaps += 2 * _dot_bound(2 * n + 2) * np.einsum("ij,ij->i", flat, flat)
-    return q, gaps * (1 + _dot_bound(2 * n * n + 16))
+    rows = q.swapaxes(1, 2)[kept]
+    rows.setflags(write=False)
+    return rows, gaps * (1 + _dot_bound(2 * n * n + 16))
 
 
-def _checked_stack(stack: np.ndarray, tol: TolerancePolicy, labels):
-    """Projectors on read-only views of one context's (m, n, n) ``stack``.
+def _checked_stack(stack: np.ndarray, tol: TolerancePolicy, labels, names=(), counts=()):
+    """Projectors on read-only views of the (M, n, n) ``stack``, and the contexts they form.
 
-    ``labels[i]`` labels ``stack[i]``. Each matrix passes the projector
-    axioms; the first failing one raises what ``validate_projector`` raises
-    for it alone. One batched SVD factors the stack: a member's rank counts
-    its singular values above the ``linalg.singular_rank`` cutoff, and its
-    range and gap are those of ``_kept_ranges``. Returns the members, and
-    the products and residuals as ``_measure`` gives them.
+    ``labels[i]`` labels ``stack[i]``, and context c, named ``names[c]``, is
+    the next ``counts[c]`` members. Members after the last context take the
+    member checks alone: those of a document context cut short by a member
+    that does not parse, named ``names[len(counts)]``, or the one matrix of
+    ``validate_projector``, which gives no names. A member that fails the
+    projector axioms raises what ``validate_projector`` raises for it alone,
+    located as ``context <name> member <label>`` when its context is named.
+
+    The whole stack takes one ``_measure`` pass and one Hermitian residual
+    call. The members before the first failing one are factored by one
+    batched SVD: a member's rank counts its singular values above the
+    ``linalg.singular_rank`` cutoff, and its range and gap are those of
+    ``_kept_ranges``, its range a view of the one array of kept rows. Each
+    context whose members all pass then takes the checks of
+    ``_checked_context`` and the overlap rule (``_check_overlaps``), whose
+    Gram matrices are taken for all contexts in one ``_range_overlaps``
+    call. Errors come in document order: those contexts are checked in
+    turn, and then the first failing member raises. Returns the members
+    that pass and the contexts.
     """
     eps = tol.eps_entry
+    sizes = np.array(counts, dtype=int)
+    ends = np.cumsum(sizes)
+    firsts = ends - sizes
+    loose = len(stack) - int(ends[-1] if len(ends) else 0)
     # An overflow shows as an inf or NaN residual, which fails below.
     with np.errstate(over="ignore", invalid="ignore"):
-        products, residuals = _measure(stack)
-        herm = np.abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2), initial=0.0)
-    idem = products.diagonal()
-    if not (herm.max() <= eps and idem.max() <= eps):
-        i = np.flatnonzero(~((herm <= eps) & (idem <= eps)))[0]
-        if not herm[i] <= eps:
-            raise NotHermitianError(float(herm[i]), eps)
-        raise NotIdempotentError(float(idem[i]), eps)
-    u, s, _ = np.linalg.svd(stack)
-    ranks = linalg.singular_rank(s, tol).tolist()
-    columns, gaps = _kept_ranges(stack, u, ranks)
+        products, residuals = _measure(stack, sizes.tolist() + [loose] * (loose > 0))
+        # ``S - S^H``, formed in the one temporary that holds ``S^H``.
+        skew = stack.conj().swapaxes(1, 2)
+        np.subtract(stack, skew, out=skew)
+        herm = np.abs(skew).max(axis=(1, 2), initial=0.0)
+        del skew
+    idem = np.concatenate([p.diagonal() for p in products])
+    passed = (herm <= eps) & (idem <= eps)
+    good = len(passed) if passed.all() else int(np.argmin(passed))
+    # The right singular vectors are dropped at once.
+    u, s = np.linalg.svd(stack[:good])[:2]
+    ranks = linalg.singular_rank(s, tol)
+    rows, gaps = _kept_ranges(stack[:good], u, ranks.tolist())
     stack.setflags(write=False)
+    starts = np.concatenate(([0], np.cumsum(ranks)))
     members = tuple(
-        Projector(matrix=matrix, rank=rank, label=label, _range=q[:, :rank], _gap=gap)
-        for matrix, rank, label, q, gap in zip(stack, ranks, labels, columns, gaps.tolist())
+        Projector(matrix=matrix, rank=b - a, label=label, _range=rows[a:b].T, _gap=gap)
+        for matrix, label, a, b, gap in zip(
+            stack, labels, starts[:-1].tolist(), starts[1:].tolist(), gaps.tolist()
+        )
     )
-    return members, products, residuals
+    # The first ``count`` contexts have every member passing; of those, each
+    # whose ranks sum to n has a block of n kept rows for the overlap rule.
+    count = int(np.searchsorted(ends, good, side="right"))
+    covered = int(ends[count - 1]) if count else 0
+    n = stack.shape[1]
+    spans = starts[ends[:count]] - starts[firsts[:count]]
+    blocks = starts[firsts[:count][spans == n], None] + np.arange(n)
+    # The position of each kept row's member within its context.
+    place = np.arange(covered) - np.repeat(firsts[:count], sizes[:count])
+    overlaps = _range_overlaps(rows[blocks], np.repeat(place, ranks[:covered])[blocks])
+    contexts = []
+    for c in range(count):
+        ctx = _checked_context(
+            members[firsts[c] : ends[c]], products[c], residuals[c], tol, names[c]
+        )
+        # ``_checked_context`` raises for ranks that do not sum to n, so every
+        # context so far has its block, and ``overlaps[c]`` is context c's.
+        _check_overlaps(names[c], overlaps[c], tol)
+        contexts.append(ctx)
+    if good < len(stack):
+        where = f"context {names[count]!r} member {labels[good]}" if names else None
+        if not herm[good] <= eps:
+            raise NotHermitianError(float(herm[good]), eps, where)
+        raise NotIdempotentError(float(idem[good]), eps, where)
+    return members, contexts
 
 
 def is_invariant(
@@ -291,7 +366,12 @@ def validate_context(
         (p.ambient_dim for p in members), f"context {name!r}: mixed ambient dimensions"
     )
     products, residuals = _measure(np.array([p.matrix for p in members]))
-    return _check_overlaps(_checked_context(members, products, residuals, tol, name), tol)
+    ctx = _checked_context(members, products, residuals, tol, name)
+    bases = [p._factors()[0] for p in members]
+    place = np.repeat(np.arange(len(bases)), [basis.shape[1] for basis in bases])
+    rows = np.concatenate([basis.T for basis in bases])
+    _check_overlaps(name, _range_overlaps(rows[None], place[None])[0], tol)
+    return ctx
 
 
 def _checked_context(
@@ -301,7 +381,8 @@ def _checked_context(
     tol: TolerancePolicy,
     name: str,
 ) -> MaximalContext:
-    """The context of ``members``, from what ``_checked_stack`` returns.
+    """The context of ``members``, from its products and residuals as
+    ``_measure`` or ``_rank1_products`` give them.
 
     The first pair (i, j) in row-major order whose products are not within
     ``eps_entry``, then the sum, raises; a residual that is NaN fails. Last,
@@ -330,36 +411,43 @@ def _checked_context(
     return ctx
 
 
-def _stack_context(stack: np.ndarray, tol: TolerancePolicy, labels, name: str) -> MaximalContext:
-    """The context of one (m, n, n) matrix ``stack``, labelled ``labels``.
+def _range_overlaps(rows: np.ndarray, place: np.ndarray) -> np.ndarray:
+    """``|Q_i^H Q_j|_F^2`` for the members i != j of K contexts, 0 for i = j.
 
-    Its members pass ``_checked_stack``, then ``_checked_context``, then
-    the overlap rule (``_check_overlaps``) on their kept ranges.
+    ``rows[c]`` holds context c's kept ranges as the n rows of an (n, n)
+    array, member by member (its ranks sum to n), and ``place[c, a]`` is the
+    member that row a belongs to. One batched Gram matrix gives every
+    ``|<q_a, q_b>|^2``, and two products with the 0/1 matrix of row
+    membership sum them by member pair; a member of rank 0 has no rows and
+    overlaps nothing.
     """
-    return _check_overlaps(_checked_context(*_checked_stack(stack, tol, labels), tol, name), tol)
+    gram = rows.conj() @ rows.swapaxes(1, 2)
+    squares = gram.real ** 2
+    squares += gram.imag ** 2
+    member = (place[..., None] == np.arange(place.max(initial=-1) + 1)).astype(float)
+    overlaps = member.swapaxes(1, 2) @ squares @ member
+    diagonal = np.arange(overlaps.shape[1])
+    overlaps[:, diagonal, diagonal] = 0.0
+    return overlaps
 
 
-def _check_overlaps(ctx: MaximalContext, tol: TolerancePolicy) -> MaximalContext:
-    """``ctx``, once its members' kept ranges pass the overlap rule.
+def _check_overlaps(name: str, overlaps: np.ndarray, tol: TolerancePolicy) -> None:
+    """Raise when two members of context ``name`` overlap (``_range_overlaps``).
 
-    No two ranges may overlap by ``|Q_i^H Q_j|_F > eps_subspace``
-    (``_overlaps``), the rule by which ``intersect_lattices`` rejects a
-    family: the entrywise bound ``max|Pi Pj| <= eps_entry`` lets rays spread
-    over C^n overlap about n times more. The first such entry (i, j) in
-    row-major order raises a ``ValidationError``. A basis needs no such
-    check: its overlaps are Gram entries, within ``eps_entry``.
+    No two ranges may overlap by ``|Q_i^H Q_j|_F > eps_subspace``, the rule
+    by which ``intersect_lattices`` rejects a family: the entrywise bound
+    ``max|Pi Pj| <= eps_entry`` lets rays spread over C^n overlap about n
+    times more. The first such entry (i, j) in row-major order raises a
+    ``ValidationError``. A basis needs no such check: its overlaps are Gram
+    entries, within ``eps_entry``.
     """
-    ranges = _padded([p._factors()[0] for p in ctx.members])
-    overlaps = _overlaps(ranges, ranges)
-    np.fill_diagonal(overlaps, 0.0)
     limit = tol.eps_subspace ** 2
-    if not overlaps.max() <= limit:
-        i, j = np.argwhere(overlaps > limit)[0].tolist()
+    if not overlaps.max(initial=0.0) <= limit:
+        i, j = np.argwhere(~(overlaps <= limit))[0].tolist()
         raise ValidationError(
-            f"context {ctx.name!r}: members {min(i, j)} and {max(i, j)} overlap: "
+            f"context {name!r}: members {min(i, j)} and {max(i, j)} overlap: "
             f"|Qi^H Qj|_F = {np.sqrt(overlaps[i, j]):.3e} > {tol.eps_subspace:.3e}"
         )
-    return ctx
 
 
 def context_from_basis(
@@ -384,7 +472,7 @@ def context_from_basis(
 
 
 def _basis_contexts(
-    rays: np.ndarray, groups: np.ndarray, tol: TolerancePolicy, names, labels
+    rays: np.ndarray, groups: np.ndarray, tol: TolerancePolicy, names, labels, located=False
 ) -> list[MaximalContext]:
     """The rank-1 contexts of C bases drawn from one set of rays, checked as one stack.
 
@@ -413,7 +501,9 @@ def _basis_contexts(
     orthonormality, completeness (m = n) or idempotency; the bases before
     the first marked one take the pairwise, sum and rank checks of
     ``_checked_context`` in turn, and then the marked basis raises its own
-    error. So the first failing basis raises what it raises on its own.
+    error. So the first failing basis raises what it raises on its own,
+    with ``context <name>`` (and ``member <label>`` for a member) in its
+    message when ``located``, as in a document load.
     """
     m, n = groups.shape[1], rays.shape[1]
     eps = tol.eps_entry
@@ -455,12 +545,14 @@ def _basis_contexts(
         members = tuple(shared[k] for k in groups[c].tolist())
         contexts.append(_checked_context(members, products[c], residuals[c], tol, name))
     if count < len(worst):
+        where = f"context {names[count]!r}" if located else None
         if not orthonormal[count] <= eps:
-            raise NotOrthonormalError(float(orthonormal[count]), eps)
+            raise NotOrthonormalError(float(orthonormal[count]), eps, where)
         if m != n:
-            raise NotCompleteError(m, n)
+            raise NotCompleteError(m, n, where)
         i = np.flatnonzero(~(idem[count] <= eps))[0]
-        raise NotIdempotentError(float(idem[count, i]), eps)
+        member = where and f"{where} member {labels[groups[count, i]]}"
+        raise NotIdempotentError(float(idem[count, i]), eps, member)
     return contexts
 
 
@@ -669,8 +761,7 @@ def pauli_contexts(tol: TolerancePolicy | None = None) -> ContextCollection:
         "y": half * np.array([[[1, -1j], [1j, 1]], [[1, 1j], [-1j, 1]]], dtype=complex),
     }
     tol = resolve(tol)
-    contexts = [
-        _stack_context(stack, tol, [f"P1_{name}", f"P2_{name}"], name)
-        for name, stack in stacks.items()
-    ]
+    labels = [f"P{k}_{name}" for name in stacks for k in (1, 2)]
+    stack = np.concatenate(list(stacks.values()))
+    contexts = _checked_stack(stack, tol, labels, list(stacks), [2] * len(stacks))[1]
     return ContextCollection(contexts, tol)

@@ -334,6 +334,36 @@ class TestCollectorPause:
                 pl.load_document(path)
             assert gc.isenabled()
 
+    def test_no_collection_during_or_after_a_load(self, tmp_path):
+        # Three contexts of six rank-2 members of C^12 decode to about 2,800
+        # lists, four times the first collection threshold. The collector
+        # stays off through the checks, and the lists are dropped before it
+        # resumes, so neither the load nor the allocations after it set off
+        # a collection.
+        rng = np.random.default_rng(2730)
+        contexts = {}
+        for name in "abc":
+            frame = np.linalg.qr(rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12)))[0]
+            contexts[name] = [
+                pl.document.matrix_to_json(frame[:, k : k + 2] @ frame[:, k : k + 2].conj().T)
+                for k in range(0, 12, 2)
+            ]
+        path = self._write(tmp_path, json.dumps({"dim": 12, "contexts": contexts}))
+        collections = []
+
+        def record(phase, info):
+            collections.append(phase)
+
+        gc.collect()
+        gc.callbacks.append(record)
+        try:
+            pl.load_document(path)
+            allocated = [[] for _ in range(100)]
+        finally:
+            gc.callbacks.remove(record)
+        assert collections == [] and len(allocated) == 100
+        assert gc.isenabled()
+
     def test_disabled_collector_stays_disabled(self, pauli, tmp_path):
         path = self._write(tmp_path, json.dumps(pauli_matrix_document(pauli)))
         gc.disable()

@@ -97,17 +97,18 @@ class TestMechanism:
         calls = []
         measure = pl.projectors._measure
 
-        def counted(stack):
+        def counted(stack, *args):
             calls.append(stack.shape)
-            return measure(stack)
+            return measure(stack, *args)
 
         monkeypatch.setattr(pl.projectors, "_measure", counted)
         for _, doc in corpus():
             collection, _ = pl.parse_document(doc)
             assert all(from_basis(ctx) for ctx in collection.contexts)
         assert calls == []
+        # The matrix twin's nine contexts take one products pass.
         pl.parse_document(_twin(ks18_document())[0])
-        assert len(calls) == 9
+        assert calls == [(36, 4, 4)]
 
     def test_ray_documents_take_no_dense_checks(self, monkeypatch):
         # ``document`` binds ``_checked_stack`` at import, so both names are spied on.
@@ -124,8 +125,9 @@ class TestMechanism:
             pl.parse_document(doc)
         pl.context_from_basis(list(np.eye(3)))
         assert calls == []
+        # The matrix twin is checked as one stack of its 36 members.
         pl.parse_document(_twin(ks18_document())[0])
-        assert calls == [(4, 4, 4)] * 9
+        assert calls == [(36, 4, 4)]
 
     def test_ray_members_are_hermitian_within_the_rank1_bound(self):
         # No Hermitian residual is taken for v v^H; the dense one stays at roundoff.
@@ -138,8 +140,9 @@ class TestMechanism:
                 assert herm <= rank1_bound(rays_of(ctx))
 
     def test_ray_contexts_take_no_svd(self, monkeypatch):
-        # A matrix-form context is factored once, at load, with its left
-        # singular vectors; its lattice reads that factor and takes no SVD.
+        # A matrix-form document is factored once, at load, by one SVD of all
+        # its members with their left singular vectors; a context's lattice
+        # reads that factor and takes no SVD.
         svd = np.linalg.svd
         calls = []
 
@@ -153,10 +156,10 @@ class TestMechanism:
             assert pl.context_lattice(ctx).size == 16
         assert calls == []
         matrix_form, _ = pl.parse_document(_twin(ks18_document())[0])
-        assert calls == [((4, 4, 4), True)] * 9
+        assert calls == [((36, 4, 4), True)]
         for ctx in matrix_form.contexts:
             assert not from_basis(ctx) and pl.context_lattice(ctx).size == 16
-        assert len(calls) == 9
+        assert len(calls) == 1
 
     def test_kept_rays_are_read_only_rows_of_the_members(self):
         collection, _ = pl.parse_document(ks18_document())

@@ -18,16 +18,17 @@ from projlat.document import _parse_matrix, _parse_tolerances, _parse_vector
 from projlat.tolerance import resolve
 
 
-def oracle_projector(matrix, tol, label):
+def oracle_projector(matrix, tol, label, where=None):
+    """The projector axioms; ``where`` locates an error, as a document load does."""
     arr = linalg.as_complex_matrix(matrix)
     if arr.shape[0] != arr.shape[1]:
         raise pl.NotSquareError(arr.shape)
     herm = max_abs(arr - arr.conj().T)
     if not herm <= tol.eps_entry:
-        raise pl.NotHermitianError(herm, tol.eps_entry)
+        raise pl.NotHermitianError(herm, tol.eps_entry, where)
     idem = max_abs(arr @ arr - arr)
     if not idem <= tol.eps_entry:
-        raise pl.NotIdempotentError(idem, tol.eps_entry)
+        raise pl.NotIdempotentError(idem, tol.eps_entry, where)
     return pl.Projector(matrix=arr, rank=linalg.numerical_rank(arr, tol), label=label)
 
 
@@ -83,19 +84,22 @@ def oracle_from_basis(vectors, tol, name, labels):
     stacked = np.column_stack(vecs)
     gram = stacked.conj().T @ stacked
     residual = max_abs(gram - np.eye(len(vecs)))
+    where = f"context {name!r}"
     if not residual <= tol.eps_entry:
-        raise pl.NotOrthonormalError(residual, tol.eps_entry)
+        raise pl.NotOrthonormalError(residual, tol.eps_entry, where)
     if len(vecs) != stacked.shape[0]:
-        raise pl.NotCompleteError(len(vecs), stacked.shape[0])
+        raise pl.NotCompleteError(len(vecs), stacked.shape[0], where)
     products = oracle_rank1_products(vecs, gram)
     members = []
     for i, v in enumerate(vecs):
         matrix = np.outer(v, v.conj())
         herm = max_abs(matrix - matrix.conj().T)
         if not herm <= tol.eps_entry:
-            raise pl.NotHermitianError(herm, tol.eps_entry)
+            raise pl.NotHermitianError(herm, tol.eps_entry, f"{where} member {labels[i]}")
         if not products[i, i] <= tol.eps_entry:
-            raise pl.NotIdempotentError(float(products[i, i]), tol.eps_entry)
+            raise pl.NotIdempotentError(
+                float(products[i, i]), tol.eps_entry, f"{where} member {labels[i]}"
+            )
         rank = linalg.singular_rank([gram[i, i].real], tol)
         members.append(pl.Projector(matrix=matrix, rank=rank, label=labels[i]))
     return oracle_context(members, tol, name, products)
@@ -129,7 +133,10 @@ def oracle_parse_document(doc):
         for name, matrices in doc["contexts"].items():
             members = [
                 oracle_projector(
-                    _parse_matrix(matrix, dim, f"contexts[{name}][{i}]"), tol, f"{name}[{i}]"
+                    _parse_matrix(matrix, dim, f"contexts[{name}][{i}]"),
+                    tol,
+                    f"{name}[{i}]",
+                    f"context {name!r} member {name}[{i}]",
                 )
                 for i, matrix in enumerate(matrices)
             ]
@@ -626,6 +633,122 @@ class TestBatchedRayLoader:
             ]
         assert collection.identity_of(1, 0) == collection.identity_of(0, 0)
         assert len(collection.registry) == 18
+
+
+MATRIX_FAULTS = (
+    "not Hermitian",
+    "not idempotent",
+    "pairwise",
+    "sum",
+    "rank sum",
+    "overlap",
+    "parse",
+)
+# eps_subspace at eps_entry, so that C^4 can hold ranges that overlap past it
+# while every product entry stays within eps_entry.
+TIGHT = {"eps_rank": 1e-10, "eps_entry": 1e-9, "eps_subspace": 1e-9}
+
+
+def _faulty_matrices(rng, fault=None):
+    """The members of one context of C^4, as JSON, broken by ``fault``.
+
+    A Haar frame cut into members of ranks 2, 1 and 1, except for the two
+    faults that need their own members: ``rank sum`` takes diag(1, 5e-10,
+    0, 0), which passes every entrywise check with rank 2, beside three
+    members of rank 1, and ``overlap`` the Fourier basis of C^4 with f_1
+    turned towards f_0 by 1.5e-9, past eps_subspace, although every
+    product entry and the sum stay within eps_entry.
+    """
+    if fault == "rank sum":
+        diagonals = ([1.0, 5e-10, 0, 0], [0, 1 - 5e-10, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1])
+        return [_to_json(np.diag(d)) for d in diagonals]
+    if fault == "overlap":
+        f = np.exp(2j * np.pi * np.outer(np.arange(4), np.arange(4)) / 4) / 2
+        f[:, 1] += 1.5e-9 * f[:, 0]
+        f[:, 1] /= np.linalg.norm(f[:, 1])
+        return [_to_json(np.outer(v, v.conj())) for v in f.T]
+    frame = _unitary(rng, 4)
+    parts = [frame[:, :2], frame[:, 2:3], frame[:, 3:]]
+    if fault == "pairwise":
+        # Member 0 leans towards member 1, still a projector of rank 2.
+        parts[0] = _turn(frame, 1, 2, 1e-6)[:, :2]
+    members = [_to_json(part @ part.conj().T) for part in parts]
+    if fault == "not Hermitian":
+        members[1][0][1][0] += 1e-6
+    elif fault == "not idempotent":
+        members[1] = _to_json(1.001 * (parts[1] @ parts[1].conj().T))
+    elif fault == "sum":
+        members.pop()
+    elif fault == "parse":
+        members[1] = "not a matrix"
+    return members
+
+
+class TestOneStackLoader:
+    """Every context of a matrix document is checked in one stack; errors
+    come in document order, as from the per-context load."""
+
+    @staticmethod
+    def _alone(name, matrices):
+        return outcome(pl.parse_document, {"dim": 4, **TIGHT, "contexts": {name: matrices}})[1]
+
+    @pytest.mark.parametrize("fault", MATRIX_FAULTS)
+    def test_each_fault_raises_as_on_its_own(self, fault):
+        got = self._alone("b", _faulty_matrices(np.random.default_rng(2700), fault))
+        expected = {
+            "not Hermitian": pl.NotHermitianError,
+            "not idempotent": pl.NotIdempotentError,
+            "pairwise": pl.PairwiseProductNonzeroError,
+            "sum": pl.SumNotIdentityError,
+            "rank sum": pl.ValidationError,
+            "overlap": pl.ValidationError,
+            "parse": pl.ParseError,
+        }[fault]
+        assert got[0] is expected
+        prefix = {
+            "not Hermitian": "context 'b' member b[1]: matrix is not self-adjoint: ",
+            "not idempotent": "context 'b' member b[1]: matrix is not idempotent: ",
+            "rank sum": "context 'b': member ranks [2, 1, 1, 1] sum to 5, ",
+            "overlap": "context 'b': members 0 and 1 overlap: ",
+            "parse": "contexts[b][1]: expected a 4x4 matrix as 4 rows",
+        }.get(fault, "context 'b': members ")
+        assert got[1].startswith(prefix)
+
+    @pytest.mark.parametrize("order", [(0, 2), (2, 0)])
+    @pytest.mark.parametrize("first", MATRIX_FAULTS)
+    def test_two_failing_contexts_raise_the_first(self, first, order):
+        # Two faulty contexts of three, on either side of a valid one; the
+        # earlier one in the document raises what it raises on its own.
+        for second in MATRIX_FAULTS:
+            rng = np.random.default_rng([2710, MATRIX_FAULTS.index(second)])
+            names = ["a", "b", "c"]
+            faults = {names[order[0]]: first, names[1]: None, names[order[1]]: second}
+            contexts = {name: _faulty_matrices(rng, faults[name]) for name in names}
+            doc = {"dim": 4, **TIGHT, "contexts": contexts}
+            raiser = names[min(order)]
+            got = outcome(pl.parse_document, doc)[1]
+            assert got == self._alone(raiser, contexts[raiser]), (first, second)
+            if faults[raiser] not in ("rank sum", "overlap"):
+                # The oracle takes neither the rank sum nor the overlap rule.
+                assert got == outcome(oracle_parse_document, doc)[1]
+
+    def test_valid_document_matches_the_per_context_load(self):
+        # Contexts of 3, 3, 4 and 3 members: the runs of equal counts share
+        # their product blocks, and every context equals its load alone.
+        rng = np.random.default_rng(2720)
+        faults = {"a": None, "b": None, "c": "overlap", "d": None}
+        contexts = {name: _faulty_matrices(rng, fault) for name, fault in faults.items()}
+        # At the default eps_subspace, 1e-8, the turned Fourier basis passes.
+        doc = {"dim": 4, "contexts": contexts}
+        collection, tol = pl.parse_document(doc)
+        assert_same_collection(collection, oracle_parse_document(doc)[0], tol)
+        for ctx in collection.contexts:
+            alone = pl.parse_document({"dim": 4, "contexts": {ctx.name: contexts[ctx.name]}})
+            (want,) = alone[0].contexts
+            assert pl.context_residuals(ctx) == pl.context_residuals(want)
+            for got, exp in zip(ctx.members, want.members):
+                assert got.rank == exp.rank and got._gap == exp._gap
+                assert got._range.tobytes() == exp._range.tobytes()
 
 
 class TestScreenedRegistry:
@@ -1404,9 +1527,29 @@ class TestMemoryBound:
         # row, and the residuals do not change.
         basis = pl.context_from_basis(list(_unitary(np.random.default_rng(1995), 8).T))
         doc = pl.collection_to_document(pl.ContextCollection([basis]))
-        whole = pl.context_residuals(pl.parse_document(doc)[0].contexts[0])
+        # Three contexts of C^2: a and b with three members (one of rank 0),
+        # whose rows of products hold 12 entries, so a block of 100 entries
+        # takes both whole contexts, across their boundary; then c, with two.
+        rng = np.random.default_rng(1996)
+        contexts = {}
+        for name in "abc":
+            members = [np.outer(v, v.conj()) for v in _unitary(rng, 2).T]
+            members += [np.zeros((2, 2))] * (name != "c")
+            contexts[name] = [_to_json(m) for m in members]
+        three = {"dim": 2, "contexts": contexts}
+        whole = {}
+        for key in ("one", "three"):
+            loaded = pl.parse_document(doc if key == "one" else three)[0]
+            whole[key] = [pl.context_residuals(ctx) for ctx in loaded.contexts]
         monkeypatch.setattr(pl.projectors, "_CHUNK_ENTRIES", 100)
         ctx = pl.parse_document(doc)[0].contexts[0]
         assert not from_basis(ctx)
-        assert pl.context_residuals(ctx) == whole
-        assert pl.context_residuals(pl.MaximalContext(ctx.name, ctx.members)) == whole
+        assert pl.context_residuals(ctx) == whole["one"][0]
+        assert pl.context_residuals(pl.MaximalContext(ctx.name, ctx.members)) == whole["one"][0]
+        collection = pl.parse_document(three)[0]
+        assert [len(ctx) for ctx in collection.contexts] == [3, 3, 2]
+        assert [pl.context_residuals(ctx) for ctx in collection.contexts] == whole["three"]
+        assert [
+            pl.context_residuals(pl.MaximalContext(ctx.name, ctx.members))
+            for ctx in collection.contexts
+        ] == whole["three"]

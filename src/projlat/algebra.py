@@ -37,7 +37,7 @@ import numpy as np
 from . import linalg
 from .errors import AmbientDimOneError, DimensionMismatchError
 from .lattice import LatticeFamily
-from .projectors import ContextCollection, Projector, is_invariant
+from .projectors import _UNIT_ROUNDOFF, ContextCollection, Projector, _skew_residuals, is_invariant
 from .subspace import Subspace
 from .tolerance import TolerancePolicy, resolve
 
@@ -48,7 +48,6 @@ _CHUNK_ENTRIES = 1 << 20
 # The spin certificate's two margins: the leak it tolerates sits this far
 # below eps_rank, and the singular values it keeps this far above the cutoff.
 _SPIN_MARGIN = 1000.0
-_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 _GOLDEN_RATIO = (1 + 5**0.5) / 2
 
 
@@ -71,26 +70,11 @@ class IrreducibilityReport:
 
 
 def _coerce_generators(generators) -> np.ndarray:
-    """The generators as one finite ``(k, n, n)`` complex128 stack.
-
-    The stack is taken in one call; input it does not fit is coerced one
-    generator at a time, which names the first bad one.
-    """
-    generators = [g.matrix if isinstance(g, Projector) else g for g in generators]
-    try:
-        stack = np.array(generators, dtype=np.complex128)
-    except (TypeError, ValueError):
-        stack = None
-    if (
-        stack is not None
-        and stack.ndim == 3
-        and stack.shape[1] == stack.shape[2]
-        and np.isfinite(stack).all()
-    ):
-        return stack
+    """The generators as one finite ``(k, n, n)`` complex128 stack, each
+    coerced on its own, so that an error names the first bad one."""
     mats = []
     for g in generators:
-        arr = linalg.as_complex_matrix(g)
+        arr = linalg.as_complex_matrix(g.matrix if isinstance(g, Projector) else g)
         if arr.shape[0] != arr.shape[1]:
             raise DimensionMismatchError(f"generators must be square, got {arr.shape}")
         mats.append(arr)
@@ -111,9 +95,10 @@ def algebra_closure(
     one batched product, a chunk of at most ``_CHUNK_ENTRIES`` image entries
     at a time, orthogonalizes the images twice against the basis so far and
     keeps their right singular vectors above the rank cutoff
-    ``eps_rank * max(g, 1)``, g the largest Frobenius norm of a generator.
-    Images with more rows than n^2 are first reduced to the R factor of
-    their QR, which has the same singular values and right singular vectors.
+    ``eps_rank * max(g, 1)``, g the largest Frobenius norm of a generator,
+    taken without overflow. Images with more rows than n^2 are first
+    reduced to the R factor of their QR, which has the same singular values
+    and right singular vectors.
     The spin stops when a step adds nothing or the basis fills all n^2
     dimensions; ``generations`` counts its steps. The basis is orthonormal
     under the trace inner product and fixed by the input order.
@@ -122,7 +107,14 @@ def algebra_closure(
     mats = _coerce_generators(generators)
     k, n, _ = mats.shape
     full = n * n
-    cutoff = tol.eps_rank * max(float(np.linalg.norm(mats, axis=(1, 2)).max()), 1.0)
+    # A norm squares the entries, which overflows from about 1e154; where it
+    # does, the norms are taken of the stack scaled by its largest entry.
+    with np.errstate(over="ignore"):
+        largest = float(np.linalg.norm(mats, axis=(1, 2)).max())
+        if largest == np.inf:
+            peak = float(np.abs(mats).max())
+            largest = float(np.linalg.norm(mats / peak, axis=(1, 2)).max()) * peak
+    cutoff = tol.eps_rank * max(largest, 1.0)
     per_chunk = max(1, _CHUNK_ENTRIES // max(k * full, 1))
     basis = frontier = np.eye(n, dtype=complex).reshape(min(n, 1), full) / np.sqrt(max(n, 1))
     generations = 0
@@ -209,22 +201,6 @@ def invariant_subspace_witness(
     tol = resolve(tol)
     mats = _coerce_generators(generators)
     return _closure_witness(algebra_closure(mats, tol), mats, tol)
-
-
-def _skew_residuals(stack: np.ndarray) -> tuple[np.ndarray, float]:
-    """Each generator's largest entry of ``|G - G^H|`` in a ``(k, n, n)``
-    stack, and the Frobenius norm of the whole ``G - G^H`` stack.
-
-    Both come from one pass over one stack-sized array. A generator's
-    largest entry is NaN when any is, so NaN is not above any tolerance; a
-    difference or a magnitude that overflows is infinite.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        skew = np.conjugate(stack.transpose(0, 2, 1), order="C")
-        np.subtract(stack, skew, out=skew)
-        norm = float(np.linalg.norm(skew))
-        np.abs(skew, out=skew)
-        return skew.real.max(axis=(1, 2), initial=0.0), norm
 
 
 def _spin_element(stack: np.ndarray) -> np.ndarray:

@@ -31,22 +31,22 @@ class NotSquareError(ValidationError):
         super().__init__(f"expected a square matrix, got shape {self.shape}")
 
 
-class NotHermitianError(ValidationError):
+class _ResidualError(ValidationError):
+    """A measured residual above its limit; a subclass's ``_axiom`` names the
+    violated axiom and the residual's formula."""
+
     def __init__(self, residual: float, limit: float, where: str | None = None):
         self.residual = residual
         self.limit = limit
-        super().__init__(_located(
-            where, f"matrix is not self-adjoint: max |M - M^H| = {residual:.3e} > {limit:.3e}"
-        ))
+        super().__init__(_located(where, f"{self._axiom} = {residual:.3e} > {limit:.3e}"))
 
 
-class NotIdempotentError(ValidationError):
-    def __init__(self, residual: float, limit: float, where: str | None = None):
-        self.residual = residual
-        self.limit = limit
-        super().__init__(_located(
-            where, f"matrix is not idempotent: max |M^2 - M| = {residual:.3e} > {limit:.3e}"
-        ))
+class NotHermitianError(_ResidualError):
+    _axiom = "matrix is not self-adjoint: max |M - M^H|"
+
+
+class NotIdempotentError(_ResidualError):
+    _axiom = "matrix is not idempotent: max |M^2 - M|"
 
 
 class PairwiseProductNonzeroError(ValidationError):
@@ -72,13 +72,8 @@ class SumNotIdentityError(ValidationError):
         )
 
 
-class NotOrthonormalError(ValidationError):
-    def __init__(self, residual: float, limit: float, where: str | None = None):
-        self.residual = residual
-        self.limit = limit
-        super().__init__(_located(
-            where, f"vectors are not orthonormal: max |V^H V - I| = {residual:.3e} > {limit:.3e}"
-        ))
+class NotOrthonormalError(_ResidualError):
+    _axiom = "vectors are not orthonormal: max |V^H V - I|"
 
 
 class NotCompleteError(ValidationError):

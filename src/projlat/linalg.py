@@ -17,24 +17,25 @@ from .errors import DimensionMismatchError, ValidationError
 from .tolerance import TolerancePolicy, resolve
 
 
+def _coerced(value, ndim: int, what: str) -> np.ndarray:
+    """``value`` as a fresh finite complex128 array of ``ndim`` dimensions;
+    ``what`` names it in the error."""
+    arr = np.array(value, dtype=np.complex128)
+    if arr.ndim != ndim:
+        raise ValidationError(f"expected a {ndim}-D {what}, got {arr.ndim} dimension(s)")
+    if arr.size and not np.isfinite(arr).all():
+        raise ValidationError(f"{what} entries must be finite")
+    return arr
+
+
 def as_complex_matrix(matrix) -> np.ndarray:
     """Coerce to a finite 2-D complex128 array (always a fresh copy)."""
-    arr = np.array(matrix, dtype=np.complex128)
-    if arr.ndim != 2:
-        raise ValidationError(f"expected a 2-D matrix, got {arr.ndim} dimension(s)")
-    if arr.size and not np.isfinite(arr).all():
-        raise ValidationError("matrix entries must be finite")
-    return arr
+    return _coerced(matrix, 2, "matrix")
 
 
 def as_state_vector(vector) -> np.ndarray:
     """Coerce to a finite 1-D complex128 array (always a fresh copy)."""
-    arr = np.array(vector, dtype=np.complex128)
-    if arr.ndim != 1:
-        raise ValidationError(f"expected a 1-D vector, got {arr.ndim} dimension(s)")
-    if arr.size and not np.isfinite(arr).all():
-        raise ValidationError("vector entries must be finite")
-    return arr
+    return _coerced(vector, 1, "vector")
 
 
 def _common_dim(dims, what: str) -> int:

@@ -212,6 +212,25 @@ def _kept_ranges(stack: np.ndarray, u: np.ndarray, ranks) -> tuple[np.ndarray, n
     return rows, gaps * (1 + _dot_bound(2 * n * n + 16))
 
 
+def _skew_residuals(stack: np.ndarray) -> tuple[np.ndarray, float]:
+    """Each matrix's largest entry of ``|S - S^H|`` in a ``(k, n, n)`` stack,
+    and the Frobenius norm of the whole ``S - S^H`` stack: the Hermitian
+    residuals of the loader's member checks and of ``is_irreducible``.
+
+    Both come from one pass over one stack-sized array, the temporary that
+    holds ``S^H``. A matrix's largest entry is NaN when any is, and a NaN
+    compares false with any tolerance: the loader's ``<=`` check fails it,
+    ``is_irreducible``'s ``>`` screen passes it. A difference or a magnitude
+    that overflows is infinite.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        skew = np.conjugate(stack.transpose(0, 2, 1), order="C")
+        np.subtract(stack, skew, out=skew)
+        norm = float(np.linalg.norm(skew))
+        np.abs(skew, out=skew)
+        return skew.real.max(axis=(1, 2), initial=0.0), norm
+
+
 def _checked_stack(stack: np.ndarray, tol: TolerancePolicy, labels, names=(), counts=()):
     """Projectors on read-only views of the (M, n, n) ``stack``, and the contexts they form.
 
@@ -223,7 +242,7 @@ def _checked_stack(stack: np.ndarray, tol: TolerancePolicy, labels, names=(), co
     projector axioms raises what ``validate_projector`` raises for it alone,
     located as ``context <name> member <label>`` when its context is named.
 
-    The whole stack takes one ``_measure`` pass and one Hermitian residual
+    The whole stack takes one ``_measure`` pass and one ``_skew_residuals``
     call. The members before the first failing one are factored by one
     batched SVD: a member's rank counts its singular values above the
     ``linalg.singular_rank`` cutoff, and its range and gap are those of
@@ -243,11 +262,7 @@ def _checked_stack(stack: np.ndarray, tol: TolerancePolicy, labels, names=(), co
     # An overflow shows as an inf or NaN residual, which fails below.
     with np.errstate(over="ignore", invalid="ignore"):
         products, residuals = _measure(stack, sizes.tolist() + [loose] * (loose > 0))
-        # ``S - S^H``, formed in the one temporary that holds ``S^H``.
-        skew = stack.conj().swapaxes(1, 2)
-        np.subtract(stack, skew, out=skew)
-        herm = np.abs(skew).max(axis=(1, 2), initial=0.0)
-        del skew
+    herm = _skew_residuals(stack)[0]
     idem = np.concatenate([p.diagonal() for p in products])
     passed = (herm <= eps) & (idem <= eps)
     good = len(passed) if passed.all() else int(np.argmin(passed))

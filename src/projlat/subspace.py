@@ -42,10 +42,7 @@ class Subspace:
         """
         vecs = [linalg.as_state_vector(v) for v in vectors]
         if vecs:
-            dims = {v.shape[0] for v in vecs}
-            if len(dims) != 1:
-                raise DimensionMismatchError(f"mixed vector dimensions: {sorted(dims)}")
-            inferred = dims.pop()
+            inferred = linalg._common_dim((v.shape[0] for v in vecs), "mixed vector dimensions:")
             if ambient_dim is not None and ambient_dim != inferred:
                 raise DimensionMismatchError(
                     f"vectors have dimension {inferred}, expected {ambient_dim}"

@@ -901,3 +901,14 @@ class TestSpinCertificate:
             if block_diagonal:
                 assert not report.irreducible
             assert report.irreducible or not self.certifies(generators)
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e300])
+def test_generators_whose_squared_entries_overflow(scale):
+    # Their Frobenius norms overflow when taken plainly. The spin's norm
+    # overflows, so it certifies nothing and the closure decides the pair.
+    rng = np.random.default_rng(2960)
+    report = pl.is_irreducible([scale * random_hermitian(rng, 3) for _ in range(2)])
+    assert report.irreducible and report.algebra_dimension == 9 and report.witness is None
+    diagonal = [scale * np.diag([1.0, 0.0, 0.0]), scale * np.diag([0.0, 1.0, 1.0])]
+    assert pl.algebra_closure(diagonal).dimension == 2

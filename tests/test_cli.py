@@ -203,6 +203,25 @@ def test_missing_file_exits_one(tmp_path):
     assert main(["validate", str(tmp_path / "absent.json")]) == 1
 
 
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("[]", "document root must be a JSON object"),
+        ('{"dim": 2, "contexts": {}}', "'contexts' must be a non-empty object"),
+        ('{"dim": 2, "contexts": {"z": []}}', "context 'z' must be a non-empty array of matrices"),
+        ('{"dim": 2, "rays": {}, "groups": {"z": ["a"]}}', "'rays' must be a non-empty object"),
+    ],
+    ids=["root", "contexts", "context", "rays"],
+)
+def test_document_of_the_wrong_shape_is_a_json_error_report(tmp_path, capsys, text, error):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main(["validate", str(path), "--format", "json"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"command": "validate", "error": error, "exit_code": 1}
+
+
 def test_lattice_command(pauli_file, capsys):
     code, report = run_json(capsys, ["lattice", pauli_file])
     assert code == 0

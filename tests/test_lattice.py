@@ -150,6 +150,17 @@ class TestContextLattice:
         result = pl.search_noncontextual_assignment(pl.ContextCollection([ctx]))
         assert result.satisfiable
 
+    def test_len_overflows_from_63_blocks_while_size_is_exact(self):
+        # ``len`` must fit an index-sized integer; 2^63 no longer does.
+        for n in (62, 63, 64):
+            family = pl.context_lattice(pl.context_from_basis(np.eye(n)))
+            assert family.size == 2**n
+            if n < 63:
+                assert len(family) == 2**n
+            else:
+                with pytest.raises(OverflowError):
+                    len(family)
+
 
 class TestIntersectLattices:
     def test_pauli_intersection_is_trivial(self, pauli_lattices):

@@ -63,18 +63,22 @@ def orthonormalize(
     largest input norm is treated as dependent and dropped, so the output
     size equals the numerical rank of the span.
     """
-    tol = resolve(tol)
     vecs = [as_state_vector(v) for v in vectors]
     if not vecs:
         return []
     _common_dim((v.shape[0] for v in vecs), "mixed vector dimensions:")
-    scale = max(float(np.linalg.norm(v)) for v in vecs)
+    return _gram_schmidt(vecs, tol)
+
+
+def _gram_schmidt(vecs: list[np.ndarray], tol: TolerancePolicy | None) -> list[np.ndarray]:
+    """``orthonormalize`` of fresh complex128 vectors of one dimension,
+    which it overwrites: the vectors are already coerced and checked."""
+    scale = max((float(np.linalg.norm(v)) for v in vecs), default=0.0)
     if scale == 0.0:
         return []
-    cutoff = tol.eps_rank * scale
+    cutoff = resolve(tol).eps_rank * scale
     basis: list[np.ndarray] = []
-    for v in vecs:
-        w = v.copy()
+    for w in vecs:
         for _ in range(2):
             for b in basis:
                 w -= (b.conj() @ w) * b

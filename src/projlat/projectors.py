@@ -50,10 +50,11 @@ class Projector:
     ``_range``, a read-only ``(n, rank)`` orthonormal basis Q, a view: of
     the columns ``_kept_ranges`` keeps, the first ``rank`` left singular
     vectors of the SVD that ranked a matrix member, or of a ray member's
-    ray. It is the member's only copy of its range: every range stack is
-    ``_padded`` of such bases, or their columns stacked as rows. ``_gap``
-    bounds ``|P - Q Q^H|_F`` (``_kept_ranges``); a ray member's is 0. A projector built by hand takes both from one SVD when
-    first read; a matrix that is not finite raises ``ValidationError`` then.
+    ray. It is the member's only copy of its range: every range stack,
+    the overlap rule's included, is ``_padded`` of such bases. ``_gap``
+    bounds ``|P - Q Q^H|_F`` (``_kept_ranges``); a ray member's is 0. A
+    projector built by hand takes both from one SVD when first read; a
+    matrix that is not finite raises ``ValidationError`` then.
     """
 
     matrix: np.ndarray
@@ -248,11 +249,10 @@ def _checked_stack(stack: np.ndarray, tol: TolerancePolicy, labels, names=(), co
     ``linalg.singular_rank`` cutoff, and its range and gap are those of
     ``_kept_ranges``, its range a view of the one array of kept rows. Each
     context whose members all pass then takes the checks of
-    ``_checked_context`` and the overlap rule (``_check_overlaps``), whose
-    Gram matrices are taken for all contexts in one ``_range_overlaps``
-    call. Errors come in document order: those contexts are checked in
-    turn, and then the first failing member raises. Returns the members
-    that pass and the contexts.
+    ``_checked_context`` and the overlap rule (``_check_overlaps``).
+    Errors come in document order: those contexts are checked in turn, and
+    then the first failing member raises. Returns the members that pass
+    and the contexts.
     """
     eps = tol.eps_entry
     sizes = np.array(counts, dtype=int)
@@ -278,25 +278,14 @@ def _checked_stack(stack: np.ndarray, tol: TolerancePolicy, labels, names=(), co
             stack, labels, starts[:-1].tolist(), starts[1:].tolist(), gaps.tolist()
         )
     )
-    # The first ``count`` contexts have every member passing; of those, each
-    # whose ranks sum to n has a block of n kept rows for the overlap rule.
+    # The first ``count`` contexts have every member passing.
     count = int(np.searchsorted(ends, good, side="right"))
-    covered = int(ends[count - 1]) if count else 0
-    n = stack.shape[1]
-    spans = starts[ends[:count]] - starts[firsts[:count]]
-    blocks = starts[firsts[:count][spans == n], None] + np.arange(n)
-    # The position of each kept row's member within its context.
-    place = np.arange(covered) - np.repeat(firsts[:count], sizes[:count])
-    overlaps = _range_overlaps(rows[blocks], np.repeat(place, ranks[:covered])[blocks])
     contexts = []
     for c in range(count):
         ctx = _checked_context(
             members[firsts[c] : ends[c]], products[c], residuals[c], tol, names[c]
         )
-        # ``_checked_context`` raises for ranks that do not sum to n, so every
-        # context so far has its block, and ``overlaps[c]`` is context c's.
-        _check_overlaps(names[c], overlaps[c], tol)
-        contexts.append(ctx)
+        contexts.append(_check_overlaps(ctx, tol))
     if good < len(stack):
         where = f"context {names[count]!r} member {labels[good]}" if names else None
         if not herm[good] <= eps:
@@ -368,10 +357,9 @@ def validate_context(
 ) -> MaximalContext:
     """Check the maximal-context axioms over already-validated projectors.
 
-    After the checks of ``_checked_context``, the members' kept ranges pass
-    the overlap rule (``_check_overlaps``), as a document's matrix context
-    does, so a checked context's ranges are atoms ``intersect_lattices``
-    accepts.
+    The checks are those of a document's matrix context:
+    ``_checked_context``, then the overlap rule (``_check_overlaps``), so a
+    checked context's ranges are atoms ``intersect_lattices`` accepts.
     """
     tol = resolve(tol)
     members = tuple(projectors)
@@ -381,12 +369,7 @@ def validate_context(
         (p.ambient_dim for p in members), f"context {name!r}: mixed ambient dimensions"
     )
     products, residuals = _measure(np.array([p.matrix for p in members]))
-    ctx = _checked_context(members, products, residuals, tol, name)
-    bases = [p._factors()[0] for p in members]
-    place = np.repeat(np.arange(len(bases)), [basis.shape[1] for basis in bases])
-    rows = np.concatenate([basis.T for basis in bases])
-    _check_overlaps(name, _range_overlaps(rows[None], place[None])[0], tol)
-    return ctx
+    return _check_overlaps(_checked_context(members, products, residuals, tol, name), tol)
 
 
 def _checked_context(
@@ -426,43 +409,28 @@ def _checked_context(
     return ctx
 
 
-def _range_overlaps(rows: np.ndarray, place: np.ndarray) -> np.ndarray:
-    """``|Q_i^H Q_j|_F^2`` for the members i != j of K contexts, 0 for i = j.
+def _check_overlaps(ctx: MaximalContext, tol: TolerancePolicy) -> MaximalContext:
+    """Return ``ctx``, or raise when two of its members' ranges overlap.
 
-    ``rows[c]`` holds context c's kept ranges as the n rows of an (n, n)
-    array, member by member (its ranks sum to n), and ``place[c, a]`` is the
-    member that row a belongs to. One batched Gram matrix gives every
-    ``|<q_a, q_b>|^2``, and two products with the 0/1 matrix of row
-    membership sum them by member pair; a member of rank 0 has no rows and
-    overlaps nothing.
-    """
-    gram = rows.conj() @ rows.swapaxes(1, 2)
-    squares = gram.real ** 2
-    squares += gram.imag ** 2
-    member = (place[..., None] == np.arange(place.max(initial=-1) + 1)).astype(float)
-    overlaps = member.swapaxes(1, 2) @ squares @ member
-    diagonal = np.arange(overlaps.shape[1])
-    overlaps[:, diagonal, diagonal] = 0.0
-    return overlaps
-
-
-def _check_overlaps(name: str, overlaps: np.ndarray, tol: TolerancePolicy) -> None:
-    """Raise when two members of context ``name`` overlap (``_range_overlaps``).
-
-    No two ranges may overlap by ``|Q_i^H Q_j|_F > eps_subspace``, the rule
-    by which ``intersect_lattices`` rejects a family: the entrywise bound
-    ``max|Pi Pj| <= eps_entry`` lets rays spread over C^n overlap about n
-    times more. The first such entry (i, j) in row-major order raises a
+    No two ranges may overlap by ``|Q_i^H Q_j|_F > eps_subspace``
+    (``_overlaps`` of the members' ``_padded`` ranges), the rule by which
+    ``intersect_lattices`` rejects a family: the entrywise bound ``max|Pi
+    Pj| <= eps_entry`` lets rays spread over C^n overlap about n times
+    more. The first such pair (i, j) in row-major order raises a
     ``ValidationError``. A basis needs no such check: its overlaps are Gram
     entries, within ``eps_entry``.
     """
+    ranges = _padded([p._factors()[0] for p in ctx.members])
+    overlaps = _overlaps(ranges, ranges)
+    np.fill_diagonal(overlaps, 0.0)
     limit = tol.eps_subspace ** 2
     if not overlaps.max(initial=0.0) <= limit:
         i, j = np.argwhere(~(overlaps <= limit))[0].tolist()
         raise ValidationError(
-            f"context {name!r}: members {min(i, j)} and {max(i, j)} overlap: "
+            f"context {ctx.name!r}: members {min(i, j)} and {max(i, j)} overlap: "
             f"|Qi^H Qj|_F = {np.sqrt(overlaps[i, j]):.3e} > {tol.eps_subspace:.3e}"
         )
+    return ctx
 
 
 def context_from_basis(

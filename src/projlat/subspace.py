@@ -50,7 +50,7 @@ class Subspace:
             ambient_dim = inferred
         elif ambient_dim is None:
             raise ValueError("an empty span needs an explicit ambient_dim")
-        basis = linalg.orthonormalize(vecs, tol)
+        basis = linalg._gram_schmidt(vecs, tol)
         return cls(ambient_dim, _stack(basis, ambient_dim))
 
     @classmethod

@@ -751,6 +751,65 @@ class TestOneStackLoader:
                 assert got._range.tobytes() == exp._range.tobytes()
 
 
+def _turned_members(turn, ranks):
+    """The Fourier basis of C^4 with f_1 turned towards f_0 by ``turn``, as
+    projectors: ``f_k f_k^H`` for ranks [1, 1, 1, 1], and ``f_0 f_0^H +
+    f_2 f_2^H``, ``f_1 f_1^H``, ``f_3 f_3^H`` for ranks [2, 1, 1]."""
+    f = np.exp(2j * np.pi * np.outer(np.arange(4), np.arange(4)) / 4) / 2
+    f[:, 1] += turn * f[:, 0]
+    f[:, 1] /= np.linalg.norm(f[:, 1])
+    columns = [[0], [1], [2], [3]] if ranks == [1, 1, 1, 1] else [[0, 2], [1], [3]]
+    return [f[:, c] @ f[:, c].conj().T for c in columns]
+
+
+class TestOverlapRule:
+    """The load's overlap rule and ``intersect_lattices`` decide alike, and
+    the error names the members whose ranges overlap."""
+
+    @pytest.mark.parametrize("ranks", [[1, 1, 1, 1], [2, 1, 1]])
+    @pytest.mark.parametrize("t", [0.5, 0.9, 1.1, 1.5])
+    def test_load_rule_agrees_with_intersect_lattices(self, t, ranks):
+        tol = pl.TolerancePolicy(**TIGHT)
+        members = [
+            pl.validate_projector(m, tol, label=f"f[{k}]")
+            for k, m in enumerate(_turned_members(t * tol.eps_subspace, ranks))
+        ]
+        assert [p.rank for p in members] == ranks
+        loaded = outcome(pl.validate_context, members, tol, "f")[1]
+        lattice = pl.context_lattice(pl.MaximalContext("f", tuple(members)))
+        try:
+            pl.intersect_lattices([lattice], tol)
+            intersected = None
+        except ValueError as exc:
+            intersected = str(exc)
+        assert (loaded is not None) == (intersected is not None) == (t > 1)
+        if t > 1:
+            assert loaded[0] is pl.ValidationError
+            assert loaded[1] == (
+                f"context 'f': members 0 and 1 overlap: "
+                f"|Qi^H Qj|_F = {t * 1e-9:.3e} > 1.000e-09"
+            )
+            assert intersected == "atoms of one family overlap above eps_subspace"
+
+    @pytest.mark.parametrize(
+        "at, pair", [(0, "1 and 2"), (1, "0 and 2"), (2, "0 and 1"), (4, "0 and 1")]
+    )
+    def test_error_names_members_around_a_rank_0_member(self, at, pair):
+        # A zero member has rank 0, a zero row in the padded range stack.
+        matrices = _turned_members(1.5e-9, [1, 1, 1, 1])
+        matrices.insert(at, np.zeros((4, 4)))
+        error = (
+            pl.ValidationError,
+            f"context 'f': members {pair} overlap: |Qi^H Qj|_F = 1.500e-09 > 1.000e-09",
+        )
+        doc = {"dim": 4, **TIGHT, "contexts": {"f": [_to_json(m) for m in matrices]}}
+        assert outcome(pl.parse_document, doc)[1] == error
+        tol = pl.TolerancePolicy(**TIGHT)
+        members = [pl.validate_projector(m, tol) for m in matrices]
+        assert [p.rank for p in members].count(0) == 1
+        assert outcome(pl.validate_context, members, tol, "f")[1] == error
+
+
 class TestScreenedRegistry:
     @pytest.mark.parametrize("seed", range(20))
     def test_pairs_at_the_tolerance(self, seed):

@@ -39,6 +39,20 @@ def test_from_span_without_ambient_dim_raises():
         Subspace.from_span([])
 
 
+def test_from_span_coerces_each_vector_once(monkeypatch):
+    calls = []
+    coerce = pl.linalg.as_state_vector
+
+    def spy(vector):
+        calls.append(vector)
+        return coerce(vector)
+
+    monkeypatch.setattr(pl.linalg, "as_state_vector", spy)
+    vectors = [[1, 0, 0], [1, 1, 0], [0, 1j, 2]]
+    assert Subspace.from_span(vectors).is_full()
+    assert calls == vectors
+
+
 class TestEquals:
     def test_range_of_complement_equals_kernel(self):
         p = pl.pauli_contexts().contexts[0]  # z context

@@ -56,8 +56,8 @@ class PairwiseProductNonzeroError(ValidationError):
         self.residual = residual
         self.limit = limit
         super().__init__(
-            f"context {name!r}: members {i} and {j} do not annihilate: "
-            f"max |Pi Pj| = {residual:.3e} > {limit:.3e}"
+            f"context {name!r}: members {i} and {j} may not annihilate: "
+            f"bound on max |Pi Pj| = {residual:.3e} > {limit:.3e}"
         )
 
 
@@ -104,10 +104,10 @@ class CapExceededError(ProjlatError):
 
 
 class SubsetLimitExceededError(CapExceededError):
-    def __init__(self, atoms: int, cap: int):
-        self.atoms = atoms
+    def __init__(self, entries: int, cap: int):
+        self.entries = entries
         self.cap = cap
         super().__init__(
-            f"lattice family has {atoms} atoms; listing its elements is capped at {cap} "
-            f"atoms (2^{cap} elements)"
+            f"listing the lattice family's elements takes {entries} basis entries; "
+            f"listing is capped at {cap}"
         )

@@ -8,8 +8,9 @@ and the family is Boolean over them: it lists the spans of block subsets in
 ascending bitmask order, block ``i`` at position ``2^i``. Families meet in
 the sums of connected components of the graph linking overlapping atoms; a
 meet of only {0, C^n} is trivial. An element, the QR of its atoms' stacked
-bases, is taken when the elements are first read, for at most
-``DEFAULT_MEMBER_CAP`` blocks, so a meet of 2^c elements costs 2^c QRs.
+bases, is taken when the elements are first read, for a family whose
+elements hold at most ``DEFAULT_ENTRY_CAP`` basis entries, so a meet of 2^c
+elements costs 2^c QRs.
 """
 from __future__ import annotations
 
@@ -23,7 +24,10 @@ from .projectors import MaximalContext, _overlaps, _padded, is_invariant
 from .subspace import Subspace
 from .tolerance import TolerancePolicy, resolve
 
-DEFAULT_MEMBER_CAP = 20
+# Basis entries a family may list. Each atom of a family of b blocks over
+# C^n lies in half of its 2^b elements, so their (n, dim) bases hold
+# n^2 2^(b - 1) entries: 16 MB of complex128 at the cap.
+DEFAULT_ENTRY_CAP = 1 << 20
 
 
 class _Atoms(NamedTuple):
@@ -61,8 +65,8 @@ class LatticeFamily:
     atoms of the blocks at the set bits of ``i``: element 0 is the zero
     subspace, the last one spans every atom, and distinct subsets of
     orthogonal atoms give distinct subspaces. ``elements`` and ``labels``
-    are built on first access, past ``DEFAULT_MEMBER_CAP`` blocks they
-    raise ``SubsetLimitExceededError``, and ``size``, ``len``,
+    are built on first access, past ``DEFAULT_ENTRY_CAP`` basis entries
+    they raise ``SubsetLimitExceededError``, and ``size``, ``len``,
     ``is_trivial`` and ``intersect_lattices`` never build them.
     """
 
@@ -82,8 +86,9 @@ class LatticeFamily:
 
     def _masks(self) -> list[int]:
         """The atom bitmask of each element, in order."""
-        if len(self._blocks) > DEFAULT_MEMBER_CAP:
-            raise SubsetLimitExceededError(len(self._blocks), DEFAULT_MEMBER_CAP)
+        entries = self.ambient_dim ** 2 << len(self._blocks) >> 1
+        if entries > DEFAULT_ENTRY_CAP:
+            raise SubsetLimitExceededError(entries, DEFAULT_ENTRY_CAP)
         return _unions(self._blocks)
 
     @property
@@ -140,7 +145,7 @@ def context_lattice(ctx: MaximalContext) -> LatticeFamily:
     member the unit ray. No rank is decided here and no SVD is taken,
     except once for a hand-built member. Rank-0 members are not atoms, and
     ``ran(1)`` needs every member. The 2^m elements are built when first
-    read, for at most ``DEFAULT_MEMBER_CAP`` nonzero members.
+    read, within ``DEFAULT_ENTRY_CAP``.
     """
     parts = [(p._factors()[0], p.label) for p in ctx.members]
     atoms = [(basis, name) for basis, name in parts if basis.shape[1]]

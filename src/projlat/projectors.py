@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import groupby
 from operator import iadd
 from typing import NamedTuple
 
@@ -33,11 +32,9 @@ from .errors import (
 from .subspace import Subspace
 from .tolerance import TolerancePolicy, resolve
 
-# Entries, in complex128 (4 MB), of the block of pairwise products that
-# ``_measure`` holds at once, or of one row of them if that is larger. The
-# whole product of one 64-member context in C^64 would be 268 MB.
-# ``ContextCollection`` screens and measures registry pairs in blocks of
-# about the same size.
+# Entries, in complex128 (4 MB), of each block of Gram entries that
+# ``_range_screen`` forms and of each block of member differences that
+# ``ContextCollection`` measures.
 _CHUNK_ENTRIES = 1 << 18
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 
@@ -107,64 +104,45 @@ def validate_projector(
     return _checked_stack(arr[None], resolve(tol), [label])[0][0]
 
 
-def _measure(stack: np.ndarray, counts=None):
-    """Every in-context product of an (M, n, n) member stack, and the residuals.
+def _products(norms: np.ndarray, ranges: np.ndarray, gaps: np.ndarray) -> np.ndarray:
+    """Bounds on ``max|Pi Pj|`` for the member pairs of contexts, read off their kept ranges.
 
-    Context c is the next ``counts[c]`` members; without ``counts`` the stack
-    is one context, whose products and residuals come alone rather than in
-    lists. In a context's (m, m) products, entry (i, j) is ``max|Pi Pj|``
-    for i != j, and the diagonal holds the idempotency residuals
-    ``max|Pi Pi - Pi|``. Each run of consecutive contexts with m members
-    each is a (k, m, n, n) stack, whose products are taken as ``S[:, rows,
-    None] @ S[:, None, :]`` over blocks of whole contexts, or of rows of one
-    context, each block under ``_CHUNK_ENTRIES`` entries or one row; so a
-    block runs across context boundaries, and the temporaries never hold
-    the whole (k, m, m, n, n) product. The residuals are those of
-    ``_residuals``, each member sum added in place in member order, one
-    batched addition per member position of a run.
+    Per context, ``ranges`` is the (m, w, n) range stack (``_padded``) of
+    the members' kept ranges Q_i, ``gaps`` their gaps g_i (``_kept_ranges``)
+    and ``norms`` the (m, m) ``|Q_i^H Q_j|_F``; leading axes run over
+    contexts. Entry (i, j) is ``rho_i |Q_i^H Q_j|_F rho_j + g_i (1 + g_j) +
+    g_j``, rho_i the largest row norm of Q_i, so no two members are
+    multiplied. With ``P_i = Q_i Q_i^H + E_i``, ``|E_i|_F <= g_i``, and ``A =
+    Q_i^H Q_j``, ``P_i P_j = Q_i A Q_j^H + E_i P_j + Q_i Q_i^H E_j``: an entry
+    of the first term is a row of Q_i times A times a row of Q_j, at most
+    ``rho_i |A|_2 rho_j``, and those of the others are at most ``g_i |P_j|_2
+    <= g_i (1 + g_j)`` and ``g_j``, as ``|Q|_2 = 1``. A ray member has gap 0
+    and ``rho = max|v|``: with ``norms = |G - I|`` for the Gram matrix G of
+    its basis, entry (i, j) is ``|<v_i, v_j>| p_i p_j`` and the diagonal
+    ``|G_ii - 1| p_i^2`` is ``max|Pi Pi - Pi|``. Any other member's diagonal
+    entry means nothing.
+
+    Rounding, with u the unit roundoff, ``gamma_k = k u / (1 - k u)`` and
+    ``s_i = |Q_i|_F^2``: a Gram entry's parts are 2n-term dot products, so
+    the computed ``Q_i^H Q_j`` lies within ``sqrt(2) gamma_2n sqrt(s_i s_j)``
+    of A in Frobenius norm. Its norm (squares, a sum of ``w^2`` terms, a
+    root), the row norms (``hypot``, a square, a w-term sum, a root) and the
+    two products lose at most ``gamma_(w^2 + w + 12)`` of the first term,
+    which is at most about ``rho_i rho_j sqrt(s_i s_j)``. So, to first
+    order, the computed bound lies below ``max|Pi Pj|`` by at most
+    ``gamma_(3n + w^2 + w + 12) rho_i rho_j sqrt(s_i s_j)``, plus ``2
+    sqrt(2) gamma_2 p_i p_j`` for the rounding of a ray member's stored ``v
+    v^H``: about ``3 (n + 9) u p_i p_j`` for rank 1, the size of the
+    rounding of the dense ``fl(Pi Pj)``. The three roundings of the gap
+    terms fall within the spare units of each gap, and ``|Q|_2^2 = 1 + O(n
+    u)`` for a computed Q adds ``O(n u) (g_i + g_j)``, of second order. The
+    root of the rounded square of h is h, so a ray's rho is ``max|v|`` bit
+    for bit.
     """
-    sizes = [len(stack)] if counts is None else list(counts)
-    n = stack.shape[1]
-    products, residuals, start = [], [], 0
-    for m, run in groupby(sizes):
-        k = len(list(run))
-        run = stack[start : start + k * m].reshape(k, m, n, n)
-        start += k * m
-        measured = np.empty((k, m, m))
-        rows = max(1, _CHUNK_ENTRIES // (m * n * n))
-        per = max(1, rows // m)
-        for c in range(0, k, per):
-            part = run[c : c + per]
-            for first in range(0, m, rows):
-                block = part[:, first : first + rows, None] @ part[:, None, :]
-                # Row r of the block holds P_(first + r) @ P_j; its square is at j = first + r.
-                diagonal = np.arange(block.shape[1])
-                block[:, diagonal, first + diagonal] -= part[:, first : first + rows]
-                measured[c : c + per, first : first + rows] = np.abs(block).max(
-                    axis=(3, 4), initial=0.0
-                )
-        products += list(measured)
-        sums = reduce(iadd, run.swapaxes(0, 1)[1:], run[:, 0].copy())
-        residuals += _residuals(measured, sums)
-    if counts is None:
-        return products[0], residuals[0]
-    return products, residuals
-
-
-def _rank1_products(rows: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """The products ``_measure`` takes, for the members ``v v^H`` of C bases.
-
-    ``rows[c, i]`` is vector v_i of basis c and ``offsets[c]`` is
-    ``|G - I|`` for its Gram matrix ``G[i, j] = <v_i, v_j>``. Since
-    ``Pi Pj = G[i, j] v_i v_j^H`` and ``Pi Pi - Pi = (G[i, i] - 1) v_i v_i^H``,
-    entry (i, j) is ``|G - I|[i, j] * p_i * p_j`` with ``p_i = max_a |v_i[a]|``:
-    O(m^2) per basis instead of m^2 products of n x n matrices. Both this and
-    the dense products round an n-term inner product per entry; for unit
-    vectors they differ by at most ``4 (n + 2) u max p_i^2``, u the unit
-    roundoff.
-    """
-    peaks = np.abs(rows).max(axis=2, initial=0.0)
-    return offsets * peaks[:, :, None] * peaks[:, None, :]
+    peaks = np.sqrt(np.square(np.abs(ranges)).sum(axis=-2).max(axis=-1, initial=0.0))
+    bounds = norms * peaks[..., :, None] * peaks[..., None, :]
+    bounds += gaps[..., :, None] * (1 + gaps[..., None, :]) + gaps[..., None, :]
+    return bounds
 
 
 def _residuals(products: np.ndarray, sums: np.ndarray) -> list[dict[str, float]]:
@@ -213,23 +191,36 @@ def _kept_ranges(stack: np.ndarray, u: np.ndarray, ranks) -> tuple[np.ndarray, n
     return rows, gaps * (1 + _dot_bound(2 * n * n + 16))
 
 
-def _skew_residuals(stack: np.ndarray) -> tuple[np.ndarray, float]:
+def _skew_residuals(stack: np.ndarray, out=None) -> tuple[np.ndarray, float]:
     """Each matrix's largest entry of ``|S - S^H|`` in a ``(k, n, n)`` stack,
     and the Frobenius norm of the whole ``S - S^H`` stack: the Hermitian
     residuals of the loader's member checks and of ``is_irreducible``.
 
     Both come from one pass over one stack-sized array, the temporary that
-    holds ``S^H``. A matrix's largest entry is NaN when any is, and a NaN
-    compares false with any tolerance: the loader's ``<=`` check fails it,
-    ``is_irreducible``'s ``>`` screen passes it. A difference or a magnitude
-    that overflows is infinite.
+    holds ``S^H``, or ``out`` when given. A matrix's largest entry is NaN
+    when any is, and a NaN compares false with any tolerance: the loader's
+    ``<=`` check fails it, ``is_irreducible``'s ``>`` screen passes it. A
+    difference or a magnitude that overflows is infinite.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        skew = np.conjugate(stack.transpose(0, 2, 1), order="C")
+        skew = np.conjugate(stack.transpose(0, 2, 1), out=out, order="C")
         np.subtract(stack, skew, out=skew)
         norm = float(np.linalg.norm(skew))
         np.abs(skew, out=skew)
         return skew.real.max(axis=(1, 2), initial=0.0), norm
+
+
+def _member_residuals(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Hermitian residual (``_skew_residuals``) and the idempotency
+    residual ``max|P P - P|`` of each member of an (M, n, n) stack, both
+    formed in one stack-sized buffer. An overflow shows as an inf or NaN
+    residual."""
+    work = np.empty_like(stack)
+    herm = _skew_residuals(stack, work)[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.matmul(stack, stack, out=work)
+        work -= stack
+        return herm, np.abs(work, out=work).real.max(axis=(1, 2), initial=0.0)
 
 
 def _checked_stack(stack: np.ndarray, tol: TolerancePolicy, labels, names=(), counts=()):
@@ -243,27 +234,18 @@ def _checked_stack(stack: np.ndarray, tol: TolerancePolicy, labels, names=(), co
     projector axioms raises what ``validate_projector`` raises for it alone,
     located as ``context <name> member <label>`` when its context is named.
 
-    The whole stack takes one ``_measure`` pass and one ``_skew_residuals``
-    call. The members before the first failing one are factored by one
-    batched SVD: a member's rank counts its singular values above the
+    The whole stack takes one ``_member_residuals`` call. The members
+    before the first failing one are factored by one batched SVD: a
+    member's rank counts its singular values above the
     ``linalg.singular_rank`` cutoff, and its range and gap are those of
     ``_kept_ranges``, its range a view of the one array of kept rows. Each
     context whose members all pass then takes the checks of
-    ``_checked_context`` and the overlap rule (``_check_overlaps``).
-    Errors come in document order: those contexts are checked in turn, and
-    then the first failing member raises. Returns the members that pass
-    and the contexts.
+    ``_matrix_context``. Errors come in document order: those contexts are
+    checked in turn, and then the first failing member raises. Returns the
+    members that pass and the contexts.
     """
     eps = tol.eps_entry
-    sizes = np.array(counts, dtype=int)
-    ends = np.cumsum(sizes)
-    firsts = ends - sizes
-    loose = len(stack) - int(ends[-1] if len(ends) else 0)
-    # An overflow shows as an inf or NaN residual, which fails below.
-    with np.errstate(over="ignore", invalid="ignore"):
-        products, residuals = _measure(stack, sizes.tolist() + [loose] * (loose > 0))
-    herm = _skew_residuals(stack)[0]
-    idem = np.concatenate([p.diagonal() for p in products])
+    herm, idem = _member_residuals(stack)
     passed = (herm <= eps) & (idem <= eps)
     good = len(passed) if passed.all() else int(np.argmin(passed))
     # The right singular vectors are dropped at once.
@@ -278,14 +260,13 @@ def _checked_stack(stack: np.ndarray, tol: TolerancePolicy, labels, names=(), co
             stack, labels, starts[:-1].tolist(), starts[1:].tolist(), gaps.tolist()
         )
     )
-    # The first ``count`` contexts have every member passing.
+    # The contexts before ``count`` have every member passing.
+    ends = np.cumsum(np.array(counts, dtype=int))
     count = int(np.searchsorted(ends, good, side="right"))
-    contexts = []
-    for c in range(count):
-        ctx = _checked_context(
-            members[firsts[c] : ends[c]], products[c], residuals[c], tol, names[c]
-        )
-        contexts.append(_check_overlaps(ctx, tol))
+    edges = [0, *ends[:count].tolist()]
+    contexts = [
+        _matrix_context(members[a:b], tol, name) for a, b, name in zip(edges, edges[1:], names)
+    ]
     if good < len(stack):
         where = f"context {names[count]!r} member {labels[good]}" if names else None
         if not herm[good] <= eps:
@@ -343,12 +324,13 @@ class MaximalContext:
 def context_residuals(ctx: MaximalContext) -> dict[str, float]:
     """Measured axiom residuals of a context, for reporting.
 
-    A context from ``validate_context`` or ``context_from_basis`` reports
-    the residuals measured there, for a basis from its Gram matrix; one
-    built by hand has them computed now from its members' products.
+    A context from ``validate_context``, ``context_from_basis`` or a
+    document reports the residuals taken there; one built by hand has them
+    taken now, as ``validate_context`` takes them (``_range_residuals``).
+    ``pairwise_product`` is a bound (``_products``).
     """
     if ctx._residuals is None:
-        return _measure(np.array([p.matrix for p in ctx.members]))[1]
+        return _range_residuals(ctx.members)[2]
     return dict(ctx._residuals)
 
 
@@ -357,9 +339,9 @@ def validate_context(
 ) -> MaximalContext:
     """Check the maximal-context axioms over already-validated projectors.
 
-    The checks are those of a document's matrix context:
-    ``_checked_context``, then the overlap rule (``_check_overlaps``), so a
-    checked context's ranges are atoms ``intersect_lattices`` accepts.
+    The checks are those of a document's matrix context
+    (``_matrix_context``), so a checked context's ranges are atoms
+    ``intersect_lattices`` accepts.
     """
     tol = resolve(tol)
     members = tuple(projectors)
@@ -368,8 +350,7 @@ def validate_context(
     linalg._common_dim(
         (p.ambient_dim for p in members), f"context {name!r}: mixed ambient dimensions"
     )
-    products, residuals = _measure(np.array([p.matrix for p in members]))
-    return _check_overlaps(_checked_context(members, products, residuals, tol, name), tol)
+    return _matrix_context(members, tol, name)
 
 
 def _checked_context(
@@ -379,55 +360,80 @@ def _checked_context(
     tol: TolerancePolicy,
     name: str,
 ) -> MaximalContext:
-    """The context of ``members``, from its products and residuals as
-    ``_measure`` or ``_rank1_products`` give them.
+    """The context of ``members``, from the bounds of ``_products`` and the
+    residuals of ``_residuals``.
 
-    The first pair (i, j) in row-major order whose products are not within
-    ``eps_entry``, then the sum, raises; a residual that is NaN fails. Last,
-    a ``ValidationError`` names the member ranks when they do not sum to the
+    The first pair (i, j) in row-major order whose bound is not within
+    ``eps_entry``, then the sum, raises; a residual that is NaN fails. A
+    ``ValidationError`` names the member ranks when they do not sum to the
     dimension, as when a singular value between ``eps_rank`` and
     ``eps_entry`` counts as rank, so a checked context's ranges are the
-    atoms of a Boolean family.
+    atoms of a Boolean family. When the sum passes, that check comes
+    first: such a member's gap is about 1, and so is each of its bounds,
+    although its products are within ``eps_entry``. Projectors that sum to
+    I annihilate, so a context whose sum passes has passing products too.
     """
     eps = tol.eps_entry
+    ranks = [p.rank for p in members]
+    summed = residuals["sum_minus_identity"] <= eps
+    if summed and sum(ranks) != members[0].ambient_dim:
+        raise ValidationError(
+            f"context {name!r}: member ranks {ranks} sum to {sum(ranks)}, "
+            f"not to the dimension {members[0].ambient_dim}"
+        )
     if not residuals["pairwise_product"] <= eps:
         pairwise = np.maximum(products, products.T)
         np.fill_diagonal(pairwise, 0.0)
         # Symmetric with a zero diagonal: the first hit has i < j.
         i, j = (int(k) for k in np.argwhere(~(pairwise <= eps))[0])
         raise PairwiseProductNonzeroError(name, i, j, float(pairwise[i, j]), eps)
-    if not residuals["sum_minus_identity"] <= eps:
+    if not summed:
         raise SumNotIdentityError(name, residuals["sum_minus_identity"], eps)
-    ranks = [p.rank for p in members]
-    if sum(ranks) != members[0].ambient_dim:
-        raise ValidationError(
-            f"context {name!r}: member ranks {ranks} sum to {sum(ranks)}, "
-            f"not to the dimension {members[0].ambient_dim}"
-        )
     ctx = MaximalContext(name=name, members=members)
     object.__setattr__(ctx, "_residuals", residuals)
     return ctx
 
 
-def _check_overlaps(ctx: MaximalContext, tol: TolerancePolicy) -> MaximalContext:
-    """Return ``ctx``, or raise when two of its members' ranges overlap.
+def _range_residuals(members: tuple[Projector, ...]):
+    """The pairwise bounds, squared overlaps and residuals of one context.
 
-    No two ranges may overlap by ``|Q_i^H Q_j|_F > eps_subspace``
-    (``_overlaps`` of the members' ``_padded`` ranges), the rule by which
-    ``intersect_lattices`` rejects a family: the entrywise bound ``max|Pi
-    Pj| <= eps_entry`` lets rays spread over C^n overlap about n times
-    more. The first such pair (i, j) in row-major order raises a
-    ``ValidationError``. A basis needs no such check: its overlaps are Gram
-    entries, within ``eps_entry``.
+    One Gram matrix of the members' ``_padded`` kept ranges gives every
+    ``|Q_i^H Q_j|_F^2`` (``_overlaps``), whose roots ``_products`` turns
+    into bounds on ``max|Pi Pj|``. The member sum is added in place in
+    member order, as ``_residuals`` asks. A gap or a sum that overflowed
+    gives an inf or NaN residual, which fails.
     """
-    ranges = _padded([p._factors()[0] for p in ctx.members])
+    bases, gaps = zip(*(p._factors() for p in members))
+    ranges = _padded(bases)
     overlaps = _overlaps(ranges, ranges)
+    with np.errstate(over="ignore", invalid="ignore"):
+        products = _products(np.sqrt(overlaps), ranges, np.array(gaps))
+        first = np.array(members[0].matrix, dtype=complex)
+        total = reduce(iadd, (p.matrix for p in members[1:]), first)
+        return products, overlaps, _residuals(products[None], total[None])[0]
+
+
+def _matrix_context(
+    members: tuple[Projector, ...], tol: TolerancePolicy, name: str
+) -> MaximalContext:
+    """The checked context of ``members``: ``_checked_context`` on the bounds
+    and residuals of ``_range_residuals``, then the overlap rule.
+
+    No two ranges may overlap by ``|Q_i^H Q_j|_F > eps_subspace``, read off
+    the same Gram matrix, the rule by which ``intersect_lattices`` rejects a
+    family: the entrywise bound ``max|Pi Pj| <= eps_entry`` lets rays spread
+    over C^n overlap about n times more. The first such pair (i, j) in
+    row-major order raises a ``ValidationError``. A basis needs no such
+    check: its overlaps are Gram entries, within ``eps_entry``.
+    """
+    products, overlaps, residuals = _range_residuals(members)
+    ctx = _checked_context(members, products, residuals, tol, name)
     np.fill_diagonal(overlaps, 0.0)
     limit = tol.eps_subspace ** 2
     if not overlaps.max(initial=0.0) <= limit:
         i, j = np.argwhere(~(overlaps <= limit))[0].tolist()
         raise ValidationError(
-            f"context {ctx.name!r}: members {min(i, j)} and {max(i, j)} overlap: "
+            f"context {name!r}: members {min(i, j)} and {max(i, j)} overlap: "
             f"|Qi^H Qj|_F = {np.sqrt(overlaps[i, j]):.3e} > {tol.eps_subspace:.3e}"
         )
     return ctx
@@ -465,13 +471,13 @@ def _basis_contexts(
     matrix ``v v^H``, and a ray that a basis names one ``Projector`` that
     every basis naming it shares, so a repeat is the same object wherever
     it occurs. One Gram matrix per basis gives its orthonormality residual
-    and, through ``_rank1_products``, the pairwise products and idempotency
+    and, through ``_products``, the pairwise bounds and idempotency
     residuals, so no two members are multiplied. Its diagonal gives the
     ranks, since ``v v^H`` has the one nonzero singular value ``|v|^2``; a
     shared ray takes the rank of its first occurrence. No Hermitian
     residual is taken: entries (a, b) and (b, a) of ``v v^H`` are rounded
     from the same real products, so they are conjugate up to a few units of
-    roundoff times ``max|v_a|^2``, inside the bound of ``_rank1_products``.
+    roundoff times ``max|v_a|^2``, inside the rounding of ``_products``.
     The outer products take one pass over the rays that some basis names,
     each computed as for the ray alone, and a basis's member sum reads them
     through ``groups``; a ray no basis names gets none. Each member's range
@@ -504,7 +510,7 @@ def _basis_contexts(
     # Only a basis that fails orthonormality can overflow. ``worst`` is each
     # basis's larger residual; a NaN stays NaN and fails.
     with np.errstate(over="ignore", invalid="ignore"):
-        products = _rank1_products(rows, offsets)
+        products = _products(offsets, rows[:, :, None], np.zeros(groups.shape))
         idem = products.diagonal(axis1=1, axis2=2)
         worst = np.maximum(orthonormal, idem.max(axis=1))
         count = len(worst)
@@ -547,13 +553,13 @@ def _dot_bound(terms: int) -> float:
 
 def _padded(bases) -> np.ndarray:
     """The (K, w, n) range stack of K (n, r) bases: entry k is ``bases[k]``
-    transposed, zero-padded to the largest width w. Equal widths take one
-    ``np.array`` call."""
+    transposed, zero-padded to the largest width w, at least 1. Equal
+    nonzero widths take one ``np.array`` call."""
     widths = {basis.shape[1] for basis in bases}
-    if len(widths) == 1:
+    if len(widths) == 1 and 0 not in widths:
         columns = np.array(bases)
     else:
-        columns = np.zeros((len(bases), bases[0].shape[0], max(widths)), dtype=complex)
+        columns = np.zeros((len(bases), bases[0].shape[0], max(widths | {1})), dtype=complex)
         for column, basis in zip(columns, bases):
             column[:, : basis.shape[1]] = basis
     return np.ascontiguousarray(columns.swapaxes(1, 2))

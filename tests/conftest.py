@@ -61,6 +61,47 @@ def max_abs(matrix) -> float:
     return float(np.abs(arr).max(initial=0.0))
 
 
+def dense_products(matrices) -> np.ndarray:
+    """The dense oracle of a context's products, one matrix product per entry:
+    ``max|Pi Pj|`` at (i, j) for i != j, and ``max|Pi Pi - Pi|`` on the diagonal."""
+    mats = [np.asarray(m) for m in matrices]
+    products = np.empty((len(mats), len(mats)))
+    for i, a in enumerate(mats):
+        for j, b in enumerate(mats):
+            products[i, j] = max_abs(a @ b - a) if i == j else max_abs(a @ b)
+    return products
+
+
+def dense_residuals(matrices) -> dict[str, float]:
+    """``context_residuals`` as the dense oracle reads them: the largest
+    off-diagonal dense product, and ``max|S - I|`` for S the members added in order."""
+    products = dense_products(matrices)
+    np.fill_diagonal(products, 0.0)
+    total = sum(np.asarray(m) for m in matrices)
+    return {
+        "pairwise_product": float(products.max(initial=0.0)),
+        "sum_minus_identity": max_abs(total - np.eye(len(total))),
+    }
+
+
+def bound_slack(members) -> np.ndarray:
+    """How far the pairwise bounds of ``members``, read off their kept ranges,
+    may lie below the dense products: the bound's own rounding and that of
+    ``fl(Pi Pj)``, ``gamma_(6n + w^2 + w + 24) (p_i + g_i) (p_j + g_j)
+    sqrt(r_i r_j)``, with p_i the largest row norm of range Q_i, g_i its gap,
+    r_i its rank (at least 1) and w the largest rank."""
+    n = members[0].ambient_dim
+    width = max(max(p.rank for p in members), 1)
+    k = (6 * n + width * width + width + 24) * 2.0**-53
+    scale = []
+    for p in members:
+        basis, gap = p._factors()
+        peak = float(np.sqrt((np.abs(basis) ** 2).sum(axis=1).max(initial=0.0)))
+        scale.append((peak + gap) * np.sqrt(max(p.rank, 1)))
+    scale = np.array(scale)
+    return k / (1 - k) * np.outer(scale, scale) * (1 + 1e-6)
+
+
 def from_basis(ctx) -> bool:
     """True for a context checked as a basis, whose members' gaps are all 0."""
     return all(p._gap == 0.0 for p in ctx.members)

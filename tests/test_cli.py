@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import projlat as pl
-from conftest import ks18_document
+from conftest import dense_residuals, ks18_document
 from projlat import cli
 from projlat.cli import main
 
@@ -165,7 +165,7 @@ def test_context_whose_atoms_overlap_is_an_error_report(tmp_path, capsys):
     # rejects. Every command rejects the document at load with one error line.
     n = 32
     members = _overlapping_fourier_members(n)
-    residuals = pl.projectors._measure(np.array(members))[1]
+    residuals = dense_residuals(members)
     assert max(residuals.values()) < pl.TolerancePolicy().eps_entry
     doc = {
         "dim": n,

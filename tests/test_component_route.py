@@ -474,3 +474,17 @@ class TestBooleanMeet:
         # Rays v (x) e_0 and w (x) e_1 are orthogonal, and each copy of the
         # 18-ray graph is connected: two components.
         self.assert_boolean(tmp_path, capsys, ks18_tensored(np.random.default_rng(2580)), 2)
+
+    def test_lattice_of_ks18_tensored_with_c4_exits_three(self, tmp_path, capsys):
+        # Nine contexts of 16 atoms in C^16: each family's 2^16 elements
+        # hold 16^2 2^15 basis entries, past the listing cap, so `lattice`
+        # exits 3 before it builds an element, where it used to list 9 * 2^16
+        # of them; `intersect` lists the meet of 2^4 elements.
+        doc = ks18_tensored(np.random.default_rng(2590), 4)
+        code, report = _report(tmp_path, capsys, doc, "lattice")
+        assert code == 3 and report["error"] == (
+            "listing the lattice family's elements takes 8388608 basis entries; "
+            f"listing is capped at {pl.lattice.DEFAULT_ENTRY_CAP}"
+        )
+        code, report = _report(tmp_path, capsys, doc, "intersect")
+        assert code == 0 and report["verdicts"]["intersection"]["size"] == 2**4

@@ -98,11 +98,13 @@ class TestContextLattice:
         assert sorted(el.dim for el in family.elements) == [0, 1, 1, 1, 2, 2, 2, 3]
 
     def test_member_cap(self, pauli, tmp_path, monkeypatch, capsys):
-        # The cap counts a family's blocks and bounds only the listing.
-        monkeypatch.setattr(pl.lattice, "DEFAULT_MEMBER_CAP", 1)
+        # The cap counts the basis entries a family lists, n^2 2^(blocks - 1),
+        # and bounds only the listing: 8 for a Pauli context, 4 for their meet.
+        monkeypatch.setattr(pl.lattice, "DEFAULT_ENTRY_CAP", 7)
         families = [pl.context_lattice(ctx) for ctx in pauli.contexts]
-        with pytest.raises(pl.SubsetLimitExceededError):
+        with pytest.raises(pl.SubsetLimitExceededError) as info:
             families[0].elements
+        assert (info.value.entries, info.value.cap) == (8, 7)
         with pytest.raises(pl.SubsetLimitExceededError):
             families[0].labels
         assert [len(f) for f in families] == [4, 4, 4]
@@ -113,6 +115,9 @@ class TestContextLattice:
         pl.save_document(pauli, path)
         assert main(["lattice", str(path), "--format", "json"]) == 3
         assert json.loads(capsys.readouterr().out)["exit_code"] == 3
+        # At the cap the family lists.
+        monkeypatch.setattr(pl.lattice, "DEFAULT_ENTRY_CAP", 8)
+        assert len(pl.context_lattice(pauli.contexts[0]).elements) == 4
 
     def test_two_member_context_matches_single_projector_lattice(self, pauli):
         for ctx in pauli.contexts:

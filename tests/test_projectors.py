@@ -3,6 +3,9 @@ import pytest
 
 import projlat as pl
 from conftest import (
+    bound_slack,
+    dense_products,
+    dense_residuals,
     from_basis,
     ks18_document,
     random_projector,
@@ -139,7 +142,9 @@ class TestValidateContext:
         with pytest.raises(pl.PairwiseProductNonzeroError) as excinfo:
             pl.validate_context(members, name="c")
         assert excinfo.value.pair == (0, 2)
-        assert excinfo.value.residual == 0.5
+        # The bound is about the gap of d, |d - e2 e2^H|_F = sqrt(5) / 4,
+        # above the dense max |Pi Pj| of 0.5.
+        assert 0.5 < excinfo.value.residual == pytest.approx(np.sqrt(5) / 4)
 
     def test_incomplete_sum_rejected(self):
         with pytest.raises(pl.SumNotIdentityError):
@@ -224,9 +229,11 @@ class TestPauliContexts:
         assert len(pauli.registry) == 6
 
     def test_context_residuals_are_tiny(self, pauli):
+        # The pairwise residual is a bound read off the kept ranges, set by
+        # the members' gaps; the sum is measured.
         for ctx in pauli.contexts:
             res = pl.context_residuals(ctx)
-            assert res["pairwise_product"] <= 1e-15
+            assert res["pairwise_product"] <= 3 * max(p._gap for p in ctx.members) <= 1e-14
             assert res["sum_minus_identity"] <= 1e-15
 
 
@@ -364,19 +371,7 @@ class TestBasisRanksWithoutSvd:
 
 
 def _loop_residuals(ctx):
-    pairwise = 0.0
-    for i, a in enumerate(ctx.members):
-        for b in ctx.members[i + 1 :]:
-            pairwise = max(
-                pairwise,
-                float(np.abs(a.matrix @ b.matrix).max()),
-                float(np.abs(b.matrix @ a.matrix).max()),
-            )
-    total = sum(p.matrix for p in ctx.members)
-    return {
-        "pairwise_product": pairwise,
-        "sum_minus_identity": float(np.abs(total - np.eye(ctx.ambient_dim)).max()),
-    }
+    return dense_residuals([p.matrix for p in ctx.members])
 
 
 def _rank1_loop_residuals(ctx):
@@ -408,31 +403,42 @@ class TestKeptResiduals:
         return contexts
 
     def test_kept_residuals_equal_a_fresh_measurement(self, pauli):
-        # A basis context keeps its rank-1 residuals; the same members in a
-        # context built by hand are measured from their dense products.
+        # A basis context keeps its rank-1 residuals. The same members in a
+        # context built by hand are measured as a matrix context is, from
+        # their kept ranges: the kept bits for a matrix context, the rank-1
+        # ones within rounding for a basis. The bound never lies below the
+        # dense products less rounding, and every sum is the dense one.
         kinds = set()
         for ctx in self._contexts(pauli):
             kept = pl.context_residuals(ctx)
-            by_hand = pl.MaximalContext(ctx.name, ctx.members)
-            assert pl.context_residuals(by_hand) == _loop_residuals(ctx)
+            by_hand = pl.context_residuals(pl.MaximalContext(ctx.name, ctx.members))
+            dense = _loop_residuals(ctx)
             kinds.add(from_basis(ctx))
+            assert kept["sum_minus_identity"] == by_hand["sum_minus_identity"]
+            assert by_hand["sum_minus_identity"] == dense["sum_minus_identity"]
             if not from_basis(ctx):
-                assert _loop_residuals(ctx) == kept
+                assert by_hand == kept
             else:
                 assert _rank1_loop_residuals(ctx) == kept
+                moved = abs(by_hand["pairwise_product"] - kept["pairwise_product"])
+                assert moved <= rank1_bound(rays_of(ctx))
+            slack = bound_slack(ctx.members).max()
+            assert by_hand["pairwise_product"] >= dense["pairwise_product"] - slack
         assert kinds == {True, False}
 
     def test_residuals_are_a_copy(self, pauli):
         ctx = pauli.contexts[0]
         pl.context_residuals(ctx)["pairwise_product"] = 1.0
-        assert pl.context_residuals(ctx)["pairwise_product"] <= 1e-15
+        assert pl.context_residuals(ctx)["pairwise_product"] <= 1e-14
 
     def test_hand_built_context_measures_on_demand(self):
         half = np.diag([1.0, 0.0]).astype(complex)
         skew = pl.Projector(matrix=np.array([[0.5, 0.5], [0.5, 0.5]]), rank=1, label="x")
         ctx = pl.MaximalContext("h", (pl.Projector(matrix=half, rank=1, label="z"), skew))
         res = pl.context_residuals(ctx)
-        assert res["pairwise_product"] == 0.5
+        # The bound |<e0, u>| max|e0| max|u| = 0.5 for u = (1, 1) / sqrt(2),
+        # the dense max |Pi Pj|, plus the gaps.
+        assert 0.5 <= res["pairwise_product"] <= 0.5 + 1e-14
         assert res["sum_minus_identity"] == 0.5
         assert ctx == pl.MaximalContext("h", ctx.members)
 
@@ -509,8 +515,8 @@ class TestRank1Stack:
             # Every product and idempotency residual, not only the largest.
             rays = rays_of(ctx)
             offsets = np.abs(rays.conj() @ rays.T - np.eye(len(rays)))
-            products = pl.projectors._rank1_products(rays[None], offsets[None])[0]
-            measured = pl.projectors._measure(np.array([p.matrix for p in ctx.members]))[0]
+            products = pl.projectors._products(offsets, rays[:, None], np.zeros(len(rays)))
+            measured = dense_products([p.matrix for p in ctx.members])
             assert np.abs(products - measured).max() <= rank1_bound(rays)
         assert moved
 

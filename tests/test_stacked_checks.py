@@ -5,14 +5,26 @@ rule: they check one member at a time, and compare each member with every
 earlier representative by one norm. A basis is checked through the rank-1
 formula, one pair at a time, and every other context through the dense
 products. On a seeded corpus of documents and hand-built collections the
-package must give the same member bytes, ranks, residual floats, identities
-and occurrences, and on every failure the same exception class and message.
+package must give the same member bytes, ranks, sums, identities and
+occurrences, and on every failure the same exception class and message. A
+matrix context's pairwise residual is a bound read off its kept ranges, so
+it must lie above the dense products less rounding, and a pairwise failure
+must name the same pair.
 """
 import numpy as np
 import pytest
 
 import projlat as pl
-from conftest import from_basis, ks18_document, max_abs, rank1_bound, rays_of
+from conftest import (
+    bound_slack,
+    dense_products,
+    dense_residuals,
+    from_basis,
+    ks18_document,
+    max_abs,
+    rank1_bound,
+    rays_of,
+)
 from projlat import linalg
 from projlat.document import _parse_matrix, _parse_tolerances, _parse_vector
 from projlat.tolerance import resolve
@@ -33,19 +45,12 @@ def oracle_projector(matrix, tol, label, where=None):
 
 
 def oracle_residuals(members):
+    """Each pair's larger dense product, and the residuals they give."""
     matrices = [p.matrix for p in members]
-    pairwise = np.zeros((len(matrices), len(matrices)))
-    for i, a in enumerate(matrices):
-        for j in range(i + 1, len(matrices)):
-            b = matrices[j]
-            pairwise[i, j] = pairwise[j, i] = max(
-                np.abs(a @ b).max(), np.abs(b @ a).max()
-            )
-    total = sum(matrices)
-    return pairwise, {
-        "pairwise_product": float(pairwise.max()),
-        "sum_minus_identity": max_abs(total - np.eye(len(total))),
-    }
+    products = dense_products(matrices)
+    pairwise = np.maximum(products, products.T)
+    np.fill_diagonal(pairwise, 0.0)
+    return pairwise, dense_residuals(matrices)
 
 
 def oracle_rank1_products(vecs, gram):
@@ -166,8 +171,13 @@ def oracle_parse_document(doc):
 
 
 def outcome(fn, *args):
+    """``(result, None)``, or ``(None, (class, message))`` for what ``fn``
+    raises; a pairwise failure gives its context and pair for a message, as
+    the package reports a bound where the oracle reports the dense product."""
     try:
         return fn(*args), None
+    except pl.PairwiseProductNonzeroError as exc:
+        return None, (type(exc), exc.context, exc.pair)
     except (pl.ValidationError, pl.ParseError) as exc:
         return None, (type(exc), str(exc))
 
@@ -181,16 +191,22 @@ def assert_same_collection(collection, oracle_contexts, tol):
             assert got.matrix.tobytes() == exp.matrix.tobytes()
             assert got.rank == exp.rank
             assert not got.matrix.flags.writeable
-        assert pl.context_residuals(ctx) == residuals
-        # A context built by hand is measured from its dense products.
+        got = pl.context_residuals(ctx)
+        # A context built by hand is measured as a matrix context is.
+        by_hand = pl.context_residuals(pl.MaximalContext(ctx.name, ctx.members))
         dense = oracle_residuals(ctx.members)[1]
-        assert pl.context_residuals(pl.MaximalContext(ctx.name, ctx.members)) == dense
+        assert got["sum_minus_identity"] == residuals["sum_minus_identity"]
+        assert by_hand["sum_minus_identity"] == dense["sum_minus_identity"]
+        assert dense["sum_minus_identity"] == residuals["sum_minus_identity"]
         if not from_basis(ctx):
-            assert dense == residuals
+            assert by_hand == got
+            slack = bound_slack(ctx.members).max()
+            assert got["pairwise_product"] >= dense["pairwise_product"] - slack
         else:
-            gap = abs(dense["pairwise_product"] - residuals["pairwise_product"])
-            assert gap <= rank1_bound(rays_of(ctx))
-            assert dense["sum_minus_identity"] == residuals["sum_minus_identity"]
+            assert got == residuals
+            for other in (dense, by_hand):
+                gap = abs(other["pairwise_product"] - residuals["pairwise_product"])
+                assert gap <= rank1_bound(rays_of(ctx))
     assert_same_registry(collection, [c for c, _ in oracle_contexts], tol)
 
 
@@ -705,6 +721,10 @@ class TestOneStackLoader:
             "parse": pl.ParseError,
         }[fault]
         assert got[0] is expected
+        if fault == "pairwise":
+            # Member 0 leans towards member 1.
+            assert got[1:] == ("b", (0, 1))
+            return
         prefix = {
             "not Hermitian": "context 'b' member b[1]: matrix is not self-adjoint: ",
             "not idempotent": "context 'b' member b[1]: matrix is not idempotent: ",
@@ -1314,10 +1334,15 @@ class TestRangeScreen:
 
     def test_equal_ranges_with_other_matrices_are_measured(self):
         # diag(1, 1, 0) and 0.9991 diag(1, 1, 0) have the same range bytes,
-        # but lie 9e-4 sqrt(2) > eps_subspace apart: not a repeat.
+        # but lie 9e-4 sqrt(2) > eps_subspace apart: not a repeat. That is
+        # also the shrunk member's gap, past eps_entry, so no context of it
+        # passes the pairwise bound, and b is built by hand.
         shrunk = 1 - 9e-4
         a = _matrix_context([np.diag([1.0, 1.0, 0.0]), np.diag([0.0, 0.0, 1.0])], LOOSE, "a", True)
-        b = _matrix_context([np.diag([shrunk, shrunk, 0.0]), np.diag([0.0, 0.0, 1.0])], LOOSE, "b", True)
+        b_members = [np.diag([shrunk, shrunk, 0.0]), np.diag([0.0, 0.0, 1.0])]
+        with pytest.raises(pl.PairwiseProductNonzeroError):
+            _matrix_context(b_members, LOOSE, "b", True)
+        b = pl.MaximalContext("b", tuple(pl.validate_projector(m, LOOSE) for m in b_members))
         c = _matrix_context([np.diag([0.0, 0.0, 1.0]), np.diag([1.0, 1.0, 0.0])], LOOSE, "c", False)
         contexts = [a, b, c]
         assert a.members[0]._range.tobytes() == b.members[0]._range.tobytes()
@@ -1550,19 +1575,25 @@ class TestNanResiduals:
             pl.projectors._checked_stack(stack, resolve(None), ["n"])
 
     def test_pairwise(self):
+        # A hand-built member whose gap overflows to +inf beside one of gap
+        # 0: the bound on (1, 0) is 0 (1 + inf) + inf, a NaN, which fails.
         members = [
-            pl.Projector(matrix=np.array([[np.nan]], dtype=complex), rank=1, label="n"),
-            pl.Projector(matrix=np.array([[0.0]], dtype=complex), rank=0, label="0"),
+            pl.Projector(matrix=np.full((2, 2), 1e308, dtype=complex), rank=1, label="n"),
+            pl.Projector(matrix=np.zeros((2, 2), dtype=complex), rank=0, label="0"),
         ]
+        assert members[0]._factors()[1] == np.inf and members[1]._factors()[1] == 0.0
         with pytest.raises(pl.PairwiseProductNonzeroError) as info:
             pl.validate_context(members)
         assert info.value.pair == (0, 1) and np.isnan(info.value.residual)
 
     def test_sum(self):
+        # A hand-built member that is not finite has no kept range: the
+        # checks that read it raise before any residual is formed.
         member = pl.Projector(matrix=np.array([[np.nan]], dtype=complex), rank=1, label="n")
-        with pytest.raises(pl.SumNotIdentityError) as info:
-            pl.validate_context([member])
-        assert np.isnan(info.value.residual)
+        for check in (pl.validate_context, pl.context_residuals):
+            arg = [member] if check is pl.validate_context else pl.MaximalContext("n", (member,))
+            with pytest.raises(pl.ValidationError, match="matrix entries must be finite"):
+                check(arg)
 
 
 class TestSumOrder:
@@ -1576,39 +1607,117 @@ class TestSumOrder:
                 pl.Projector(matrix=m, rank=1, label=f"m{i}") for i, m in enumerate(matrices)
             )
             ctx = pl.MaximalContext("noise", members)
-            assert pl.context_residuals(ctx) == oracle_residuals(members)[1]
+            got = pl.context_residuals(ctx)["sum_minus_identity"]
+            assert got == oracle_residuals(members)[1]["sum_minus_identity"]
 
 
-class TestMemoryBound:
-    def test_products_are_taken_in_blocks(self, monkeypatch):
-        # Matrix-form members, whose products are dense. At m = n = 8 one row
-        # of products has 512 entries: a block of 100 entries still takes one
-        # row, and the residuals do not change.
-        basis = pl.context_from_basis(list(_unitary(np.random.default_rng(1995), 8).T))
-        doc = pl.collection_to_document(pl.ContextCollection([basis]))
-        # Three contexts of C^2: a and b with three members (one of rank 0),
-        # whose rows of products hold 12 entries, so a block of 100 entries
-        # takes both whole contexts, across their boundary; then c, with two.
-        rng = np.random.default_rng(1996)
-        contexts = {}
-        for name in "abc":
-            members = [np.outer(v, v.conj()) for v in _unitary(rng, 2).T]
-            members += [np.zeros((2, 2))] * (name != "c")
-            contexts[name] = [_to_json(m) for m in members]
-        three = {"dim": 2, "contexts": contexts}
-        whole = {}
-        for key in ("one", "three"):
-            loaded = pl.parse_document(doc if key == "one" else three)[0]
-            whole[key] = [pl.context_residuals(ctx) for ctx in loaded.contexts]
-        monkeypatch.setattr(pl.projectors, "_CHUNK_ENTRIES", 100)
-        ctx = pl.parse_document(doc)[0].contexts[0]
-        assert not from_basis(ctx)
-        assert pl.context_residuals(ctx) == whole["one"][0]
-        assert pl.context_residuals(pl.MaximalContext(ctx.name, ctx.members)) == whole["one"][0]
-        collection = pl.parse_document(three)[0]
-        assert [len(ctx) for ctx in collection.contexts] == [3, 3, 2]
-        assert [pl.context_residuals(ctx) for ctx in collection.contexts] == whole["three"]
-        assert [
-            pl.context_residuals(pl.MaximalContext(ctx.name, ctx.members))
-            for ctx in collection.contexts
-        ] == whole["three"]
+class TestRangeProducts:
+    """A matrix context's pairwise residuals are bounds read off its members'
+    kept ranges (``_products``), checked against the dense products."""
+
+    @staticmethod
+    def _pair(eps_entry):
+        """A rank-2 and a rank-1 member of C^3 whose ranges meet at an angle
+        of 1e-9, as a document at ``eps_entry`` and as validated members."""
+        t = 1e-9
+        q = np.array([np.sin(t), 0.0, np.cos(t)])
+        matrices = [np.diag([1.0, 1.0, 0.0]), np.outer(q, q)]
+        tol = pl.TolerancePolicy(eps_rank=1e-12, eps_entry=eps_entry, eps_subspace=1e-6)
+        doc = {"dim": 3, "contexts": {"p": [_to_json(m) for m in matrices]}}
+        doc.update(eps_rank=tol.eps_rank, eps_entry=tol.eps_entry, eps_subspace=tol.eps_subspace)
+        members = [pl.validate_projector(m, tol, f"p[{i}]") for i, m in enumerate(matrices)]
+        return doc, members, tol
+
+    def test_borderline_pair_of_ranks_one_and_two(self):
+        doc, members, tol = self._pair(1e-6)
+        assert [p.rank for p in members] == [2, 1]
+        bound = pl.context_residuals(pl.parse_document(doc)[0].contexts[0])["pairwise_product"]
+        dense = dense_products([p.matrix for p in members])[0, 1]
+        # About sin(t) cos(t) plus the gaps: the dense products would pass
+        # an eps_entry between the two, which the bound rejects.
+        assert 1e-9 * (1 - 1e-6) < dense < bound < dense + 1e-14
+        for eps, fails in ((np.nextafter(bound, 0.0), True), (bound, False)):
+            doc, members, tol = self._pair(eps)
+            for check, args in ((pl.parse_document, (doc,)), (pl.validate_context, (members, tol, "p"))):
+                got = outcome(check, *args)[1]
+                if fails:
+                    assert got == (pl.PairwiseProductNonzeroError, "p", (0, 1))
+                    with pytest.raises(pl.PairwiseProductNonzeroError) as info:
+                        check(*args)
+                    assert info.value.residual == bound and "bound on max |Pi Pj|" in str(info.value)
+                else:
+                    assert got is None
+
+    @staticmethod
+    def _corpus():
+        """Matrix contexts of ranks 0 to 3: the documents of ``matrix_document``
+        that load, the matrix contexts of ``mixed_collection``, plain and
+        with gapped members, and column groups of a Haar unitary each moved
+        by Hermitian noise of 1e-14 to 1e-11, whose products are that noise."""
+        for seed in range(60):
+            loaded = outcome(pl.parse_document, matrix_document(np.random.default_rng(1800 + seed)))[0]
+            if loaded is not None:
+                yield from loaded[0].contexts
+        for seed in range(30):
+            for tol, scale, base in ((None, 0.0, 2300), (LOOSE, 4e-4, 2400)):
+                yield from mixed_collection(np.random.default_rng(base + seed), tol, scale)[0]
+        rng = np.random.default_rng(2740)
+        for _ in range(40):
+            dim = int(rng.integers(2, 8))
+            unitary = _unitary(rng, dim)
+            members = []
+            for group in _groups(rng, dim):
+                noise = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+                noise = 10 ** rng.uniform(-14, -11) * (noise + noise.conj().T)
+                cols = unitary[:, group]
+                members.append(pl.validate_projector(cols @ cols.conj().T + noise))
+            yield pl.validate_context(members)
+
+    def test_bounds_lie_above_the_dense_products(self):
+        ranks, gapped = set(), 0
+        for ctx in self._corpus():
+            if from_basis(ctx):
+                continue
+            ranks |= {p.rank for p in ctx.members}
+            matrices = [p.matrix for p in ctx.members]
+            bounds = pl.projectors._range_residuals(ctx.members)[0]
+            dense = dense_products(matrices)
+            slack = bound_slack(ctx.members)
+            gaps = np.array([p._gap for p in ctx.members])
+            off = ~np.eye(len(ctx), dtype=bool)
+            assert (bounds >= dense - slack)[off].all()
+            if dense[off].max(initial=0.0) < 1e-13:
+                # Orthogonal ranges: above the products by about the gaps.
+                reach = np.add.outer(gaps, gaps) * (1 + gaps.max()) + 2 * slack
+                assert (bounds <= dense + reach)[off].all()
+            assert pl.context_residuals(ctx)["pairwise_product"] == bounds[off].max(initial=0.0)
+            # Each member's own P P - P, bit for bit.
+            idem = pl.projectors._member_residuals(np.array(matrices))[1]
+            assert idem.tolist() == dense.diagonal().tolist()
+            gapped += gaps.max() > 1e-6
+        assert {0, 1, 2, 3} <= ranks and gapped >= 10
+
+    def test_same_verdicts_as_the_dense_products(self):
+        # Every document of the matrix corpus, and each fault of
+        # ``_faulty_matrices``, against the dense oracle, which takes the
+        # products pair by pair and has no rank-sum or overlap rule.
+        for seed in range(60):
+            doc = matrix_document(np.random.default_rng(1800 + seed))
+            assert outcome(pl.parse_document, doc)[1] == outcome(oracle_parse_document, doc)[1]
+        for fault in MATRIX_FAULTS:
+            if fault in ("rank sum", "overlap"):
+                continue
+            matrices = _faulty_matrices(np.random.default_rng(2730), fault)
+            doc = {"dim": 4, **TIGHT, "contexts": {"b": matrices}}
+            assert outcome(pl.parse_document, doc)[1] == outcome(oracle_parse_document, doc)[1]
+
+    def test_context_of_rank_0_members_fails_its_sum(self):
+        # Every range is empty: the range stack is one zero row per member,
+        # every bound is 0, and the sum fails as it did on dense products.
+        zero = np.zeros((2, 2))
+        doc = {"dim": 2, "contexts": {"z": [_to_json(zero)] * 2}}
+        members = [pl.validate_projector(zero)] * 2
+        error = "context 'z': members do not sum to the identity: max |sum - I| = 1.000e+00 > 1.000e-09"
+        assert outcome(pl.parse_document, doc)[1] == (pl.SumNotIdentityError, error)
+        assert outcome(pl.validate_context, members, None, "z")[1] == (pl.SumNotIdentityError, error)
+        assert pl.context_residuals(pl.MaximalContext("z", tuple(members)))["pairwise_product"] == 0.0

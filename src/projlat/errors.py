@@ -56,8 +56,8 @@ class PairwiseProductNonzeroError(ValidationError):
         self.residual = residual
         self.limit = limit
         super().__init__(
-            f"context {name!r}: members {i} and {j} may not annihilate: "
-            f"bound on max |Pi Pj| = {residual:.3e} > {limit:.3e}"
+            f"context {name!r}: members {i} and {j} do not annihilate: "
+            f"max |Pi Pj| = {residual:.3e} > {limit:.3e}"
         )
 
 

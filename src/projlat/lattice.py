@@ -8,9 +8,9 @@ and the family is Boolean over them: it lists the spans of block subsets in
 ascending bitmask order, block ``i`` at position ``2^i``. Families meet in
 the sums of connected components of the graph linking overlapping atoms; a
 meet of only {0, C^n} is trivial. An element, the QR of its atoms' stacked
-bases, is taken when the elements are first read, for a family whose
-elements hold at most ``DEFAULT_ENTRY_CAP`` basis entries, so a meet of 2^c
-elements costs 2^c QRs.
+bases, is taken when the elements are first read, for a family of at most
+one block or whose elements hold at most ``DEFAULT_ENTRY_CAP`` basis
+entries, so a meet of 2^c elements costs 2^c QRs.
 """
 from __future__ import annotations
 
@@ -24,9 +24,11 @@ from .projectors import MaximalContext, _overlaps, _padded, is_invariant
 from .subspace import Subspace
 from .tolerance import TolerancePolicy, resolve
 
-# Basis entries a family may list. Each atom of a family of b blocks over
-# C^n lies in half of its 2^b elements, so their (n, dim) bases hold
-# n^2 2^(b - 1) entries: 16 MB of complex128 at the cap.
+# Basis entries a family of two or more blocks may list. Each atom of a
+# family of b blocks over C^n lies in half of its 2^b elements, so their
+# (n, dim) bases hold n^2 2^(b - 1) entries: 16 MB of complex128 at the
+# cap. A family of at most one block, {0, C^n} or {0}, lists one basis of
+# n^2 entries, the size of one member of its context, and is not capped.
 DEFAULT_ENTRY_CAP = 1 << 20
 
 
@@ -65,9 +67,10 @@ class LatticeFamily:
     atoms of the blocks at the set bits of ``i``: element 0 is the zero
     subspace, the last one spans every atom, and distinct subsets of
     orthogonal atoms give distinct subspaces. ``elements`` and ``labels``
-    are built on first access, past ``DEFAULT_ENTRY_CAP`` basis entries
-    they raise ``SubsetLimitExceededError``, and ``size``, ``len``,
-    ``is_trivial`` and ``intersect_lattices`` never build them.
+    are built on first access; past ``DEFAULT_ENTRY_CAP`` basis entries,
+    with two or more blocks, they raise ``SubsetLimitExceededError``, and
+    ``size``, ``len``, ``is_trivial`` and ``intersect_lattices`` never
+    build them.
     """
 
     __slots__ = ("ambient_dim", "_elements", "_labels", "_atom_set", "_blocks", "_parts")
@@ -87,7 +90,7 @@ class LatticeFamily:
     def _masks(self) -> list[int]:
         """The atom bitmask of each element, in order."""
         entries = self.ambient_dim ** 2 << len(self._blocks) >> 1
-        if entries > DEFAULT_ENTRY_CAP:
+        if len(self._blocks) > 1 and entries > DEFAULT_ENTRY_CAP:
             raise SubsetLimitExceededError(entries, DEFAULT_ENTRY_CAP)
         return _unions(self._blocks)
 

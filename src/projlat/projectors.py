@@ -327,7 +327,10 @@ def context_residuals(ctx: MaximalContext) -> dict[str, float]:
     A context from ``validate_context``, ``context_from_basis`` or a
     document reports the residuals taken there; one built by hand has them
     taken now, as ``validate_context`` takes them (``_range_residuals``).
-    ``pairwise_product`` is a bound (``_products``).
+    ``pairwise_product`` is a bound (``_products``); in a context the checks
+    built, a pair whose bound exceeded ``eps_entry`` reads its measured
+    dense value instead (``_checked_context``), which a hand-built context,
+    having no tolerance, does not take.
     """
     if ctx._residuals is None:
         return _range_residuals(ctx.members)[2]
@@ -363,32 +366,42 @@ def _checked_context(
     """The context of ``members``, from the bounds of ``_products`` and the
     residuals of ``_residuals``.
 
-    The first pair (i, j) in row-major order whose bound is not within
-    ``eps_entry``, then the sum, raises; a residual that is NaN fails. A
-    ``ValidationError`` names the member ranks when they do not sum to the
-    dimension, as when a singular value between ``eps_rank`` and
-    ``eps_entry`` counts as rank, so a checked context's ranges are the
-    atoms of a Boolean family. When the sum passes, that check comes
-    first: such a member's gap is about 1, and so is each of its bounds,
-    although its products are within ``eps_entry``. Projectors that sum to
-    I annihilate, so a context whose sum passes has passing products too.
+    A pair whose bound is not within ``eps_entry`` is measured as
+    ``max(max|Pi Pj|, max|Pj Pi|)`` from its two dense products: a gap
+    carries a rounding allowance of about ``4 n r u`` for rank r, which
+    alone would reject exactly orthogonal members of large rank, as
+    ``diag(I_32, 0)`` and ``diag(0, I_32)``, whose bound is 1.8e-12. So the
+    checks accept what the dense products accept, and a context whose
+    bounds pass takes no product of two members. The measured value
+    replaces the bound in the reported ``pairwise_product``.
+
+    The first pair (i, j) in row-major order that fails, then the sum,
+    raises; a residual that is NaN fails. Last, a ``ValidationError`` names
+    the member ranks when they do not sum to the dimension, as when a
+    singular value between ``eps_rank`` and ``eps_entry`` counts as rank,
+    so a checked context's ranges are the atoms of a Boolean family.
     """
     eps = tol.eps_entry
+    if not residuals["pairwise_product"] <= eps:
+        pairwise = np.maximum(products, products.T)
+        np.fill_diagonal(pairwise, 0.0)
+        # Symmetric with a zero diagonal: the pairs i < j in row-major order.
+        for i, j in np.argwhere(np.triu(~(pairwise <= eps), 1)).tolist():
+            a, b = members[i].matrix, members[j].matrix
+            # A product that overflows is inf or NaN, which fails.
+            with np.errstate(over="ignore", invalid="ignore"):
+                pairwise[i, j] = pairwise[j, i] = np.abs([a @ b, b @ a]).max()
+            if not pairwise[i, j] <= eps:
+                raise PairwiseProductNonzeroError(name, i, j, float(pairwise[i, j]), eps)
+        residuals = {**residuals, "pairwise_product": float(pairwise.max())}
+    if not residuals["sum_minus_identity"] <= eps:
+        raise SumNotIdentityError(name, residuals["sum_minus_identity"], eps)
     ranks = [p.rank for p in members]
-    summed = residuals["sum_minus_identity"] <= eps
-    if summed and sum(ranks) != members[0].ambient_dim:
+    if sum(ranks) != members[0].ambient_dim:
         raise ValidationError(
             f"context {name!r}: member ranks {ranks} sum to {sum(ranks)}, "
             f"not to the dimension {members[0].ambient_dim}"
         )
-    if not residuals["pairwise_product"] <= eps:
-        pairwise = np.maximum(products, products.T)
-        np.fill_diagonal(pairwise, 0.0)
-        # Symmetric with a zero diagonal: the first hit has i < j.
-        i, j = (int(k) for k in np.argwhere(~(pairwise <= eps))[0])
-        raise PairwiseProductNonzeroError(name, i, j, float(pairwise[i, j]), eps)
-    if not summed:
-        raise SumNotIdentityError(name, residuals["sum_minus_identity"], eps)
     ctx = MaximalContext(name=name, members=members)
     object.__setattr__(ctx, "_residuals", residuals)
     return ctx

@@ -119,6 +119,32 @@ class TestContextLattice:
         monkeypatch.setattr(pl.lattice, "DEFAULT_ENTRY_CAP", 8)
         assert len(pl.context_lattice(pauli.contexts[0]).elements) == 4
 
+    def test_one_block_family_lists_past_the_cap(self):
+        # In C^1025 the trivial meet {0, C^n} lists 1025^2 > 2^20 basis
+        # entries, one member's worth, and is not capped; a family of two
+        # blocks lists twice that and is. The members are built by hand with
+        # their ranges: the coordinate halves, and the halves of a dense
+        # Householder reflection, which overlap each of them.
+        n, half = 1025, 512
+        w = np.random.default_rng(2760).normal(size=n)
+        w /= np.linalg.norm(w)
+        turned = np.eye(n) - 2 * np.outer(w, w)
+        contexts = []
+        for name, basis in (("e", np.eye(n)), ("h", turned)):
+            parts = (basis[:, :half], basis[:, half:])
+            members = tuple(
+                pl.Projector(q @ q.T, q.shape[1], f"{name}{i}", _range=q.astype(complex), _gap=0.0)
+                for i, q in enumerate(parts)
+            )
+            contexts.append(pl.MaximalContext(name, members))
+        families = [pl.context_lattice(ctx) for ctx in contexts]
+        meet = pl.intersect_lattices(families)
+        assert meet.is_trivial() and n * n > pl.lattice.DEFAULT_ENTRY_CAP
+        assert [el.dim for el in meet.elements] == [0, n]
+        with pytest.raises(pl.SubsetLimitExceededError) as info:
+            families[0].elements
+        assert info.value.entries == 2 * n * n
+
     def test_two_member_context_matches_single_projector_lattice(self, pauli):
         for ctx in pauli.contexts:
             family = pl.context_lattice(ctx)

@@ -94,8 +94,9 @@ def _report(tmp_path, capsys, command, doc):
 
 class TestMechanism:
     def test_ray_documents_take_no_member_products(self, monkeypatch):
-        # The only member products left are each matrix member's P P, for
-        # its idempotency residual; no code multiplies two members.
+        # Besides the dense products of a pair whose bound fails, the only
+        # member products left are each matrix member's P P, for its
+        # idempotency residual.
         calls = []
         residuals = pl.projectors._member_residuals
 

@@ -37,11 +37,10 @@ from .errors import (
 )
 from .lattice import (
     LatticeFamily,
-    all_elements_invariant,
     context_lattice,
     intersect_lattices,
 )
-from .linalg import adjoint, numerical_rank, orthonormalize
+from .linalg import numerical_rank, orthonormalize
 from .projectors import (
     ContextCollection,
     MaximalContext,
@@ -100,9 +99,7 @@ __all__ = [
     "TruthValue",
     "ValidationError",
     "ZeroStateError",
-    "adjoint",
     "algebra_closure",
-    "all_elements_invariant",
     "bivalence_report",
     "collection_to_document",
     "context_from_basis",

@@ -58,6 +58,7 @@ class AlgebraClosure:
     ambient_dim: int
     basis: tuple[np.ndarray, ...]
     dimension: int
+    # Read by no command; bench/tracing.py counts it.
     generations: int
     saturated: bool
 
@@ -188,6 +189,7 @@ def _closure_witness(
     return None
 
 
+# No command calls this; it stays for bench/tracing.py, which wraps it.
 def invariant_subspace_witness(
     generators, tol: TolerancePolicy | None = None
 ) -> Subspace | None:

@@ -20,7 +20,7 @@ import numpy as np
 # ``is_irreducible`` is no longer called here; it stays importable from this
 # module, where bench/tracing.py wraps it.
 from .algebra import collection_irreducibility, is_irreducible  # noqa: F401
-from .document import _parse_tolerances, load_document, matrix_to_json, vector_to_json
+from .document import _parse_tolerances, load_document, matrix_to_json
 from .errors import CapExceededError, DimensionMismatchError, ParseError, ValidationError
 from .lattice import LatticeFamily, context_lattice, intersect_lattices
 from .projectors import ContextCollection, context_residuals, pauli_contexts
@@ -163,7 +163,7 @@ def _irreducible_verdicts(args, collection, tol, meet: LatticeFamily | None = No
 def _valuation_verdicts(state, collection: ContextCollection, tol: TolerancePolicy) -> dict:
     report = bivalence_report(state, collection, tol)
     return {
-        "state": vector_to_json(state),
+        "state": matrix_to_json(state),
         "contexts": {
             cv.context_name: {
                 "labels": list(ctx.labels),

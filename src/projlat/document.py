@@ -353,17 +353,11 @@ def _read_json(path):
         raise ParseError(f"{path}: {exc}") from exc
 
 
-def _pairs(arr: np.ndarray) -> list:
-    """``[re, im]`` float pairs in the shape of ``arr``, from one ``tolist``."""
+def matrix_to_json(array) -> list:
+    """``[re, im]`` float pairs in the shape of a complex ``array`` (a
+    matrix, a vector or a stack), from one ``tolist``."""
+    arr = np.asarray(array, dtype=complex)
     return np.stack((arr.real, arr.imag), -1).tolist()
-
-
-def matrix_to_json(matrix) -> list[list[list[float]]]:
-    return _pairs(np.asarray(matrix, dtype=complex))
-
-
-def vector_to_json(vector) -> list[list[float]]:
-    return _pairs(np.asarray(vector, dtype=complex))
 
 
 def collection_to_document(

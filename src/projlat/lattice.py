@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import SubsetLimitExceededError
 from .linalg import _common_dim
-from .projectors import MaximalContext, _overlaps, _padded, is_invariant
+from .projectors import MaximalContext, _overlaps, _padded
 from .subspace import Subspace
 from .tolerance import TolerancePolicy, resolve
 
@@ -126,9 +126,6 @@ class LatticeFamily:
         n = self.ambient_dim
         widths = [u.shape[1] for u in self._atom_set.bases]
         return len(self._blocks) == 1 and sum(widths[i] for i in _bits(self._blocks[0])) >= n
-
-    def contains(self, subspace: Subspace, tol: TolerancePolicy | None = None) -> bool:
-        return any(el.equals(subspace, tol) for el in self.elements)
 
     def __len__(self) -> int:
         return self.size
@@ -247,13 +244,3 @@ def _components(rows: list[int]) -> list[int]:
         left &= ~component
     return components
 
-
-def all_elements_invariant(
-    family: LatticeFamily, ctx: MaximalContext, tol: TolerancePolicy | None = None
-) -> bool:
-    """Verification pass: every element is invariant under every member."""
-    return all(
-        is_invariant(el, member, tol)
-        for el in family.elements
-        for member in ctx.members
-    )

@@ -1,11 +1,11 @@
 """Dense complex linear algebra primitives.
 
-The coercions that name bad input and the rank rule live here, and
-``Subspace`` is built on the rest. They follow one discipline: inputs are
-coerced to fresh ``complex128`` arrays, rank decisions use a relative
-singular-value threshold, and results are deterministic for a fixed input
-order. The batched work of projectors, lattice and algebra calls numpy
-directly; projectors rank their members with ``singular_rank``.
+The coercions that name bad input and the rank rule live here. They
+follow one discipline: inputs are coerced to fresh ``complex128`` arrays,
+rank decisions use a relative singular-value threshold, and results are
+deterministic for a fixed input order. The batched work of projectors,
+lattice and algebra calls numpy directly; projectors rank their members
+with ``singular_rank``.
 """
 from __future__ import annotations
 
@@ -48,11 +48,7 @@ def _common_dim(dims, what: str) -> int:
     return first
 
 
-def adjoint(matrix) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_complex_matrix(matrix).conj().T.copy()
-
-
+# No command calls this; it stays for bench/tracing.py, which wraps it.
 def orthonormalize(
     vectors: Iterable, tol: TolerancePolicy | None = None
 ) -> list[np.ndarray]:
@@ -67,13 +63,7 @@ def orthonormalize(
     if not vecs:
         return []
     _common_dim((v.shape[0] for v in vecs), "mixed vector dimensions:")
-    return _gram_schmidt(vecs, tol)
-
-
-def _gram_schmidt(vecs: list[np.ndarray], tol: TolerancePolicy | None) -> list[np.ndarray]:
-    """``orthonormalize`` of fresh complex128 vectors of one dimension,
-    which it overwrites: the vectors are already coerced and checked."""
-    scale = max((float(np.linalg.norm(v)) for v in vecs), default=0.0)
+    scale = max(float(np.linalg.norm(v)) for v in vecs)
     if scale == 0.0:
         return []
     cutoff = resolve(tol).eps_rank * scale
@@ -102,6 +92,7 @@ def singular_rank(singular_values, tol: TolerancePolicy | None = None) -> int:
     return int(counts) if s.ndim == 1 else counts
 
 
+# No command calls this; it stays for bench/tracing.py, which wraps it.
 def numerical_rank(matrix, tol: TolerancePolicy | None = None) -> int:
     """Numerical rank by singular-value thresholding; the zero matrix has rank 0."""
     arr = as_complex_matrix(matrix)
@@ -110,6 +101,7 @@ def numerical_rank(matrix, tol: TolerancePolicy | None = None) -> int:
     return singular_rank(np.linalg.svd(arr, compute_uv=False), tol)
 
 
+# No command calls this; it stays for bench/tracing.py, which wraps it.
 def kernel_basis(matrix, tol: TolerancePolicy | None = None) -> list[np.ndarray]:
     """Orthonormal kernel basis of a (possibly rectangular) matrix via SVD.
 
@@ -123,6 +115,7 @@ def kernel_basis(matrix, tol: TolerancePolicy | None = None) -> list[np.ndarray]
     return [vh[i].conj() for i in range(rank, arr.shape[1])]
 
 
+# No command calls this; it stays for bench/tracing.py, which wraps it.
 def range_basis(matrix, tol: TolerancePolicy | None = None) -> list[np.ndarray]:
     """Orthonormal basis of the column space via SVD."""
     arr = as_complex_matrix(matrix)

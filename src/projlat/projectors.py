@@ -80,11 +80,6 @@ class Projector:
         """Column space: the vectors the projector fixes."""
         return Subspace(self.ambient_dim, self._factors()[0])
 
-    def kernel(self) -> Subspace:
-        """Null space: the complement of the range, from one complete QR of its basis."""
-        q = np.linalg.qr(self._factors()[0], mode="complete")[0]
-        return Subspace(self.ambient_dim, q[:, self.rank :])
-
     def __repr__(self) -> str:
         return f"Projector({self.label!r}, rank={self.rank}, dim={self.ambient_dim})"
 

@@ -44,6 +44,9 @@ def valuate(
     ONE when ``|P psi - psi| <= eps_entry |psi|``, ZERO when
     ``|P psi| <= eps_entry |psi|``, UNDEFINED otherwise. Both thresholds
     scale with the state norm, so the value is phase- and scale-invariant.
+    The state is first scaled by the power of two that brings its largest
+    real or imaginary part into [1/2, 1): that is exact, so no norm
+    overflows or underflows and the value does not change.
     """
     tol = resolve(tol)
     psi = linalg.as_state_vector(state)
@@ -51,6 +54,8 @@ def valuate(
         raise DimensionMismatchError(
             f"state dimension {psi.shape[0]} != ambient {projector.ambient_dim}"
         )
+    parts = psi.view(np.float64)
+    np.ldexp(parts, -np.frexp(np.abs(parts).max())[1], out=parts)
     norm = float(np.linalg.norm(psi))
     if norm == 0.0:
         raise ZeroStateError()

@@ -129,6 +129,35 @@ def random_state(rng, dim: int) -> np.ndarray:
     return rng.normal(size=dim) + 1j * rng.normal(size=dim)
 
 
+def span(*vectors) -> pl.Subspace:
+    """The subspace that independent ``vectors`` span, from a QR of their columns."""
+    columns = np.column_stack([np.asarray(v, dtype=complex) for v in vectors])
+    return pl.Subspace(len(columns), np.linalg.qr(columns)[0])
+
+
+def contains(family, sub, tol=None) -> bool:
+    """True when some element of ``family`` equals ``sub``."""
+    return any(el.equals(sub, tol) for el in family.elements)
+
+
+def kernel(projector: pl.Projector) -> pl.Subspace:
+    """A projector's kernel: the range of the checked I - P."""
+    return pl.validate_projector(np.eye(projector.ambient_dim) - projector.matrix).range()
+
+
+def meet(u: pl.Subspace, v: pl.Subspace, tol=None) -> pl.Subspace:
+    """u ∩ v from their projectors: the SVD null space of [I - Pu; I - Pv]."""
+    eye = np.eye(u.ambient_dim)
+    _, s, vh = np.linalg.svd(np.vstack([eye - u.projector, eye - v.projector]))
+    return pl.Subspace(u.ambient_dim, vh[pl.linalg.singular_rank(s, tol) :].conj().T)
+
+
+def join(u: pl.Subspace, v: pl.Subspace, tol=None) -> pl.Subspace:
+    """u + v from their projectors: the SVD range of [Pu Pv]."""
+    left, s, _ = np.linalg.svd(np.hstack([u.projector, v.projector]))
+    return pl.Subspace(u.ambient_dim, left[:, : pl.linalg.singular_rank(s, tol)])
+
+
 @pytest.fixture(scope="session")
 def pauli() -> pl.ContextCollection:
     return pl.pauli_contexts()

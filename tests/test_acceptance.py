@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import projlat as pl
-from conftest import ks18_collection, random_rank1_context
+from conftest import contains, kernel, ks18_collection, meet, random_rank1_context, span
 from projlat import Subspace, TruthValue
 from projlat.cli import main
 
@@ -30,9 +30,9 @@ def _check(number: int, name: str, fn):
 
 
 EXPECTED_LINES = {
-    "z": [Subspace.from_span([[1, 0]]), Subspace.from_span([[0, 1]])],
-    "x": [Subspace.from_span([[1, 1]]), Subspace.from_span([[1, -1]])],
-    "y": [Subspace.from_span([[1, 1j]]), Subspace.from_span([[1j, 1]])],
+    "z": [span([1, 0]), span([0, 1])],
+    "x": [span([1, 1]), span([1, -1])],
+    "y": [span([1, 1j]), span([1j, 1])],
 }
 
 
@@ -40,7 +40,8 @@ def _subspace_from_json(element: dict) -> Subspace:
     vectors = [
         [complex(re, im) for re, im in vector] for vector in element["basis"]
     ]
-    return Subspace.from_span(vectors, ambient_dim=2)
+    # The report's basis is orthonormal; an empty one is the zero subspace.
+    return Subspace(2, np.array(vectors, dtype=complex).T)
 
 
 def _assert_family_matches(name: str, family_json: dict):
@@ -101,7 +102,7 @@ def test_criterion_3_algebra_saturation(pauli):
         cross = pl.is_irreducible(pair)
         assert cross.algebra_dimension == 2
         assert not cross.irreducible
-        coordinate_lines = [Subspace.from_span([[1, 0]]), Subspace.from_span([[0, 1]])]
+        coordinate_lines = [span([1, 0]), span([0, 1])]
         assert any(cross.witness.equals(line) for line in coordinate_lines)
         return 1.0
 
@@ -116,16 +117,18 @@ def test_criterion_4_lattice_property_suite():
             ctx = random_rank1_context(rng, dim, name=f"c{index}")
             family = pl.context_lattice(ctx)
             assert len(family) == 2 ** dim
-            assert pl.all_elements_invariant(family, ctx)
+            assert all(
+                pl.is_invariant(el, member) for el in family.elements for member in ctx.members
+            )
             ranges = [p.range() for p in ctx.members]
-            kernels = [p.kernel() for p in ctx.members]
+            kernels = [kernel(p) for p in ctx.members]
             for i in range(dim):
                 for j in range(dim):
                     if i == j:
                         continue
-                    assert ranges[i].meet(ranges[j]).is_zero()
-                    assert ranges[i].meet(kernels[j]).equals(ranges[i])
-                    assert kernels[i].meet(ranges[j]).equals(ranges[j])
+                    assert meet(ranges[i], ranges[j]).dim == 0
+                    assert meet(ranges[i], kernels[j]).equals(ranges[i])
+                    assert meet(kernels[i], ranges[j]).equals(ranges[j])
                     rest = [k for k in range(dim) if k not in (i, j)]
                     if rest:
                         remainder = Subspace.column_space(
@@ -133,7 +136,7 @@ def test_criterion_4_lattice_property_suite():
                         )
                     else:
                         remainder = Subspace.zero(dim)
-                    assert kernels[i].meet(kernels[j]).equals(remainder)
+                    assert meet(kernels[i], kernels[j]).equals(remainder)
         return 10.0
 
     _check(4, "lattice properties on 100 random rank-1 contexts", run)
@@ -158,7 +161,7 @@ def test_criterion_5_shared_projector_consistency():
             families = [pl.context_lattice(ctx) for ctx in collection.contexts]
             meet = pl.intersect_lattices(families)
             assert not meet.is_trivial()
-            assert meet.contains(Subspace.from_span([shared]))
+            assert contains(meet, span(shared))
             result = pl.search_noncontextual_assignment(collection)
             assert result.satisfiable
             shared_id = collection.identity_of(0, 0)

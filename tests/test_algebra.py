@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import projlat as pl
-from conftest import max_abs, random_rank1_context
+from conftest import max_abs, random_rank1_context, span
 from projlat import Subspace
 
 I2 = np.eye(2, dtype=complex)
@@ -77,13 +77,13 @@ class TestIsIrreducible:
         assert not report.irreducible
         assert report.algebra_dimension == 2
         assert report.witness is not None
-        lines = [Subspace.from_span([[1, 0]]), Subspace.from_span([[0, 1]])]
+        lines = [span([1, 0]), span([0, 1])]
         assert any(report.witness.equals(line) for line in lines)
 
     def test_identity_and_zero_yield_first_coordinate_line(self):
         report = pl.is_irreducible([I2, ZERO2])
         assert not report.irreducible
-        assert report.witness.equals(Subspace.from_span([[1, 0]]))
+        assert report.witness.equals(span([1, 0]))
 
     def test_dimension_one_rejected(self):
         with pytest.raises(pl.AmbientDimOneError):
@@ -103,7 +103,7 @@ class TestWitnessSearch:
         p1x = pauli.context_named("x").members[0]
         witness = pl.invariant_subspace_witness([p1x.matrix])
         assert witness is not None
-        assert witness.equals(Subspace.from_span([[1, 1]]))
+        assert witness.equals(span([1, 1]))
 
     def test_saturated_generators_have_no_witness(self, pauli):
         assert pl.invariant_subspace_witness(pauli_projector_matrices(pauli)) is None
@@ -286,7 +286,7 @@ class TestCommutantRoute:
         # with the larger weight on x[0], whose range is the first orbit
         x_context = [p.matrix for p in pauli.context_named("x").members]
         report = pl.is_irreducible(x_context)
-        assert report.witness.equals(Subspace.from_span([[1, 1]]))
+        assert report.witness.equals(span([1, 1]))
 
     def test_upper_triangular_pair_uses_closure(self):
         # {E11, E12} has a trivial commutant yet leaves the first coordinate
@@ -296,7 +296,7 @@ class TestCommutantRoute:
         report = pl.is_irreducible([e11, e12])
         assert not report.irreducible
         assert report.algebra_dimension == 3
-        assert report.witness.equals(Subspace.from_span([[1, 0]]))
+        assert report.witness.equals(span([1, 0]))
 
 
 def block_triangular(rng, sizes, count=3):
@@ -520,7 +520,7 @@ def oracle_witness_search(generators, tol=None):
     if len(clusters) < n:
         candidates += [[i for i in range(n) if mask >> i & 1] for mask in range(1, (1 << n) - 1)]
     for indices in candidates:
-        sub = Subspace.from_span([vectors[:, i] for i in indices], ambient_dim=n, tol=tol)
+        sub = span(*(vectors[:, i] for i in indices))
         if 0 < sub.dim < n and all(pl.is_invariant(sub, m, tol) for m in mats):
             return sub
     return None

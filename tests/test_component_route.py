@@ -16,7 +16,7 @@ import projlat as pl
 from conftest import KS18_GROUPS, ks18_ray_names
 from projlat.algebra import _member_components, collection_irreducibility
 from projlat.cli import main
-from projlat.document import matrix_to_json, vector_to_json
+from projlat.document import matrix_to_json
 from projlat.lattice import _bits, _components, _rows
 
 
@@ -58,7 +58,7 @@ def ks18_tensored(rng, factors=2):
     turn = _haar(rng, 4 * factors)
     eye = np.eye(factors)
     rays = {
-        f"{name}_{j}": vector_to_json(turn @ np.kron(np.array(ray) / np.linalg.norm(ray), eye[j]))
+        f"{name}_{j}": matrix_to_json(turn @ np.kron(np.array(ray) / np.linalg.norm(ray), eye[j]))
         for ray, name in names.items()
         for j in range(factors)
     }

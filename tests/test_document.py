@@ -175,7 +175,7 @@ def test_ray_norms_match_numpy_bit_for_bit(seed):
     with np.errstate(over="ignore"):
         for row in rows:
             assert pl.document._norm(row) == np.linalg.norm(row)
-    rays = {f"r{k}": pl.document.vector_to_json(row) for k, row in enumerate(rows)}
+    rays = {f"r{k}": pl.document.matrix_to_json(row) for k, row in enumerate(rows)}
     got = pl.document._unit_rays(rays, dim)
     assert got.tobytes() == oracle_unit_rays(rows).tobytes()
 
@@ -567,14 +567,14 @@ class TestOneCallEncode:
                 oracle_matrix_to_json(m)
             )
             for row in np.asarray(m):
-                assert json.dumps(pl.document.vector_to_json(row)) == json.dumps(
+                assert json.dumps(pl.document.matrix_to_json(row)) == json.dumps(
                     oracle_vector_to_json(row)
                 )
 
     def test_signed_zeros_and_nan_survive(self):
         v = np.empty(3, dtype=complex)
         v.real, v.imag = [-0.0, 0.0, -np.inf], [-0.0, np.nan, 1.0]
-        assert json.dumps(pl.document.vector_to_json(v)) == "[[-0.0, -0.0], [0.0, NaN], [-Infinity, 1.0]]"
+        assert json.dumps(pl.document.matrix_to_json(v)) == "[[-0.0, -0.0], [0.0, NaN], [-Infinity, 1.0]]"
 
     def test_saved_documents_keep_their_bytes(self, pauli, tmp_path):
         doc = pl.collection_to_document(pauli)

@@ -5,7 +5,17 @@ import numpy as np
 import pytest
 
 import projlat as pl
-from conftest import from_basis, max_abs, random_rank1_context, rays_of
+from conftest import (
+    contains,
+    from_basis,
+    join,
+    kernel,
+    max_abs,
+    meet,
+    random_rank1_context,
+    rays_of,
+    span,
+)
 from projlat import Subspace, linalg
 from projlat.cli import main
 
@@ -21,9 +31,6 @@ class Listed:
     ambient_dim: int
     elements: tuple
     labels: tuple
-
-    def contains(self, subspace, tol=None):
-        return any(el.equals(subspace, tol) for el in self.elements)
 
 
 @pytest.fixture(scope="module")
@@ -45,7 +52,7 @@ def projector_family(projector):
 def closed_under_meet_join(family, tol=None):
     """Every pairwise meet and join of the elements is again an element."""
     return all(
-        family.contains(u.meet(v, tol), tol) and family.contains(u.join(v, tol), tol)
+        contains(family, meet(u, v, tol), tol) and contains(family, join(u, v, tol), tol)
         for i, u in enumerate(family.elements)
         for v in family.elements[i:]
     )
@@ -57,9 +64,9 @@ class TestProjectorLattice:
         assert len(family) == 4
         expected = [
             Subspace.zero(2),
-            Subspace.from_span([[1, 0]]),
-            Subspace.from_span([[0, 1]]),
-            Subspace.full(2),
+            span([1, 0]),
+            span([0, 1]),
+            Subspace(2, np.eye(2)),
         ]
         for want, got in zip(expected, family.elements):
             assert want.equals(got)
@@ -72,18 +79,18 @@ class TestProjectorLattice:
     def test_y_projector_contains_both_eigenlines(self, pauli):
         family = projector_family(pauli.context_named("y").members[0])
         assert len(family) == 4
-        assert family.contains(Subspace.from_span([[1j, 1]]))
-        assert family.contains(Subspace.from_span([[1, 1j]]))
+        assert contains(family, span([1j, 1]))
+        assert contains(family, span([1, 1j]))
 
 
 class TestContextLattice:
     def test_x_context_lattice(self, pauli_lattices):
         family = pauli_lattices["x"]
         assert len(family) == 4
-        assert family.contains(Subspace.from_span([[1, 1]]))
-        assert family.contains(Subspace.from_span([[1, -1]]))
-        assert family.contains(Subspace.zero(2))
-        assert family.contains(Subspace.full(2))
+        assert contains(family, span([1, 1]))
+        assert contains(family, span([1, -1]))
+        assert contains(family, Subspace.zero(2))
+        assert contains(family, Subspace(2, np.eye(2)))
 
     def test_identity_singleton_context(self):
         ctx = pl.validate_context([pl.validate_projector(np.eye(2), label="1")])
@@ -151,7 +158,7 @@ class TestContextLattice:
             for member in ctx.members:
                 single = projector_family(member)
                 assert len(single) == len(family)
-                assert all(family.contains(el) for el in single.elements)
+                assert all(contains(family, el) for el in single.elements)
 
     def test_all_elements_invariant_under_all_members(self, pauli):
         rng = np.random.default_rng(67)
@@ -159,7 +166,7 @@ class TestContextLattice:
         contexts += [random_rank1_context(rng, dim) for dim in (2, 3, 4)]
         for ctx in contexts:
             family = pl.context_lattice(ctx)
-            assert pl.all_elements_invariant(family, ctx)
+            assert all(pl.is_invariant(el, m) for el in family.elements for m in ctx.members)
 
     def test_random_rank1_contexts_have_two_to_the_m_elements(self):
         rng = np.random.default_rng(71)
@@ -177,7 +184,7 @@ class TestContextLattice:
         family = pl.context_lattice(ctx)
         assert len(family) == 4
         assert sorted(el.dim for el in family.elements) == [0, 2, 2, 4]
-        assert pl.all_elements_invariant(family, ctx)
+        assert all(pl.is_invariant(el, m) for el in family.elements for m in ctx.members)
         result = pl.search_noncontextual_assignment(pl.ContextCollection([ctx]))
         assert result.satisfiable
 
@@ -198,14 +205,14 @@ class TestIntersectLattices:
         meet = pl.intersect_lattices(pauli_lattices.values())
         assert len(meet) == 2
         assert meet.is_trivial()
-        assert meet.contains(Subspace.zero(2))
-        assert meet.contains(Subspace.full(2))
+        assert contains(meet, Subspace.zero(2))
+        assert contains(meet, Subspace(2, np.eye(2)))
 
     def test_single_family_is_unchanged(self, pauli_lattices):
         family = pauli_lattices["z"]
         meet = pl.intersect_lattices([family])
         assert len(meet) == len(family)
-        assert all(meet.contains(el) for el in family.elements)
+        assert all(contains(meet, el) for el in family.elements)
 
     def test_identical_families_intersect_to_themselves(self, pauli):
         zctx = pauli.context_named("z")
@@ -229,7 +236,7 @@ class TestIntersectLattices:
         reversed_meet = pl.intersect_lattices(list(reversed(fams)))
         assert len(reversed_meet) == len(meet)
         for fam in fams:
-            assert all(fam.contains(el) for el in meet.elements)
+            assert all(contains(fam, el) for el in meet.elements)
 
     def test_ambient_mismatch_raises(self, pauli_lattices):
         other = pl.context_lattice(pl.context_from_basis(np.eye(3).tolist()))
@@ -284,8 +291,8 @@ class TestClosureVerification:
             2,
             (
                 Subspace.zero(2),
-                Subspace.from_span([[1, 0]]),
-                Subspace.from_span([[1, 1]]),
+                span([1, 0]),
+                span([1, 1]),
             ),
             ("a", "b", "c"),
         )
@@ -325,7 +332,7 @@ def oracle_intersect(families):
     pairs = [
         (el, label)
         for el, label in zip(first.elements, first.labels)
-        if all(fam.contains(el) for fam in rest)
+        if all(contains(fam, el) for fam in rest)
     ]
     return _oracle_dedup(pairs, first.ambient_dim)
 
@@ -472,7 +479,7 @@ class TestIntersectionGuard:
 # The eager build every family used before families kept their atoms: all
 # 2^k elements and labels at once, one QR of the stacked atom bases each.
 def eager_boolean_family(n, parts):
-    atoms = [(sub.basis, name) for sub, name in parts if not sub.is_zero()]
+    atoms = [(sub.basis, name) for sub, name in parts if sub.dim]
     elements, labels = [Subspace.zero(n)], ["ran(0)"]
     for mask in range(1, 1 << len(atoms)):
         chosen = [atoms[i] for i in range(len(atoms)) if mask >> i & 1]
@@ -628,7 +635,7 @@ class TestBatchedRanges:
     def assert_atoms_are_ranges(ctx):
         atoms = pl.context_lattice(ctx)._atom_set
         ranges = [(p.range(), p.label) for p in ctx.members]
-        kept = [(i, sub, label) for i, (sub, label) in enumerate(ranges) if not sub.is_zero()]
+        kept = [(i, sub, label) for i, (sub, label) in enumerate(ranges) if sub.dim]
         assert atoms.parts == len(ctx.members)
         assert atoms.names == tuple(label for _, _, label in kept)
         for basis, (i, sub, _) in zip(atoms.bases, kept):
@@ -786,7 +793,7 @@ class TestKeptFactors:
         rays, groups = {}, {}
         for g in range(3):
             for k, column in enumerate(_haar(rng, 7).T):
-                rays[f"{g}_{k}"] = pl.document.vector_to_json(column)
+                rays[f"{g}_{k}"] = pl.document.matrix_to_json(column)
             groups[f"g{g}"] = [f"{g}_{k}" for k in range(7)]
         haar, _ = pl.parse_document({"dim": 7, "rays": rays, "groups": groups})
         for collection in (ks18, haar):
@@ -801,7 +808,8 @@ class TestKeptFactors:
 
 
 class TestRangeAndKernel:
-    """``Projector.range`` is the kept basis and ``kernel`` its complement."""
+    """``Projector.range`` is the kept basis; the kernel route,
+    ``validate_projector(I - P).range()``, ranks I - P on its own."""
 
     @staticmethod
     def projectors(rng):
@@ -823,22 +831,21 @@ class TestRangeAndKernel:
             assert members[-1].rank == 3
             for p in members:
                 n = p.ambient_dim
-                ran, ker = p.range(), p.kernel()
-                assert ran.dim == p.rank and ker.dim == n - p.rank
+                ran, ker = p.range(), kernel(p)
+                assert ran.dim == p.rank
                 roundoff = 8 * n * np.finfo(float).eps
-                assert max_abs(ran.basis.conj().T @ ker.basis) <= roundoff
                 assert max_abs(ker.basis.conj().T @ ker.basis - np.eye(ker.dim)) <= roundoff
-                old = Subspace.column_space(np.eye(n) - p.matrix)
-                if old.dim == ker.dim:
-                    assert ker.equals(old)
+                assert ker.equals(Subspace.column_space(np.eye(n) - p.matrix))
+                if ker.dim == n - p.rank:
+                    assert max_abs(ran.basis.conj().T @ ker.basis) <= roundoff
                 else:
                     disagree.append(p)
             ctx = pl.validate_context(members[:-1])
             atoms = pl.context_lattice(ctx)._atom_set.bases
             ranges = [p.range().basis for p in ctx.members if p.rank]
             assert [a.tobytes() for a in atoms] == [r.tobytes() for r in ranges]
-        # Only on the straddling member does the old kernel differ in rank:
-        # I - P has rank 4 there, not 6 - 3.
+        # Only on the straddling member does the kernel differ in rank from
+        # n - rank: I - P has rank 4 there, not 6 - 3.
         assert [id(p) for p in disagree] == [id(p) for p in straddled]
 
 

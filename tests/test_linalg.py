@@ -12,23 +12,6 @@ P1X = 0.5 * np.array([[1, 1], [1, 1]], dtype=complex)
 P1Y = 0.5 * np.array([[1, -1j], [1j, 1]])
 
 
-class TestAdjoint:
-    def test_identity_is_self_adjoint(self):
-        assert np.array_equal(pl.adjoint(I2), I2)
-
-    def test_pauli_y_projector_is_self_adjoint(self):
-        assert np.allclose(pl.adjoint(P1Y), P1Y)
-
-    def test_real_matrix_transposes(self):
-        assert np.array_equal(pl.adjoint([[0, 1], [0, 0]]), [[0, 0], [1, 0]])
-
-    def test_involution_is_exact(self):
-        rng = np.random.default_rng(7)
-        for dim in (2, 3, 4):
-            m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-            assert np.array_equal(pl.adjoint(pl.adjoint(m)), m)
-
-
 class TestOrthonormalize:
     def test_collinear_vectors_collapse(self):
         basis = pl.orthonormalize([[1, 0], [2, 0]])

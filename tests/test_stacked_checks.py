@@ -590,7 +590,7 @@ class TestBatchedRayLoader:
         for g in range(3):
             turn = np.eye(3, dtype=complex)
             turn[1:, 1:] = _unitary(rng, 2)
-            rays.update({f"g{g}r{k}": pl.document.vector_to_json(turn[:, k]) for k in (1, 2)})
+            rays.update({f"g{g}r{k}": pl.document.matrix_to_json(turn[:, k]) for k in (1, 2)})
             groups[f"g{g}"] = [f"g{g}r1", "e0", f"g{g}r2"] if g == 1 else ["e0", f"g{g}r1", f"g{g}r2"]
         doc = {"dim": 3, "rays": rays, "groups": groups}
         collection, tol = pl.parse_document(doc)
@@ -1120,7 +1120,7 @@ class TestRayScreen:
 
     def test_one_ray_under_two_names(self):
         basis = _unitary(np.random.default_rng(2170), 3)
-        rays = {f"a{i}": pl.document.vector_to_json(basis[:, i]) for i in range(3)}
+        rays = {f"a{i}": pl.document.matrix_to_json(basis[:, i]) for i in range(3)}
         rays["again"] = rays["a0"]
         groups = {"x": ["a0", "a1", "a2"], "y": ["a1", "a2", "again"]}
         doc = {"dim": 3, "rays": rays, "groups": groups}
@@ -1191,8 +1191,8 @@ class TestRayScreen:
         # screen keeps, never all at once, and never flattened.
         rng = np.random.default_rng(2199)
         basis, turned = _turned_bases(rng, 4, [0.0, 0.5 * EPS])
-        rays = {f"a{i}": pl.document.vector_to_json(v) for i, v in enumerate(basis.T)}
-        rays.update({f"b{i}": pl.document.vector_to_json(turned[:, i]) for i in (0, 1)})
+        rays = {f"a{i}": pl.document.matrix_to_json(v) for i, v in enumerate(basis.T)}
+        rays.update({f"b{i}": pl.document.matrix_to_json(turned[:, i]) for i in (0, 1)})
         groups = {"x": ["a0", "a1", "a2", "a3"], "y": ["b0", "b1", "a2", "a3"]}
         groups["z"] = groups["x"]
         contexts = pl.parse_document({"dim": 4, "rays": rays, "groups": groups})[0].contexts
@@ -1398,7 +1398,6 @@ class TestRangeScreen:
             for read in (
                 lambda: pl.ContextCollection([good, ctx]),
                 bad.range,
-                bad.kernel,
                 lambda: pl.context_lattice(ctx),
             ):
                 with pytest.raises(pl.ValidationError, match="^matrix entries must be finite$"):

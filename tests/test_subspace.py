@@ -1,62 +1,54 @@
+"""Subspaces: built from a spanning set, compared with ``equals``, and the
+kernel route ``validate_projector(I - P).range()``. The meet and join
+tests pin the conftest oracles that the lattice and projector checks use."""
 import numpy as np
 import pytest
 
 import projlat as pl
-from conftest import max_abs, random_projector
+from conftest import join, kernel, max_abs, meet, random_projector, span
 from projlat import Subspace
 
-LINE_E1 = Subspace.from_span([[1, 0]])
-LINE_E2 = Subspace.from_span([[0, 1]])
-LINE_PLUS = Subspace.from_span([[1, 1]])
-LINE_MINUS = Subspace.from_span([[1, -1]])
-LINE_Y1 = Subspace.from_span([[1, 1j]])
-LINE_Y2 = Subspace.from_span([[1j, 1]])
+LINE_E1 = span([1, 0])
+LINE_E2 = span([0, 1])
+LINE_PLUS = span([1, 1])
+LINE_MINUS = span([1, -1])
+LINE_Y1 = span([1, 1j])
+LINE_Y2 = span([1j, 1])
+FULL2 = Subspace(2, np.eye(2))
+
+
+def complement(sub):
+    """The orthogonal complement of ``sub``, by the kernel route."""
+    return kernel(pl.validate_projector(sub.projector))
+
+
+def fixes(sub, vector):
+    vector = np.asarray(vector, dtype=complex)
+    residual = np.linalg.norm(sub.projector @ vector - vector)
+    return residual <= pl.DEFAULT_TOLERANCES.eps_subspace * np.linalg.norm(vector)
 
 
 def test_from_span_single_vector():
-    assert LINE_E1.dim == 1
-    assert LINE_E1.contains([3, 0])
-    assert not LINE_E1.contains([0, 1])
+    line = Subspace.column_space([[1], [0]])
+    assert line.dim == 1
+    assert fixes(line, [3, 0])
+    assert not fixes(line, [0, 1])
 
 
 def test_from_span_empty_is_zero_subspace():
-    sub = Subspace.from_span([], ambient_dim=2)
-    assert sub.is_zero()
+    sub = Subspace.column_space(np.zeros((2, 0)))
+    assert sub.dim == 0
     assert np.array_equal(sub.projector, np.zeros((2, 2)))
 
 
 def test_from_span_spanning_set_gives_full_space():
-    assert Subspace.from_span([[1, 1], [1, -1]]).is_full()
-
-
-def test_from_span_mixed_dimensions_raise():
-    with pytest.raises(pl.DimensionMismatchError):
-        Subspace.from_span([[1, 0], [1, 0, 0]])
-
-
-def test_from_span_without_ambient_dim_raises():
-    with pytest.raises(ValueError):
-        Subspace.from_span([])
-
-
-def test_from_span_coerces_each_vector_once(monkeypatch):
-    calls = []
-    coerce = pl.linalg.as_state_vector
-
-    def spy(vector):
-        calls.append(vector)
-        return coerce(vector)
-
-    monkeypatch.setattr(pl.linalg, "as_state_vector", spy)
-    vectors = [[1, 0, 0], [1, 1, 0], [0, 1j, 2]]
-    assert Subspace.from_span(vectors).is_full()
-    assert calls == vectors
+    assert Subspace.column_space([[1, 1], [1, -1]]).dim == 2
 
 
 class TestEquals:
     def test_range_of_complement_equals_kernel(self):
         p = pl.pauli_contexts().contexts[0]  # z context
-        assert p.members[1].range().equals(p.members[0].kernel())
+        assert p.members[1].range().equals(kernel(p.members[0]))
 
     def test_zero_equals_zero(self):
         assert Subspace.zero(2).equals(Subspace.zero(2))
@@ -71,7 +63,7 @@ class TestEquals:
     def test_equivalence_relation_on_golden_elements(self):
         elements = [
             Subspace.zero(2), LINE_E1, LINE_E2, LINE_PLUS, LINE_MINUS,
-            LINE_Y1, LINE_Y2, Subspace.full(2),
+            LINE_Y1, LINE_Y2, FULL2,
         ]
         for u in elements:
             assert u.equals(u)
@@ -82,19 +74,19 @@ class TestEquals:
                         assert u.equals(w)
 
     def test_basis_choice_is_irrelevant(self):
-        other = Subspace.from_span([[0, 2], [1j, 0]])
-        assert other.equals(Subspace.full(2))
+        other = span([0, 2], [1j, 0])
+        assert other.equals(FULL2)
 
 
 class TestMeet:
     def test_orthogonal_lines_intersect_trivially(self):
-        assert LINE_E1.meet(LINE_E2).is_zero()
+        assert meet(LINE_E1, LINE_E2).dim == 0
 
     def test_full_space_is_absorbing(self):
-        assert LINE_PLUS.meet(Subspace.full(2)).equals(LINE_PLUS)
+        assert meet(LINE_PLUS, FULL2).equals(LINE_PLUS)
 
     def test_distinct_lines_intersect_trivially(self):
-        assert LINE_E1.meet(LINE_PLUS).is_zero()
+        assert meet(LINE_E1, LINE_PLUS).dim == 0
 
     def test_dimension_lower_bound(self):
         rng = np.random.default_rng(17)
@@ -102,39 +94,41 @@ class TestMeet:
             for _ in range(5):
                 u = random_projector(rng, dim, rng.integers(1, dim + 1)).range()
                 v = random_projector(rng, dim, rng.integers(1, dim + 1)).range()
-                assert u.meet(v).dim >= u.dim + v.dim - dim
+                assert meet(u, v).dim >= u.dim + v.dim - dim
 
 
 class TestJoin:
     def test_orthogonal_lines_span_everything(self):
-        assert LINE_E1.join(LINE_E2).is_full()
+        assert join(LINE_E1, LINE_E2).dim == 2
 
     def test_zero_is_neutral(self):
-        assert LINE_PLUS.join(Subspace.zero(2)).equals(LINE_PLUS)
+        assert join(LINE_PLUS, Subspace.zero(2)).equals(LINE_PLUS)
 
     def test_two_skew_lines_span_plane(self):
-        assert LINE_PLUS.join(LINE_Y1).is_full()
+        assert join(LINE_PLUS, LINE_Y1).dim == 2
 
 
 class TestOrthoComplement:
+    """The complement of a subspace is the kernel of its projector."""
+
     def test_coordinate_line(self):
-        assert LINE_E1.ortho_complement().equals(LINE_E2)
+        assert complement(LINE_E1).equals(LINE_E2)
 
     def test_zero_subspace(self):
-        assert Subspace.zero(3).ortho_complement().is_full()
+        assert complement(Subspace.zero(3)).dim == 3
 
     def test_diagonal_line(self):
-        assert LINE_PLUS.ortho_complement().equals(LINE_MINUS)
+        assert complement(LINE_PLUS).equals(LINE_MINUS)
 
     def test_projector_identity(self):
-        comp = LINE_Y1.ortho_complement()
+        comp = complement(LINE_Y1)
         assert np.allclose(comp.projector, np.eye(2) - LINE_Y1.projector)
 
     def test_involution(self):
         rng = np.random.default_rng(29)
         for dim in (2, 3, 4):
             sub = random_projector(rng, dim, rng.integers(1, dim)).range()
-            assert sub.ortho_complement().ortho_complement().equals(sub)
+            assert complement(complement(sub)).equals(sub)
 
 
 class TestDirectSum:
@@ -145,21 +139,25 @@ class TestDirectSum:
     def orthogonal(u, v):
         return max_abs(u.projector @ v.projector) <= pl.DEFAULT_TOLERANCES.eps_entry
 
+    @staticmethod
+    def direct_sum(u, v):
+        return meet(u, v).dim == 0 and join(u, v).dim == u.ambient_dim
+
     def test_range_and_kernel_decompose(self):
         rng = np.random.default_rng(31)
         for dim in (2, 3, 4):
             p = random_projector(rng, dim, rng.integers(1, dim))
-            ran, ker = p.range(), p.kernel()
-            assert ran.meet(ker).is_zero() and ran.join(ker).is_full()
+            ran, ker = p.range(), kernel(p)
+            assert self.direct_sum(ran, ker)
             assert self.orthogonal(ran, ker)
 
     def test_full_and_zero(self):
-        full, zero = Subspace.full(2), Subspace.zero(2)
-        assert full.meet(zero).is_zero() and full.join(zero).is_full()
-        assert self.orthogonal(full, zero)
+        zero = Subspace.zero(2)
+        assert self.direct_sum(FULL2, zero)
+        assert self.orthogonal(FULL2, zero)
 
     def test_spanning_but_non_orthogonal_pair_fails(self):
-        assert LINE_E1.meet(LINE_PLUS).is_zero() and LINE_E1.join(LINE_PLUS).is_full()
+        assert self.direct_sum(LINE_E1, LINE_PLUS)
         assert not self.orthogonal(LINE_E1, LINE_PLUS)
 
 
@@ -170,12 +168,12 @@ class TestLatticeLaws:
             for _ in range(5):
                 u = random_projector(rng, dim, rng.integers(1, dim + 1)).range()
                 v = random_projector(rng, dim, rng.integers(1, dim + 1)).range()
-                assert u.meet(v).equals(v.meet(u))
-                assert u.join(v).equals(v.join(u))
-                assert u.meet(u).equals(u)
-                assert u.join(u).equals(u)
-                assert u.join(u.meet(v)).equals(u)
-                assert u.meet(u.join(v)).equals(u)
+                assert meet(u, v).equals(meet(v, u))
+                assert join(u, v).equals(join(v, u))
+                assert meet(u, u).equals(u)
+                assert join(u, u).equals(u)
+                assert join(u, meet(u, v)).equals(u)
+                assert meet(u, join(u, v)).equals(u)
 
 
 def test_complement_swaps_range_and_kernel():
@@ -183,5 +181,5 @@ def test_complement_swaps_range_and_kernel():
     for dim in (2, 3, 4):
         p = random_projector(rng, dim, rng.integers(1, dim))
         q = pl.validate_projector(np.eye(dim) - p.matrix, label="1-P")
-        assert p.range().equals(q.kernel())
-        assert p.kernel().equals(q.range())
+        assert p.range().equals(kernel(q))
+        assert kernel(p).equals(q.range())

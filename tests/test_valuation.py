@@ -1,5 +1,6 @@
 import functools
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -7,11 +8,14 @@ import pytest
 import projlat as pl
 from conftest import (
     KS18_GROUPS,
+    contains,
+    kernel,
     ks18_collection,
     ks18_document,
     ks18_ray_names,
     random_projector,
     random_state,
+    span,
 )
 from projlat import TruthValue, valuation
 
@@ -55,7 +59,7 @@ class TestValuate:
             p = random_projector(rng, dim, rng.integers(1, dim))
             q = pl.validate_projector(np.eye(dim) - p.matrix, label="1-P")
             states = [random_state(rng, dim) for _ in range(5)]
-            states += [p.range().basis[:, 0], p.kernel().basis[:, 0]]
+            states += [p.range().basis[:, 0], kernel(p).basis[:, 0]]
             for psi in states:
                 v, w = pl.valuate(psi, p), pl.valuate(psi, q)
                 assert (v is TruthValue.ONE) == (w is TruthValue.ZERO)
@@ -74,6 +78,43 @@ class TestValuate:
                     if abs(c) < 1e-3:
                         continue
                     assert pl.valuate(c * psi, p) is reference
+
+
+class TestExtremeNorms:
+    """A state whose plain norm overflows (1e200) or underflows (1e-170)
+    gets the values of the state it scales, with no RuntimeWarning."""
+
+    @staticmethod
+    def cases(pauli, ks18, seed):
+        rng = np.random.default_rng(seed)
+        for p in [p for c in (pauli, ks18) for ctx in c.contexts for p in ctx.members]:
+            states = [random_state(rng, p.ambient_dim) for _ in range(3)]
+            for psi in states + [p.range().basis[:, 0], kernel(p).basis[:, 0]]:
+                yield psi, p
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-170])
+    def test_scaled_states_keep_their_values(self, pauli, ks18, scale):
+        seen = set()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for psi, p in self.cases(pauli, ks18, 113):
+                value = pl.valuate(psi, p)
+                assert pl.valuate(scale * psi, p) is value
+                seen.add(value)
+        assert seen == set(TruthValue)
+
+    def test_ordinary_states_keep_the_unscaled_values(self, pauli, ks18):
+        # The rule applied to the state as given, where no norm overflows.
+        eps = pl.DEFAULT_TOLERANCES.eps_entry
+        for psi, p in self.cases(pauli, ks18, 127):
+            norm, image = np.linalg.norm(psi), p.matrix @ psi
+            if np.linalg.norm(image - psi) <= eps * norm:
+                want = TruthValue.ONE
+            elif np.linalg.norm(image) <= eps * norm:
+                want = TruthValue.ZERO
+            else:
+                want = TruthValue.UNDEFINED
+            assert pl.valuate(psi, p) is want
 
 
 class TestContextValuation:
@@ -246,8 +287,7 @@ class TestSharedProjectorConsistency:
             collection, shared = shared_line_collection(rng)
             families = [pl.context_lattice(ctx) for ctx in collection.contexts]
             meet = pl.intersect_lattices(families)
-            shared_line = pl.Subspace.from_span([shared])
-            assert meet.contains(shared_line)
+            assert contains(meet, span(shared))
             assert not meet.is_trivial()
             result = pl.search_noncontextual_assignment(collection)
             assert result.satisfiable

@@ -402,7 +402,7 @@ def collection_irreducibility(
     Any other component takes ``is_irreducible`` of its generators'
     compressions ``B^H P B`` (spin, then closure), B from
     ``_component_basis``; a component that spans C^n needs no compression,
-    and its generators are all of them (None).
+    and its generators are all of them.
 
     The set is irreducible when it has one component whose algebra is
     full. With more, the witness is S_c of the first, from the first

@@ -79,9 +79,6 @@ def _decode(obj, shape: tuple[int, ...]) -> np.ndarray | None:
 def _parse_vector(obj, dim: int, where: str) -> np.ndarray:
     if not isinstance(obj, list) or len(obj) != dim:
         raise ParseError(f"{where}: expected a vector of {dim} [re, im] pairs")
-    decoded = _decode(obj, (dim, 2))
-    if decoded is not None:
-        return decoded
     return np.array(
         [_parse_complex(entry, f"{where}[{i}]") for i, entry in enumerate(obj)]
     )
@@ -90,9 +87,6 @@ def _parse_vector(obj, dim: int, where: str) -> np.ndarray:
 def _parse_matrix(obj, dim: int, where: str) -> np.ndarray:
     if not isinstance(obj, list) or len(obj) != dim:
         raise ParseError(f"{where}: expected a {dim}x{dim} matrix as {dim} rows")
-    decoded = _decode(obj, (dim, dim, 2))
-    if decoded is not None:
-        return decoded
     return np.array(
         [
             [
@@ -114,14 +108,15 @@ def _matrix_contexts(contexts_obj: dict, dim: int, tol: TolerancePolicy) -> list
     """Every matrix-form context of a document, checked as one stack.
 
     All matrices are decoded in one call into one (M, dim, dim) member
-    stack, which one ``_checked_stack`` call checks. The matrix-by-matrix
-    walk runs only for a payload that call rejects, to name what is wrong,
-    and keeps each member as it parses, so neither ``dim`` nor a member
-    count is trusted before the payload backs it. Errors come in document
-    order, as if each context were parsed and checked in turn, each member
-    parsed and validated in turn: a context or member that does not parse
-    raises once the contexts before it, and the members of its context
-    before it, pass their checks.
+    stack, which one ``_checked_stack`` call checks. A payload that call
+    rejects, a ragged or short one included, is walked matrix by matrix and
+    entry by entry (``_parse_matrix``) to name what is wrong; the walk keeps
+    each member as it parses, so neither ``dim`` nor a member count is
+    trusted before the payload backs it. Errors come in document order, as
+    if each context were parsed and checked in turn, each member parsed and
+    validated in turn: a context or member that does not parse raises once
+    the contexts before it, and the members of its context before it, pass
+    their checks.
     """
     names, counts, matrices, error = [], [], [], None
     for name, entries in contexts_obj.items():
@@ -132,9 +127,7 @@ def _matrix_contexts(contexts_obj: dict, dim: int, tol: TolerancePolicy) -> list
         counts.append(len(entries))
         matrices += entries
     labels = [f"{name}[{i}]" for name, count in zip(names, counts) for i in range(count)]
-    stack = None
-    if all(isinstance(matrix, list) and len(matrix) == dim for matrix in matrices):
-        stack = _decode(matrices, (len(matrices), dim, dim, 2))
+    stack = _decode(matrices, (len(matrices), dim, dim, 2))
     if stack is None:
         parsed = []
         try:
@@ -170,18 +163,17 @@ def _norm(vector: np.ndarray) -> float:
 def _unit_rays(rays_obj: dict, dim: int) -> np.ndarray:
     """Every ray, normalized, as one (rays, dim) row array in document order.
 
-    All rays are decoded in one call; the ray-by-ray walk runs only for a
-    payload that call rejects, to name the ray that does not parse, and
-    keeps each ray as it parses, so a ``dim`` the payload does not back
-    allocates nothing. Either way the first ray that does not parse or has
-    zero norm raises. A ray whose norm overflows or underflows is first
-    divided by its largest real or imaginary part; every other ray keeps the
-    bits of its plain norm.
+    All rays are decoded in one call. A payload that call rejects, a ragged
+    or short one included, is walked ray by ray and entry by entry
+    (``_parse_vector``) to name the ray that does not parse; the walk keeps
+    each ray as it parses, so a ``dim`` the payload does not back allocates
+    nothing. Either way the first ray that does not parse or has zero norm
+    raises. A ray whose norm overflows or underflows is first divided by its
+    largest real or imaginary part; every other ray keeps the bits of its
+    plain norm.
     """
     vectors = list(rays_obj.values())
-    rows = None
-    if all(isinstance(vector, list) and len(vector) == dim for vector in vectors):
-        rows = _decode(vectors, (len(vectors), dim, 2))
+    rows = _decode(vectors, (len(vectors), dim, 2))
     walk = rows is None
     if walk:
         rows = []
@@ -237,8 +229,7 @@ def _ray_contexts(rays: np.ndarray, names: list, groups: list, tol: TolerancePol
         if not part:
             return []
         group_names, indices = zip(*part)
-        located = True
-        return _basis_contexts(rays, np.array(indices), tol, group_names, names, located)
+        return _basis_contexts(rays, np.array(indices), tol, group_names, names)
 
     return checked(groups[:cut]) + checked(groups[cut : cut + 1])
 

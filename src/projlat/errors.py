@@ -3,8 +3,9 @@
 Validation errors name the violated axiom and carry the measured residual,
 so callers (and the CLI) can report how far an input is from satisfying it.
 The member-level errors take an optional ``where`` (``"context 'b' member
-b[0]"``, say), which a document load gives them so that the message names
-the failing context and member; the message is then ``"<where>: ..."``.
+b[0]"``, say), which a document load and ``context_from_basis`` give them
+so that the message names the failing context and member; the message is
+then ``"<where>: ..."``.
 """
 from __future__ import annotations
 

@@ -234,10 +234,10 @@ def _checked_stack(stack: np.ndarray, tol: TolerancePolicy, labels, names=(), co
     member's rank counts its singular values above the
     ``linalg.singular_rank`` cutoff, and its range and gap are those of
     ``_kept_ranges``, its range a view of the one array of kept rows. Each
-    context whose members all pass then takes the checks of
-    ``_matrix_context``. Errors come in document order: those contexts are
-    checked in turn, and then the first failing member raises. Returns the
-    members that pass and the contexts.
+    context whose members all pass is then checked by ``validate_context``.
+    Errors come in document order: those contexts are checked in turn, and
+    then the first failing member raises. Returns the members that pass and
+    the contexts.
     """
     eps = tol.eps_entry
     herm, idem = _member_residuals(stack)
@@ -260,7 +260,7 @@ def _checked_stack(stack: np.ndarray, tol: TolerancePolicy, labels, names=(), co
     count = int(np.searchsorted(ends, good, side="right"))
     edges = [0, *ends[:count].tolist()]
     contexts = [
-        _matrix_context(members[a:b], tol, name) for a, b, name in zip(edges, edges[1:], names)
+        validate_context(members[a:b], tol, name) for a, b, name in zip(edges, edges[1:], names)
     ]
     if good < len(stack):
         where = f"context {names[count]!r} member {labels[good]}" if names else None
@@ -337,9 +337,16 @@ def validate_context(
 ) -> MaximalContext:
     """Check the maximal-context axioms over already-validated projectors.
 
-    The checks are those of a document's matrix context
-    (``_matrix_context``), so a checked context's ranges are atoms
-    ``intersect_lattices`` accepts.
+    This is the one check of a matrix context, a document's included
+    (``_checked_stack``): ``_checked_context`` on the bounds and residuals
+    of ``_range_residuals``, then the overlap rule. No two ranges may
+    overlap by ``|Q_i^H Q_j|_F > eps_subspace``, read off the same Gram
+    matrix, the rule by which ``intersect_lattices`` rejects a family: the
+    entrywise bound ``max|Pi Pj| <= eps_entry`` lets rays spread over C^n
+    overlap about n times more. The first such pair (i, j) in row-major
+    order raises a ``ValidationError``. So a checked context's ranges are
+    atoms ``intersect_lattices`` accepts. A basis needs no such check: its
+    overlaps are Gram entries, within ``eps_entry``.
     """
     tol = resolve(tol)
     members = tuple(projectors)
@@ -348,7 +355,17 @@ def validate_context(
     linalg._common_dim(
         (p.ambient_dim for p in members), f"context {name!r}: mixed ambient dimensions"
     )
-    return _matrix_context(members, tol, name)
+    products, overlaps, residuals = _range_residuals(members)
+    ctx = _checked_context(members, products, residuals, tol, name)
+    np.fill_diagonal(overlaps, 0.0)
+    limit = tol.eps_subspace ** 2
+    if not overlaps.max(initial=0.0) <= limit:
+        i, j = np.argwhere(~(overlaps <= limit))[0].tolist()
+        raise ValidationError(
+            f"context {name!r}: members {min(i, j)} and {max(i, j)} overlap: "
+            f"|Qi^H Qj|_F = {np.sqrt(overlaps[i, j]):.3e} > {tol.eps_subspace:.3e}"
+        )
+    return ctx
 
 
 def _checked_context(
@@ -421,32 +438,6 @@ def _range_residuals(members: tuple[Projector, ...]):
         return products, overlaps, _residuals(products[None], total[None])[0]
 
 
-def _matrix_context(
-    members: tuple[Projector, ...], tol: TolerancePolicy, name: str
-) -> MaximalContext:
-    """The checked context of ``members``: ``_checked_context`` on the bounds
-    and residuals of ``_range_residuals``, then the overlap rule.
-
-    No two ranges may overlap by ``|Q_i^H Q_j|_F > eps_subspace``, read off
-    the same Gram matrix, the rule by which ``intersect_lattices`` rejects a
-    family: the entrywise bound ``max|Pi Pj| <= eps_entry`` lets rays spread
-    over C^n overlap about n times more. The first such pair (i, j) in
-    row-major order raises a ``ValidationError``. A basis needs no such
-    check: its overlaps are Gram entries, within ``eps_entry``.
-    """
-    products, overlaps, residuals = _range_residuals(members)
-    ctx = _checked_context(members, products, residuals, tol, name)
-    np.fill_diagonal(overlaps, 0.0)
-    limit = tol.eps_subspace ** 2
-    if not overlaps.max(initial=0.0) <= limit:
-        i, j = np.argwhere(~(overlaps <= limit))[0].tolist()
-        raise ValidationError(
-            f"context {name!r}: members {min(i, j)} and {max(i, j)} overlap: "
-            f"|Qi^H Qj|_F = {np.sqrt(overlaps[i, j]):.3e} > {tol.eps_subspace:.3e}"
-        )
-    return ctx
-
-
 def context_from_basis(
     vectors,
     tol: TolerancePolicy | None = None,
@@ -469,7 +460,7 @@ def context_from_basis(
 
 
 def _basis_contexts(
-    rays: np.ndarray, groups: np.ndarray, tol: TolerancePolicy, names, labels, located=False
+    rays: np.ndarray, groups: np.ndarray, tol: TolerancePolicy, names, labels
 ) -> list[MaximalContext]:
     """The rank-1 contexts of C bases drawn from one set of rays, checked as one stack.
 
@@ -500,7 +491,7 @@ def _basis_contexts(
     ``_checked_context`` in turn, and then the marked basis raises its own
     error. So the first failing basis raises what it raises on its own,
     with ``context <name>`` (and ``member <label>`` for a member) in its
-    message when ``located``, as in a document load.
+    message, from a document load and ``context_from_basis`` alike.
     """
     m, n = groups.shape[1], rays.shape[1]
     eps = tol.eps_entry
@@ -542,13 +533,13 @@ def _basis_contexts(
         members = tuple(shared[k] for k in groups[c].tolist())
         contexts.append(_checked_context(members, products[c], residuals[c], tol, name))
     if count < len(worst):
-        where = f"context {names[count]!r}" if located else None
+        where = f"context {names[count]!r}"
         if not orthonormal[count] <= eps:
             raise NotOrthonormalError(float(orthonormal[count]), eps, where)
         if m != n:
             raise NotCompleteError(m, n, where)
         i = np.flatnonzero(~(idem[count] <= eps))[0]
-        member = where and f"{where} member {labels[groups[count, i]]}"
+        member = f"{where} member {labels[groups[count, i]]}"
         raise NotIdempotentError(float(idem[count, i]), eps, member)
     return contexts
 

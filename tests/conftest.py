@@ -42,6 +42,25 @@ def ks18_document() -> dict:
     }
 
 
+def zero_member_ks18_document() -> dict:
+    """The 18-ray set in matrix form, with a zero matrix appended to context c0.
+
+    Its ranks still sum to 4, so it validates; no state makes 0 true, so it
+    is UNSAT like the 18-ray set itself, though no parity certificate shows it.
+    """
+    doc = ks18_document()
+    rays = {name: np.array(ray) @ [1, 1j] for name, ray in doc["rays"].items()}
+    contexts = {
+        group: [
+            pl.document.matrix_to_json(np.outer(v, v.conj()) / np.vdot(v, v).real)
+            for v in (rays[name] for name in names)
+        ]
+        for group, names in doc["groups"].items()
+    }
+    contexts["c0"].append(pl.document.matrix_to_json(np.zeros((4, 4))))
+    return {"dim": 4, "contexts": contexts}
+
+
 def ks18_collection() -> pl.ContextCollection:
     collection, _ = pl.parse_document(ks18_document())
     return collection

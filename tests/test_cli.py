@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import projlat as pl
-from conftest import dense_residuals, ks18_document
+from conftest import dense_residuals, ks18_document, zero_member_ks18_document
 from projlat import cli
 from projlat.cli import main
 
@@ -379,6 +379,16 @@ def test_ks_search_unsat_exits_two(ks18_file, capsys):
     assert report["verdicts"]["status"] == "UNSAT"
     assert report["verdicts"]["assignment"] is None
     assert report["verdicts"]["parity_certificate"] == [f"c{k}" for k in range(9)]
+
+
+def test_ks_search_never_values_a_zero_member_one(tmp_path, capsys):
+    path = tmp_path / "zero-member.json"
+    path.write_text(json.dumps(zero_member_ks18_document()))
+    code, report = run_json(capsys, ["ks-search", str(path)])
+    assert code == 2
+    assert report["verdicts"]["status"] == "UNSAT"
+    assert report["verdicts"]["assignment"] is None
+    assert report["verdicts"]["parity_certificate"] is None
 
 
 def test_ks_search_reports_how_tolerances_are_used(ks18_file, capsys):

@@ -209,6 +209,30 @@ class TestContextFromBasis:
             pl.context_from_basis(vectors, labels=labels)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize(
+        "vectors, labels, error, message",
+        [
+            ([[1, 0], [1, 1]], None, pl.NotOrthonormalError,
+             "context 'z': vectors are not orthonormal: max |V^H V - I| = 1.000e+00 > 6.000e-01"),
+            ([[1, 0, 0], [0, 1, 0]], None, pl.NotCompleteError,
+             "context 'z': 2 orthonormal vectors do not span a space of dimension 3"),
+            # |v|^2 = 1.5 passes the Gram check; max |M^2 - M| = 2.25 - 1.5 does not.
+            ([[1, 0], [0, np.sqrt(1.5)]], None, pl.NotIdempotentError,
+             "context 'z' member z[1]: matrix is not idempotent: "
+             "max |M^2 - M| = 7.500e-01 > 6.000e-01"),
+            ([[1, 0], [0, np.sqrt(1.5)]], ["e", "f"], pl.NotIdempotentError,
+             "context 'z' member f: matrix is not idempotent: "
+             "max |M^2 - M| = 7.500e-01 > 6.000e-01"),
+        ],
+    )
+    def test_basis_errors_are_located(self, vectors, labels, error, message):
+        # A library basis names its context, and its member for a member
+        # failure, as a group of a ray document does.
+        loose = pl.TolerancePolicy(eps_rank=1e-10, eps_entry=0.6, eps_subspace=0.6)
+        with pytest.raises(error) as info:
+            pl.context_from_basis(vectors, loose, name="z", labels=labels)
+        assert str(info.value) == message
+
 
 class TestPauliContexts:
     def test_three_contexts_of_two(self, pauli):
@@ -447,12 +471,13 @@ class TestKeptResiduals:
 
 
 def _first_member_error(basis, tol):
-    """What validating each ``v v^H`` on its own raises first, as (type, message)."""
-    for v in basis:
+    """What validating each ``v v^H`` on its own raises first, as (type,
+    message), located as ``context_from_basis(basis, tol)`` locates it."""
+    for i, v in enumerate(basis):
         try:
             pl.validate_projector(np.outer(v, np.conj(v)), tol)
         except pl.ValidationError as exc:
-            return type(exc), str(exc)
+            return type(exc), f"context 'context' member context[{i}]: {exc}"
     return None
 
 

@@ -16,6 +16,7 @@ from conftest import (
     random_projector,
     random_state,
     span,
+    zero_member_ks18_document,
 )
 from projlat import TruthValue, valuation
 
@@ -213,9 +214,13 @@ def brute_force_one_hot(collection):
 
 
 def assert_one_hot(collection, assignment):
-    """Every registry identity valued 0 or 1, and exactly one 1 per context."""
+    """Every registry identity valued 0 or 1, a zero projector 0, and exactly
+    one 1 per context."""
     assert sorted(assignment) == list(range(len(collection.registry)))
     assert set(assignment.values()) <= {0, 1}
+    for entry in collection.registry:
+        if entry.projector.rank == 0:
+            assert assignment[entry.index] == 0, entry.projector.label
     for ci, ctx in enumerate(collection.contexts):
         ones = [assignment[collection.identity_of(ci, mi)] for mi in range(len(ctx.members))]
         assert sum(ones) == 1, ctx.name
@@ -300,16 +305,25 @@ def reference_search(collection):
 
     Contexts in input order, the 1-position in ascending member index, one
     node per tried position; it recurses once per context, and shares no
-    code with the exact-cover search.
+    code with the exact-cover search. A member of rank 0 is the zero
+    projector, which no state makes true, so it is never the 1-position.
     """
     context_ids = [
         [collection.identity_of(ci, mi) for mi in range(len(ctx.members))]
         for ci, ctx in enumerate(collection.contexts)
     ]
+    zero = {
+        collection.identity_of(ci, mi)
+        for ci, ctx in enumerate(collection.contexts)
+        for mi, member in enumerate(ctx.members)
+        if member.rank == 0
+    }
     assignment = {}
     nodes = 0
 
     def try_context(ids, one_position):
+        if ids[one_position] in zero:
+            return None
         wanted = {}
         for pos, identity in enumerate(ids):
             value = 1 if pos == one_position else 0
@@ -439,6 +453,31 @@ class TestSearchAgainstReference:
         result = assert_agrees(collection, reference_search(collection))
         assert not result.satisfiable
         assert result.nodes_explored == 88
+
+
+class TestZeroProjectors:
+    """A member of rank 0 is never valued 1, even when it is its context's
+    only member that no other context holds."""
+
+    def test_zero_and_identity_beside_a_basis_of_c2(self):
+        doc = {
+            "dim": 2,
+            "contexts": {
+                "a": [pl.document.matrix_to_json(m) for m in (np.zeros((2, 2)), np.eye(2))],
+                "z": [pl.document.matrix_to_json(np.diag(d)) for d in ([1, 0], [0, 1])],
+            },
+        }
+        collection, _ = pl.parse_document(doc)
+        result = assert_agrees(collection, reference_search(collection))
+        # Identities a[0] (zero), a[1] (I), z[0], z[1]: I must be valued 1.
+        assert result.assignment == {0: 0, 1: 1, 2: 1, 3: 0}
+
+    def test_zero_member_in_the_eighteen_ray_set(self):
+        collection, _ = pl.parse_document(zero_member_ks18_document())
+        assert [p.rank for p in collection.context_named("c0").members] == [1, 1, 1, 1, 0]
+        result = assert_agrees(collection, reference_search(collection))
+        assert not result.satisfiable
+        assert result.nodes_explored == 44
 
 
 def ks18_family(rng, groups, factors=1, trailing_line=False):

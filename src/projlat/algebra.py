@@ -97,7 +97,8 @@ def algebra_closure(
     at a time, orthogonalizes the images twice against the basis so far and
     keeps their right singular vectors above the rank cutoff
     ``eps_rank * max(g, 1)``, g the largest Frobenius norm of a generator,
-    taken without overflow. Images with more rows than n^2 are first
+    taken of the stack scaled by a power of two (``linalg.power_of_two_scaled``)
+    so that it does not overflow. Images with more rows than n^2 are first
     reduced to the R factor of their QR, which has the same singular values
     and right singular vectors.
     The spin stops when a step adds nothing or the basis fills all n^2
@@ -108,13 +109,12 @@ def algebra_closure(
     mats = _coerce_generators(generators)
     k, n, _ = mats.shape
     full = n * n
-    # A norm squares the entries, which overflows from about 1e154; where it
-    # does, the norms are taken of the stack scaled by its largest entry.
+    # A norm squares the entries, which overflows from about 1e154, so the
+    # norms are taken of the stack scaled by a power of two, then scaled back.
+    scaled, exponent = linalg.power_of_two_scaled(mats.reshape(1, -1).view(np.float64))
+    norms = np.linalg.norm(scaled.view(np.complex128).reshape(mats.shape), axis=(1, 2))
     with np.errstate(over="ignore"):
-        largest = float(np.linalg.norm(mats, axis=(1, 2)).max())
-        if largest == np.inf:
-            peak = float(np.abs(mats).max())
-            largest = float(np.linalg.norm(mats / peak, axis=(1, 2)).max()) * peak
+        largest = float(np.ldexp(norms.max(), exponent.item()))
     cutoff = tol.eps_rank * max(largest, 1.0)
     per_chunk = max(1, _CHUNK_ENTRIES // max(k * full, 1))
     basis = frontier = np.eye(n, dtype=complex).reshape(min(n, 1), full) / np.sqrt(max(n, 1))

@@ -13,9 +13,13 @@ exactly one of two payloads:
   into rank-1 projectors, one per ray, which every group that names the ray
   shares; every group must form an orthonormal basis.
 
-All matrices, or all rays, of a document are decoded in one numpy call;
-the per-entry walk runs only for a payload that call rejects, to name what
-is wrong with it.
+A document loads in two phases. It is first decoded whole: the
+tolerances, every matrix or every ray, and every group's ray names, so a
+document that does not parse raises its first ``ParseError`` in document
+order, whatever check would fail. All matrices, or all rays, are decoded
+in one numpy call; the per-entry walk runs only for a payload that call
+rejects, to name what is wrong with it. The decoded payload is then
+checked in document order: the rays' norms, then context by context.
 """
 from __future__ import annotations
 
@@ -26,6 +30,7 @@ from numbers import Real
 
 import numpy as np
 
+from . import linalg
 from .errors import ParseError, ValidationError
 # ``validate_projector``, ``validate_context`` and ``context_from_basis``
 # are no longer called here; they stay importable from this module, where
@@ -105,47 +110,33 @@ def _expect_row(row, dim: int, where: str) -> list:
 
 
 def _matrix_contexts(contexts_obj: dict, dim: int, tol: TolerancePolicy) -> list:
-    """Every matrix-form context of a document, checked as one stack.
+    """Every matrix-form context of a document, decoded whole, then checked as one stack.
 
     All matrices are decoded in one call into one (M, dim, dim) member
-    stack, which one ``_checked_stack`` call checks. A payload that call
-    rejects, a ragged or short one included, is walked matrix by matrix and
-    entry by entry (``_parse_matrix``) to name what is wrong; the walk keeps
-    each member as it parses, so neither ``dim`` nor a member count is
-    trusted before the payload backs it. Errors come in document order, as
-    if each context were parsed and checked in turn, each member parsed and
-    validated in turn: a context or member that does not parse raises once
-    the contexts before it, and the members of its context before it, pass
-    their checks.
+    stack. A payload that call rejects, a ragged or short one included, is
+    walked context by context, matrix by matrix and entry by entry
+    (``_parse_matrix``), and the first part that does not parse raises; the
+    walk keeps each member as it parses, so neither ``dim`` nor a member
+    count is trusted before the payload backs it. One ``_checked_stack``
+    call then checks the stack, whose first failing context raises.
     """
-    names, counts, matrices, error = [], [], [], None
-    for name, entries in contexts_obj.items():
-        if not isinstance(entries, list) or not entries:
-            error = ParseError(f"context {name!r} must be a non-empty array of matrices")
-            break
-        names.append(name)
-        counts.append(len(entries))
-        matrices += entries
-    labels = [f"{name}[{i}]" for name, count in zip(names, counts) for i in range(count)]
-    stack = _decode(matrices, (len(matrices), dim, dim, 2))
+    entries = list(contexts_obj.values())
+    counts = [len(matrices) if isinstance(matrices, list) else 0 for matrices in entries]
+    stack = None
+    if all(counts):
+        stack = _decode([m for matrices in entries for m in matrices], (sum(counts), dim, dim, 2))
     if stack is None:
         parsed = []
-        try:
-            for name in names:
-                for i, matrix in enumerate(contexts_obj[name]):
-                    parsed.append(_parse_matrix(matrix, dim, f"contexts[{name}][{i}]"))
-        except ParseError as exc:
-            error = exc
-        if not parsed:
-            raise error
+        for name, matrices in contexts_obj.items():
+            if not isinstance(matrices, list) or not matrices:
+                raise ParseError(f"context {name!r} must be a non-empty array of matrices")
+            parsed += [
+                _parse_matrix(matrix, dim, f"contexts[{name}][{i}]")
+                for i, matrix in enumerate(matrices)
+            ]
         stack = np.array(parsed)
-        # The contexts that parsed whole, then the one cut short, if any.
-        whole = int(np.searchsorted(np.cumsum(counts), len(parsed), side="right"))
-        names, counts = names[: whole + 1], counts[:whole]
-    contexts = _checked_stack(stack, tol, labels[: len(stack)], names, counts)[1]
-    if error is not None:
-        raise error
-    return contexts
+    labels = [f"{name}[{i}]" for name, count in zip(contexts_obj, counts) for i in range(count)]
+    return _checked_stack(stack, tol, labels, list(contexts_obj), counts)[1]
 
 
 def _norm(vector: np.ndarray) -> float:
@@ -160,39 +151,39 @@ def _norm(vector: np.ndarray) -> float:
     return math.sqrt(real.dot(real) + imag.dot(imag))
 
 
-def _unit_rays(rays_obj: dict, dim: int) -> np.ndarray:
-    """Every ray, normalized, as one (rays, dim) row array in document order.
+def _decoded_rays(rays_obj: dict, dim: int) -> np.ndarray:
+    """Every ray as one (rays, dim) row array in document order.
 
     All rays are decoded in one call. A payload that call rejects, a ragged
     or short one included, is walked ray by ray and entry by entry
-    (``_parse_vector``) to name the ray that does not parse; the walk keeps
-    each ray as it parses, so a ``dim`` the payload does not back allocates
-    nothing. Either way the first ray that does not parse or has zero norm
-    raises. A ray whose norm overflows or underflows is first divided by its
-    largest real or imaginary part; every other ray keeps the bits of its
-    plain norm.
+    (``_parse_vector``), and the first ray that does not parse raises; the
+    walk keeps each ray as it parses, so a ``dim`` the payload does not back
+    allocates nothing.
     """
     vectors = list(rays_obj.values())
     rows = _decode(vectors, (len(vectors), dim, 2))
-    walk = rows is None
-    if walk:
-        rows = []
-    norms = np.empty(len(vectors))
-    with np.errstate(over="ignore"):
-        for k, (name, vector) in enumerate(rays_obj.items()):
-            if walk:
-                rows.append(_parse_vector(vector, dim, f"rays[{name}]"))
-            # One norm per ray: a norm along axis 1 may round differently.
-            norm = _norm(rows[k])
-            if not 0.0 < norm < math.inf:
-                parts = rows[k].view(np.float64)
-                largest = np.abs(parts).max()
-                if largest == 0.0:
-                    raise ValidationError(f"ray {name!r} has zero norm")
-                parts /= largest
-                norm = _norm(rows[k])
-            norms[k] = norm
-    return np.asarray(rows) / norms[:, None]
+    if rows is None:
+        rows = np.array(
+            [_parse_vector(vector, dim, f"rays[{name}]") for name, vector in rays_obj.items()]
+        )
+    return rows
+
+
+def _unit_rays(rows: np.ndarray, names: list) -> np.ndarray:
+    """The decoded rays ``rows``, named ``names``, normalized; the first ray
+    of zero norm raises.
+
+    One ``linalg.power_of_two_scaled`` call first scales each ray by the
+    power of two that brings its largest real or imaginary part into
+    [1/2, 1), which is exact, so no norm overflows or underflows; a ray
+    whose plain norm does neither keeps the bits of its division by it.
+    """
+    scaled = linalg.power_of_two_scaled(rows.view(np.float64))[0].view(np.complex128)
+    # One norm per ray: a norm along axis 1 may round differently.
+    norms = np.array([_norm(row) for row in scaled])
+    if not norms.all():
+        raise ValidationError(f"ray {names[int(np.argmin(norms))]!r} has zero norm")
+    return scaled / norms[:, None]
 
 
 def _group_rays(group_name, ray_names, index: dict) -> list[int]:
@@ -212,7 +203,7 @@ def _group_rays(group_name, ray_names, index: dict) -> list[int]:
 
 
 def _ray_contexts(rays: np.ndarray, names: list, groups: list, tol: TolerancePolicy) -> list:
-    """The contexts of ``(name, row indices)`` groups, in document order.
+    """The contexts of every ``(name, row indices)`` group, in document order.
 
     ``names`` are the ray names of the rows of ``rays``. The groups before
     the first one that does not have ``dim`` rays are checked as one (C, dim)
@@ -255,8 +246,10 @@ def parse_document(
     """Build a validated collection from a decoded document object.
 
     ``tol_overrides`` (e.g. CLI flags) take precedence over the document's
-    own tolerance fields. Raises ``ParseError`` for malformed documents and
-    ``ValidationError`` (with the context name and residual) when the
+    own tolerance fields. Raises the first ``ParseError`` of a malformed
+    document, in document order, before any check runs; a document that
+    parses raises ``ValidationError`` (with the context name and residual)
+    for its first ray of zero norm or, after those, its first context whose
     operators fail their axioms.
     """
     if not isinstance(data, dict):
@@ -283,18 +276,11 @@ def parse_document(
         raise ParseError("'rays' must be a non-empty object")
     if not isinstance(groups_obj, dict) or not groups_obj:
         raise ParseError("'groups' must be a non-empty object")
-    rays = _unit_rays(rays_obj, dim)
+    rows = _decoded_rays(rays_obj, dim)
     names = list(rays_obj)
     index = {name: k for k, name in enumerate(names)}
-    # A malformed group raises after the groups before it are checked, so
-    # errors come in document order.
-    groups = []
-    for group_name, ray_names in groups_obj.items():
-        try:
-            groups.append((group_name, _group_rays(group_name, ray_names, index)))
-        except ParseError:
-            _ray_contexts(rays, names, groups, tol)
-            raise
+    groups = [(name, _group_rays(name, group, index)) for name, group in groups_obj.items()]
+    rays = _unit_rays(rows, names)
     return ContextCollection(_ray_contexts(rays, names, groups, tol), tol), tol
 
 

@@ -33,7 +33,8 @@ class NotSquareError(ValidationError):
 
 
 class _ResidualError(ValidationError):
-    """A measured residual above its limit; a subclass's ``_axiom`` names the
+    """A measured residual above its limit; a subclass's ``_axiom`` (a class
+    attribute, or one set per instance before this ``__init__``) names the
     violated axiom and the residual's formula."""
 
     def __init__(self, residual: float, limit: float, where: str | None = None):
@@ -50,27 +51,20 @@ class NotIdempotentError(_ResidualError):
     _axiom = "matrix is not idempotent: max |M^2 - M|"
 
 
-class PairwiseProductNonzeroError(ValidationError):
+class PairwiseProductNonzeroError(_ResidualError):
     def __init__(self, name: str, i: int, j: int, residual: float, limit: float):
         self.context = name
         self.pair = (i, j)
-        self.residual = residual
-        self.limit = limit
-        super().__init__(
-            f"context {name!r}: members {i} and {j} do not annihilate: "
-            f"max |Pi Pj| = {residual:.3e} > {limit:.3e}"
-        )
+        self._axiom = f"members {i} and {j} do not annihilate: max |Pi Pj|"
+        super().__init__(residual, limit, f"context {name!r}")
 
 
-class SumNotIdentityError(ValidationError):
+class SumNotIdentityError(_ResidualError):
+    _axiom = "members do not sum to the identity: max |sum - I|"
+
     def __init__(self, name: str, residual: float, limit: float):
         self.context = name
-        self.residual = residual
-        self.limit = limit
-        super().__init__(
-            f"context {name!r}: members do not sum to the identity: "
-            f"max |sum - I| = {residual:.3e} > {limit:.3e}"
-        )
+        super().__init__(residual, limit, f"context {name!r}")
 
 
 class NotOrthonormalError(_ResidualError):

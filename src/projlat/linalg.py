@@ -38,6 +38,21 @@ def as_state_vector(vector) -> np.ndarray:
     return _coerced(vector, 1, "vector")
 
 
+def power_of_two_scaled(parts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of the real array ``parts`` scaled by the power of two that
+    brings its largest magnitude into [1/2, 1), and the exponents ``e``,
+    one per row as a (..., 1) array, with ``parts = ldexp(scaled, e)``.
+
+    Rows run along the last axis; a float64 view of complex entries scales
+    their real and imaginary parts alike. The scaling is exact unless it
+    takes an entry into the subnormal range. The norm of a scaled row lies
+    in [1/2, sqrt(size)), so it neither overflows nor underflows, except
+    for a row of zeros, which stays zero with exponent 0.
+    """
+    exponents = np.frexp(np.abs(parts).max(axis=-1, keepdims=True, initial=0.0))[1]
+    return np.ldexp(parts, -exponents), exponents
+
+
 def _common_dim(dims, what: str) -> int:
     """The one value of the non-empty ``dims``; the first that differs from it
     raises ``DimensionMismatchError(f"{what} {first} and {other}")``."""
@@ -95,10 +110,7 @@ def singular_rank(singular_values, tol: TolerancePolicy | None = None) -> int:
 # No command calls this; it stays for bench/tracing.py, which wraps it.
 def numerical_rank(matrix, tol: TolerancePolicy | None = None) -> int:
     """Numerical rank by singular-value thresholding; the zero matrix has rank 0."""
-    arr = as_complex_matrix(matrix)
-    if arr.size == 0:
-        return 0
-    return singular_rank(np.linalg.svd(arr, compute_uv=False), tol)
+    return singular_rank(np.linalg.svd(as_complex_matrix(matrix), compute_uv=False), tol)
 
 
 # No command calls this; it stays for bench/tracing.py, which wraps it.

@@ -222,12 +222,12 @@ def _checked_stack(stack: np.ndarray, tol: TolerancePolicy, labels, names=(), co
     """Projectors on read-only views of the (M, n, n) ``stack``, and the contexts they form.
 
     ``labels[i]`` labels ``stack[i]``, and context c, named ``names[c]``, is
-    the next ``counts[c]`` members. Members after the last context take the
-    member checks alone: those of a document context cut short by a member
-    that does not parse, named ``names[len(counts)]``, or the one matrix of
-    ``validate_projector``, which gives no names. A member that fails the
-    projector axioms raises what ``validate_projector`` raises for it alone,
-    located as ``context <name> member <label>`` when its context is named.
+    the next ``counts[c]`` members; the counts cover the stack. Without
+    names, as for the one matrix of ``validate_projector``, the members
+    take the member checks alone and form no context. A member that fails
+    the projector axioms raises what ``validate_projector`` raises for it
+    alone, located as ``context <name> member <label>`` when its context is
+    named.
 
     The whole stack takes one ``_member_residuals`` call. The members
     before the first failing one are factored by one batched SVD: a

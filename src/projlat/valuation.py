@@ -32,9 +32,6 @@ class TruthValue(enum.Enum):
     ONE = 1
     UNDEFINED = None
 
-    def __str__(self) -> str:
-        return "undefined" if self is TruthValue.UNDEFINED else str(self.value)
-
 
 def valuate(
     state, projector: Projector, tol: TolerancePolicy | None = None
@@ -45,8 +42,9 @@ def valuate(
     ``|P psi| <= eps_entry |psi|``, UNDEFINED otherwise. Both thresholds
     scale with the state norm, so the value is phase- and scale-invariant.
     The state is first scaled by the power of two that brings its largest
-    real or imaginary part into [1/2, 1): that is exact, so no norm
-    overflows or underflows and the value does not change.
+    real or imaginary part into [1/2, 1) (``linalg.power_of_two_scaled``):
+    that is exact, so no norm overflows or underflows and the value does
+    not change.
     """
     tol = resolve(tol)
     psi = linalg.as_state_vector(state)
@@ -54,8 +52,7 @@ def valuate(
         raise DimensionMismatchError(
             f"state dimension {psi.shape[0]} != ambient {projector.ambient_dim}"
         )
-    parts = psi.view(np.float64)
-    np.ldexp(parts, -np.frexp(np.abs(parts).max())[1], out=parts)
+    psi = linalg.power_of_two_scaled(psi.view(np.float64))[0].view(np.complex128)
     norm = float(np.linalg.norm(psi))
     if norm == 0.0:
         raise ZeroStateError()

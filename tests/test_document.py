@@ -1,5 +1,6 @@
 import gc
 import json
+import math
 
 import numpy as np
 import pytest
@@ -124,14 +125,16 @@ def test_ray_dim_is_not_trusted_before_a_ray_parses():
 
 
 def test_ray_walk_keeps_document_order():
-    # Ray b does not parse, so the rays are walked one by one: the zero ray
-    # before it raises first, and a bad ray before a zero ray does.
-    rays = {"a": [[0, 0], [0, 0]], "b": [[1, 0]]}
-    with pytest.raises(pl.ValidationError, match="ray 'a' has zero norm"):
-        pl.parse_document({"dim": 2, "rays": rays, "groups": {"z": ["a", "b"]}})
-    rays = {"b": [[1, 0]], "a": [[0, 0], [0, 0]]}
-    with pytest.raises(pl.ParseError, match=r"rays\[b\]: expected a vector of 2"):
-        pl.parse_document({"dim": 2, "rays": rays, "groups": {"z": ["a", "b"]}})
+    # Ray b does not parse, so the rays are walked one by one. Every ray is
+    # decoded before any norm is checked: b raises whether the zero ray a
+    # comes before it or after it, and of two bad rays the first raises.
+    for rays in (
+        {"a": [[0, 0], [0, 0]], "b": [[1, 0]]},
+        {"b": [[1, 0]], "a": [[0, 0], [0, 0]]},
+        {"b": [[1, 0]], "a": [[0, 0], [0, 0]], "c": [[1, 0], "x"]},
+    ):
+        with pytest.raises(pl.ParseError, match=r"rays\[b\]: expected a vector of 2"):
+            pl.parse_document({"dim": 2, "rays": rays, "groups": {"z": ["a", "b"]}})
 
 
 @pytest.mark.parametrize("scale", [1e200, 1e308, 1e-200, 1e-320])
@@ -148,8 +151,9 @@ def test_ray_scale_does_not_matter(scale):
 
 
 def oracle_unit_rays(rows):
-    """Each ray divided by one ``np.linalg.norm``, rescaled first when that
-    norm overflows or underflows."""
+    """Each ray divided by one ``np.linalg.norm``; when that norm overflows
+    or underflows, the ray is first scaled by the power of two that brings
+    its largest real or imaginary part into [1/2, 1)."""
     out = []
     with np.errstate(over="ignore"):
         for row in rows:
@@ -157,7 +161,8 @@ def oracle_unit_rays(rows):
             norm = float(np.linalg.norm(row))
             if not 0.0 < norm < np.inf:
                 parts = row.view(np.float64)
-                parts /= np.abs(parts).max()
+                _, exponent = math.frexp(float(np.abs(parts).max()))
+                parts[:] = [math.ldexp(part, -exponent) for part in parts]
                 norm = float(np.linalg.norm(row))
             out.append(row / norm)
     return np.array(out)
@@ -176,7 +181,7 @@ def test_ray_norms_match_numpy_bit_for_bit(seed):
         for row in rows:
             assert pl.document._norm(row) == np.linalg.norm(row)
     rays = {f"r{k}": pl.document.matrix_to_json(row) for k, row in enumerate(rows)}
-    got = pl.document._unit_rays(rays, dim)
+    got = pl.document._unit_rays(pl.document._decoded_rays(rays, dim), list(rays))
     assert got.tobytes() == oracle_unit_rays(rows).tobytes()
 
 

@@ -103,6 +103,10 @@ class TestNumericalRank:
         with pytest.raises(pl.ValidationError):
             pl.numerical_rank([[np.nan, 0], [0, 1]])
 
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
+    def test_empty_matrix_has_rank_zero(self, shape):
+        assert pl.numerical_rank(np.zeros(shape)) == 0
+
     def test_stacked_singular_values_rank_each_row(self):
         rng = np.random.default_rng(17)
         stack = np.array(
@@ -120,6 +124,17 @@ class TestNumericalRank:
         rank = linalg.singular_rank(values)
         assert type(rank) is int and rank == 0
         assert linalg.singular_rank([values, values]).tolist() == [0, 0]
+
+
+class TestPowerOfTwoScaled:
+    def test_each_row_scales_exactly_into_half_to_one(self):
+        parts = np.array([[3.0, -1e300, 0.0], [1e-320, 0.0, -2e-320], [0.5, 0.25, 0.0], [0.0] * 3])
+        scaled, exponents = linalg.power_of_two_scaled(parts)
+        assert exponents.shape == (4, 1) and exponents[3, 0] == 0
+        assert np.array_equal(np.ldexp(scaled, exponents), parts)
+        peaks = np.abs(scaled).max(axis=1)
+        assert ((0.5 <= peaks[:3]) & (peaks[:3] < 1)).all() and peaks[3] == 0
+        assert np.array_equal(scaled[2], parts[2])
 
 
 def _basis(n):

@@ -153,6 +153,19 @@ class TestValidateContext:
         with pytest.raises(pl.SumNotIdentityError):
             pl.validate_context([pl.validate_projector(P1Z)])
 
+    def test_context_errors_carry_their_location_and_residual(self):
+        pair = pl.PairwiseProductNonzeroError("c", 0, 2, 0.5, 1e-9)
+        assert (pair.context, pair.pair, pair.residual, pair.limit) == ("c", (0, 2), 0.5, 1e-9)
+        assert str(pair) == (
+            "context 'c': members 0 and 2 do not annihilate: max |Pi Pj| = 5.000e-01 > 1.000e-09"
+        )
+        total = pl.SumNotIdentityError("c", 1.0, 1e-9)
+        assert (total.context, total.residual, total.limit) == ("c", 1.0, 1e-9)
+        assert str(total) == (
+            "context 'c': members do not sum to the identity: "
+            "max |sum - I| = 1.000e+00 > 1.000e-09"
+        )
+
     def test_empty_context_rejected(self):
         with pytest.raises(pl.ValidationError):
             pl.validate_context([])

@@ -131,30 +131,34 @@ def oracle_registry(contexts, tol):
 
 
 def oracle_parse_document(doc):
-    """The plain loading loop: each member parsed, then validated, in turn."""
+    """The plain loading loop in two phases: every matrix, or every ray and
+    every group's ray names, parsed in turn; then each ray's norm, and each
+    member validated and each context checked, in turn."""
     dim = doc["dim"]
     tol = _parse_tolerances(doc, None)
     contexts = []
     if "contexts" in doc:
+        parsed = {}
         for name, matrices in doc["contexts"].items():
+            if not isinstance(matrices, list) or not matrices:
+                raise pl.ParseError(f"context {name!r} must be a non-empty array of matrices")
+            parsed[name] = [
+                _parse_matrix(matrix, dim, f"contexts[{name}][{i}]")
+                for i, matrix in enumerate(matrices)
+            ]
+        for name, matrices in parsed.items():
             members = [
                 oracle_projector(
-                    _parse_matrix(matrix, dim, f"contexts[{name}][{i}]"),
-                    tol,
-                    f"{name}[{i}]",
-                    f"context {name!r} member {name}[{i}]",
+                    matrix, tol, f"{name}[{i}]", f"context {name!r} member {name}[{i}]"
                 )
                 for i, matrix in enumerate(matrices)
             ]
             contexts.append(oracle_context(members, tol, name))
     else:
-        rays = {}
-        for name, vector in doc["rays"].items():
-            arr = _parse_vector(vector, dim, f"rays[{name}]")
-            norm = float(np.linalg.norm(arr))
-            if norm == 0.0:
-                raise pl.ValidationError(f"ray {name!r} has zero norm")
-            rays[name] = arr / norm
+        rays = {
+            name: _parse_vector(vector, dim, f"rays[{name}]")
+            for name, vector in doc["rays"].items()
+        }
         for name, ray_names in doc["groups"].items():
             if not isinstance(ray_names, list) or not ray_names:
                 raise pl.ParseError(f"group {name!r} must be a non-empty array of ray names")
@@ -165,6 +169,12 @@ def oracle_parse_document(doc):
                     )
                 if ray not in rays:
                     raise pl.ParseError(f"group {name!r} references unknown ray {ray!r}")
+        for name, arr in rays.items():
+            norm = float(np.linalg.norm(arr))
+            if norm == 0.0:
+                raise pl.ValidationError(f"ray {name!r} has zero norm")
+            rays[name] = arr / norm
+        for name, ray_names in doc["groups"].items():
             contexts.append(
                 oracle_from_basis([rays[r] for r in ray_names], tol, name, list(ray_names))
             )
@@ -508,14 +518,16 @@ class TestBatchedRayLoader:
 
     @pytest.mark.parametrize("short, malformed", [(1, 4), (4, 1)])
     def test_short_group_and_malformed_group_raise_the_first(self, short, malformed):
-        # A group of another size sends every group to the one-by-one check.
+        # Every group's ray names are parsed before any group is checked, so
+        # the malformed group raises, before or after the short one.
         doc = ks18_document()
         names = list(doc["groups"])
         doc["groups"][names[short]] = doc["groups"][names[short]][1:]
         doc["groups"][names[malformed]][0] = "missing"
         got = outcome(pl.parse_document, doc)[1]
         assert got == outcome(oracle_parse_document, doc)[1]
-        assert got[0] is (pl.NotCompleteError if short < malformed else pl.ParseError)
+        message = f"group {names[malformed]!r} references unknown ray 'missing'"
+        assert got == (pl.ParseError, message)
 
     @staticmethod
     def _sum_and_gram_document(order):
@@ -699,8 +711,10 @@ def _faulty_matrices(rng, fault=None):
 
 
 class TestOneStackLoader:
-    """Every context of a matrix document is checked in one stack; errors
-    come in document order, as from the per-context load."""
+    """Every context of a matrix document is decoded, then checked in one
+    stack: the first member that does not parse raises, and in a document
+    that parses the first failing context raises, as from the per-context
+    load."""
 
     @staticmethod
     def _alone(name, matrices):
@@ -734,7 +748,8 @@ class TestOneStackLoader:
     @pytest.mark.parametrize("first", MATRIX_FAULTS)
     def test_two_failing_contexts_raise_the_first(self, first, order):
         # Two faulty contexts of three, on either side of a valid one; the
-        # earlier one in the document raises what it raises on its own.
+        # one with a parse fault raises what it raises on its own, else the
+        # earlier one in the document does.
         for second in MATRIX_FAULTS:
             rng = np.random.default_rng([2710, MATRIX_FAULTS.index(second)])
             names = ["a", "b", "c"]
@@ -742,6 +757,8 @@ class TestOneStackLoader:
             contexts = {name: _faulty_matrices(rng, faults[name]) for name in names}
             doc = {"dim": 4, **TIGHT, "contexts": contexts}
             raiser = names[min(order)]
+            if "parse" in (first, second):
+                raiser = next(name for name in names if faults[name] == "parse")
             got = outcome(pl.parse_document, doc)[1]
             assert got == self._alone(raiser, contexts[raiser]), (first, second)
             if faults[raiser] not in ("rank sum", "overlap"):
@@ -749,8 +766,8 @@ class TestOneStackLoader:
                 assert got == outcome(oracle_parse_document, doc)[1]
 
     def test_valid_document_matches_the_per_context_load(self):
-        # Contexts of 3, 3, 4 and 3 members: the runs of equal counts share
-        # their product blocks, and every context equals its load alone.
+        # Contexts of 3, 3, 4 and 3 members, checked as one stack: every
+        # context equals its load alone.
         rng = np.random.default_rng(2720)
         faults = {"a": None, "b": None, "c": "overlap", "d": None}
         contexts = {name: _faulty_matrices(rng, fault) for name, fault in faults.items()}
@@ -1548,9 +1565,11 @@ class TestDocumentOrder:
         return {"dim": 2, "contexts": {"z": members}}
 
     def test_invalid_member_before_malformed_one(self):
+        # The malformed member raises: a context is parsed whole before its
+        # members are checked.
         skew = _to_json([[0.0, 1.0], [0.0, 0.0]])
         doc = self._doc(skew, "not a matrix")
-        with pytest.raises(pl.NotHermitianError) as info:
+        with pytest.raises(pl.ParseError, match=r"contexts\[z\]\[3\]: ") as info:
             pl.parse_document(doc)
         assert outcome(oracle_parse_document, doc)[1] == (type(info.value), str(info.value))
 
@@ -1560,6 +1579,33 @@ class TestDocumentOrder:
         with pytest.raises(pl.ParseError) as info:
             pl.parse_document(doc)
         assert outcome(oracle_parse_document, doc)[1] == (type(info.value), str(info.value))
+
+    @pytest.mark.parametrize("bad", [["a", "missing"], ["a", 3], []])
+    def test_zero_ray_before_malformed_group(self, bad):
+        # The zero ray comes first in the document and group y names it, yet
+        # the malformed group z raises: every group is parsed before any
+        # ray's norm is checked.
+        rays = {"zero": [[0, 0], [0, 0]], "a": [[1, 0], [0, 0]], "b": [[0, 0], [1, 0]]}
+        doc = {"dim": 2, "rays": rays, "groups": {"y": ["zero", "a"], "z": bad}}
+        with pytest.raises(pl.ParseError, match="group 'z'") as info:
+            pl.parse_document(doc)
+        assert outcome(oracle_parse_document, doc)[1] == (type(info.value), str(info.value))
+        doc["groups"]["z"] = ["a", "b"]
+        with pytest.raises(pl.ValidationError, match="ray 'zero' has zero norm"):
+            pl.parse_document(doc)
+
+    def test_parse_fault_after_check_fault_in_one_context(self):
+        # Member z[1] is not idempotent and a later entry of the same context
+        # is not a number pair: the entry raises.
+        bad = _to_json(np.diag([0.0, 1.0]))
+        bad[1][0] = [0, None]
+        doc = self._doc(_to_json(np.diag([0.0, 1.001])), bad)
+        with pytest.raises(pl.ParseError, match=r"contexts\[z\]\[3\]\[1\]\[0\]: ") as info:
+            pl.parse_document(doc)
+        assert outcome(oracle_parse_document, doc)[1] == (type(info.value), str(info.value))
+        doc["contexts"]["z"][3] = _to_json(np.diag([0.0, 1.0]))
+        with pytest.raises(pl.NotIdempotentError, match="context 'z' member z\\[1\\]"):
+            pl.parse_document(doc)
 
 
 class TestNanResiduals:

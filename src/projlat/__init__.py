@@ -19,7 +19,6 @@ from .document import (
     save_document,
 )
 from .errors import (
-    AmbientDimOneError,
     CapExceededError,
     DimensionMismatchError,
     NotCompleteError,
@@ -71,7 +70,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlgebraClosure",
-    "AmbientDimOneError",
     "AssignmentSearchResult",
     "BivalenceReport",
     "CapExceededError",

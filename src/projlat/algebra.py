@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import AmbientDimOneError, DimensionMismatchError
+from .errors import DimensionMismatchError
 from .lattice import LatticeFamily
 from .projectors import _UNIT_ROUNDOFF, ContextCollection, Projector, _skew_residuals, is_invariant
 from .subspace import Subspace
@@ -78,6 +78,8 @@ def _coerce_generators(generators) -> np.ndarray:
         arr = linalg.as_complex_matrix(g.matrix if isinstance(g, Projector) else g)
         if arr.shape[0] != arr.shape[1]:
             raise DimensionMismatchError(f"generators must be square, got {arr.shape}")
+        if not arr.size:
+            raise DimensionMismatchError("generators must be at least 1 x 1, got (0, 0)")
         mats.append(arr)
     if not mats:
         raise ValueError("need at least one generator")
@@ -116,8 +118,8 @@ def algebra_closure(
     with np.errstate(over="ignore"):
         largest = float(np.ldexp(norms.max(), exponent.item()))
     cutoff = tol.eps_rank * max(largest, 1.0)
-    per_chunk = max(1, _CHUNK_ENTRIES // max(k * full, 1))
-    basis = frontier = np.eye(n, dtype=complex).reshape(min(n, 1), full) / np.sqrt(max(n, 1))
+    per_chunk = max(1, _CHUNK_ENTRIES // (k * full))
+    basis = frontier = np.eye(n, dtype=complex).reshape(1, full) / np.sqrt(n)
     generations = 0
     while len(frontier) and len(basis) < full:
         generations += 1
@@ -160,16 +162,16 @@ def _closure_witness(
     (B_j the basis) of the first that is proper and passes ``is_invariant``
     for every generator: it is the smallest invariant subspace holding v.
     The orbit's rank counts its singular values above
-    ``eps_subspace * max(s_1, 1)``, the level at which ``is_invariant``
-    judges a leak, so a direction the generators reach only at that level
+    ``eps_subspace * max(s_1, 1)``, the relative level at which
+    ``is_invariant`` judges a leak (there against ``max(max|A|, 1)``, A the
+    generator), so a direction the generators reach only at that level
     is not kept. Any eigenvector of ``a`` inside a proper invariant
     subspace has a proper orbit. ``a`` has one in each such subspace;
     ``eig`` returns it when its eigenvalue is simple, and when the
     eigenvalue repeats because a block recurs, every vector of its
     eigenspace lies in a proper invariant subspace. ``None`` for a proper
     algebra would take eigenvalues that collide across inequivalent pieces,
-    roundoff that blurs every such eigenvector, or generators so large that
-    the absolute ``is_invariant`` test fails on every orbit.
+    or roundoff that blurs every such eigenvector.
     """
     n = closure.ambient_dim
     if closure.saturated:
@@ -194,15 +196,8 @@ def invariant_subspace_witness(
     generators, tol: TolerancePolicy | None = None
 ) -> Subspace | None:
     """A nontrivial common invariant subspace of ``generators``, or ``None``:
-    ``_closure_witness`` of ``algebra_closure``.
-
-    ``None`` when they are irreducible, and also for a reducible set none of
-    whose orbits passes the absolute ``is_invariant`` tolerance, such as
-    generators scaled to 1e9.
-    """
-    tol = resolve(tol)
-    mats = _coerce_generators(generators)
-    return _closure_witness(algebra_closure(mats, tol), mats, tol)
+    the witness of ``is_irreducible``."""
+    return is_irreducible(generators, tol).witness
 
 
 def _spin_element(stack: np.ndarray) -> np.ndarray:
@@ -304,15 +299,14 @@ def is_irreducible(
     ``_spin_certifies`` is irreducible with ``algebra_dimension`` n^2 and no
     witness, and nothing in M_n is built. Every other set is decided by one
     ``algebra_closure``, which gives the dimension, and the witness is
-    ``_closure_witness`` of that closure. A reducible report can carry no
-    witness: when no orbit passes the absolute ``is_invariant`` tolerance,
-    as for generators scaled to 1e9, the witness is ``None``.
+    ``_closure_witness`` of that closure; its ``is_invariant`` test is
+    relative to each generator's largest entry, so a scaled set keeps its
+    witness. Every n >= 1 is decided the same way: on C^1 every set is
+    irreducible, of dimension 1.
     """
     tol = resolve(tol)
     mats = _coerce_generators(generators)
     n = mats[0].shape[0]
-    if n == 1:
-        raise AmbientDimOneError()
     largest_skew, skew_norm = _skew_residuals(mats)
     if not (largest_skew > tol.eps_entry).any() and _spin_certifies(mats, skew_norm, tol):
         return IrreducibilityReport(irreducible=True, algebra_dimension=n * n, witness=None)
@@ -394,15 +388,16 @@ def collection_irreducibility(
     their projectors is a nonzero multiple of ``v_i v_j^H``. The first
     context's rays in c form a basis of S_c, so a component whose atoms are
     all generator rays has A_c = L(S_c), of dimension d_c^2, with no matrix
-    built, and one of d_c = 1 has A_c = C E_c whatever its members. A
-    member equal to a generator has its atom and its links. A member the
-    registry merged into an identity at a nonzero distance does not: it is
-    no generator, yet its links join the graph, so its component is
-    decided like one of higher rank.
+    built; C^1 is one such component, of d_c = 1. A member equal to a
+    generator has its atom and its links. A member the registry merged into
+    an identity at a nonzero distance does not: it is no generator, yet its
+    links join the graph, so its component is decided like one of higher
+    rank.
     Any other component takes ``is_irreducible`` of its generators'
     compressions ``B^H P B`` (spin, then closure), B from
-    ``_component_basis``; a component that spans C^n needs no compression,
-    and its generators are all of them.
+    ``_component_basis``, whatever d_c; a component that spans C^n needs no
+    compression, its generators are all of them, and its witness is the
+    answer's.
 
     The set is irreducible when it has one component whose algebra is
     full. With more, the witness is S_c of the first, from the first
@@ -418,39 +413,39 @@ def collection_irreducibility(
     its atom with the first context's atoms across the cut, each at most
     ``eps_subspace^2``. The witness must still pass ``is_invariant`` for
     every generator; when it does not (a leak summed from several overlaps
-    near ``eps_subspace``), when ``_member_components`` finds no split, or
-    when one component is not full, the answer is ``is_irreducible`` of
-    every generator.
+    near ``eps_subspace``) or when ``_member_components`` finds no split,
+    the answer is ``is_irreducible`` of every generator.
     """
     tol = resolve(tol)
     n = collection.ambient_dim
-    if n == 1:
-        raise AmbientDimOneError()
     split = _member_components(collection, meet)
     generators = [entry.projector for entry in collection.registry]
     if split is None:
         return is_irreducible(generators, tol)
     where, dims, full = split
-    if len(dims) == 1:
-        if full[0]:
-            return IrreducibilityReport(irreducible=True, algebra_dimension=n * n, witness=None)
-        return is_irreducible(generators, tol)
     first = collection.contexts[0].members
 
     def span(c: int) -> np.ndarray:
         return _component_basis([p for p, o in zip(first, where[0]) if o == c], dims[c])
 
-    witness = Subspace(n, span(0))
-    if not all(is_invariant(witness, p, tol) for p in generators):
-        return is_irreducible(generators, tol)
+    witness = None
+    if len(dims) > 1:
+        witness = Subspace(n, span(0))
+        if not all(is_invariant(witness, p, tol) for p in generators):
+            return is_irreducible(generators, tol)
     # A generator's component is that of its first occurrence.
     homes = [where[ci][mi] for ci, mi in (entry.occurrences[0] for entry in collection.registry)]
     dimension = 0
     for c, d in enumerate(dims):
-        if full[c] or d == 1:
+        if full[c]:
             dimension += d * d
-            continue
-        b = witness.basis if c == 0 else span(c)
-        pieces = [b.conj().T @ p.matrix @ b for p, home in zip(generators, homes) if home == c]
-        dimension += is_irreducible(pieces, tol).algebra_dimension
-    return IrreducibilityReport(irreducible=False, algebra_dimension=dimension, witness=witness)
+        elif d == n:
+            report = is_irreducible(generators, tol)
+            dimension, witness = report.algebra_dimension, report.witness
+        else:
+            b = witness.basis if c == 0 else span(c)
+            pieces = [b.conj().T @ p.matrix @ b for p, home in zip(generators, homes) if home == c]
+            dimension += is_irreducible(pieces, tol).algebra_dimension
+    return IrreducibilityReport(
+        irreducible=dimension == n * n, algebra_dimension=dimension, witness=witness
+    )

@@ -121,7 +121,7 @@ def _lattice_verdicts(args, collection: ContextCollection, tol: TolerancePolicy)
         try:
             contexts = [collection.context_named(args.context)]
         except KeyError as exc:
-            raise ParseError(str(exc)) from exc
+            raise ParseError(exc.args[0]) from exc
     return {"lattices": {ctx.name: _family_json(context_lattice(ctx)) for ctx in contexts}}
 
 

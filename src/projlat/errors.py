@@ -85,11 +85,6 @@ class ZeroStateError(ValidationError):
         super().__init__("state vector has zero norm; only nonzero states admit a valuation")
 
 
-class AmbientDimOneError(ValidationError):
-    def __init__(self):
-        super().__init__("irreducibility is only defined for ambient dimension >= 2")
-
-
 class ParseError(ProjlatError, ValueError):
     """An operator-set document is malformed."""
 

@@ -276,8 +276,11 @@ def is_invariant(
     """True when the operator maps the subspace into itself.
 
     The criterion is the Frobenius norm of the part of ``A`` that leaks out
-    of the subspace, ``|(I - Q) A Q|_F <= eps_subspace`` with ``Q`` the
-    subspace projector. ``operator`` may be a ``Projector`` or a plain matrix.
+    of the subspace, ``|(I - Q) A Q|_F <= eps_subspace * max(max|A|, 1)``
+    with ``Q`` the subspace projector: relative to the largest entry of
+    ``A``, with the floor of 1 that the closure's cutoff also takes, so a
+    projector is judged against ``eps_subspace`` itself. ``operator`` may
+    be a ``Projector`` or a plain matrix.
     """
     matrix = operator.matrix if isinstance(operator, Projector) else operator
     arr = linalg.as_complex_matrix(matrix)
@@ -286,8 +289,8 @@ def is_invariant(
             f"operator dimension {arr.shape[0]} != ambient {subspace.ambient_dim}"
         )
     q = subspace.projector
-    leak = (np.eye(subspace.ambient_dim) - q) @ arr @ q
-    return float(np.linalg.norm(leak)) <= resolve(tol).eps_subspace
+    leak = float(np.linalg.norm((np.eye(subspace.ambient_dim) - q) @ arr @ q))
+    return leak <= resolve(tol).eps_subspace * float(np.abs(arr).max(initial=1.0))
 
 
 @dataclass(frozen=True)

@@ -85,9 +85,31 @@ class TestIsIrreducible:
         assert not report.irreducible
         assert report.witness.equals(span([1, 0]))
 
-    def test_dimension_one_rejected(self):
-        with pytest.raises(pl.AmbientDimOneError):
-            pl.is_irreducible([np.eye(1)])
+    @pytest.mark.parametrize(
+        "generators",
+        [[np.eye(1)], [np.array([[2.0 + 3.0j]])], [np.zeros((1, 1)), np.eye(1)]],
+        ids=["hermitian", "not-hermitian", "zero-and-one"],
+    )
+    def test_dimension_one_is_irreducible(self, generators):
+        # Burnside's theorem holds at n = 1: the unital algebra is C = M_1.
+        report = pl.is_irreducible(generators)
+        assert report.irreducible and report.algebra_dimension == 1
+        assert report.witness is None
+        closure = pl.algebra_closure(generators)
+        assert closure.saturated and closure.dimension == 1
+        assert pl.invariant_subspace_witness(generators) is None
+
+    @pytest.mark.parametrize(
+        "entry",
+        [pl.is_irreducible, pl.algebra_closure, pl.invariant_subspace_witness],
+        ids=lambda fn: fn.__name__,
+    )
+    @pytest.mark.parametrize(
+        "generators", [[np.zeros((0, 0))], [np.zeros((0, 0)), np.eye(2)]], ids=["alone", "first"]
+    )
+    def test_empty_matrices_rejected(self, entry, generators):
+        with pytest.raises(pl.DimensionMismatchError, match=r"at least 1 x 1"):
+            entry(generators)
 
     def test_any_single_maximal_context_is_reducible(self):
         rng = np.random.default_rng(79)
@@ -118,6 +140,20 @@ class TestWitnessSearch:
         first = pl.invariant_subspace_witness(diagonal_pair(pauli))
         second = pl.invariant_subspace_witness(diagonal_pair(pauli))
         assert np.array_equal(first.basis, second.basis)
+
+    def test_is_the_witness_of_is_irreducible(self, pauli):
+        sets = TestSpinCertificate().corpus(pauli) + TestNonSelfAdjoint().corpus()
+        for scale in TestSpinCertificate.SCALES:
+            sets += TestSpinCertificate.scaled_corpus(scale)
+        witnesses = 0
+        for generators in sets:
+            want = pl.is_irreducible(generators).witness
+            got = pl.invariant_subspace_witness(generators)
+            assert (got is None) == (want is None)
+            if want is not None:
+                witnesses += 1
+                assert got.basis.tobytes() == want.basis.tobytes()
+        assert witnesses > 0
 
 
 class TestRouteAgreement:
@@ -581,7 +617,6 @@ class TestBatchedCommutant:
             [entry.projector for entry in pauli.registry],
             [np.array([[1, 0], [0, 0]]), [[0.5, 0.5], [0.5, 0.5]]],
             list(signed_zero_stack(rng, 4, 3)),
-            [np.zeros((0, 0))],
         ):
             got = pl.algebra._coerce_generators(generators)
             want = np.array(oracle_coerce(generators))
@@ -778,8 +813,8 @@ class TestSpinCertificate:
 
     def test_same_reports_as_the_commutant_route(self, pauli):
         # The verdict, the dimension and whether a witness exists, as the
-        # commutant decided them; the scaled sets of 1e9 and 1e12 get no
-        # witness from either, since is_invariant's tolerance is absolute.
+        # commutant decided them; the scaled sets of 1e9 and 1e12 get a
+        # witness from both, since is_invariant's tolerance follows max|A|.
         sets = self.corpus(pauli) + [clifford_contexts(count) for count in (3, 4, 5)]
         for scale in self.SCALES:
             sets += self.scaled_corpus(scale)
@@ -891,6 +926,18 @@ class TestSpinCertificate:
         for generators in self.scaled_corpus(scale):
             report = self.assert_same_report(monkeypatch, generators)
             assert report.irreducible or not self.certifies(generators)
+
+    @pytest.mark.parametrize("scale", [1e9, 1e12])
+    def test_scaled_reducible_sets_get_a_witness(self, scale):
+        # is_invariant judges the leak against eps_subspace * max(max|A|, 1),
+        # so a reducible set keeps its witness however far it is scaled.
+        reducible = 0
+        for generators in self.scaled_corpus(scale):
+            report = pl.is_irreducible(generators)
+            if not report.irreducible:
+                reducible += 1
+                assert_is_witness(report.witness, generators)
+        assert reducible == 5
 
     @pytest.mark.parametrize("block_diagonal", [True, False], ids=["reducible", "coupled"])
     def test_same_reports_just_inside_self_adjoint(self, monkeypatch, block_diagonal):

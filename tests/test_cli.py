@@ -250,6 +250,9 @@ def test_kept_parser_leaks_no_argument_between_calls(pauli_file, capsys):
 
 def test_lattice_unknown_context(pauli_file, capsys):
     assert main(["lattice", pauli_file, "--context", "w"]) == 1
+    assert capsys.readouterr().err == "error: no context named 'w'\n"
+    assert main(["lattice", pauli_file, "--context", "w", "--format", "json"]) == 1
+    assert json.loads(capsys.readouterr().out)["error"] == "no context named 'w'"
 
 
 def test_lattice_cap_exits_three(tmp_path, capsys):

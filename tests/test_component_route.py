@@ -250,15 +250,40 @@ class TestAgreement:
         switches = sum(a != b for a, b in zip(verdicts, verdicts[1:]))
         assert switches == 1 and verdicts[0] is False and verdicts[-1] is True
 
-    def test_dimension_one_document_exits_one(self, tmp_path, capsys):
-        doc = {"dim": 1, "rays": {"a": [[1.0, 0.0]]}, "groups": {"z": ["a"]}}
-        path = tmp_path / "one.json"
-        path.write_text(json.dumps(doc))
-        assert main(["irreducible", str(path)]) == 1
-        assert "ambient dimension >= 2" in capsys.readouterr().err
-        collection, tol = pl.parse_document(doc)
-        with pytest.raises(pl.AmbientDimOneError):
-            collection_irreducibility(collection, _meet(collection, tol), tol)
+    @pytest.mark.parametrize("n", [2, 5, 32])
+    def test_one_rank_one_component_builds_nothing(self, monkeypatch, n):
+        # A Haar pair (the irreducible bench document at n = 5) is one full
+        # component: no basis, no witness, no is_irreducible.
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a full rank-1 component built a matrix")
+
+        doc = planted_rays(np.random.default_rng([2560, n]), (n,))
+        collection, tol, _ = _registry(doc)
+        meet = _meet(collection, tol)
+        for name in ("is_irreducible", "_component_basis", "Subspace"):
+            monkeypatch.setattr(pl.algebra, name, forbidden)
+        report = collection_irreducibility(collection, meet, tol)
+        assert report == pl.IrreducibilityReport(True, n * n, None)
+
+    C1_DOCUMENTS = {
+        "rays": {"dim": 1, "rays": {"a": [[1.0, 0.0]]}, "groups": {"z": ["a"]}},
+        "matrices": {"dim": 1, "contexts": {"c": [[[[1.0, 0.0]]], [[[0.0, 0.0]]]]}},
+    }
+
+    @pytest.mark.parametrize("form", sorted(C1_DOCUMENTS))
+    def test_dimension_one_document_is_irreducible(self, tmp_path, capsys, form):
+        # On C^1 the algebra of any set is C = M_1, and the meet is trivial.
+        doc = self.C1_DOCUMENTS[form]
+        for command in ("validate", "intersect", "ks-search"):
+            assert _report(tmp_path, capsys, doc, command)[0] == 0
+        code, report = _report(tmp_path, capsys, doc)
+        verdicts = report["verdicts"]
+        assert code == 0 and verdicts["irreducible"] is True
+        assert verdicts["algebra_dimension"] == 1 and verdicts["witness"] is None
+        assert verdicts["lattice_intersection_trivial"] is True and verdicts["routes_agree"]
+        collection, tol, generators = _registry(doc)
+        report = collection_irreducibility(collection, _meet(collection, tol), tol)
+        assert report == pl.is_irreducible(generators, tol)
 
 
 def _turned(n, angle):

@@ -7,6 +7,7 @@ import pytest
 
 import projlat as pl
 from conftest import ks18_document, random_rank1_context
+from projlat.cli import main
 
 
 def pauli_matrix_document(pauli):
@@ -518,6 +519,23 @@ class TestOneCallDecode:
             assert _outcome(pl.document._parse_matrix, matrix, dim) == want
             want = _outcome(oracle_parse_vector, vector, dim)
             assert _outcome(pl.document._parse_vector, vector, dim) == want
+
+    def test_entry_the_one_call_declines_is_walked(self, tmp_path, capsys):
+        # 2**64 fits neither int64 nor uint64, so the one call gets object
+        # dtype and declines the payload; the walk parses it as a float, and
+        # the stack then fails the idempotence check.
+        matrices = [
+            [[[2**64, 0], [0, 0]], [[0, 0], [0, 0]]],
+            [[[0, 0], [0, 0]], [[0, 0], [1, 0]]],
+        ]
+        assert pl.document._decode(matrices, (2, 2, 2, 2)) is None
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"dim": 2, "contexts": {"c": matrices}}))
+        assert main(["validate", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: context 'c' member c[0]: matrix is not idempotent: "
+            "max |M^2 - M| = 3.403e+38 > 1.000e-09\n"
+        )
 
     @pytest.mark.parametrize(
         "matrix",

@@ -7,7 +7,6 @@ from projlat import document, lattice, linalg
 
 EXPORTS = [
     "AlgebraClosure",
-    "AmbientDimOneError",
     "AssignmentSearchResult",
     "BivalenceReport",
     "CapExceededError",
@@ -62,6 +61,8 @@ EXPORTS = [
 REMOVED = [
     (pl, "adjoint"),
     (pl, "all_elements_invariant"),
+    (pl, "AmbientDimOneError"),
+    (pl.errors, "AmbientDimOneError"),
     (pl.Subspace, "from_span"),
     (pl.Subspace, "full"),
     (pl.Subspace, "is_zero"),

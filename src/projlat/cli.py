@@ -22,9 +22,8 @@ import numpy as np
 from .algebra import collection_irreducibility, is_irreducible  # noqa: F401
 from .document import _parse_tolerances, load_document, matrix_to_json
 from .errors import CapExceededError, DimensionMismatchError, ParseError, ValidationError
-from .lattice import LatticeFamily, context_lattice, intersect_lattices
+from .lattice import LatticeFamily, _bits, context_lattice, intersect_lattices
 from .projectors import ContextCollection, context_residuals, pauli_contexts
-from .subspace import Subspace
 from .tolerance import TolerancePolicy
 from .valuation import bivalence_report, parity_certificate, search_noncontextual_assignment
 
@@ -80,18 +79,15 @@ def parse_state_flag(text: str) -> np.ndarray:
     return np.array(entries)
 
 
-def _subspace_json(sub: Subspace, label: str) -> dict:
-    return {"label": label, "dim": sub.dim, "basis": matrix_to_json(sub.basis.T)}
-
-
 def _family_json(family: LatticeFamily) -> dict:
-    return {
-        "size": family.size,
-        "elements": [
-            _subspace_json(el, label)
-            for el, label in zip(family.elements, family.labels)
-        ],
-    }
+    """The family's size and elements, read off its block bases: each block
+    is encoded once, and an element's basis rows are its blocks' rows."""
+    rows = [matrix_to_json(q.T) for q in family.block_bases]
+    elements = []
+    for i, label in enumerate(family.labels):
+        basis = [row for b in _bits(i) for row in rows[b]]
+        elements.append({"label": label, "dim": len(basis), "basis": basis})
+    return {"size": family.size, "elements": elements}
 
 
 def _intersection(collection: ContextCollection, tol: TolerancePolicy):
@@ -140,15 +136,15 @@ def _irreducible_verdicts(args, collection, tol, meet: LatticeFamily | None = No
     if meet is None:
         _, meet = _intersection(collection, tol)
     report = collection_irreducibility(collection, meet, tol)
-    lattice_trivial = meet.is_trivial()
+    witness, lattice_trivial = report.witness, meet.is_trivial()
     return {
         "ambient_dim": collection.ambient_dim,
         "generators": len(collection.registry),
         "algebra_dimension": report.algebra_dimension,
         "irreducible": report.irreducible,
-        "witness": (
-            None if report.witness is None else _subspace_json(report.witness, "witness")
-        ),
+        "witness": None if witness is None else {
+            "label": "witness", "dim": witness.dim, "basis": matrix_to_json(witness.basis.T)
+        },
         "lattice_intersection_trivial": lattice_trivial,
         "routes_agree": report.irreducible == lattice_trivial,
         "note": (

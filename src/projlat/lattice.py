@@ -7,10 +7,11 @@ context's nonzero members); the blocks are disjoint atom bitmasks,
 and the family is Boolean over them: it lists the spans of block subsets in
 ascending bitmask order, block ``i`` at position ``2^i``. Families meet in
 the sums of connected components of the graph linking overlapping atoms; a
-meet of only {0, C^n} is trivial. An element, the QR of its atoms' stacked
-bases, is taken when the elements are first read, for a family of at most
-one block or whose elements hold at most ``DEFAULT_ENTRY_CAP`` basis
-entries, so a meet of 2^c elements costs 2^c QRs.
+meet of only {0, C^n} is trivial. Each block's basis, the QR of its atoms'
+stacked bases, is taken when the elements are first read, for a family of
+at most one block or whose elements hold at most ``DEFAULT_ENTRY_CAP``
+basis entries; an element's basis is its blocks' bases side by side, so a
+meet of 2^c elements costs c QRs.
 """
 from __future__ import annotations
 
@@ -66,20 +67,25 @@ class LatticeFamily:
     ``intersect_lattices`` build every family. Element ``i`` spans the
     atoms of the blocks at the set bits of ``i``: element 0 is the zero
     subspace, the last one spans every atom, and distinct subsets of
-    orthogonal atoms give distinct subspaces. ``elements`` and ``labels``
-    are built on first access; past ``DEFAULT_ENTRY_CAP`` basis entries,
-    with two or more blocks, they raise ``SubsetLimitExceededError``, and
-    ``size``, ``len``, ``is_trivial`` and ``intersect_lattices`` never
-    build them.
+    orthogonal atoms give distinct subspaces. Its basis is the
+    ``block_bases`` at those bits side by side: orthonormal within a block,
+    and across blocks to within the atoms' overlap, at most
+    ``eps_subspace`` in a meet. ``block_bases``, ``elements`` and
+    ``labels`` are built on first access; past ``DEFAULT_ENTRY_CAP`` basis
+    entries, with two or more blocks, they raise
+    ``SubsetLimitExceededError`` before any QR, and ``size``, ``len``,
+    ``is_trivial`` and ``intersect_lattices`` never build them.
     """
 
-    __slots__ = ("ambient_dim", "_elements", "_labels", "_atom_set", "_blocks", "_parts")
+    __slots__ = (
+        "ambient_dim", "_bases", "_elements", "_labels", "_atom_set", "_blocks", "_parts"
+    )
 
     def __init__(
         self, ambient_dim: int, atoms: _Atoms, blocks: tuple[int, ...], parts=None
     ):
         self.ambient_dim = ambient_dim
-        self._elements = self._labels = None
+        self._bases = self._elements = self._labels = None
         self._atom_set, self._blocks, self._parts = atoms, blocks, parts
 
     @property
@@ -87,28 +93,39 @@ class LatticeFamily:
         """The number of elements, 2^blocks, as a Python int."""
         return 1 << len(self._blocks)
 
-    def _masks(self) -> list[int]:
-        """The atom bitmask of each element, in order."""
+    def _check_cap(self) -> None:
+        """Raise ``SubsetLimitExceededError`` past the listing cap."""
         entries = self.ambient_dim ** 2 << len(self._blocks) >> 1
         if len(self._blocks) > 1 and entries > DEFAULT_ENTRY_CAP:
             raise SubsetLimitExceededError(entries, DEFAULT_ENTRY_CAP)
-        return _unions(self._blocks)
+
+    @property
+    def block_bases(self) -> tuple[np.ndarray, ...]:
+        """One orthonormal ``(n, dim)`` basis per block, the QR of its atoms'
+        stacked bases, taken once and after the listing cap is checked."""
+        if self._bases is None:
+            self._check_cap()
+            atoms = self._atom_set.bases
+            self._bases = tuple(
+                np.linalg.qr(np.hstack([atoms[i] for i in _bits(block)]))[0]
+                for block in self._blocks
+            )
+        return self._bases
 
     @property
     def elements(self) -> tuple[Subspace, ...]:
         if self._elements is None:
-            n, bases = self.ambient_dim, self._atom_set.bases
-            self._elements = tuple(
-                Subspace(n, np.linalg.qr(np.hstack([bases[i] for i in _bits(mask)]))[0])
-                if mask
-                else Subspace.zero(n)
-                for mask in self._masks()
+            n, bases = self.ambient_dim, self.block_bases
+            self._elements = (Subspace.zero(n),) + tuple(
+                Subspace(n, np.hstack([bases[b] for b in _bits(i)]))
+                for i in range(1, self.size)
             )
         return self._elements
 
     @property
     def labels(self) -> tuple[str, ...]:
         if self._labels is None:
+            self._check_cap()
             names, parts = self._atom_set.names, self._atom_set.parts
             self._labels = tuple(
                 "ran(0)"
@@ -116,7 +133,7 @@ class LatticeFamily:
                 else "ran(1)"
                 if mask.bit_count() == parts
                 else "ran(" + "+".join(names[i] for i in _bits(mask)) + ")"
-                for mask in self._masks()
+                for mask in _unions(self._blocks)
             )
         return self._labels
 
@@ -144,8 +161,9 @@ def context_lattice(ctx: MaximalContext) -> LatticeFamily:
     ``rank`` left singular vectors from the SVD taken at load, for a ray
     member the unit ray. No rank is decided here and no SVD is taken,
     except once for a hand-built member. Rank-0 members are not atoms, and
-    ``ran(1)`` needs every member. The 2^m elements are built when first
-    read, within ``DEFAULT_ENTRY_CAP``.
+    ``ran(1)`` needs every member. Each atom is a block of its own, so
+    listing the 2^m elements, when they are first read and within
+    ``DEFAULT_ENTRY_CAP``, takes m QRs, one per atom.
     """
     parts = [(p._factors()[0], p.label) for p in ctx.members]
     atoms = [(basis, name) for basis, name in parts if basis.shape[1]]

@@ -275,12 +275,14 @@ def is_invariant(
 ) -> bool:
     """True when the operator maps the subspace into itself.
 
-    The criterion is the Frobenius norm of the part of ``A`` that leaks out
-    of the subspace, ``|(I - Q) A Q|_F <= eps_subspace * max(max|A|, 1)``
-    with ``Q`` the subspace projector: relative to the largest entry of
-    ``A``, with the floor of 1 that the closure's cutoff also takes, so a
-    projector is judged against ``eps_subspace`` itself. ``operator`` may
-    be a ``Projector`` or a plain matrix.
+    The criterion is the Frobenius norm of the part of ``A B`` that leaks
+    out of the subspace, ``|A B - B (B^H A B)|_F <= eps_subspace *
+    max(max|A|, 1)`` with ``B`` the subspace basis: for an orthonormal ``B``
+    that is ``|(I - Q) A Q|_F``, ``Q = B B^H``, in O(n^2 dim) work. The
+    threshold is relative to the largest entry of ``A``, with the floor of
+    1 that the closure's cutoff also takes, so a projector is judged
+    against ``eps_subspace`` itself. ``operator`` may be a ``Projector`` or
+    a plain matrix.
     """
     matrix = operator.matrix if isinstance(operator, Projector) else operator
     arr = linalg.as_complex_matrix(matrix)
@@ -288,8 +290,9 @@ def is_invariant(
         raise DimensionMismatchError(
             f"operator dimension {arr.shape[0]} != ambient {subspace.ambient_dim}"
         )
-    q = subspace.projector
-    leak = float(np.linalg.norm((np.eye(subspace.ambient_dim) - q) @ arr @ q))
+    basis = subspace.basis
+    image = arr @ basis
+    leak = float(np.linalg.norm(image - basis @ (basis.conj().T @ image)))
     return leak <= resolve(tol).eps_subspace * float(np.abs(arr).max(initial=1.0))
 
 

@@ -4,8 +4,10 @@ A subspace is held as an orthonormal column basis together with its ambient
 dimension. It is what lattice elements, projector ranges and irreducibility
 witnesses are reported as: its ``basis`` and ``dim``, and its orthogonal
 projector ``B B^H``, which does not depend on the basis chosen, so
-``equals`` and ``is_invariant`` read that. The zero subspace carries an
-explicit empty basis and the zero projector.
+``equals`` reads that; ``is_invariant`` reads the basis. A lattice
+element's basis is its blocks' orthonormal bases side by side, orthonormal
+across blocks only to within the family's atom overlap. The zero subspace
+carries an explicit empty basis and the zero projector.
 """
 from __future__ import annotations
 

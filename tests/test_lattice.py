@@ -1,4 +1,5 @@
 import json
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,8 +17,11 @@ from conftest import (
     rays_of,
     span,
 )
-from projlat import Subspace, linalg
+from projlat import Subspace, cli, linalg
 from projlat.cli import main
+from projlat.document import matrix_to_json
+from projlat.lattice import _bits
+from test_component_route import planted_corpus
 
 
 LOOSE = pl.TolerancePolicy(eps_rank=1e-4, eps_entry=1e-4, eps_subspace=1e-3)
@@ -476,22 +480,39 @@ class TestIntersectionGuard:
             pl.intersect_lattices([pauli_lattices["z"], skew])
 
 
-# The eager build every family used before families kept their atoms: all
-# 2^k elements and labels at once, one QR of the stacked atom bases each.
-def eager_boolean_family(n, parts):
+# The eager build: all 2^k elements and labels at once. Each block's basis
+# is one QR of its atoms' stacked bases, and element i holds the bases of the
+# blocks at the set bits of i side by side. ``blocks`` are atom masks,
+# ascending; by default every atom is a block of its own.
+def eager_boolean_family(n, parts, blocks=None):
     atoms = [(sub.basis, name) for sub, name in parts if sub.dim]
+    if blocks is None:
+        blocks = [1 << i for i in range(len(atoms))]
+    bases = [
+        np.linalg.qr(np.hstack([atoms[i][0] for i in range(len(atoms)) if block >> i & 1]))[0]
+        for block in blocks
+    ]
     elements, labels = [Subspace.zero(n)], ["ran(0)"]
-    for mask in range(1, 1 << len(atoms)):
-        chosen = [atoms[i] for i in range(len(atoms)) if mask >> i & 1]
-        elements.append(Subspace(n, np.linalg.qr(np.hstack([b for b, _ in chosen]))[0]))
-        full = len(chosen) == len(parts)
-        labels.append("ran(1)" if full else "ran(" + "+".join(name for _, name in chosen) + ")")
+    for mask in range(1, 1 << len(blocks)):
+        chosen = [b for b in range(len(blocks)) if mask >> b & 1]
+        elements.append(Subspace(n, np.hstack([bases[b] for b in chosen])))
+        union = sum(blocks[b] for b in chosen)
+        names = [name for i, (_, name) in enumerate(atoms) if union >> i & 1]
+        full = len(names) == len(parts)
+        labels.append("ran(1)" if full else "ran(" + "+".join(names) + ")")
     return Listed(n, tuple(elements), tuple(labels))
 
 
-def eager_context_lattice(ctx):
+def eager_context_lattice(ctx, blocks=None):
     parts = [(p.range(), p.label) for p in ctx.members]
-    return eager_boolean_family(ctx.ambient_dim, parts)
+    return eager_boolean_family(ctx.ambient_dim, parts, blocks)
+
+
+def minimal_masks(masks):
+    """The minimal nonzero masks among ``masks``, ascending: the blocks of a
+    Boolean family whose elements have these atom masks."""
+    nonzero = [m for m in masks if m]
+    return sorted(m for m in nonzero if not any(o != m and o & m == o for o in nonzero))
 
 
 def assert_identical_family(got, want):
@@ -516,6 +537,21 @@ def built_elements(monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(pl.lattice, "Subspace", Counted)
+    return count
+
+
+@pytest.fixture()
+def lattice_qrs(monkeypatch):
+    """Counts the QRs the lattice module takes."""
+    count = {"n": 0}
+    qr = np.linalg.qr
+
+    def counted(*args, **kwargs):
+        if sys._getframe(1).f_globals["__name__"] == "projlat.lattice":
+            count["n"] += 1
+        return qr(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counted)
     return count
 
 
@@ -548,18 +584,50 @@ class TestFamiliesKeepAtoms:
         meet.elements  # built once
         assert built_elements["n"] == 2
 
-    def test_intersect_builds_exactly_the_meet(self, tmp_path, capsys, built_elements):
+    def test_intersect_builds_exactly_the_meet(
+        self, tmp_path, capsys, built_elements, lattice_qrs
+    ):
+        # One QR per block of the meet, none for the 64-element context
+        # families, and no Subspace for the report.
         path = tmp_path / "blocks.json"
         path.write_text(json.dumps(planted_blocks_document(1800)))
         assert main(["intersect", str(path), "--format", "json"]) == 0
         report = json.loads(capsys.readouterr().out)["verdicts"]
         assert report["per_context_sizes"] == {"c0": 64, "c1": 64, "c2": 64}
         assert report["intersection"]["size"] == 8
-        assert built_elements["n"] == 8
-        built_elements["n"] = 0
+        assert lattice_qrs["n"] == 3
+        assert built_elements["n"] == 0
+        lattice_qrs["n"] = 0
         assert main(["irreducible", str(path), "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["verdicts"]["irreducible"] is False
-        assert built_elements["n"] == 0
+        assert lattice_qrs["n"] == built_elements["n"] == 0
+
+    def test_lattice_takes_one_qr_per_block(self, tmp_path, capsys, lattice_qrs):
+        path = tmp_path / "blocks.json"
+        path.write_text(json.dumps(planted_blocks_document(1800)))
+        assert main(["lattice", str(path), "--format", "json"]) == 0
+        lattices = json.loads(capsys.readouterr().out)["verdicts"]["lattices"]
+        assert [len(f["elements"]) for f in lattices.values()] == [64, 64, 64]
+        assert lattice_qrs["n"] == 3 * 6
+
+    def test_capped_family_takes_no_qr(self, tmp_path, capsys, lattice_qrs):
+        # 16 rays of C^16: 2^16 elements holding 16^2 * 2^15 basis entries,
+        # past the cap of 2^20.
+        rays = _haar(np.random.default_rng(2320), 16).T
+        family = pl.context_lattice(pl.context_from_basis(list(rays)))
+        for read in ("block_bases", "elements", "labels"):
+            with pytest.raises(pl.SubsetLimitExceededError):
+                getattr(family, read)
+        doc = {
+            "dim": 16,
+            "rays": {f"r{k}": matrix_to_json(ray) for k, ray in enumerate(rays)},
+            "groups": {"a": [f"r{k}" for k in range(16)]},
+        }
+        path = tmp_path / "rays.json"
+        path.write_text(json.dumps(doc))
+        assert main(["lattice", str(path)]) == 3
+        assert "listing is capped" in capsys.readouterr().err
+        assert lattice_qrs["n"] == 0
 
     def test_sixty_four_atoms(self, built_elements):
         # 2^64 elements: sizes and block masks stay exact Python ints, which
@@ -592,11 +660,15 @@ class TestFamiliesKeepAtoms:
             for fam, want in zip(families, eager):
                 assert_identical_family(fam, want)
             meet = pl.intersect_lattices(families)
+            # The eager copies meet, by membership, in the same labels. The
+            # first copy lists its elements in atom-mask order, so the labels
+            # give the surviving masks, and the minimal ones the meet's
+            # blocks, which the eager build lists to the last bit.
+            oracle = oracle_intersect(eager)
+            assert meet.labels == oracle.labels
             index = {label: i for i, label in enumerate(eager[0].labels)}
-            for element, label in zip(meet.elements, meet.labels):
-                assert np.array_equal(element.basis, eager[0].elements[index[label]].basis)
-            # The eager copies meet, by membership, in the same elements.
-            assert_identical_family(meet, oracle_intersect(eager))
+            blocks = minimal_masks(index[label] for label in oracle.labels)
+            assert_identical_family(meet, eager_context_lattice(contexts[0], blocks))
 
     def test_meet_of_a_meet(self):
         collection, _ = pl.parse_document(planted_blocks_document(1810))
@@ -615,6 +687,101 @@ class TestFamiliesKeepAtoms:
         ):
             ctx = complement_context(projector)
             assert_identical_family(pl.context_lattice(ctx), eager_context_lattice(ctx))
+
+
+def per_element_qr(family):
+    """Element i's basis under one QR per element: the QR of the stacked
+    bases of every atom it holds (element 0 is empty)."""
+    n, atoms = family.ambient_dim, family._atom_set.bases
+    bases = [np.zeros((n, 0))]
+    for i in range(1, family.size):
+        union = sum(family._blocks[b] for b in _bits(i))
+        bases.append(np.linalg.qr(np.hstack([atoms[a] for a in _bits(union)]))[0])
+    return bases
+
+
+def cross_block_gram(family, i):
+    """E for element i: the Gram matrix of its basis, diagonal blocks zeroed."""
+    parts = [family.block_bases[b] for b in _bits(i)]
+    basis = np.hstack(parts)
+    gram, start = basis.conj().T @ basis, 0
+    for q in parts:
+        gram[start : start + q.shape[1], start : start + q.shape[1]] = 0
+        start += q.shape[1]
+    return gram
+
+
+def listed_families(doc):
+    """The context families of a document and their meet, those within the cap."""
+    collection, tol = pl.parse_document(doc)
+    families = [pl.context_lattice(ctx) for ctx in collection.contexts]
+    listed = []
+    for family in [*families, pl.intersect_lattices(families, tol)]:
+        try:
+            family.labels
+        except pl.SubsetLimitExceededError:
+            continue
+        listed.append(family)
+    return listed
+
+
+def planted_families():
+    return [f for _, doc in planted_corpus() for f in listed_families(doc)]
+
+
+class TestBlockBases:
+    """Element bases are block bases side by side; against one QR per element,
+    their projectors move by at most 2|E|_F plus roundoff, where E is the
+    element's cross-block Gram matrix: BB^H - P = B(I - (I + E)^-1)B^H."""
+
+    @staticmethod
+    def gaps(family):
+        """(|BB^H - P_old|_F, |E|_F) for every element of two or more blocks;
+        the other elements equal the per-element QR to the last bit."""
+        old, out = per_element_qr(family), []
+        for i, element in enumerate(family.elements):
+            if i.bit_count() < 2:
+                assert np.array_equal(element.basis, old[i])
+                continue
+            gap = np.linalg.norm(element.projector - old[i] @ old[i].conj().T)
+            out.append((gap, np.linalg.norm(cross_block_gram(family, i))))
+        return out
+
+    def test_planted_corpus(self):
+        families = planted_families()
+        assert sum(f.size > 2 for f in families) >= 10
+        for family in families:
+            n = family.ambient_dim
+            for gap, e in self.gaps(family):
+                assert gap <= 2 * e + 64 * n * np.finfo(float).eps
+
+    def test_atoms_overlapping_near_eps_subspace(self):
+        # Four rays of C^4 turned off orthogonal by 5e-4 pairwise, half of
+        # eps_subspace (their sum stays within eps_entry of I): the meet
+        # keeps every ray a block.
+        tol = pl.TolerancePolicy(eps_rank=1e-4, eps_entry=1e-3, eps_subspace=1e-3)
+        rays = _haar(np.random.default_rng(2330), 4) @ (np.eye(4) + 2.5e-4 * (1 - np.eye(4)))
+        rays /= np.linalg.norm(rays, axis=0)
+        family = pl.context_lattice(pl.context_from_basis(list(rays.T), tol))
+        meet = pl.intersect_lattices([family], tol)
+        assert meet._blocks == family._blocks
+        for fam in (family, meet):
+            gaps = self.gaps(fam)
+            assert len(gaps) == 11
+            for gap, e in gaps:
+                assert 0.5 * e <= gap <= 2 * e + 1e-13
+            assert max(e for _, e in gaps) > 1.5e-3
+
+    def test_report_rows_equal_the_element_bases(self):
+        for family in planted_families():
+            listed = cli._family_json(family)
+            assert listed["size"] == family.size
+            want = [
+                {"label": label, "dim": el.dim, "basis": matrix_to_json(el.basis.T)}
+                for el, label in zip(family.elements, family.labels)
+            ]
+            # json.dumps tells -0.0 from 0.0, which == does not.
+            assert json.dumps(listed["elements"]) == json.dumps(want)
 
 
 def noisy_context(rng, dim, noise, tol):
